@@ -2,8 +2,8 @@
 
 use crate::request::{DiagramFormat, ExplainResponse, QueryRequest, QueryResponse, Translations};
 use crate::shared::{
-    hash_text, scans_current, stamp_scans, DbEpoch, EngineShared, EvalEntry, ParseEntry, PlanEntry,
-    PlanKey, SharedConfig, REPLAN_Q_ERROR,
+    hash_text, scans_current, stamp_scans, DbEpoch, EngineShared, EvalEntry, ParseEntry, ParseKey,
+    PlanEntry, PlanKey, SharedConfig, REPLAN_Q_ERROR,
 };
 use crate::{Artifact, Language};
 use rd_core::exec::{self, Plan};
@@ -271,24 +271,91 @@ impl Session {
     /// enabled, per-stage spans are recorded into the shared histogram
     /// registry and returned on the response.
     pub fn run(&mut self, req: &QueryRequest) -> CoreResult<QueryResponse> {
+        self.run_inner(req, None)
+            .map(|resp| resp.expect("an unrestricted run always answers"))
+    }
+
+    /// Answers `req` only if the caches already hold everything it
+    /// needs: its text hits the parse cache, its canonical form hits the
+    /// eval cache with a current scan set, it asks for no translations
+    /// and no diagram, and its result has at most `max_rows` rows. The
+    /// answer is exactly what [`run`](Session::run) would return, counted
+    /// and traced exactly as `run` counts and traces it. Anything else
+    /// returns `None` having counted and recorded nothing, so the caller
+    /// can still hand the request to `run` without counting it twice.
+    pub fn run_cached(&mut self, req: &QueryRequest, max_rows: usize) -> Option<QueryResponse> {
+        if req.translations || req.diagram != DiagramFormat::None {
+            return None;
+        }
+        // Nothing on the hit path can fail: it parses, plans, and
+        // executes nothing.
+        self.run_inner(req, Some(max_rows)).ok().flatten()
+    }
+
+    /// The body of [`run`](Session::run) and
+    /// [`run_cached`](Session::run_cached). Both caches are probed
+    /// without counting; with `cached_only = Some(max_rows)` the run
+    /// returns `Ok(None)` at the first miss, before anything is counted
+    /// or recorded. Past that point both callers share one path.
+    fn run_inner(
+        &mut self,
+        req: &QueryRequest,
+        cached_only: Option<usize>,
+    ) -> CoreResult<Option<QueryResponse>> {
         // One epoch snapshot per request: a concurrent reload must not
         // switch databases between prepare and eval.
         let epoch = self.shared.epoch();
-        self.stats.queries += 1;
         // `start` doubles as the tracing switch: `None` skips every
         // clock read and histogram record on the path below.
         let start = self.shared.metrics_enabled().then(Instant::now);
         let mut spans: Vec<Span> = Vec::new();
-        let (artifact, cache_hit) = self.prepare(&epoch, req.language, &req.text)?;
+        let parse_key = (epoch.base, req.language, hash_text(&req.text));
+        let parse_entry = self.shared.parse_cache.peek(&parse_key);
+        let parse_found = parse_entry.is_some();
+        let (artifact, cache_hit) = match parse_entry.filter(|e| *e.text == *req.text) {
+            Some(entry) => (entry.artifact, true),
+            None if cached_only.is_some() => return Ok(None),
+            None => {
+                // Counted before parsing, so a failed parse still counts.
+                self.count_query(parse_found, false);
+                (self.prepare_uncached(&epoch, parse_key, &req.text)?, false)
+            }
+        };
         // Render the canonical text exactly once per request: it keys
         // the eval and plan caches and rides back in the response.
         let canonical = artifact.canonical_text();
-        if let Some(t) = start {
-            spans.push(Span::new("parse", micros_since(t)));
-        }
+        let parse_micros = start.map(micros_since);
         let eval_start = start.map(|_| Instant::now());
-        let (relation, eval_cache_hit) =
-            self.evaluate(&epoch, &artifact, &canonical, &mut spans, start.is_some())?;
+        let eval_entry = if self.shared.eval_cache_enabled() {
+            let key = (epoch.base, artifact.language(), hash_text(&canonical));
+            self.shared.eval_cache.peek(&key)
+        } else {
+            None
+        };
+        if let Some(max_rows) = cached_only {
+            let serves = eval_entry.as_ref().is_some_and(|e| {
+                *e.canonical == *canonical
+                    && scans_current(&e.scans, &epoch)
+                    && e.relation.len() <= max_rows
+            });
+            if !serves {
+                return Ok(None);
+            }
+        }
+        if cache_hit {
+            self.count_query(parse_found, true);
+        }
+        if let Some(micros) = parse_micros {
+            spans.push(Span::new("parse", micros));
+        }
+        let (relation, eval_cache_hit) = self.evaluate(
+            &epoch,
+            &artifact,
+            &canonical,
+            eval_entry,
+            &mut spans,
+            start.is_some(),
+        )?;
         if let Some(t) = eval_start {
             // The plan span (if any) is nested inside this interval;
             // `execute` is the remainder: eval-cache probe, execution,
@@ -348,7 +415,7 @@ impl Session {
             self.shared
                 .record_request_metrics(artifact.language(), total, &spans);
         }
-        Ok(QueryResponse {
+        Ok(Some(QueryResponse {
             language: artifact.language(),
             canonical,
             artifact,
@@ -360,7 +427,7 @@ impl Session {
             notes,
             spans,
             micros: total,
-        })
+        }))
     }
 
     /// Runs a batch of requests, amortizing work across repeats: an exact
@@ -410,7 +477,18 @@ impl Session {
             }
         }
         self.stats.cache_misses += 1;
-        let artifact = Arc::new(Artifact::prepare(language, text, &epoch.catalog)?);
+        Ok((self.prepare_uncached(epoch, key, text)?, false))
+    }
+
+    /// The parse-cache miss path: parses + canonicalizes `text` and
+    /// caches the artifact under `key`.
+    fn prepare_uncached(
+        &mut self,
+        epoch: &DbEpoch,
+        key: ParseKey,
+        text: &str,
+    ) -> CoreResult<Arc<Artifact>> {
+        let artifact = Arc::new(Artifact::prepare(key.1, text, &epoch.catalog)?);
         let entry = ParseEntry {
             text: text.into(),
             artifact: artifact.clone(),
@@ -418,14 +496,29 @@ impl Session {
         if self.shared.parse_cache.insert(key, entry).1.is_some() {
             self.stats.cache_evictions += 1;
         }
-        Ok((artifact, false))
+        Ok(artifact)
+    }
+
+    /// Counts one query and its parse-cache lookup: `found` is what the
+    /// cache saw (an entry under the key), `hit` whether its text
+    /// matched (a mismatch is a hash collision, a session-level miss).
+    fn count_query(&mut self, found: bool, hit: bool) {
+        self.stats.queries += 1;
+        self.shared.parse_cache.record(found);
+        if hit {
+            self.stats.cache_hits += 1;
+        } else {
+            self.stats.cache_misses += 1;
+        }
     }
 
     /// Evaluates through the shared eval/result cache, keyed by the
     /// canonical artifact text and the epoch's *base* generation, with
     /// each entry's recorded scan set validated against the epoch's
-    /// per-relation generations (delta-aware invalidation). Returns the
-    /// (shared) relation and whether evaluation was skipped.
+    /// per-relation generations (delta-aware invalidation). `cached` is
+    /// the caller's uncounted probe of that key; the lookup is counted
+    /// here. Returns the (shared) relation and whether evaluation was
+    /// skipped.
     ///
     /// Evaluation runs over the interned representation; the result is
     /// resolved back to strings *here* — the session is the edge — so
@@ -436,6 +529,7 @@ impl Session {
         epoch: &DbEpoch,
         artifact: &Artifact,
         canonical: &str,
+        cached: Option<EvalEntry>,
         spans: &mut Vec<Span>,
         trace: bool,
     ) -> CoreResult<(Arc<Relation>, bool)> {
@@ -447,23 +541,22 @@ impl Session {
             self.observe_execution(epoch, artifact, canonical, &plan, &feedback);
             return Ok((Arc::new(epoch.db.resolve_relation(&raw)), false));
         }
-        let key = (epoch.base, artifact.language(), hash_text(canonical));
-        if let Some(entry) = self.shared.eval_cache.get(&key) {
-            if *entry.canonical == *canonical {
-                if scans_current(&entry.scans, epoch) {
-                    self.stats.eval_hits += 1;
-                    if entry.born < epoch.generation {
-                        self.stats.delta_survivals += 1;
-                    }
-                    return Ok((entry.relation, true));
+        self.shared.eval_cache.record(cached.is_some());
+        if let Some(entry) = cached.filter(|e| *e.canonical == *canonical) {
+            if scans_current(&entry.scans, epoch) {
+                self.stats.eval_hits += 1;
+                if entry.born < epoch.generation {
+                    self.stats.delta_survivals += 1;
                 }
-                // A delta mutation touched a relation this result reads:
-                // the entry is stale. Fall through to re-evaluate; the
-                // insert below overwrites it under the same key.
-                self.stats.delta_invalidations += 1;
+                return Ok((entry.relation, true));
             }
+            // A delta mutation touched a relation this result reads:
+            // the entry is stale. Fall through to re-evaluate; the
+            // insert below overwrites it under the same key.
+            self.stats.delta_invalidations += 1;
         }
         self.stats.eval_misses += 1;
+        let key = (epoch.base, artifact.language(), hash_text(canonical));
         // Result-cache miss: the plan cache can still skip the compile.
         let plan = self.timed_plan(epoch, artifact, canonical, spans, trace)?;
         self.count_exec_mode(&plan);

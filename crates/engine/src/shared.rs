@@ -277,17 +277,26 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     /// Looks up `key`, cloning the value out so the shard lock is held
     /// only for the lookup (values are cheap clones — `Arc`s in practice).
     pub fn get(&self, key: &K) -> Option<V> {
-        let found = self
-            .shard(key)
+        let found = self.peek(key);
+        self.record(found.is_some());
+        found
+    }
+
+    /// [`get`](ShardedCache::get) without counting: a probe that may
+    /// still walk away must leave the hit/miss counters untouched, and
+    /// [`record`](ShardedCache::record)s the lookup only once it commits.
+    pub fn peek(&self, key: &K) -> Option<V> {
+        self.shard(key)
             .lock()
             .expect("cache shard")
             .get(key)
-            .cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+            .cloned()
+    }
+
+    /// Counts one lookup as a hit or a miss.
+    pub fn record(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Inserts an entry; returns the value displaced by a same-key
@@ -884,6 +893,18 @@ mod tests {
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 2));
         assert!(s.capacity >= 64);
+    }
+
+    #[test]
+    fn peek_counts_nothing_until_recorded() {
+        let c: ShardedCache<u32, u32> = ShardedCache::new(8, 1);
+        c.insert(1, 10);
+        assert_eq!(c.peek(&1), Some(10));
+        assert_eq!(c.peek(&2), None);
+        assert_eq!((c.stats().hits, c.stats().misses), (0, 0));
+        c.record(true);
+        c.record(false);
+        assert_eq!((c.stats().hits, c.stats().misses), (1, 1));
     }
 
     #[test]

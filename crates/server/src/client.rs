@@ -478,6 +478,7 @@ impl BenchReport {
                                 ("connections".into(), Json::Int(sh.connections as i64)),
                                 ("active".into(), Json::Int(sh.active as i64)),
                                 ("evicted".into(), Json::Int(sh.evicted as i64)),
+                                ("inline".into(), Json::Int(sh.inline as i64)),
                             ])
                         })
                         .collect(),

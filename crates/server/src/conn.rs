@@ -5,8 +5,9 @@
 //! drives:
 //!
 //! ```text
-//!   socket ──read──▶ read_buf ──lines──▶ pending ──pool──▶ completion
-//!   socket ◀─write── write_buf ◀──────────frames──────────────┘
+//!   socket ──read──▶ read_buf ──lines──▶ pending ─┬─inline──────────┐
+//!                                                 └─pool──▶ completion
+//!   socket ◀─write── write_buf ◀──────────frames────────────────────┘
 //! ```
 //!
 //! * `read_buf` accumulates raw bytes until a `\n` completes a frame;
@@ -14,9 +15,10 @@
 //!   configured cap is a protocol error (`LineOverflow`), not an
 //!   allocation.
 //! * `pending` holds parsed-off request lines in arrival order. The
-//!   reactor dispatches at most one to the compute pool at a time
-//!   (`in_flight`), so one connection's pipeline never monopolizes
-//!   workers and its responses stay in request order.
+//!   reactor answers the leading cache hits itself and dispatches the
+//!   rest as at most one compute-pool job at a time (`in_flight`), so
+//!   one connection's pipeline never monopolizes workers and its
+//!   responses stay in request order.
 //! * `write_buf` holds encoded response frames; the loop flushes it as
 //!   the socket accepts bytes and uses its occupancy for `POLLOUT`
 //!   interest and read backpressure.
@@ -40,8 +42,9 @@ pub const PENDING_HIGH_WATER: usize = 1024;
 pub const WRITE_HIGH_WATER: usize = 8 * 1024 * 1024;
 
 /// A connection's session plus the merge watermark the stats
-/// aggregation uses; pool workers lock it for the duration of one
-/// request.
+/// aggregation uses; a pool worker locks it for one batch, the shard
+/// loop for one run of inline answers (never both: the loop answers
+/// only while no job of the connection is out).
 pub struct WorkerSession {
     /// The per-connection engine session (caches shared via the
     /// server's `EngineShared`).
@@ -84,7 +87,7 @@ pub struct Conn<S> {
     pub pending: VecDeque<String>,
     /// Pool jobs dispatched but not yet completed (0 or 1).
     pub in_flight: usize,
-    /// The session pool workers run this connection's requests against.
+    /// The session this connection's requests run against.
     pub session: Arc<Mutex<WorkerSession>>,
     /// No more requests will be read (EOF, fatal error, or shutdown).
     pub read_closed: bool,

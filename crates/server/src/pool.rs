@@ -6,10 +6,12 @@
 //! pool closes the channel and joins every worker, so shutdown is
 //! deterministic: queued jobs finish, then the threads exit.
 //!
-//! Since the reactor refactor, workers never own a connection: each job
-//! is one request (decode → evaluate → encode frames), and its
-//! completion is posted back to the event loop through a wakeup pipe.
-//! Pool width therefore bounds concurrent evaluations, not clients.
+//! Workers never own a connection. Each job is one connection's batch
+//! of up to 64 requests, already decoded by the shard's event loop; the
+//! worker evaluates them in order, encodes their frames, and posts the
+//! completion back to the loop through a wakeup pipe. Requests the
+//! loop can answer from the caches alone never become jobs. Pool width
+//! therefore bounds concurrent evaluations, not clients.
 
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};

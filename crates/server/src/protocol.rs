@@ -492,6 +492,10 @@ pub struct ShardBreakdown {
     pub active: u64,
     /// Connections this shard closed by idle-timeout eviction.
     pub evicted: u64,
+    /// Requests this shard's event loop answered itself (pings and
+    /// whole cache hits) without a pool round trip (appended; absent in
+    /// older frames — decodes to 0).
+    pub inline: u64,
 }
 
 /// The payload of a metrics response.
@@ -802,6 +806,7 @@ fn shard_breakdown_to_json(sb: &ShardBreakdown) -> Json {
         ("connections", u(sb.connections)),
         ("active", u(sb.active)),
         ("evicted", u(sb.evicted)),
+        ("inline", u(sb.inline)),
     ])
 }
 
@@ -816,6 +821,7 @@ fn shard_breakdowns_from_json(v: &Json) -> Result<Vec<ShardBreakdown>, String> {
                     connections: get_u64(item, "connections")?,
                     active: get_u64(item, "active")?,
                     evicted: get_u64(item, "evicted")?,
+                    inline: opt_u64(item, "inline")?,
                 })
             })
             .collect(),
@@ -1971,12 +1977,14 @@ mod tests {
                     connections: 5,
                     active: 2,
                     evicted: 0,
+                    inline: 12,
                 },
                 ShardBreakdown {
                     shard: 1,
                     connections: 4,
                     active: 1,
                     evicted: 1,
+                    inline: 0,
                 },
             ],
             fingerprint: "abc".into(),
@@ -1986,9 +1994,22 @@ mod tests {
         assert!(line.contains(r#""shards":["#), "{line}");
         let back: Response = decode(&line).unwrap();
         assert_eq!(back, stats);
+        // Frames from before the inline counter decode it as 0.
+        let pre_inline = line
+            .replace(r#","inline":12"#, "")
+            .replace(r#","inline":0"#, "");
+        assert_ne!(pre_inline, line, "replacement must hit");
+        match decode::<Response>(&pre_inline).unwrap() {
+            Response::Stats(st) => {
+                assert_eq!(st.shards.len(), 2);
+                assert!(st.shards.iter().all(|s| s.inline == 0), "{:?}", st.shards);
+                assert_eq!(st.shards[1].evicted, 1);
+            }
+            other => panic!("expected stats, got {other:?}"),
+        }
         // Pre-sharding frames (no shards array) decode to empty.
         let legacy = line.replace(
-            r#","shards":[{"shard":0,"connections":5,"active":2,"evicted":0},{"shard":1,"connections":4,"active":1,"evicted":1}]"#,
+            r#","shards":[{"shard":0,"connections":5,"active":2,"evicted":0,"inline":12},{"shard":1,"connections":4,"active":1,"evicted":1,"inline":0}]"#,
             "",
         );
         assert_ne!(legacy, line, "replacement must hit");

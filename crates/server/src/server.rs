@@ -10,12 +10,19 @@
 //!             ┌─ shard 0 ─▼────────┐ ┌─ shard 1 ─▼───────┐
 //!             │ epoll loop + waker │ │ epoll loop + waker│  × N
 //!             │ conn table (local) │ │ conn table (local)│
+//!             │ cache hits inline  │ │ cache hits inline │
 //!             │ pool slice (w/N)   │ │ pool slice (w/N)  │
 //!             └────────────────────┘ └───────────────────┘
+//!
+//!   per connection:  read ─▶ frame ─▶ decode ─┬─ cheap: answer inline ──┬─▶ flush
+//!                                             └─ rest: pool job ─ wake ─┘
 //! ```
 //!
 //! A shard's loop never blocks on a socket and never evaluates a
-//! query; its pool workers never touch a socket. Registrations are
+//! query: it answers only *cheap* requests itself — pings, and queries
+//! the parse and eval caches already answer whole
+//! ([`Session::run_cached`]) — and hands everything else to its pool
+//! slice, whose workers never touch a socket. Registrations are
 //! persistent (`epoll_ctl` once per connection, `MOD` only when
 //! interest changes) and per-wakeup work is event-driven — only the
 //! connections actually touched this iteration are serviced, and the
@@ -34,7 +41,7 @@ use crate::conn::{Conn, ReadOutcome, WorkerSession};
 use crate::pool::ThreadPool;
 use crate::protocol::{
     self, CheckpointResult, LoadResult, LoadSource, MetricsResult, MutationResult, PlannerStats,
-    QueryResult, Request, Response, ShardBreakdown, StageLatency, StatsResult,
+    QueryResult, Request, RequestId, Response, ShardBreakdown, StageLatency, StatsResult,
 };
 use crate::reactor::{
     self, Epoll, EpollEvent, PollFd, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, POLLIN,
@@ -42,11 +49,11 @@ use crate::reactor::{
 use rd_core::trace::Histogram;
 use rd_core::{Database, Tuple, Value};
 use rd_engine::{
-    CacheStats, DiagramFormat, EngineMetrics, EngineShared, Language, QueryRequest, Session,
-    SessionStats, SharedConfig, STAGE_NAMES,
+    CacheStats, DiagramFormat, EngineMetrics, EngineShared, Language, QueryRequest, QueryResponse,
+    Session, SessionStats, SharedConfig, STAGE_NAMES,
 };
 use rd_store::{Store, WalRecord};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -175,13 +182,16 @@ struct ServerState {
 
 /// Latency/occupancy histograms for everything *around* query
 /// evaluation: the event loop itself, per-connection request queues,
-/// and the loop→pool handoff.
+/// and the loop→pool handoff. The last two cover pool dispatches only:
+/// requests answered inline on the shard thread never queue for the
+/// pool (they are counted by [`ShardHandle::inline`] instead).
 #[derive(Default)]
 struct ReactorMetrics {
     /// Time one loop iteration spends processing (post-`poll` to
     /// re-`poll`), microseconds.
     loop_micros: Histogram,
-    /// Pending request-lines on a connection at dispatch time.
+    /// Pending request-lines on a connection when a batch is handed to
+    /// the pool.
     queue_depth: Histogram,
     /// Time a batch waited between dispatch and a pool worker picking
     /// it up, microseconds.
@@ -260,6 +270,8 @@ struct ShardHandle {
     active: AtomicU64,
     /// Connections closed by idle eviction.
     evicted: AtomicU64,
+    /// Requests this shard's loop answered itself, skipping the pool.
+    inline: AtomicU64,
     /// This shard's loop-time / queue-depth / pool-wait histograms.
     metrics: Mutex<ReactorMetrics>,
 }
@@ -274,6 +286,7 @@ impl ShardHandle {
             connections: AtomicU64::new(0),
             active: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
+            inline: AtomicU64::new(0),
             metrics: Mutex::new(ReactorMetrics::default()),
         })
     }
@@ -816,18 +829,20 @@ impl ShardLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        // Try to write without waiting for the next EPOLLOUT round;
-        // most responses fit the socket buffer immediately.
-        if conn.has_backlog() && conn.flush().is_err() {
-            self.close(token);
-            return;
-        }
         if conn.in_flight == 0 && !conn.fatal && !conn.pending.is_empty() {
             self.dispatch(token);
         }
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
+        // Try to write without waiting for the next EPOLLOUT round;
+        // most responses fit the socket buffer immediately. Flushing
+        // after dispatch sends a completion and the inline answers that
+        // followed it in one write, in this same iteration.
+        if conn.has_backlog() && conn.flush().is_err() {
+            self.close(token);
+            return;
+        }
         let finished = conn.read_closed && conn.is_quiet();
         let aborted = conn.fatal && !conn.has_backlog();
         if finished || aborted {
@@ -864,12 +879,16 @@ impl ShardLoop {
         }
     }
 
-    /// Hands one connection's queued requests to the pool — one job per
-    /// connection at a time, so responses stay in request order and one
-    /// deep pipeline cannot monopolize the workers. A job takes the
-    /// connection's whole queue (up to a fairness cap): this is where
-    /// pipelining pays, amortizing the loop↔pool handoff and the write
-    /// syscalls across every request the client kept in flight.
+    /// Answers one connection's queued requests. Lines are decoded once,
+    /// here; the leading run of cheap requests is answered on this
+    /// thread ([`answer_inline`]) and the rest of the batch goes to the
+    /// pool as one job. One job per connection at a time keeps responses
+    /// in request order and stops one deep pipeline from monopolizing
+    /// the workers; while it is out, nothing else of this connection's
+    /// is answered, not even a hit. A job takes the connection's whole
+    /// queue (up to a fairness cap): this is where pipelining pays,
+    /// amortizing the loop↔pool handoff and the write syscalls across
+    /// every request the client kept in flight.
     fn dispatch(&mut self, token: u64) {
         /// Requests one job may carry (bounds worker occupancy per conn).
         const MAX_BATCH: usize = 64;
@@ -877,43 +896,56 @@ impl ShardLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if trace {
-            self.handle
-                .lock_metrics()
-                .queue_depth
-                .record(conn.pending.len() as u64);
-        }
-        let take = conn.pending.len().min(MAX_BATCH);
-        let lines: Vec<String> = conn.pending.drain(..take).collect();
-        conn.in_flight = 1;
-        let session = conn.session.clone();
-        let state = self.state.clone();
-        let handle = self.handle.clone();
-        let stream_threshold = self.config.stream_threshold;
-        let enqueued = trace.then(Instant::now);
-        self.pool.execute(move || {
-            if let Some(t) = enqueued {
-                handle.lock_metrics().pool_wait.record(elapsed_micros(t));
+        while !conn.pending.is_empty() {
+            let depth = conn.pending.len();
+            let mut batch: VecDeque<Decoded> = conn
+                .pending
+                .drain(..depth.min(MAX_BATCH))
+                .map(|line| protocol::decode_request_line(line.trim()))
+                .collect();
+            let (bytes, answered) = answer_inline(
+                &self.state,
+                &conn.session,
+                &mut batch,
+                self.config.stream_threshold,
+            );
+            if answered > 0 {
+                self.handle.inline.fetch_add(answered, Ordering::Relaxed);
+                conn.queue(&bytes);
             }
-            // A panicking handler must still complete the batch:
-            // the connection would otherwise wait forever with
-            // `in_flight` stuck at 1. (Per-request panics are
-            // already contained inside `run_batch`.)
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_batch(&state, &session, &lines, stream_threshold)
-            }));
-            let (bytes, shutdown) = result.unwrap_or_else(|_| {
-                (
-                    error_line("internal error: request handler panicked".into()),
-                    false,
-                )
+            if batch.is_empty() {
+                continue;
+            }
+            if trace {
+                self.handle.lock_metrics().queue_depth.record(depth as u64);
+            }
+            conn.in_flight = 1;
+            let session = conn.session.clone();
+            let state = self.state.clone();
+            let handle = self.handle.clone();
+            let stream_threshold = self.config.stream_threshold;
+            let enqueued = trace.then(Instant::now);
+            self.pool.execute(move || {
+                if let Some(t) = enqueued {
+                    handle.lock_metrics().pool_wait.record(elapsed_micros(t));
+                }
+                // A panicking handler must still complete the batch:
+                // the connection would otherwise wait forever with
+                // `in_flight` stuck at 1. (Per-request panics are
+                // already contained inside `run_batch`.)
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_batch(&state, &session, batch, stream_threshold)
+                }));
+                let (bytes, shutdown) =
+                    result.unwrap_or_else(|_| (error_line(PANIC_MESSAGE.into()), false));
+                handle.push_completion(Completion {
+                    token,
+                    bytes,
+                    shutdown,
+                });
             });
-            handle.push_completion(Completion {
-                token,
-                bytes,
-                shutdown,
-            });
-        });
+            return;
+        }
     }
 
     /// Runs the O(n) idle scan — but only when the precomputed deadline
@@ -967,7 +999,71 @@ fn lock_session(cell: &Mutex<WorkerSession>) -> MutexGuard<'_, WorkerSession> {
     cell.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Runs one batch of raw request lines to completion on a pool worker.
+/// One decoded request line: its id (if any) and the request, or the
+/// decode error to answer with (see [`protocol::decode_request_line`]).
+type Decoded = Result<(Option<RequestId>, Request), (Option<RequestId>, String)>;
+
+/// Answers the leading run of *cheap* requests in `batch` on the
+/// calling shard thread, popping each one answered: pings, and queries
+/// without translations or a diagram that [`Session::run_cached`]
+/// answers from the parse and eval caches in one frame. The first other
+/// request stops the run, so the rest of the batch keeps its order for
+/// the pool. Returns the encoded frames and how many requests they
+/// answer.
+fn answer_inline(
+    state: &Arc<ServerState>,
+    session_cell: &Mutex<WorkerSession>,
+    batch: &mut VecDeque<Decoded>,
+    stream_threshold: usize,
+) -> (Vec<u8>, u64) {
+    let max_rows = match stream_threshold {
+        0 => usize::MAX,
+        n => n,
+    };
+    let mut cell = lock_session(session_cell);
+    let cell = &mut *cell;
+    let mut bytes = Vec::new();
+    let mut answered = 0;
+    while let Some(Ok((id, request))) = batch.front() {
+        // Contained like `run_batch`: a panic answers this request with
+        // an error frame instead of killing the shard loop.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match request {
+            Request::Ping => Some(vec![Response::Pong]),
+            Request::Query {
+                language,
+                text,
+                translations: false,
+                diagram: DiagramFormat::None,
+            } => {
+                let language = language.unwrap_or_else(|| Language::detect(text));
+                let req = QueryRequest::new(language, text.clone());
+                let resp = cell.session.run_cached(&req, max_rows)?;
+                Some(query_frames(
+                    state,
+                    &mut cell.session,
+                    &resp,
+                    stream_threshold,
+                ))
+            }
+            _ => None,
+        }));
+        let reply = match result {
+            Ok(None) => break,
+            Ok(Some(frames)) => encode_reply(state, id.as_ref(), &frames),
+            Err(_) => answer_panic(state),
+        };
+        state.requests.fetch_add(1, Ordering::Relaxed);
+        bytes.extend(reply);
+        batch.pop_front();
+        answered += 1;
+    }
+    if answered > 0 {
+        merge_stats(&mut cell.session, state, &mut cell.merged);
+    }
+    (bytes, answered)
+}
+
+/// Runs one batch of decoded requests to completion on a pool worker.
 /// The session lock is taken once and the stats merge happens once —
 /// per-batch, not per-request — so a deep pipeline amortizes all of the
 /// coordination, not just the socket syscalls. Returns the encoded
@@ -975,28 +1071,26 @@ fn lock_session(cell: &Mutex<WorkerSession>) -> MutexGuard<'_, WorkerSession> {
 fn run_batch(
     state: &Arc<ServerState>,
     session_cell: &Mutex<WorkerSession>,
-    lines: &[String],
+    batch: VecDeque<Decoded>,
     stream_threshold: usize,
 ) -> (Vec<u8>, bool) {
     let mut cell = lock_session(session_cell);
     let cell = &mut *cell;
     let mut bytes = Vec::new();
     let mut shutdown = false;
-    for line in lines {
+    for decoded in batch {
         // Contain per-request panics inside the batch: the remaining
         // requests still run and the lock (held outside the catch)
         // never poisons.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_line(state, cell, line, stream_threshold)
+            run_line(state, cell, decoded, stream_threshold)
         }));
         match result {
             Ok((frame_bytes, sd)) => {
                 bytes.extend_from_slice(&frame_bytes);
                 shutdown |= sd;
             }
-            Err(_) => bytes.extend_from_slice(&error_line(
-                "internal error: request handler panicked".into(),
-            )),
+            Err(_) => bytes.extend_from_slice(&answer_panic(state)),
         }
     }
     merge_stats(&mut cell.session, state, &mut cell.merged);
@@ -1011,18 +1105,26 @@ fn error_line(message: String) -> Vec<u8> {
     bytes
 }
 
-/// Runs one raw request line: decode, evaluate, frame (single response
-/// or chunked stream). Returns the encoded frames and whether the
-/// server should begin shutdown.
+/// The error a panicked request handler is answered with.
+const PANIC_MESSAGE: &str = "internal error: request handler panicked";
+
+/// Answers one request whose handler panicked: an id-less error frame,
+/// counted like any other error.
+fn answer_panic(state: &ServerState) -> Vec<u8> {
+    encode_reply(state, None, &[Response::Error(PANIC_MESSAGE.into())])
+}
+
+/// Runs one decoded request: evaluate, frame (single response or
+/// chunked stream). Returns the encoded frames and whether the server
+/// should begin shutdown.
 fn run_line(
     state: &Arc<ServerState>,
     cell: &mut WorkerSession,
-    line: &str,
+    decoded: Decoded,
     stream_threshold: usize,
 ) -> (Vec<u8>, bool) {
     state.requests.fetch_add(1, Ordering::Relaxed);
-    let text = line.trim();
-    let (id, frames, shutdown) = match protocol::decode_request_line(text) {
+    let (id, frames, shutdown) = match decoded {
         Ok((
             id,
             Request::Query {
@@ -1036,7 +1138,7 @@ fn run_line(
                 state,
                 &mut cell.session,
                 language,
-                &text,
+                text,
                 translations,
                 diagram,
                 stream_threshold,
@@ -1050,19 +1152,33 @@ fn run_line(
         }
         Err((id, e)) => (id, vec![Response::Error(e)], false),
     };
+    (encode_reply(state, id.as_ref(), &frames), shutdown)
+}
+
+/// Encodes one request's reply frames, newline-terminated, echoing
+/// `id` (timed as the `serialize` stage), and counts an error if any
+/// frame is one.
+fn encode_reply(state: &ServerState, id: Option<&RequestId>, frames: &[Response]) -> Vec<u8> {
     if frames.iter().any(|f| matches!(f, Response::Error(_))) {
         state.errors.fetch_add(1, Ordering::Relaxed);
     }
     let serialize_start = state.engine.metrics_enabled().then(Instant::now);
     let mut bytes = Vec::new();
-    for frame in &frames {
-        bytes.extend_from_slice(protocol::encode_frame(frame, id.as_ref()).as_bytes());
+    for frame in frames {
+        bytes.extend_from_slice(protocol::encode_frame(frame, id).as_bytes());
         bytes.push(b'\n');
     }
     if let Some(t) = serialize_start {
         state.engine.record_stage("serialize", elapsed_micros(t));
     }
-    (bytes, shutdown)
+    bytes
+}
+
+/// Locks the server-wide session aggregate, surviving a poisoned mutex:
+/// it is taken on the shard threads too, where a panic would stop the
+/// loop.
+fn lock_aggregate(state: &ServerState) -> MutexGuard<'_, SessionStats> {
+    state.sessions.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// Folds this session's counter growth into the server-wide aggregate.
@@ -1070,11 +1186,7 @@ fn merge_stats(session: &mut Session, state: &ServerState, merged: &mut SessionS
     let now = session.stats().clone();
     let delta = now.since(merged);
     if delta != SessionStats::default() {
-        state
-            .sessions
-            .lock()
-            .expect("session aggregate")
-            .accumulate(&delta);
+        lock_aggregate(state).accumulate(&delta);
         *merged = now;
     }
 }
@@ -1143,28 +1255,38 @@ fn handle_control(
     }
 }
 
-/// Runs one query and frames the result: one `Response::Query` when it
-/// fits, or `rows-chunk` frames + `rows-end` when the row count exceeds
-/// the stream threshold (0 = never stream).
+/// Runs one query on the pool and frames the result (see
+/// [`query_frames`]; a stream threshold of 0 never streams).
 fn run_query(
     state: &Arc<ServerState>,
     session: &mut Session,
     language: Option<Language>,
-    text: &str,
+    text: String,
     translations: bool,
     diagram: DiagramFormat,
     stream_threshold: usize,
 ) -> Vec<Response> {
-    let language = language.unwrap_or_else(|| Language::detect(text));
+    let language = language.unwrap_or_else(|| Language::detect(&text));
     let mut req = QueryRequest::new(language, text);
     if translations {
         req = req.with_translations();
     }
     req = req.with_diagram(diagram);
-    let resp = match session.run(&req) {
-        Ok(resp) => resp,
-        Err(e) => return vec![Response::Error(e.to_string())],
-    };
+    match session.run(&req) {
+        Ok(resp) => query_frames(state, session, &resp, stream_threshold),
+        Err(e) => vec![Response::Error(e.to_string())],
+    }
+}
+
+/// Frames one evaluated query: the slow-query log line (if due), then
+/// one `Response::Query` when the result fits, or `rows-chunk` frames +
+/// `rows-end` when the row count exceeds the stream threshold.
+fn query_frames(
+    state: &ServerState,
+    session: &mut Session,
+    resp: &QueryResponse,
+    stream_threshold: usize,
+) -> Vec<Response> {
     if let Some(threshold) = state.slow_query_log {
         if resp.micros >= threshold {
             let breakdown: Vec<String> = resp
@@ -1463,6 +1585,7 @@ fn collect_stats(state: &Arc<ServerState>, reset: bool) -> StatsResult {
                 connections: c,
                 active: a,
                 evicted: e,
+                inline: shard.inline.load(Ordering::Relaxed),
             }
         })
         .collect();
@@ -1473,7 +1596,7 @@ fn collect_stats(state: &Arc<ServerState>, reset: bool) -> StatsResult {
         errors: state.errors.load(Ordering::Relaxed),
         evicted,
         workers: state.workers,
-        sessions: state.sessions.lock().expect("session aggregate").clone(),
+        sessions: lock_aggregate(state).clone(),
         parse_cache: state.engine.parse_cache_stats(),
         eval_cache: state.engine.eval_cache_stats(),
         eval_cache_enabled: state.engine.eval_cache_enabled(),
@@ -1573,6 +1696,17 @@ fn render_metrics(state: &Arc<ServerState>) -> String {
         "rd_errors_total {}",
         state.errors.load(Ordering::Relaxed)
     );
+    // Requests each shard's loop answered itself; everything else in
+    // rd_requests_total went through that shard's pool slice.
+    let _ = writeln!(out, "# TYPE rd_requests_inline_total counter");
+    for shard in &state.shards {
+        let _ = writeln!(
+            out,
+            "rd_requests_inline_total{{shard=\"{}\"}} {}",
+            shard.id,
+            shard.inline.load(Ordering::Relaxed)
+        );
+    }
     let _ = writeln!(out, "# TYPE rd_connections_active gauge");
     let active: u64 = state
         .shards
@@ -1620,6 +1754,8 @@ fn render_metrics(state: &Arc<ServerState>) -> String {
             &reactor.loop_micros,
         );
     }
+    // Queue depth and pool wait describe pool dispatches only: inline
+    // answers never queue for the pool.
     let _ = writeln!(out, "# TYPE rd_conn_queue_depth histogram");
     for shard in &state.shards {
         let labels = format!("shard=\"{}\"", shard.id);
@@ -1655,4 +1791,44 @@ fn render_metrics(state: &Arc<ServerState>) -> String {
         );
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    /// The session aggregate is merged on the shard threads too, so a
+    /// panic that poisoned it once must not turn every later merge into
+    /// a panic that stops a shard loop.
+    #[test]
+    fn a_poisoned_session_aggregate_still_serves() {
+        let server = Server::bind(ServerConfig::default(), rd_engine::demo_database()).unwrap();
+        let addr = server.local_addr();
+        let state = server.state.clone();
+        let poisoner = state.clone();
+        let poisoned = std::thread::spawn(move || {
+            let _guard = poisoner.sessions.lock().unwrap();
+            panic!("poison the session aggregate");
+        })
+        .join();
+        assert!(poisoned.is_err() && state.sessions.is_poisoned());
+        let serving = std::thread::spawn(move || server.serve());
+
+        let mut client = Client::connect(addr).unwrap();
+        for _ in 0..3 {
+            let resp = client.query(Some(Language::Ra), "pi[color](Boat)").unwrap();
+            assert!(matches!(resp, Response::Query(_)), "{resp:?}");
+        }
+        let inline: u64 = state
+            .shards
+            .iter()
+            .map(|s| s.inline.load(Ordering::Relaxed))
+            .sum();
+        assert_eq!(inline, 2, "the repeats were answered on the shard thread");
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.sessions.queries, 3);
+        client.shutdown().unwrap();
+        serving.join().unwrap().unwrap();
+    }
 }

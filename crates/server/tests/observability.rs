@@ -2,9 +2,10 @@
 //! `metrics` exposition text, and `stats` reset windows — all through a
 //! real socket against the demo database.
 
-use rd_engine::{demo_database, Language};
+use rd_engine::{demo_database, EngineShared, Language, QueryRequest, Session, SessionStats};
 use rd_server::{Client, Response, Server, ServerConfig};
 use std::net::SocketAddr;
+use std::sync::Arc;
 
 fn start_server(
     config: ServerConfig,
@@ -287,4 +288,82 @@ fn stage_latencies_expose_percentiles_via_stats() {
         );
     }
     stop(addr, handle);
+}
+
+/// The shard loop answers repeated queries from the caches; the pool
+/// runs the rest. Either way each query is counted exactly once: a
+/// warm-then-repeat sequence over the wire leaves the same session
+/// counters, cache statistics, and query-latency sample count as the
+/// same sequence through one in-process `Session`.
+#[test]
+fn inline_answers_count_exactly_like_in_process_runs() {
+    let mut sequence: Vec<(Language, String)> = Vec::new();
+    for round in 0..3 {
+        for (lang, text) in join_in_all_languages()
+            .iter()
+            .chain(&negation_in_all_languages())
+        {
+            sequence.push((*lang, text.to_string()));
+            if round == 1 {
+                // A whitespace twin: a parse miss that hits the eval cache.
+                sequence.push((*lang, format!("{text} ")));
+            }
+        }
+    }
+
+    let (addr, handle) = start_server(ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    for (lang, text) in &sequence {
+        let resp = client.query(Some(*lang), text).expect("query");
+        assert!(matches!(resp, Response::Query(_)), "{resp:?}");
+    }
+    let wire = client.stats().expect("stats");
+    let text = client.metrics().expect("metrics");
+    stop(addr, handle);
+
+    let shared = Arc::new(EngineShared::new(demo_database()));
+    let mut session = Session::attach(shared.clone());
+    for (lang, text) in &sequence {
+        session
+            .run(&QueryRequest::new(*lang, text.as_str()))
+            .unwrap();
+    }
+    let local = session.stats();
+
+    let inline: u64 = wire.shards.iter().map(|s| s.inline).sum();
+    assert!(
+        inline > 0,
+        "repeats must be answered on the shard: {wire:?}"
+    );
+    let counted = |s: &SessionStats| {
+        (
+            s.queries,
+            s.cache_hits,
+            s.cache_misses,
+            s.eval_hits,
+            s.eval_misses,
+        )
+    };
+    assert_eq!(counted(&wire.sessions), counted(local));
+    assert_eq!(wire.sessions.queries, sequence.len() as u64);
+    let parse = shared.parse_cache_stats();
+    let eval = shared.eval_cache_stats();
+    assert_eq!(
+        (wire.parse_cache.hits, wire.parse_cache.misses),
+        (parse.hits, parse.misses)
+    );
+    assert_eq!(
+        (wire.eval_cache.hits, wire.eval_cache.misses),
+        (eval.hits, eval.misses)
+    );
+    assert_eq!(
+        count_samples(&text, "rd_query_latency_micros"),
+        shared.metrics().requests()
+    );
+    let inline_samples: u64 = text
+        .lines()
+        .filter(|l| l.starts_with("rd_requests_inline_total{shard="))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(inline_samples, inline, "metrics and stats agree:\n{text}");
 }

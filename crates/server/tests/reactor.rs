@@ -581,3 +581,118 @@ fn bench_pipeline_and_idle_flood_complete_against_a_narrow_pool() {
     assert_eq!(report.latencies.len(), 100);
     stop(addr, handle);
 }
+
+// ---------------------------------------------------------------------
+// Cache hits answered on the shard thread
+// ---------------------------------------------------------------------
+
+/// Pipelined hits, a miss, and a ping in one write: the loop answers
+/// the leading hit itself, the miss sends the rest of the batch to the
+/// pool, and every reply still comes back in request order with its id.
+#[test]
+fn pipelined_hits_misses_and_pings_keep_request_order() {
+    let (addr, handle) = start_server(ServerConfig::default());
+    let mut raw = Raw::connect(addr);
+    let warm = raw_query_line(&mut raw, "pi[color](Boat)");
+    assert!(warm.contains("\"eval_cache_hit\":false"), "{warm}");
+    raw.send(
+        b"{\"op\":\"query\",\"text\":\"pi[color](Boat)\",\"id\":1}\n\
+          {\"op\":\"query\",\"text\":\"pi[sname](Sailor)\",\"id\":2}\n\
+          {\"op\":\"query\",\"text\":\"pi[color](Boat)\",\"id\":3}\n\
+          {\"op\":\"ping\",\"id\":4}\n\
+          {\"op\":\"query\",\"text\":\"pi[color](Boat)\",\"id\":5}\n",
+    );
+    let replies: Vec<String> = (0..5).map(|_| raw.recv_line()).collect();
+    for (i, reply) in replies.iter().enumerate() {
+        assert!(
+            reply.ends_with(&format!(",\"id\":{}}}", i + 1)),
+            "reply {i} out of order: {reply}"
+        );
+    }
+    assert!(
+        replies[0].contains("\"eval_cache_hit\":true"),
+        "{}",
+        replies[0]
+    );
+    assert!(replies[1].contains("\"cache_hit\":false"), "{}", replies[1]);
+    assert!(replies[1].contains("[\"Dustin\"]"), "{}", replies[1]);
+    assert_eq!(replies[3], r#"{"ok":true,"kind":"pong","id":4}"#);
+    for i in [2, 4] {
+        assert!(
+            replies[i].contains("\"eval_cache_hit\":true"),
+            "{}",
+            replies[i]
+        );
+    }
+    let mut client = Client::connect(addr).unwrap();
+    let stats = client.stats().unwrap();
+    let inline: u64 = stats.shards.iter().map(|s| s.inline).sum();
+    assert!(inline >= 1, "the leading hit is answered inline: {stats:?}");
+    stop(addr, handle);
+}
+
+/// A hit that arrives while the same connection's cold query is still
+/// evaluating on the pool waits for it: one job per connection at a
+/// time, so the hit cannot overtake the reply before it.
+#[test]
+fn a_hit_behind_a_cold_query_in_the_pool_is_answered_after_it() {
+    let (addr, handle) = start_server(ServerConfig {
+        stream_threshold: 0,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).unwrap();
+    client.load_fixture(&numbers_fixture(1000)).unwrap();
+    let mut raw = Raw::connect(addr);
+    let warm = raw_query_line(&mut raw, "sigma[v=1](Num)");
+    assert!(warm.contains("\"rows\":[[1]]"), "{warm}");
+    // An unindexable comparison over a self cross product: a million
+    // pairs, far slower than the pause before the hit is sent.
+    raw.send(b"{\"op\":\"query\",\"lang\":\"datalog\",\"text\":\"Q(x) :- Num(x), Num(y), x < y.\",\"id\":\"cold\"}\n");
+    std::thread::sleep(Duration::from_millis(5));
+    raw.send(b"{\"op\":\"query\",\"text\":\"sigma[v=1](Num)\",\"id\":\"hit\"}\n");
+    let cold = raw.recv_line();
+    assert!(cold.ends_with(",\"id\":\"cold\"}"), "{cold}");
+    assert!(
+        cold.contains("\"row_count\":999"),
+        "{}",
+        &cold[cold.len() - 80..]
+    );
+    let hit = raw.recv_line();
+    assert!(hit.ends_with(",\"id\":\"hit\"}"), "{hit}");
+    assert!(hit.contains("\"eval_cache_hit\":true"), "{hit}");
+    // It waited in the connection's queue, and the loop answered it
+    // once the cold reply was out.
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.shards.iter().map(|s| s.inline).sum::<u64>(), 1);
+    stop(addr, handle);
+}
+
+/// A cached result too big for one frame is not answered inline: it
+/// still streams, through the pool, exactly as on its first run.
+#[test]
+fn cached_results_over_the_stream_threshold_still_stream() {
+    let (addr, handle) = start_server(ServerConfig {
+        stream_threshold: 3,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).unwrap();
+    client.load_fixture(&numbers_fixture(10)).unwrap();
+    let mut raw = Raw::connect(addr);
+    for run in 0..2 {
+        raw.send(b"{\"op\":\"query\",\"text\":\"pi[v](Num)\"}\n");
+        let mut frames = Vec::new();
+        loop {
+            let line = raw.recv_line();
+            let end = line.contains("\"kind\":\"rows-end\"");
+            frames.push(line);
+            if end {
+                break;
+            }
+        }
+        assert_eq!(frames.len(), 5, "run {run}: 4 chunks + end: {frames:?}");
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.sessions.rows_streamed, 20);
+    assert_eq!(stats.sessions.eval_hits, 1, "the second run hit the cache");
+    stop(addr, handle);
+}
