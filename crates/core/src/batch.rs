@@ -2,14 +2,22 @@
 //! [`exec::execute`](crate::exec::execute).
 //!
 //! Where the tuple executor walks a pipeline one row at a time through a
-//! recursive callback chain, this module materializes each scanned
-//! relation once into column vectors ([`RelData`]), drives the pipeline
-//! over batches of row ids ([`Batch`]) seeded in fixed-size chunks of
+//! recursive callback chain, this module reads each scanned relation as
+//! column vectors ([`RelData`]), drives the pipeline over batches of row
+//! ids ([`Batch`]) seeded in fixed-size chunks of
 //! [`CHUNK_ROWS`] rows, evaluates filters and comparisons over whole
 //! batches with selection vectors, and probes joins through a
 //! [`JoinTable`] — a direct-indexed dense array when every key column is
 //! interned symbols (or integers) with a small live range, a hash map
 //! otherwise.
+//!
+//! A stored relation's columnar copy and the join tables over it depend
+//! only on the relation's content, so they are cached *on the relation*
+//! ([`Columnar`], read through `Relation::columnar`): built by the first
+//! execution that scans or probes it, shared by every later execution
+//! against the same snapshot (on any worker thread), and dropped by the
+//! relation's next mutation. Only Datalog IDBs, which exist for one
+//! program run, are materialized per execution ([`RelCache`]).
 //!
 //! The plan IR, the four language lowerings, and the plan cache are
 //! untouched: [`run_query`], [`run_rule`], and [`run_ops`] are drop-in
@@ -41,7 +49,8 @@ use crate::symbol::SymbolTable;
 use crate::value::Value;
 use crate::CmpOp;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::rc::Rc;
+use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Rows per seed chunk: unkeyed scans feed the pipeline in column
 /// chunks of this many rows, bounding working-set size independently of
@@ -56,8 +65,9 @@ const DENSE_MAX_CAPACITY: u64 = 1 << 20;
 // ---------------------------------------------------------------------
 
 /// A relation materialized column-major: `cols[c][r]` is row `r`'s value
-/// in column `c`. Built once per execution (or once per program, via
-/// [`RelCache`]) and shared by `Rc` into every batch step that scans it.
+/// in column `c`. A stored relation's copy is built once per snapshot
+/// ([`Columnar`]); a Datalog IDB's once per program run ([`RelCache`]).
+/// Shared by `Arc` into every batch step that scans it.
 pub(crate) struct RelData {
     cols: Vec<Vec<Value>>,
     len: usize,
@@ -96,14 +106,56 @@ impl RelData {
     }
 }
 
-/// Columnar materializations shared across one program execution
-/// (sound because EDB tables are immutable for the execution and a
-/// computed IDB never changes once its stratum completes). Keys are
-/// prefixed by source (`e:`/`i:`) so an IDB shadowing a same-named EDB
-/// table mid-program can never serve stale data.
+/// Columnar materializations of the Datalog IDBs computed so far,
+/// shared across one program execution (sound because a computed IDB
+/// never changes once its stratum completes). Stored relations are not
+/// kept here: their copies live on the relation ([`Columnar`]). An IDB
+/// shadowing a same-named stored table is looked up here first, exactly
+/// as the tuple path resolves names.
 #[derive(Default)]
 pub(crate) struct RelCache {
-    map: HashMap<String, Rc<RelData>>,
+    map: HashMap<String, Arc<RelData>>,
+}
+
+/// A stored relation's columnar copy plus the join tables built over
+/// it, keyed by key-column list — the per-snapshot cache held by
+/// `Relation` (see `Relation::columnar`). Everything here is a pure
+/// function of the relation's tuple set, so any execution against that
+/// content may share it; the relation drops it on mutation.
+pub(crate) struct Columnar {
+    data: Arc<RelData>,
+    tables: Mutex<HashMap<Vec<usize>, Arc<JoinTable>>>,
+}
+
+impl Columnar {
+    /// Materializes `rel` column-major; join tables follow on demand.
+    pub(crate) fn of(rel: &Relation) -> Columnar {
+        Columnar {
+            data: Arc::new(RelData::from_relation(rel)),
+            tables: Mutex::default(),
+        }
+    }
+
+    /// The join table over key columns `cols`, built on first request.
+    /// The build runs under the lock, so concurrent first users build
+    /// once; a poisoned lock is taken anyway (a finished entry is whole).
+    fn table(&self, cols: &[usize]) -> Arc<JoinTable> {
+        let mut tables = self.tables.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(t) = tables.get(cols) {
+            return t.clone();
+        }
+        let table = Arc::new(JoinTable::over(&self.data, cols));
+        tables.insert(cols.to_vec(), table.clone());
+        table
+    }
+}
+
+impl fmt::Debug for Columnar {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Columnar")
+            .field("rows", &self.data.len)
+            .finish_non_exhaustive()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -223,6 +275,11 @@ impl JoinTable {
             map.entry(key).or_default().push(r as u32);
         }
         JoinTable::Hash(map)
+    }
+
+    /// Builds a table over `data`'s key columns `cols`.
+    fn over(data: &RelData, cols: &[usize]) -> JoinTable {
+        JoinTable::build(data.len, cols.len(), |r, c| data.value(cols[c], r as u32))
     }
 
     /// The row ids matching `key` (empty for misses, including keys of
@@ -430,7 +487,7 @@ struct Batch {
 /// One bound scan step of a batch: the scanned relation and, per batch
 /// row, which of its rows is bound.
 struct StepRows {
-    rel: Rc<RelData>,
+    rel: Arc<RelData>,
     rows: Vec<u32>,
 }
 
@@ -549,16 +606,16 @@ impl TermRef<'_> {
 // Execution context
 // ---------------------------------------------------------------------
 
-/// Per-execution state of the batched pipeline driver: relation
-/// materializations, lazily-built join tables (one slot per keyed scan
-/// or negation probe, like the tuple path's `IndexCache`), and the
-/// optional analyze tally.
+/// Per-execution state of the batched pipeline driver: the IDB
+/// materializations, one join-table slot per keyed scan or negation
+/// probe (like the tuple path's `IndexCache`; it saves re-taking the
+/// relation's lock on every batch), and the optional analyze tally.
 struct BatchCtx<'d, 'c> {
     db: &'d Database,
     symbols: &'d SymbolTable,
     idbs: &'d IdbMap,
     cache: &'c mut RelCache,
-    tables: Vec<Option<Rc<JoinTable>>>,
+    tables: Vec<Option<Arc<JoinTable>>>,
     tally: Option<TallyMap>,
 }
 
@@ -581,38 +638,42 @@ impl<'d, 'c> BatchCtx<'d, 'c> {
     }
 
     /// The columnar materialization of `rel` (IDB shadows EDB, exactly
-    /// like [`tuples_of`]), built on first use.
-    fn rel_data(&mut self, rel: &str) -> CoreResult<Rc<RelData>> {
-        let key = if self.idbs.contains_key(rel) {
-            format!("i:{rel}")
-        } else {
-            format!("e:{rel}")
+    /// like [`tuples_of`]): a stored relation's comes from its
+    /// per-snapshot cache, an IDB's is built on first use this run.
+    fn rel_data(&mut self, rel: &str) -> CoreResult<Arc<RelData>> {
+        let Some(rows) = self.idbs.get(rel) else {
+            return Ok(self.db.require(rel)?.columnar().data.clone());
         };
-        if let Some(data) = self.cache.map.get(&key) {
+        if let Some(data) = self.cache.map.get(rel) {
             return Ok(data.clone());
         }
-        let data = match self.idbs.get(rel) {
-            Some(rows) => {
-                let arity = rows.iter().next().map(Tuple::arity).unwrap_or(0);
-                Rc::new(RelData::from_tuples(rows.iter(), arity))
-            }
-            None => Rc::new(RelData::from_relation(self.db.require(rel)?)),
-        };
-        self.cache.map.insert(key, data.clone());
+        let arity = rows.iter().next().map(Tuple::arity).unwrap_or(0);
+        let data = Arc::new(RelData::from_tuples(rows.iter(), arity));
+        self.cache.map.insert(rel.to_string(), data.clone());
         Ok(data)
     }
 
-    /// The join table in slot `id` over `rel`'s `cols`, built on first
+    /// The join table in slot `id` over `rel`'s `cols` (`data` is what
+    /// [`BatchCtx::rel_data`] returned for `rel`): a stored relation's
+    /// comes from its per-snapshot cache, an IDB's is built on first
     /// probe.
-    fn table_for(&mut self, rel: &Rc<RelData>, cols: &[usize], id: usize) -> Rc<JoinTable> {
+    fn table_for(
+        &mut self,
+        rel: &str,
+        data: &RelData,
+        cols: &[usize],
+        id: usize,
+    ) -> CoreResult<Arc<JoinTable>> {
         if let Some(t) = &self.tables[id] {
-            return t.clone();
+            return Ok(t.clone());
         }
-        let table = Rc::new(JoinTable::build(rel.len, cols.len(), |r, c| {
-            rel.value(cols[c], r as u32)
-        }));
+        let table = if self.idbs.contains_key(rel) {
+            Arc::new(JoinTable::over(data, cols))
+        } else {
+            self.db.require(rel)?.columnar().table(cols)
+        };
         self.tables[id] = Some(table.clone());
-        table
+        Ok(table)
     }
 }
 
@@ -686,7 +747,7 @@ fn run_scans(
         // Resolve key terms against the *outer* bindings, then bind this
         // scan's slots for the checks/filters below.
         let key_refs: Vec<TermRef> = scan.key_terms.iter().map(|t| term_ref(t, sm)).collect();
-        let table = ctx.table_for(&rel, &scan.key_cols, scan.index_id);
+        let table = ctx.table_for(&scan.rel, &rel, &scan.key_cols, scan.index_id)?;
         record_build(&mut ctx.tally, scan, table.kind());
         let mut nb = expand_empty(&batch, &rel);
         let mut key: Vec<Value> = Vec::with_capacity(key_refs.len());
@@ -735,7 +796,7 @@ fn run_scans(
 }
 
 /// An empty batch shaped like `base` plus one new step scanning `rel`.
-fn expand_empty(base: &Batch, rel: &Rc<RelData>) -> Batch {
+fn expand_empty(base: &Batch, rel: &Arc<RelData>) -> Batch {
     let mut steps: Vec<StepRows> = base
         .steps
         .iter()
@@ -903,7 +964,7 @@ fn eval_mask(
                 return Ok(vec![empty; sel.len()]);
             }
             let data = ctx.rel_data(rel)?;
-            let table = ctx.table_for(&data, cols, *index_id);
+            let table = ctx.table_for(rel, &data, cols, *index_id)?;
             record_build(&mut ctx.tally, f, table.kind());
             let key_refs: Vec<TermRef> = terms.iter().map(|t| term_ref(t, sm)).collect();
             let mut key: Vec<Value> = Vec::with_capacity(key_refs.len());
@@ -952,7 +1013,7 @@ fn eval_mask(
                     let rel = ctx.rel_data(&scan.rel)?;
                     let key_refs: Vec<TermRef> =
                         scan.key_terms.iter().map(|t| term_ref(t, sm)).collect();
-                    let table = ctx.table_for(&rel, &scan.key_cols, scan.index_id);
+                    let table = ctx.table_for(&scan.rel, &rel, &scan.key_cols, scan.index_id)?;
                     record_build(&mut ctx.tally, scan, table.kind());
                     let mut key: Vec<Value> = Vec::with_capacity(key_refs.len());
                     let mut hits = 0usize;
@@ -1436,6 +1497,7 @@ fn eval_ops(op: &OpNode, db: &Database, tally: &mut Option<TallyMap>) -> CoreRes
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{EnvShape, ExecOptions, Plan, ProgramPlan, Stratum, FULL_SCAN};
     use crate::schema::TableSchema;
 
     fn rel_data_of(rows: &[[i64; 2]]) -> RelData {
@@ -1508,5 +1570,219 @@ mod tests {
         let table = JoinTable::build(data.len, 1, |r, _| data.value(0, r as u32));
         assert_eq!(table.kind(), "hash");
         assert!(table.probe(&[Value::int(1)]).is_empty());
+    }
+
+    // -----------------------------------------------------------------
+    // The per-snapshot columnar cache
+    // -----------------------------------------------------------------
+
+    /// A scan of `rel` binding tuple slot `slot`, probing column 0 by
+    /// `key` when given (index slot 0) and scanning in full otherwise.
+    fn scan(rel: &str, slot: usize, key: Option<Term>) -> Scan {
+        let keyed = key.is_some();
+        Scan {
+            rel: rel.into(),
+            tuple_slot: Some(slot),
+            key_cols: if keyed { vec![0] } else { Vec::new() },
+            key_terms: key.into_iter().collect(),
+            bind_cols: Vec::new(),
+            check_cols: Vec::new(),
+            index_id: if keyed { 0 } else { FULL_SCAN },
+            filters: Vec::new(),
+        }
+    }
+
+    /// The body `R(a, b), S(b)`, probing `S` by `b` through a join table.
+    fn r_join_s() -> Block {
+        Block {
+            pre: Vec::new(),
+            scans: vec![
+                scan("R", 1, None),
+                scan("S", 2, Some(Term::Col { slot: 1, col: 1 })),
+            ],
+        }
+    }
+
+    const SHAPE: EnvShape = EnvShape {
+        tuple_slots: 3,
+        value_slots: 0,
+        indexes: 1,
+    };
+
+    /// `q(a) ← R(a, b), S(b)`.
+    fn keyed_join() -> Plan {
+        Plan::Union(vec![QueryPlan {
+            out: TableSchema::new("q", ["a"]),
+            head_slot: 0,
+            root: r_join_s(),
+            defs: vec![Term::Col { slot: 1, col: 0 }],
+            deferred: Vec::new(),
+            shape: SHAPE,
+            est_rows: None,
+        }])
+    }
+
+    /// String-valued `R(a, b)` and `S(b)`, so symbol ids matter.
+    fn strings_db() -> Database {
+        let mut db = Database::new();
+        db.add_relation(
+            Relation::from_rows(
+                TableSchema::new("R", ["a", "b"]),
+                [["x1", "b1"], ["x1", "b2"], ["x2", "b1"], ["x3", "b3"]],
+            )
+            .unwrap(),
+        );
+        db.add_relation(
+            Relation::from_rows(TableSchema::new("S", ["b"]), [["b1"], ["b2"]]).unwrap(),
+        );
+        db
+    }
+
+    /// `plan`'s one-column answer on `db`, resolved to strings.
+    fn answer(plan: &Plan, db: &Database) -> Vec<Value> {
+        let out = crate::exec::execute(plan, db).unwrap();
+        db.resolve_relation(&out)
+            .iter()
+            .map(|t| t.get(0).clone())
+            .collect()
+    }
+
+    fn strs(vs: &[&str]) -> Vec<Value> {
+        vs.iter().map(|&v| Value::str(v)).collect()
+    }
+
+    fn cache_of(db: &Database, rel: &str) -> Arc<Columnar> {
+        db.require(rel).unwrap().columnar()
+    }
+
+    fn row(v: &str) -> Tuple {
+        Tuple::new([v])
+    }
+
+    #[test]
+    fn snapshots_keep_their_cache_and_mutations_drop_it() {
+        let plan = keyed_join();
+        let a = strings_db();
+        assert_eq!(answer(&plan, &a), strs(&["x1", "x2"]));
+        let cached = cache_of(&a, "S");
+        let mut b = a.clone();
+        // A duplicate insert or an absent delete leaves the content, and
+        // so the shared cache, as it was.
+        assert_eq!(b.insert_rows("S", &[row("b1")]).unwrap(), 0);
+        assert_eq!(b.delete_rows("S", &[row("b9")]).unwrap(), 0);
+        assert!(Arc::ptr_eq(&cached, &cache_of(&b, "S")));
+
+        assert_eq!(b.insert_rows("S", &[row("b3")]).unwrap(), 1);
+        assert_eq!(answer(&plan, &b), strs(&["x1", "x2", "x3"]));
+        assert_eq!(answer(&plan, &a), strs(&["x1", "x2"]));
+        assert_eq!(b.delete_rows("S", &[row("b1")]).unwrap(), 1);
+        assert_eq!(answer(&plan, &b), strs(&["x1", "x3"]));
+        assert_eq!(answer(&plan, &a), strs(&["x1", "x2"]));
+
+        // The older snapshot still holds the cache it built; the mutated
+        // one built its own.
+        assert!(Arc::ptr_eq(&cached, &cache_of(&a, "S")));
+        assert!(!Arc::ptr_eq(&cached, &cache_of(&b, "S")));
+        // An untouched relation stays shared between the snapshots.
+        assert!(Arc::ptr_eq(&cache_of(&a, "R"), &cache_of(&b, "R")));
+    }
+
+    #[test]
+    fn moving_a_relation_to_another_database_drops_its_cache() {
+        let plan = keyed_join();
+        let a = strings_db();
+        let expected = answer(&plan, &a);
+        let cached = cache_of(&a, "S");
+        // Intern in another order first, so `c`'s symbol ids differ.
+        let mut c = Database::new();
+        c.add_relation(
+            Relation::from_rows(TableSchema::new("U", ["x"]), [["b2"], ["x3"], ["b1"]]).unwrap(),
+        );
+        let mut raw = Database::uninterned();
+        for rel in a.iter() {
+            c.add_relation(rel.clone());
+            raw.add_relation(rel.clone());
+        }
+        assert!(!Arc::ptr_eq(&cached, &cache_of(&c, "S")));
+        assert!(!Arc::ptr_eq(&cached, &cache_of(&raw, "S")));
+        assert_eq!(answer(&plan, &c), expected);
+        assert_eq!(answer(&plan, &raw), expected);
+        assert!(Arc::ptr_eq(&cached, &cache_of(&a, "S")));
+    }
+
+    #[test]
+    fn an_idb_shadowing_a_stored_table_is_not_served_from_its_cache() {
+        let rule = |head: Term, block: Block| RulePlan {
+            head: vec![head],
+            block,
+            shape: SHAPE,
+        };
+        let stratum = |pred: &str, rule: RulePlan| Stratum {
+            pred: pred.into(),
+            rules: vec![rule],
+            est_rows: None,
+        };
+        // P reads the stored S (filling its cache); the IDB S then
+        // shadows it with every `b` of R; q reads the IDB.
+        let plan = Plan::Program(ProgramPlan {
+            strata: vec![
+                stratum("P", rule(Term::Col { slot: 1, col: 0 }, r_join_s())),
+                stratum(
+                    "S",
+                    rule(
+                        Term::Col { slot: 1, col: 1 },
+                        Block {
+                            pre: Vec::new(),
+                            scans: vec![scan("R", 1, None)],
+                        },
+                    ),
+                ),
+                stratum("q", rule(Term::Col { slot: 1, col: 0 }, r_join_s())),
+            ],
+            query: "q".into(),
+            out: TableSchema::new("q", ["x1"]),
+        });
+        let db = strings_db();
+        assert_eq!(answer(&keyed_join(), &db), strs(&["x1", "x2"]));
+        assert_eq!(answer(&plan, &db), strs(&["x1", "x2", "x3"]));
+        let slow = crate::exec::execute_with(&plan, &db, ExecOptions { batch: false }).unwrap();
+        assert_eq!(crate::exec::execute(&plan, &db).unwrap(), slow);
+    }
+
+    #[test]
+    fn concurrent_first_executions_build_one_cache() {
+        let mut db = Database::new();
+        db.add_relation(
+            Relation::from_rows(
+                TableSchema::new("R", ["a", "b"]),
+                (0..20_000i64).map(|i| [i, (i * 7919) % 5000]),
+            )
+            .unwrap(),
+        );
+        db.add_relation(
+            Relation::from_rows(TableSchema::new("S", ["b"]), (0..5000i64).map(|i| [i * 3]))
+                .unwrap(),
+        );
+        let db = Arc::new(db);
+        let plan = Arc::new(keyed_join());
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                let (db, plan, start) = (db.clone(), plan.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    crate::exec::execute(&plan, &db).unwrap()
+                })
+            })
+            .collect();
+        let results: Vec<Relation> = runs.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(results[0], results[1]);
+        let slow = crate::exec::execute_with(&plan, &db, ExecOptions { batch: false }).unwrap();
+        assert_eq!(results[0], slow);
+        assert!(!slow.is_empty());
+        let (first, second) = (cache_of(&db, "S"), cache_of(&db, "S"));
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(first.tables.lock().unwrap().len(), 1);
+        assert!(Arc::ptr_eq(&first.table(&[0]), &second.table(&[0])));
     }
 }

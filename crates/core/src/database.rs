@@ -7,6 +7,7 @@
 //! back to [`Value::Str`] happens only at the edges — see
 //! [`Database::resolve_relation`] and [`Relation::resolved`].
 
+use crate::batch::Columnar;
 use crate::error::{CoreError, CoreResult};
 use crate::schema::{Catalog, TableSchema};
 use crate::stats::TableStats;
@@ -15,7 +16,7 @@ use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A tuple: an ordered list of values. Attribute names live in the schema
 /// (the "set-of-mappings" view of §3.1 is recovered by pairing a tuple with
@@ -90,6 +91,14 @@ impl fmt::Display for Tuple {
 /// [`Relation::resolved`] maps them back. Free-standing relations (query
 /// results, literals under construction) have no handle and keep their
 /// values as given.
+///
+/// Two caches derived from the tuple set ride along, both shared by
+/// clones and renames (same content) and rebuilt lazily after a
+/// mutation: per-column statistics ([`Relation::stats`]) and the batch
+/// executor's columnar copy with its join tables. Because a database
+/// snapshot holds its relations by `Arc`, every execution against one
+/// snapshot, on any thread, reuses the same columnar copy; a
+/// copy-on-write mutation drops it on the new snapshot only.
 #[derive(Debug)]
 pub struct Relation {
     schema: TableSchema,
@@ -107,6 +116,10 @@ pub struct Relation {
     /// `&Database` snapshot; inserts keep a live cache current
     /// incrementally, deletes and re-interning invalidate it.
     stats: Mutex<Option<Arc<TableStats>>>,
+    /// Lazily-built columnar copy and join tables for the batch
+    /// executor ([`Relation::columnar`]): `None` until first read or
+    /// after a mutation that changed the tuple set.
+    columnar: Mutex<Option<Arc<Columnar>>>,
 }
 
 impl Clone for Relation {
@@ -117,6 +130,7 @@ impl Clone for Relation {
             symbols: self.symbols.clone(),
             intern_on_insert: self.intern_on_insert,
             stats: Mutex::new(self.stats.lock().expect("stats lock").clone()),
+            columnar: Mutex::new(self.shared_columnar()),
         }
     }
 }
@@ -130,6 +144,7 @@ impl Relation {
             symbols: None,
             intern_on_insert: false,
             stats: Mutex::new(None),
+            columnar: Mutex::new(None),
         }
     }
 
@@ -170,6 +185,7 @@ impl Relation {
         // Re-interning may change the stored representation (`Str` ↔
         // `Sym`), which changes sketch hashes — rebuild lazily.
         *self.stats.get_mut().expect("stats lock") = None;
+        self.drop_columnar();
         if let Some(old) = &self.symbols {
             if Arc::ptr_eq(old, &symbols) {
                 // Same table (e.g. a result materialized back into its
@@ -219,6 +235,7 @@ impl Relation {
     /// [`Database::uninterned`].
     pub(crate) fn detach_resolved(&mut self) {
         *self.stats.get_mut().expect("stats lock") = None;
+        self.drop_columnar();
         if let Some(symbols) = self.symbols.take() {
             self.tuples = self
                 .tuples
@@ -271,7 +288,11 @@ impl Relation {
                 }
             }
         }
-        Ok(self.tuples.insert(tuple))
+        let new = self.tuples.insert(tuple);
+        if new {
+            self.drop_columnar();
+        }
+        Ok(new)
     }
 
     /// Convenience: insert a row of values.
@@ -354,6 +375,7 @@ impl Relation {
                 symbols: None,
                 intern_on_insert: false,
                 stats: Mutex::new(None),
+                columnar: Mutex::new(None),
             },
         }
     }
@@ -373,6 +395,7 @@ impl Relation {
             // Sketches and ranges cannot unobserve — invalidate and let
             // the next planner read rebuild in one scan.
             *self.stats.get_mut().expect("stats lock") = None;
+            self.drop_columnar();
         }
         removed
     }
@@ -395,6 +418,36 @@ impl Relation {
         cached.as_ref().expect("just built").clone()
     }
 
+    /// The batch executor's columnar copy of the current tuple set and
+    /// the join tables over it. Built on first call, under the lock, so
+    /// concurrent first readers build it once; dropped by any mutation
+    /// that changes the tuple set. The lock is taken poison-tolerantly:
+    /// a cache entry is either whole or absent.
+    pub(crate) fn columnar(&self) -> Arc<Columnar> {
+        let mut cached = self.columnar.lock().unwrap_or_else(PoisonError::into_inner);
+        cached
+            .get_or_insert_with(|| Arc::new(Columnar::of(self)))
+            .clone()
+    }
+
+    /// The columnar cache as it stands (for a clone or rename, which
+    /// holds the same content and so may share it).
+    fn shared_columnar(&self) -> Option<Arc<Columnar>> {
+        self.columnar
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// Forgets the columnar cache after the tuple set changed. Other
+    /// snapshots sharing it keep theirs.
+    fn drop_columnar(&mut self) {
+        *self
+            .columnar
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = None;
+    }
+
     /// Approximate in-memory size of the tuple set — the weight used by
     /// size-aware cache admission.
     pub fn approx_bytes(&self) -> usize {
@@ -415,8 +468,10 @@ impl Relation {
             tuples: self.tuples.clone(),
             symbols: self.symbols.clone(),
             intern_on_insert: self.intern_on_insert,
-            // Same tuple set, so the cached stats stay valid.
+            // Same tuple set, so the cached stats and columnar copy
+            // stay valid.
             stats: Mutex::new(self.stats.lock().expect("stats lock").clone()),
+            columnar: Mutex::new(self.shared_columnar()),
         })
     }
 }
@@ -689,6 +744,7 @@ impl Database {
             symbols: None,
             intern_on_insert: false,
             stats: Mutex::new(None),
+            columnar: Mutex::new(None),
         }
     }
 

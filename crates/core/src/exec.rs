@@ -984,9 +984,10 @@ fn run_program_collect(
     mut sizes: Option<&mut Vec<(String, u64)>>,
 ) -> CoreResult<Relation> {
     let mut computed = IdbMap::new();
-    // Columnar EDB/IDB materializations shared across the program's
-    // batched rules (sound because a computed IDB never changes once
-    // its stratum completes, and no rule reads its own stratum).
+    // Columnar IDB materializations shared across the program's batched
+    // rules (sound because a computed IDB never changes once its stratum
+    // completes, and no rule reads its own stratum); stored relations
+    // bring their own per-snapshot copies.
     let mut cache = crate::batch::RelCache::default();
     for stratum in &p.strata {
         let mut tuples: BTreeSet<Tuple> = BTreeSet::new();

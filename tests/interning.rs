@@ -251,7 +251,7 @@ proptest! {
     /// with the `Database::uninterned()` reference on databases of at
     /// least 256 rows — enough volume that keyed probes, dense-key
     /// tables, and quantifier pruning all do real work — across all four
-    /// languages.
+    /// languages, before and after a batch of inserts and deletes.
     #[test]
     fn batched_matches_scalar_and_uninterned_at_scale(seed in 0u64..20_000) {
         let q = random_query(seed);
@@ -261,12 +261,41 @@ proptest! {
         while db.iter().map(|r| r.len()).sum::<usize>() < 256 {
             db = gen.next_db();
         }
-        let raw = uninterned_copy(&db);
+        let mut raw = uninterned_copy(&db);
         let plans = four_plans(&q, &cat, &db);
         let reference_plans = four_plans(&q, &cat, &raw);
         for (lang, (plan, reference)) in plans.iter().zip(&reference_plans).enumerate() {
             assert_batched_scalar_reference_agree(plan, reference, &db, &raw,
                                                   &format!("seed={seed} lang={lang}"));
+        }
+        // One seeded batch of inserts (drawn from a fresh generated
+        // database) and deletes (of current rows), applied to both
+        // copies while the pre-mutation snapshots stay alive: mutations
+        // run copy-on-write, the new snapshots must not see the columnar
+        // copies the first run cached, and the old ones must keep them.
+        let (before, raw_before) = (db.clone(), raw.clone());
+        for rel in gen.next_db().iter() {
+            let name = rel.name();
+            let inserts: Vec<Tuple> = rel.resolved().iter().take(32).cloned().collect();
+            let deletes: Vec<Tuple> = raw.require(name).unwrap().iter()
+                .enumerate()
+                .filter(|(i, _)| (*i as u64 + seed).is_multiple_of(5))
+                .map(|(_, t)| t.clone())
+                .collect();
+            prop_assert_eq!(db.insert_rows(name, &inserts).unwrap(),
+                            raw.insert_rows(name, &inserts).unwrap());
+            prop_assert_eq!(db.delete_rows(name, &deletes).unwrap(),
+                            raw.delete_rows(name, &deletes).unwrap());
+        }
+        let plans_after = four_plans(&q, &cat, &db);
+        let reference_after = four_plans(&q, &cat, &raw);
+        for (lang, (plan, reference)) in plans_after.iter().zip(&reference_after).enumerate() {
+            assert_batched_scalar_reference_agree(plan, reference, &db, &raw,
+                                                  &format!("seed={seed} lang={lang} mutated"));
+        }
+        for (lang, (plan, reference)) in plans.iter().zip(&reference_plans).enumerate() {
+            assert_batched_scalar_reference_agree(plan, reference, &before, &raw_before,
+                                                  &format!("seed={seed} lang={lang} snapshot"));
         }
     }
 
