@@ -113,18 +113,12 @@ fn bench_eval(c: &mut Criterion) {
     c.bench_function("eval_datalog_division_200rows", |b| {
         b.iter(|| rd_datalog::eval_program(black_box(&p), &big).unwrap())
     });
-    // The vectorized-executor micro pair: the same compiled division
-    // plan, executed batched vs tuple-at-a-time over the 200-row
-    // instance. The chunked path's speedup reads off this pair directly
-    // (same plan, same database — only the executor differs).
-    use rd_core::exec::{execute_with, ExecOptions};
+    // Execution alone: the same division, compiled once, so the number
+    // excludes lowering and planning.
     let trc_u = rd_trc::TrcUnion::new(vec![q.clone()]).unwrap();
     let plan = rd_trc::lower_union(&trc_u, &big).unwrap();
-    c.bench_function("exec_trc_division_200rows_batched", |b| {
-        b.iter(|| execute_with(black_box(&plan), &big, ExecOptions { batch: true }).unwrap())
-    });
-    c.bench_function("exec_trc_division_200rows_scalar", |b| {
-        b.iter(|| execute_with(black_box(&plan), &big, ExecOptions { batch: false }).unwrap())
+    c.bench_function("exec_trc_division_200rows", |b| {
+        b.iter(|| rd_core::exec::execute(black_box(&plan), &big).unwrap())
     });
 }
 
@@ -146,12 +140,11 @@ fn bench_eval_strings(c: &mut Criterion) {
     c.bench_function("eval_trc_string_join_200rows", |b| {
         b.iter(|| rd_trc::eval_query(black_box(&q), &db).unwrap())
     });
-    // Batched vs scalar over the same compiled join plan: interned
-    // symbol keys take the dense-key join table on the batched path.
-    // `DbGenerator` draws a *random* tuple count per relation, so the
-    // instance is regenerated until R really holds 400+ rows — the pair
-    // measures executor throughput, not generator luck.
-    use rd_core::exec::{execute_with, ExecOptions};
+    // Execution alone over a compiled join plan: interned symbol keys
+    // take the dense-key join table. `DbGenerator` draws a *random*
+    // tuple count per relation, so the instance is regenerated until R
+    // really holds 400+ rows — the arm measures executor throughput, not
+    // generator luck.
     let mut gen = DbGenerator::new(cat.clone(), domain, 800, 9);
     let big = loop {
         let db = gen.next_db();
@@ -164,11 +157,8 @@ fn bench_eval_strings(c: &mut Criterion) {
     };
     let trc_u = rd_trc::TrcUnion::new(vec![q.clone()]).unwrap();
     let plan = rd_trc::lower_union(&trc_u, &big).unwrap();
-    c.bench_function("exec_trc_string_join_400rows_batched", |b| {
-        b.iter(|| execute_with(black_box(&plan), &big, ExecOptions { batch: true }).unwrap())
-    });
-    c.bench_function("exec_trc_string_join_400rows_scalar", |b| {
-        b.iter(|| execute_with(black_box(&plan), &big, ExecOptions { batch: false }).unwrap())
+    c.bench_function("exec_trc_string_join_400rows", |b| {
+        b.iter(|| rd_core::exec::execute(black_box(&plan), &big).unwrap())
     });
 }
 

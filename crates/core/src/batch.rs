@@ -1,10 +1,9 @@
-//! The vectorized batch executor: the chunked, columnar fast path under
+//! The vectorized batch executor: the one executor under
 //! [`exec::execute`](crate::exec::execute).
 //!
-//! Where the tuple executor walks a pipeline one row at a time through a
-//! recursive callback chain, this module reads each scanned relation as
-//! column vectors ([`RelData`]), drives the pipeline over batches of row
-//! ids ([`Batch`]) seeded in fixed-size chunks of
+//! It reads each scanned relation as column vectors ([`RelData`]), drives
+//! the pipeline over batches of row ids ([`Batch`]) seeded in fixed-size
+//! chunks of
 //! [`CHUNK_ROWS`] rows, evaluates filters and comparisons over whole
 //! batches with selection vectors, and probes joins through a
 //! [`JoinTable`] — a direct-indexed dense array when every key column is
@@ -19,17 +18,13 @@
 //! relation's next mutation. Only Datalog IDBs, which exist for one
 //! program run, are materialized per execution ([`RelCache`]).
 //!
-//! The plan IR, the four language lowerings, and the plan cache are
-//! untouched: [`run_query`], [`run_rule`], and [`run_ops`] are drop-in
-//! replacements for their tuple-at-a-time counterparts in
-//! [`exec`](crate::exec), dispatched per plan (or per rule) by the
-//! batchability predicates there. Plans with lazy-error terms
-//! (`Unbound`/`Wildcard`) never reach this module — their
-//! data-dependent failure semantics stay pinned by the row-at-a-time
-//! path. Deferred head-validation conjuncts batch: head-column
-//! references rewrite to the head's defining terms, turning the tuple
-//! path's per-candidate environment re-entry into ordinary batch
-//! filters.
+//! [`exec`](crate::exec) dispatches each plan shape here: query branches
+//! ([`run_query`]), Datalog rules ([`run_rule`]), Boolean sentences
+//! ([`run_sentence`], one formula over the unit batch, so existence
+//! short-circuits like any quantifier), and RA operator trees
+//! ([`run_ops`]). Deferred head-validation conjuncts batch: head-column
+//! references rewrite to the head's defining terms, turning
+//! per-candidate validation into ordinary batch filters.
 //!
 //! Quantifiers are *loop-inverted and grouped*: an `Exists` block first
 //! groups the outer rows by the few outer columns its subtree actually
@@ -43,7 +38,7 @@ use crate::database::{Database, Relation, Tuple};
 use crate::error::CoreResult;
 use crate::exec::{
     bump_n, eval_cond, record, record_build, Block, Formula, IdbMap, OpNode, Pred, QueryPlan,
-    RulePlan, Scan, TallyMap, Term,
+    RulePlan, Scan, SentencePlan, TallyMap, Term,
 };
 use crate::symbol::SymbolTable;
 use crate::value::Value;
@@ -110,8 +105,7 @@ impl RelData {
 /// shared across one program execution (sound because a computed IDB
 /// never changes once its stratum completes). Stored relations are not
 /// kept here: their copies live on the relation ([`Columnar`]). An IDB
-/// shadowing a same-named stored table is looked up here first, exactly
-/// as the tuple path resolves names.
+/// shadowing a same-named stored table is looked up here first.
 #[derive(Default)]
 pub(crate) struct RelCache {
     map: HashMap<String, Arc<RelData>>,
@@ -170,8 +164,7 @@ impl fmt::Debug for Columnar {
 /// symbol columns, whose `u32` ids are allocated densely — the table is
 /// a direct-indexed CSR array: probing is subtraction, multiplication,
 /// and one slice lookup, no hashing. Otherwise it falls back to a
-/// `HashMap` keyed by the value vector (the same shape the tuple path's
-/// [`plan::build_index`](crate::plan::build_index) uses).
+/// `HashMap` keyed by the value vector.
 enum JoinTable {
     Dense {
         /// Per key column: the dense-kind tag ([`Value::as_dense_key`]).
@@ -529,9 +522,8 @@ impl Batch {
 }
 
 /// Where each environment slot's value lives in a batch: tuple slots map
-/// to a step, value slots to a `(step, column)` pair. Mirrors the tuple
-/// executor's `Env`, but holds coordinates instead of values — the
-/// values stay in the shared columns.
+/// to a step, value slots to a `(step, column)` pair — coordinates, not
+/// values; the values stay in the shared columns.
 struct SlotMap {
     tuple: Vec<usize>,
     value: Vec<(usize, usize)>,
@@ -586,9 +578,6 @@ fn term_ref<'t>(t: &'t Term, sm: &SlotMap) -> TermRef<'t> {
             debug_assert_ne!(step, UNBOUND, "lowering only emits Var for bound slots");
             TermRef::Col { step, col }
         }
-        Term::Unbound(_) | Term::Wildcard => {
-            unreachable!("lazy-error terms never reach the batched path")
-        }
     }
 }
 
@@ -606,10 +595,10 @@ impl TermRef<'_> {
 // Execution context
 // ---------------------------------------------------------------------
 
-/// Per-execution state of the batched pipeline driver: the IDB
-/// materializations, one join-table slot per keyed scan or negation
-/// probe (like the tuple path's `IndexCache`; it saves re-taking the
-/// relation's lock on every batch), and the optional analyze tally.
+/// Per-execution state of the pipeline driver: the IDB materializations,
+/// one join-table slot per keyed scan or negation probe (it saves
+/// re-taking the relation's lock on every batch), and the optional
+/// analyze tally.
 struct BatchCtx<'d, 'c> {
     db: &'d Database,
     symbols: &'d SymbolTable,
@@ -637,8 +626,8 @@ impl<'d, 'c> BatchCtx<'d, 'c> {
         }
     }
 
-    /// The columnar materialization of `rel` (IDB shadows EDB, exactly
-    /// like [`tuples_of`]): a stored relation's comes from its
+    /// The columnar materialization of `rel` (an IDB shadows a stored
+    /// table of the same name): a stored relation's comes from its
     /// per-snapshot cache, an IDB's is built on first use this run.
     fn rel_data(&mut self, rel: &str) -> CoreResult<Arc<RelData>> {
         let Some(rows) = self.idbs.get(rel) else {
@@ -884,8 +873,8 @@ fn descend(
 
 /// Evaluates `f` for the batch rows in `sel`, returning one truth value
 /// per selected row. Conjunctions and disjunctions refine the selection
-/// as they go (a row decided by an earlier operand is never evaluated by
-/// a later one), matching the tuple path's per-row short-circuit.
+/// as they go: a row decided by an earlier operand is never evaluated by
+/// a later one.
 fn eval_mask(
     f: &Formula,
     batch: &Batch,
@@ -1035,8 +1024,7 @@ fn eval_mask(
                 // rows agreeing on them share one verdict. Grouping the
                 // live rows by their dep values and running the scans
                 // once per *group* turns O(rows × inner) quantifier work
-                // into O(distinct bindings × inner) — the batched
-                // counterpart of the tuple path's per-row short-circuit.
+                // into O(distinct bindings × inner).
                 let mut deps: Vec<(usize, usize)> = Vec::new();
                 block_deps(block, sm, &mut deps);
                 deps.sort_unstable();
@@ -1085,7 +1073,7 @@ fn term_deps(t: &Term, sm: &SlotMap, out: &mut Vec<(usize, usize)>) {
                 out.push((step, col));
             }
         }
-        Term::Const(_) | Term::Unbound(_) | Term::Wildcard => {}
+        Term::Const(_) => {}
     }
 }
 
@@ -1218,9 +1206,8 @@ fn trivially_true(f: &Formula) -> bool {
     }
 }
 
-/// Batched [`exec::run_query`](crate::exec::run_query): executes one
-/// query branch over column chunks. Callers guarantee
-/// [`query_batchable`](crate::exec::execute) held.
+/// Executes one query branch over column chunks
+/// ([`exec::run_query`](crate::exec::run_query)).
 pub(crate) fn run_query(
     q: &QueryPlan,
     db: &Database,
@@ -1230,11 +1217,11 @@ pub(crate) fn run_query(
     let mut cache = RelCache::default();
     let mut ctx = BatchCtx::new(db, &idbs, q.shape.indexes, &mut cache, tally.take());
     let mut out = db.fresh_relation(q.out.clone());
-    // Deferred head validation, vectorized: instead of re-entering the
-    // environment with each candidate tuple bound (the tuple path's
-    // `venv`), rewrite head-column references to the head's defining
-    // terms once and run the deferred conjuncts as ordinary
-    // selection-refining filters over the whole batch.
+    // Deferred head validation, vectorized: instead of binding each
+    // candidate tuple and re-validating it, rewrite head-column
+    // references to the head's defining terms once and run the deferred
+    // conjuncts as ordinary selection-refining filters over the whole
+    // batch.
     let deferred: Vec<Formula> = q
         .deferred
         .iter()
@@ -1292,9 +1279,8 @@ pub(crate) fn run_query(
     Ok(out)
 }
 
-/// Batched [`run_rule`](crate::exec): executes one Datalog rule body,
-/// returning head projections (duplicates included — the stratum dedups,
-/// exactly like the tuple path).
+/// Executes one Datalog rule body, returning head projections
+/// (duplicates included — the stratum dedups).
 pub(crate) fn run_rule(
     rule: &RulePlan,
     db: &Database,
@@ -1325,14 +1311,30 @@ pub(crate) fn run_rule(
     Ok(out)
 }
 
+/// Decides a Boolean sentence: its formula evaluated for the one row of
+/// the unit batch ([`exec::run_sentence`](crate::exec::run_sentence)).
+pub(crate) fn run_sentence(
+    s: &SentencePlan,
+    db: &Database,
+    tally: &mut Option<TallyMap>,
+) -> CoreResult<bool> {
+    let idbs = IdbMap::new();
+    let mut cache = RelCache::default();
+    let mut ctx = BatchCtx::new(db, &idbs, s.shape.indexes, &mut cache, tally.take());
+    let mut sm = SlotMap::new(s.shape.tuple_slots, s.shape.value_slots);
+    let verdict = eval_mask(&s.formula, &Batch::unit(), &[0], &mut sm, &mut ctx);
+    *tally = ctx.tally.take();
+    Ok(verdict?[0])
+}
+
 // ---------------------------------------------------------------------
 // Entry points: bulk operators
 // ---------------------------------------------------------------------
 
-/// Batched [`exec::run_ops`](crate::exec::run_ops): evaluates an RA\*
-/// operator tree bottom-up over row vectors instead of `BTreeSet`s,
-/// deduplicating only where duplicates can appear (projection, union) —
-/// so every node's cardinality matches the tuple path's set sizes.
+/// Evaluates an RA\* operator tree bottom-up over row vectors instead of
+/// `BTreeSet`s ([`exec::run_ops`](crate::exec::run_ops)), deduplicating
+/// only where duplicates can appear (projection, union) — so every
+/// node's cardinality is its set size.
 pub(crate) fn run_ops(
     op: &OpNode,
     db: &Database,
@@ -1497,7 +1499,7 @@ fn eval_ops(op: &OpNode, db: &Database, tally: &mut Option<TallyMap>) -> CoreRes
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{EnvShape, ExecOptions, Plan, ProgramPlan, Stratum, FULL_SCAN};
+    use crate::exec::{EnvShape, Plan, ProgramPlan, Stratum, FULL_SCAN};
     use crate::schema::TableSchema;
 
     fn rel_data_of(rows: &[[i64; 2]]) -> RelData {
@@ -1745,8 +1747,6 @@ mod tests {
         let db = strings_db();
         assert_eq!(answer(&keyed_join(), &db), strs(&["x1", "x2"]));
         assert_eq!(answer(&plan, &db), strs(&["x1", "x2", "x3"]));
-        let slow = crate::exec::execute_with(&plan, &db, ExecOptions { batch: false }).unwrap();
-        assert_eq!(crate::exec::execute(&plan, &db).unwrap(), slow);
     }
 
     #[test]
@@ -1777,9 +1777,16 @@ mod tests {
             .collect();
         let results: Vec<Relation> = runs.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(results[0], results[1]);
-        let slow = crate::exec::execute_with(&plan, &db, ExecOptions { batch: false }).unwrap();
-        assert_eq!(results[0], slow);
-        assert!(!slow.is_empty());
+        // q(a) ← R(a, b), S(b) by a plain loop over the stored rows.
+        let s_keys = db.require("S").unwrap();
+        let mut expected = db.fresh_relation(TableSchema::new("q", ["a"]));
+        for r in db.require("R").unwrap().iter() {
+            if s_keys.contains(&Tuple(vec![r.get(1).clone()])) {
+                expected.insert(Tuple(vec![r.get(0).clone()])).unwrap();
+            }
+        }
+        assert!(!expected.is_empty());
+        assert_eq!(results[0], expected);
         let (first, second) = (cache_of(&db, "S"), cache_of(&db, "S"));
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(first.tables.lock().unwrap().len(), 1);

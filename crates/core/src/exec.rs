@@ -6,17 +6,18 @@
 //! AST into one [`Plan`] — scans with interned bound-key probes,
 //! selectivity-ordered hash joins, negation/quantifier attachment,
 //! projection with set-semantics dedup, and union — and one executor
-//! runs it. The per-language `eval` modules shrink to lowerings; the
-//! engine caches compiled [`Plan`]s (they are `Send + Sync` and carry
-//! no borrows), so a hot serving path compiles a query shape once per
+//! runs it: the chunked, columnar executor in `batch`, the only one.
+//! The per-language `eval` modules shrink to lowerings; the engine
+//! caches compiled [`Plan`]s (they are `Send + Sync` and carry no
+//! borrows), so a hot serving path compiles a query shape once per
 //! database epoch and executes it many times.
 //!
-//! The IR has two execution styles, both handled here:
+//! The IR has two shapes:
 //!
 //! * **Pipelines** ([`Block`]): an ordered list of [`Scan`] steps, each
 //!   binding either a whole tuple slot (TRC-style) or individual value
-//!   slots (Datalog-style), probing a lazily-built hash index when key
-//!   columns are bound, with filters (predicates, negated subplans,
+//!   slots (Datalog-style), probing a join table when key columns are
+//!   bound, with filters (predicates, negated subplans,
 //!   quantified blocks, negated-atom probes) attached to the earliest
 //!   step after which their inputs are bound. TRC and SQL queries lower
 //!   to one pipeline per union branch; each Datalog rule lowers to one
@@ -34,13 +35,11 @@
 pub use crate::batch::CHUNK_ROWS;
 use crate::database::{Database, Relation, Tuple};
 use crate::error::{CoreError, CoreResult};
-use crate::plan::{self, IndexCache, KeyBuf};
 use crate::schema::TableSchema;
 use crate::symbol::SymbolTable;
 use crate::value::Value;
 use crate::CmpOp;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::rc::Rc;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 // ---------------------------------------------------------------------
 // IR: terms, formulas, scans, blocks
@@ -60,12 +59,6 @@ pub enum Term {
     },
     /// A bound value slot (Datalog-style environments).
     Var(usize),
-    /// A variable no scan binds — surfaces as an "unbound variable"
-    /// error only when a full assignment forces its evaluation
-    /// (matching the lazy failure contract of unsafe Datalog rules).
-    Unbound(String),
-    /// A wildcard in value position — lazy error, like [`Term::Unbound`].
-    Wildcard,
 }
 
 /// A compiled comparison between two terms.
@@ -154,7 +147,7 @@ pub struct Block {
     pub scans: Vec<Scan>,
 }
 
-/// The runtime environment a plan needs: slot counts and index-cache
+/// The runtime environment a plan needs: slot counts and join-table
 /// slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EnvShape {
@@ -162,7 +155,8 @@ pub struct EnvShape {
     pub tuple_slots: usize,
     /// Value slots (Datalog-style per-column bindings).
     pub value_slots: usize,
-    /// Hash-index cache slots handed out during lowering.
+    /// Join-table slots handed out during lowering (one per keyed scan
+    /// or negated-atom probe).
     pub indexes: usize,
 }
 
@@ -207,7 +201,7 @@ pub struct SentencePlan {
 /// One compiled Datalog rule: a pipeline plus the head projection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RulePlan {
-    /// Head terms (projection; may contain lazy-error terms).
+    /// Head terms (projection).
     pub head: Vec<Term>,
     /// The rule body pipeline.
     pub block: Block,
@@ -356,8 +350,8 @@ fn _assert_plan_is_send_sync() {
 ///
 /// All stored reads go through [`Scan::rel`], [`Formula::NegProbe`], and
 /// [`OpNode::Table`]; for Datalog programs, IDB predicates are computed
-/// per execution (and shadow same-named tables in [`tuples_of`]), so
-/// stratum names are excluded.
+/// per execution (and shadow same-named stored tables), so stratum names
+/// are excluded.
 pub fn scan_set(plan: &Plan) -> BTreeSet<String> {
     let mut set = BTreeSet::new();
     match plan {
@@ -433,113 +427,26 @@ fn scans_in_ops(op: &OpNode, set: &mut BTreeSet<String>) {
 }
 
 // ---------------------------------------------------------------------
-// Execution: environment and context
+// Execution
 // ---------------------------------------------------------------------
 
-// ---------------------------------------------------------------------
-// Execution options and the batch/tuple decision
-// ---------------------------------------------------------------------
-
-/// Knobs for [`execute_with`] and friends. The default enables the
-/// vectorized batch path wherever the plan shape supports it; `batch:
-/// false` forces the original tuple-at-a-time executor everywhere (the
-/// differential-testing and benchmarking baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Use the batched (columnar, chunk-at-a-time) path for plan shapes
-    /// that support it.
-    pub batch: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { batch: true }
-    }
-}
-
-/// `true` if `t` can appear on the batched path. `Unbound`/`Wildcard`
-/// carry lazy, data-dependent error semantics (they fail only when a
-/// full assignment forces them), which the row-at-a-time executor pins
-/// exactly — plans containing them fall back wholesale.
-fn term_batchable(t: &Term) -> bool {
-    !matches!(t, Term::Unbound(_) | Term::Wildcard)
-}
-
-fn formula_batchable(f: &Formula) -> bool {
-    match f {
-        Formula::And(fs) | Formula::Or(fs) => fs.iter().all(formula_batchable),
-        Formula::Not(sub) => formula_batchable(sub),
-        Formula::Exists(block) => block_batchable(block),
-        Formula::Pred(p) => term_batchable(&p.left) && term_batchable(&p.right),
-        Formula::NegProbe { terms, .. } => terms.iter().all(term_batchable),
-    }
-}
-
-fn block_batchable(block: &Block) -> bool {
-    block.pre.iter().all(formula_batchable)
-        && block.scans.iter().all(|s| {
-            s.key_terms.iter().all(term_batchable) && s.filters.iter().all(formula_batchable)
-        })
-}
-
-/// `true` if this query branch runs on the batched path: no lazy-error
-/// terms anywhere. Deferred head-validation conjuncts batch too — the
-/// chunked driver binds the head slot to a synthetic step of candidate
-/// tuples and filters the whole batch at once.
-pub(crate) fn query_batchable(q: &QueryPlan) -> bool {
-    q.deferred.iter().all(formula_batchable)
-        && q.defs.iter().all(term_batchable)
-        && block_batchable(&q.root)
-}
-
-/// `true` if this Datalog rule runs on the batched path.
-pub(crate) fn rule_batchable(r: &RulePlan) -> bool {
-    r.head.iter().all(term_batchable) && block_batchable(&r.block)
-}
-
-/// `true` if [`execute`] runs `plan` entirely on the batched path —
-/// every union branch / every rule batchable, or a bulk operator tree
-/// (always batchable). Boolean sentences are quantifier-heavy by
-/// construction and stay tuple-at-a-time. This is the decision
-/// `explain` renders per operator and the engine counts per execution.
-pub fn plan_batched(plan: &Plan) -> bool {
-    match plan {
-        Plan::Union(branches) => branches.iter().all(query_batchable),
-        Plan::Sentence(_) => false,
-        Plan::Program(p) => p.strata.iter().all(|s| s.rules.iter().all(rule_batchable)),
-        Plan::Ops { .. } => true,
-    }
-}
-
-/// The flat runtime environment: tuple slots (borrowed bindings) and
-/// value slots (owned bindings).
-#[derive(Debug, Clone)]
-struct Env<'b> {
-    tuples: Vec<Option<&'b Tuple>>,
-    values: Vec<Option<Value>>,
-}
-
-impl<'b> Env<'b> {
-    fn new(shape: &EnvShape) -> Self {
-        Env {
-            tuples: vec![None; shape.tuple_slots],
-            values: vec![None; shape.value_slots],
-        }
-    }
-}
+/// Execution options for [`execute_feedback`]. There is one executor and
+/// nothing to choose, so the type carries no settings; it stays so the
+/// function keeps its signature.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecOptions;
 
 /// Computed IDB relations (empty for languages without them).
 pub(crate) type IdbMap = BTreeMap<String, BTreeSet<Tuple>>;
 
 /// What an analyzing execution observed at one plan node: the rows it
-/// produced and — for keyed probes and join builds on the batched path —
-/// which build strategy the executor actually chose.
+/// produced and — for keyed probes and join builds — which build
+/// strategy the executor actually chose.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct NodeTally {
     /// Rows the node produced.
     pub(crate) rows: u64,
-    /// Join/probe build strategy (`"dense-key"` or `"hash"`), recorded
-    /// only by the batched executor.
+    /// Join/probe build strategy (`"dense-key"` or `"hash"`).
     pub(crate) build: Option<&'static str>,
 }
 
@@ -560,8 +467,7 @@ pub(crate) fn record<T>(tally: &mut Option<TallyMap>, node: &T, rows: usize) {
     }
 }
 
-/// Adds `rows` to `node`'s count if an analyze tally is active (the
-/// batched executor's chunk-at-a-time analogue of [`ExecCtx::bump`]).
+/// Adds `rows` to `node`'s count if an analyze tally is active.
 pub(crate) fn bump_n<T>(tally: &mut Option<TallyMap>, node: &T, rows: usize) {
     if let Some(t) = tally.as_mut() {
         t.entry(node as *const T as usize).or_default().rows += rows as u64;
@@ -576,429 +482,44 @@ pub(crate) fn record_build<T>(tally: &mut Option<TallyMap>, node: &T, kind: &'st
     }
 }
 
-/// Per-execution state: the database snapshot, the computed IDBs, and
-/// the lazily-built hash indexes (one cache slot per keyed scan, built
-/// on first probe, reused across the execution).
-struct ExecCtx<'d> {
-    db: &'d Database,
-    symbols: &'d SymbolTable,
-    idbs: &'d IdbMap,
-    indexes: IndexCache<'d>,
-    key_buf: KeyBuf,
-    /// Per-node row counters, present only during an analyzing
-    /// execution — the normal path pays one `is_some` branch per
-    /// emitted scan row and nothing else.
-    tally: Option<TallyMap>,
-}
-
-impl<'d> ExecCtx<'d> {
-    fn new(db: &'d Database, idbs: &'d IdbMap, n_indexes: usize) -> Self {
-        ExecCtx {
-            db,
-            symbols: db.symbols(),
-            idbs,
-            indexes: IndexCache::new(n_indexes),
-            key_buf: KeyBuf::default(),
-            tally: None,
-        }
-    }
-
-    /// Counts one row produced by `node` when analyzing.
-    #[inline]
-    fn bump<T>(&mut self, node: &T) {
-        if let Some(t) = self.tally.as_mut() {
-            t.entry(node as *const T as usize).or_default().rows += 1;
-        }
-    }
-
-    /// The hash index for `(rel, cols)` in slot `id`, built on first
-    /// use from the IDB map or the database.
-    fn index_for(
-        &mut self,
-        rel: &str,
-        cols: &[usize],
-        id: usize,
-    ) -> CoreResult<Rc<plan::Index<'d>>> {
-        let (db, idbs) = (self.db, self.idbs);
-        self.indexes
-            .get_or_build(id, cols, || tuples_of(db, idbs, rel))
-    }
-}
-
-/// The tuples of `rel`: a computed IDB if one exists, else the EDB
-/// table (unknown tables error).
-pub(crate) fn tuples_of<'d>(
-    db: &'d Database,
-    idbs: &'d IdbMap,
-    rel: &str,
-) -> CoreResult<Vec<&'d Tuple>> {
-    if let Some(rows) = idbs.get(rel) {
-        return Ok(rows.iter().collect());
-    }
-    Ok(db.require(rel)?.iter().collect())
-}
-
-/// Resolves a term against the environment. `Unbound`/`Wildcard` terms
-/// fail here — lazily, exactly when a full assignment forces them.
-fn term_value<'v>(t: &'v Term, env: &'v Env<'_>) -> CoreResult<&'v Value> {
-    match t {
-        Term::Const(v) => Ok(v),
-        Term::Col { slot, col } => Ok(env.tuples[*slot]
-            .expect("lowering attaches terms only after their slot is bound")
-            .get(*col)),
-        Term::Var(s) => Ok(env.values[*s]
-            .as_ref()
-            .expect("lowering only emits Var for bound slots")),
-        Term::Unbound(v) => Err(CoreError::Invalid(format!("unbound variable '{v}'"))),
-        Term::Wildcard => Err(CoreError::Invalid(
-            "wildcard cannot be resolved to a value".into(),
-        )),
-    }
-}
-
-/// Resolves a probe-key term (lowerings never emit lazy-error terms in
-/// key position).
-fn key_value(t: &Term, env: &Env<'_>) -> Value {
-    match t {
-        Term::Const(v) => v.clone(),
-        Term::Col { slot, col } => env.tuples[*slot]
-            .expect("key slots bound earlier")
-            .get(*col)
-            .clone(),
-        Term::Var(s) => env.values[*s].clone().expect("key slots bound earlier"),
-        Term::Unbound(_) | Term::Wildcard => {
-            unreachable!("lowerings never emit lazy terms as probe keys")
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Execution: formulas and pipelines
-// ---------------------------------------------------------------------
-
-fn eval_formula<'b, 'd: 'b>(
-    f: &Formula,
-    env: &mut Env<'b>,
-    ctx: &mut ExecCtx<'d>,
-) -> CoreResult<bool> {
-    match f {
-        Formula::And(fs) => {
-            for sub in fs {
-                if !eval_formula(sub, env, ctx)? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-        Formula::Or(fs) => {
-            for sub in fs {
-                if eval_formula(sub, env, ctx)? {
-                    return Ok(true);
-                }
-            }
-            Ok(false)
-        }
-        Formula::Not(sub) => Ok(!eval_formula(sub, env, ctx)?),
-        Formula::Exists(block) => {
-            for pre in &block.pre {
-                if !eval_formula(pre, env, ctx)? {
-                    return Ok(false);
-                }
-            }
-            run_block(block, 0, env, ctx, &mut |_, _| Ok(true))
-        }
-        Formula::Pred(p) => {
-            let l = term_value(&p.left, env)?;
-            let r = term_value(&p.right, env)?;
-            Ok(p.op.eval_resolved(l, r, ctx.symbols))
-        }
-        Formula::NegProbe {
-            rel,
-            cols,
-            terms,
-            index_id,
-        } => {
-            if cols.is_empty() {
-                // `not P(_ …)`: succeeds iff P is empty — O(1).
-                let empty = match ctx.idbs.get(rel) {
-                    Some(rows) => rows.is_empty(),
-                    None => ctx.db.require(rel)?.is_empty(),
-                };
-                Ok(empty)
-            } else {
-                let index = ctx.index_for(rel, cols, *index_id)?;
-                let hit =
-                    index.contains_key(ctx.key_buf.fill(terms.iter().map(|t| key_value(t, env))));
-                Ok(!hit)
-            }
-        }
-    }
-}
-
-/// The emit callback invoked on every full pipeline assignment.
-/// Returning `Ok(true)` stops the enumeration (existential
-/// short-circuit); the stop propagates outward.
-type Emit<'e, 'b, 'd> = &'e mut dyn FnMut(&mut Env<'b>, &mut ExecCtx<'d>) -> CoreResult<bool>;
-
-/// Runs the scans of `block` from step `i`, invoking `emit` on every
-/// full assignment.
-fn run_block<'b, 'd: 'b>(
-    block: &Block,
-    i: usize,
-    env: &mut Env<'b>,
-    ctx: &mut ExecCtx<'d>,
-    emit: Emit<'_, 'b, 'd>,
-) -> CoreResult<bool> {
-    if i == block.scans.len() {
-        return emit(env, ctx);
-    }
-    let scan = &block.scans[i];
-    let stopped = if scan.key_cols.is_empty() {
-        let mut stopped = false;
-        let (db, idbs) = (ctx.db, ctx.idbs);
-        if let Some(rows) = idbs.get(&scan.rel) {
-            for t in rows {
-                if scan_tuple(block, i, t, env, ctx, emit)? {
-                    stopped = true;
-                    break;
-                }
-            }
-        } else {
-            for t in db.require(&scan.rel)?.iter() {
-                if scan_tuple(block, i, t, env, ctx, emit)? {
-                    stopped = true;
-                    break;
-                }
-            }
-        }
-        stopped
-    } else {
-        // Hash probe: resolve the key from bound slots/constants into
-        // the reusable buffer and look up the matching bucket.
-        let index = ctx.index_for(&scan.rel, &scan.key_cols, scan.index_id)?;
-        let bucket = index.get(
-            ctx.key_buf
-                .fill(scan.key_terms.iter().map(|t| key_value(t, env))),
-        );
-        let mut stopped = false;
-        if let Some(bucket) = bucket {
-            for &t in bucket {
-                if scan_tuple(block, i, t, env, ctx, emit)? {
-                    stopped = true;
-                    break;
-                }
-            }
-        }
-        stopped
-    };
-    if let Some(slot) = scan.tuple_slot {
-        env.tuples[slot] = None;
-    }
-    for &(_, s) in &scan.bind_cols {
-        env.values[s] = None;
-    }
-    Ok(stopped)
-}
-
-/// Binds one scanned tuple, verifies intra-tuple checks and filters,
-/// then recurses into step `i + 1`.
-fn scan_tuple<'b, 'd: 'b>(
-    block: &Block,
-    i: usize,
-    t: &'b Tuple,
-    env: &mut Env<'b>,
-    ctx: &mut ExecCtx<'d>,
-    emit: Emit<'_, 'b, 'd>,
-) -> CoreResult<bool> {
-    let scan = &block.scans[i];
-    if let Some(slot) = scan.tuple_slot {
-        env.tuples[slot] = Some(t);
-    }
-    for &(col, s) in &scan.bind_cols {
-        env.values[s] = Some(t.get(col).clone());
-    }
-    for &(col, s) in &scan.check_cols {
-        if env.values[s].as_ref() != Some(t.get(col)) {
-            return Ok(false);
-        }
-    }
-    for f in &scan.filters {
-        if !eval_formula(f, env, ctx)? {
-            return Ok(false);
-        }
-    }
-    ctx.bump(scan);
-    run_block(block, i + 1, env, ctx, emit)
-}
-
-// ---------------------------------------------------------------------
-// Execution: top-level plans
-// ---------------------------------------------------------------------
-
-/// Executes a compiled query branch, returning its output relation
-/// (batched where the shape allows, per [`ExecOptions::default`]).
+/// Executes a compiled query branch, returning its output relation.
 pub fn run_query(q: &QueryPlan, db: &Database) -> CoreResult<Relation> {
-    run_query_with(q, db, ExecOptions::default())
-}
-
-/// [`run_query`] with explicit execution options.
-pub fn run_query_with(q: &QueryPlan, db: &Database, opts: ExecOptions) -> CoreResult<Relation> {
-    run_query_inner(q, db, &mut None, opts)
-}
-
-/// [`run_query`] with an optional analyze tally threaded through the
-/// execution context (and handed back when done).
-fn run_query_inner(
-    q: &QueryPlan,
-    db: &Database,
-    tally: &mut Option<TallyMap>,
-    opts: ExecOptions,
-) -> CoreResult<Relation> {
-    if opts.batch && query_batchable(q) {
-        return crate::batch::run_query(q, db, tally);
-    }
-    let idbs = IdbMap::new();
-    let mut out = db.fresh_relation(q.out.clone());
-    let mut ctx = ExecCtx::new(db, &idbs, q.shape.indexes);
-    ctx.tally = tally.take();
-    let mut env = Env::new(&q.shape);
-    let mut pre_ok = true;
-    for pre in &q.root.pre {
-        if !eval_formula(pre, &mut env, &mut ctx)? {
-            pre_ok = false;
-            break;
-        }
-    }
-    if pre_ok {
-        run_block(&q.root, 0, &mut env, &mut ctx, &mut |env, ctx| {
-            let mut row = Vec::with_capacity(q.defs.len());
-            for t in &q.defs {
-                row.push(term_value(t, env)?.clone());
-            }
-            let tuple = Tuple(row);
-            // Validate the deferred conjuncts with the head bound. The
-            // narrower lifetime of `tuple` forces a (cheap, word-copy)
-            // clone of the environment.
-            let mut venv: Env = env.clone();
-            venv.tuples[q.head_slot] = Some(&tuple);
-            let mut ok = true;
-            for f in &q.deferred {
-                if !eval_formula(f, &mut venv, ctx)? {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                out.insert(tuple)?;
-            }
-            Ok(false)
-        })?;
-    }
-    *tally = ctx.tally.take();
-    record(tally, q, out.len());
-    Ok(out)
+    crate::batch::run_query(q, db, &mut None)
 }
 
 /// Executes a compiled Boolean sentence.
 pub fn run_sentence(s: &SentencePlan, db: &Database) -> CoreResult<bool> {
-    run_sentence_inner(s, db, &mut None)
-}
-
-fn run_sentence_inner(
-    s: &SentencePlan,
-    db: &Database,
-    tally: &mut Option<TallyMap>,
-) -> CoreResult<bool> {
-    let idbs = IdbMap::new();
-    let mut ctx = ExecCtx::new(db, &idbs, s.shape.indexes);
-    ctx.tally = tally.take();
-    let mut env = Env::new(&s.shape);
-    let value = eval_formula(&s.formula, &mut env, &mut ctx)?;
-    *tally = ctx.tally.take();
-    Ok(value)
-}
-
-/// Executes one compiled rule against the database plus the IDBs
-/// computed so far.
-fn run_rule(
-    rule: &RulePlan,
-    db: &Database,
-    idbs: &IdbMap,
-    tally: &mut Option<TallyMap>,
-) -> CoreResult<Vec<Tuple>> {
-    let mut ctx = ExecCtx::new(db, idbs, rule.shape.indexes);
-    ctx.tally = tally.take();
-    let mut env = Env::new(&rule.shape);
-    let mut pre_ok = true;
-    for pre in &rule.block.pre {
-        if !eval_formula(pre, &mut env, &mut ctx)? {
-            pre_ok = false;
-            break;
-        }
-    }
-    let mut out = Vec::new();
-    if pre_ok {
-        run_block(&rule.block, 0, &mut env, &mut ctx, &mut |env, _ctx| {
-            let mut row = Vec::with_capacity(rule.head.len());
-            for t in &rule.head {
-                row.push(term_value(t, env)?.clone());
-            }
-            out.push(Tuple(row));
-            Ok(false)
-        })?;
-    }
-    *tally = ctx.tally.take();
-    record(tally, rule, out.len());
-    Ok(out)
+    crate::batch::run_sentence(s, db, &mut None)
 }
 
 /// Executes a compiled Datalog program: strata in order, rules of one
-/// IDB unioned under set semantics (batched rules where the shape
-/// allows, per [`ExecOptions::default`]).
+/// IDB unioned under set semantics.
 pub fn run_program(p: &ProgramPlan, db: &Database) -> CoreResult<Relation> {
-    run_program_with(p, db, ExecOptions::default())
+    run_program_collect(p, db, &mut None, None)
 }
 
-/// [`run_program`] with explicit execution options.
-pub fn run_program_with(p: &ProgramPlan, db: &Database, opts: ExecOptions) -> CoreResult<Relation> {
-    run_program_inner(p, db, &mut None, opts)
-}
-
-fn run_program_inner(
-    p: &ProgramPlan,
-    db: &Database,
-    tally: &mut Option<TallyMap>,
-    opts: ExecOptions,
-) -> CoreResult<Relation> {
-    run_program_collect(p, db, tally, opts, None)
-}
-
-/// [`run_program_inner`] that additionally reports each computed IDB's
-/// actual size into `sizes` — the raw material of planner feedback
-/// (re-plans replace the EDB-derived stratum bounds with these).
+/// [`run_program`] with an optional analyze tally that additionally
+/// reports each computed IDB's actual size into `sizes` — the raw
+/// material of planner feedback (re-plans replace the EDB-derived
+/// stratum bounds with these).
 fn run_program_collect(
     p: &ProgramPlan,
     db: &Database,
     tally: &mut Option<TallyMap>,
-    opts: ExecOptions,
     mut sizes: Option<&mut Vec<(String, u64)>>,
 ) -> CoreResult<Relation> {
     let mut computed = IdbMap::new();
-    // Columnar IDB materializations shared across the program's batched
-    // rules (sound because a computed IDB never changes once its stratum
+    // Columnar IDB materializations shared across the program's rules
+    // (sound because a computed IDB never changes once its stratum
     // completes, and no rule reads its own stratum); stored relations
     // bring their own per-snapshot copies.
     let mut cache = crate::batch::RelCache::default();
     for stratum in &p.strata {
         let mut tuples: BTreeSet<Tuple> = BTreeSet::new();
         for rule in &stratum.rules {
-            if opts.batch && rule_batchable(rule) {
-                tuples.extend(crate::batch::run_rule(
-                    rule, db, &computed, tally, &mut cache,
-                )?);
-            } else {
-                tuples.extend(run_rule(rule, db, &computed, tally)?);
-            }
+            tuples.extend(crate::batch::run_rule(
+                rule, db, &computed, tally, &mut cache,
+            )?);
         }
         record(tally, stratum, tuples.len());
         if let Some(sizes) = sizes.as_deref_mut() {
@@ -1014,58 +535,6 @@ fn run_program_collect(
         rel.insert(row)?;
     }
     Ok(rel)
-}
-
-/// Splits theta-join checks into hashable equalities and a residual,
-/// then probes the right side per left tuple. `joiner` receives each
-/// matching pair.
-pub fn hash_join_pairs<'t>(
-    left: &'t BTreeSet<Tuple>,
-    right: &'t BTreeSet<Tuple>,
-    checks: &[(usize, CmpOp, usize)],
-    symbols: &SymbolTable,
-    mut joiner: impl FnMut(&'t Tuple, &'t Tuple),
-) {
-    let eq: Vec<&(usize, CmpOp, usize)> = checks
-        .iter()
-        .filter(|(_, op, _)| *op == CmpOp::Eq)
-        .collect();
-    let residual: Vec<&(usize, CmpOp, usize)> = checks
-        .iter()
-        .filter(|(_, op, _)| *op != CmpOp::Eq)
-        .collect();
-    if eq.is_empty() {
-        // No equality to key on: nested loop.
-        for lt in left {
-            for rt in right {
-                if checks
-                    .iter()
-                    .all(|(li, op, ri)| op.eval_resolved(lt.get(*li), rt.get(*ri), symbols))
-                {
-                    joiner(lt, rt);
-                }
-            }
-        }
-        return;
-    }
-    let right_cols: Vec<usize> = eq.iter().map(|(_, _, ri)| *ri).collect();
-    let left_cols: Vec<usize> = eq.iter().map(|(li, _, _)| *li).collect();
-    let index = plan::build_index(right.iter(), &right_cols);
-    let mut key: Vec<Value> = Vec::with_capacity(left_cols.len());
-    for lt in left {
-        key.clear();
-        key.extend(left_cols.iter().map(|&c| lt.get(c).clone()));
-        if let Some(bucket) = index.get(key.as_slice()) {
-            for &rt in bucket {
-                if residual
-                    .iter()
-                    .all(|(li, op, ri)| op.eval_resolved(lt.get(*li), rt.get(*ri), symbols))
-                {
-                    joiner(lt, rt);
-                }
-            }
-        }
-    }
 }
 
 pub(crate) fn eval_cond(cond: &Cond, tuple: &Tuple, symbols: &SymbolTable) -> bool {
@@ -1086,113 +555,9 @@ pub(crate) fn eval_cond(cond: &Cond, tuple: &Tuple, symbols: &SymbolTable) -> bo
     }
 }
 
-/// Executes a compiled RA operator tree to its tuple set (batched per
-/// [`ExecOptions::default`]).
+/// Executes a compiled RA operator tree to its tuple set.
 pub fn run_ops(op: &OpNode, db: &Database) -> CoreResult<BTreeSet<Tuple>> {
-    run_ops_with(op, db, ExecOptions::default())
-}
-
-/// [`run_ops`] with explicit execution options.
-pub fn run_ops_with(op: &OpNode, db: &Database, opts: ExecOptions) -> CoreResult<BTreeSet<Tuple>> {
-    if opts.batch {
-        crate::batch::run_ops(op, db, &mut None)
-    } else {
-        run_ops_inner(op, db, &mut None)
-    }
-}
-
-/// [`run_ops`] with an optional analyze tally: every node records its
-/// result cardinality on the way back up.
-fn run_ops_inner(
-    op: &OpNode,
-    db: &Database,
-    tally: &mut Option<TallyMap>,
-) -> CoreResult<BTreeSet<Tuple>> {
-    let symbols = db.symbols();
-    let tuples = match op {
-        OpNode::Table(name) => db.require(name)?.tuples().clone(),
-        OpNode::Project { cols, input } => {
-            let inner = run_ops_inner(input, db, tally)?;
-            inner.iter().map(|t| t.project(cols)).collect()
-        }
-        OpNode::Select { cond, input } => {
-            let inner = run_ops_inner(input, db, tally)?;
-            inner
-                .into_iter()
-                .filter(|t| eval_cond(cond, t, symbols))
-                .collect()
-        }
-        OpNode::Product(l, r) => {
-            let lv = run_ops_inner(l, db, tally)?;
-            let rv = run_ops_inner(r, db, tally)?;
-            let mut tuples = BTreeSet::new();
-            for lt in &lv {
-                for rt in &rv {
-                    tuples.insert(lt.concat(rt));
-                }
-            }
-            tuples
-        }
-        OpNode::Join {
-            checks,
-            left,
-            right,
-        } => {
-            let lv = run_ops_inner(left, db, tally)?;
-            let rv = run_ops_inner(right, db, tally)?;
-            let mut tuples = BTreeSet::new();
-            hash_join_pairs(&lv, &rv, checks, symbols, |lt, rt| {
-                tuples.insert(lt.concat(rt));
-            });
-            tuples
-        }
-        OpNode::NaturalJoin {
-            checks,
-            keep_right,
-            left,
-            right,
-        } => {
-            let lv = run_ops_inner(left, db, tally)?;
-            let rv = run_ops_inner(right, db, tally)?;
-            let mut tuples = BTreeSet::new();
-            hash_join_pairs(&lv, &rv, checks, symbols, |lt, rt| {
-                let mut row = lt.0.clone();
-                row.extend(keep_right.iter().map(|&ri| rt.get(ri).clone()));
-                tuples.insert(Tuple(row));
-            });
-            tuples
-        }
-        OpNode::Diff(l, r) => {
-            let lv = run_ops_inner(l, db, tally)?;
-            let rv = run_ops_inner(r, db, tally)?;
-            lv.difference(&rv).cloned().collect()
-        }
-        OpNode::Union(l, r) => {
-            let lv = run_ops_inner(l, db, tally)?;
-            let rv = run_ops_inner(r, db, tally)?;
-            lv.union(&rv).cloned().collect()
-        }
-        OpNode::Antijoin {
-            checks,
-            left,
-            right,
-        } => {
-            let lv = run_ops_inner(left, db, tally)?;
-            let rv = run_ops_inner(right, db, tally)?;
-            // The antijoin is the join's complement: collect the left
-            // tuples with at least one qualifying pair, keep the rest.
-            let mut matched: HashSet<&Tuple> = HashSet::new();
-            hash_join_pairs(&lv, &rv, checks, symbols, |lt, _| {
-                matched.insert(lt);
-            });
-            lv.iter()
-                .filter(|lt| !matched.contains(*lt))
-                .cloned()
-                .collect()
-        }
-    };
-    record(tally, op, tuples.len());
-    Ok(tuples)
+    crate::batch::run_ops(op, db, &mut None)
 }
 
 /// The 0-ary encoding of a Boolean result: `{()}` for true, `{}` for
@@ -1207,16 +572,9 @@ pub fn boolean_relation(value: bool) -> Relation {
 }
 
 /// Executes any compiled plan over `db`, normalizing the output to a
-/// [`Relation`] (Boolean sentences become the 0-ary encoding). Uses the
-/// batched path where the plan shape supports it; see [`execute_with`]
-/// to force tuple-at-a-time execution.
+/// [`Relation`] (Boolean sentences become the 0-ary encoding).
 pub fn execute(plan: &Plan, db: &Database) -> CoreResult<Relation> {
-    execute_with(plan, db, ExecOptions::default())
-}
-
-/// [`execute`] with explicit execution options.
-pub fn execute_with(plan: &Plan, db: &Database, opts: ExecOptions) -> CoreResult<Relation> {
-    execute_inner(plan, db, &mut None, opts)
+    execute_inner(plan, db, &mut None)
 }
 
 /// What one execution observed, for the planner's feedback loop.
@@ -1226,7 +584,7 @@ pub struct ExecFeedback {
     pub out_rows: u64,
     /// Actual size of each computed Datalog IDB, in stratum order
     /// (empty for non-program plans). Re-plans feed these back as
-    /// [`plan::PlanHints`], replacing the EDB-derived bounds.
+    /// [`PlanHints`](crate::plan::PlanHints), replacing the EDB-derived bounds.
     pub idb_rows: Vec<(String, u64)>,
 }
 
@@ -1248,19 +606,19 @@ pub fn plan_est(plan: &Plan) -> Option<u64> {
     }
 }
 
-/// [`execute_with`], additionally harvesting the actual row counts the
+/// [`execute`], additionally harvesting the actual row counts the
 /// planner's feedback loop consumes. Costs nothing beyond normal
 /// execution: program IDB sizes are observed as each stratum completes,
 /// and the output count reads the result relation's length.
 pub fn execute_feedback(
     plan: &Plan,
     db: &Database,
-    opts: ExecOptions,
+    _opts: ExecOptions,
 ) -> CoreResult<(Relation, ExecFeedback)> {
     let mut idb_rows = Vec::new();
     let relation = match plan {
-        Plan::Program(p) => run_program_collect(p, db, &mut None, opts, Some(&mut idb_rows))?,
-        other => execute_inner(other, db, &mut None, opts)?,
+        Plan::Program(p) => run_program_collect(p, db, &mut None, Some(&mut idb_rows))?,
+        other => execute_inner(other, db, &mut None)?,
     };
     let feedback = ExecFeedback {
         out_rows: relation.len() as u64,
@@ -1269,35 +627,26 @@ pub fn execute_feedback(
     Ok((relation, feedback))
 }
 
-fn execute_inner(
-    plan: &Plan,
-    db: &Database,
-    tally: &mut Option<TallyMap>,
-    opts: ExecOptions,
-) -> CoreResult<Relation> {
+fn execute_inner(plan: &Plan, db: &Database, tally: &mut Option<TallyMap>) -> CoreResult<Relation> {
     match plan {
         Plan::Union(branches) => {
             let mut iter = branches.iter();
             let first = iter
                 .next()
                 .ok_or_else(|| CoreError::Invalid("empty union".into()))?;
-            let mut result = run_query_inner(first, db, tally, opts)?;
+            let mut result = crate::batch::run_query(first, db, tally)?;
             for branch in iter {
-                let r = run_query_inner(branch, db, tally, opts)?;
+                let r = crate::batch::run_query(branch, db, tally)?;
                 for t in r.iter() {
                     result.insert(t.clone())?;
                 }
             }
             Ok(result)
         }
-        Plan::Sentence(s) => Ok(boolean_relation(run_sentence_inner(s, db, tally)?)),
-        Plan::Program(p) => run_program_inner(p, db, tally, opts),
+        Plan::Sentence(s) => Ok(boolean_relation(crate::batch::run_sentence(s, db, tally)?)),
+        Plan::Program(p) => run_program_collect(p, db, tally, None),
         Plan::Ops { root, out } => {
-            let tuples = if opts.batch {
-                crate::batch::run_ops(root, db, tally)?
-            } else {
-                run_ops_inner(root, db, tally)?
-            };
+            let tuples = crate::batch::run_ops(root, db, tally)?;
             let mut rel = db.fresh_relation(out.clone());
             for t in tuples {
                 rel.insert(t)?;
@@ -1312,23 +661,14 @@ fn execute_inner(
 /// counts — the engine of the `explain analyze` wire form. Returns the
 /// result relation too, so callers can cross-check the root count.
 pub fn explain_analyze(plan: &Plan, db: &Database) -> CoreResult<(Relation, ExplainNode)> {
-    explain_analyze_with(plan, db, ExecOptions::default())
-}
-
-/// [`explain_analyze`] with explicit execution options.
-pub fn explain_analyze_with(
-    plan: &Plan,
-    db: &Database,
-    opts: ExecOptions,
-) -> CoreResult<(Relation, ExplainNode)> {
     let mut tally = Some(TallyMap::new());
-    let relation = execute_inner(plan, db, &mut tally, opts)?;
+    let relation = execute_inner(plan, db, &mut tally)?;
     let tally = tally.unwrap_or_default();
     let annot = Annot {
         db: Some(db),
         tally: Some(&tally),
     };
-    let mut node = explain_with_opts(plan, &annot, opts);
+    let mut node = explain_with(plan, &annot);
     node.actual_rows = Some(relation.len() as u64);
     if let Some(est) = node.est_rows {
         node.q_error = Some(q_error(est, relation.len() as u64));
@@ -1361,11 +701,6 @@ pub struct ExplainNode {
     /// smoothing so empty results stay finite. `1.0` is a perfect
     /// estimate; present only when both row fields are.
     pub q_error: Option<f64>,
-    /// Execution mode this subtree runs under: `"batched"` for the
-    /// chunked columnar path, `"tuple"` for the row-at-a-time fallback.
-    /// Set on executable roots (query branches, rules, sentences, ops
-    /// roots); `None` on purely structural nodes and in legacy frames.
-    pub mode: Option<String>,
     /// Join-build strategy actually used (`"dense-key"` or `"hash"`),
     /// recorded during `explain analyze` on keyed scans, joins, and
     /// negation probes. `None` outside analyze and in legacy frames.
@@ -1382,7 +717,6 @@ impl ExplainNode {
             est_rows: None,
             actual_rows: None,
             q_error: None,
-            mode: None,
             build: None,
             children: Vec::new(),
         }
@@ -1400,11 +734,6 @@ impl ExplainNode {
             (Some(e), Some(a)) => Some(q_error(e, a)),
             _ => None,
         };
-        self
-    }
-
-    fn mode(mut self, batched: bool) -> ExplainNode {
-        self.mode = Some(if batched { "batched" } else { "tuple" }.to_string());
         self
     }
 }
@@ -1520,8 +849,6 @@ fn fmt_term(t: &Term) -> String {
         Term::Const(v) => v.to_string(),
         Term::Col { slot, col } => format!("t{slot}.c{col}"),
         Term::Var(s) => format!("v{s}"),
-        Term::Unbound(v) => format!("?{v}"),
-        Term::Wildcard => "_".into(),
     }
 }
 
@@ -1590,7 +917,7 @@ fn explain_block(block: &Block, annot: &Annot<'_>) -> Vec<ExplainNode> {
     nodes
 }
 
-fn explain_query(q: &QueryPlan, annot: &Annot<'_>, opts: ExecOptions) -> ExplainNode {
+fn explain_query(q: &QueryPlan, annot: &Annot<'_>) -> ExplainNode {
     let mut children = explain_block(&q.root, annot);
     if !q.deferred.is_empty() {
         children.push(
@@ -1613,7 +940,6 @@ fn explain_query(q: &QueryPlan, annot: &Annot<'_>, opts: ExecOptions) -> Explain
         q.est_rows.or_else(|| annot.est_block(&q.root)),
         annot.actual(q),
     )
-    .mode(opts.batch && query_batchable(q))
 }
 
 fn explain_ops(op: &OpNode, annot: &Annot<'_>) -> ExplainNode {
@@ -1667,35 +993,29 @@ fn explain_ops(op: &OpNode, annot: &Annot<'_>) -> ExplainNode {
 }
 
 /// Renders a compiled plan as an explain tree (no row counts — see
-/// [`explain_analyze`]). Executable roots carry the execution `mode`
-/// the default options would pick (`batched` / `tuple`).
+/// [`explain_analyze`]).
 pub fn explain(plan: &Plan) -> ExplainNode {
-    explain_with_opts(plan, &Annot::NONE, ExecOptions::default())
+    explain_with(plan, &Annot::NONE)
 }
 
-fn explain_with_opts(plan: &Plan, annot: &Annot<'_>, opts: ExecOptions) -> ExplainNode {
+fn explain_with(plan: &Plan, annot: &Annot<'_>) -> ExplainNode {
     match plan {
         Plan::Union(branches) => {
             if let [q] = branches.as_slice() {
-                explain_query(q, annot, opts)
+                explain_query(q, annot)
             } else {
                 let est = branches
                     .iter()
                     .map(|q| q.est_rows.or_else(|| annot.est_block(&q.root)))
                     .try_fold(0u64, |acc, e| e.map(|e| acc.saturating_add(e)));
                 ExplainNode::new("union", format!("{} branches", branches.len()))
-                    .with(
-                        branches
-                            .iter()
-                            .map(|q| explain_query(q, annot, opts))
-                            .collect(),
-                    )
+                    .with(branches.iter().map(|q| explain_query(q, annot)).collect())
                     .rows(est, None)
             }
         }
-        Plan::Sentence(s) => ExplainNode::new("sentence", "boolean")
-            .with(vec![explain_formula(&s.formula, annot)])
-            .mode(false),
+        Plan::Sentence(s) => {
+            ExplainNode::new("sentence", "boolean").with(vec![explain_formula(&s.formula, annot)])
+        }
         Plan::Program(p) => ExplainNode::new("program", format!("query {}", p.query)).with(
             p.strata
                 .iter()
@@ -1712,7 +1032,6 @@ fn explain_with_opts(plan: &Plan, annot: &Annot<'_>, opts: ExecOptions) -> Expla
                                     )
                                     .with(explain_block(&rule.block, annot))
                                     .rows(annot.est_block(&rule.block), annot.actual(rule))
-                                    .mode(opts.batch && rule_batchable(rule))
                                 })
                                 .collect(),
                         )
@@ -1724,7 +1043,6 @@ fn explain_with_opts(plan: &Plan, annot: &Annot<'_>, opts: ExecOptions) -> Expla
             ExplainNode::new("ops", format!("{}({})", out.name(), out.attrs().join(", ")))
                 .with(vec![explain_ops(root, annot)])
                 .rows(annot.est_ops(root), annot.actual(root))
-                .mode(opts.batch)
         }
     }
 }
@@ -1829,9 +1147,17 @@ mod tests {
                 indexes: 1,
             },
         };
-        let idbs = IdbMap::new();
-        let out = run_rule(&rule, &db, &idbs, &mut None).unwrap();
-        assert_eq!(out, vec![Tuple::new([3i64])]);
+        let program = ProgramPlan {
+            strata: vec![Stratum {
+                pred: "Q".into(),
+                rules: vec![rule],
+                est_rows: None,
+            }],
+            query: "Q".into(),
+            out: TableSchema::new("Q", ["x1"]),
+        };
+        let out = run_program(&program, &db).unwrap();
+        assert_eq!(out.iter().collect::<Vec<_>>(), [&Tuple::new([3i64])]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The shared planning layer: per-table statistics, a cardinality
 //! estimator, Selinger-style dynamic programming over join orders, and
-//! hash-index construction for equi-joins.
+//! the scan-cost model the lowerings share.
 //!
 //! All the evaluators (TRC, SQL via the TRC hub, RA, Datalog) lower
 //! onto the shared pipeline IR and route their join ordering through
@@ -13,16 +13,13 @@
 //! [`PlannerOpts::dp_threshold`] scans). The legacy one-pass greedy
 //! ([`scan_cost`]) survives as [`OrderStrategy::Greedy`] — the
 //! differential baseline. Every scan with at least one bound equality
-//! key probes a [`build_index`] hash map instead of scanning; negated
-//! and quantified subformulas still evaluate only after their bindings
-//! are available.
+//! key probes a join table instead of scanning; negated and quantified
+//! subformulas still evaluate only after their bindings are available.
 
-use crate::database::{Database, Tuple};
-use crate::error::CoreResult;
+use crate::database::Database;
 use crate::stats::TableStats;
 use crate::{CmpOp, Value};
-use std::collections::{BTreeMap, HashMap};
-use std::rc::Rc;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Per-table statistics of a database instance — the input to join
@@ -390,79 +387,6 @@ pub fn scan_cost(size: usize, bound_keys: usize) -> f64 {
     cost
 }
 
-/// Builds a hash index over `tuples` keyed by the values at `cols`
-/// (in the given column order).
-///
-/// Keys are small `Vec<Value>`s of `Int`/`Sym` values, so building and
-/// probing never allocate strings — this is what the interned
-/// representation buys on the join hot path.
-pub fn build_index<'a, I>(tuples: I, cols: &[usize]) -> HashMap<Vec<crate::Value>, Vec<&'a Tuple>>
-where
-    I: IntoIterator<Item = &'a Tuple>,
-{
-    let mut index: HashMap<Vec<crate::Value>, Vec<&'a Tuple>> = HashMap::new();
-    for t in tuples {
-        let key: Vec<crate::Value> = cols.iter().map(|&c| t.get(c).clone()).collect();
-        index.entry(key).or_default().push(t);
-    }
-    index
-}
-
-/// A hash index: key columns' values → the matching tuples.
-pub type Index<'a> = HashMap<Vec<Value>, Vec<&'a Tuple>>;
-
-/// A cache of lazily-built hash indexes, one slot per keyed scan of a
-/// compiled query plan. Both the TRC and the Datalog evaluator drive
-/// their probes through this, so the build-once/probe-many protocol
-/// (and any future key normalization) lives in exactly one place.
-pub struct IndexCache<'a> {
-    slots: Vec<Option<Rc<Index<'a>>>>,
-}
-
-impl<'a> IndexCache<'a> {
-    /// A cache with `n` index slots (the plan's keyed-scan count).
-    pub fn new(n: usize) -> Self {
-        IndexCache {
-            slots: vec![None; n],
-        }
-    }
-
-    /// The index in slot `id`, building it from `tuples` over `cols` on
-    /// first use. The `Rc` decouples the returned index from the cache
-    /// borrow, so callers can keep probing while scheduling more scans.
-    pub fn get_or_build<I, F>(
-        &mut self,
-        id: usize,
-        cols: &[usize],
-        tuples: F,
-    ) -> CoreResult<Rc<Index<'a>>>
-    where
-        I: IntoIterator<Item = &'a Tuple>,
-        F: FnOnce() -> CoreResult<I>,
-    {
-        if self.slots[id].is_none() {
-            self.slots[id] = Some(Rc::new(build_index(tuples()?, cols)));
-        }
-        Ok(self.slots[id].clone().expect("just built"))
-    }
-}
-
-/// A reusable probe-key buffer: filling it allocates nothing once warm,
-/// and the returned slice borrows the buffer, so probing a hash index
-/// per tuple is allocation-free.
-#[derive(Default)]
-pub struct KeyBuf(Vec<Value>);
-
-impl KeyBuf {
-    /// Clears the buffer, fills it from `values`, and hands back the
-    /// slice to probe with.
-    pub fn fill(&mut self, values: impl Iterator<Item = Value>) -> &[Value] {
-        self.0.clear();
-        self.0.extend(values);
-        &self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,21 +525,5 @@ mod tests {
         // No range info → the 1/3 default.
         let s = st.cmp_selectivity("R", 0, CmpOp::Lt, &Value::Str("x".into()));
         assert!((s - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn index_groups_by_key() {
-        let rel = Relation::from_rows(
-            TableSchema::new("R", ["A", "B"]),
-            [[1i64, 10], [1, 20], [2, 10]],
-        )
-        .unwrap();
-        let idx = build_index(rel.iter(), &[0]);
-        assert_eq!(idx.len(), 2);
-        assert_eq!(idx[&vec![Value::int(1)]].len(), 2);
-        assert_eq!(idx[&vec![Value::int(2)]].len(), 1);
-        assert!(!idx.contains_key(&vec![Value::int(3)]));
-        let idx2 = build_index(rel.iter(), &[1, 0]);
-        assert_eq!(idx2[&vec![Value::int(10), Value::int(1)]].len(), 1);
     }
 }

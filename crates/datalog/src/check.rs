@@ -6,11 +6,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Full validation used by [`crate::parser::parse_program`]:
 /// 1. arities consistent (EDBs against the catalog; IDBs across uses);
-/// 2. rule safety: every variable of the head, of negated atoms, and of
-///    built-ins occurs in a positive relational subgoal [Ceri et al. 89];
+/// 2. rule safety ([`check_safety`]);
 /// 3. non-recursive dependency graph;
-/// 4. no wildcard in rule heads;
-/// 5. the query predicate is defined.
+/// 4. the query predicate is defined.
 pub fn check_program(p: &DlProgram, catalog: &Catalog) -> CoreResult<()> {
     let idbs = p.idbs();
     let mut idb_arity: BTreeMap<String, usize> = BTreeMap::new();
@@ -49,7 +47,26 @@ pub fn check_program(p: &DlProgram, catalog: &Catalog) -> CoreResult<()> {
         }
     }
 
-    // Safety per rule.
+    check_safety(p)?;
+
+    if !is_nonrecursive(p) {
+        return Err(CoreError::Invalid("program is recursive".into()));
+    }
+    if !idbs.contains(&p.query) {
+        return Err(CoreError::Invalid(format!(
+            "query predicate '{}' is not defined by any rule",
+            p.query
+        )));
+    }
+    Ok(())
+}
+
+/// Rule safety, the one definition shared by [`check_program`],
+/// [`is_safe`] and the lowering: every variable of the head, of negated
+/// atoms, and of built-ins occurs in a positive relational subgoal
+/// [Ceri et al. 89], and no wildcard stands where a value is needed (rule
+/// heads, built-ins). Needs no catalog.
+pub fn check_safety(p: &DlProgram) -> CoreResult<()> {
     for rule in &p.rules {
         let positive_vars: BTreeSet<&str> = rule.positive().flat_map(|a| a.vars()).collect();
         for v in rule.head.vars() {
@@ -79,6 +96,11 @@ pub fn check_program(p: &DlProgram, catalog: &Catalog) -> CoreResult<()> {
             }
         }
         for b in rule.builtins() {
+            if matches!(b.left, DlTerm::Wildcard) || matches!(b.right, DlTerm::Wildcard) {
+                return Err(CoreError::Invalid(format!(
+                    "wildcard in built-in: '{rule}'"
+                )));
+            }
             for v in b.vars() {
                 if !positive_vars.contains(v) {
                     return Err(CoreError::Invalid(format!(
@@ -88,37 +110,12 @@ pub fn check_program(p: &DlProgram, catalog: &Catalog) -> CoreResult<()> {
             }
         }
     }
-
-    if !is_nonrecursive(p) {
-        return Err(CoreError::Invalid("program is recursive".into()));
-    }
-    if !idbs.contains(&p.query) {
-        return Err(CoreError::Invalid(format!(
-            "query predicate '{}' is not defined by any rule",
-            p.query
-        )));
-    }
     Ok(())
 }
 
-/// `true` if every rule satisfies the standard safety conditions
-/// (delegates to [`check_program`] logic without catalog knowledge; EDB
-/// arity errors are ignored).
+/// `true` if every rule satisfies [`check_safety`].
 pub fn is_safe(p: &DlProgram) -> bool {
-    for rule in &p.rules {
-        let positive_vars: BTreeSet<&str> = rule.positive().flat_map(|a| a.vars()).collect();
-        let head_ok = rule.head.vars().all(|v| positive_vars.contains(v));
-        let neg_ok = rule
-            .negative()
-            .all(|a| a.vars().all(|v| positive_vars.contains(v)));
-        let builtin_ok = rule
-            .builtins()
-            .all(|b| b.vars().all(|v| positive_vars.contains(v)));
-        if !(head_ok && neg_ok && builtin_ok) {
-            return false;
-        }
-    }
-    true
+    check_safety(p).is_ok()
 }
 
 /// `true` if the IDB dependency graph is acyclic (no IDB reachable from
@@ -301,6 +298,17 @@ mod tests {
         // Built-in variable not positively bound.
         let p = parse_program_unchecked("Q(x) :- R(x, _), y > 5.").unwrap();
         assert!(!is_safe(&p));
+        // A wildcard where a built-in needs a value, on either side.
+        for text in ["Q(x) :- R(x, y), _ < 3.", "Q(x) :- R(x, y), y = _."] {
+            let p = parse_program_unchecked(text).unwrap();
+            assert!(!is_safe(&p), "{text}");
+            let err = check_program(&p, &catalog()).unwrap_err().to_string();
+            assert!(err.contains("wildcard in built-in"), "{text}: {err}");
+        }
+        // A wildcard head: `check_program` and `is_safe` agree.
+        let p = parse_program_unchecked("Q(_) :- R(x, _).").unwrap();
+        assert!(!is_safe(&p));
+        assert!(check_program(&p, &catalog()).is_err());
     }
 
     #[test]

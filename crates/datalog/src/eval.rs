@@ -20,7 +20,7 @@
 //! database epoch.
 
 use crate::ast::{Atom, DlProgram, DlTerm, Literal, Rule};
-use crate::check::topo_order;
+use crate::check::{check_safety, topo_order};
 use rd_core::exec::{self, Block, EnvShape, ProgramPlan, RulePlan, Scan, Stratum};
 use rd_core::plan::{OrderStrategy, PlanHints, PlannerOpts, ScanCand};
 use rd_core::{plan, CmpOp, CoreResult, Database, Relation, TableSchema};
@@ -40,7 +40,8 @@ pub fn lower_program(p: &DlProgram, db: &Database) -> CoreResult<ProgramPlan> {
 }
 
 /// [`lower_program`] with explicit planner configuration and
-/// execution-feedback hints.
+/// execution-feedback hints. Programs that fail [`check_safety`] are
+/// refused with its error, so every compiled term is bound by a scan.
 ///
 /// IDB sizes are unknown at compile time (they exist only during
 /// execution), so each stratum's cardinality is *estimated from its
@@ -57,6 +58,7 @@ pub fn lower_program_with(
     opts: &PlannerOpts,
     hints: &PlanHints,
 ) -> CoreResult<ProgramPlan> {
+    check_safety(p)?;
     let p = intern_program(p, db);
     let mut stats = plan::DbStats::of(db);
     let order = topo_order(&p);
@@ -259,62 +261,43 @@ fn compile_rule(
         s
     };
 
-    // Compiles a negated atom / built-in against the current bound set.
-    // Returns None for negations that can never match (some variable
-    // unbound: no tuple equals an unbound variable, so the negation is
-    // vacuously true — the pre-planner evaluator behaved the same way).
+    // Compiles a negated atom / built-in once all its variables are
+    // bound (safety guarantees a positive subgoal binds each of them).
     let compile_test = |lit: &Literal,
-                        bound: &BTreeSet<String>,
                         slots_by_name: &HashMap<String, usize>,
                         n_indexes: &mut usize|
-     -> Option<exec::Formula> {
+     -> exec::Formula {
+        let term = |t: &DlTerm| match t {
+            DlTerm::Const(c) => exec::Term::Const(c.clone()),
+            DlTerm::Var(v) => exec::Term::Var(slots_by_name[v.as_str()]),
+            DlTerm::Wildcard => unreachable!("safety rejects wildcards in built-ins"),
+        };
         match lit {
-            Literal::Cmp(b) => {
-                let term = |t: &DlTerm| match t {
-                    DlTerm::Const(c) => exec::Term::Const(c.clone()),
-                    DlTerm::Wildcard => exec::Term::Wildcard,
-                    DlTerm::Var(v) => match slots_by_name.get(v.as_str()) {
-                        Some(&s) if bound.contains(v) => exec::Term::Var(s),
-                        _ => exec::Term::Unbound(v.clone()),
-                    },
-                };
-                Some(exec::Formula::Pred(exec::Pred {
-                    left: term(&b.left),
-                    op: b.op,
-                    right: term(&b.right),
-                }))
-            }
+            Literal::Cmp(b) => exec::Formula::Pred(exec::Pred {
+                left: term(&b.left),
+                op: b.op,
+                right: term(&b.right),
+            }),
             Literal::Neg(a) => {
-                let mut cols = Vec::new();
-                let mut terms = Vec::new();
-                for (i, t) in a.terms.iter().enumerate() {
-                    match t {
-                        DlTerm::Wildcard => {}
-                        DlTerm::Const(c) => {
-                            cols.push(i);
-                            terms.push(exec::Term::Const(c.clone()));
-                        }
-                        DlTerm::Var(v) => {
-                            if !bound.contains(v) {
-                                return None; // vacuously true
-                            }
-                            terms.push(exec::Term::Var(slots_by_name[v.as_str()]));
-                            cols.push(i);
-                        }
-                    }
-                }
+                let (cols, terms): (Vec<usize>, Vec<exec::Term>) = a
+                    .terms
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, t)| !matches!(t, DlTerm::Wildcard))
+                    .map(|(i, t)| (i, term(t)))
+                    .unzip();
                 let index_id = if cols.is_empty() {
                     exec::FULL_SCAN
                 } else {
                     *n_indexes += 1;
                     *n_indexes - 1
                 };
-                Some(exec::Formula::NegProbe {
+                exec::Formula::NegProbe {
                     rel: a.pred.clone(),
                     cols,
                     terms,
                     index_id,
-                })
+                }
             }
             Literal::Pos(_) => unreachable!("positives are scans"),
         }
@@ -325,9 +308,7 @@ fn compile_rule(
     for entry in pending.iter_mut() {
         if entry.as_ref().is_some_and(|p| p.vars.is_empty()) {
             let p = entry.take().expect("checked above");
-            if let Some(t) = compile_test(p.lit, &bound, &slots_by_name, &mut n_indexes) {
-                pre.push(t);
-            }
+            pre.push(compile_test(p.lit, &slots_by_name, &mut n_indexes));
         }
     }
 
@@ -419,9 +400,7 @@ fn compile_rule(
                 .is_some_and(|p| p.vars.iter().all(|v| bound.contains(v)))
             {
                 let p = entry.take().expect("checked above");
-                if let Some(t) = compile_test(p.lit, &bound, &slots_by_name, &mut n_indexes) {
-                    filters.push(t);
-                }
+                filters.push(compile_test(p.lit, &slots_by_name, &mut n_indexes));
             }
         }
         scans.push(Scan {
@@ -436,23 +415,10 @@ fn compile_rule(
         });
     }
 
-    // Filters with variables no positive atom binds: keep the lazy
-    // failure behavior (error or vacuous truth) of the original
-    // evaluator by compiling them against the final bound set.
-    let mut leftovers = Vec::new();
-    for entry in pending.iter_mut() {
-        if let Some(p) = entry.take() {
-            if let Some(t) = compile_test(p.lit, &bound, &slots_by_name, &mut n_indexes) {
-                leftovers.push(t);
-            }
-        }
-    }
-    if !leftovers.is_empty() {
-        match scans.last_mut() {
-            Some(last) => last.filters.extend(leftovers),
-            None => pre.extend(leftovers),
-        }
-    }
+    debug_assert!(
+        pending.iter().all(Option::is_none),
+        "safety binds every filter variable positively"
+    );
 
     let head = rule
         .head
@@ -460,11 +426,8 @@ fn compile_rule(
         .iter()
         .map(|t| match t {
             DlTerm::Const(c) => exec::Term::Const(c.clone()),
-            DlTerm::Wildcard => exec::Term::Wildcard,
-            DlTerm::Var(v) => match slots_by_name.get(v.as_str()) {
-                Some(&s) => exec::Term::Var(s),
-                None => exec::Term::Unbound(v.clone()),
-            },
+            DlTerm::Var(v) => exec::Term::Var(slots_by_name[v.as_str()]),
+            DlTerm::Wildcard => unreachable!("safety rejects wildcard heads"),
         })
         .collect();
 

@@ -74,12 +74,6 @@ pub struct SessionStats {
     /// `rows_returned`; counted by [`Session::record_streamed`] at the
     /// service edge).
     pub rows_streamed: u64,
-    /// Plan executions that ran entirely on the vectorized batch path.
-    pub batched_execs: u64,
-    /// Plan executions that fell back (wholly or partly) to the
-    /// tuple-at-a-time executor — sentence plans, deferred head
-    /// validation, lazy-error terms.
-    pub tuple_fallbacks: u64,
     /// Plans recompiled because an execution's observed cardinalities
     /// crossed the re-plan q-error threshold
     /// ([`crate::shared::REPLAN_Q_ERROR`]) with feedback the cached plan
@@ -120,8 +114,6 @@ impl SessionStats {
         self.delta_survivals += other.delta_survivals;
         self.rows_returned += other.rows_returned;
         self.rows_streamed += other.rows_streamed;
-        self.batched_execs += other.batched_execs;
-        self.tuple_fallbacks += other.tuple_fallbacks;
         self.planner_replans += other.planner_replans;
         self.planner_feedback_hits += other.planner_feedback_hits;
     }
@@ -146,8 +138,6 @@ impl SessionStats {
             delta_survivals: self.delta_survivals - earlier.delta_survivals,
             rows_returned: self.rows_returned - earlier.rows_returned,
             rows_streamed: self.rows_streamed - earlier.rows_streamed,
-            batched_execs: self.batched_execs - earlier.batched_execs,
-            tuple_fallbacks: self.tuple_fallbacks - earlier.tuple_fallbacks,
             planner_replans: self.planner_replans - earlier.planner_replans,
             planner_feedback_hits: self.planner_feedback_hits - earlier.planner_feedback_hits,
         }
@@ -246,16 +236,6 @@ impl Session {
     /// [`row_chunks`](crate::QueryResponse::row_chunks).
     pub fn record_streamed(&mut self, rows: u64) {
         self.stats.rows_streamed += rows;
-    }
-
-    /// Counts which executor path an execution of `plan` takes (the
-    /// same decision [`exec::plan_batched`] renders into explain trees).
-    fn count_exec_mode(&mut self, plan: &exec::Plan) {
-        if exec::plan_batched(plan) {
-            self.stats.batched_execs += 1;
-        } else {
-            self.stats.tuple_fallbacks += 1;
-        }
     }
 
     /// Replaces the database: installs a new epoch (bumped generation)
@@ -535,9 +515,7 @@ impl Session {
     ) -> CoreResult<(Arc<Relation>, bool)> {
         if !self.shared.eval_cache_enabled() {
             let plan = self.timed_plan(epoch, artifact, canonical, spans, trace)?;
-            self.count_exec_mode(&plan);
-            let (raw, feedback) =
-                exec::execute_feedback(&plan, &epoch.db, exec::ExecOptions::default())?;
+            let (raw, feedback) = exec::execute_feedback(&plan, &epoch.db, exec::ExecOptions)?;
             self.observe_execution(epoch, artifact, canonical, &plan, &feedback);
             return Ok((Arc::new(epoch.db.resolve_relation(&raw)), false));
         }
@@ -559,9 +537,7 @@ impl Session {
         let key = (epoch.base, artifact.language(), hash_text(canonical));
         // Result-cache miss: the plan cache can still skip the compile.
         let plan = self.timed_plan(epoch, artifact, canonical, spans, trace)?;
-        self.count_exec_mode(&plan);
-        let (raw, feedback) =
-            exec::execute_feedback(&plan, &epoch.db, exec::ExecOptions::default())?;
+        let (raw, feedback) = exec::execute_feedback(&plan, &epoch.db, exec::ExecOptions)?;
         self.observe_execution(epoch, artifact, canonical, &plan, &feedback);
         let relation = Arc::new(epoch.db.resolve_relation(&raw));
         let bytes = relation.approx_bytes();

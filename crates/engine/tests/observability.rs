@@ -176,43 +176,35 @@ fn every_reported_span_stage_lands_in_the_registry() {
     }
 }
 
-/// Static explain carries the chosen execution mode per plan node: the
-/// join lowers to a batchable plan in every language, so the root must
-/// say `batched` without running anything.
+/// Static explain renders every language's plan shape without running
+/// it: pipelines for TRC and SQL, strata for Datalog, operator trees for
+/// RA, and a formula tree for a Boolean sentence.
 #[test]
-fn explain_reports_batched_mode_in_all_languages() {
+fn explain_renders_every_language_and_sentences() {
     let mut session = rs_session();
     let queries = [
         (
             Language::Trc,
             "{ q(A) | exists r in R, s in S [ q.A = r.A and r.B = s.B ] }",
+            "query",
         ),
         (
             Language::Sql,
             "SELECT DISTINCT R.A FROM R, S WHERE R.B = S.B",
+            "query",
         ),
-        (Language::Datalog, "Q(x) :- R(x, y), S(y)."),
-        (Language::Ra, "pi[A](R join S)"),
+        (Language::Datalog, "Q(x) :- R(x, y), S(y).", "program"),
+        (Language::Ra, "pi[A](R join S)", "ops"),
+        (Language::Trc, "exists r in R [ r.A = 1 ]", "sentence"),
     ];
-    for (language, text) in queries {
+    for (language, text, root) in queries {
         let resp = session.explain(language, text).unwrap();
+        assert_eq!(resp.plan.kind, root, "{language}: {resp:?}");
         assert!(
-            any_node(&resp.plan, &|n| n.mode.as_deref() == Some("batched")),
-            "{language}: no node reports batched mode: {resp:?}"
-        );
-        assert!(
-            !any_node(&resp.plan, &|n| n.mode.as_deref() == Some("tuple")),
-            "{language}: a batchable plan must not fall back: {resp:?}"
+            !any_node(&resp.plan, &|n| n.actual_rows.is_some()),
+            "{language}: static explain must not execute: {resp:?}"
         );
     }
-    // Sentences (closed formulas) always take the tuple interpreter.
-    let sentence = session
-        .explain(Language::Trc, "exists r in R [ r.A = 1 ]")
-        .unwrap();
-    assert!(
-        any_node(&sentence.plan, &|n| n.mode.as_deref() == Some("tuple")),
-        "sentence plans must report tuple mode: {sentence:?}"
-    );
 }
 
 /// `explain analyze` additionally reports which join-table build the
@@ -241,25 +233,26 @@ fn explain_analyze_reports_join_build_kind() {
     );
 }
 
-/// Session stats count which executor ran: batchable plans bump
-/// `batched_execs`, sentence plans fall back and bump `tuple_fallbacks`.
+/// A TRC sentence answers with the 0-ary relation: one empty tuple when
+/// it holds, none when it does not.
 #[test]
-fn session_stats_count_executor_modes() {
+fn trc_sentences_answer_with_the_zero_ary_relation() {
     let mut session = rs_session();
-    session
-        .run(&QueryRequest::new(
-            Language::Sql,
-            "SELECT DISTINCT R.A FROM R, S WHERE R.B = S.B",
-        ))
-        .unwrap();
-    assert_eq!(session.stats().batched_execs, 1);
-    assert_eq!(session.stats().tuple_fallbacks, 0);
-    session
-        .run(&QueryRequest::new(
-            Language::Trc,
-            "exists r in R [ r.A = 1 ]",
-        ))
-        .unwrap();
-    assert_eq!(session.stats().batched_execs, 1);
-    assert_eq!(session.stats().tuple_fallbacks, 1);
+    for (text, holds) in [
+        ("exists r in R [ r.A = 1 ]", true),
+        ("exists r in R [ r.A = 99 ]", false),
+        (
+            "not (exists r in R [ not (exists s in S [ s.B = r.B ]) ])",
+            false,
+        ),
+    ] {
+        let resp = session
+            .run(&QueryRequest::new(Language::Trc, text))
+            .unwrap();
+        assert_eq!(resp.relation.schema().arity(), 0, "{text}");
+        assert_eq!(resp.relation.len(), usize::from(holds), "{text}");
+        if holds {
+            assert!(resp.relation.iter().all(|t| t.arity() == 0), "{text}");
+        }
+    }
 }

@@ -235,8 +235,6 @@ fn session_stats_accumulate_and_since_are_inverses() {
         delta_survivals: 14,
         rows_returned: 15,
         rows_streamed: 16,
-        batched_execs: 17,
-        tuple_fallbacks: 18,
         planner_replans: 19,
         planner_feedback_hits: 20,
     };
@@ -257,8 +255,6 @@ fn session_stats_accumulate_and_since_are_inverses() {
         delta_survivals: 114,
         rows_returned: 115,
         rows_streamed: 116,
-        batched_execs: 117,
-        tuple_fallbacks: 118,
         planner_replans: 119,
         planner_feedback_hits: 120,
     };

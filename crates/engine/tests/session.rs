@@ -318,3 +318,22 @@ fn union_queries_evaluate_and_note_fragment_limits() {
     assert!(t.datalog.is_none(), "per-branch translation only");
     assert!(!t.notes.is_empty());
 }
+
+/// A wildcard inside a built-in has no value to compare. The query is
+/// refused when it is checked, with the same error whether or not the
+/// table it reads holds rows, and nothing is evaluated.
+#[test]
+fn wildcard_in_builtin_errors_before_execution() {
+    let text = "Q(x) :- Sailor(x, y), _ < 3.";
+    let empty = parse_fixture("Sailor(sid, sname):\nReserves(sid, bid):\n").unwrap();
+    for db in [demo_database(), empty] {
+        let mut session = Session::new(db);
+        let err = session
+            .run(&QueryRequest::new(Language::Datalog, text))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("wildcard in built-in"), "{err}");
+        let stats = session.stats();
+        assert_eq!((stats.eval_misses, stats.plan_misses), (0, 0), "{stats:?}");
+    }
+}

@@ -631,9 +631,7 @@ fn session_stats_to_json(st: &SessionStats) -> Json {
         ("plan_evictions", u(st.plan_evictions)),
         ("delta_invalidations", u(st.delta_invalidations)),
         ("delta_survivals", u(st.delta_survivals)),
-        ("batched_execs", u(st.batched_execs)),
-        ("tuple_fallbacks", u(st.tuple_fallbacks)),
-        // Appended after the PR-8 fields (same compat contract).
+        // Appended after the delta counters (same compat contract).
         ("planner_replans", u(st.planner_replans)),
         ("planner_feedback_hits", u(st.planner_feedback_hits)),
     ])
@@ -657,8 +655,6 @@ fn session_stats_from_json(v: &Json) -> Result<SessionStats, String> {
         delta_survivals: opt_u64(v, "delta_survivals")?,
         rows_returned: get_u64(v, "rows_returned")?,
         rows_streamed: opt_u64(v, "rows_streamed")?,
-        batched_execs: opt_u64(v, "batched_execs")?,
-        tuple_fallbacks: opt_u64(v, "tuple_fallbacks")?,
         planner_replans: opt_u64(v, "planner_replans")?,
         planner_feedback_hits: opt_u64(v, "planner_feedback_hits")?,
     })
@@ -686,11 +682,8 @@ fn explain_node_to_json(n: &ExplainNode) -> Json {
     if let Some(q) = n.q_error {
         pairs.push(("q_error", Json::Float(q)));
     }
-    // PR-8 executor fields, same append-only discipline: absent on
+    // The join-build strategy, same append-only discipline: absent on
     // structural nodes and on legacy frames.
-    if let Some(mode) = &n.mode {
-        pairs.push(("mode", s(mode)));
-    }
     if let Some(build) = &n.build {
         pairs.push(("build", s(build)));
     }
@@ -711,7 +704,7 @@ fn opt_f64_field(v: &Json, key: &str) -> Result<Option<f64>, String> {
 }
 
 /// A genuinely optional string field: absent/null stays `None` (legacy
-/// explain frames carry no `mode`/`build`).
+/// explain frames carry no `build`).
 fn opt_str_field(v: &Json, key: &str) -> Result<Option<String>, String> {
     match v.get(key) {
         None | Some(Json::Null) => Ok(None),
@@ -740,7 +733,6 @@ fn explain_node_from_json(v: &Json) -> Result<ExplainNode, String> {
         est_rows: opt_u64_field(v, "est_rows")?,
         actual_rows: opt_u64_field(v, "actual_rows")?,
         q_error: opt_f64_field(v, "q_error")?,
-        mode: opt_str_field(v, "mode")?,
         build: opt_str_field(v, "build")?,
     })
 }
@@ -1850,13 +1842,11 @@ mod tests {
                     est_rows: None,
                     actual_rows: None,
                     q_error: None,
-                    mode: None,
                     build: None,
                 }],
                 est_rows: None,
                 actual_rows: None,
                 q_error: None,
-                mode: None,
                 build: None,
             },
             cache_hit: true,
@@ -1893,13 +1883,11 @@ mod tests {
                     est_rows: Some(2),
                     actual_rows: Some(3),
                     q_error: Some(1.5),
-                    mode: None,
                     build: Some("hash".into()),
                 }],
                 est_rows: Some(2),
                 actual_rows: Some(2),
                 q_error: Some(1.0),
-                mode: Some("batched".into()),
                 build: None,
             },
             cache_hit: false,
@@ -1908,8 +1896,45 @@ mod tests {
         assert!(line.contains(r#""est_rows":2"#), "{line}");
         assert!(line.contains(r#""actual_rows":3"#), "{line}");
         assert!(line.contains(r#""q_error":1.5"#), "{line}");
+        assert!(line.contains(r#""build":"hash""#), "{line}");
+        assert!(!line.contains(r#""mode""#), "{line}");
         let back: Response = decode(&line).unwrap();
         assert_eq!(back, analyzed);
+    }
+
+    /// Frames from servers that still ran two executors carry an explain
+    /// `mode` per node and `batched_execs`/`tuple_fallbacks` in the stats
+    /// sessions object; newer readers ignore all three.
+    #[test]
+    fn legacy_executor_mode_fields_are_ignored() {
+        let explain = r#"{"ok":true,"kind":"explain","language":"ra","canonical":"pi[A](R)","plan":{"kind":"ops","detail":"q(A)","children":[{"kind":"scan","detail":"R full scan","children":[],"mode":"tuple"}],"est_rows":4,"actual_rows":2,"q_error":1.5,"mode":"batched","build":"hash"},"cache_hit":false}"#;
+        match decode::<Response>(explain).unwrap() {
+            Response::Explain(e) => {
+                assert_eq!(e.plan.kind, "ops");
+                assert_eq!(e.plan.actual_rows, Some(2));
+                assert_eq!(e.plan.build.as_deref(), Some("hash"));
+                assert_eq!(e.plan.children[0].detail, "R full scan");
+            }
+            other => panic!("expected explain, got {other:?}"),
+        }
+        let stats = Response::Stats(StatsResult {
+            sessions: SessionStats {
+                queries: 7,
+                delta_survivals: 2,
+                planner_replans: 1,
+                ..SessionStats::default()
+            },
+            fingerprint: "abc".into(),
+            ..StatsResult::default()
+        });
+        let line = encode(&stats);
+        let anchor = r#""delta_survivals":2,"#;
+        assert!(line.contains(anchor), "{line}");
+        let legacy = line.replace(
+            anchor,
+            r#""delta_survivals":2,"batched_execs":5,"tuple_fallbacks":2,"#,
+        );
+        assert_eq!(decode::<Response>(&legacy).unwrap(), stats);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Differential check for the cost-based join orderer: DP-ordered
 //! plans, greedy-ordered plans, and plans compiled against an
-//! uninterned copy of the database must all produce identical results
-//! in all four languages (plus RA\*⊲) — the optimizer may only change
-//! *how* a query runs, never *what* it returns. Also pins the DP
-//! orderer's choice on a skewed three-relation fixture where the
-//! syntactic scan order is catastrophically bad.
+//! uninterned copy of the database must all produce the rows the
+//! `rd-oracle` reference interpreters compute, in all four languages
+//! (plus RA\*⊲) — the optimizer may only change *how* a query runs,
+//! never *what* it returns. Also pins the DP orderer's choice on a
+//! skewed three-relation fixture where the syntactic scan order is
+//! catastrophically bad.
 
 use rd_core::exec::{self, Plan};
 use rd_core::plan::{OrderStrategy, PlanHints, PlannerOpts};
@@ -30,16 +31,19 @@ fn greedy() -> PlannerOpts {
     }
 }
 
-/// Rebuilds `db` without a symbol table: raw string storage, same
-/// content. Lowering consults per-relation statistics and interned
-/// constants, so plans compiled against this copy must still agree.
-fn uninterned_copy(db: &Database) -> Database {
-    let mut raw = Database::uninterned();
-    for schema in db.catalog().iter() {
-        let rel = db.require(schema.name()).unwrap();
-        raw.add_relation(db.resolve_relation(rel));
+/// The reference rows for `four` over the uninterned copy `raw`: the
+/// TRC oracle's answer, which the Datalog and RA oracles must reproduce
+/// on their own translations.
+fn oracle(four: &FourWay, raw: &Database) -> BTreeSet<Tuple> {
+    let trc = rd_oracle::trc::eval_query(&four.trc, raw).expect("trc oracle");
+    let expected = trc.tuples().clone();
+    let datalog = rd_oracle::datalog::eval_program(&four.datalog, raw).expect("datalog oracle");
+    assert_eq!(datalog.tuples(), &expected, "datalog oracle vs trc oracle");
+    for ra in [&four.ra, &four.ra_antijoin] {
+        let out = rd_oracle::ra::eval(ra, raw).expect("ra oracle");
+        assert_eq!(out.tuples, expected, "ra oracle vs trc oracle on {ra}");
     }
-    raw
+    expected
 }
 
 /// Lowers every representation of `four` with `opts`, executes on
@@ -88,7 +92,8 @@ fn eval_all(
 }
 
 /// The property: over random TRC\* queries and random databases, every
-/// (language × strategy × interning) combination returns the same rows.
+/// (language × strategy × interning) combination returns the oracle's
+/// rows.
 #[test]
 fn dp_greedy_and_uninterned_agree_across_languages() {
     let mut qgen = QueryGenerator::new(catalog(), GenConfig::default(), 4242);
@@ -99,11 +104,10 @@ fn dp_greedy_and_uninterned_agree_across_languages() {
         let mut dbs = DbGenerator::with_int_domain(catalog(), 3, 4, 9000 + i);
         for round in 0..8 {
             let db = dbs.next_db();
-            let raw = uninterned_copy(&db);
-            let baseline = eval_all(&four, &db, &PlannerOpts::default());
-            let expected = &baseline[0].1;
+            let raw = rd_oracle::uninterned(&db);
+            let expected = &oracle(&four, &raw);
             for (variant, results) in [
-                ("dp", &baseline),
+                ("dp", &eval_all(&four, &db, &PlannerOpts::default())),
                 ("greedy", &eval_all(&four, &db, &greedy())),
                 (
                     "dp+uninterned",
@@ -115,7 +119,7 @@ fn dp_greedy_and_uninterned_agree_across_languages() {
                     assert_eq!(
                         tuples, expected,
                         "query {i} ({q}), db round {round}, {variant}/{lang} \
-                         disagrees with dp/trc on\n{db}"
+                         disagrees with the oracle on\n{db}"
                     );
                 }
             }

@@ -1,13 +1,17 @@
 //! Property-based tests for the interned-value representation: random
 //! databases (with string *and* integer values) and random queries must
 //! evaluate identically through the interned path and through a
-//! string-resolved reference database ([`Database::uninterned`]), and the
-//! four languages must still agree with each other post-refactor.
+//! string-resolved reference database ([`Database::uninterned`]), the
+//! four languages must still agree with each other, and every answer
+//! must equal the reference interpreters' of `rd-oracle`, which share no
+//! code with the planner or the executor.
 
 use proptest::prelude::*;
-use rd_core::exec::{execute_with, ExecOptions};
+use rd_core::exec::execute;
 use rd_core::{Catalog, Database, DbGenerator, Relation, TableSchema, Tuple, Value};
+use rd_oracle::uninterned as uninterned_copy;
 use rd_trc::random::{GenConfig, QueryGenerator};
+use std::collections::BTreeSet;
 
 fn catalog() -> Catalog {
     Catalog::from_schemas([
@@ -35,16 +39,6 @@ fn mixed_domain() -> Vec<Value> {
     ]
 }
 
-/// The string-resolved reference copy of `db`: same content, interning
-/// disabled, every stored value a raw `Int`/`Str`.
-fn uninterned_copy(db: &Database) -> Database {
-    let mut raw = Database::uninterned();
-    for rel in db.iter() {
-        raw.add_relation(rel.resolved());
-    }
-    raw
-}
-
 /// A wider mixed domain for the at-scale runs: enough distinct values
 /// that generated relations actually reach hundreds of distinct rows
 /// (set semantics collapses duplicates on the 6-value domain above).
@@ -68,31 +62,39 @@ fn four_plans(q: &rd_trc::TrcQuery, cat: &Catalog, db: &Database) -> [rd_core::e
     ]
 }
 
-/// Runs `plan` batched and scalar over `db`, and batched over the
-/// string-resolved reference, asserting all three agree.
-fn assert_batched_scalar_reference_agree(
+/// The TRC oracle's answer for `q` over the string-resolved copy `raw`.
+fn oracle(q: &rd_trc::TrcQuery, raw: &Database) -> BTreeSet<Tuple> {
+    rd_oracle::trc::eval_query(q, raw).unwrap().tuples().clone()
+}
+
+/// Runs `plan` over `db` and `reference_plan` over its string-resolved
+/// copy `raw`, asserting both agree with the oracle's `expected` rows.
+fn assert_matches_oracle(
     plan: &rd_core::exec::Plan,
     reference_plan: &rd_core::exec::Plan,
     db: &Database,
     raw: &Database,
+    expected: &BTreeSet<Tuple>,
     label: &str,
 ) {
-    let fast = execute_with(plan, db, ExecOptions { batch: true }).unwrap();
-    let slow = execute_with(plan, db, ExecOptions { batch: false }).unwrap();
-    assert_eq!(fast.tuples(), slow.tuples(), "{label}: batched vs scalar");
-    let reference = execute_with(reference_plan, raw, ExecOptions { batch: true }).unwrap();
+    let interned = execute(plan, db).unwrap();
     assert_eq!(
-        db.resolve_relation(&fast).tuples(),
+        db.resolve_relation(&interned).tuples(),
+        expected,
+        "{label}: interned executor vs oracle"
+    );
+    let reference = execute(reference_plan, raw).unwrap();
+    assert_eq!(
         raw.resolve_relation(&reference).tuples(),
-        "{label}: interned vs uninterned"
+        expected,
+        "{label}: uninterned executor vs oracle"
     );
 }
 
 /// Relation sizes straddling the batch chunk size
 /// ([`rd_core::exec::CHUNK_ROWS`] = 1024): the last chunk of a scan is
 /// short (1023), exactly full (1024), or forces one extra chunk (1025).
-/// Results must be identical between the batched and scalar executors,
-/// in every language, interned or not.
+/// Results must equal the oracle's in every language, interned or not.
 #[test]
 fn chunk_boundary_sizes_agree_across_languages() {
     assert_eq!(
@@ -138,14 +140,16 @@ fn chunk_boundary_sizes_agree_across_languages() {
         db.add_relation(t);
 
         let raw = uninterned_copy(&db);
+        let expected = oracle(&q, &raw);
         let plans = four_plans(&q, &cat, &db);
         let reference_plans = four_plans(&q, &cat, &raw);
         for (lang, (plan, reference)) in plans.iter().zip(&reference_plans).enumerate() {
-            assert_batched_scalar_reference_agree(
+            assert_matches_oracle(
                 plan,
                 reference,
                 &db,
                 &raw,
+                &expected,
                 &format!("n={n} lang={lang}"),
             );
         }
@@ -174,12 +178,14 @@ proptest! {
                 db.resolve_relation(&interned).tuples(),
                 raw.resolve_relation(&reference).tuples()
             );
+            prop_assert_eq!(db.resolve_relation(&interned).tuples(), &oracle(&q, &raw));
         }
     }
 
     /// All four languages agree on interned databases: TRC (source),
     /// Datalog and RA (Theorem 6 translations), and SQL (evaluated via
-    /// its own front-end path).
+    /// its own front-end path). Each also equals its own language's
+    /// oracle on the string-resolved copy.
     #[test]
     fn four_languages_agree_post_refactor(seed in 0u64..20_000) {
         let q = random_query(seed);
@@ -190,6 +196,7 @@ proptest! {
         let mut gen = DbGenerator::new(cat, mixed_domain(), 4, seed ^ 0x51AB);
         for _ in 0..2 {
             let db = gen.next_db();
+            let raw = uninterned_copy(&db);
             let trc_out = rd_trc::eval_query(&q, &db).unwrap();
             let dl_out = rd_datalog::eval_program(&p, &db).unwrap();
             prop_assert_eq!(trc_out.tuples(), dl_out.tuples(), "trc vs datalog");
@@ -199,6 +206,15 @@ proptest! {
                             "trc vs ra");
             let sql_out = rd_sql::translate::eval_sql(&sql, &db).unwrap();
             prop_assert_eq!(trc_out.tuples(), sql_out.tuples(), "trc vs sql");
+            prop_assert_eq!(db.resolve_relation(&trc_out).tuples(), &oracle(&q, &raw),
+                            "trc vs trc oracle");
+            prop_assert_eq!(db.resolve_relation(&dl_out).tuples(),
+                            rd_oracle::datalog::eval_program(&p, &raw).unwrap().tuples(),
+                            "datalog vs datalog oracle");
+            let ra_resolved: BTreeSet<Tuple> =
+                ra_out.tuples.iter().map(|t| db.resolve_tuple(t)).collect();
+            prop_assert_eq!(&ra_resolved, &rd_oracle::ra::eval(&e, &raw).unwrap().tuples,
+                            "ra vs ra oracle");
         }
     }
 
@@ -207,8 +223,7 @@ proptest! {
     /// are carried into Datalog*, RA*, and SQL* (Theorem 6), each is
     /// lowered onto the shared plan IR and executed over the interned
     /// database and the string-resolved copy, and every pair of results
-    /// must match in the resolved edge representation. This pins the
-    /// one-executor refactor to the per-language semantics.
+    /// must match the TRC oracle in the resolved edge representation.
     #[test]
     fn unified_executor_matches_uninterned_reference_all_languages(seed in 0u64..20_000) {
         let q = random_query(seed);
@@ -221,6 +236,7 @@ proptest! {
         for _ in 0..2 {
             let db = gen.next_db();
             let raw = uninterned_copy(&db);
+            let expected = oracle(&q, &raw);
             // Lower once per database (plans bake in interned ids and
             // size-driven scan orders) and run the shared executor.
             let pairs: [(rd_core::exec::Plan, rd_core::exec::Plan); 4] = [
@@ -231,27 +247,23 @@ proptest! {
                 (rd_ra::lower(&e, &db).unwrap(), rd_ra::lower(&e, &raw).unwrap()),
                 (rd_sql::lower_sql(&sql, &db).unwrap(), rd_sql::lower_sql(&sql, &raw).unwrap()),
             ];
-            let mut resolved_first: Option<std::collections::BTreeSet<rd_core::Tuple>> = None;
             for (interned_plan, reference_plan) in &pairs {
-                let interned = rd_core::exec::execute(interned_plan, &db).unwrap();
-                let reference = rd_core::exec::execute(reference_plan, &raw).unwrap();
+                let interned = execute(interned_plan, &db).unwrap();
+                let reference = execute(reference_plan, &raw).unwrap();
                 let resolved = db.resolve_relation(&interned).tuples().clone();
                 prop_assert_eq!(&resolved, raw.resolve_relation(&reference).tuples(),
                                 "interned vs uninterned");
-                // And all four languages agree with each other.
-                match &resolved_first {
-                    None => resolved_first = Some(resolved),
-                    Some(first) => prop_assert_eq!(first, &resolved, "cross-language"),
-                }
+                prop_assert_eq!(&resolved, &expected, "executor vs oracle");
             }
         }
     }
 
-    /// The batched executor agrees with the tuple-at-a-time executor and
-    /// with the `Database::uninterned()` reference on databases of at
-    /// least 256 rows — enough volume that keyed probes, dense-key
-    /// tables, and quantifier pruning all do real work — across all four
-    /// languages, before and after a batch of inserts and deletes.
+    /// The batched executor agrees with the oracle's tuple-at-a-time
+    /// (nested-loop) TRC interpreter, interned and over the
+    /// `Database::uninterned()` copy, on databases of at least 256 rows —
+    /// enough volume that keyed probes, dense-key tables, and quantifier
+    /// pruning all do real work — across all four languages, before and
+    /// after a batch of inserts and deletes.
     #[test]
     fn batched_matches_scalar_and_uninterned_at_scale(seed in 0u64..20_000) {
         let q = random_query(seed);
@@ -262,11 +274,12 @@ proptest! {
             db = gen.next_db();
         }
         let mut raw = uninterned_copy(&db);
+        let expected = oracle(&q, &raw);
         let plans = four_plans(&q, &cat, &db);
         let reference_plans = four_plans(&q, &cat, &raw);
         for (lang, (plan, reference)) in plans.iter().zip(&reference_plans).enumerate() {
-            assert_batched_scalar_reference_agree(plan, reference, &db, &raw,
-                                                  &format!("seed={seed} lang={lang}"));
+            assert_matches_oracle(plan, reference, &db, &raw, &expected,
+                                  &format!("seed={seed} lang={lang}"));
         }
         // One seeded batch of inserts (drawn from a fresh generated
         // database) and deletes (of current rows), applied to both
@@ -287,15 +300,16 @@ proptest! {
             prop_assert_eq!(db.delete_rows(name, &deletes).unwrap(),
                             raw.delete_rows(name, &deletes).unwrap());
         }
+        let expected_after = oracle(&q, &raw);
         let plans_after = four_plans(&q, &cat, &db);
         let reference_after = four_plans(&q, &cat, &raw);
         for (lang, (plan, reference)) in plans_after.iter().zip(&reference_after).enumerate() {
-            assert_batched_scalar_reference_agree(plan, reference, &db, &raw,
-                                                  &format!("seed={seed} lang={lang} mutated"));
+            assert_matches_oracle(plan, reference, &db, &raw, &expected_after,
+                                  &format!("seed={seed} lang={lang} mutated"));
         }
         for (lang, (plan, reference)) in plans.iter().zip(&reference_plans).enumerate() {
-            assert_batched_scalar_reference_agree(plan, reference, &before, &raw_before,
-                                                  &format!("seed={seed} lang={lang} snapshot"));
+            assert_matches_oracle(plan, reference, &before, &raw_before, &expected,
+                                  &format!("seed={seed} lang={lang} snapshot"));
         }
     }
 

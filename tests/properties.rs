@@ -1,9 +1,12 @@
 //! Property-based tests (proptest) over randomly generated TRC* queries
-//! and databases: the workspace's core invariants.
+//! and databases: the workspace's core invariants. Semantics-preserving
+//! round trips are checked against the `rd-oracle` reference
+//! interpreters, not only against the engine's own lowering.
 
 use proptest::prelude::*;
-use rd_core::{Catalog, DbGenerator, TableSchema};
+use rd_core::{Catalog, Database, DbGenerator, TableSchema, Tuple};
 use rd_trc::random::{GenConfig, QueryGenerator};
+use std::collections::BTreeSet;
 
 fn catalog() -> Catalog {
     Catalog::from_schemas([
@@ -16,6 +19,14 @@ fn catalog() -> Catalog {
 
 fn random_query(seed: u64) -> rd_trc::TrcQuery {
     QueryGenerator::new(catalog(), GenConfig::default(), seed).next_query()
+}
+
+/// The TRC oracle's answer for `q` on `db`.
+fn oracle(q: &rd_trc::TrcQuery, db: &Database) -> BTreeSet<Tuple> {
+    rd_oracle::trc::eval_query(q, &rd_oracle::uninterned(db))
+        .unwrap()
+        .tuples()
+        .clone()
 }
 
 proptest! {
@@ -42,6 +53,9 @@ proptest! {
             let a = rd_trc::eval_query(&q, &db).unwrap();
             let b = rd_trc::eval_query(&c, &db).unwrap();
             prop_assert_eq!(a.tuples(), b.tuples());
+            let expected = oracle(&q, &db);
+            prop_assert_eq!(a.tuples(), &expected);
+            prop_assert_eq!(&oracle(&c, &db), &expected);
         }
     }
 
@@ -69,6 +83,9 @@ proptest! {
             let a = rd_trc::eval_query(&q, &db).unwrap();
             let b = rd_trc::eval_query(&back.branches[0], &db).unwrap();
             prop_assert_eq!(a.tuples(), b.tuples());
+            let expected = oracle(&q, &db);
+            prop_assert_eq!(a.tuples(), &expected);
+            prop_assert_eq!(&oracle(&back.branches[0], &db), &expected);
         }
     }
 
@@ -87,6 +104,9 @@ proptest! {
             let a = rd_trc::eval_query(&q, &db).unwrap();
             let b = rd_trc::eval_query(&back.branches[0], &db).unwrap();
             prop_assert_eq!(a.tuples(), b.tuples());
+            let expected = oracle(&q, &db);
+            prop_assert_eq!(a.tuples(), &expected);
+            prop_assert_eq!(&oracle(&back.branches[0], &db), &expected);
         }
     }
 
@@ -123,7 +143,8 @@ proptest! {
     }
 
     /// RA evaluation respects schema inference: evaluating any generated
-    /// query's RA translation yields tuples of the inferred arity.
+    /// query's RA translation yields tuples of the inferred arity, and
+    /// the rows the RA oracle computes.
     #[test]
     fn ra_translation_schema_consistency(seed in 0u64..20_000) {
         let q = random_query(seed);
@@ -134,6 +155,8 @@ proptest! {
         let db = gen.next_db();
         let out = rd_ra::eval(&e, &db).unwrap();
         prop_assert_eq!(out.attrs.len(), schema.len());
+        let reference = rd_oracle::ra::eval(&e, &rd_oracle::uninterned(&db)).unwrap();
+        prop_assert_eq!(&out.tuples, &reference.tuples);
         for t in &out.tuples {
             prop_assert_eq!(t.arity(), schema.len());
         }
