@@ -101,7 +101,7 @@ fn bench_eval(c: &mut Criterion) {
     });
     let e = rd_translate::datalog_to_ra(&p, &cat).unwrap();
     c.bench_function("eval_ra_division_30rows", |b| {
-        b.iter(|| rd_ra::eval(black_box(&e), &db).unwrap())
+        b.iter(|| rd_translate::eval_ra(black_box(&e), &db).unwrap())
     });
     // The join-heavy regime where planning + hash joins dominate: the
     // same division pattern over a 200-row instance.

@@ -21,10 +21,10 @@
 //! [`exec`](crate::exec) dispatches each plan shape here: query branches
 //! ([`run_query`]), Datalog rules ([`run_rule`]), Boolean sentences
 //! ([`run_sentence`], one formula over the unit batch, so existence
-//! short-circuits like any quantifier), and RA operator trees
-//! ([`run_ops`]). Deferred head-validation conjuncts batch: head-column
-//! references rewrite to the head's defining terms, turning
-//! per-candidate validation into ordinary batch filters.
+//! short-circuits like any quantifier). Deferred head-validation
+//! conjuncts batch: head-column references rewrite to the head's
+//! defining terms, turning per-candidate validation into ordinary batch
+//! filters.
 //!
 //! Quantifiers are *loop-inverted and grouped*: an `Exists` block first
 //! groups the outer rows by the few outer columns its subtree actually
@@ -37,13 +37,13 @@
 use crate::database::{Database, Relation, Tuple};
 use crate::error::CoreResult;
 use crate::exec::{
-    bump_n, eval_cond, record, record_build, Block, Formula, IdbMap, OpNode, Pred, QueryPlan,
-    RulePlan, Scan, SentencePlan, TallyMap, Term,
+    bump_n, record, record_build, Block, Formula, IdbMap, Pred, QueryPlan, RulePlan, Scan,
+    SentencePlan, TallyMap, Term,
 };
 use crate::symbol::SymbolTable;
 use crate::value::Value;
 use crate::CmpOp;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -275,41 +275,11 @@ impl JoinTable {
         JoinTable::build(data.len, cols.len(), |r, c| data.value(cols[c], r as u32))
     }
 
-    /// The row ids matching `key` (empty for misses, including keys of
-    /// the wrong kind or outside the dense range — such values cannot
-    /// equal any stored key).
-    fn probe(&self, key: &[Value]) -> &[u32] {
-        match self {
-            JoinTable::Dense {
-                kinds,
-                mins,
-                spans,
-                starts,
-                rows,
-            } => {
-                let mut idx = 0usize;
-                for (c, v) in key.iter().enumerate() {
-                    match v.as_dense_key() {
-                        Some((kind, code)) if kind == kinds[c] => {
-                            let off = code.wrapping_sub(mins[c]);
-                            if off < 0 || off as u64 >= spans[c] {
-                                return &NO_ROWS;
-                            }
-                            idx = idx * spans[c] as usize + off as usize;
-                        }
-                        _ => return &NO_ROWS,
-                    }
-                }
-                &rows[starts[idx] as usize..starts[idx + 1] as usize]
-            }
-            JoinTable::Hash(map) => map.get(key).map(|v| v.as_slice()).unwrap_or(&NO_ROWS),
-        }
-    }
-
-    /// Like [`JoinTable::probe`], reading the key through `at` instead
-    /// of a materialized slice: the dense path never clones a value, and
-    /// the hash path fills `scratch` (reused across calls, so a probe
-    /// allocates only when the key outgrows the buffer).
+    /// The row ids matching the key read through `at` (empty for misses,
+    /// including keys of the wrong kind or outside the dense range — such
+    /// values cannot equal any stored key). The dense path never clones
+    /// a value, and the hash path fills `scratch` (reused across calls,
+    /// so a probe allocates only when the key outgrows the buffer).
     fn probe_with<'v>(
         &self,
         ncols: usize,
@@ -1327,180 +1297,17 @@ pub(crate) fn run_sentence(
     Ok(verdict?[0])
 }
 
-// ---------------------------------------------------------------------
-// Entry points: bulk operators
-// ---------------------------------------------------------------------
-
-/// Evaluates an RA\* operator tree bottom-up over row vectors instead of
-/// `BTreeSet`s ([`exec::run_ops`](crate::exec::run_ops)), deduplicating
-/// only where duplicates can appear (projection, union) — so every
-/// node's cardinality is its set size.
-pub(crate) fn run_ops(
-    op: &OpNode,
-    db: &Database,
-    tally: &mut Option<TallyMap>,
-) -> CoreResult<BTreeSet<Tuple>> {
-    let rows = eval_ops(op, db, tally)?;
-    Ok(rows.into_iter().collect())
-}
-
-/// Hash-keyable equality column pairs plus the residual (non-equality)
-/// checks of a theta-join.
-type SplitChecks = (Vec<(usize, usize)>, Vec<(usize, CmpOp, usize)>);
-
-/// Splits theta-join checks into the hash-keyable equalities and the
-/// residual.
-fn split_checks(checks: &[(usize, CmpOp, usize)]) -> SplitChecks {
-    let eq = checks
-        .iter()
-        .filter(|(_, op, _)| *op == CmpOp::Eq)
-        .map(|&(l, _, r)| (l, r))
-        .collect();
-    let residual = checks
-        .iter()
-        .filter(|(_, op, _)| *op != CmpOp::Eq)
-        .copied()
-        .collect();
-    (eq, residual)
-}
-
-/// Probes `right` per left row through a [`JoinTable`] over the equality
-/// key columns (dense-indexed when eligible), verifying residual checks
-/// per candidate pair; falls back to a nested loop when no equality key
-/// exists. `pair` receives every qualifying `(left_row, right_row)`.
-fn join_pairs(
-    node: &OpNode,
-    left: &[Tuple],
-    right: &[Tuple],
-    checks: &[(usize, CmpOp, usize)],
-    symbols: &SymbolTable,
-    tally: &mut Option<TallyMap>,
-    mut pair: impl FnMut(usize, usize),
-) {
-    let (eq, residual) = split_checks(checks);
-    if eq.is_empty() {
-        for (li, lt) in left.iter().enumerate() {
-            for (ri, rt) in right.iter().enumerate() {
-                if checks
-                    .iter()
-                    .all(|(lc, op, rc)| op.eval_resolved(lt.get(*lc), rt.get(*rc), symbols))
-                {
-                    pair(li, ri);
-                }
-            }
-        }
-        return;
-    }
-    let table = JoinTable::build(right.len(), eq.len(), |r, c| right[r].get(eq[c].1));
-    record_build(tally, node, table.kind());
-    let mut key: Vec<Value> = Vec::with_capacity(eq.len());
-    for (li, lt) in left.iter().enumerate() {
-        key.clear();
-        key.extend(eq.iter().map(|&(lc, _)| lt.get(lc).clone()));
-        for &ri in table.probe(&key) {
-            let rt = &right[ri as usize];
-            if residual
-                .iter()
-                .all(|(lc, op, rc)| op.eval_resolved(lt.get(*lc), rt.get(*rc), symbols))
-            {
-                pair(li, ri as usize);
-            }
-        }
-    }
-}
-
-fn eval_ops(op: &OpNode, db: &Database, tally: &mut Option<TallyMap>) -> CoreResult<Vec<Tuple>> {
-    let symbols = db.symbols();
-    let rows = match op {
-        OpNode::Table(name) => db.require(name)?.iter().cloned().collect(),
-        OpNode::Project { cols, input } => {
-            let inner = eval_ops(input, db, tally)?;
-            let set: BTreeSet<Tuple> = inner.iter().map(|t| t.project(cols)).collect();
-            set.into_iter().collect()
-        }
-        OpNode::Select { cond, input } => {
-            let mut inner = eval_ops(input, db, tally)?;
-            inner.retain(|t| eval_cond(cond, t, symbols));
-            inner
-        }
-        OpNode::Product(l, r) => {
-            let lv = eval_ops(l, db, tally)?;
-            let rv = eval_ops(r, db, tally)?;
-            let mut rows = Vec::with_capacity(lv.len().saturating_mul(rv.len()));
-            for lt in &lv {
-                for rt in &rv {
-                    rows.push(lt.concat(rt));
-                }
-            }
-            rows
-        }
-        OpNode::Join {
-            checks,
-            left,
-            right,
-        } => {
-            let lv = eval_ops(left, db, tally)?;
-            let rv = eval_ops(right, db, tally)?;
-            let mut rows = Vec::new();
-            join_pairs(op, &lv, &rv, checks, symbols, tally, |li, ri| {
-                rows.push(lv[li].concat(&rv[ri]));
-            });
-            rows
-        }
-        OpNode::NaturalJoin {
-            checks,
-            keep_right,
-            left,
-            right,
-        } => {
-            let lv = eval_ops(left, db, tally)?;
-            let rv = eval_ops(right, db, tally)?;
-            let mut rows = Vec::new();
-            join_pairs(op, &lv, &rv, checks, symbols, tally, |li, ri| {
-                let mut row = lv[li].0.clone();
-                row.extend(keep_right.iter().map(|&c| rv[ri].get(c).clone()));
-                rows.push(Tuple(row));
-            });
-            rows
-        }
-        OpNode::Diff(l, r) => {
-            let lv = eval_ops(l, db, tally)?;
-            let rv = eval_ops(r, db, tally)?;
-            let right: HashSet<&Tuple> = rv.iter().collect();
-            lv.into_iter().filter(|t| !right.contains(t)).collect()
-        }
-        OpNode::Union(l, r) => {
-            let lv = eval_ops(l, db, tally)?;
-            let rv = eval_ops(r, db, tally)?;
-            let set: BTreeSet<Tuple> = lv.into_iter().chain(rv).collect();
-            set.into_iter().collect()
-        }
-        OpNode::Antijoin {
-            checks,
-            left,
-            right,
-        } => {
-            let lv = eval_ops(left, db, tally)?;
-            let rv = eval_ops(right, db, tally)?;
-            let mut matched = vec![false; lv.len()];
-            join_pairs(op, &lv, &rv, checks, symbols, tally, |li, _| {
-                matched[li] = true;
-            });
-            lv.into_iter()
-                .zip(&matched)
-                .filter_map(|(t, &m)| (!m).then_some(t))
-                .collect()
-        }
-    };
-    record(tally, op, rows.len());
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::{EnvShape, Plan, ProgramPlan, Stratum, FULL_SCAN};
     use crate::schema::TableSchema;
+
+    impl JoinTable {
+        fn probe(&self, key: &[Value]) -> &[u32] {
+            self.probe_with(key.len(), |c| &key[c], &mut Vec::new())
+        }
+    }
 
     fn rel_data_of(rows: &[[i64; 2]]) -> RelData {
         let tuples: Vec<Tuple> = rows.iter().map(|r| Tuple::new(r.to_vec())).collect();

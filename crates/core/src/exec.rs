@@ -12,21 +12,16 @@
 //! borrows), so a hot serving path compiles a query shape once per
 //! database epoch and executes it many times.
 //!
-//! The IR has two shapes:
-//!
-//! * **Pipelines** ([`Block`]): an ordered list of [`Scan`] steps, each
-//!   binding either a whole tuple slot (TRC-style) or individual value
-//!   slots (Datalog-style), probing a join table when key columns are
-//!   bound, with filters (predicates, negated subplans,
-//!   quantified blocks, negated-atom probes) attached to the earliest
-//!   step after which their inputs are bound. TRC and SQL queries lower
-//!   to one pipeline per union branch; each Datalog rule lowers to one
-//!   pipeline, and a [`ProgramPlan`] sequences them by stratum.
-//! * **Bulk operators** ([`OpNode`]): the RA\* operator tree
-//!   (projection, selection, product, theta/natural join, difference,
-//!   union, antijoin) with conditions compiled to column indices and
-//!   interned constants, equi-join keys hashed, residual conditions
-//!   checked per bucket.
+//! The IR has one shape, the **pipeline** ([`Block`]): an ordered list
+//! of [`Scan`] steps, each binding either a whole tuple slot (TRC-style)
+//! or individual value slots (Datalog-style), probing a join table when
+//! key columns are bound, with filters (predicates, negated subplans,
+//! quantified blocks, negated-atom probes) attached to the earliest step
+//! after which their inputs are bound. TRC and SQL queries lower to one
+//! pipeline per union branch, and RA does too: it is translated into its
+//! TRC hub form first (`rd_translate::lower_ra_with`). Each Datalog rule
+//! lowers to one pipeline, and a [`ProgramPlan`] sequences them by
+//! stratum.
 //!
 //! [`explain`] renders any plan as a tree of scan order, join strategy,
 //! and bound keys — the diagnosability hook the service's `explain` op
@@ -36,7 +31,6 @@ pub use crate::batch::CHUNK_ROWS;
 use crate::database::{Database, Relation, Tuple};
 use crate::error::{CoreError, CoreResult};
 use crate::schema::TableSchema;
-use crate::symbol::SymbolTable;
 use crate::value::Value;
 use crate::CmpOp;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -233,105 +227,19 @@ pub struct ProgramPlan {
     pub out: TableSchema,
 }
 
-/// A compiled RA\* operator (bulk execution over tuple sets). Attribute
-/// names are resolved to column indices at lowering time; `Rename` is
-/// compiled away entirely.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OpNode {
-    /// A base-table scan.
-    Table(String),
-    /// Projection onto the given columns (dedups under set semantics).
-    Project {
-        /// Kept columns, in output order.
-        cols: Vec<usize>,
-        /// Input operator.
-        input: Box<OpNode>,
-    },
-    /// Selection by a compiled condition.
-    Select {
-        /// The compiled condition.
-        cond: Cond,
-        /// Input operator.
-        input: Box<OpNode>,
-    },
-    /// Cartesian product.
-    Product(Box<OpNode>, Box<OpNode>),
-    /// Theta join: equality checks key a hash probe, the residual is
-    /// verified per matching pair.
-    Join {
-        /// `(left column, op, right column)` checks.
-        checks: Vec<(usize, CmpOp, usize)>,
-        /// Left operand.
-        left: Box<OpNode>,
-        /// Right operand.
-        right: Box<OpNode>,
-    },
-    /// Natural join on shared attribute names (resolved at lowering).
-    NaturalJoin {
-        /// Equality checks over the shared columns.
-        checks: Vec<(usize, CmpOp, usize)>,
-        /// Right columns not shared with the left (kept in output).
-        keep_right: Vec<usize>,
-        /// Left operand.
-        left: Box<OpNode>,
-        /// Right operand.
-        right: Box<OpNode>,
-    },
-    /// Set difference.
-    Diff(Box<OpNode>, Box<OpNode>),
-    /// Set union.
-    Union(Box<OpNode>, Box<OpNode>),
-    /// Antijoin: left tuples with no qualifying right partner.
-    Antijoin {
-        /// `(left column, op, right column)` checks.
-        checks: Vec<(usize, CmpOp, usize)>,
-        /// Left operand.
-        left: Box<OpNode>,
-        /// Right operand.
-        right: Box<OpNode>,
-    },
-}
-
-/// A selection condition compiled against a fixed column layout.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Cond {
-    /// A comparison.
-    Cmp(CTerm, CmpOp, CTerm),
-    /// Conjunction.
-    And(Vec<Cond>),
-    /// Disjunction.
-    Or(Vec<Cond>),
-}
-
-/// A term of a compiled selection condition.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CTerm {
-    /// An interned constant.
-    Const(Value),
-    /// A column of the input tuple.
-    Col(usize),
-}
-
 /// A compiled, executable query plan — the unit the engine's plan cache
 /// stores. Contains only owned data (strings, interned values, column
 /// indices), so it is `Send + Sync` and valid for the lifetime of the
 /// database epoch it was compiled against.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
-    /// A union of non-Boolean query branches (TRC\*/SQL\*; one branch
-    /// for a plain query).
+    /// A union of non-Boolean query branches (TRC\*/SQL\*/RA; one
+    /// branch for a plain query).
     Union(Vec<QueryPlan>),
     /// A Boolean sentence (evaluates to the 0-ary relation encoding).
     Sentence(SentencePlan),
     /// A Datalog¬ program.
     Program(ProgramPlan),
-    /// An RA\* operator tree.
-    Ops {
-        /// The root operator.
-        root: OpNode,
-        /// Output schema.
-        out: TableSchema,
-    },
 }
 
 fn _assert_plan_is_send_sync() {
@@ -348,10 +256,9 @@ fn _assert_plan_is_send_sync() {
 /// delta-aware caches stamp onto their entries — a mutation to a
 /// relation outside a plan's scan set provably cannot change its result.
 ///
-/// All stored reads go through [`Scan::rel`], [`Formula::NegProbe`], and
-/// [`OpNode::Table`]; for Datalog programs, IDB predicates are computed
-/// per execution (and shadow same-named stored tables), so stratum names
-/// are excluded.
+/// All stored reads go through [`Scan::rel`] and [`Formula::NegProbe`];
+/// for Datalog programs, IDB predicates are computed per execution (and
+/// shadow same-named stored tables), so stratum names are excluded.
 pub fn scan_set(plan: &Plan) -> BTreeSet<String> {
     let mut set = BTreeSet::new();
     match plan {
@@ -374,7 +281,6 @@ pub fn scan_set(plan: &Plan) -> BTreeSet<String> {
                 set.remove(&stratum.pred);
             }
         }
-        Plan::Ops { root, .. } => scans_in_ops(root, &mut set),
     }
     set
 }
@@ -407,25 +313,6 @@ fn scans_in_formula(f: &Formula, set: &mut BTreeSet<String>) {
     }
 }
 
-fn scans_in_ops(op: &OpNode, set: &mut BTreeSet<String>) {
-    match op {
-        OpNode::Table(name) => {
-            set.insert(name.clone());
-        }
-        OpNode::Project { input, .. } | OpNode::Select { input, .. } => scans_in_ops(input, set),
-        OpNode::Product(l, r) | OpNode::Diff(l, r) | OpNode::Union(l, r) => {
-            scans_in_ops(l, set);
-            scans_in_ops(r, set);
-        }
-        OpNode::Join { left, right, .. }
-        | OpNode::NaturalJoin { left, right, .. }
-        | OpNode::Antijoin { left, right, .. } => {
-            scans_in_ops(left, set);
-            scans_in_ops(right, set);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Execution
 // ---------------------------------------------------------------------
@@ -452,12 +339,12 @@ pub(crate) struct NodeTally {
 
 /// Per-node observations collected by an analyzing execution.
 ///
-/// Keys are node *addresses* (`&Scan`, `&OpNode`, `&QueryPlan`,
-/// `&RulePlan`, `&Stratum`, `&Formula` cast to `usize`): every keyed
-/// node is alive inside the same [`Plan`] for the whole execution *and*
-/// the subsequent annotation pass, so addresses are unique — which lets
-/// the executor count rows without adding id fields to the IR (and
-/// therefore without touching any of the four language lowerings).
+/// Keys are node *addresses* (`&Scan`, `&QueryPlan`, `&RulePlan`,
+/// `&Stratum`, `&Formula` cast to `usize`): every keyed node is alive
+/// inside the same [`Plan`] for the whole execution *and* the subsequent
+/// annotation pass, so addresses are unique — which lets the executor
+/// count rows without adding id fields to the IR (and therefore without
+/// touching any language lowering).
 pub(crate) type TallyMap = HashMap<usize, NodeTally>;
 
 /// Records `rows` for `node` if an analyze tally is active.
@@ -537,29 +424,6 @@ fn run_program_collect(
     Ok(rel)
 }
 
-pub(crate) fn eval_cond(cond: &Cond, tuple: &Tuple, symbols: &SymbolTable) -> bool {
-    match cond {
-        Cond::Cmp(l, op, r) => {
-            let lv = match l {
-                CTerm::Const(v) => v,
-                CTerm::Col(i) => tuple.get(*i),
-            };
-            let rv = match r {
-                CTerm::Const(v) => v,
-                CTerm::Col(i) => tuple.get(*i),
-            };
-            op.eval_resolved(lv, rv, symbols)
-        }
-        Cond::And(cs) => cs.iter().all(|c| eval_cond(c, tuple, symbols)),
-        Cond::Or(cs) => cs.iter().any(|c| eval_cond(c, tuple, symbols)),
-    }
-}
-
-/// Executes a compiled RA operator tree to its tuple set.
-pub fn run_ops(op: &OpNode, db: &Database) -> CoreResult<BTreeSet<Tuple>> {
-    crate::batch::run_ops(op, db, &mut None)
-}
-
 /// The 0-ary encoding of a Boolean result: `{()}` for true, `{}` for
 /// false (the classic degenerate-relation convention).
 pub fn boolean_relation(value: bool) -> Relation {
@@ -602,7 +466,7 @@ pub fn plan_est(plan: &Plan) -> Option<u64> {
             .iter()
             .find(|s| s.pred == p.query)
             .and_then(|s| s.est_rows),
-        Plan::Sentence(_) | Plan::Ops { .. } => None,
+        Plan::Sentence(_) => None,
     }
 }
 
@@ -645,14 +509,6 @@ fn execute_inner(plan: &Plan, db: &Database, tally: &mut Option<TallyMap>) -> Co
         }
         Plan::Sentence(s) => Ok(boolean_relation(crate::batch::run_sentence(s, db, tally)?)),
         Plan::Program(p) => run_program_collect(p, db, tally, None),
-        Plan::Ops { root, out } => {
-            let tuples = crate::batch::run_ops(root, db, tally)?;
-            let mut rel = db.fresh_relation(out.clone());
-            for t in tuples {
-                rel.insert(t)?;
-            }
-            Ok(rel)
-        }
     }
 }
 
@@ -811,37 +667,6 @@ impl Annot<'_> {
         }
         Some(total)
     }
-
-    /// Estimate for a bulk operator node, bottom-up.
-    fn est_ops(&self, op: &OpNode) -> Option<u64> {
-        let db = self.db?;
-        Some(match op {
-            OpNode::Table(name) => db.relation(name)?.len() as u64,
-            OpNode::Project { input, .. } => self.est_ops(input)?,
-            // A selection with no statistics: assume 1-in-3 qualify.
-            OpNode::Select { input, .. } => (self.est_ops(input)? / 3).max(1),
-            OpNode::Product(l, r) => self.est_ops(l)?.saturating_mul(self.est_ops(r)?),
-            OpNode::Join {
-                checks,
-                left,
-                right,
-            }
-            | OpNode::NaturalJoin {
-                checks,
-                left,
-                right,
-                ..
-            } => {
-                let cross = self.est_ops(left)?.saturating_mul(self.est_ops(right)?);
-                let eq = checks.iter().filter(|(_, op, _)| *op == CmpOp::Eq).count();
-                let shift = (2 * eq as u32).min(63);
-                (cross >> shift).max(1)
-            }
-            // Difference and antijoin are bounded by the left input.
-            OpNode::Diff(l, _) | OpNode::Antijoin { left: l, .. } => self.est_ops(l)?,
-            OpNode::Union(l, r) => self.est_ops(l)?.saturating_add(self.est_ops(r)?),
-        })
-    }
 }
 
 fn fmt_term(t: &Term) -> String {
@@ -942,56 +767,6 @@ fn explain_query(q: &QueryPlan, annot: &Annot<'_>) -> ExplainNode {
     )
 }
 
-fn explain_ops(op: &OpNode, annot: &Annot<'_>) -> ExplainNode {
-    let join_detail = |checks: &[(usize, CmpOp, usize)]| {
-        let eq = checks.iter().filter(|(_, op, _)| *op == CmpOp::Eq).count();
-        let residual = checks.len() - eq;
-        if eq == 0 {
-            format!("nested loop ({residual} residual check(s))")
-        } else {
-            format!("hash join on {eq} key(s), {residual} residual check(s)")
-        }
-    };
-    let node =
-        match op {
-            OpNode::Table(name) => ExplainNode::new("table", name.clone()),
-            OpNode::Project { cols, input } => {
-                ExplainNode::new("project", format!("cols {}", fmt_cols(cols)))
-                    .with(vec![explain_ops(input, annot)])
-            }
-            OpNode::Select { input, .. } => ExplainNode::new("select", "compiled condition")
-                .with(vec![explain_ops(input, annot)]),
-            OpNode::Product(l, r) => ExplainNode::new("product", "")
-                .with(vec![explain_ops(l, annot), explain_ops(r, annot)]),
-            OpNode::Join {
-                checks,
-                left,
-                right,
-            } => ExplainNode::new("join", join_detail(checks))
-                .with(vec![explain_ops(left, annot), explain_ops(right, annot)]),
-            OpNode::NaturalJoin {
-                checks,
-                left,
-                right,
-                ..
-            } => ExplainNode::new("natural-join", join_detail(checks))
-                .with(vec![explain_ops(left, annot), explain_ops(right, annot)]),
-            OpNode::Diff(l, r) => ExplainNode::new("diff", "")
-                .with(vec![explain_ops(l, annot), explain_ops(r, annot)]),
-            OpNode::Union(l, r) => ExplainNode::new("union", "")
-                .with(vec![explain_ops(l, annot), explain_ops(r, annot)]),
-            OpNode::Antijoin {
-                checks,
-                left,
-                right,
-            } => ExplainNode::new("antijoin", join_detail(checks))
-                .with(vec![explain_ops(left, annot), explain_ops(right, annot)]),
-        };
-    let mut node = node.rows(annot.est_ops(op), annot.actual(op));
-    node.build = annot.build(op);
-    node
-}
-
 /// Renders a compiled plan as an explain tree (no row counts — see
 /// [`explain_analyze`]).
 pub fn explain(plan: &Plan) -> ExplainNode {
@@ -1039,11 +814,6 @@ fn explain_with(plan: &Plan, annot: &Annot<'_>) -> ExplainNode {
                 })
                 .collect(),
         ),
-        Plan::Ops { root, out } => {
-            ExplainNode::new("ops", format!("{}({})", out.name(), out.attrs().join(", ")))
-                .with(vec![explain_ops(root, annot)])
-                .rows(annot.est_ops(root), annot.actual(root))
-        }
     }
 }
 
@@ -1196,23 +966,6 @@ mod tests {
     }
 
     #[test]
-    fn ops_tree_executes_join_and_diff() {
-        let db = rs_db();
-        // π_A(R ⋈_{B=B} S): the A values whose B appears in S.
-        let join = OpNode::Join {
-            checks: vec![(1, CmpOp::Eq, 0)],
-            left: Box::new(OpNode::Table("R".into())),
-            right: Box::new(OpNode::Table("S".into())),
-        };
-        let root = OpNode::Project {
-            cols: vec![0],
-            input: Box::new(join),
-        };
-        let tuples = run_ops(&root, &db).unwrap();
-        assert_eq!(tuples.len(), 2);
-    }
-
-    #[test]
     fn empty_union_errors() {
         let db = rs_db();
         assert!(execute(&Plan::Union(Vec::new()), &db).is_err());
@@ -1246,20 +999,6 @@ mod tests {
         let set = scan_set(&Plan::Union(vec![q]));
         let names: Vec<&str> = set.iter().map(String::as_str).collect();
         assert_eq!(names, ["D", "N", "R", "S"]);
-
-        // Ops tree: every table leaf.
-        let ops = Plan::Ops {
-            root: OpNode::Diff(
-                Box::new(OpNode::Table("A".into())),
-                Box::new(OpNode::Project {
-                    cols: vec![0],
-                    input: Box::new(OpNode::Table("B".into())),
-                }),
-            ),
-            out: TableSchema::new("q", ["x"]),
-        };
-        let names: Vec<String> = scan_set(&ops).into_iter().collect();
-        assert_eq!(names, ["A", "B"]);
     }
 
     #[test]
@@ -1364,36 +1103,6 @@ mod tests {
         assert_eq!(scans[0].rows_pair(), (Some(4), Some(4)));
         assert_eq!(scans[1].actual_rows, Some(3));
         assert!(scans[1].est_rows.is_some());
-    }
-
-    #[test]
-    fn explain_analyze_counts_ops_rows() {
-        let db = rs_db();
-        // π_A(R ⋈_{B=B} S): join produces 3 pairs, projection dedups to 2.
-        let plan = Plan::Ops {
-            root: OpNode::Project {
-                cols: vec![0],
-                input: Box::new(OpNode::Join {
-                    checks: vec![(1, CmpOp::Eq, 0)],
-                    left: Box::new(OpNode::Table("R".into())),
-                    right: Box::new(OpNode::Table("S".into())),
-                }),
-            },
-            out: TableSchema::new("q", ["A"]),
-        };
-        let (rel, node) = explain_analyze(&plan, &db).unwrap();
-        assert_eq!(rel.len(), 2);
-        assert_eq!(node.actual_rows, Some(2));
-        let project = &node.children[0];
-        assert_eq!(project.kind, "project");
-        assert_eq!(project.actual_rows, Some(2));
-        let join = &project.children[0];
-        assert_eq!(join.actual_rows, Some(3));
-        // est: |R|·|S| = 8, one equality key → 8 >> 2 = 2.
-        assert_eq!(join.est_rows, Some(2));
-        let tables: Vec<(Option<u64>, Option<u64>)> =
-            join.children.iter().map(|n| n.rows_pair()).collect();
-        assert_eq!(tables, vec![(Some(4), Some(4)), (Some(2), Some(2))]);
     }
 
     impl ExplainNode {

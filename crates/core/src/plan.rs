@@ -258,21 +258,20 @@ fn keyed_against(cands: &[ScanCand], mask: usize, j: usize) -> bool {
     })
 }
 
-/// Cost of appending scan `j` to a placed prefix: emitted frontier rows
-/// plus the work to produce them — `|prefix|` hash probes (and an
-/// amortized index build) when `j` is keyed against the prefix, or
-/// `|prefix| · rows(j)` examined pairs when it is not.
-fn append_cost(cands: &[ScanCand], prefix_mask: usize, prefix_card: f64, j: usize) -> f64 {
-    let out = est_card(cands, prefix_mask | (1 << j));
-    if prefix_mask == 0 {
-        return out;
-    }
-    if keyed_against(cands, prefix_mask, j) {
+/// Cost of appending a scan of `rows` rows to a placed prefix, given
+/// `out`, the estimate once it is placed: emitted frontier rows plus the
+/// work to produce them — `|prefix|` hash probes (and an amortized index
+/// build) when the scan is keyed against the prefix, or
+/// `|prefix| · rows` examined pairs when it is not. `prefix` is the
+/// prefix's estimate and whether the scan is keyed against it, `None`
+/// for an empty prefix.
+fn append_cost(out: f64, prefix: Option<(f64, bool)>, rows: f64) -> f64 {
+    match prefix {
+        None => out,
         // Index build is a once-per-execution linear pass — far cheaper
         // per row than emitting frontier tuples, hence the small factor.
-        out + prefix_card + cands[j].rows * 0.1
-    } else {
-        out + prefix_card * cands[j].rows.max(1.0)
+        Some((prefix_card, true)) => out + prefix_card + rows * 0.1,
+        Some((prefix_card, false)) => out + prefix_card * rows.max(1.0),
     }
 }
 
@@ -282,23 +281,24 @@ fn append_cost(cands: &[ScanCand], prefix_mask: usize, prefix_card: f64, j: usiz
 /// [`PlannerOpts::dp_threshold`] scans, estimator-driven greedy above
 /// it. Left-deep is the shape the pipeline executor runs — each scan
 /// extends the current binding frontier — so the DP searches exactly
-/// the executable space; bushy effects (build-side choice) are handled
-/// where trees exist, in the RA lowering.
+/// the executable space.
 ///
 /// Returns the scan order (indices into `cands`) and the estimated
 /// cardinality of the fully-joined block.
 pub fn order_scans(cands: &[ScanCand], opts: &PlannerOpts) -> (Vec<usize>, f64) {
     let n = cands.len();
-    let full = (1usize << n.min(usize::BITS as usize - 1)) - 1;
     if n == 0 {
         return (Vec::new(), 0.0);
     }
+    // The dynamic program's subsets are bit masks, so it needs a bit
+    // per scan.
+    if n > opts.dp_threshold || n >= usize::BITS as usize {
+        return order_scans_greedy(cands);
+    }
+    let full = (1usize << n) - 1;
     let total_est = est_card(cands, full);
     if n == 1 {
         return (vec![0], total_est);
-    }
-    if n > opts.dp_threshold {
-        return (order_scans_greedy(cands), total_est);
     }
 
     // dp over subsets: best[mask] = cheapest cost of any left-deep
@@ -324,7 +324,9 @@ pub fn order_scans(cands: &[ScanCand], opts: &PlannerOpts) -> (Vec<usize>, f64) 
                 continue;
             }
             let prev = mask & !(1 << j);
-            let cost = best[prev] + append_cost(cands, prev, cards[prev], j);
+            let keyed = keyed_against(cands, prev, j);
+            let cost =
+                best[prev] + append_cost(cards[mask], Some((cards[prev], keyed)), cands[j].rows);
             if cost < best[mask] {
                 best[mask] = cost;
                 last[mask] = j;
@@ -345,30 +347,70 @@ pub fn order_scans(cands: &[ScanCand], opts: &PlannerOpts) -> (Vec<usize>, f64) 
 
 /// Estimator-driven greedy fallback for wide blocks: repeatedly place
 /// the scan with the cheapest [`append_cost`] against the current
-/// prefix. Same cost model as the DP, linearized.
-fn order_scans_greedy(cands: &[ScanCand]) -> Vec<usize> {
+/// prefix. Same cost model as the DP, linearized, with the prefix's
+/// estimate kept incrementally so a block of `n` scans costs `O(n²)`
+/// candidate evaluations of `O(join columns)` each. [`est_card`]'s
+/// estimate is `Π rows · Π_class (min V / Π V)` over each class's
+/// member distinct counts `V`, so placing a scan multiplies it by the
+/// scan's rows and, for each class the prefix already holds with
+/// smallest count `m`, by `min(m, v) / (m · v)`.
+///
+/// Returns the order and the estimate of the whole block.
+fn order_scans_greedy(cands: &[ScanCand]) -> (Vec<usize>, f64) {
     let n = cands.len();
     let mut order = Vec::with_capacity(n);
-    let mut mask = 0usize;
-    let mut card = 0.0f64;
-    for _ in 0..n {
-        let mut best_j = usize::MAX;
-        let mut best_cost = f64::INFINITY;
-        for j in 0..n {
-            if mask & (1 << j) != 0 {
+    let mut placed = vec![false; n];
+    // The placed prefix's estimate, and each of its join classes'
+    // smallest member distinct count.
+    let mut card = 1.0f64;
+    let mut class_min: BTreeMap<usize, f64> = BTreeMap::new();
+    let extended = |card: f64, class_min: &BTreeMap<usize, f64>, cand: &ScanCand| {
+        let mut out = card * cand.rows.max(0.0);
+        let mut seen = Vec::new();
+        for &(class, v) in &cand.join_cols {
+            if seen.contains(&class) {
                 continue;
             }
-            let cost = append_cost(cands, mask, card, j);
-            if cost < best_cost {
-                best_cost = cost;
-                best_j = j;
+            seen.push(class);
+            if let Some(&m) = class_min.get(&class) {
+                let v = v.max(1.0);
+                out *= m.min(v) / (m * v);
             }
         }
-        order.push(best_j);
-        mask |= 1 << best_j;
-        card = est_card(cands, mask);
+        out
+    };
+    for _ in 0..n {
+        let mut best = None;
+        for j in (0..n).filter(|&j| !placed[j]) {
+            let cand = &cands[j];
+            let out = extended(card, &class_min, cand);
+            let prefix = (!order.is_empty()).then(|| {
+                let keyed = cand
+                    .join_cols
+                    .iter()
+                    .any(|(class, _)| class_min.contains_key(class));
+                (card, keyed)
+            });
+            let cost = append_cost(out, prefix, cand.rows);
+            // The first candidate is taken even at a NaN or infinite
+            // cost, so every scan gets placed.
+            if best.is_none_or(|(_, best_cost, _)| cost < best_cost) {
+                best = Some((j, cost, out));
+            }
+        }
+        let (j, _, out) = best.expect("an unplaced scan remains");
+        order.push(j);
+        placed[j] = true;
+        card = out;
+        for &(class, v) in &cands[j].join_cols {
+            let v = v.max(1.0);
+            class_min
+                .entry(class)
+                .and_modify(|m| *m = m.min(v))
+                .or_insert(v);
+        }
     }
-    order
+    (order, card)
 }
 
 /// Estimated cost of scanning a relation of `size` tuples with
@@ -470,8 +512,36 @@ mod tests {
             dp_threshold: 2, // force the fallback
             ..PlannerOpts::default()
         };
-        let (order, _) = order_scans(&skewed_cands(), &opts);
+        let (order, est) = order_scans(&skewed_cands(), &opts);
         assert_eq!(order, vec![0, 1, 2]);
+        // Its incremental estimate matches the order-independent one.
+        assert_eq!(est.round(), est_card(&skewed_cands(), 0b111).round());
+    }
+
+    #[test]
+    fn blocks_wider_than_a_mask_are_ordered() {
+        // A chain of 100 scans, each keyed to the next on one class; the
+        // largest rows come first so that no order is the identity.
+        let cands: Vec<ScanCand> = (0..100)
+            .map(|i| ScanCand {
+                rows: (1000 - i) as f64,
+                join_cols: vec![(i, 10.0), (i + 1, 10.0)],
+            })
+            .collect();
+        let (mut order, est) = order_scans(&cands, &PlannerOpts::default());
+        assert_eq!(order[0], 99, "smallest scan first");
+        order.sort_unstable();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
+        assert!(est.is_finite() && est > 0.0, "{est}");
+        // A product too wide for a finite estimate still places every scan.
+        let huge = vec![
+            ScanCand {
+                rows: 1e300,
+                join_cols: Vec::new(),
+            };
+            70
+        ];
+        assert_eq!(order_scans(&huge, &PlannerOpts::default()).0.len(), 70);
     }
 
     #[test]

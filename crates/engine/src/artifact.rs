@@ -104,7 +104,7 @@ impl Artifact {
             Artifact::Datalog(p) => Ok(Plan::Program(rd_datalog::lower_program_with(
                 p, db, opts, hints,
             )?)),
-            Artifact::Ra(e) => rd_ra::lower_with(e, db, opts, hints),
+            Artifact::Ra(e) => rd_translate::lower_ra_with(e, db, opts, hints),
         }
     }
 

@@ -353,8 +353,9 @@ impl Session {
         let render_start = start.map(|_| Instant::now());
         // Both optional artifacts view the query through the TRC hub;
         // compute it once per request. A hub failure (the query is outside
-        // what the Theorem 6 chain covers, e.g. an RA union) must not
-        // discard the successful evaluation — it degrades to a note.
+        // what the Theorem 6 chain covers, e.g. a Datalog IDB defined by
+        // two rules) must not discard the successful evaluation — it
+        // degrades to a note.
         let mut notes = Vec::new();
         let hub = if req.translations || req.diagram != DiagramFormat::None {
             match self.hub_trc(&artifact, &epoch.catalog) {
@@ -801,10 +802,8 @@ impl Session {
             Artifact::Trc(u) => u.clone(),
             Artifact::Sql(u) => rd_sql::sql_to_trc(u, catalog)?,
             Artifact::Datalog(p) => TrcUnion::single(rd_translate::datalog_to_trc(p, catalog)?),
-            Artifact::Ra(e) => {
-                let p = rd_translate::ra_to_datalog(e, catalog)?;
-                TrcUnion::single(rd_translate::datalog_to_trc(&p, catalog)?)
-            }
+            // Already canonical.
+            Artifact::Ra(e) => return rd_translate::ra_to_trc(e, catalog),
         };
         Ok(rd_trc::canon::canonicalize_union(&union))
     }

@@ -212,14 +212,18 @@ fn diagram_rendering_works_from_any_language() {
 
 #[test]
 fn hub_failure_degrades_to_a_note_instead_of_failing_the_run() {
-    // An RA union evaluates fine but is outside the single-expression
-    // Theorem 6 chain; requesting extras must not discard the result.
+    // A Datalog IDB defined by two rules evaluates fine but is outside
+    // Datalog* (one rule per IDB), so it has no TRC hub form; requesting
+    // extras must not discard the result.
     let mut session = Session::new(demo_database());
     let resp = session
         .run(
-            &QueryRequest::new(Language::Ra, "pi[color](Boat) union pi[color](Boat)")
-                .with_translations()
-                .with_diagram(DiagramFormat::Dot),
+            &QueryRequest::new(
+                Language::Datalog,
+                "Q(c) :- Boat(b, c).\nQ(c) :- Boat(b, c), Reserves(s, b).",
+            )
+            .with_translations()
+            .with_diagram(DiagramFormat::Dot),
         )
         .unwrap();
     assert_eq!(resp.relation.len(), 2, "evaluation result must survive");
@@ -232,6 +236,36 @@ fn hub_failure_degrades_to_a_note_instead_of_failing_the_run() {
         "{:?}",
         resp.notes
     );
+}
+
+#[test]
+fn ra_union_translates_through_the_hub_and_draws_a_diagram() {
+    // `∪` lifts to the top of the hub form as one TRC branch per side,
+    // so an RA union has TRC and SQL translations and a union diagram;
+    // Datalog*/RA* translations are per branch and say so.
+    let mut session = Session::new(demo_database());
+    let resp = session
+        .run(
+            &QueryRequest::new(
+                Language::Ra,
+                "pi[color](Boat) union pi[color](sigma[bid=101](Boat))",
+            )
+            .with_translations()
+            .with_diagram(DiagramFormat::Dot),
+        )
+        .unwrap();
+    assert_eq!(resp.relation.schema().attrs(), ["color"]);
+    assert_eq!(resp.relation.len(), 2);
+    let t = resp.translations.expect("translations requested");
+    assert!(t.trc.contains("q(color)"), "{}", t.trc);
+    assert!(t.trc.contains("bid = 101"), "{}", t.trc);
+    assert!(t.sql.as_deref().unwrap_or("").contains("UNION"), "{t:?}");
+    assert!(
+        t.notes.iter().any(|n| n.contains("2-branch union")),
+        "{t:?}"
+    );
+    assert!(resp.diagram.expect("diagram requested").contains("digraph"));
+    assert!(resp.notes.is_empty(), "{:?}", resp.notes);
 }
 
 #[test]

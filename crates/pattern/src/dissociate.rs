@@ -54,7 +54,7 @@ impl AnyQuery {
                     rd_trc::eval::eval_query(q, db)?.tuples().clone()
                 }
             }
-            AnyQuery::Ra(e) => rd_ra::eval::eval(e, db)?.tuples,
+            AnyQuery::Ra(e) => rd_translate::eval_ra(e, db)?.tuples().clone(),
             AnyQuery::Datalog(p) => rd_datalog::eval::eval_program(p, db)?.tuples().clone(),
             AnyQuery::Sql(u) => {
                 if u.branches.len() == 1 && u.branches[0].is_boolean() {

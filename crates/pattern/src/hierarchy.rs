@@ -230,12 +230,12 @@ pub fn verify_lemma19(bounds: Lemma19Bounds) -> SeparationReport {
         let mut refuted = false;
         let mut fingerprint = Vec::new();
         for (db, want) in dbs.iter().zip(&expected) {
-            let Ok(got) = rd_ra::eval::eval(e, db) else {
+            let Ok(got) = rd_translate::eval_ra(e, db) else {
                 refuted = true;
                 break;
             };
-            fingerprint.push((got.tuples.len() % 251) as u8);
-            if &got.tuples != want {
+            fingerprint.push((got.len() % 251) as u8);
+            if got.tuples() != want {
                 refuted = true;
                 break;
             }

@@ -7,6 +7,11 @@
 //! the product requires disjoint names (use `ρ`), and difference/union
 //! require identical schemas.
 //!
+//! The crate holds the AST, parser, fragment checks and printer only. An
+//! RA expression executes through its TRC hub form
+//! (`rd_translate::eval_ra` / `rd_translate::lower_ra_with`), on the
+//! same planner and executor as every other language.
+//!
 //! ```
 //! use rd_ra::{parse, RaExpr};
 //! use rd_core::{Catalog, TableSchema, Database, Relation};
@@ -23,12 +28,10 @@
 
 pub mod ast;
 pub mod check;
-pub mod eval;
 pub mod parser;
 pub mod printer;
 
 pub use ast::{Condition, JoinCond, RaExpr, RaTerm};
 pub use check::{is_ra_star, is_ra_star_antijoin};
-pub use eval::{eval, lower, lower_with};
 pub use parser::parse;
 pub use printer::{to_ascii, to_unicode};

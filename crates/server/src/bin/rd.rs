@@ -124,8 +124,8 @@ BENCH OPTIONS (rd bench-client):
                       throughput, latency and connect-latency
                       percentiles, plus the server's per-stage
                       p50/p95/p99 breakdown and per-shard connection
-                      distribution (for diffing BENCH_*.json baselines
-                      across runs)
+                      distribution (comparable baselines come from
+                      svcbench/, see BENCHMARK.json)
     --stats           Print the server's aggregated stats after the run
     --shutdown        Send {\"op\":\"shutdown\"} after the run
 

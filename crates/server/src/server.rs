@@ -1313,9 +1313,8 @@ fn query_frames(
     }
     // Everything below is the *render* stage: shaping the evaluated
     // relation into wire-ready result frames (row materialization,
-    // translation pairs, stream chunking). It used to go unbilled —
-    // BENCH_7 showed `render` with count 0 while every other stage
-    // recorded per request — so time it like `serialize` in `run_line`.
+    // translation pairs, stream chunking). Time it like `serialize` in
+    // `run_line`, so every stage records per request.
     let render_start = state.engine.metrics_enabled().then(Instant::now);
     let translations = resp.translations.as_ref().map(|t| {
         let mut pairs = vec![("trc".to_string(), t.trc.clone())];

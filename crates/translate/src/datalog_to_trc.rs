@@ -195,11 +195,9 @@ impl<'a> Ctx<'a> {
                         .get(v)
                         .cloned()
                         .ok_or_else(|| CoreError::Invalid(format!("unbound variable '{v}'")))?,
-                    DlTerm::Wildcard => {
-                        return Err(CoreError::Invalid(
-                            "wildcard argument to negated IDB unsupported".into(),
-                        ))
-                    }
+                    // Leave the head position unbound: the inner body's
+                    // positive atoms bind it under the negated `exists`.
+                    DlTerm::Wildcard => continue,
                 };
                 if let Some(prev) = inner_env.get(&hv) {
                     extra_eq.push(Formula::Pred(Predicate::new(prev.clone(), CmpOp::Eq, arg)));
@@ -246,8 +244,23 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Translates a Datalog\* program into a pattern-isomorphic TRC\* query.
+/// Translates a Datalog\* program into a pattern-isomorphic TRC\* query
+/// whose output attributes are named after the query's head variables.
 pub fn datalog_to_trc(p: &DlProgram, catalog: &Catalog) -> CoreResult<TrcQuery> {
+    translate(p, catalog, None)
+}
+
+/// [`datalog_to_trc`] with the output attributes named `head` (one per
+/// query head term) instead of after the head variables.
+pub(crate) fn datalog_to_trc_named(
+    p: &DlProgram,
+    catalog: &Catalog,
+    head: &[String],
+) -> CoreResult<TrcQuery> {
+    translate(p, catalog, Some(head))
+}
+
+fn translate(p: &DlProgram, catalog: &Catalog, head: Option<&[String]>) -> CoreResult<TrcQuery> {
     rd_datalog::check::check_program(p, catalog)?;
     if !rd_datalog::check::is_datalog_star(p) {
         return Err(CoreError::Invalid(
@@ -263,7 +276,8 @@ pub fn datalog_to_trc(p: &DlProgram, catalog: &Catalog) -> CoreResult<TrcQuery> 
     let query_rule = ctx.rule_for(&p.query)?;
     let mut env = BTreeMap::new();
     let (bindings, mut parts) = ctx.expand_body(query_rule, &mut env)?;
-    // Output head: one attribute per head variable, named after it.
+    // Output head: one attribute per head variable, named after it or by
+    // `head`.
     let head_vars: Vec<String> = query_rule
         .head
         .terms
@@ -275,21 +289,27 @@ pub fn datalog_to_trc(p: &DlProgram, catalog: &Catalog) -> CoreResult<TrcQuery> 
             ))),
         })
         .collect::<CoreResult<_>>()?;
+    let names = head.map_or_else(|| head_vars.clone(), <[String]>::to_vec);
+    debug_assert_eq!(
+        names.len(),
+        head_vars.len(),
+        "one output name per head term"
+    );
     let mut defining = Vec::with_capacity(head_vars.len());
-    for v in &head_vars {
+    for (v, name) in head_vars.iter().zip(&names) {
         let rep = env
             .get(v)
             .cloned()
             .ok_or_else(|| CoreError::Invalid(format!("head variable '{v}' unbound")))?;
         defining.push(Formula::Pred(Predicate::new(
-            Term::attr("q", v.clone()),
+            Term::attr("q", name.clone()),
             CmpOp::Eq,
             rep,
         )));
     }
     defining.append(&mut parts);
     let q = TrcQuery::query(
-        OutputSpec::new("q", head_vars),
+        OutputSpec::new("q", names),
         Formula::exists(bindings, Formula::and(defining)),
     );
     q.check(catalog)?;
@@ -384,6 +404,28 @@ mod tests {
         agree_and_preserve(
             "I1(y) :- S(y), not R(1, y).\nI2(x, y) :- R(x, y), not I1(y).\nQ(x) :- T(x), I2(x, _).",
         );
+    }
+
+    #[test]
+    fn wildcard_argument_to_a_negated_idb() {
+        // T rows with no R row (any B) on their A, and R rows whose B is
+        // not the B of any R row with A = 1 (the wildcard sits first).
+        for program in [
+            "I(x, y) :- R(x, y).\nQ(x) :- T(x), not I(x, _).",
+            "I(x, y) :- R(x, y), x = 1.\nQ(x, y) :- R(x, y), not I(_, y).",
+        ] {
+            let p = parse_program(program, &catalog()).unwrap();
+            let q = datalog_to_trc(&p, &catalog()).unwrap();
+            assert_eq!(q.signature().len(), p.signature().len(), "{q}");
+            let raw = rd_oracle::uninterned(&db());
+            let expected = rd_oracle::datalog::eval_program(&p, &raw).unwrap();
+            assert!(!expected.is_empty(), "{program}");
+            assert_eq!(
+                eval_query(&q, &db()).unwrap().tuples(),
+                expected.tuples(),
+                "{program}\ntrc: {q}"
+            );
+        }
     }
 
     #[test]

@@ -46,8 +46,8 @@ impl FourWay {
         let dl = rd_datalog::eval::eval_program(&self.datalog, db)?
             .tuples()
             .clone();
-        let ra = rd_ra::eval::eval(&self.ra, db)?.tuples;
-        let raa = rd_ra::eval::eval(&self.ra_antijoin, db)?.tuples;
+        let ra = crate::eval_ra(&self.ra, db)?.tuples().clone();
+        let raa = crate::eval_ra(&self.ra_antijoin, db)?.tuples().clone();
         let sql = rd_sql::translate::eval_sql(&self.sql, db)?.tuples().clone();
         Ok(vec![trc, dl, ra, raa, sql])
     }

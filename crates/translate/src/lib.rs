@@ -6,6 +6,7 @@
 //! | direction | module | pattern-preserving? |
 //! |-----------|--------|---------------------|
 //! | RA\* → Datalog\* | [`ra_to_datalog`](mod@ra_to_datalog) | yes (proof part 1) |
+//! | RA → TRC (hub) | [`ra_to_trc`](mod@ra_to_trc) | yes per branch; `∪` and disjunctive σ lift to union branches |
 //! | Datalog\* → RA\* | [`datalog_to_ra`](mod@datalog_to_ra) | no — eq. (5) may duplicate positives (Lemma 19) |
 //! | Datalog\* → RA\*⊲ | [`datalog_to_ra`](mod@datalog_to_ra) (antijoin mode) | yes (Theorem 21) |
 //! | Datalog\* → TRC\* | [`datalog_to_trc`](mod@datalog_to_trc) | yes (proof part 3) |
@@ -15,16 +16,22 @@
 //! TRC\* serves as the hub: any fragment query can be carried into any of
 //! the other languages by composing these maps, and [`differential`]
 //! provides the Theorem 6 checker that evaluates all four translations on
-//! (random or exhaustive) databases and compares results.
+//! (random or exhaustive) databases and compares results. RA also
+//! *executes* through the hub ([`eval`](mod@eval): [`lower_ra_with`],
+//! [`eval_ra`]), the way SQL does.
 
 pub mod datalog_to_ra;
 pub mod datalog_to_trc;
 pub mod differential;
+pub mod eval;
 pub mod ra_to_datalog;
+pub mod ra_to_trc;
 pub mod trc_to_datalog;
 
 pub use datalog_to_ra::{datalog_to_ra, datalog_to_ra_antijoin};
 pub use datalog_to_trc::datalog_to_trc;
 pub use differential::{check_equivalent_results, FourWay};
+pub use eval::{eval_ra, lower_ra_with};
 pub use ra_to_datalog::ra_to_datalog;
+pub use ra_to_trc::ra_to_trc;
 pub use trc_to_datalog::trc_to_datalog;

@@ -5,11 +5,14 @@
 //! rule body; each difference or antijoin introduces one fresh IDB for its
 //! right operand, exactly mirroring the paper's case analysis. The
 //! translation is pattern-preserving: every base-table leaf of the RA
-//! expression becomes exactly one EDB atom.
+//! expression becomes exactly one EDB atom. The one exception is an
+//! antijoin whose condition is not all equalities, which lies outside
+//! Theorem 21 and re-reads the left tables its condition compares.
 
-use rd_core::{Catalog, CoreError, CoreResult};
+use rd_core::{Catalog, CmpOp, CoreError, CoreResult};
 use rd_datalog::ast::{Atom, BuiltIn, DlProgram, DlTerm, Literal, Rule};
-use rd_ra::ast::{Condition, RaExpr, RaTerm};
+use rd_ra::ast::{Condition, JoinCond, RaExpr, RaTerm};
+use std::collections::hash_map::{Entry, HashMap};
 
 /// State threaded through the compilation.
 struct Compiler<'a> {
@@ -43,9 +46,10 @@ impl<'a> Compiler<'a> {
         format!("v{}", self.next_var)
     }
 
+    /// A fresh IDB name; never a catalog table's, which it would shadow.
     fn fresh_idb(&mut self) -> String {
         self.next_idb += 1;
-        format!("I{}", self.next_idb)
+        self.catalog.fresh_name(&format!("I{}", self.next_idb))
     }
 
     /// Compiles `e` into a conjunctive body (emitting auxiliary rules for
@@ -144,7 +148,7 @@ impl<'a> Compiler<'a> {
                     match lb.attr_vars.iter().find(|(la, _)| la == a) {
                         Some((_, lv)) => literals.push(Literal::Cmp(BuiltIn::new(
                             DlTerm::var(lv.clone()),
-                            rd_core::CmpOp::Eq,
+                            CmpOp::Eq,
                             DlTerm::var(rv.clone()),
                         ))),
                         None => attr_vars.push((a.clone(), rv.clone())),
@@ -167,8 +171,17 @@ impl<'a> Compiler<'a> {
                     attr_vars: lb.attr_vars,
                 })
             }
+            RaExpr::Antijoin(cond, l, r) if cond.0.iter().any(|(_, op, _)| *op != CmpOp::Eq) => {
+                let lb = self.compile(l)?;
+                let neg = self.theta_negatable(cond, r, &lb)?;
+                let mut literals = lb.literals;
+                literals.push(neg);
+                Ok(Body {
+                    literals,
+                    attr_vars: lb.attr_vars,
+                })
+            }
             RaExpr::Antijoin(cond, l, r) => {
-                // Theorem 21, case 6.
                 let lb = self.compile(l)?;
                 let pairs: Vec<(String, String)> = if cond.0.is_empty() {
                     // Natural antijoin: shared attribute names.
@@ -263,6 +276,57 @@ impl<'a> Compiler<'a> {
         Ok(Literal::Neg(Atom::new(idb, call_terms)))
     }
 
+    /// The negated literal for `L ⊲_θ R` when θ is not all equalities.
+    /// Theorem 21's case 6 fills the negated atom with the left's
+    /// variables at the equated positions; a `<` instead compares the
+    /// right's variables with the left's, so the fresh IDB must bind the
+    /// left's values itself. It re-reads, once each, the tables the
+    /// compared left attributes come from (the positive atom in L's body
+    /// that binds each one): `J(ā) :- T(…ā…), R, θ`. Those tables hold
+    /// every value L can take, so `not J(ā)` keeps exactly the L rows
+    /// with no θ-partner in R. This is `L − π_L(L ⋈_θ R)` with the second
+    /// copy of L cut down to the tables θ reads, which keeps the
+    /// translation linear in the size of the expression.
+    fn theta_negatable(&mut self, cond: &JoinCond, r: &RaExpr, left: &Body) -> CoreResult<Literal> {
+        let rb = self.compile(r)?;
+        let mut reread: HashMap<usize, Vec<String>> = HashMap::new();
+        let mut literals = Vec::new();
+        let mut builtins = Vec::new();
+        let (mut head, mut call) = (Vec::new(), Vec::new());
+        for (la, op, ra) in &cond.0 {
+            let v = left.var_of(la)?;
+            let (leaf, atom, pos) = binding_atom(&left.literals, v)
+                .ok_or_else(|| CoreError::Invalid(format!("attribute '{la}' has no table")))?;
+            if let Entry::Vacant(slot) = reread.entry(leaf) {
+                let vars: Vec<String> = atom.terms.iter().map(|_| self.fresh_var()).collect();
+                literals.push(Literal::Pos(Atom::new(
+                    atom.pred.clone(),
+                    vars.iter().map(DlTerm::var),
+                )));
+                slot.insert(vars);
+            }
+            let u = &reread[&leaf][pos];
+            if !call.contains(&v) {
+                head.push(DlTerm::var(u));
+                call.push(v);
+            }
+            builtins.push(BuiltIn::new(
+                DlTerm::var(u),
+                *op,
+                DlTerm::var(rb.var_of(ra)?),
+            ));
+        }
+        literals.extend(rb.literals);
+        literals.extend(builtins.into_iter().map(Literal::Cmp));
+        let idb = self.fresh_idb();
+        self.rules
+            .push(Rule::new(Atom::new(idb.clone(), head), literals));
+        Ok(Literal::Neg(Atom::new(
+            idb,
+            call.into_iter().map(DlTerm::var),
+        )))
+    }
+
     fn condition(
         &mut self,
         cond: &Condition,
@@ -296,8 +360,23 @@ impl<'a> Compiler<'a> {
     }
 }
 
+/// The positive atom in `literals` that binds `var`: its index, the atom
+/// and the variable's position in it. Compiled bodies bind every
+/// attribute variable in the table atom that introduced it.
+fn binding_atom<'b>(literals: &'b [Literal], var: &str) -> Option<(usize, &'b Atom, usize)> {
+    literals.iter().enumerate().find_map(|(i, lit)| match lit {
+        Literal::Pos(atom) => atom
+            .terms
+            .iter()
+            .position(|t| matches!(t, DlTerm::Var(tv) if tv == var))
+            .map(|pos| (i, atom, pos)),
+        _ => None,
+    })
+}
+
 /// Translates an RA\* (or RA\*⊲) expression into a Datalog\* program with
-/// query predicate `Q`.
+/// query predicate `Q` (IDB names that would shadow a catalog table get a
+/// numeric suffix).
 pub fn ra_to_datalog(e: &RaExpr, catalog: &Catalog) -> CoreResult<DlProgram> {
     let mut c = Compiler {
         catalog,
@@ -312,7 +391,10 @@ pub fn ra_to_datalog(e: &RaExpr, catalog: &Catalog) -> CoreResult<DlProgram> {
         .map(|(_, v)| DlTerm::var(v.clone()))
         .collect();
     let mut rules = c.rules;
-    rules.push(Rule::new(Atom::new("Q", head_terms), body.literals));
+    rules.push(Rule::new(
+        Atom::new(catalog.fresh_name("Q"), head_terms),
+        body.literals,
+    ));
     let program = DlProgram::new(rules);
     rd_datalog::check::check_program(&program, catalog)?;
     Ok(program)
@@ -324,7 +406,6 @@ mod tests {
     use rd_core::{Database, Relation, TableSchema};
     use rd_datalog::check::is_datalog_star;
     use rd_datalog::eval::eval_program;
-    use rd_ra::eval::eval as ra_eval;
     use rd_ra::parser::parse as ra_parse;
 
     fn catalog() -> Catalog {
@@ -352,14 +433,22 @@ mod tests {
         db
     }
 
+    /// The RA reference interpreter's rows (an int-only fixture, so the
+    /// uninterned copy's rows equal the engine's).
+    fn ra_eval(e: &RaExpr, db: &Database) -> std::collections::BTreeSet<rd_core::Tuple> {
+        rd_oracle::ra::eval(e, &rd_oracle::uninterned(db))
+            .unwrap()
+            .tuples
+    }
+
     fn agree(ra_text: &str) {
         let e = ra_parse(ra_text, &catalog()).unwrap();
         let p = ra_to_datalog(&e, &catalog()).unwrap();
         assert!(is_datalog_star(&p), "not Datalog*:\n{p}");
-        let ra_out = ra_eval(&e, &db()).unwrap();
+        let ra_out = ra_eval(&e, &db());
         let dl_out = eval_program(&p, &db()).unwrap();
         assert_eq!(
-            &ra_out.tuples,
+            &ra_out,
             dl_out.tuples(),
             "mismatch for {ra_text}\nprogram:\n{p}"
         );
@@ -403,9 +492,48 @@ mod tests {
         let p = ra_to_datalog(&e, &catalog()).unwrap();
         assert!(is_datalog_star(&p));
         assert_eq!(p.signature(), vec!["R", "S"]);
-        let ra_out = ra_eval(&e, &db()).unwrap();
+        let ra_out = ra_eval(&e, &db());
         let dl_out = eval_program(&p, &db()).unwrap();
-        assert_eq!(&ra_out.tuples, dl_out.tuples());
+        assert_eq!(&ra_out, dl_out.tuples());
+    }
+
+    #[test]
+    fn non_equality_antijoin_keeps_its_comparison() {
+        // R ⊲_{A<C} S keeps the R rows with no S row above their A: with
+        // S = {3}, (1, 10) has a partner (1 < 3) and (5, 20) has none.
+        let catalog = Catalog::from_schemas([
+            TableSchema::new("R", ["A", "B"]),
+            TableSchema::new("S", ["C"]),
+        ])
+        .unwrap();
+        let mut db = Database::new();
+        db.add_relation(
+            Relation::from_rows(TableSchema::new("R", ["A", "B"]), [[1i64, 10], [5, 20]]).unwrap(),
+        );
+        db.add_relation(Relation::from_rows(TableSchema::new("S", ["C"]), [[3i64]]).unwrap());
+        let e = ra_parse("R antijoin[A<C] S", &catalog).unwrap();
+        let p = ra_to_datalog(&e, &catalog).unwrap();
+        assert!(is_datalog_star(&p), "not Datalog*:\n{p}");
+        let expected = [rd_core::Tuple::new([5i64, 20])];
+        assert_eq!(ra_eval(&e, &db).into_iter().collect::<Vec<_>>(), expected);
+        assert_eq!(
+            eval_program(&p, &db)
+                .unwrap()
+                .tuples()
+                .iter()
+                .cloned()
+                .collect::<Vec<_>>(),
+            expected,
+            "program:\n{p}"
+        );
+        // Mixed conditions take the same rewrite.
+        let e = ra_parse("R antijoin[A<C and B=C] S", &catalog).unwrap();
+        let p = ra_to_datalog(&e, &catalog).unwrap();
+        assert_eq!(
+            eval_program(&p, &db).unwrap().tuples(),
+            &ra_eval(&e, &db),
+            "program:\n{p}"
+        );
     }
 
     #[test]

@@ -69,11 +69,11 @@ fn eval_all(
         ),
         (
             "ra",
-            rd_ra::eval::lower_with(&four.ra, db, opts, &hints).expect("ra lowering"),
+            rd_translate::lower_ra_with(&four.ra, db, opts, &hints).expect("ra lowering"),
         ),
         (
             "ra-antijoin",
-            rd_ra::eval::lower_with(&four.ra_antijoin, db, opts, &hints)
+            rd_translate::lower_ra_with(&four.ra_antijoin, db, opts, &hints)
                 .expect("ra-antijoin lowering"),
         ),
         (

@@ -57,9 +57,14 @@ fn four_plans(q: &rd_trc::TrcQuery, cat: &Catalog, db: &Database) -> [rd_core::e
     [
         rd_trc::lower_union(&trc_u, db).unwrap(),
         rd_core::exec::Plan::Program(rd_datalog::lower_program(&p, db).unwrap()),
-        rd_ra::lower(&e, db).unwrap(),
+        lower_ra(&e, db),
         rd_sql::lower_sql(&sql, db).unwrap(),
     ]
+}
+
+/// Lowers an RA expression through the TRC hub with default planning.
+fn lower_ra(e: &rd_ra::RaExpr, db: &Database) -> rd_core::exec::Plan {
+    rd_translate::lower_ra_with(e, db, &Default::default(), &Default::default()).unwrap()
 }
 
 /// The TRC oracle's answer for `q` over the string-resolved copy `raw`.
@@ -200,10 +205,8 @@ proptest! {
             let trc_out = rd_trc::eval_query(&q, &db).unwrap();
             let dl_out = rd_datalog::eval_program(&p, &db).unwrap();
             prop_assert_eq!(trc_out.tuples(), dl_out.tuples(), "trc vs datalog");
-            let ra_out = rd_ra::eval(&e, &db).unwrap();
-            prop_assert_eq!(&trc_out.tuples().iter().cloned().collect::<Vec<_>>(),
-                            &ra_out.tuples.iter().cloned().collect::<Vec<_>>(),
-                            "trc vs ra");
+            let ra_out = rd_translate::eval_ra(&e, &db).unwrap();
+            prop_assert_eq!(trc_out.tuples(), ra_out.tuples(), "trc vs ra");
             let sql_out = rd_sql::translate::eval_sql(&sql, &db).unwrap();
             prop_assert_eq!(trc_out.tuples(), sql_out.tuples(), "trc vs sql");
             prop_assert_eq!(db.resolve_relation(&trc_out).tuples(), &oracle(&q, &raw),
@@ -212,7 +215,7 @@ proptest! {
                             rd_oracle::datalog::eval_program(&p, &raw).unwrap().tuples(),
                             "datalog vs datalog oracle");
             let ra_resolved: BTreeSet<Tuple> =
-                ra_out.tuples.iter().map(|t| db.resolve_tuple(t)).collect();
+                ra_out.iter().map(|t| db.resolve_tuple(t)).collect();
             prop_assert_eq!(&ra_resolved, &rd_oracle::ra::eval(&e, &raw).unwrap().tuples,
                             "ra vs ra oracle");
         }
@@ -244,7 +247,7 @@ proptest! {
                  rd_trc::lower_union(&trc_u, &raw).unwrap()),
                 (rd_core::exec::Plan::Program(rd_datalog::lower_program(&p, &db).unwrap()),
                  rd_core::exec::Plan::Program(rd_datalog::lower_program(&p, &raw).unwrap())),
-                (rd_ra::lower(&e, &db).unwrap(), rd_ra::lower(&e, &raw).unwrap()),
+                (lower_ra(&e, &db), lower_ra(&e, &raw)),
                 (rd_sql::lower_sql(&sql, &db).unwrap(), rd_sql::lower_sql(&sql, &raw).unwrap()),
             ];
             for (interned_plan, reference_plan) in &pairs {

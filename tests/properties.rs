@@ -153,11 +153,11 @@ proptest! {
         let schema = e.schema(&catalog()).unwrap();
         let mut gen = DbGenerator::with_int_domain(catalog(), 3, 3, seed ^ 0xA11);
         let db = gen.next_db();
-        let out = rd_ra::eval(&e, &db).unwrap();
-        prop_assert_eq!(out.attrs.len(), schema.len());
+        let out = rd_translate::eval_ra(&e, &db).unwrap();
+        prop_assert_eq!(out.schema().attrs(), schema.as_slice());
         let reference = rd_oracle::ra::eval(&e, &rd_oracle::uninterned(&db)).unwrap();
-        prop_assert_eq!(&out.tuples, &reference.tuples);
-        for t in &out.tuples {
+        prop_assert_eq!(out.tuples(), &reference.tuples);
+        for t in out.iter() {
             prop_assert_eq!(t.arity(), schema.len());
         }
     }
