@@ -56,7 +56,7 @@ fn main() {
         }
         // Relational Diagram via the pattern-preserving Datalog -> TRC path.
         let trc = rd_translate::datalog_to_trc(&p, &catalog).unwrap();
-        let d = rd_diagram::from_trc(&trc, &catalog).unwrap();
+        let d = rd_diagram::from_trc_union(&trc, &catalog).unwrap();
         println!(
             "Diagram : {} tables, {} joins, {} partitions\n",
             d.signature().len(),

@@ -97,7 +97,7 @@ fn bench_eval(c: &mut Criterion) {
     });
     let p = rd_translate::trc_to_datalog(&q, &cat).unwrap();
     c.bench_function("eval_datalog_division_30rows", |b| {
-        b.iter(|| rd_datalog::eval_program(black_box(&p), &db).unwrap())
+        b.iter(|| rd_translate::eval_datalog(black_box(&p), &db).unwrap())
     });
     let e = rd_translate::datalog_to_ra(&p, &cat).unwrap();
     c.bench_function("eval_ra_division_30rows", |b| {
@@ -111,7 +111,7 @@ fn bench_eval(c: &mut Criterion) {
         b.iter(|| rd_trc::eval_query(black_box(&q), &big).unwrap())
     });
     c.bench_function("eval_datalog_division_200rows", |b| {
-        b.iter(|| rd_datalog::eval_program(black_box(&p), &big).unwrap())
+        b.iter(|| rd_translate::eval_datalog(black_box(&p), &big).unwrap())
     });
     // Execution alone: the same division, compiled once, so the number
     // excludes lowering and planning.
@@ -318,7 +318,7 @@ fn bench_delta_mutation_cache(c: &mut Criterion) {
 /// and grows with |R|.
 fn bench_join_order(c: &mut Criterion) {
     use rd_core::exec::execute;
-    use rd_core::plan::{OrderStrategy, PlanHints, PlannerOpts};
+    use rd_core::plan::{OrderStrategy, PlannerOpts};
     use rd_core::{Database, Relation};
 
     let sizes: &[i64] = if smoke() {
@@ -356,14 +356,12 @@ fn bench_join_order(c: &mut Criterion) {
         )
         .unwrap();
         let union = rd_trc::TrcUnion::new(vec![q]).unwrap();
-        let hints = PlanHints::default();
-        let dp =
-            rd_trc::eval::lower_union_with(&union, &db, &PlannerOpts::default(), &hints).unwrap();
+        let dp = rd_trc::eval::lower_union_with(&union, &db, &PlannerOpts::default()).unwrap();
         let greedy_opts = PlannerOpts {
             strategy: OrderStrategy::Greedy,
             ..PlannerOpts::default()
         };
-        let greedy = rd_trc::eval::lower_union_with(&union, &db, &greedy_opts, &hints).unwrap();
+        let greedy = rd_trc::eval::lower_union_with(&union, &db, &greedy_opts).unwrap();
         c.bench_function(&format!("join_order/skewed_3way_r{n}_dp"), |b| {
             b.iter(|| execute(black_box(&dp), &db).unwrap())
         });

@@ -15,13 +15,16 @@
 //! ([`Columnar`], read through `Relation::columnar`): built by the first
 //! execution that scans or probes it, shared by every later execution
 //! against the same snapshot (on any worker thread), and dropped by the
-//! relation's next mutation. Only Datalog IDBs, which exist for one
-//! program run, are materialized per execution ([`RelCache`]).
+//! relation's next mutation. Every scan reads a stored relation, so
+//! nothing is materialized per execution.
 //!
 //! [`exec`](crate::exec) dispatches each plan shape here: query branches
-//! ([`run_query`]), Datalog rules ([`run_rule`]), Boolean sentences
-//! ([`run_sentence`], one formula over the unit batch, so existence
-//! short-circuits like any quantifier). Deferred head-validation
+//! ([`run_query`]) and Boolean sentences ([`run_sentence`], one formula
+//! over the unit batch, so existence short-circuits like any
+//! quantifier). A query branch's pipeline drops duplicate rows as soon
+//! as some scanned step is no longer read ([`LastReads`]), so scans that
+//! only check existence do not multiply the rows later scans see.
+//! Deferred head-validation
 //! conjuncts batch: head-column references rewrite to the head's
 //! defining terms, turning per-candidate validation into ordinary batch
 //! filters.
@@ -37,8 +40,8 @@
 use crate::database::{Database, Relation, Tuple};
 use crate::error::CoreResult;
 use crate::exec::{
-    bump_n, record, record_build, Block, Formula, IdbMap, Pred, QueryPlan, RulePlan, Scan,
-    SentencePlan, TallyMap, Term,
+    bump_n, record, record_build, Block, Formula, Pred, QueryPlan, Scan, SentencePlan, TallyMap,
+    Term,
 };
 use crate::symbol::SymbolTable;
 use crate::value::Value;
@@ -61,26 +64,14 @@ const DENSE_MAX_CAPACITY: u64 = 1 << 20;
 
 /// A relation materialized column-major: `cols[c][r]` is row `r`'s value
 /// in column `c`. A stored relation's copy is built once per snapshot
-/// ([`Columnar`]); a Datalog IDB's once per program run ([`RelCache`]).
-/// Shared by `Arc` into every batch step that scans it.
+/// ([`Columnar`]) and shared by `Arc` into every batch step that scans
+/// it.
 pub(crate) struct RelData {
     cols: Vec<Vec<Value>>,
     len: usize,
 }
 
 impl RelData {
-    fn from_tuples<'a>(tuples: impl Iterator<Item = &'a Tuple>, arity: usize) -> RelData {
-        let mut cols: Vec<Vec<Value>> = vec![Vec::new(); arity];
-        let mut len = 0;
-        for t in tuples {
-            for (c, v) in t.iter().enumerate() {
-                cols[c].push(v.clone());
-            }
-            len += 1;
-        }
-        RelData { cols, len }
-    }
-
     fn from_relation(rel: &Relation) -> RelData {
         let arity = rel.schema().arity();
         let mut cols: Vec<Vec<Value>> = vec![Vec::with_capacity(rel.len()); arity];
@@ -99,16 +90,6 @@ impl RelData {
     fn value(&self, col: usize, row: u32) -> &Value {
         &self.cols[col][row as usize]
     }
-}
-
-/// Columnar materializations of the Datalog IDBs computed so far,
-/// shared across one program execution (sound because a computed IDB
-/// never changes once its stratum completes). Stored relations are not
-/// kept here: their copies live on the relation ([`Columnar`]). An IDB
-/// shadowing a same-named stored table is looked up here first.
-#[derive(Default)]
-pub(crate) struct RelCache {
-    map: HashMap<String, Arc<RelData>>,
 }
 
 /// A stored relation's columnar copy plus the join tables built over
@@ -491,40 +472,27 @@ impl Batch {
     }
 }
 
-/// Where each environment slot's value lives in a batch: tuple slots map
-/// to a step, value slots to a `(step, column)` pair — coordinates, not
+/// The batch step each tuple slot is bound to — coordinates, not
 /// values; the values stay in the shared columns.
 struct SlotMap {
     tuple: Vec<usize>,
-    value: Vec<(usize, usize)>,
 }
 
 const UNBOUND: usize = usize::MAX;
 
 impl SlotMap {
-    fn new(tuple_slots: usize, value_slots: usize) -> SlotMap {
+    fn new(tuple_slots: usize) -> SlotMap {
         SlotMap {
             tuple: vec![UNBOUND; tuple_slots],
-            value: vec![(UNBOUND, 0); value_slots],
         }
     }
 
     fn bind_scan(&mut self, scan: &Scan, step: usize) {
-        if let Some(s) = scan.tuple_slot {
-            self.tuple[s] = step;
-        }
-        for &(col, s) in &scan.bind_cols {
-            self.value[s] = (step, col);
-        }
+        self.tuple[scan.tuple_slot] = step;
     }
 
     fn unbind_scan(&mut self, scan: &Scan) {
-        if let Some(s) = scan.tuple_slot {
-            self.tuple[s] = UNBOUND;
-        }
-        for &(_, s) in &scan.bind_cols {
-            self.value[s] = (UNBOUND, 0);
-        }
+        self.tuple[scan.tuple_slot] = UNBOUND;
     }
 }
 
@@ -543,11 +511,6 @@ fn term_ref<'t>(t: &'t Term, sm: &SlotMap) -> TermRef<'t> {
             debug_assert_ne!(step, UNBOUND, "terms attach only after their slot binds");
             TermRef::Col { step, col: *col }
         }
-        Term::Var(s) => {
-            let (step, col) = sm.value[*s];
-            debug_assert_ne!(step, UNBOUND, "lowering only emits Var for bound slots");
-            TermRef::Col { step, col }
-        }
     }
 }
 
@@ -565,72 +528,39 @@ impl TermRef<'_> {
 // Execution context
 // ---------------------------------------------------------------------
 
-/// Per-execution state of the pipeline driver: the IDB materializations,
-/// one join-table slot per keyed scan or negation probe (it saves
-/// re-taking the relation's lock on every batch), and the optional
-/// analyze tally.
-struct BatchCtx<'d, 'c> {
+/// Per-execution state of the pipeline driver: one join-table slot per
+/// keyed scan (it saves re-taking the relation's lock on every batch)
+/// and the optional analyze tally.
+struct BatchCtx<'d> {
     db: &'d Database,
     symbols: &'d SymbolTable,
-    idbs: &'d IdbMap,
-    cache: &'c mut RelCache,
     tables: Vec<Option<Arc<JoinTable>>>,
     tally: Option<TallyMap>,
 }
 
-impl<'d, 'c> BatchCtx<'d, 'c> {
-    fn new(
-        db: &'d Database,
-        idbs: &'d IdbMap,
-        n_indexes: usize,
-        cache: &'c mut RelCache,
-        tally: Option<TallyMap>,
-    ) -> Self {
+impl<'d> BatchCtx<'d> {
+    fn new(db: &'d Database, n_indexes: usize, tally: Option<TallyMap>) -> Self {
         BatchCtx {
             db,
             symbols: db.symbols(),
-            idbs,
-            cache,
             tables: vec![None; n_indexes],
             tally,
         }
     }
 
-    /// The columnar materialization of `rel` (an IDB shadows a stored
-    /// table of the same name): a stored relation's comes from its
-    /// per-snapshot cache, an IDB's is built on first use this run.
-    fn rel_data(&mut self, rel: &str) -> CoreResult<Arc<RelData>> {
-        let Some(rows) = self.idbs.get(rel) else {
-            return Ok(self.db.require(rel)?.columnar().data.clone());
-        };
-        if let Some(data) = self.cache.map.get(rel) {
-            return Ok(data.clone());
-        }
-        let arity = rows.iter().next().map(Tuple::arity).unwrap_or(0);
-        let data = Arc::new(RelData::from_tuples(rows.iter(), arity));
-        self.cache.map.insert(rel.to_string(), data.clone());
-        Ok(data)
+    /// The columnar copy of stored relation `rel`, from its per-snapshot
+    /// cache.
+    fn rel_data(&self, rel: &str) -> CoreResult<Arc<RelData>> {
+        Ok(self.db.require(rel)?.columnar().data.clone())
     }
 
-    /// The join table in slot `id` over `rel`'s `cols` (`data` is what
-    /// [`BatchCtx::rel_data`] returned for `rel`): a stored relation's
-    /// comes from its per-snapshot cache, an IDB's is built on first
-    /// probe.
-    fn table_for(
-        &mut self,
-        rel: &str,
-        data: &RelData,
-        cols: &[usize],
-        id: usize,
-    ) -> CoreResult<Arc<JoinTable>> {
+    /// The join table in slot `id` over `rel`'s `cols`, from the
+    /// relation's per-snapshot cache.
+    fn table_for(&mut self, rel: &str, cols: &[usize], id: usize) -> CoreResult<Arc<JoinTable>> {
         if let Some(t) = &self.tables[id] {
             return Ok(t.clone());
         }
-        let table = if self.idbs.contains_key(rel) {
-            Arc::new(JoinTable::over(data, cols))
-        } else {
-            self.db.require(rel)?.columnar().table(cols)
-        };
+        let table = self.db.require(rel)?.columnar().table(cols);
         self.tables[id] = Some(table.clone());
         Ok(table)
     }
@@ -644,22 +574,27 @@ impl<'d, 'c> BatchCtx<'d, 'c> {
 /// level, or marking origins satisfied inside a quantifier (which also
 /// prunes that origin's remaining work at the next step boundary).
 enum Sink<'s> {
-    Collect(&'s mut dyn FnMut(&Batch, &mut SlotMap, &mut BatchCtx) -> CoreResult<()>),
-    Exists { satisfied: &'s mut [bool] },
+    Collect {
+        emit: &'s mut dyn FnMut(&Batch, &mut SlotMap, &mut BatchCtx) -> CoreResult<()>,
+        reads: &'s LastReads,
+    },
+    Exists {
+        satisfied: &'s mut [bool],
+    },
 }
 
 impl Sink<'_> {
     #[inline]
     fn alive(&self, origin: u32) -> bool {
         match self {
-            Sink::Collect(_) => true,
+            Sink::Collect { .. } => true,
             Sink::Exists { satisfied } => !satisfied[origin as usize],
         }
     }
 
     fn emit(&mut self, batch: &Batch, sm: &mut SlotMap, ctx: &mut BatchCtx) -> CoreResult<()> {
         match self {
-            Sink::Collect(f) => f(batch, sm, ctx),
+            Sink::Collect { emit, .. } => emit(batch, sm, ctx),
             Sink::Exists { satisfied } => {
                 for &o in &batch.origins {
                     satisfied[o as usize] = true;
@@ -683,7 +618,10 @@ fn retain_alive(batch: Batch, sink: &Sink<'_>) -> Batch {
 }
 
 /// Runs scans `si..` of a pipeline over `batch`, sending every full
-/// assignment to `sink`.
+/// assignment to `sink`. The walk is depth-first with one [`Frame`] per
+/// scan on an explicit stack, not one native call per scan: a block can
+/// hold thousands of scans (an unfolded Datalog program, a wide RA
+/// product), more than a worker thread's stack has room for.
 fn run_scans(
     scans: &[Scan],
     si: usize,
@@ -692,66 +630,152 @@ fn run_scans(
     ctx: &mut BatchCtx,
     sink: &mut Sink<'_>,
 ) -> CoreResult<()> {
-    let batch = retain_alive(batch, sink);
-    if batch.len() == 0 {
-        return Ok(());
-    }
-    if si == scans.len() {
-        return sink.emit(&batch, sm, ctx);
-    }
-    let scan = &scans[si];
-    let rel = ctx.rel_data(&scan.rel)?;
-    let step = batch.steps.len();
-    if scan.is_keyed() {
-        // Resolve key terms against the *outer* bindings, then bind this
-        // scan's slots for the checks/filters below.
-        let key_refs: Vec<TermRef> = scan.key_terms.iter().map(|t| term_ref(t, sm)).collect();
-        let table = ctx.table_for(&scan.rel, &rel, &scan.key_cols, scan.index_id)?;
-        record_build(&mut ctx.tally, scan, table.kind());
-        let mut nb = expand_empty(&batch, &rel);
-        let mut key: Vec<Value> = Vec::with_capacity(key_refs.len());
-        for i in 0..batch.len() {
-            let rows = table.probe_with(key_refs.len(), |c| key_refs[c].value(&batch, i), &mut key);
-            for &r in rows {
-                push_expanded(&mut nb, &batch, i, r);
-            }
-        }
-        sm.bind_scan(scan, step);
-        descend(scans, si, nb, sm, ctx, sink)?;
-    } else {
-        sm.bind_scan(scan, step);
-        // Full scan: cross the batch with the relation one chunk at a
-        // time, re-checking origin liveness between chunks so satisfied
-        // quantifier rows stop generating work. Existence checks start
-        // with tiny chunks (rows decided by the relation's first few
-        // tuples never touch the rest) and grow geometrically so a
-        // scan-everything workload still amortizes to CHUNK_ROWS.
-        let mut chunk = match sink {
-            Sink::Exists { .. } => 4,
-            Sink::Collect(_) => CHUNK_ROWS,
-        };
-        let mut start = 0usize;
-        while start < rel.len {
-            let end = (start + chunk).min(rel.len);
-            chunk = (chunk * 2).min(CHUNK_ROWS);
-            let alive: Vec<usize> = (0..batch.len())
-                .filter(|&i| sink.alive(batch.origins[i]))
-                .collect();
-            if alive.is_empty() {
-                break;
-            }
-            let mut nb = expand_empty(&batch, &rel);
-            for &i in &alive {
-                for r in start..end {
-                    push_expanded(&mut nb, &batch, i, r as u32);
+    let mut frames: Vec<Frame> = Vec::new();
+    let mut next = Some((si, batch));
+    loop {
+        if let Some((si, batch)) = next.take() {
+            let batch = retain_alive(batch, sink);
+            if batch.len() > 0 {
+                if si == scans.len() {
+                    sink.emit(&batch, sm, ctx)?;
+                } else {
+                    frames.push(Frame::enter(&scans[si], si, batch, sm, ctx, sink)?);
                 }
             }
-            descend(scans, si, nb, sm, ctx, sink)?;
-            start = end;
+        }
+        let Some(frame) = frames.last_mut() else {
+            return Ok(());
+        };
+        match frame.next_batch(&scans[frame.si], sm, ctx, sink)? {
+            Some(nb) => next = Some((frame.si + 1, nb)),
+            None => {
+                sm.unbind_scan(&scans[frame.si]);
+                frames.pop();
+            }
         }
     }
-    sm.unbind_scan(scan);
-    Ok(())
+}
+
+/// One scan of the walk in [`run_scans`]: its input batch, crossed with
+/// the scanned relation into output batches that are each run through
+/// the later scans before the next is built.
+struct Frame {
+    si: usize,
+    rel: Arc<RelData>,
+    /// A keyed scan's expansion, until it is handed on. The input batch
+    /// is dropped once probed, so a chain of keyed scans holds only the
+    /// batch in flight.
+    probed: Option<Batch>,
+    /// An unkeyed scan's input batch, crossed with the relation from its
+    /// next row `start` in chunks of `chunk` rows.
+    input: Option<Batch>,
+    start: usize,
+    chunk: usize,
+}
+
+impl Frame {
+    /// Starts scan `si` over `batch` and binds its slot. A keyed scan
+    /// probes its join table for every row at once, resolving its key
+    /// terms against the outer bindings first.
+    fn enter(
+        scan: &Scan,
+        si: usize,
+        batch: Batch,
+        sm: &mut SlotMap,
+        ctx: &mut BatchCtx,
+        sink: &Sink<'_>,
+    ) -> CoreResult<Frame> {
+        let rel = ctx.rel_data(&scan.rel)?;
+        let step = batch.steps.len();
+        let (probed, input) = if scan.is_keyed() {
+            let key_refs: Vec<TermRef> = scan.key_terms.iter().map(|t| term_ref(t, sm)).collect();
+            let table = ctx.table_for(&scan.rel, &scan.key_cols, scan.index_id)?;
+            record_build(&mut ctx.tally, scan, table.kind());
+            let mut nb = expand_empty(&batch, &rel);
+            let mut key: Vec<Value> = Vec::with_capacity(key_refs.len());
+            for i in 0..batch.len() {
+                let rows =
+                    table.probe_with(key_refs.len(), |c| key_refs[c].value(&batch, i), &mut key);
+                for &r in rows {
+                    push_expanded(&mut nb, &batch, i, r);
+                }
+            }
+            (Some(nb), None)
+        } else {
+            (None, Some(batch))
+        };
+        sm.bind_scan(scan, step);
+        // Existence checks start with tiny chunks (rows decided by the
+        // relation's first few tuples never touch the rest) and grow
+        // geometrically so a scan-everything workload still amortizes to
+        // CHUNK_ROWS.
+        let chunk = match sink {
+            Sink::Exists { .. } => 4,
+            Sink::Collect { .. } => CHUNK_ROWS,
+        };
+        Ok(Frame {
+            si,
+            rel,
+            probed,
+            input,
+            start: 0,
+            chunk,
+        })
+    }
+
+    /// The next output batch whose rows pass the scan's filters (tallied;
+    /// at the root, without rows that only repeat others on the steps
+    /// read later), or `None` once the scan is exhausted. An unkeyed
+    /// scan crosses the batch with the relation one chunk at a time,
+    /// re-checking origin liveness between chunks so satisfied
+    /// quantifier rows stop generating work.
+    fn next_batch(
+        &mut self,
+        scan: &Scan,
+        sm: &mut SlotMap,
+        ctx: &mut BatchCtx,
+        sink: &Sink<'_>,
+    ) -> CoreResult<Option<Batch>> {
+        loop {
+            let nb = match (&self.input, self.probed.take()) {
+                (_, Some(nb)) => nb,
+                (None, None) => return Ok(None),
+                (Some(batch), None) => {
+                    let alive: Vec<usize> = (0..batch.len())
+                        .filter(|&i| sink.alive(batch.origins[i]))
+                        .collect();
+                    if self.start >= self.rel.len || alive.is_empty() {
+                        return Ok(None);
+                    }
+                    let end = (self.start + self.chunk).min(self.rel.len);
+                    self.chunk = (self.chunk * 2).min(CHUNK_ROWS);
+                    let mut nb = expand_empty(batch, &self.rel);
+                    for &i in &alive {
+                        for r in self.start..end {
+                            push_expanded(&mut nb, batch, i, r as u32);
+                        }
+                    }
+                    self.start = end;
+                    nb
+                }
+            };
+            let survivors = if scan.filters.is_empty() {
+                // Nothing to verify: every expanded row survives.
+                bump_n(&mut ctx.tally, scan, nb.len());
+                Some(nb)
+            } else {
+                filter(scan, nb, sm, ctx)?
+            };
+            if let Some(survivors) = survivors {
+                return Ok(Some(match sink {
+                    Sink::Collect { reads, .. } if reads.dies[self.si] => {
+                        reads.dedup(survivors, self.si)
+                    }
+                    _ => survivors,
+                }));
+            }
+        }
+    }
 }
 
 /// An empty batch shaped like `base` plus one new step scanning `rel`.
@@ -785,35 +809,15 @@ fn push_expanded(nb: &mut Batch, base: &Batch, i: usize, r: u32) {
     nb.origins.push(base.origins[i]);
 }
 
-/// Applies scan `si`'s intra-tuple checks and filters to the expanded
-/// batch, tallies the survivors, and recurses into the next scan.
-fn descend(
-    scans: &[Scan],
-    si: usize,
+/// The rows of `nb` that pass `scan`'s filters (`None` if none do),
+/// tallied.
+fn filter(
+    scan: &Scan,
     nb: Batch,
     sm: &mut SlotMap,
     ctx: &mut BatchCtx,
-    sink: &mut Sink<'_>,
-) -> CoreResult<()> {
-    let scan = &scans[si];
-    let step = nb.steps.len() - 1;
-    if scan.check_cols.is_empty() && scan.filters.is_empty() {
-        // Nothing to verify: every expanded row survives.
-        bump_n(&mut ctx.tally, scan, nb.len());
-        return run_scans(scans, si + 1, nb, sm, ctx, sink);
-    }
-    let mut mask = vec![true; nb.len()];
-    // Repeated variables inside one atom: column equals earlier-bound
-    // column of the same step.
-    for &(col, s) in &scan.check_cols {
-        let (vstep, vcol) = sm.value[s];
-        for (i, m) in mask.iter_mut().enumerate() {
-            if *m && nb.value(step, col, i) != nb.value(vstep, vcol, i) {
-                *m = false;
-            }
-        }
-    }
-    let mut sel: Vec<usize> = (0..nb.len()).filter(|&i| mask[i]).collect();
+) -> CoreResult<Option<Batch>> {
+    let mut sel: Vec<usize> = (0..nb.len()).collect();
     for f in &scan.filters {
         if sel.is_empty() {
             break;
@@ -826,15 +830,78 @@ fn descend(
             .collect();
     }
     if sel.is_empty() {
-        return Ok(());
+        return Ok(None);
     }
     bump_n(&mut ctx.tally, scan, sel.len());
-    let survivors = if sel.len() == nb.len() {
+    Ok(Some(if sel.len() == nb.len() {
         nb
     } else {
         nb.select(&sel)
-    };
-    run_scans(scans, si + 1, survivors, sm, ctx, sink)
+    }))
+}
+
+/// Where a root pipeline may drop duplicate rows. The output keeps only
+/// the values of the steps it reads, so once no later scan, head term
+/// or deferred conjunct reads a step, rows that agree on every step
+/// still read are duplicates: dropping them there keeps a scan that
+/// only checks existence (an inlined Datalog IDB, a `∃` hoisted to the
+/// root) from multiplying the rows every later scan sees.
+struct LastReads {
+    /// Per step, the last scan reading it (`usize::MAX` if the output
+    /// does).
+    last: Vec<usize>,
+    /// Per scan, whether it is the last to read some step.
+    dies: Vec<bool>,
+}
+
+impl LastReads {
+    /// The reads of `q`'s root pipeline, whose step `k` is scan `k`.
+    fn of(q: &QueryPlan, deferred: &[Formula]) -> LastReads {
+        let scans = &q.root.scans;
+        let mut sm = SlotMap::new(q.shape.tuple_slots);
+        for (step, scan) in scans.iter().enumerate() {
+            sm.bind_scan(scan, step);
+        }
+        let mut last: Vec<usize> = (0..scans.len()).collect();
+        let mut reads = Vec::new();
+        for (j, scan) in scans.iter().enumerate() {
+            reads.clear();
+            scan_deps(scan, &sm, &mut reads);
+            for &(step, _) in &reads {
+                last[step] = last[step].max(j);
+            }
+        }
+        reads.clear();
+        for t in &q.defs {
+            term_deps(t, &sm, &mut reads);
+        }
+        for f in deferred {
+            formula_deps(f, &sm, &mut reads);
+        }
+        for &(step, _) in &reads {
+            last[step] = usize::MAX;
+        }
+        let mut dies = vec![false; scans.len()];
+        for &j in last.iter().filter(|&&j| j != usize::MAX) {
+            dies[j] = true;
+        }
+        LastReads { last, dies }
+    }
+
+    /// `batch`, after scan `j`, without the rows that repeat an earlier
+    /// row on every step read after `j`.
+    fn dedup(&self, batch: Batch, j: usize) -> Batch {
+        let live: Vec<usize> = (0..=j).filter(|&k| self.last[k] > j).collect();
+        let mut seen: HashSet<Vec<u32>, std::hash::BuildHasherDefault<Fnv>> = HashSet::default();
+        let keep: Vec<usize> = (0..batch.len())
+            .filter(|&i| seen.insert(live.iter().map(|&k| batch.steps[k].rows[i]).collect()))
+            .collect();
+        if keep.len() == batch.len() {
+            batch
+        } else {
+            batch.select(&keep)
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -908,34 +975,6 @@ fn eval_mask(
                 })
                 .collect())
         }
-        Formula::NegProbe {
-            rel,
-            cols,
-            terms,
-            index_id,
-        } => {
-            if cols.is_empty() {
-                // `not P(_ …)`: one emptiness check answers every row.
-                let empty = match ctx.idbs.get(rel) {
-                    Some(rows) => rows.is_empty(),
-                    None => ctx.db.require(rel)?.is_empty(),
-                };
-                return Ok(vec![empty; sel.len()]);
-            }
-            let data = ctx.rel_data(rel)?;
-            let table = ctx.table_for(rel, &data, cols, *index_id)?;
-            record_build(&mut ctx.tally, f, table.kind());
-            let key_refs: Vec<TermRef> = terms.iter().map(|t| term_ref(t, sm)).collect();
-            let mut key: Vec<Value> = Vec::with_capacity(key_refs.len());
-            Ok(sel
-                .iter()
-                .map(|&i| {
-                    table
-                        .probe_with(key_refs.len(), |c| key_refs[c].value(batch, i), &mut key)
-                        .is_empty()
-                })
-                .collect())
-        }
         Formula::Exists(block) => {
             let mut satisfied = vec![false; sel.len()];
             // Pre-scan conjuncts of the block constrain the outer rows.
@@ -965,14 +1004,12 @@ fn eval_mask(
                 // batch clone, no match materialization, no grouping).
                 let cheap = block.scans.len() == 1
                     && block.scans[0].is_keyed()
-                    && block.scans[0].filters.is_empty()
-                    && block.scans[0].check_cols.is_empty();
+                    && block.scans[0].filters.is_empty();
                 if cheap {
                     let scan = &block.scans[0];
-                    let rel = ctx.rel_data(&scan.rel)?;
                     let key_refs: Vec<TermRef> =
                         scan.key_terms.iter().map(|t| term_ref(t, sm)).collect();
-                    let table = ctx.table_for(&scan.rel, &rel, &scan.key_cols, scan.index_id)?;
+                    let table = ctx.table_for(&scan.rel, &scan.key_cols, scan.index_id)?;
                     record_build(&mut ctx.tally, scan, table.kind());
                     let mut key: Vec<Value> = Vec::with_capacity(key_refs.len());
                     let mut hits = 0usize;
@@ -1037,12 +1074,6 @@ fn term_deps(t: &Term, sm: &SlotMap, out: &mut Vec<(usize, usize)>) {
                 out.push((step, *col));
             }
         }
-        Term::Var(v) => {
-            let (step, col) = sm.value[*v];
-            if step != UNBOUND {
-                out.push((step, col));
-            }
-        }
         Term::Const(_) => {}
     }
 }
@@ -1060,34 +1091,29 @@ fn formula_deps(f: &Formula, sm: &SlotMap, out: &mut Vec<(usize, usize)>) {
             term_deps(&p.left, sm, out);
             term_deps(&p.right, sm, out);
         }
-        Formula::NegProbe { terms, .. } => {
-            for t in terms {
-                term_deps(t, sm, out);
-            }
-        }
         Formula::Exists(block) => block_deps(block, sm, out),
     }
 }
 
 /// Collects every outer-bound batch coordinate the block's subtree can
-/// read: pre conjuncts, scan keys, intra-scan checks, and filters.
+/// read: pre conjuncts, scan keys, and filters.
 fn block_deps(block: &Block, sm: &SlotMap, out: &mut Vec<(usize, usize)>) {
     for pre in &block.pre {
         formula_deps(pre, sm, out);
     }
     for scan in &block.scans {
-        for t in &scan.key_terms {
-            term_deps(t, sm, out);
-        }
-        for &(_, s) in &scan.check_cols {
-            let (step, col) = sm.value[s];
-            if step != UNBOUND {
-                out.push((step, col));
-            }
-        }
-        for f in &scan.filters {
-            formula_deps(f, sm, out);
-        }
+        scan_deps(scan, sm, out);
+    }
+}
+
+/// Collects every outer-bound batch coordinate a scan's keys and filters
+/// read.
+fn scan_deps(scan: &Scan, sm: &SlotMap, out: &mut Vec<(usize, usize)>) {
+    for t in &scan.key_terms {
+        term_deps(t, sm, out);
+    }
+    for f in &scan.filters {
+        formula_deps(f, sm, out);
     }
 }
 
@@ -1100,11 +1126,11 @@ fn block_deps(block: &Block, sm: &SlotMap, out: &mut Vec<(usize, usize)>) {
 fn run_pipeline(
     block: &Block,
     tuple_slots: usize,
-    value_slots: usize,
     ctx: &mut BatchCtx,
+    reads: &LastReads,
     emit: &mut dyn FnMut(&Batch, &mut SlotMap, &mut BatchCtx) -> CoreResult<()>,
 ) -> CoreResult<()> {
-    let mut sm = SlotMap::new(tuple_slots, value_slots);
+    let mut sm = SlotMap::new(tuple_slots);
     let seed = Batch::unit();
     for pre in &block.pre {
         let mask = eval_mask(pre, &seed, &[0], &mut sm, ctx)?;
@@ -1112,7 +1138,7 @@ fn run_pipeline(
             return Ok(());
         }
     }
-    let mut sink = Sink::Collect(emit);
+    let mut sink = Sink::Collect { emit, reads };
     run_scans(&block.scans, 0, seed, &mut sm, ctx, &mut sink)
 }
 
@@ -1138,17 +1164,6 @@ fn subst_formula(f: &Formula, head_slot: usize, defs: &[Term]) -> Formula {
             op: p.op,
             right: term(&p.right),
         }),
-        Formula::NegProbe {
-            rel,
-            cols,
-            terms,
-            index_id,
-        } => Formula::NegProbe {
-            rel: rel.clone(),
-            cols: cols.clone(),
-            terms: terms.iter().map(term).collect(),
-            index_id: *index_id,
-        },
         Formula::Exists(b) => Formula::Exists(Block {
             pre: b.pre.iter().map(sub).collect(),
             scans: b
@@ -1183,9 +1198,7 @@ pub(crate) fn run_query(
     db: &Database,
     tally: &mut Option<TallyMap>,
 ) -> CoreResult<Relation> {
-    let idbs = IdbMap::new();
-    let mut cache = RelCache::default();
-    let mut ctx = BatchCtx::new(db, &idbs, q.shape.indexes, &mut cache, tally.take());
+    let mut ctx = BatchCtx::new(db, q.shape.indexes, tally.take());
     let mut out = db.fresh_relation(q.out.clone());
     // Deferred head validation, vectorized: instead of binding each
     // candidate tuple and re-validating it, rewrite head-column
@@ -1203,11 +1216,12 @@ pub(crate) fn run_query(
     // per row instead of an allocation plus a B-tree descent.
     let mut seen: HashSet<Vec<Value>, std::hash::BuildHasherDefault<Fnv>> = HashSet::default();
     let mut scratch: Vec<Value> = Vec::with_capacity(q.defs.len());
+    let reads = LastReads::of(q, &deferred);
     let result = run_pipeline(
         &q.root,
         q.shape.tuple_slots,
-        q.shape.value_slots,
         &mut ctx,
+        &reads,
         &mut |batch, sm, ctx| {
             let defs: Vec<TermRef> = q.defs.iter().map(|t| term_ref(t, sm)).collect();
             let mut project = |batch: &Batch, i: usize| -> CoreResult<()> {
@@ -1249,38 +1263,6 @@ pub(crate) fn run_query(
     Ok(out)
 }
 
-/// Executes one Datalog rule body, returning head projections
-/// (duplicates included — the stratum dedups).
-pub(crate) fn run_rule(
-    rule: &RulePlan,
-    db: &Database,
-    idbs: &IdbMap,
-    tally: &mut Option<TallyMap>,
-    cache: &mut RelCache,
-) -> CoreResult<Vec<Tuple>> {
-    let mut ctx = BatchCtx::new(db, idbs, rule.shape.indexes, cache, tally.take());
-    let mut out: Vec<Tuple> = Vec::new();
-    let result = run_pipeline(
-        &rule.block,
-        rule.shape.tuple_slots,
-        rule.shape.value_slots,
-        &mut ctx,
-        &mut |batch, sm, _ctx| {
-            let head: Vec<TermRef> = rule.head.iter().map(|t| term_ref(t, sm)).collect();
-            for i in 0..batch.len() {
-                out.push(Tuple(
-                    head.iter().map(|d| d.value(batch, i).clone()).collect(),
-                ));
-            }
-            Ok(())
-        },
-    );
-    *tally = ctx.tally.take();
-    result?;
-    record(tally, rule, out.len());
-    Ok(out)
-}
-
 /// Decides a Boolean sentence: its formula evaluated for the one row of
 /// the unit batch ([`exec::run_sentence`](crate::exec::run_sentence)).
 pub(crate) fn run_sentence(
@@ -1288,10 +1270,8 @@ pub(crate) fn run_sentence(
     db: &Database,
     tally: &mut Option<TallyMap>,
 ) -> CoreResult<bool> {
-    let idbs = IdbMap::new();
-    let mut cache = RelCache::default();
-    let mut ctx = BatchCtx::new(db, &idbs, s.shape.indexes, &mut cache, tally.take());
-    let mut sm = SlotMap::new(s.shape.tuple_slots, s.shape.value_slots);
+    let mut ctx = BatchCtx::new(db, s.shape.indexes, tally.take());
+    let mut sm = SlotMap::new(s.shape.tuple_slots);
     let verdict = eval_mask(&s.formula, &Batch::unit(), &[0], &mut sm, &mut ctx);
     *tally = ctx.tally.take();
     Ok(verdict?[0])
@@ -1300,12 +1280,26 @@ pub(crate) fn run_sentence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{EnvShape, Plan, ProgramPlan, Stratum, FULL_SCAN};
+    use crate::exec::{EnvShape, Plan, FULL_SCAN};
     use crate::schema::TableSchema;
 
     impl JoinTable {
         fn probe(&self, key: &[Value]) -> &[u32] {
             self.probe_with(key.len(), |c| &key[c], &mut Vec::new())
+        }
+    }
+
+    impl RelData {
+        fn from_tuples<'a>(tuples: impl Iterator<Item = &'a Tuple>, arity: usize) -> RelData {
+            let mut cols: Vec<Vec<Value>> = vec![Vec::new(); arity];
+            let mut len = 0;
+            for t in tuples {
+                for (c, v) in t.iter().enumerate() {
+                    cols[c].push(v.clone());
+                }
+                len += 1;
+            }
+            RelData { cols, len }
         }
     }
 
@@ -1391,11 +1385,9 @@ mod tests {
         let keyed = key.is_some();
         Scan {
             rel: rel.into(),
-            tuple_slot: Some(slot),
+            tuple_slot: slot,
             key_cols: if keyed { vec![0] } else { Vec::new() },
             key_terms: key.into_iter().collect(),
-            bind_cols: Vec::new(),
-            check_cols: Vec::new(),
             index_id: if keyed { 0 } else { FULL_SCAN },
             filters: Vec::new(),
         }
@@ -1414,7 +1406,6 @@ mod tests {
 
     const SHAPE: EnvShape = EnvShape {
         tuple_slots: 3,
-        value_slots: 0,
         indexes: 1,
     };
 
@@ -1520,40 +1511,41 @@ mod tests {
     }
 
     #[test]
-    fn an_idb_shadowing_a_stored_table_is_not_served_from_its_cache() {
-        let rule = |head: Term, block: Block| RulePlan {
-            head: vec![head],
-            block,
-            shape: SHAPE,
-        };
-        let stratum = |pred: &str, rule: RulePlan| Stratum {
-            pred: pred.into(),
-            rules: vec![rule],
+    fn thousands_of_scans_run_in_a_small_stack() {
+        // q(a) ← T(a), T(a), …: 3000 scans of one pipeline, each probing
+        // T by the first scan's value, on a thread whose stack could
+        // not hold one native frame per scan.
+        const SCANS: usize = 3000;
+        let mut db = Database::new();
+        db.add_relation(Relation::from_rows(TableSchema::new("T", ["a"]), [[1i64], [2]]).unwrap());
+        let mut scans = vec![scan("T", 1, None)];
+        for k in 1..SCANS {
+            let mut probe = scan("T", k + 1, Some(Term::Col { slot: 1, col: 0 }));
+            probe.index_id = k - 1;
+            scans.push(probe);
+        }
+        let plan = Plan::Union(vec![QueryPlan {
+            out: TableSchema::new("q", ["a"]),
+            head_slot: 0,
+            root: Block {
+                pre: Vec::new(),
+                scans,
+            },
+            defs: vec![Term::Col { slot: 1, col: 0 }],
+            deferred: Vec::new(),
+            shape: EnvShape {
+                tuple_slots: SCANS + 1,
+                indexes: SCANS - 1,
+            },
             est_rows: None,
-        };
-        // P reads the stored S (filling its cache); the IDB S then
-        // shadows it with every `b` of R; q reads the IDB.
-        let plan = Plan::Program(ProgramPlan {
-            strata: vec![
-                stratum("P", rule(Term::Col { slot: 1, col: 0 }, r_join_s())),
-                stratum(
-                    "S",
-                    rule(
-                        Term::Col { slot: 1, col: 1 },
-                        Block {
-                            pre: Vec::new(),
-                            scans: vec![scan("R", 1, None)],
-                        },
-                    ),
-                ),
-                stratum("q", rule(Term::Col { slot: 1, col: 0 }, r_join_s())),
-            ],
-            query: "q".into(),
-            out: TableSchema::new("q", ["x1"]),
-        });
-        let db = strings_db();
-        assert_eq!(answer(&keyed_join(), &db), strs(&["x1", "x2"]));
-        assert_eq!(answer(&plan, &db), strs(&["x1", "x2", "x3"]));
+        }]);
+        let out = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || crate::exec::execute(&plan, &db).unwrap())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(out.len(), 2);
     }
 
     #[test]

@@ -13,15 +13,13 @@
 //! database epoch and executes it many times.
 //!
 //! The IR has one shape, the **pipeline** ([`Block`]): an ordered list
-//! of [`Scan`] steps, each binding either a whole tuple slot (TRC-style)
-//! or individual value slots (Datalog-style), probing a join table when
-//! key columns are bound, with filters (predicates, negated subplans,
-//! quantified blocks, negated-atom probes) attached to the earliest step
-//! after which their inputs are bound. TRC and SQL queries lower to one
-//! pipeline per union branch, and RA does too: it is translated into its
-//! TRC hub form first (`rd_translate::lower_ra_with`). Each Datalog rule
-//! lowers to one pipeline, and a [`ProgramPlan`] sequences them by
-//! stratum.
+//! of [`Scan`] steps, each binding a tuple slot and probing a join table
+//! when key columns are bound, with filters (predicates, negated
+//! subplans, quantified blocks) attached to the earliest step after
+//! which their inputs are bound. Only the TRC lowering emits it: TRC and
+//! SQL queries lower to one pipeline per union branch, and RA and
+//! Datalog do too, after they are translated into their TRC hub forms
+//! (`rd_translate::{lower_ra_with, lower_datalog_with}`).
 //!
 //! [`explain`] renders any plan as a tree of scan order, join strategy,
 //! and bound keys — the diagnosability hook the service's `explain` op
@@ -33,7 +31,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::schema::TableSchema;
 use crate::value::Value;
 use crate::CmpOp;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 // ---------------------------------------------------------------------
 // IR: terms, formulas, scans, blocks
@@ -44,15 +42,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 pub enum Term {
     /// An interned constant.
     Const(Value),
-    /// A column of a bound tuple slot (TRC-style environments).
+    /// A column of a bound tuple slot.
     Col {
         /// The tuple slot.
         slot: usize,
         /// The column within the bound tuple.
         col: usize,
     },
-    /// A bound value slot (Datalog-style environments).
-    Var(usize),
 }
 
 /// A compiled comparison between two terms.
@@ -81,19 +77,6 @@ pub enum Formula {
     Exists(Block),
     /// A comparison.
     Pred(Pred),
-    /// A negated-atom probe (Datalog `not P(…)`): succeeds iff no tuple
-    /// of `rel` matches the key columns. With no key columns, succeeds
-    /// iff `rel` is empty.
-    NegProbe {
-        /// Relation probed (EDB table or computed IDB).
-        rel: String,
-        /// Constrained columns.
-        cols: Vec<usize>,
-        /// The values the columns must equal (parallel to `cols`).
-        terms: Vec<Term>,
-        /// Index-cache slot for the probe.
-        index_id: usize,
-    },
 }
 
 /// Index id marking a full (unkeyed) scan.
@@ -102,22 +85,16 @@ pub const FULL_SCAN: usize = usize::MAX;
 /// One scheduled scan of a pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scan {
-    /// Relation scanned (EDB table or computed IDB).
+    /// Stored relation scanned.
     pub rel: String,
-    /// Tuple slot bound to each scanned tuple (TRC-style), if any.
-    pub tuple_slot: Option<usize>,
+    /// Tuple slot bound to each scanned tuple.
+    pub tuple_slot: usize,
     /// Columns constrained by equality to bound terms; empty for a full
     /// scan.
     pub key_cols: Vec<usize>,
     /// The bound terms the key columns must equal (parallel to
     /// `key_cols`).
     pub key_terms: Vec<Term>,
-    /// Value slots bound from scanned columns (Datalog-style):
-    /// `(column, slot)` pairs.
-    pub bind_cols: Vec<(usize, usize)>,
-    /// Intra-tuple equality checks — `(column, slot)` where the slot
-    /// was bound earlier in this same scan (repeated variables).
-    pub check_cols: Vec<(usize, usize)>,
     /// Index-cache slot ([`FULL_SCAN`] for unkeyed scans).
     pub index_id: usize,
     /// Conjuncts whose inputs are all bound once this scan binds.
@@ -145,12 +122,10 @@ pub struct Block {
 /// slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EnvShape {
-    /// Tuple slots (TRC-style whole-tuple bindings).
+    /// Tuple slots.
     pub tuple_slots: usize,
-    /// Value slots (Datalog-style per-column bindings).
-    pub value_slots: usize,
-    /// Join-table slots handed out during lowering (one per keyed scan
-    /// or negated-atom probe).
+    /// Join-table slots handed out during lowering (one per keyed
+    /// scan).
     pub indexes: usize,
 }
 
@@ -178,8 +153,8 @@ pub struct QueryPlan {
     pub shape: EnvShape,
     /// The planner's output-cardinality estimate (pre-projection upper
     /// bound), recorded at compile time under the cost-based strategy.
-    /// Execution feedback compares it against the actual row count to
-    /// decide whether re-planning is worthwhile.
+    /// The engine compares it with the actual row count to chart its
+    /// estimation quality.
     pub est_rows: Option<u64>,
 }
 
@@ -192,54 +167,17 @@ pub struct SentencePlan {
     pub shape: EnvShape,
 }
 
-/// One compiled Datalog rule: a pipeline plus the head projection.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RulePlan {
-    /// Head terms (projection).
-    pub head: Vec<Term>,
-    /// The rule body pipeline.
-    pub block: Block,
-    /// Environment requirements.
-    pub shape: EnvShape,
-}
-
-/// One stratum of a compiled Datalog program: every rule of one IDB.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Stratum {
-    /// The IDB predicate this stratum computes.
-    pub pred: String,
-    /// Its rules (results union under set semantics).
-    pub rules: Vec<RulePlan>,
-    /// The planner's estimate of this IDB's size — EDB-derived bounds
-    /// on first compile, refined from observed actuals on re-plans.
-    pub est_rows: Option<u64>,
-}
-
-/// A compiled non-recursive Datalog¬ program: strata in topological
-/// order plus the query predicate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProgramPlan {
-    /// Strata in evaluation order.
-    pub strata: Vec<Stratum>,
-    /// The query predicate.
-    pub query: String,
-    /// Output schema (positional attributes `x1`, `x2`, …).
-    pub out: TableSchema,
-}
-
 /// A compiled, executable query plan — the unit the engine's plan cache
 /// stores. Contains only owned data (strings, interned values, column
 /// indices), so it is `Send + Sync` and valid for the lifetime of the
 /// database epoch it was compiled against.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
-    /// A union of non-Boolean query branches (TRC\*/SQL\*/RA; one
-    /// branch for a plain query).
+    /// A union of non-Boolean query branches (one branch for a plain
+    /// query).
     Union(Vec<QueryPlan>),
     /// A Boolean sentence (evaluates to the 0-ary relation encoding).
     Sentence(SentencePlan),
-    /// A Datalog¬ program.
-    Program(ProgramPlan),
 }
 
 fn _assert_plan_is_send_sync() {
@@ -256,9 +194,7 @@ fn _assert_plan_is_send_sync() {
 /// delta-aware caches stamp onto their entries — a mutation to a
 /// relation outside a plan's scan set provably cannot change its result.
 ///
-/// All stored reads go through [`Scan::rel`] and [`Formula::NegProbe`];
-/// for Datalog programs, IDB predicates are computed per execution (and
-/// shadow same-named stored tables), so stratum names are excluded.
+/// All stored reads go through [`Scan::rel`].
 pub fn scan_set(plan: &Plan) -> BTreeSet<String> {
     let mut set = BTreeSet::new();
     match plan {
@@ -271,16 +207,6 @@ pub fn scan_set(plan: &Plan) -> BTreeSet<String> {
             }
         }
         Plan::Sentence(s) => scans_in_formula(&s.formula, &mut set),
-        Plan::Program(p) => {
-            for stratum in &p.strata {
-                for rule in &stratum.rules {
-                    scans_in_block(&rule.block, &mut set);
-                }
-            }
-            for stratum in &p.strata {
-                set.remove(&stratum.pred);
-            }
-        }
     }
     set
 }
@@ -307,9 +233,6 @@ fn scans_in_formula(f: &Formula, set: &mut BTreeSet<String>) {
         Formula::Not(sub) => scans_in_formula(sub, set),
         Formula::Exists(block) => scans_in_block(block, set),
         Formula::Pred(_) => {}
-        Formula::NegProbe { rel, .. } => {
-            set.insert(rel.clone());
-        }
     }
 }
 
@@ -322,9 +245,6 @@ fn scans_in_formula(f: &Formula, set: &mut BTreeSet<String>) {
 /// function keeps its signature.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecOptions;
-
-/// Computed IDB relations (empty for languages without them).
-pub(crate) type IdbMap = BTreeMap<String, BTreeSet<Tuple>>;
 
 /// What an analyzing execution observed at one plan node: the rows it
 /// produced and — for keyed probes and join builds — which build
@@ -339,8 +259,7 @@ pub(crate) struct NodeTally {
 
 /// Per-node observations collected by an analyzing execution.
 ///
-/// Keys are node *addresses* (`&Scan`, `&QueryPlan`, `&RulePlan`,
-/// `&Stratum`, `&Formula` cast to `usize`): every keyed node is alive
+/// Keys are node *addresses* (`&Scan`, `&QueryPlan` cast to `usize`): every keyed node is alive
 /// inside the same [`Plan`] for the whole execution *and* the subsequent
 /// annotation pass, so addresses are unique — which lets the executor
 /// count rows without adding id fields to the IR (and therefore without
@@ -379,51 +298,6 @@ pub fn run_sentence(s: &SentencePlan, db: &Database) -> CoreResult<bool> {
     crate::batch::run_sentence(s, db, &mut None)
 }
 
-/// Executes a compiled Datalog program: strata in order, rules of one
-/// IDB unioned under set semantics.
-pub fn run_program(p: &ProgramPlan, db: &Database) -> CoreResult<Relation> {
-    run_program_collect(p, db, &mut None, None)
-}
-
-/// [`run_program`] with an optional analyze tally that additionally
-/// reports each computed IDB's actual size into `sizes` — the raw
-/// material of planner feedback (re-plans replace the EDB-derived
-/// stratum bounds with these).
-fn run_program_collect(
-    p: &ProgramPlan,
-    db: &Database,
-    tally: &mut Option<TallyMap>,
-    mut sizes: Option<&mut Vec<(String, u64)>>,
-) -> CoreResult<Relation> {
-    let mut computed = IdbMap::new();
-    // Columnar IDB materializations shared across the program's rules
-    // (sound because a computed IDB never changes once its stratum
-    // completes, and no rule reads its own stratum); stored relations
-    // bring their own per-snapshot copies.
-    let mut cache = crate::batch::RelCache::default();
-    for stratum in &p.strata {
-        let mut tuples: BTreeSet<Tuple> = BTreeSet::new();
-        for rule in &stratum.rules {
-            tuples.extend(crate::batch::run_rule(
-                rule, db, &computed, tally, &mut cache,
-            )?);
-        }
-        record(tally, stratum, tuples.len());
-        if let Some(sizes) = sizes.as_deref_mut() {
-            sizes.push((stratum.pred.clone(), tuples.len() as u64));
-        }
-        computed.insert(stratum.pred.clone(), tuples);
-    }
-    let rows = computed
-        .remove(&p.query)
-        .ok_or_else(|| CoreError::Invalid(format!("query predicate '{}' not computed", p.query)))?;
-    let mut rel = db.fresh_relation(p.out.clone());
-    for row in rows {
-        rel.insert(row)?;
-    }
-    Ok(rel)
-}
-
 /// The 0-ary encoding of a Boolean result: `{()}` for true, `{}` for
 /// false (the classic degenerate-relation convention).
 pub fn boolean_relation(value: bool) -> Relation {
@@ -441,52 +315,38 @@ pub fn execute(plan: &Plan, db: &Database) -> CoreResult<Relation> {
     execute_inner(plan, db, &mut None)
 }
 
-/// What one execution observed, for the planner's feedback loop.
+/// What one execution observed: the actual row count the engine sets
+/// against the plan's estimate.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExecFeedback {
     /// Rows in the final result.
     pub out_rows: u64,
-    /// Actual size of each computed Datalog IDB, in stratum order
-    /// (empty for non-program plans). Re-plans feed these back as
-    /// [`PlanHints`](crate::plan::PlanHints), replacing the EDB-derived bounds.
-    pub idb_rows: Vec<(String, u64)>,
 }
 
 /// The planner's recorded estimate for the plan's final output, if the
 /// plan was compiled under the cost-based strategy: per-branch sums for
-/// unions, the query stratum's bound for programs.
+/// unions.
 pub fn plan_est(plan: &Plan) -> Option<u64> {
     match plan {
         Plan::Union(branches) => branches
             .iter()
             .map(|q| q.est_rows)
             .try_fold(0u64, |acc, e| e.map(|e| acc.saturating_add(e))),
-        Plan::Program(p) => p
-            .strata
-            .iter()
-            .find(|s| s.pred == p.query)
-            .and_then(|s| s.est_rows),
         Plan::Sentence(_) => None,
     }
 }
 
-/// [`execute`], additionally harvesting the actual row counts the
-/// planner's feedback loop consumes. Costs nothing beyond normal
-/// execution: program IDB sizes are observed as each stratum completes,
-/// and the output count reads the result relation's length.
+/// [`execute`], additionally reporting the actual row count. Costs
+/// nothing beyond normal execution: the count reads the result
+/// relation's length.
 pub fn execute_feedback(
     plan: &Plan,
     db: &Database,
     _opts: ExecOptions,
 ) -> CoreResult<(Relation, ExecFeedback)> {
-    let mut idb_rows = Vec::new();
-    let relation = match plan {
-        Plan::Program(p) => run_program_collect(p, db, &mut None, Some(&mut idb_rows))?,
-        other => execute_inner(other, db, &mut None)?,
-    };
+    let relation = execute_inner(plan, db, &mut None)?;
     let feedback = ExecFeedback {
         out_rows: relation.len() as u64,
-        idb_rows,
     };
     Ok((relation, feedback))
 }
@@ -508,7 +368,6 @@ fn execute_inner(plan: &Plan, db: &Database, tally: &mut Option<TallyMap>) -> Co
             Ok(result)
         }
         Plan::Sentence(s) => Ok(boolean_relation(crate::batch::run_sentence(s, db, tally)?)),
-        Plan::Program(p) => run_program_collect(p, db, tally, None),
     }
 }
 
@@ -558,8 +417,7 @@ pub struct ExplainNode {
     /// estimate; present only when both row fields are.
     pub q_error: Option<f64>,
     /// Join-build strategy actually used (`"dense-key"` or `"hash"`),
-    /// recorded during `explain analyze` on keyed scans, joins, and
-    /// negation probes. `None` outside analyze and in legacy frames.
+    /// recorded during `explain analyze` on keyed scans. `None` outside analyze and in legacy frames.
     pub build: Option<String>,
     /// Child nodes in execution order.
     pub children: Vec<ExplainNode>,
@@ -596,8 +454,7 @@ impl ExplainNode {
 
 /// The q-error of a cardinality estimate: `max(est/actual, actual/est)`
 /// with +1 smoothing on both sides so zero rows stay finite. `1.0` means
-/// a perfect estimate; the engine re-plans queries whose root q-error
-/// crosses its threshold.
+/// a perfect estimate.
 pub fn q_error(est: u64, actual: u64) -> f64 {
     let (e, a) = (est as f64 + 1.0, actual as f64 + 1.0);
     (e / a).max(a / e)
@@ -641,8 +498,7 @@ impl Annot<'_> {
     /// Cardinality estimate for one pipeline scan: the stored relation's
     /// size, divided by the sketch-estimated distinct count of each
     /// bound key column (each equality key retains `1/V` of the rows —
-    /// the System R uniform assumption, now over real statistics). IDB
-    /// scans have no stored relation and get no estimate.
+    /// the System R uniform assumption, now over real statistics).
     fn est_scan(&self, scan: &Scan) -> Option<u64> {
         let rel = self.db?.relation(&scan.rel)?;
         let n = rel.len() as f64;
@@ -673,13 +529,7 @@ fn fmt_term(t: &Term) -> String {
     match t {
         Term::Const(v) => v.to_string(),
         Term::Col { slot, col } => format!("t{slot}.c{col}"),
-        Term::Var(s) => format!("v{s}"),
     }
-}
-
-fn fmt_cols(cols: &[usize]) -> String {
-    let parts: Vec<String> = cols.iter().map(|c| c.to_string()).collect();
-    format!("[{}]", parts.join(", "))
 }
 
 fn explain_formula(f: &Formula, annot: &Annot<'_>) -> ExplainNode {
@@ -696,15 +546,6 @@ fn explain_formula(f: &Formula, annot: &Annot<'_>) -> ExplainNode {
             "filter",
             format!("{} {} {}", fmt_term(&p.left), p.op, fmt_term(&p.right)),
         ),
-        Formula::NegProbe { rel, cols, .. } => {
-            let mut node = if cols.is_empty() {
-                ExplainNode::new("neg-probe", format!("{rel} empty?"))
-            } else {
-                ExplainNode::new("neg-probe", format!("{rel} on cols {}", fmt_cols(cols)))
-            };
-            node.build = annot.build(f);
-            node
-        }
     }
 }
 
@@ -791,29 +632,6 @@ fn explain_with(plan: &Plan, annot: &Annot<'_>) -> ExplainNode {
         Plan::Sentence(s) => {
             ExplainNode::new("sentence", "boolean").with(vec![explain_formula(&s.formula, annot)])
         }
-        Plan::Program(p) => ExplainNode::new("program", format!("query {}", p.query)).with(
-            p.strata
-                .iter()
-                .map(|stratum| {
-                    ExplainNode::new("stratum", stratum.pred.clone())
-                        .with(
-                            stratum
-                                .rules
-                                .iter()
-                                .map(|rule| {
-                                    ExplainNode::new(
-                                        "rule",
-                                        format!("{} head term(s)", rule.head.len()),
-                                    )
-                                    .with(explain_block(&rule.block, annot))
-                                    .rows(annot.est_block(&rule.block), annot.actual(rule))
-                                })
-                                .collect(),
-                        )
-                        .rows(stratum.est_rows, annot.actual(stratum))
-                })
-                .collect(),
-        ),
     }
 }
 
@@ -848,21 +666,17 @@ mod tests {
                 scans: vec![
                     Scan {
                         rel: "R".into(),
-                        tuple_slot: Some(1),
+                        tuple_slot: 1,
                         key_cols: Vec::new(),
                         key_terms: Vec::new(),
-                        bind_cols: Vec::new(),
-                        check_cols: Vec::new(),
                         index_id: FULL_SCAN,
                         filters: Vec::new(),
                     },
                     Scan {
                         rel: "S".into(),
-                        tuple_slot: Some(2),
+                        tuple_slot: 2,
                         key_cols: vec![0],
                         key_terms: vec![Term::Col { slot: 1, col: 1 }],
-                        bind_cols: Vec::new(),
-                        check_cols: Vec::new(),
                         index_id: 0,
                         filters: Vec::new(),
                     },
@@ -872,7 +686,6 @@ mod tests {
             deferred: Vec::new(),
             shape: EnvShape {
                 tuple_slots: 3,
-                value_slots: 0,
                 indexes: 1,
             },
             est_rows: None,
@@ -888,49 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn value_slot_pipeline_with_neg_probe() {
-        // Q(x) ← R(x, y), ¬S(y): Datalog-style value slots.
-        let db = rs_db();
-        let rule = RulePlan {
-            head: vec![Term::Var(0)],
-            block: Block {
-                pre: Vec::new(),
-                scans: vec![Scan {
-                    rel: "R".into(),
-                    tuple_slot: None,
-                    key_cols: Vec::new(),
-                    key_terms: Vec::new(),
-                    bind_cols: vec![(0, 0), (1, 1)],
-                    check_cols: Vec::new(),
-                    index_id: FULL_SCAN,
-                    filters: vec![Formula::NegProbe {
-                        rel: "S".into(),
-                        cols: vec![0],
-                        terms: vec![Term::Var(1)],
-                        index_id: 0,
-                    }],
-                }],
-            },
-            shape: EnvShape {
-                tuple_slots: 0,
-                value_slots: 2,
-                indexes: 1,
-            },
-        };
-        let program = ProgramPlan {
-            strata: vec![Stratum {
-                pred: "Q".into(),
-                rules: vec![rule],
-                est_rows: None,
-            }],
-            query: "Q".into(),
-            out: TableSchema::new("Q", ["x1"]),
-        };
-        let out = run_program(&program, &db).unwrap();
-        assert_eq!(out.iter().collect::<Vec<_>>(), [&Tuple::new([3i64])]);
-    }
-
-    #[test]
     fn sentence_short_circuits() {
         let db = rs_db();
         let s = SentencePlan {
@@ -938,11 +708,9 @@ mod tests {
                 pre: Vec::new(),
                 scans: vec![Scan {
                     rel: "R".into(),
-                    tuple_slot: Some(0),
+                    tuple_slot: 0,
                     key_cols: Vec::new(),
                     key_terms: Vec::new(),
-                    bind_cols: Vec::new(),
-                    check_cols: Vec::new(),
                     index_id: FULL_SCAN,
                     filters: vec![Formula::Pred(Pred {
                         left: Term::Col { slot: 0, col: 0 },
@@ -953,7 +721,6 @@ mod tests {
             }),
             shape: EnvShape {
                 tuple_slots: 1,
-                value_slots: 0,
                 indexes: 0,
             },
         };
@@ -973,95 +740,24 @@ mod tests {
 
     #[test]
     fn scan_set_walks_every_read_site() {
-        // Pipeline branch: scans plus a NegProbe filter and an Exists
-        // block inside a deferred conjunct.
+        // Pipeline branch: scans plus an Exists block inside a deferred
+        // conjunct.
         let mut q = join_plan();
-        q.root.scans[0].filters.push(Formula::NegProbe {
-            rel: "N".into(),
-            cols: vec![0],
-            terms: vec![Term::Const(Value::int(1))],
-            index_id: 1,
-        });
         q.deferred
             .push(Formula::Not(Box::new(Formula::Exists(Block {
                 pre: Vec::new(),
                 scans: vec![Scan {
                     rel: "D".into(),
-                    tuple_slot: None,
+                    tuple_slot: 3,
                     key_cols: Vec::new(),
                     key_terms: Vec::new(),
-                    bind_cols: Vec::new(),
-                    check_cols: Vec::new(),
                     index_id: FULL_SCAN,
                     filters: Vec::new(),
                 }],
             }))));
         let set = scan_set(&Plan::Union(vec![q]));
         let names: Vec<&str> = set.iter().map(String::as_str).collect();
-        assert_eq!(names, ["D", "N", "R", "S"]);
-    }
-
-    #[test]
-    fn scan_set_excludes_computed_idbs() {
-        // P(x) ← R(x, y); Q(x) ← P(x), ¬S(x): the program reads R and S
-        // from storage, while P is computed per execution.
-        let rule_p = RulePlan {
-            head: vec![Term::Var(0)],
-            block: Block {
-                pre: Vec::new(),
-                scans: vec![Scan {
-                    rel: "R".into(),
-                    tuple_slot: None,
-                    key_cols: Vec::new(),
-                    key_terms: Vec::new(),
-                    bind_cols: vec![(0, 0)],
-                    check_cols: Vec::new(),
-                    index_id: FULL_SCAN,
-                    filters: Vec::new(),
-                }],
-            },
-            shape: EnvShape::default(),
-        };
-        let rule_q = RulePlan {
-            head: vec![Term::Var(0)],
-            block: Block {
-                pre: Vec::new(),
-                scans: vec![Scan {
-                    rel: "P".into(),
-                    tuple_slot: None,
-                    key_cols: Vec::new(),
-                    key_terms: Vec::new(),
-                    bind_cols: vec![(0, 0)],
-                    check_cols: Vec::new(),
-                    index_id: FULL_SCAN,
-                    filters: vec![Formula::NegProbe {
-                        rel: "S".into(),
-                        cols: vec![0],
-                        terms: vec![Term::Var(0)],
-                        index_id: 0,
-                    }],
-                }],
-            },
-            shape: EnvShape::default(),
-        };
-        let plan = Plan::Program(ProgramPlan {
-            strata: vec![
-                Stratum {
-                    pred: "P".into(),
-                    rules: vec![rule_p],
-                    est_rows: None,
-                },
-                Stratum {
-                    pred: "Q".into(),
-                    rules: vec![rule_q],
-                    est_rows: None,
-                },
-            ],
-            query: "Q".into(),
-            out: TableSchema::new("Q", ["x1"]),
-        });
-        let names: Vec<String> = scan_set(&plan).into_iter().collect();
-        assert_eq!(names, ["R", "S"]);
+        assert_eq!(names, ["D", "R", "S"]);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! estimator, Selinger-style dynamic programming over join orders, and
 //! the scan-cost model the lowerings share.
 //!
-//! All the evaluators (TRC, SQL via the TRC hub, RA, Datalog) lower
-//! onto the shared pipeline IR and route their join ordering through
-//! this module. Ordering is cost-based by default: [`DbStats`] snapshots
+//! All four languages lower onto the shared pipeline IR through the TRC
+//! lowering (SQL, RA and Datalog via their TRC hub forms), which routes
+//! its join ordering through this module. Ordering is cost-based by default: [`DbStats`] snapshots
 //! per-column distinct sketches and `Int` ranges
 //! ([`crate::stats::TableStats`]), the estimator turns equality/range
 //! predicates and equi-join classes into cardinalities, and
@@ -23,16 +23,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Per-table statistics of a database instance — the input to join
-/// ordering. Holds exact sizes, per-column [`TableStats`] snapshots
+/// ordering. Holds exact sizes and per-column [`TableStats`] snapshots
 /// (distinct sketches + `Int` ranges, materialized lazily by the
-/// relations and cached per mutation epoch), and name-keyed row
-/// *overrides*: estimated sizes for predicates with no stored relation
-/// (Datalog IDBs) and execution-feedback actuals ([`PlanHints`]).
+/// relations and cached per mutation epoch).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DbStats {
     sizes: BTreeMap<String, usize>,
     tables: BTreeMap<String, Arc<TableStats>>,
-    overrides: BTreeMap<String, u64>,
     total: usize,
 }
 
@@ -52,51 +49,22 @@ impl DbStats {
         DbStats {
             sizes,
             tables,
-            overrides: BTreeMap::new(),
             total,
         }
     }
 
-    /// Tuples in `table`: a hint override when one is set (IDB
-    /// estimates, feedback actuals), else the stored size (0 for
-    /// unknown tables).
+    /// Tuples in `table` (0 for unknown tables).
     pub fn size(&self, table: &str) -> usize {
-        match self.overrides.get(table) {
-            Some(&rows) => rows as usize,
-            None => self.sizes.get(table).copied().unwrap_or(0),
-        }
-    }
-
-    /// Sets a row-count override for `table` — the planner's estimate
-    /// for a name with no stored relation, or a feedback actual that
-    /// should outrank the stored size.
-    pub fn set_override(&mut self, table: &str, rows: u64) {
-        self.overrides.insert(table.to_string(), rows);
-    }
-
-    /// Applies execution-feedback hints: each entry overrides the
-    /// table's assumed cardinality.
-    pub fn apply_hints(&mut self, hints: &PlanHints) {
-        for (table, &rows) in &hints.rel_rows {
-            self.set_override(table, rows);
-        }
+        self.sizes.get(table).copied().unwrap_or(0)
     }
 
     /// Estimated distinct values in `table.col`, clamped to ≥ 1. For
-    /// names without column statistics (IDBs, overrides) every row is
-    /// assumed distinct — the optimistic default that keeps key probes
-    /// attractive.
+    /// names without column statistics every row is assumed distinct —
+    /// the optimistic default that keeps key probes attractive.
     pub fn distinct(&self, table: &str, col: usize) -> f64 {
-        let fallback = self.size(table).max(1) as f64;
         match self.tables.get(table) {
-            Some(st) if self.overrides.contains_key(table) => {
-                // An override re-scales the row count; scale distincts
-                // proportionally, capped by the observed estimate.
-                let rows = st.rows().max(1) as f64;
-                (st.distinct(col) as f64 * (fallback / rows)).clamp(1.0, fallback.max(1.0))
-            }
             Some(st) => (st.distinct(col) as f64).max(1.0),
-            None => fallback,
+            None => self.size(table).max(1) as f64,
         }
     }
 
@@ -140,28 +108,12 @@ impl DbStats {
     }
 }
 
-/// Execution-feedback hints for re-planning: actual cardinalities
-/// observed by prior executions, keyed by table/predicate name. The
-/// engine's plan cache records actuals per query and threads them back
-/// through compilation — most usefully replacing the Datalog lowering's
-/// IDB size estimates with the sizes the fixpoint actually produced.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlanHints {
-    /// Observed rows per table/predicate name.
-    pub rel_rows: BTreeMap<String, u64>,
-}
-
-impl PlanHints {
-    /// `true` when there is nothing to apply.
-    pub fn is_empty(&self) -> bool {
-        self.rel_rows.is_empty()
-    }
-
-    /// Records an observed cardinality for `table`.
-    pub fn set(&mut self, table: &str, rows: u64) {
-        self.rel_rows.insert(table.to_string(), rows);
-    }
-}
+/// Planner hints. There is nothing to hint: every plan orders its
+/// scans from the stored relations' statistics. The type carries no
+/// settings and stays only so `Artifact::compile_with` keeps its
+/// signature.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanHints;
 
 /// How a lowering orders the scans of one conjunctive block.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -559,25 +511,6 @@ mod tests {
         let (order, est) = order_scans(&cands, &PlannerOpts::default());
         assert_eq!(order, vec![1, 0]);
         assert_eq!(est, 0.0);
-    }
-
-    #[test]
-    fn overrides_and_hints_reshape_sizes() {
-        let mut db = Database::new();
-        db.add_relation(
-            Relation::from_rows(TableSchema::new("R", ["A"]), [[1i64], [2], [3]]).unwrap(),
-        );
-        let mut st = DbStats::of(&db);
-        assert_eq!(st.size("R"), 3);
-        assert_eq!(st.size("Idb"), 0);
-        st.set_override("Idb", 42);
-        assert_eq!(st.size("Idb"), 42);
-        let mut hints = PlanHints::default();
-        hints.set("R", 1000);
-        st.apply_hints(&hints);
-        assert_eq!(st.size("R"), 1000);
-        // Distincts scale with the override, capped by the new size.
-        assert!(st.distinct("R", 0) > 3.0);
     }
 
     #[test]

@@ -32,10 +32,8 @@
 
 pub mod ast;
 pub mod check;
-pub mod eval;
 pub mod parser;
 
 pub use ast::{Atom, BuiltIn, DlProgram, DlTerm, Rule};
 pub use check::{check_safety, is_datalog_star, is_nonrecursive, is_safe};
-pub use eval::{eval_program, lower_program, lower_program_with};
 pub use parser::{parse_program, parse_program_unchecked};

@@ -78,38 +78,43 @@ impl Artifact {
         }
     }
 
-    /// Lowers the artifact onto the shared plan IR ([`rd_core::exec`])
-    /// against `db`'s catalog, statistics, and symbol table. The
-    /// compiled [`Plan`] carries no borrows and stays valid for the
-    /// lifetime of the database epoch, so the engine caches it and
-    /// skips this step on repeat traffic.
+    /// The query's canonical TRC hub form — the hub of the Theorem 6
+    /// translation diagram. Every language executes through it, and its
+    /// translations and diagram are drawn from it. Its output head names
+    /// the result's attributes: SQL's and RA's inferred names, Datalog's
+    /// positional `x1, …, xn`.
+    pub fn hub(&self, catalog: &Catalog) -> CoreResult<TrcUnion> {
+        match self {
+            Artifact::Trc(u) => Ok(u.clone()),
+            Artifact::Sql(u) => Ok(rd_trc::canon::canonicalize_union(&rd_sql::sql_to_trc(
+                u, catalog,
+            )?)),
+            Artifact::Ra(e) => rd_translate::ra_to_trc(e, catalog),
+            Artifact::Datalog(p) => rd_translate::datalog_to_trc(p, catalog),
+        }
+    }
+
+    /// Lowers the artifact's [`hub`](Artifact::hub) form onto the shared
+    /// plan IR ([`rd_core::exec`]) against `db`'s catalog, statistics,
+    /// and symbol table. The compiled [`Plan`] carries no borrows and
+    /// stays valid for the lifetime of the database epoch, so the engine
+    /// caches it and skips this step on repeat traffic.
     pub fn compile(&self, db: &Database) -> CoreResult<Plan> {
-        self.compile_with(db, &PlannerOpts::default(), &PlanHints::default())
+        self.compile_with(db, &PlannerOpts::default(), &PlanHints)
     }
 
     /// Like [`compile`](Artifact::compile), but with explicit planner
-    /// options and cardinality hints. The engine threads execution
-    /// feedback (observed result and per-stratum IDB sizes) back through
-    /// `hints` when it re-plans a query whose estimates proved badly
-    /// wrong.
+    /// options. [`PlanHints`] carries nothing.
     pub fn compile_with(
         &self,
         db: &Database,
         opts: &PlannerOpts,
-        hints: &PlanHints,
+        _hints: &PlanHints,
     ) -> CoreResult<Plan> {
-        match self {
-            Artifact::Trc(u) => rd_trc::eval::lower_union_with(u, db, opts, hints),
-            Artifact::Sql(u) => rd_sql::lower_sql_with(u, db, opts, hints),
-            Artifact::Datalog(p) => Ok(Plan::Program(rd_datalog::lower_program_with(
-                p, db, opts, hints,
-            )?)),
-            Artifact::Ra(e) => rd_translate::lower_ra_with(e, db, opts, hints),
-        }
+        rd_trc::eval::lower_union_with(&self.hub(&db.catalog())?, db, opts)
     }
 
-    /// Evaluates the artifact over `db` in its *source* language (no
-    /// translation round-trip), normalizing the output to a
+    /// Evaluates the artifact over `db`, normalizing the output to a
     /// [`Relation`]: one [`compile`](Artifact::compile) followed by one
     /// pass of the shared executor. Boolean sentences (TRC `φ` without
     /// an output head, SQL `SELECT [NOT] EXISTS ...`) evaluate to a

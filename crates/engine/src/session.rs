@@ -3,12 +3,12 @@
 use crate::request::{DiagramFormat, ExplainResponse, QueryRequest, QueryResponse, Translations};
 use crate::shared::{
     hash_text, scans_current, stamp_scans, DbEpoch, EngineShared, EvalEntry, ParseEntry, ParseKey,
-    PlanEntry, PlanKey, SharedConfig, REPLAN_Q_ERROR,
+    PlanEntry, SharedConfig,
 };
 use crate::{Artifact, Language};
 use rd_core::exec::{self, Plan};
 use rd_core::trace::Span;
-use rd_core::{Catalog, CoreError, CoreResult, Database, PlannerOpts, Relation};
+use rd_core::{Catalog, CoreError, CoreResult, Database, Relation};
 use rd_trc::TrcUnion;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -74,14 +74,6 @@ pub struct SessionStats {
     /// `rows_returned`; counted by [`Session::record_streamed`] at the
     /// service edge).
     pub rows_streamed: u64,
-    /// Plans recompiled because an execution's observed cardinalities
-    /// crossed the re-plan q-error threshold
-    /// ([`crate::shared::REPLAN_Q_ERROR`]) with feedback the cached plan
-    /// hadn't seen.
-    pub planner_replans: u64,
-    /// Compiles that consumed non-empty execution-feedback hints
-    /// (observed actual cardinalities replacing planner estimates).
-    pub planner_feedback_hits: u64,
 }
 
 impl SessionStats {
@@ -114,8 +106,6 @@ impl SessionStats {
         self.delta_survivals += other.delta_survivals;
         self.rows_returned += other.rows_returned;
         self.rows_streamed += other.rows_streamed;
-        self.planner_replans += other.planner_replans;
-        self.planner_feedback_hits += other.planner_feedback_hits;
     }
 
     /// The counter-wise difference `self - earlier` (for merging periodic
@@ -138,8 +128,6 @@ impl SessionStats {
             delta_survivals: self.delta_survivals - earlier.delta_survivals,
             rows_returned: self.rows_returned - earlier.rows_returned,
             rows_streamed: self.rows_streamed - earlier.rows_streamed,
-            planner_replans: self.planner_replans - earlier.planner_replans,
-            planner_feedback_hits: self.planner_feedback_hits - earlier.planner_feedback_hits,
         }
     }
 }
@@ -352,13 +340,12 @@ impl Session {
         self.stats.rows_returned += relation.len() as u64;
         let render_start = start.map(|_| Instant::now());
         // Both optional artifacts view the query through the TRC hub;
-        // compute it once per request. A hub failure (the query is outside
-        // what the Theorem 6 chain covers, e.g. a Datalog IDB defined by
-        // two rules) must not discard the successful evaluation — it
-        // degrades to a note.
+        // compute it once per request. A query that evaluated has a hub
+        // form, but a failure here must still not discard the successful
+        // evaluation — it degrades to a note.
         let mut notes = Vec::new();
         let hub = if req.translations || req.diagram != DiagramFormat::None {
-            match self.hub_trc(&artifact, &epoch.catalog) {
+            match artifact.hub(&epoch.catalog) {
                 Ok(hub) => Some(hub),
                 Err(e) => {
                     notes.push(format!("TRC-hub translation unavailable: {e}"));
@@ -517,7 +504,7 @@ impl Session {
         if !self.shared.eval_cache_enabled() {
             let plan = self.timed_plan(epoch, artifact, canonical, spans, trace)?;
             let (raw, feedback) = exec::execute_feedback(&plan, &epoch.db, exec::ExecOptions)?;
-            self.observe_execution(epoch, artifact, canonical, &plan, &feedback);
+            self.observe_execution(&plan, &feedback);
             return Ok((Arc::new(epoch.db.resolve_relation(&raw)), false));
         }
         self.shared.eval_cache.record(cached.is_some());
@@ -539,7 +526,7 @@ impl Session {
         // Result-cache miss: the plan cache can still skip the compile.
         let plan = self.timed_plan(epoch, artifact, canonical, spans, trace)?;
         let (raw, feedback) = exec::execute_feedback(&plan, &epoch.db, exec::ExecOptions)?;
-        self.observe_execution(epoch, artifact, canonical, &plan, &feedback);
+        self.observe_execution(&plan, &feedback);
         let relation = Arc::new(epoch.db.resolve_relation(&raw));
         let bytes = relation.approx_bytes();
         if !self.shared.eval_cache_admits(bytes) {
@@ -597,7 +584,7 @@ impl Session {
     ) -> CoreResult<Arc<Plan>> {
         let key = (epoch.base, artifact.language(), hash_text(canonical));
         if !self.shared.plan_cache_enabled() {
-            return Ok(Arc::new(self.compile_hinted(epoch, artifact, &key)?));
+            return Ok(Arc::new(artifact.compile(&epoch.db)?));
         }
         if let Some(entry) = self.shared.plan_cache.get(&key) {
             if *entry.canonical == *canonical {
@@ -615,30 +602,7 @@ impl Session {
             }
         }
         self.stats.plan_misses += 1;
-        let plan = Arc::new(self.compile_hinted(epoch, artifact, &key)?);
-        self.cache_plan(epoch, canonical, key, plan.clone());
-        Ok(plan)
-    }
-
-    /// Compiles `artifact`, feeding back any stored execution feedback
-    /// for `key` as planner hints (observed actual cardinalities replace
-    /// estimates — see [`crate::shared::FeedbackEntry`]).
-    fn compile_hinted(
-        &mut self,
-        epoch: &DbEpoch,
-        artifact: &Artifact,
-        key: &PlanKey,
-    ) -> CoreResult<Plan> {
-        let hints = self.shared.feedback_hints(key);
-        if !hints.is_empty() {
-            self.stats.planner_feedback_hits += 1;
-        }
-        artifact.compile_with(&epoch.db, &PlannerOpts::default(), &hints)
-    }
-
-    /// Inserts a compiled plan into the shared plan cache (same-key
-    /// inserts replace — how re-plans overwrite a stale entry).
-    fn cache_plan(&mut self, epoch: &DbEpoch, canonical: &str, key: PlanKey, plan: Arc<Plan>) {
+        let plan = Arc::new(artifact.compile(&epoch.db)?);
         let entry = PlanEntry {
             canonical: canonical.into(),
             plan: plan.clone(),
@@ -648,64 +612,16 @@ impl Session {
         if self.shared.plan_cache.insert(key, entry).1.is_some() {
             self.stats.plan_evictions += 1;
         }
+        Ok(plan)
     }
 
-    /// The planner feedback loop's observation point, called after every
-    /// real execution: records the root q-error into the shared planner
-    /// histogram and — when the estimate was off by at least
-    /// [`REPLAN_Q_ERROR`] *and* the observation is news — stores the
-    /// observed cardinalities and eagerly recompiles, overwriting the
-    /// cached plan so the next run uses actual sizes.
-    fn observe_execution(
-        &mut self,
-        epoch: &DbEpoch,
-        artifact: &Artifact,
-        canonical: &str,
-        plan: &Plan,
-        feedback: &exec::ExecFeedback,
-    ) {
-        let Some(est) = exec::plan_est(plan) else {
-            return; // compiled under the legacy strategy, or no estimate
-        };
-        let root_q = exec::q_error(est, feedback.out_rows);
-        self.shared.record_q_error(root_q);
-        // Per-stratum errors count too: a program can nail the final
-        // count while wildly mis-sizing an intermediate IDB.
-        let mut worst_q = root_q;
-        if let Plan::Program(p) = plan {
-            for stratum in &p.strata {
-                let actual = feedback
-                    .idb_rows
-                    .iter()
-                    .find(|(pred, _)| *pred == stratum.pred)
-                    .map(|&(_, rows)| rows);
-                if let (Some(est), Some(actual)) = (stratum.est_rows, actual) {
-                    worst_q = worst_q.max(exec::q_error(est, actual));
-                }
-            }
-        }
-        if worst_q < REPLAN_Q_ERROR {
-            return;
-        }
-        // Only IDB actuals are expressible as hints; without them a
-        // recompile would see the same statistics and produce the same
-        // plan.
-        if feedback.idb_rows.is_empty() {
-            return;
-        }
-        let key = (epoch.base, artifact.language(), hash_text(canonical));
-        let entry = crate::shared::FeedbackEntry {
-            out_rows: feedback.out_rows,
-            idb_rows: feedback.idb_rows.clone(),
-        };
-        if !self.shared.feedback_record(key, entry) {
-            return; // already incorporated — re-planning would thrash
-        }
-        if let Ok(new_plan) = self.compile_hinted(epoch, artifact, &key) {
-            self.stats.planner_replans += 1;
-            if self.shared.plan_cache_enabled() {
-                self.cache_plan(epoch, canonical, key, Arc::new(new_plan));
-            }
+    /// Records an execution's root q-error into the shared planner
+    /// histogram (plans compiled under the legacy strategy carry no
+    /// estimate).
+    fn observe_execution(&self, plan: &Plan, feedback: &exec::ExecFeedback) {
+        if let Some(est) = exec::plan_est(plan) {
+            self.shared
+                .record_q_error(exec::q_error(est, feedback.out_rows));
         }
     }
 
@@ -763,7 +679,7 @@ impl Session {
     ) -> CoreResult<String> {
         let epoch = self.shared.epoch();
         let (artifact, _) = self.prepare(&epoch, language, text)?;
-        let hub = self.hub_trc(&artifact, &epoch.catalog)?;
+        let hub = artifact.hub(&epoch.catalog)?;
         match target {
             Language::Trc => Ok(rd_trc::printer::union_to_ascii(&hub)),
             Language::Sql => Ok(rd_sql::printer::format_sql_union(
@@ -791,21 +707,10 @@ impl Session {
     }
 
     /// Carries the artifact into canonical TRC — the hub of the Theorem 6
-    /// translation diagram.
+    /// translation diagram ([`Artifact::hub`]) — against the current
+    /// catalog.
     pub fn to_hub_trc(&self, artifact: &Artifact) -> CoreResult<TrcUnion> {
-        let catalog = self.shared.epoch().catalog.clone();
-        self.hub_trc(artifact, &catalog)
-    }
-
-    fn hub_trc(&self, artifact: &Artifact, catalog: &Catalog) -> CoreResult<TrcUnion> {
-        let union = match artifact {
-            Artifact::Trc(u) => u.clone(),
-            Artifact::Sql(u) => rd_sql::sql_to_trc(u, catalog)?,
-            Artifact::Datalog(p) => TrcUnion::single(rd_translate::datalog_to_trc(p, catalog)?),
-            // Already canonical.
-            Artifact::Ra(e) => return rd_translate::ra_to_trc(e, catalog),
-        };
-        Ok(rd_trc::canon::canonicalize_union(&union))
+        artifact.hub(&self.shared.epoch().catalog)
     }
 
     /// Builds the cross-language views of a hub-TRC form.

@@ -27,9 +27,9 @@
 use crate::cache::LruCache;
 use crate::{Artifact, Language};
 use rd_core::trace::{Histogram, Span};
-use rd_core::{Catalog, CoreResult, Database, PlanHints, Relation, TableSchema, Tuple};
+use rd_core::{Catalog, CoreResult, Database, Relation, TableSchema, Tuple};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -56,27 +56,6 @@ pub const DEFAULT_EVAL_CACHE_MAX_ENTRY_BYTES: usize = 1 << 20;
 /// Shard count used by shared (multi-session) caches. Power of two so the
 /// shard index is a mask of the key hash.
 const SHARED_SHARDS: usize = 16;
-
-/// Root q-error at which an execution's observed cardinalities trigger a
-/// re-plan (estimate and actual at least this factor apart, after +1
-/// smoothing — see [`rd_core::exec::q_error`]).
-pub const REPLAN_Q_ERROR: f64 = 4.0;
-
-/// Blunt upper bound on the execution-feedback store; reaching it resets
-/// the store rather than evicting precisely (mis-estimated queries are
-/// rare, so in practice the bound is never hit).
-const FEEDBACK_CAPACITY: usize = 4096;
-
-/// What the engine remembers about a badly mis-estimated query's last
-/// execution: the observed cardinalities the next compile feeds back into
-/// the planner as [`PlanHints`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FeedbackEntry {
-    /// Rows the final result actually had.
-    pub out_rows: u64,
-    /// Actual size of each computed Datalog IDB, in stratum order.
-    pub idb_rows: Vec<(String, u64)>,
-}
 
 /// The pipeline stages sessions record spans for, in execution order.
 /// `parse` covers parse + check + canonicalization (one atomic step in
@@ -637,12 +616,6 @@ pub struct EngineShared {
     /// once per request to fold in a handful of `record` calls, so the
     /// critical section is a few array increments.
     metrics: Mutex<EngineMetrics>,
-    /// Execution feedback for mis-estimated queries, keyed like the
-    /// plan cache: a compile consults this to seed [`PlanHints`] with
-    /// the cardinalities a prior execution actually observed. Written
-    /// only when the root q-error crosses [`REPLAN_Q_ERROR`], so it
-    /// stays tiny under well-estimated traffic.
-    feedback: Mutex<HashMap<PlanKey, FeedbackEntry>>,
 }
 
 impl EngineShared {
@@ -663,7 +636,6 @@ impl EngineShared {
             plan_enabled: cfg.plan_cache,
             metrics_enabled: cfg.metrics,
             metrics: Mutex::new(EngineMetrics::new()),
-            feedback: Mutex::new(HashMap::new()),
         }
     }
 
@@ -692,9 +664,6 @@ impl EngineShared {
         self.parse_cache.clear();
         self.eval_cache.clear();
         self.plan_cache.clear();
-        // Feedback keys are base-stamped like plan keys, so old entries
-        // are already unreachable — clearing just releases the memory.
-        self.feedback.lock().expect("feedback store").clear();
         next
     }
 
@@ -771,36 +740,6 @@ impl EngineShared {
     /// `true` if the compiled-plan cache is enabled.
     pub fn plan_cache_enabled(&self) -> bool {
         self.plan_enabled
-    }
-
-    /// Records what an execution of the plan under `key` actually
-    /// observed. Returns `true` if the observation *differs* from what
-    /// was already stored — the caller re-plans only then, so a query
-    /// whose feedback is already incorporated cannot thrash.
-    pub(crate) fn feedback_record(&self, key: PlanKey, entry: FeedbackEntry) -> bool {
-        let mut store = self.feedback.lock().expect("feedback store");
-        if store.get(&key) == Some(&entry) {
-            return false;
-        }
-        if store.len() >= FEEDBACK_CAPACITY && !store.contains_key(&key) {
-            store.clear();
-        }
-        store.insert(key, entry);
-        true
-    }
-
-    /// The planner hints recorded for `key`: the per-IDB actual sizes of
-    /// the last mis-estimated execution (empty when none stored — the
-    /// common case).
-    pub(crate) fn feedback_hints(&self, key: &PlanKey) -> PlanHints {
-        let store = self.feedback.lock().expect("feedback store");
-        let mut hints = PlanHints::default();
-        if let Some(entry) = store.get(key) {
-            for (rel, rows) in &entry.idb_rows {
-                hints.set(rel, *rows);
-            }
-        }
-        hints
     }
 
     /// Records one observed execution's root q-error into the planner

@@ -177,8 +177,9 @@ fn every_reported_span_stage_lands_in_the_registry() {
 }
 
 /// Static explain renders every language's plan shape without running
-/// it: pipelines for TRC, SQL and RA (which lowers through its TRC hub
-/// form), strata for Datalog, and a formula tree for a Boolean sentence.
+/// it: pipelines for TRC, and for SQL, RA and Datalog, which lower
+/// through their TRC hub forms, and a formula tree for a Boolean
+/// sentence.
 #[test]
 fn explain_renders_every_language_and_sentences() {
     let mut session = rs_session();
@@ -193,7 +194,7 @@ fn explain_renders_every_language_and_sentences() {
             "SELECT DISTINCT R.A FROM R, S WHERE R.B = S.B",
             "query",
         ),
-        (Language::Datalog, "Q(x) :- R(x, y), S(y).", "program"),
+        (Language::Datalog, "Q(x) :- R(x, y), S(y).", "query"),
         (Language::Ra, "pi[A](R join S)", "query"),
         (Language::Trc, "exists r in R [ r.A = 1 ]", "sentence"),
     ];

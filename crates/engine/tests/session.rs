@@ -212,9 +212,43 @@ fn diagram_rendering_works_from_any_language() {
 
 #[test]
 fn hub_failure_degrades_to_a_note_instead_of_failing_the_run() {
-    // A Datalog IDB defined by two rules evaluates fine but is outside
-    // Datalog* (one rule per IDB), so it has no TRC hub form; requesting
-    // extras must not discard the result.
+    // A constant head term runs through the hub as the defining equality
+    // `q.x2 = 5`, which neither SQL\* nor a Relational Diagram\* can
+    // express: requesting those extras must not discard the result.
+    let mut session = Session::new(demo_database());
+    let resp = session
+        .run(
+            &QueryRequest::new(Language::Datalog, "Q(c, 5) :- Boat(b, c).")
+                .with_translations()
+                .with_diagram(DiagramFormat::Dot),
+        )
+        .unwrap();
+    assert_eq!(resp.relation.len(), 2, "evaluation result must survive");
+    assert_eq!(resp.relation.schema().attrs(), ["x1", "x2"]);
+    let t = resp.translations.expect("the hub form itself translates");
+    assert!(t.trc.contains("q.x2 = 5"), "{}", t.trc);
+    assert!(t.sql.is_none());
+    assert!(
+        t.notes
+            .iter()
+            .any(|n| n.contains("SQL translation unavailable")),
+        "{:?}",
+        t.notes
+    );
+    assert!(resp.diagram.is_none());
+    assert!(
+        resp.notes
+            .iter()
+            .any(|n| n.contains("diagram rendering unavailable")),
+        "{:?}",
+        resp.notes
+    );
+}
+
+#[test]
+fn multi_rule_datalog_translates_and_draws_through_the_hub() {
+    // An IDB defined by two rules lifts to two top-level union branches
+    // of the hub form, which runs, translates and draws like any union.
     let mut session = Session::new(demo_database());
     let resp = session
         .run(
@@ -226,16 +260,12 @@ fn hub_failure_degrades_to_a_note_instead_of_failing_the_run() {
             .with_diagram(DiagramFormat::Dot),
         )
         .unwrap();
-    assert_eq!(resp.relation.len(), 2, "evaluation result must survive");
-    assert!(resp.translations.is_none());
-    assert!(resp.diagram.is_none());
-    assert!(
-        resp.notes
-            .iter()
-            .any(|n| n.contains("TRC-hub translation unavailable")),
-        "{:?}",
-        resp.notes
-    );
+    assert_eq!(resp.relation.len(), 2);
+    assert_eq!(resp.relation.schema().attrs(), ["x1"]);
+    let t = resp.translations.expect("translations requested");
+    assert!(t.trc.contains(" union "), "{}", t.trc);
+    assert!(t.sql.is_some(), "{:?}", t.notes);
+    assert!(resp.diagram.is_some(), "{:?}", resp.notes);
 }
 
 #[test]

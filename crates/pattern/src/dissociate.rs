@@ -55,7 +55,7 @@ impl AnyQuery {
                 }
             }
             AnyQuery::Ra(e) => rd_translate::eval_ra(e, db)?.tuples().clone(),
-            AnyQuery::Datalog(p) => rd_datalog::eval::eval_program(p, db)?.tuples().clone(),
+            AnyQuery::Datalog(p) => rd_translate::eval_datalog(p, db)?.tuples().clone(),
             AnyQuery::Sql(u) => {
                 if u.branches.len() == 1 && u.branches[0].is_boolean() {
                     bool_tuples(rd_sql::translate::eval_sql_boolean(&u.branches[0], db)?)

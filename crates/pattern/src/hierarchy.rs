@@ -321,7 +321,7 @@ pub fn verify_lemma20() -> SeparationReport {
                             report.candidates += 1;
                             let mut refuted = false;
                             for (db, want) in dbs.iter().zip(&expected) {
-                                match rd_datalog::eval::eval_program(&p, db) {
+                                match rd_translate::eval_datalog(&p, db) {
                                     Ok(got) if got.tuples() == want => {}
                                     _ => {
                                         refuted = true;
@@ -456,10 +456,13 @@ pub fn positive_directions(opts: &EquivOptions) -> Vec<HierarchyRow> {
         &catalog,
     )
     .unwrap();
-    let trc = rd_translate::datalog_to_trc(&dl16, &catalog).unwrap();
+    let trc = rd_translate::datalog_to_trc(&dl16, &catalog)
+        .unwrap()
+        .branches[0]
+        .clone();
     let v = pattern_isomorphic(
         &AnyQuery::Datalog(dl16),
-        &AnyQuery::Trc(trc.clone()),
+        &AnyQuery::Trc(trc),
         &catalog,
         opts,
     );

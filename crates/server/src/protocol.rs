@@ -459,18 +459,16 @@ pub struct StageLatency {
     pub p99: u64,
 }
 
-/// The cost-based planner's summary inside a stats frame: the feedback
-/// loop's counters plus the estimation-error distribution. Quantiles
-/// are centi-q (q-error × 100, so `100` is a perfect estimate and
-/// `400` is the re-plan threshold) — integers survive the wire's
-/// counter-shaped fields without float rounding drama.
+/// The cost-based planner's summary inside a stats frame: its
+/// estimation-error distribution. Quantiles are centi-q (q-error × 100,
+/// so `100` is a perfect estimate) — integers survive the wire's
+/// counter-shaped fields without float rounding drama. Frames from
+/// servers that re-planned on execution feedback also carry `replans`
+/// and `feedback_hits` here (and `planner_replans`/
+/// `planner_feedback_hits` among the session counters); readers ignore
+/// them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PlannerStats {
-    /// Plans recompiled because observed row counts contradicted the
-    /// estimate past the q-error threshold.
-    pub replans: u64,
-    /// Compiles that consumed stored execution feedback as hints.
-    pub feedback_hits: u64,
     /// Executions that recorded a root-estimate q-error.
     pub q_count: u64,
     /// Median q-error, centi (100 = perfect).
@@ -631,9 +629,6 @@ fn session_stats_to_json(st: &SessionStats) -> Json {
         ("plan_evictions", u(st.plan_evictions)),
         ("delta_invalidations", u(st.delta_invalidations)),
         ("delta_survivals", u(st.delta_survivals)),
-        // Appended after the delta counters (same compat contract).
-        ("planner_replans", u(st.planner_replans)),
-        ("planner_feedback_hits", u(st.planner_feedback_hits)),
     ])
 }
 
@@ -655,8 +650,6 @@ fn session_stats_from_json(v: &Json) -> Result<SessionStats, String> {
         delta_survivals: opt_u64(v, "delta_survivals")?,
         rows_returned: get_u64(v, "rows_returned")?,
         rows_streamed: opt_u64(v, "rows_streamed")?,
-        planner_replans: opt_u64(v, "planner_replans")?,
-        planner_feedback_hits: opt_u64(v, "planner_feedback_hits")?,
     })
 }
 
@@ -768,8 +761,6 @@ fn stage_latencies_from_json(v: &Json) -> Result<Vec<StageLatency>, String> {
 
 fn planner_stats_to_json(p: &PlannerStats) -> Json {
     obj(vec![
-        ("replans", u(p.replans)),
-        ("feedback_hits", u(p.feedback_hits)),
         ("q_count", u(p.q_count)),
         ("q_p50", u(p.q_p50)),
         ("q_p95", u(p.q_p95)),
@@ -782,8 +773,6 @@ fn planner_stats_from_json(v: &Json) -> Result<PlannerStats, String> {
         // Pre-PR-10 frames carry no planner block: all-zero summary.
         None | Some(Json::Null) => Ok(PlannerStats::default()),
         Some(p) => Ok(PlannerStats {
-            replans: opt_u64(p, "replans")?,
-            feedback_hits: opt_u64(p, "feedback_hits")?,
             q_count: opt_u64(p, "q_count")?,
             q_p50: opt_u64(p, "q_p50")?,
             q_p95: opt_u64(p, "q_p95")?,
@@ -1734,13 +1723,10 @@ mod tests {
     fn stats_with_planner_summary_roundtrip() {
         let stats = Response::Stats(StatsResult {
             sessions: SessionStats {
-                planner_replans: 2,
-                planner_feedback_hits: 5,
+                delta_survivals: 3,
                 ..SessionStats::default()
             },
             planner: PlannerStats {
-                replans: 2,
-                feedback_hits: 5,
                 q_count: 40,
                 q_p50: 110,
                 q_p95: 480,
@@ -1750,25 +1736,32 @@ mod tests {
             ..StatsResult::default()
         });
         let line = encode(&stats);
-        assert!(line.contains(r#""planner_replans":2"#), "{line}");
+        assert!(!line.contains("replans"), "{line}");
         assert!(line.contains(r#""q_p95":480"#), "{line}");
         let back: Response = decode(&line).unwrap();
         assert_eq!(back, stats);
-        // Pre-planner frames carry neither the session counters nor the
-        // summary block: both decode to zeros.
-        let legacy = line
-            .replace(r#","planner_replans":2,"planner_feedback_hits":5"#, "")
+        // Frames from servers with the feedback loop carry its counters
+        // in both places; they decode to the same stats.
+        let block = r#""planner":{"q_count":40"#;
+        let with_loop = line
             .replace(
-                r#","planner":{"replans":2,"feedback_hits":5,"q_count":40,"q_p50":110,"q_p95":480,"q_p99":5000}"#,
-                "",
+                r#""delta_survivals":3"#,
+                r#""delta_survivals":3,"planner_replans":2,"planner_feedback_hits":5"#,
+            )
+            .replace(
+                block,
+                r#""planner":{"replans":2,"feedback_hits":5,"q_count":40"#,
             );
-        assert_ne!(legacy, line, "replacements must hit");
+        assert!(with_loop.contains("planner_replans") && with_loop.contains(r#"{"replans""#));
+        assert_eq!(decode::<Response>(&with_loop).unwrap(), stats);
+        // Pre-planner frames carry no summary block: it decodes to zeros.
+        let legacy = line.replace(
+            r#","planner":{"q_count":40,"q_p50":110,"q_p95":480,"q_p99":5000}"#,
+            "",
+        );
+        assert_ne!(legacy, line, "replacement must hit");
         match decode::<Response>(&legacy).unwrap() {
-            Response::Stats(st) => {
-                assert_eq!(st.sessions.planner_replans, 0);
-                assert_eq!(st.sessions.planner_feedback_hits, 0);
-                assert_eq!(st.planner, PlannerStats::default());
-            }
+            Response::Stats(st) => assert_eq!(st.planner, PlannerStats::default()),
             other => panic!("expected stats, got {other:?}"),
         }
     }
@@ -1921,18 +1914,17 @@ mod tests {
             sessions: SessionStats {
                 queries: 7,
                 delta_survivals: 2,
-                planner_replans: 1,
                 ..SessionStats::default()
             },
             fingerprint: "abc".into(),
             ..StatsResult::default()
         });
         let line = encode(&stats);
-        let anchor = r#""delta_survivals":2,"#;
+        let anchor = r#""delta_survivals":2"#;
         assert!(line.contains(anchor), "{line}");
         let legacy = line.replace(
             anchor,
-            r#""delta_survivals":2,"batched_execs":5,"tuple_fallbacks":2,"#,
+            r#""delta_survivals":2,"batched_execs":5,"tuple_fallbacks":2"#,
         );
         assert_eq!(decode::<Response>(&legacy).unwrap(), stats);
     }

@@ -1530,14 +1530,11 @@ fn stage_latencies(metrics: &EngineMetrics) -> Vec<StageLatency> {
         .collect()
 }
 
-/// The planner summary for a stats frame: feedback-loop counters from
-/// the aggregated sessions, q-error quantiles (centi-q) from the
-/// shared estimation-error histogram.
-fn planner_summary(sessions: &SessionStats, metrics: &EngineMetrics) -> PlannerStats {
+/// The planner summary for a stats frame: q-error quantiles (centi-q)
+/// from the shared estimation-error histogram.
+fn planner_summary(metrics: &EngineMetrics) -> PlannerStats {
     let q = &metrics.planner_q;
     PlannerStats {
-        replans: sessions.planner_replans,
-        feedback_hits: sessions.planner_feedback_hits,
         q_count: q.count(),
         q_p50: q.percentile(0.50),
         q_p95: q.percentile(0.95),
@@ -1609,7 +1606,7 @@ fn collect_stats(state: &Arc<ServerState>, reset: bool) -> StatsResult {
         shards,
         planner: PlannerStats::default(),
     };
-    st.planner = planner_summary(&st.sessions, &metrics);
+    st.planner = planner_summary(&metrics);
     if reset {
         let mut base = state
             .stats_baseline
@@ -1622,7 +1619,7 @@ fn collect_stats(state: &Arc<ServerState>, reset: bool) -> StatsResult {
             requests: st.requests.saturating_sub(base.requests),
             errors: st.errors.saturating_sub(base.errors),
             evicted: st.evicted.saturating_sub(base.evicted),
-            planner: planner_summary(&window_sessions, &window_metrics),
+            planner: planner_summary(&window_metrics),
             sessions: window_sessions,
             parse_cache: cache_window(&st.parse_cache, &base.parse_cache),
             eval_cache: cache_window(&st.eval_cache, &base.eval_cache),

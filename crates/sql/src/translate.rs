@@ -443,36 +443,18 @@ fn sentence_to_sql(f: &Formula) -> CoreResult<SqlQuery> {
 /// branch becomes a sentence plan, anything else a union of query
 /// branches.
 pub fn lower_sql(u: &SqlUnion, db: &Database) -> CoreResult<rd_core::exec::Plan> {
-    lower_sql_with(
-        u,
-        db,
-        &rd_core::PlannerOpts::default(),
-        &rd_core::PlanHints::default(),
-    )
+    lower_sql_with(u, db, &rd_core::PlannerOpts::default())
 }
 
-/// [`lower_sql`] with explicit planner configuration and
-/// execution-feedback hints, threaded through the TRC hub lowering —
-/// SQL\* inherits the cost-based join orderer for free.
+/// [`lower_sql`] with explicit planner configuration, threaded through
+/// the TRC hub lowering — SQL\* inherits the cost-based join orderer for
+/// free.
 pub fn lower_sql_with(
     u: &SqlUnion,
     db: &Database,
     opts: &rd_core::PlannerOpts,
-    hints: &rd_core::PlanHints,
 ) -> CoreResult<rd_core::exec::Plan> {
-    let catalog = db.catalog();
-    match u.branches.as_slice() {
-        [query] if query.is_boolean() => {
-            let trc = sql_to_trc(&SqlUnion::single(query.clone()), &catalog)?;
-            Ok(rd_core::exec::Plan::Sentence(
-                rd_trc::eval::lower_sentence_with(&trc.branches[0], db, opts, hints)?,
-            ))
-        }
-        _ => {
-            let trc = sql_to_trc(u, &catalog)?;
-            rd_trc::eval::lower_union_with(&trc, db, opts, hints)
-        }
-    }
+    rd_trc::eval::lower_union_with(&sql_to_trc(u, &db.catalog())?, db, opts)
 }
 
 /// Evaluates a SQL\* union over `db` by translating to TRC\*.

@@ -254,8 +254,8 @@ fn rule_to_ra(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::eval_datalog;
     use rd_core::{Database, Relation, TableSchema};
-    use rd_datalog::eval::eval_program;
     use rd_datalog::parser::parse_program;
     use rd_ra::check::{is_ra_star, is_ra_star_antijoin};
 
@@ -294,7 +294,7 @@ mod tests {
 
     fn agree_both_modes(program: &str) {
         let p = parse_program(program, &catalog()).unwrap();
-        let dl_out = eval_program(&p, &db()).unwrap();
+        let dl_out = eval_datalog(&p, &db()).unwrap();
         for (name, expr) in [
             ("basic", datalog_to_ra(&p, &catalog()).unwrap()),
             ("antijoin", datalog_to_ra_antijoin(&p, &catalog()).unwrap()),

@@ -1,21 +1,102 @@
-//! Datalog\* → TRC\* (Appendix C, proof part 3).
+//! Datalog → the TRC hub (Appendix C, proof part 3, widened to every
+//! non-recursive program).
 //!
 //! Each rule translates into an existential block: positive EDB atoms
 //! become quantified tuple variables with equality predicates wiring up
 //! shared Datalog variables; negated EDB atoms become `¬(∃…)` blocks; IDB
-//! atoms are *inlined* (legal because Datalog\* uses every IDB at most
-//! once), which keeps the translation pattern-preserving — the TRC query
-//! has exactly one table reference per EDB atom of the program.
+//! atoms are *inlined*. On Datalog\* (every IDB defined by one rule and
+//! used at most once) this is pattern-preserving: the TRC query has
+//! exactly one table reference per EDB atom of the program. Any other
+//! program inlines copies instead:
+//!
+//! * an IDB used n times is inlined n times;
+//! * a positive IDB atom defined by k rules splits the rule using it into
+//!   k alternatives, and the query predicate's alternatives become the
+//!   top-level union branches (§5);
+//! * a negated one becomes k separate `¬∃` conjuncts, as
+//!   `¬(A ∨ B) = ¬A ∧ ¬B`.
+//!
+//! Copies multiply, so a short program can unfold without bound; the
+//! result is capped at `MAX_NODES` and refused above it. RA reaches the
+//! hub through this module too (`ra_to_trc`), so this is the one place
+//! that knows how disjunction reaches the top.
 
 use rd_core::{Catalog, CmpOp, CoreError, CoreResult};
 use rd_datalog::ast::{Atom, DlProgram, DlTerm, Literal, Rule};
-use rd_trc::ast::{Binding, Formula, OutputSpec, Predicate, Term, TrcQuery};
+use rd_trc::ast::{Binding, Formula, OutputSpec, Predicate, Term, TrcQuery, TrcUnion};
 use std::collections::BTreeMap;
 
+/// The most nodes (tuple variables and comparisons, summed over every
+/// branch and negated block) a translation may unfold to. The later
+/// stages — canonicalization, lowering, execution — are linear in this
+/// count.
+pub(crate) const MAX_NODES: usize = 1 << 14;
+
+/// Datalog variable → the TRC term that represents it.
+type Env = BTreeMap<String, Term>;
+
+/// One conjunctive alternative of a rule body.
+#[derive(Clone)]
+struct Alt {
+    env: Env,
+    bindings: Vec<Binding>,
+    parts: Vec<Formula>,
+    nodes: usize,
+}
+
+impl Alt {
+    fn new(env: Env) -> Alt {
+        Alt {
+            env,
+            bindings: Vec::new(),
+            parts: Vec::new(),
+            nodes: 0,
+        }
+    }
+
+    fn push(&mut self, left: Term, op: CmpOp, right: Term) {
+        self.parts
+            .push(Formula::Pred(Predicate::new(left, op, right)));
+        self.nodes += 1;
+    }
+
+    /// Binds `v` to `rep`, or equates the two if `v` is bound already.
+    fn bind(&mut self, v: &str, rep: Term) {
+        match self.env.get(v) {
+            Some(prev) => self.push(prev.clone(), CmpOp::Eq, rep),
+            None => {
+                self.env.insert(v.to_string(), rep);
+            }
+        }
+    }
+
+    /// The formula `∃ bindings [parts]`.
+    fn formula(self) -> Formula {
+        let body = Formula::and(self.parts);
+        if self.bindings.is_empty() {
+            body
+        } else {
+            Formula::exists(self.bindings, body)
+        }
+    }
+}
+
+/// Sums node counts, refusing a total above [`MAX_NODES`].
+fn capped(total: usize, more: usize) -> CoreResult<usize> {
+    let total = total.saturating_add(more);
+    if total > MAX_NODES {
+        return Err(CoreError::Invalid(format!(
+            "query expands to more than {MAX_NODES} nodes once its IDBs are inlined and its \
+             disjunctions are lifted to the top"
+        )));
+    }
+    Ok(total)
+}
+
 struct Ctx<'a> {
-    program: &'a DlProgram,
     catalog: &'a Catalog,
-    idbs: std::collections::BTreeSet<String>,
+    /// Each IDB's defining rules.
+    rules: BTreeMap<&'a str, Vec<&'a Rule>>,
     fresh: usize,
 }
 
@@ -25,305 +106,244 @@ impl<'a> Ctx<'a> {
         format!("t{}", self.fresh)
     }
 
-    fn rule_for(&self, idb: &str) -> CoreResult<&'a Rule> {
-        self.program
-            .rules
-            .iter()
-            .find(|r| r.head.pred == idb)
-            .ok_or_else(|| CoreError::Invalid(format!("IDB '{idb}' has no rule")))
+    fn rules_for(&self, idb: &str) -> Vec<&'a Rule> {
+        self.rules.get(idb).cloned().unwrap_or_default()
     }
 
-    /// Expands a rule body into (bindings, conjunct parts) under `env`
-    /// (Datalog variable → TRC term). `env` is extended with
-    /// representatives for variables first bound here.
-    fn expand_body(
-        &mut self,
-        rule: &'a Rule,
-        env: &mut BTreeMap<String, Term>,
-    ) -> CoreResult<(Vec<Binding>, Vec<Formula>)> {
-        let mut bindings = Vec::new();
-        let mut parts = Vec::new();
+    /// The starting alternative of `rule`, called as `call` from a scope
+    /// whose environment is `env`: the callee's head variables bound to
+    /// the call's arguments, plus the equalities the call imposes
+    /// (constants and repeated variables in the callee's head). Also
+    /// returns the positions of caller variables not yet bound, which
+    /// the callee's body binds.
+    fn seed(&self, rule: &Rule, call: &Atom, env: &Env) -> (Alt, Vec<(usize, String)>) {
+        let mut inner = Alt::new(Env::new());
+        let mut exports = Vec::new();
+        for (i, (callee, caller)) in rule.head.terms.iter().zip(&call.terms).enumerate() {
+            let arg = match caller {
+                DlTerm::Wildcard => continue,
+                DlTerm::Const(c) => Term::Const(c.clone()),
+                DlTerm::Var(v) => match env.get(v) {
+                    Some(rep) => rep.clone(),
+                    None => {
+                        exports.push((i, v.clone()));
+                        continue;
+                    }
+                },
+            };
+            match callee {
+                DlTerm::Var(hv) => inner.bind(hv, arg),
+                DlTerm::Const(c) => inner.push(arg, CmpOp::Eq, Term::Const(c.clone())),
+                DlTerm::Wildcard => {}
+            }
+        }
+        (inner, exports)
+    }
 
+    /// The alternatives of `rule`'s body, each an extension of `alt`.
+    fn expand_body(&mut self, rule: &'a Rule, mut alt: Alt) -> CoreResult<Vec<Alt>> {
+        let (idb_atoms, edb_atoms): (Vec<&Atom>, Vec<&Atom>) = rule
+            .positive()
+            .partition(|a| self.rules.contains_key(a.pred.as_str()));
         // Pass 1: positive EDB atoms bind tuple variables and establish
         // representatives.
-        for lit in &rule.body {
-            if let Literal::Pos(atom) = lit {
-                if self.idbs.contains(&atom.pred) {
-                    continue;
-                }
-                let schema = self.catalog.require(&atom.pred)?;
-                let tv = self.fresh_var();
-                bindings.push(Binding::new(tv.clone(), atom.pred.clone()));
-                for (i, term) in atom.terms.iter().enumerate() {
-                    let attr = schema.attrs()[i].clone();
-                    let local = Term::attr(tv.clone(), attr);
-                    match term {
-                        DlTerm::Wildcard => {}
-                        DlTerm::Const(c) => parts.push(Formula::Pred(Predicate::new(
-                            local,
-                            CmpOp::Eq,
-                            Term::Const(c.clone()),
-                        ))),
-                        DlTerm::Var(v) => match env.get(v) {
-                            Some(rep) => parts.push(Formula::Pred(Predicate::new(
-                                local,
-                                CmpOp::Eq,
-                                rep.clone(),
-                            ))),
-                            None => {
-                                env.insert(v.clone(), local);
-                            }
-                        },
-                    }
+        for atom in edb_atoms {
+            let schema = self.catalog.require(&atom.pred)?;
+            let tv = self.fresh_var();
+            alt.bindings
+                .push(Binding::new(tv.clone(), atom.pred.clone()));
+            alt.nodes += 1;
+            for (term, attr) in atom.terms.iter().zip(schema.attrs()) {
+                let local = Term::attr(tv.clone(), attr.clone());
+                match term {
+                    DlTerm::Wildcard => {}
+                    DlTerm::Const(c) => alt.push(local, CmpOp::Eq, Term::Const(c.clone())),
+                    DlTerm::Var(v) => alt.bind(v, local),
                 }
             }
         }
 
-        // Pass 2: positive IDB atoms are inlined into this scope.
-        for lit in &rule.body {
-            if let Literal::Pos(atom) = lit {
-                if !self.idbs.contains(&atom.pred) {
-                    continue;
-                }
-                let inner_rule = self.rule_for(&atom.pred)?;
-                let mut inner_env: BTreeMap<String, Term> = BTreeMap::new();
-                // Seed bound arguments; remember positions of unbound ones.
-                let mut exports: Vec<(usize, String)> = Vec::new();
-                for (i, (callee, caller)) in
-                    inner_rule.head.terms.iter().zip(&atom.terms).enumerate()
-                {
-                    let hv = match callee {
-                        DlTerm::Var(v) => v.clone(),
-                        other => {
-                            return Err(CoreError::Invalid(format!(
-                                "IDB head term {other} is not a variable"
-                            )))
+        // Pass 2: positive IDB atoms are inlined into this scope, one
+        // alternative per combination of their rules.
+        let mut alts = vec![alt];
+        for atom in idb_atoms {
+            let mut next = Vec::new();
+            let mut total = 0;
+            for alt in alts {
+                for inner_rule in self.rules_for(&atom.pred) {
+                    let (seeded, exports) = self.seed(inner_rule, atom, &alt.env);
+                    for inner in self.expand_body(inner_rule, seeded)? {
+                        let mut out = alt.clone();
+                        out.bindings.extend(inner.bindings);
+                        out.parts.extend(inner.parts);
+                        out.nodes += inner.nodes;
+                        // Export representatives for caller variables
+                        // first bound by this IDB atom.
+                        for (i, v) in &exports {
+                            let rep = match &inner_rule.head.terms[*i] {
+                                DlTerm::Var(hv) => inner.env.get(hv).cloned().ok_or_else(|| {
+                                    CoreError::Invalid(format!(
+                                        "head variable '{hv}' of IDB '{}' unbound after expansion",
+                                        atom.pred
+                                    ))
+                                })?,
+                                DlTerm::Const(c) => Term::Const(c.clone()),
+                                DlTerm::Wildcard => continue,
+                            };
+                            out.bind(v, rep);
                         }
-                    };
-                    match caller {
-                        DlTerm::Const(c) => {
-                            inner_env.insert(hv, Term::Const(c.clone()));
-                        }
-                        DlTerm::Var(v) => match env.get(v) {
-                            Some(rep) => {
-                                // The callee head var may repeat; add an
-                                // equality if already seeded.
-                                if let Some(prev) = inner_env.get(&hv) {
-                                    parts.push(Formula::Pred(Predicate::new(
-                                        prev.clone(),
-                                        CmpOp::Eq,
-                                        rep.clone(),
-                                    )));
-                                } else {
-                                    inner_env.insert(hv, rep.clone());
-                                }
-                            }
-                            None => exports.push((i, v.clone())),
-                        },
-                        DlTerm::Wildcard => {}
+                        total = capped(total, out.nodes)?;
+                        next.push(out);
                     }
                 }
-                let (inner_bindings, inner_parts) = self.expand_body(inner_rule, &mut inner_env)?;
-                bindings.extend(inner_bindings);
-                parts.extend(inner_parts);
-                // Export representatives for caller variables first bound
-                // by this IDB atom.
-                for (i, caller_var) in exports {
-                    let hv = inner_rule.head.terms[i]
-                        .as_var()
-                        .expect("checked above")
-                        .to_string();
-                    let rep = inner_env.get(&hv).cloned().ok_or_else(|| {
-                        CoreError::Invalid(format!(
-                            "head variable '{hv}' of IDB '{}' unbound after expansion",
-                            atom.pred
-                        ))
-                    })?;
-                    env.insert(caller_var, rep);
-                }
             }
+            alts = next;
         }
 
         // Pass 3: built-ins and negated atoms (all variables now bound).
-        for lit in &rule.body {
-            match lit {
-                Literal::Pos(_) => {}
-                Literal::Cmp(b) => {
-                    let term = |t: &DlTerm, env: &BTreeMap<String, Term>| -> CoreResult<Term> {
-                        Ok(match t {
-                            DlTerm::Var(v) => env.get(v).cloned().ok_or_else(|| {
-                                CoreError::Invalid(format!("unbound variable '{v}'"))
-                            })?,
-                            DlTerm::Const(c) => Term::Const(c.clone()),
-                            DlTerm::Wildcard => {
-                                return Err(CoreError::Invalid("wildcard in built-in".into()))
-                            }
-                        })
-                    };
-                    parts.push(Formula::Pred(Predicate::new(
-                        term(&b.left, env)?,
-                        b.op,
-                        term(&b.right, env)?,
-                    )));
-                }
-                Literal::Neg(atom) => {
-                    parts.push(self.negated_atom(atom, env)?);
+        let mut total = 0;
+        for alt in &mut alts {
+            for lit in &rule.body {
+                match lit {
+                    Literal::Pos(_) => {}
+                    Literal::Cmp(b) => {
+                        let (l, r) = (term(&b.left, &alt.env)?, term(&b.right, &alt.env)?);
+                        alt.push(l, b.op, r);
+                    }
+                    Literal::Neg(atom) => self.negated_atom(atom, alt)?,
                 }
             }
+            total = capped(total, alt.nodes)?;
         }
-        Ok((bindings, parts))
+        Ok(alts)
     }
 
-    fn negated_atom(&mut self, atom: &Atom, env: &BTreeMap<String, Term>) -> CoreResult<Formula> {
-        if self.idbs.contains(&atom.pred) {
-            // Inline the IDB rule under the negation.
-            let inner_rule = self.rule_for(&atom.pred)?;
-            let mut inner_env: BTreeMap<String, Term> = BTreeMap::new();
-            let mut extra_eq: Vec<Formula> = Vec::new();
-            for (callee, caller) in inner_rule.head.terms.iter().zip(&atom.terms) {
-                let hv = match callee {
-                    DlTerm::Var(v) => v.clone(),
-                    other => {
-                        return Err(CoreError::Invalid(format!(
-                            "IDB head term {other} is not a variable"
-                        )))
-                    }
-                };
-                let arg = match caller {
-                    DlTerm::Const(c) => Term::Const(c.clone()),
-                    DlTerm::Var(v) => env
-                        .get(v)
-                        .cloned()
-                        .ok_or_else(|| CoreError::Invalid(format!("unbound variable '{v}'")))?,
-                    // Leave the head position unbound: the inner body's
-                    // positive atoms bind it under the negated `exists`.
-                    DlTerm::Wildcard => continue,
-                };
-                if let Some(prev) = inner_env.get(&hv) {
-                    extra_eq.push(Formula::Pred(Predicate::new(prev.clone(), CmpOp::Eq, arg)));
-                } else {
-                    inner_env.insert(hv, arg);
-                }
-            }
-            let (bindings, mut parts) = self.expand_body(inner_rule, &mut inner_env)?;
-            parts.extend(extra_eq);
-            let body = Formula::and(parts);
-            Ok(Formula::not(if bindings.is_empty() {
-                body
-            } else {
-                Formula::exists(bindings, body)
-            }))
-        } else {
+    /// Adds `not atom` to `alt`: one `¬∃` conjunct per alternative of
+    /// the atom's unfolding.
+    fn negated_atom(&mut self, atom: &Atom, alt: &mut Alt) -> CoreResult<()> {
+        if !self.rules.contains_key(atom.pred.as_str()) {
             // Negated EDB atom: ¬(∃t ∈ R [t.Aᵢ = repᵢ ∧ …]).
             let schema = self.catalog.require(&atom.pred)?;
             let tv = self.fresh_var();
-            let mut parts = Vec::new();
-            for (i, term) in atom.terms.iter().enumerate() {
-                let local = Term::attr(tv.clone(), schema.attrs()[i].clone());
-                match term {
-                    DlTerm::Wildcard => {}
-                    DlTerm::Const(c) => parts.push(Formula::Pred(Predicate::new(
-                        local,
+            let mut inner = Alt::new(Env::new());
+            inner
+                .bindings
+                .push(Binding::new(tv.clone(), atom.pred.clone()));
+            inner.nodes += 1;
+            for (t, attr) in atom.terms.iter().zip(schema.attrs()) {
+                if !matches!(t, DlTerm::Wildcard) {
+                    inner.push(
+                        Term::attr(tv.clone(), attr.clone()),
                         CmpOp::Eq,
-                        Term::Const(c.clone()),
-                    ))),
-                    DlTerm::Var(v) => {
-                        let rep = env
-                            .get(v)
-                            .cloned()
-                            .ok_or_else(|| CoreError::Invalid(format!("unbound variable '{v}'")))?;
-                        parts.push(Formula::Pred(Predicate::new(local, CmpOp::Eq, rep)));
-                    }
+                        term(t, &alt.env)?,
+                    );
                 }
             }
-            Ok(Formula::not(Formula::exists(
-                vec![Binding::new(tv, atom.pred.clone())],
-                Formula::and(parts),
-            )))
+            alt.nodes = capped(alt.nodes, inner.nodes)?;
+            alt.parts.push(Formula::not(inner.formula()));
+            return Ok(());
         }
+        // Negated IDB atom: inline each rule under its own negation. A
+        // wildcard argument leaves its head position unbound, so the
+        // inner body's positive atoms bind it under the `exists`.
+        for inner_rule in self.rules_for(&atom.pred) {
+            let (seeded, exports) = self.seed(inner_rule, atom, &alt.env);
+            if let Some((_, v)) = exports.first() {
+                return Err(CoreError::Invalid(format!("unbound variable '{v}'")));
+            }
+            let seed_parts = seeded.parts.len();
+            for mut inner in self.expand_body(inner_rule, seeded)? {
+                // The body's conjuncts first, then the call's equalities.
+                inner.parts.rotate_left(seed_parts);
+                alt.nodes = capped(alt.nodes, inner.nodes)?;
+                alt.parts.push(Formula::not(inner.formula()));
+            }
+        }
+        Ok(())
     }
 }
 
-/// Translates a Datalog\* program into a pattern-isomorphic TRC\* query
-/// whose output attributes are named after the query's head variables.
-pub fn datalog_to_trc(p: &DlProgram, catalog: &Catalog) -> CoreResult<TrcQuery> {
-    translate(p, catalog, None)
+/// The TRC term of a Datalog term in a built-in or negated atom.
+fn term(t: &DlTerm, env: &Env) -> CoreResult<Term> {
+    match t {
+        DlTerm::Var(v) => env
+            .get(v)
+            .cloned()
+            .ok_or_else(|| CoreError::Invalid(format!("unbound variable '{v}'"))),
+        DlTerm::Const(c) => Ok(Term::Const(c.clone())),
+        DlTerm::Wildcard => Err(CoreError::Invalid("wildcard in built-in".into())),
+    }
+}
+
+/// Translates a non-recursive Datalog program into its canonical TRC hub
+/// form: one union branch per alternative of the query predicate, with
+/// the output head `q(x1, …, xn)` — the positional attributes a Datalog
+/// result carries. A Datalog\* program translates to one
+/// pattern-isomorphic TRC\* query.
+pub fn datalog_to_trc(p: &DlProgram, catalog: &Catalog) -> CoreResult<TrcUnion> {
+    let arity = p
+        .rules
+        .iter()
+        .find(|r| r.head.pred == p.query)
+        .map_or(0, |r| r.head.terms.len());
+    let head: Vec<String> = (1..=arity).map(|i| format!("x{i}")).collect();
+    datalog_to_trc_named(p, catalog, &head)
 }
 
 /// [`datalog_to_trc`] with the output attributes named `head` (one per
-/// query head term) instead of after the head variables.
+/// query head term). Every head term is defined by an equality on its
+/// attribute, so constant and repeated head terms need no special form.
 pub(crate) fn datalog_to_trc_named(
     p: &DlProgram,
     catalog: &Catalog,
     head: &[String],
-) -> CoreResult<TrcQuery> {
-    translate(p, catalog, Some(head))
-}
-
-fn translate(p: &DlProgram, catalog: &Catalog, head: Option<&[String]>) -> CoreResult<TrcQuery> {
+) -> CoreResult<TrcUnion> {
     rd_datalog::check::check_program(p, catalog)?;
-    if !rd_datalog::check::is_datalog_star(p) {
-        return Err(CoreError::Invalid(
-            "program is outside Datalog* (Definition 1)".into(),
-        ));
-    }
     let mut ctx = Ctx {
-        program: p,
         catalog,
-        idbs: p.idbs(),
+        rules: BTreeMap::new(),
         fresh: 0,
     };
-    let query_rule = ctx.rule_for(&p.query)?;
-    let mut env = BTreeMap::new();
-    let (bindings, mut parts) = ctx.expand_body(query_rule, &mut env)?;
-    // Output head: one attribute per head variable, named after it or by
-    // `head`.
-    let head_vars: Vec<String> = query_rule
-        .head
-        .terms
-        .iter()
-        .map(|t| match t {
-            DlTerm::Var(v) => Ok(v.clone()),
-            other => Err(CoreError::Invalid(format!(
-                "query head term {other} is not a variable"
-            ))),
-        })
-        .collect::<CoreResult<_>>()?;
-    let names = head.map_or_else(|| head_vars.clone(), <[String]>::to_vec);
-    debug_assert_eq!(
-        names.len(),
-        head_vars.len(),
-        "one output name per head term"
-    );
-    let mut defining = Vec::with_capacity(head_vars.len());
-    for (v, name) in head_vars.iter().zip(&names) {
-        let rep = env
-            .get(v)
-            .cloned()
-            .ok_or_else(|| CoreError::Invalid(format!("head variable '{v}' unbound")))?;
-        defining.push(Formula::Pred(Predicate::new(
-            Term::attr("q", name.clone()),
-            CmpOp::Eq,
-            rep,
-        )));
+    for rule in &p.rules {
+        ctx.rules
+            .entry(rule.head.pred.as_str())
+            .or_default()
+            .push(rule);
     }
-    defining.append(&mut parts);
-    let q = TrcQuery::query(
-        OutputSpec::new("q", names),
-        Formula::exists(bindings, Formula::and(defining)),
-    );
-    q.check(catalog)?;
-    Ok(q)
+    let mut branches = Vec::new();
+    let mut total = 0;
+    for rule in ctx.rules_for(&p.query) {
+        debug_assert_eq!(head.len(), rule.head.terms.len(), "one name per head term");
+        for alt in ctx.expand_body(rule, Alt::new(Env::new()))? {
+            total = capped(total, alt.nodes + head.len())?;
+            let mut defining = Vec::with_capacity(head.len() + alt.parts.len());
+            for (t, name) in rule.head.terms.iter().zip(head) {
+                defining.push(Formula::Pred(Predicate::new(
+                    Term::attr("q", name.clone()),
+                    CmpOp::Eq,
+                    term(t, &alt.env)?,
+                )));
+            }
+            defining.extend(alt.parts);
+            let q = TrcQuery::query(
+                OutputSpec::new("q", head.to_vec()),
+                Formula::exists(alt.bindings, Formula::and(defining)),
+            );
+            q.check(catalog)?;
+            branches.push(q);
+        }
+    }
+    Ok(rd_trc::canon::canonicalize_union(&TrcUnion::new(branches)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::eval_datalog;
     use rd_core::{Database, Relation, TableSchema};
-    use rd_datalog::eval::eval_program;
     use rd_datalog::parser::parse_program;
     use rd_trc::check::is_nondisjunctive;
-    use rd_trc::eval::eval_query;
+    use rd_trc::eval::{eval_query, eval_union};
 
     fn catalog() -> Catalog {
         Catalog::from_schemas([
@@ -352,8 +372,11 @@ mod tests {
 
     fn agree_and_preserve(program: &str) {
         let p = parse_program(program, &catalog()).unwrap();
-        let q = datalog_to_trc(&p, &catalog()).unwrap();
-        assert!(is_nondisjunctive(&q), "not TRC*: {q}");
+        let u = datalog_to_trc(&p, &catalog()).unwrap();
+        let [q] = u.branches.as_slice() else {
+            panic!("a Datalog* program translates to one query: {program}")
+        };
+        assert!(is_nondisjunctive(q), "not TRC*: {q}");
         // Pattern isomorphism is defined up to permutation (Def. 12), so
         // compare signatures as multisets.
         let mut a = q.signature();
@@ -361,8 +384,8 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b, "signature not preserved for:\n{program}\ntrc: {q}");
-        let dl_out = eval_program(&p, &db()).unwrap();
-        let trc_out = eval_query(&q, &db()).unwrap();
+        let dl_out = eval_datalog(&p, &db()).unwrap();
+        let trc_out = eval_query(q, &db()).unwrap();
         assert_eq!(
             trc_out.tuples(),
             dl_out.tuples(),
@@ -415,15 +438,14 @@ mod tests {
             "I(x, y) :- R(x, y), x = 1.\nQ(x, y) :- R(x, y), not I(_, y).",
         ] {
             let p = parse_program(program, &catalog()).unwrap();
-            let q = datalog_to_trc(&p, &catalog()).unwrap();
-            assert_eq!(q.signature().len(), p.signature().len(), "{q}");
-            let raw = rd_oracle::uninterned(&db());
-            let expected = rd_oracle::datalog::eval_program(&p, &raw).unwrap();
+            let u = datalog_to_trc(&p, &catalog()).unwrap();
+            assert_eq!(u.signature().len(), p.signature().len(), "{u:?}");
+            let expected = oracle(&p, &db());
             assert!(!expected.is_empty(), "{program}");
             assert_eq!(
-                eval_query(&q, &db()).unwrap().tuples(),
+                eval_union(&u, &db()).unwrap().tuples(),
                 expected.tuples(),
-                "{program}\ntrc: {q}"
+                "{program}\ntrc: {u:?}"
             );
         }
     }
@@ -436,15 +458,106 @@ mod tests {
             .insert_values([7i64, 7])
             .unwrap();
         let p = parse_program("Q(x) :- R(x, x).", &catalog()).unwrap();
-        let q = datalog_to_trc(&p, &catalog()).unwrap();
-        let out = eval_query(&q, &d).unwrap();
+        let u = datalog_to_trc(&p, &catalog()).unwrap();
+        let out = eval_union(&u, &d).unwrap();
         assert_eq!(out.len(), 1);
     }
 
+    /// The Datalog reference interpreter's rows (an int-only fixture, so
+    /// the uninterned copy's rows equal the engine's).
+    fn oracle(p: &DlProgram, db: &Database) -> Relation {
+        rd_oracle::datalog::eval_program(p, &rd_oracle::uninterned(db)).unwrap()
+    }
+
+    /// `program`'s hub form answers like the reference interpreter on
+    /// `db`, in `branches` union branches.
+    fn agrees_with_oracle(program: &str, db: &Database, branches: usize) {
+        let p = parse_program(program, &catalog()).unwrap();
+        let u = datalog_to_trc(&p, &catalog()).unwrap();
+        assert_eq!(u.branches.len(), branches, "{program}\ntrc: {u:?}");
+        assert_eq!(
+            eval_union(&u, db).unwrap().tuples(),
+            oracle(&p, db).tuples(),
+            "{program}\ntrc: {u:?}"
+        );
+    }
+
     #[test]
-    fn rejects_disjunctive_programs() {
-        let p =
-            rd_datalog::parser::parse_program_unchecked("Q(x) :- T(x).\nQ(x) :- R(x, _).").unwrap();
-        assert!(datalog_to_trc(&p, &catalog()).is_err());
+    fn disjunctive_programs_become_union_branches() {
+        // Two rules for the query, and a two-rule IDB used positively:
+        // its rules multiply the branches of the rule using it.
+        agrees_with_oracle("Q(x) :- T(x).\nQ(x) :- R(x, _).", &db(), 2);
+        agrees_with_oracle(
+            "I(x) :- T(x).\nI(x) :- R(x, 10).\nQ(x, y) :- I(x), R(x, y).",
+            &db(),
+            2,
+        );
+        // Under a negation the rules become separate `not exists`
+        // conjuncts of one branch.
+        agrees_with_oracle(
+            "I(x) :- T(x).\nI(x) :- R(x, 20).\nQ(x, y) :- R(x, y), not I(x).",
+            &db(),
+            1,
+        );
+        // An IDB used twice is inlined twice.
+        agrees_with_oracle("I(x) :- R(x, 10).\nQ(x) :- I(x), T(x), not I(x).", &db(), 1);
+    }
+
+    #[test]
+    fn a_repeated_unbound_caller_variable_keeps_its_equality() {
+        // y fills both head positions of I, so only R's (7, 7) row
+        // qualifies.
+        let mut d = db();
+        d.relation_mut("R")
+            .unwrap()
+            .insert_values([7i64, 7])
+            .unwrap();
+        let program = "I(x, y) :- R(x, y).\nQ(y) :- I(y, y).";
+        agrees_with_oracle(program, &d, 1);
+        let p = parse_program(program, &catalog()).unwrap();
+        let out = eval_union(&datalog_to_trc(&p, &catalog()).unwrap(), &d).unwrap();
+        assert_eq!(
+            out.iter().collect::<Vec<_>>(),
+            [&rd_core::Tuple::new([7i64])]
+        );
+    }
+
+    #[test]
+    fn constant_and_repeated_head_terms_become_defining_equalities() {
+        for program in [
+            "Q(x, x) :- R(x, y).",
+            "Q(x, 5) :- R(x, y).",
+            "I(x, 5) :- R(x, _).\nQ(x, y) :- I(x, y).",
+            "I(x, 5) :- R(x, _).\nQ(x) :- I(x, 5).",
+            "I(x, 5) :- R(x, _).\nQ(x) :- I(x, 6).",
+            "I(x, x) :- R(x, _).\nQ(x, y) :- I(x, y).",
+            "I(x, 10) :- R(x, _).\nQ(x) :- R(x, y), not I(x, y).",
+        ] {
+            agrees_with_oracle(program, &db(), 1);
+            let p = parse_program(program, &catalog()).unwrap();
+            let head = datalog_to_trc(&p, &catalog()).unwrap().branches[0]
+                .output
+                .clone()
+                .unwrap();
+            let arity = p.rules.last().unwrap().head.terms.len();
+            let positional: Vec<String> = (1..=arity).map(|i| format!("x{i}")).collect();
+            assert_eq!(head.attrs, positional, "{program}");
+        }
+    }
+
+    #[test]
+    fn unfolding_is_capped_by_node_count() {
+        // Each level uses the one below twice: 2^depth references to T.
+        let chain = |depth: usize| {
+            let mut text = String::from("I0(x) :- T(x).\n");
+            for i in 1..=depth {
+                text.push_str(&format!("I{i}(x) :- I{0}(x), I{0}(x).\n", i - 1));
+            }
+            text + &format!("Q(x) :- I{depth}(x).")
+        };
+        agrees_with_oracle(&chain(6), &db(), 1);
+        let p = parse_program(&chain(14), &catalog()).unwrap();
+        let err = datalog_to_trc(&p, &catalog()).unwrap_err();
+        assert!(err.to_string().contains("nodes"), "{err}");
     }
 }

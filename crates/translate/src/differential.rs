@@ -43,9 +43,7 @@ impl FourWay {
     /// result tuple-sets (TRC, Datalog, RA, RA⊲, SQL).
     pub fn eval_all(&self, db: &Database) -> CoreResult<Vec<BTreeSet<Tuple>>> {
         let trc = rd_trc::eval::eval_query(&self.trc, db)?.tuples().clone();
-        let dl = rd_datalog::eval::eval_program(&self.datalog, db)?
-            .tuples()
-            .clone();
+        let dl = crate::eval_datalog(&self.datalog, db)?.tuples().clone();
         let ra = crate::eval_ra(&self.ra, db)?.tuples().clone();
         let raa = crate::eval_ra(&self.ra_antijoin, db)?.tuples().clone();
         let sql = rd_sql::translate::eval_sql(&self.sql, db)?.tuples().clone();

@@ -1,42 +1,50 @@
-//! RA execution through the TRC hub.
+//! RA and Datalog execution through the TRC hub.
 //!
-//! An RA expression runs the way SQL does: it is translated into its
-//! canonical hub TRC form ([`ra_to_trc`]) and that form is lowered by the
-//! TRC lowering onto the shared plan IR, so RA queries use the same
-//! planner, cardinality estimates and executor as every other language.
+//! Both run the way SQL does: the query is translated into its canonical
+//! hub TRC form ([`ra_to_trc`], [`datalog_to_trc`]) and that form is
+//! lowered by the TRC lowering onto the shared plan IR, so they use the
+//! same planner, cardinality estimates and executor as every other
+//! language.
 
+use crate::datalog_to_trc::datalog_to_trc;
 use crate::ra_to_trc::ra_to_trc;
 use rd_core::exec::{self, Plan};
-use rd_core::{CoreResult, Database, PlanHints, PlannerOpts, Relation};
+use rd_core::{CoreResult, Database, PlannerOpts, Relation};
+use rd_datalog::DlProgram;
 use rd_ra::ast::RaExpr;
 
 /// Lowers `expr` to a compiled [`Plan`] against `db`'s catalog,
 /// statistics and symbol table. The output schema is `q(attrs…)`, with
 /// the attributes the expression's schema infers.
-pub fn lower_ra_with(
-    expr: &RaExpr,
-    db: &Database,
-    opts: &PlannerOpts,
-    hints: &PlanHints,
-) -> CoreResult<Plan> {
-    rd_trc::eval::lower_union_with(&ra_to_trc(expr, &db.catalog())?, db, opts, hints)
+pub fn lower_ra_with(expr: &RaExpr, db: &Database, opts: &PlannerOpts) -> CoreResult<Plan> {
+    rd_trc::eval::lower_union_with(&ra_to_trc(expr, &db.catalog())?, db, opts)
 }
 
 /// Evaluates `expr` over `db` with default planner options. The catalog
 /// is taken from the database itself, so every referenced table must
 /// exist in `db`.
 pub fn eval_ra(expr: &RaExpr, db: &Database) -> CoreResult<Relation> {
-    exec::execute(
-        &lower_ra_with(expr, db, &PlannerOpts::default(), &PlanHints::default())?,
-        db,
-    )
+    exec::execute(&lower_ra_with(expr, db, &PlannerOpts::default())?, db)
+}
+
+/// Lowers the program's query predicate to a compiled [`Plan`] against
+/// `db`. The output schema is `q(x1, …, xn)`, the positional attributes
+/// of a Datalog result.
+pub fn lower_datalog_with(p: &DlProgram, db: &Database, opts: &PlannerOpts) -> CoreResult<Plan> {
+    rd_trc::eval::lower_union_with(&datalog_to_trc(p, &db.catalog())?, db, opts)
+}
+
+/// Evaluates the program's query predicate over `db` with default
+/// planner options.
+pub fn eval_datalog(p: &DlProgram, db: &Database) -> CoreResult<Relation> {
+    exec::execute(&lower_datalog_with(p, db, &PlannerOpts::default())?, db)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rd_core::exec::Scan;
     use rd_core::{CmpOp, OrderStrategy, TableSchema, Value};
+    use rd_datalog::parse_program;
     use rd_ra::ast::{Condition, JoinCond, RaTerm};
 
     fn db() -> Database {
@@ -68,20 +76,6 @@ mod tests {
             strategy: OrderStrategy::Greedy,
             ..PlannerOpts::default()
         }
-    }
-
-    /// The relations a single-branch plan scans at its top level, in
-    /// execution order.
-    fn scan_order(plan: &Plan) -> Vec<String> {
-        let Plan::Union(branches) = plan else {
-            panic!("expected a query plan, got {plan:?}")
-        };
-        branches[0]
-            .root
-            .scans
-            .iter()
-            .map(|s: &Scan| s.rel.clone())
-            .collect()
     }
 
     #[test]
@@ -275,38 +269,13 @@ mod tests {
         let e = RaExpr::natural_join(RaExpr::table("R"), RaExpr::table("BigS"));
         // Whichever side the planner scans first, the output keeps the
         // written layout: the left's attributes, then the right's new ones.
-        let cost = exec::execute(
-            &lower_ra_with(&e, &d, &PlannerOpts::default(), &PlanHints::default()).unwrap(),
-            &d,
-        )
-        .unwrap();
-        let written = exec::execute(
-            &lower_ra_with(&e, &d, &greedy(), &PlanHints::default()).unwrap(),
-            &d,
-        )
-        .unwrap();
+        let cost =
+            exec::execute(&lower_ra_with(&e, &d, &PlannerOpts::default()).unwrap(), &d).unwrap();
+        let written = exec::execute(&lower_ra_with(&e, &d, &greedy()).unwrap(), &d).unwrap();
         assert_eq!(cost.schema().attrs(), ["A", "B", "E"]);
         assert_eq!(written.schema().attrs(), ["A", "B", "E"]);
         assert_eq!(cost.tuples(), written.tuples());
         assert!(!cost.is_empty());
-    }
-
-    #[test]
-    fn hints_steer_build_side_selection() {
-        // The shared planner orders the hub form's scans from the
-        // database's sizes, and execution feedback (hints) overrides them.
-        let d = db();
-        let e = RaExpr::natural_join(RaExpr::table("R"), RaExpr::table("S"));
-        let plain = lower_ra_with(&e, &d, &PlannerOpts::default(), &PlanHints::default()).unwrap();
-        let mut hints = PlanHints::default();
-        hints.set("S", 1000);
-        let hinted = lower_ra_with(&e, &d, &PlannerOpts::default(), &hints).unwrap();
-        assert_ne!(scan_order(&plain), scan_order(&hinted));
-        assert_eq!(scan_order(&hinted)[0], "R");
-        assert_eq!(
-            exec::execute(&plain, &d).unwrap().tuples(),
-            exec::execute(&hinted, &d).unwrap().tuples()
-        );
     }
 
     #[test]
@@ -331,10 +300,141 @@ mod tests {
             ["A"],
             RaExpr::natural_join(RaExpr::table("R"), RaExpr::table("S")),
         );
-        let plan = lower_ra_with(&e, &d, &PlannerOpts::default(), &PlanHints::default()).unwrap();
+        let plan = lower_ra_with(&e, &d, &PlannerOpts::default()).unwrap();
         let rel = exec::execute(&plan, &d).unwrap();
         let direct = eval_ra(&e, &d).unwrap();
         assert_eq!(rel.tuples(), direct.tuples());
         assert_eq!(rel.schema().attrs(), ["A"]);
+    }
+
+    // Datalog, through its hub form.
+
+    fn catalog() -> rd_core::Catalog {
+        db().catalog()
+    }
+
+    #[test]
+    fn single_rule_join() {
+        let p = parse_program("Q(x) :- R(x, y), S(y).", &catalog()).unwrap();
+        let out = eval_datalog(&p, &db()).unwrap();
+        assert_eq!(ints(&out), vec![1, 2]);
+    }
+
+    #[test]
+    fn negation_not_in() {
+        let p = parse_program("Q(x, y) :- R(x, y), not S(y).", &catalog()).unwrap();
+        let out = eval_datalog(&p, &db()).unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out.iter().next().unwrap(), &rd_core::Tuple::new([3i64, 30]));
+    }
+
+    #[test]
+    fn division_two_rules() {
+        let p = parse_program(
+            "I(x) :- R(x, _), S(y), not R(x, y).\nQ(x) :- R(x, _), not I(x).",
+            &catalog(),
+        )
+        .unwrap();
+        let out = eval_datalog(&p, &db()).unwrap();
+        assert_eq!(ints(&out), vec![1]);
+    }
+
+    #[test]
+    fn builtins_filter() {
+        let p = parse_program("Q(x) :- R(x, y), y > 15.", &catalog()).unwrap();
+        let out = eval_datalog(&p, &db()).unwrap();
+        assert_eq!(ints(&out), vec![1, 3]);
+    }
+
+    #[test]
+    fn constants_in_atoms() {
+        let p = parse_program("Q(x) :- R(x, 10).", &catalog()).unwrap();
+        let out = eval_datalog(&p, &db()).unwrap();
+        assert_eq!(ints(&out), vec![1, 2]);
+    }
+
+    #[test]
+    fn union_via_multiple_rules() {
+        // Values in R.A with B=10, union values with B=30.
+        let p = parse_program("Q(x) :- R(x, 10).\nQ(x) :- R(x, 30).", &catalog()).unwrap();
+        let out = eval_datalog(&p, &db()).unwrap();
+        assert_eq!(ints(&out), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn repeated_variable_joins_within_atom() {
+        let mut d = db();
+        d.relation_mut("R")
+            .unwrap()
+            .insert_values([7i64, 7])
+            .unwrap();
+        let p = parse_program("Q(x) :- R(x, x).", &catalog()).unwrap();
+        let out = eval_datalog(&p, &d).unwrap();
+        assert_eq!(ints(&out), vec![7]);
+    }
+
+    #[test]
+    fn empty_result_when_edb_empty() {
+        let p = parse_program("Q(x) :- R(x, y), S(y).", &catalog()).unwrap();
+        let empty = Database::empty_for(&catalog());
+        let out = eval_datalog(&p, &empty).unwrap();
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn three_level_idb_chain() {
+        let p = parse_program(
+            "I1(x) :- R(x, _).\nI2(x) :- I1(x), not S(x).\nQ(x) :- I2(x).",
+            &catalog(),
+        )
+        .unwrap();
+        let out = eval_datalog(&p, &db()).unwrap();
+        // A values 1,2,3; none of them appear in S (10, 20).
+        assert_eq!(ints(&out), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn atom_order_does_not_change_results() {
+        // The planner reorders positive atoms; both phrasings agree.
+        let a = parse_program("Q(x) :- R(x, y), S(y).", &catalog()).unwrap();
+        let b = parse_program("Q(x) :- S(y), R(x, y).", &catalog()).unwrap();
+        let ra = eval_datalog(&a, &db()).unwrap();
+        let rb = eval_datalog(&b, &db()).unwrap();
+        assert_eq!(ra.tuples(), rb.tuples());
+    }
+
+    #[test]
+    fn string_constants_are_interned_and_match() {
+        let mut d = Database::new();
+        d.add_relation(
+            Relation::from_rows(
+                TableSchema::new("Boat", ["bid", "color"]),
+                [
+                    vec![Value::int(101), Value::str("red")],
+                    vec![Value::int(102), Value::str("green")],
+                ],
+            )
+            .unwrap(),
+        );
+        let p = parse_program("Q(b) :- Boat(b, 'red').", &d.catalog()).unwrap();
+        let out = eval_datalog(&p, &d).unwrap();
+        assert_eq!(ints(&out), vec![101]);
+    }
+
+    #[test]
+    fn lowered_program_is_reusable() {
+        let d = db();
+        let p = parse_program(
+            "I(x) :- R(x, _), S(y), not R(x, y).\nQ(x) :- R(x, _), not I(x).",
+            &catalog(),
+        )
+        .unwrap();
+        let plan = lower_datalog_with(&p, &d, &PlannerOpts::default()).unwrap();
+        let a = exec::execute(&plan, &d).unwrap();
+        let b = exec::execute(&plan, &d).unwrap();
+        assert_eq!(a.tuples(), b.tuples());
+        assert_eq!(ints(&a), vec![1]);
+        // I is inlined under Q's negation: one query branch.
+        assert!(matches!(&plan, Plan::Union(b) if b.len() == 1), "{plan:?}");
     }
 }

@@ -6,19 +6,20 @@
 //! | direction | module | pattern-preserving? |
 //! |-----------|--------|---------------------|
 //! | RA\* → Datalog\* | [`ra_to_datalog`](mod@ra_to_datalog) | yes (proof part 1) |
-//! | RA → TRC (hub) | [`ra_to_trc`](mod@ra_to_trc) | yes per branch; `∪` and disjunctive σ lift to union branches |
+//! | RA → TRC (hub) | [`ra_to_trc`](mod@ra_to_trc) | yes on RA\*; `∪` and disjunctive σ lift to union branches |
 //! | Datalog\* → RA\* | [`datalog_to_ra`](mod@datalog_to_ra) | no — eq. (5) may duplicate positives (Lemma 19) |
 //! | Datalog\* → RA\*⊲ | [`datalog_to_ra`](mod@datalog_to_ra) (antijoin mode) | yes (Theorem 21) |
-//! | Datalog\* → TRC\* | [`datalog_to_trc`](mod@datalog_to_trc) | yes (proof part 3) |
+//! | Datalog → TRC (hub) | [`datalog_to_trc`](mod@datalog_to_trc) | yes on Datalog\* (proof part 3); multi-rule IDBs lift to union branches |
 //! | TRC\* → Datalog\* | [`trc_to_datalog`](mod@trc_to_datalog) | no — safety repairs may add references (cases i/ii, Lemma 20) |
 //! | TRC\* ↔ SQL\* | re-exported from `rd-sql` | yes, 1-to-1 (proof part 5) |
 //!
 //! TRC\* serves as the hub: any fragment query can be carried into any of
 //! the other languages by composing these maps, and [`differential`]
 //! provides the Theorem 6 checker that evaluates all four translations on
-//! (random or exhaustive) databases and compares results. RA also
-//! *executes* through the hub ([`eval`](mod@eval): [`lower_ra_with`],
-//! [`eval_ra`]), the way SQL does.
+//! (random or exhaustive) databases and compares results. RA and Datalog
+//! also *execute* through the hub ([`eval`](mod@eval): [`lower_ra_with`],
+//! [`eval_ra`], [`lower_datalog_with`], [`eval_datalog`]), the way SQL
+//! does.
 
 pub mod datalog_to_ra;
 pub mod datalog_to_trc;
@@ -31,7 +32,7 @@ pub mod trc_to_datalog;
 pub use datalog_to_ra::{datalog_to_ra, datalog_to_ra_antijoin};
 pub use datalog_to_trc::datalog_to_trc;
 pub use differential::{check_equivalent_results, FourWay};
-pub use eval::{eval_ra, lower_ra_with};
+pub use eval::{eval_datalog, eval_ra, lower_datalog_with, lower_ra_with};
 pub use ra_to_datalog::ra_to_datalog;
 pub use ra_to_trc::ra_to_trc;
 pub use trc_to_datalog::trc_to_datalog;

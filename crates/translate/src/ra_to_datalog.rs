@@ -8,9 +8,16 @@
 //! expression becomes exactly one EDB atom. The one exception is an
 //! antijoin whose condition is not all equalities, which lies outside
 //! Theorem 21 and re-reads the left tables its condition compares.
+//!
+//! The two constructs outside RA\* compile the way Datalog expresses
+//! disjunction, by repeating a head: `∪` becomes a fresh IDB with one rule
+//! per operand, and each disjunction in a σ a fresh IDB with one rule per
+//! disjunct. [`ra_to_datalog`] refuses them (its output stays Datalog\*);
+//! the hub translation (`ra_to_trc`) takes the program whole.
 
 use rd_core::{Catalog, CmpOp, CoreError, CoreResult};
 use rd_datalog::ast::{Atom, BuiltIn, DlProgram, DlTerm, Literal, Rule};
+use rd_datalog::check::is_datalog_star;
 use rd_ra::ast::{Condition, JoinCond, RaExpr, RaTerm};
 use std::collections::hash_map::{Entry, HashMap};
 
@@ -53,7 +60,7 @@ impl<'a> Compiler<'a> {
     }
 
     /// Compiles `e` into a conjunctive body (emitting auxiliary rules for
-    /// difference / antijoin right-hand sides).
+    /// difference / antijoin right-hand sides, unions and disjunctions).
     fn compile(&mut self, e: &RaExpr) -> CoreResult<Body> {
         match e {
             RaExpr::Table(t) => {
@@ -84,11 +91,8 @@ impl<'a> Compiler<'a> {
                 })
             }
             RaExpr::Select(cond, inner) => {
-                let mut body = self.compile(inner)?;
-                let mut builtins = Vec::new();
-                self.condition(cond, &body, &mut builtins)?;
-                body.literals.extend(builtins.into_iter().map(Literal::Cmp));
-                Ok(body)
+                let body = self.compile(inner)?;
+                self.select(cond, body)
             }
             RaExpr::Rename(renames, inner) => {
                 let mut body = self.compile(inner)?;
@@ -205,11 +209,58 @@ impl<'a> Compiler<'a> {
                     attr_vars: lb.attr_vars,
                 })
             }
-            RaExpr::Union(..) => Err(CoreError::Invalid(
-                "union is outside RA*; translate branches separately (Datalog expresses \
-                 disjunction by repeating the head IDB)"
-                    .into(),
-            )),
+            RaExpr::Union(l, r) => {
+                let (lb, rb) = (self.compile(l)?, self.compile(r)?);
+                // Identical schemas: the right rule's head lists its
+                // variables in the left's attribute order.
+                let right_head = lb
+                    .attr_vars
+                    .iter()
+                    .map(|(a, _)| Ok(DlTerm::var(rb.var_of(a)?)))
+                    .collect::<CoreResult<Vec<_>>>()?;
+                let idb = self.fresh_idb();
+                let head = Atom::new(
+                    idb.clone(),
+                    lb.attr_vars.iter().map(|(_, v)| DlTerm::var(v)),
+                );
+                self.rules.push(Rule::new(head.clone(), lb.literals));
+                self.rules
+                    .push(Rule::new(Atom::new(idb, right_head), rb.literals));
+                Ok(Body {
+                    literals: vec![Literal::Pos(head)],
+                    attr_vars: lb.attr_vars,
+                })
+            }
+        }
+    }
+
+    /// `body` filtered by `cond`: comparisons join it as built-ins, and
+    /// each disjunction becomes a fresh IDB with one rule per disjunct,
+    /// each rule a copy of the body filtered by its disjunct.
+    fn select(&mut self, cond: &Condition, mut body: Body) -> CoreResult<Body> {
+        match cond {
+            Condition::Cmp(l, op, r) => {
+                let b = BuiltIn::new(self.term(l, &body)?, *op, self.term(r, &body)?);
+                body.literals.push(Literal::Cmp(b));
+                Ok(body)
+            }
+            Condition::And(cs) => cs.iter().try_fold(body, |body, c| self.select(c, body)),
+            Condition::Or(cs) => {
+                let idb = self.fresh_idb();
+                let head = Atom::new(idb, body.attr_vars.iter().map(|(_, v)| DlTerm::var(v)));
+                for c in cs {
+                    let copy = Body {
+                        literals: body.literals.clone(),
+                        attr_vars: body.attr_vars.clone(),
+                    };
+                    let rule = self.select(c, copy)?;
+                    self.rules.push(Rule::new(head.clone(), rule.literals));
+                }
+                Ok(Body {
+                    literals: vec![Literal::Pos(head)],
+                    attr_vars: body.attr_vars,
+                })
+            }
         }
     }
 
@@ -327,31 +378,6 @@ impl<'a> Compiler<'a> {
         )))
     }
 
-    fn condition(
-        &mut self,
-        cond: &Condition,
-        body: &Body,
-        out: &mut Vec<BuiltIn>,
-    ) -> CoreResult<()> {
-        match cond {
-            Condition::Cmp(l, op, r) => {
-                let lt = self.term(l, body)?;
-                let rt = self.term(r, body)?;
-                out.push(BuiltIn::new(lt, *op, rt));
-                Ok(())
-            }
-            Condition::And(cs) => {
-                for c in cs {
-                    self.condition(c, body, out)?;
-                }
-                Ok(())
-            }
-            Condition::Or(_) => Err(CoreError::Invalid(
-                "disjunctive selection is outside RA* (Definition 2)".into(),
-            )),
-        }
-    }
-
     fn term(&self, t: &RaTerm, body: &Body) -> CoreResult<DlTerm> {
         Ok(match t {
             RaTerm::Attr(a) => DlTerm::var(body.var_of(a)?),
@@ -376,8 +402,23 @@ fn binding_atom<'b>(literals: &'b [Literal], var: &str) -> Option<(usize, &'b At
 
 /// Translates an RA\* (or RA\*⊲) expression into a Datalog\* program with
 /// query predicate `Q` (IDB names that would shadow a catalog table get a
-/// numeric suffix).
+/// numeric suffix). Unions and disjunctive selections, which lie outside
+/// RA\* (Definition 2), are refused.
 pub fn ra_to_datalog(e: &RaExpr, catalog: &Catalog) -> CoreResult<DlProgram> {
+    let program = ra_to_program(e, catalog)?;
+    if !is_datalog_star(&program) {
+        return Err(CoreError::Invalid(
+            "union and disjunctive selection are outside RA* (Definition 2); their Datalog \
+             form repeats a rule head, which Datalog* does not allow"
+                .into(),
+        ));
+    }
+    Ok(program)
+}
+
+/// [`ra_to_datalog`] for any RA expression: unions and disjunctions
+/// become IDBs defined by several rules.
+pub(crate) fn ra_to_program(e: &RaExpr, catalog: &Catalog) -> CoreResult<DlProgram> {
     let mut c = Compiler {
         catalog,
         rules: Vec::new(),
@@ -403,9 +444,8 @@ pub fn ra_to_datalog(e: &RaExpr, catalog: &Catalog) -> CoreResult<DlProgram> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::eval_datalog;
     use rd_core::{Database, Relation, TableSchema};
-    use rd_datalog::check::is_datalog_star;
-    use rd_datalog::eval::eval_program;
     use rd_ra::parser::parse as ra_parse;
 
     fn catalog() -> Catalog {
@@ -446,7 +486,7 @@ mod tests {
         let p = ra_to_datalog(&e, &catalog()).unwrap();
         assert!(is_datalog_star(&p), "not Datalog*:\n{p}");
         let ra_out = ra_eval(&e, &db());
-        let dl_out = eval_program(&p, &db()).unwrap();
+        let dl_out = eval_datalog(&p, &db()).unwrap();
         assert_eq!(
             &ra_out,
             dl_out.tuples(),
@@ -493,7 +533,7 @@ mod tests {
         assert!(is_datalog_star(&p));
         assert_eq!(p.signature(), vec!["R", "S"]);
         let ra_out = ra_eval(&e, &db());
-        let dl_out = eval_program(&p, &db()).unwrap();
+        let dl_out = eval_datalog(&p, &db()).unwrap();
         assert_eq!(&ra_out, dl_out.tuples());
     }
 
@@ -517,7 +557,7 @@ mod tests {
         let expected = [rd_core::Tuple::new([5i64, 20])];
         assert_eq!(ra_eval(&e, &db).into_iter().collect::<Vec<_>>(), expected);
         assert_eq!(
-            eval_program(&p, &db)
+            eval_datalog(&p, &db)
                 .unwrap()
                 .tuples()
                 .iter()
@@ -530,7 +570,7 @@ mod tests {
         let e = ra_parse("R antijoin[A<C and B=C] S", &catalog).unwrap();
         let p = ra_to_datalog(&e, &catalog).unwrap();
         assert_eq!(
-            eval_program(&p, &db).unwrap().tuples(),
+            eval_datalog(&p, &db).unwrap().tuples(),
             &ra_eval(&e, &db),
             "program:\n{p}"
         );

@@ -473,9 +473,9 @@ fn wildcardize(rule: &mut Rule) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::eval_datalog;
     use rd_core::{Database, Relation, TableSchema};
     use rd_datalog::check::is_datalog_star;
-    use rd_datalog::eval::eval_program;
     use rd_trc::eval::{eval_query, eval_sentence};
     use rd_trc::parser::parse_query;
 
@@ -511,7 +511,7 @@ mod tests {
         let p = trc_to_datalog(&q, &catalog()).unwrap();
         assert!(is_datalog_star(&p), "not Datalog*:\n{p}");
         let trc_out = eval_query(&q, &db()).unwrap();
-        let dl_out = eval_program(&p, &db()).unwrap();
+        let dl_out = eval_datalog(&p, &db()).unwrap();
         assert_eq!(
             trc_out.tuples(),
             dl_out.tuples(),
@@ -580,7 +580,7 @@ mod tests {
         ] {
             let q = parse_query(text, &cat).unwrap();
             let p = trc_to_datalog(&q, &cat).unwrap();
-            let out = eval_program(&p, &db()).unwrap();
+            let out = eval_datalog(&p, &db()).unwrap();
             assert_eq!(!out.is_empty(), expected, "sentence: {text}\n{p}");
             assert_eq!(
                 eval_sentence(&q, &db()).unwrap(),
@@ -623,7 +623,7 @@ mod tests {
         .unwrap();
         let p = trc_to_datalog(&q, &catalog()).unwrap();
         let a = eval_query(&q, &d).unwrap();
-        let b = eval_program(&p, &d).unwrap();
+        let b = eval_datalog(&p, &d).unwrap();
         assert_eq!(a.tuples(), b.tuples());
     }
 

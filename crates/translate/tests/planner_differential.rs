@@ -8,7 +8,7 @@
 //! catastrophically bad.
 
 use rd_core::exec::{self, Plan};
-use rd_core::plan::{OrderStrategy, PlanHints, PlannerOpts};
+use rd_core::plan::{OrderStrategy, PlannerOpts};
 use rd_core::{Catalog, Database, DbGenerator, Relation, TableSchema, Tuple};
 use rd_translate::FourWay;
 use rd_trc::ast::TrcUnion;
@@ -53,32 +53,27 @@ fn eval_all(
     db: &Database,
     opts: &PlannerOpts,
 ) -> Vec<(&'static str, BTreeSet<Tuple>)> {
-    let hints = PlanHints::default();
     let plans: Vec<(&'static str, Plan)> = vec![
         (
             "trc",
-            rd_trc::eval::lower_union_with(&TrcUnion::single(four.trc.clone()), db, opts, &hints)
+            rd_trc::eval::lower_union_with(&TrcUnion::single(four.trc.clone()), db, opts)
                 .expect("trc lowering"),
         ),
         (
             "datalog",
-            Plan::Program(
-                rd_datalog::eval::lower_program_with(&four.datalog, db, opts, &hints)
-                    .expect("datalog lowering"),
-            ),
+            rd_translate::lower_datalog_with(&four.datalog, db, opts).expect("datalog lowering"),
         ),
         (
             "ra",
-            rd_translate::lower_ra_with(&four.ra, db, opts, &hints).expect("ra lowering"),
+            rd_translate::lower_ra_with(&four.ra, db, opts).expect("ra lowering"),
         ),
         (
             "ra-antijoin",
-            rd_translate::lower_ra_with(&four.ra_antijoin, db, opts, &hints)
-                .expect("ra-antijoin lowering"),
+            rd_translate::lower_ra_with(&four.ra_antijoin, db, opts).expect("ra-antijoin lowering"),
         ),
         (
             "sql",
-            rd_sql::translate::lower_sql_with(&four.sql, db, opts, &hints).expect("sql lowering"),
+            rd_sql::translate::lower_sql_with(&four.sql, db, opts).expect("sql lowering"),
         ),
     ];
     plans
@@ -190,16 +185,13 @@ fn dp_picks_the_selective_order_on_the_skewed_fixture() {
     )
     .unwrap();
     let union = TrcUnion::single(q);
-    let dp =
-        rd_trc::eval::lower_union_with(&union, &db, &PlannerOpts::default(), &PlanHints::default())
-            .unwrap();
+    let dp = rd_trc::eval::lower_union_with(&union, &db, &PlannerOpts::default()).unwrap();
     assert_eq!(
         scan_order(&dp),
         ["T", "R", "S"],
         "DP must start from the selective T⋈R edge"
     );
-    let greedy_plan =
-        rd_trc::eval::lower_union_with(&union, &db, &greedy(), &PlanHints::default()).unwrap();
+    let greedy_plan = rd_trc::eval::lower_union_with(&union, &db, &greedy()).unwrap();
     assert_ne!(
         scan_order(&greedy_plan)[0],
         "R",

@@ -30,7 +30,7 @@
 use crate::ast::{Binding, Formula, Predicate, Term, TrcQuery, TrcUnion};
 use crate::canon::canonicalize;
 use rd_core::exec::{self, Block, EnvShape, Plan, QueryPlan, Scan, SentencePlan};
-use rd_core::plan::{OrderStrategy, PlanHints, PlannerOpts, ScanCand};
+use rd_core::plan::{OrderStrategy, PlannerOpts, ScanCand};
 use rd_core::{plan, CmpOp, CoreError, CoreResult, Database, Relation, TableSchema};
 use std::collections::{BTreeSet, HashMap};
 
@@ -40,8 +40,8 @@ use std::collections::{BTreeSet, HashMap};
 
 struct Compiler<'d> {
     db: &'d Database,
-    /// Table statistics (sizes, distinct sketches, `Int` ranges, plus
-    /// any feedback overrides) driving scan ordering.
+    /// Table statistics (sizes, distinct sketches, `Int` ranges)
+    /// driving scan ordering.
     stats: plan::DbStats,
     /// Planner configuration (strategy, DP threshold).
     opts: PlannerOpts,
@@ -62,12 +62,10 @@ struct Compiler<'d> {
 }
 
 impl<'d> Compiler<'d> {
-    fn new(db: &'d Database, opts: &PlannerOpts, hints: &PlanHints) -> Self {
-        let mut stats = plan::DbStats::of(db);
-        stats.apply_hints(hints);
+    fn new(db: &'d Database, opts: &PlannerOpts) -> Self {
         Compiler {
             db,
-            stats,
+            stats: plan::DbStats::of(db),
             opts: *opts,
             scope: Vec::new(),
             slot_schemas: Vec::new(),
@@ -80,7 +78,6 @@ impl<'d> Compiler<'d> {
     fn shape(&self) -> EnvShape {
         EnvShape {
             tuple_slots: self.slot_schemas.len(),
-            value_slots: 0,
             indexes: self.n_indexes,
         }
     }
@@ -272,11 +269,9 @@ impl<'d> Compiler<'d> {
             };
             scans.push(Scan {
                 rel: b.table.clone(),
-                tuple_slot: Some(slots[bi]),
+                tuple_slot: slots[bi],
                 key_cols,
                 key_terms,
-                bind_cols: Vec::new(),
-                check_cols: Vec::new(),
                 index_id,
                 filters,
             });
@@ -499,17 +494,11 @@ impl<'d> Compiler<'d> {
 /// Lowers a non-Boolean query to a compiled plan branch under the
 /// default planner configuration.
 pub fn lower_query(q: &TrcQuery, db: &Database) -> CoreResult<QueryPlan> {
-    lower_query_with(q, db, &PlannerOpts::default(), &PlanHints::default())
+    lower_query_with(q, db, &PlannerOpts::default())
 }
 
-/// Lowers a non-Boolean query with explicit planner configuration and
-/// execution-feedback hints.
-pub fn lower_query_with(
-    q: &TrcQuery,
-    db: &Database,
-    opts: &PlannerOpts,
-    hints: &PlanHints,
-) -> CoreResult<QueryPlan> {
+/// Lowers a non-Boolean query with explicit planner configuration.
+pub fn lower_query_with(q: &TrcQuery, db: &Database, opts: &PlannerOpts) -> CoreResult<QueryPlan> {
     let head = q.output.clone().ok_or_else(|| {
         CoreError::Invalid(
             "eval_query requires an output head; use eval_sentence for Boolean queries".into(),
@@ -565,7 +554,7 @@ pub fn lower_query_with(
         }
     }
 
-    let mut c = Compiler::new(db, opts, hints);
+    let mut c = Compiler::new(db, opts);
     let head_slot = c.push_schema_var(&head.name, out_schema.clone());
     let mut slots_of = Vec::with_capacity(bindings.len());
     for b in &bindings {
@@ -598,7 +587,7 @@ pub fn lower_query_with(
 /// Lowers a Boolean sentence to a compiled plan under the default
 /// planner configuration.
 pub fn lower_sentence(q: &TrcQuery, db: &Database) -> CoreResult<SentencePlan> {
-    lower_sentence_with(q, db, &PlannerOpts::default(), &PlanHints::default())
+    lower_sentence_with(q, db, &PlannerOpts::default())
 }
 
 /// Lowers a Boolean sentence with explicit planner configuration.
@@ -606,7 +595,6 @@ pub fn lower_sentence_with(
     q: &TrcQuery,
     db: &Database,
     opts: &PlannerOpts,
-    hints: &PlanHints,
 ) -> CoreResult<SentencePlan> {
     if q.output.is_some() {
         return Err(CoreError::Invalid(
@@ -614,7 +602,7 @@ pub fn lower_sentence_with(
         ));
     }
     let canon = canonicalize(q);
-    let mut c = Compiler::new(db, opts, hints);
+    let mut c = Compiler::new(db, opts);
     let formula = c.compile_formula(&canon.formula)?;
     Ok(SentencePlan {
         formula,
@@ -626,26 +614,21 @@ pub fn lower_sentence_with(
 /// without an output head becomes a Boolean sentence plan, anything
 /// else a union of query branches.
 pub fn lower_union(u: &TrcUnion, db: &Database) -> CoreResult<Plan> {
-    lower_union_with(u, db, &PlannerOpts::default(), &PlanHints::default())
+    lower_union_with(u, db, &PlannerOpts::default())
 }
 
-/// [`lower_union`] with explicit planner configuration and
-/// execution-feedback hints — the engine's re-planning entry point.
-pub fn lower_union_with(
-    u: &TrcUnion,
-    db: &Database,
-    opts: &PlannerOpts,
-    hints: &PlanHints,
-) -> CoreResult<Plan> {
+/// [`lower_union`] with explicit planner configuration — the lowering
+/// every language's hub form goes through.
+pub fn lower_union_with(u: &TrcUnion, db: &Database, opts: &PlannerOpts) -> CoreResult<Plan> {
     match u.branches.as_slice() {
         [] => Err(CoreError::Invalid("empty union".into())),
-        [sentence] if sentence.output.is_none() => Ok(Plan::Sentence(lower_sentence_with(
-            sentence, db, opts, hints,
-        )?)),
+        [sentence] if sentence.output.is_none() => {
+            Ok(Plan::Sentence(lower_sentence_with(sentence, db, opts)?))
+        }
         branches => Ok(Plan::Union(
             branches
                 .iter()
-                .map(|q| lower_query_with(q, db, opts, hints))
+                .map(|q| lower_query_with(q, db, opts))
                 .collect::<CoreResult<_>>()?,
         )),
     }

@@ -56,7 +56,7 @@ fn four_plans(q: &rd_trc::TrcQuery, cat: &Catalog, db: &Database) -> [rd_core::e
     let trc_u = rd_trc::TrcUnion::new(vec![q.clone()]).unwrap();
     [
         rd_trc::lower_union(&trc_u, db).unwrap(),
-        rd_core::exec::Plan::Program(rd_datalog::lower_program(&p, db).unwrap()),
+        lower_datalog(&p, db),
         lower_ra(&e, db),
         rd_sql::lower_sql(&sql, db).unwrap(),
     ]
@@ -64,7 +64,12 @@ fn four_plans(q: &rd_trc::TrcQuery, cat: &Catalog, db: &Database) -> [rd_core::e
 
 /// Lowers an RA expression through the TRC hub with default planning.
 fn lower_ra(e: &rd_ra::RaExpr, db: &Database) -> rd_core::exec::Plan {
-    rd_translate::lower_ra_with(e, db, &Default::default(), &Default::default()).unwrap()
+    rd_translate::lower_ra_with(e, db, &Default::default()).unwrap()
+}
+
+/// Lowers a Datalog program through the TRC hub with default planning.
+fn lower_datalog(p: &rd_datalog::DlProgram, db: &Database) -> rd_core::exec::Plan {
+    rd_translate::lower_datalog_with(p, db, &Default::default()).unwrap()
 }
 
 /// The TRC oracle's answer for `q` over the string-resolved copy `raw`.
@@ -203,7 +208,7 @@ proptest! {
             let db = gen.next_db();
             let raw = uninterned_copy(&db);
             let trc_out = rd_trc::eval_query(&q, &db).unwrap();
-            let dl_out = rd_datalog::eval_program(&p, &db).unwrap();
+            let dl_out = rd_translate::eval_datalog(&p, &db).unwrap();
             prop_assert_eq!(trc_out.tuples(), dl_out.tuples(), "trc vs datalog");
             let ra_out = rd_translate::eval_ra(&e, &db).unwrap();
             prop_assert_eq!(trc_out.tuples(), ra_out.tuples(), "trc vs ra");
@@ -245,8 +250,7 @@ proptest! {
             let pairs: [(rd_core::exec::Plan, rd_core::exec::Plan); 4] = [
                 (rd_trc::lower_union(&trc_u, &db).unwrap(),
                  rd_trc::lower_union(&trc_u, &raw).unwrap()),
-                (rd_core::exec::Plan::Program(rd_datalog::lower_program(&p, &db).unwrap()),
-                 rd_core::exec::Plan::Program(rd_datalog::lower_program(&p, &raw).unwrap())),
+                (lower_datalog(&p, &db), lower_datalog(&p, &raw)),
                 (lower_ra(&e, &db), lower_ra(&e, &raw)),
                 (rd_sql::lower_sql(&sql, &db).unwrap(), rd_sql::lower_sql(&sql, &raw).unwrap()),
             ];

@@ -208,7 +208,7 @@ fn example21_builtin_negation_boundary() {
     for _ in 0..40 {
         let db = gen.next_db();
         let a = rd_trc::eval_query(&q3, &db).unwrap();
-        let b = rd_datalog::eval_program(&dl, &db).unwrap();
+        let b = rd_translate::eval_datalog(&dl, &db).unwrap();
         assert_eq!(a.tuples(), b.tuples());
     }
 }
