@@ -31,6 +31,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::schema::TableSchema;
 use crate::value::Value;
 use crate::CmpOp;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 // ---------------------------------------------------------------------
@@ -398,29 +399,39 @@ pub fn explain_analyze(plan: &Plan, db: &Database) -> CoreResult<(Relation, Expl
 /// One node of an explain tree: plan structure rendered for diagnosis
 /// (scan order, join strategy, bound keys), optionally annotated with
 /// row counts by `explain analyze`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Fields are in wire order: the serialized node is the `plan` object of
+/// an explain frame, and the optional annotations come last and are
+/// omitted when absent, so plain-explain frames keep their bytes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExplainNode {
     /// Node kind (`scan`, `exists`, `join`, `union`, …).
     pub kind: String,
     /// Human-readable detail (table, key columns, strategy).
+    #[serde(default)]
     pub detail: String,
+    /// Child nodes in execution order.
+    #[serde(default)]
+    pub children: Vec<ExplainNode>,
     /// Planner cardinality estimate (sketch-backed statistics where the
     /// node maps to stored relations; present only under
     /// `explain analyze`, and absent for nodes with no meaningful
     /// estimate).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub est_rows: Option<u64>,
     /// Rows this node actually produced (present only under
     /// `explain analyze`).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub actual_rows: Option<u64>,
     /// Estimation quality: `max(est/actual, actual/est)` with +1
     /// smoothing so empty results stay finite. `1.0` is a perfect
     /// estimate; present only when both row fields are.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub q_error: Option<f64>,
     /// Join-build strategy actually used (`"dense-key"` or `"hash"`),
     /// recorded during `explain analyze` on keyed scans. `None` outside analyze and in legacy frames.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub build: Option<String>,
-    /// Child nodes in execution order.
-    pub children: Vec<ExplainNode>,
 }
 
 impl ExplainNode {

@@ -405,7 +405,7 @@ impl BenchReport {
     /// distribution when its stats were fetched. Successive runs' files
     /// diff cleanly (stable key order, one object).
     pub fn render_json(&self, stages: &[StageLatency], shards: &[ShardBreakdown]) -> String {
-        use serde::json::Value as Json;
+        use serde::{json::Value as Json, Serialize};
         let micros = |p: f64| {
             self.percentile(p)
                 .map_or(0, |d| d.as_micros().min(u64::MAX as u128)) as i64
@@ -450,40 +450,8 @@ impl BenchReport {
                     ("max".into(), Json::Int(cmicros(1.0))),
                 ]),
             ),
-            (
-                "stages".to_string(),
-                Json::Array(
-                    stages
-                        .iter()
-                        .map(|st| {
-                            Json::Object(vec![
-                                ("stage".into(), Json::String(st.stage.clone())),
-                                ("count".into(), Json::Int(st.count as i64)),
-                                ("p50".into(), Json::Int(st.p50 as i64)),
-                                ("p95".into(), Json::Int(st.p95 as i64)),
-                                ("p99".into(), Json::Int(st.p99 as i64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "shards".to_string(),
-                Json::Array(
-                    shards
-                        .iter()
-                        .map(|sh| {
-                            Json::Object(vec![
-                                ("shard".into(), Json::Int(sh.shard as i64)),
-                                ("connections".into(), Json::Int(sh.connections as i64)),
-                                ("active".into(), Json::Int(sh.active as i64)),
-                                ("evicted".into(), Json::Int(sh.evicted as i64)),
-                                ("inline".into(), Json::Int(sh.inline as i64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("stages".to_string(), stages.to_json()),
+            ("shards".to_string(), shards.to_json()),
         ];
         Json::Object(pairs).to_pretty()
     }

@@ -88,15 +88,30 @@
 //! Clients that send neither an `"id"` nor queries above the stream
 //! threshold see exactly the PR-2/PR-3 wire format, byte for byte.
 //!
-//! Serialization is hand-rolled onto the vendored `serde` JSON value
-//! model rather than derived: the wire format is a public contract
-//! (`op`/`kind` tags, stable field names), and deriving would tie it to
-//! the shim's externally-tagged enum encoding.
+//! **Codec.** [`Request`] and [`Response`] each have one hand-written
+//! envelope: a request writes its `op` tag and then its fields; a
+//! response writes `ok` plus `kind` and then splices in its payload's
+//! members, so the tags never take the derive's externally-tagged enum
+//! shape. Payloads built from this crate's and
+//! `rd-core`'s types derive their codecs (`#[serde(default)]` marks the
+//! fields older frames lack, `skip_serializing_if` the ones written only
+//! when present); struct fields are declared in wire order. Payloads that
+//! hold `rd-engine` types (`Language`, `DiagramFormat`, `SessionStats`,
+//! `CacheStats`) and the mutation frame (whose `insert` flag travels as
+//! `"op"`) are hand-written, reading fields through the same
+//! `serde::json::{required, defaulted}` helpers the derive generates
+//! calls to. Decode errors name the offending field.
+//!
+//! **Malformed input.** A line that is not valid JSON, nests arrays and
+//! objects deeper than [`serde::json::MAX_DEPTH`] (128), or does not
+//! decode gets a `{"ok":false,"error":"malformed message: ..."}` frame;
+//! the connection stays usable.
 
 use rd_core::exec::ExplainNode;
 use rd_core::Value;
 use rd_engine::{CacheStats, DiagramFormat, Language, SessionStats};
-use serde::json::Value as Json;
+use serde::json::{defaulted, required, Value as Json};
+use serde::{Deserialize, Serialize};
 
 /// A client→server message.
 #[derive(Debug, Clone, PartialEq)]
@@ -354,7 +369,7 @@ pub struct TranslateResult {
 }
 
 /// The payload of a successful load response.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LoadResult {
     /// Tables now in the database.
     pub tables: usize,
@@ -383,7 +398,7 @@ pub struct MutationResult {
 }
 
 /// The payload of a successful checkpoint response.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CheckpointResult {
     /// The new snapshot's sequence number (0 when the server runs
     /// without a data dir — nothing was written).
@@ -445,7 +460,7 @@ pub struct StatsResult {
 }
 
 /// One pipeline stage's latency summary inside a stats frame.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StageLatency {
     /// Stage name (`parse`, `plan`, `execute`, `render`, `serialize`).
     pub stage: String,
@@ -467,20 +482,24 @@ pub struct StageLatency {
 /// and `feedback_hits` here (and `planner_replans`/
 /// `planner_feedback_hits` among the session counters); readers ignore
 /// them.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PlannerStats {
     /// Executions that recorded a root-estimate q-error.
+    #[serde(default)]
     pub q_count: u64,
     /// Median q-error, centi (100 = perfect).
+    #[serde(default)]
     pub q_p50: u64,
     /// 95th-percentile q-error, centi.
+    #[serde(default)]
     pub q_p95: u64,
     /// 99th-percentile q-error, centi.
+    #[serde(default)]
     pub q_p99: u64,
 }
 
 /// One event-loop shard's connection counters inside a stats frame.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ShardBreakdown {
     /// Shard index (`0..shards`).
     pub shard: u64,
@@ -493,11 +512,12 @@ pub struct ShardBreakdown {
     /// Requests this shard's event loop answered itself (pings and
     /// whole cache hits) without a pool round trip (appended; absent in
     /// older frames — decodes to 0).
+    #[serde(default)]
     pub inline: u64,
 }
 
 /// The payload of a metrics response.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct MetricsResult {
     /// Prometheus-style exposition text (`# TYPE` comments, `_bucket`
     /// cumulative counters with `le` labels, `_sum`, `_count`).
@@ -518,6 +538,19 @@ fn s(v: impl Into<String>) -> Json {
 
 fn u(v: u64) -> Json {
     Json::Int(v as i64)
+}
+
+/// A response frame: `head` (`ok` plus `kind`), then the members of the
+/// encoded payload object.
+fn envelope(head: [(&str, Json); 2], payload: Json) -> Json {
+    let members = match payload {
+        Json::Object(members) => members,
+        _ => Vec::new(),
+    };
+    let mut pairs = Vec::with_capacity(head.len() + members.len());
+    pairs.extend(head.map(|(k, v)| (k.to_string(), v)));
+    pairs.extend(members);
+    Json::Object(pairs)
 }
 
 fn value_to_json(v: &Value) -> Json {
@@ -547,6 +580,21 @@ fn value_from_json(v: &Json) -> Result<Value, String> {
     }
 }
 
+fn parse_rows(v: &Json) -> Result<Vec<Vec<Value>>, String> {
+    v.get("rows")
+        .and_then(Json::as_array)
+        .ok_or("missing or non-array field 'rows'")?
+        .iter()
+        .map(|row| {
+            row.as_array()
+                .ok_or_else(|| "non-array row".to_string())?
+                .iter()
+                .map(value_from_json)
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .collect()
+}
+
 fn diagram_name(d: DiagramFormat) -> &'static str {
     match d {
         DiagramFormat::None => "none",
@@ -564,48 +612,22 @@ fn diagram_from_name(name: &str) -> Result<DiagramFormat, String> {
     }
 }
 
-fn get_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
+fn language(v: &Json, key: &str) -> Result<Language, String> {
+    required::<String>(v, key)?.parse()
 }
 
-fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-/// Missing fields default to 0 (forward compatibility for counters
-/// added after PR 2).
-fn opt_u64(v: &Json, key: &str) -> Result<u64, String> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(0),
-        Some(other) => other
-            .as_u64()
-            .ok_or_else(|| format!("field '{key}' must be an integer, found {other}")),
+/// Parses the optional `"lang"` field (`"auto"`, absent, and null all
+/// mean detect-from-text).
+fn opt_language(v: &Json) -> Result<Option<Language>, String> {
+    match required::<Option<String>>(v, "lang")?.as_deref() {
+        None | Some("auto") => Ok(None),
+        Some(name) => name.parse().map(Some),
     }
 }
 
-/// A genuinely optional integer: absent/null stays `None` (unlike
-/// [`opt_u64`], whose 0 default suits counters but would fabricate a
-/// row count of 0 on frames that never carried one).
-fn opt_u64_field(v: &Json, key: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(other) => other
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field '{key}' must be an integer, found {other}")),
-    }
-}
-
-fn opt_bool(v: &Json, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(false),
-        Some(Json::Bool(b)) => Ok(*b),
-        Some(other) => Err(format!("field '{key}' must be a bool, found {other}")),
+fn push_language(pairs: &mut Vec<(&str, Json)>, language: &Option<Language>) {
+    if let Some(lang) = language {
+        pairs.push(("lang", s(lang.name())));
     }
 }
 
@@ -632,182 +654,27 @@ fn session_stats_to_json(st: &SessionStats) -> Json {
     ])
 }
 
+/// Counters added after the first protocol version decode as 0 when
+/// absent.
 fn session_stats_from_json(v: &Json) -> Result<SessionStats, String> {
     Ok(SessionStats {
-        queries: get_u64(v, "queries")?,
-        batches: get_u64(v, "batches")?,
-        cache_hits: get_u64(v, "cache_hits")?,
-        cache_misses: get_u64(v, "cache_misses")?,
-        cache_evictions: get_u64(v, "cache_evictions")?,
-        eval_hits: get_u64(v, "eval_hits")?,
-        eval_misses: get_u64(v, "eval_misses")?,
-        eval_evictions: get_u64(v, "eval_evictions")?,
-        eval_skipped: opt_u64(v, "eval_skipped")?,
-        plan_hits: opt_u64(v, "plan_hits")?,
-        plan_misses: opt_u64(v, "plan_misses")?,
-        plan_evictions: opt_u64(v, "plan_evictions")?,
-        delta_invalidations: opt_u64(v, "delta_invalidations")?,
-        delta_survivals: opt_u64(v, "delta_survivals")?,
-        rows_returned: get_u64(v, "rows_returned")?,
-        rows_streamed: opt_u64(v, "rows_streamed")?,
+        queries: required(v, "queries")?,
+        batches: required(v, "batches")?,
+        cache_hits: required(v, "cache_hits")?,
+        cache_misses: required(v, "cache_misses")?,
+        cache_evictions: required(v, "cache_evictions")?,
+        eval_hits: required(v, "eval_hits")?,
+        eval_misses: required(v, "eval_misses")?,
+        eval_evictions: required(v, "eval_evictions")?,
+        eval_skipped: defaulted(v, "eval_skipped")?,
+        plan_hits: defaulted(v, "plan_hits")?,
+        plan_misses: defaulted(v, "plan_misses")?,
+        plan_evictions: defaulted(v, "plan_evictions")?,
+        delta_invalidations: defaulted(v, "delta_invalidations")?,
+        delta_survivals: defaulted(v, "delta_survivals")?,
+        rows_returned: required(v, "rows_returned")?,
+        rows_streamed: defaulted(v, "rows_streamed")?,
     })
-}
-
-fn explain_node_to_json(n: &ExplainNode) -> Json {
-    let mut pairs = vec![
-        ("kind", s(&n.kind)),
-        ("detail", s(&n.detail)),
-        (
-            "children",
-            Json::Array(n.children.iter().map(explain_node_to_json).collect()),
-        ),
-    ];
-    // Appended after the PR-2 fields (and omitted entirely on plain
-    // explain) so pre-analyze frames stay byte-identical.
-    if let Some(est) = n.est_rows {
-        pairs.push(("est_rows", u(est)));
-    }
-    if let Some(actual) = n.actual_rows {
-        pairs.push(("actual_rows", u(actual)));
-    }
-    // PR-10 planner field: the estimation q-error, present only under
-    // `explain analyze` (both est and actual rows are needed).
-    if let Some(q) = n.q_error {
-        pairs.push(("q_error", Json::Float(q)));
-    }
-    // The join-build strategy, same append-only discipline: absent on
-    // structural nodes and on legacy frames.
-    if let Some(build) = &n.build {
-        pairs.push(("build", s(build)));
-    }
-    obj(pairs)
-}
-
-/// A genuinely optional float field: absent/null stays `None` (plain
-/// explain frames carry no `q_error`). Integers are accepted too —
-/// a writer may normalize `2.0` to `2`.
-fn opt_f64_field(v: &Json, key: &str) -> Result<Option<f64>, String> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(other) => other
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("field '{key}' must be a number, found {other}")),
-    }
-}
-
-/// A genuinely optional string field: absent/null stays `None` (legacy
-/// explain frames carry no `build`).
-fn opt_str_field(v: &Json, key: &str) -> Result<Option<String>, String> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::String(t)) => Ok(Some(t.clone())),
-        Some(other) => Err(format!("field '{key}' must be a string, found {other}")),
-    }
-}
-
-fn explain_node_from_json(v: &Json) -> Result<ExplainNode, String> {
-    let children = match v.get("children") {
-        None | Some(Json::Null) => Vec::new(),
-        Some(Json::Array(items)) => items
-            .iter()
-            .map(explain_node_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-        Some(other) => return Err(format!("'children' must be an array, found {other}")),
-    };
-    Ok(ExplainNode {
-        kind: get_str(v, "kind")?,
-        detail: v
-            .get("detail")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string(),
-        children,
-        est_rows: opt_u64_field(v, "est_rows")?,
-        actual_rows: opt_u64_field(v, "actual_rows")?,
-        q_error: opt_f64_field(v, "q_error")?,
-        build: opt_str_field(v, "build")?,
-    })
-}
-
-fn stage_latency_to_json(st: &StageLatency) -> Json {
-    obj(vec![
-        ("stage", s(&st.stage)),
-        ("count", u(st.count)),
-        ("p50", u(st.p50)),
-        ("p95", u(st.p95)),
-        ("p99", u(st.p99)),
-    ])
-}
-
-fn stage_latencies_from_json(v: &Json) -> Result<Vec<StageLatency>, String> {
-    match v.get("stages") {
-        None | Some(Json::Null) => Ok(Vec::new()),
-        Some(Json::Array(items)) => items
-            .iter()
-            .map(|item| {
-                Ok(StageLatency {
-                    stage: get_str(item, "stage")?,
-                    count: get_u64(item, "count")?,
-                    p50: get_u64(item, "p50")?,
-                    p95: get_u64(item, "p95")?,
-                    p99: get_u64(item, "p99")?,
-                })
-            })
-            .collect(),
-        Some(other) => Err(format!("'stages' must be an array, found {other}")),
-    }
-}
-
-fn planner_stats_to_json(p: &PlannerStats) -> Json {
-    obj(vec![
-        ("q_count", u(p.q_count)),
-        ("q_p50", u(p.q_p50)),
-        ("q_p95", u(p.q_p95)),
-        ("q_p99", u(p.q_p99)),
-    ])
-}
-
-fn planner_stats_from_json(v: &Json) -> Result<PlannerStats, String> {
-    match v.get("planner") {
-        // Pre-PR-10 frames carry no planner block: all-zero summary.
-        None | Some(Json::Null) => Ok(PlannerStats::default()),
-        Some(p) => Ok(PlannerStats {
-            q_count: opt_u64(p, "q_count")?,
-            q_p50: opt_u64(p, "q_p50")?,
-            q_p95: opt_u64(p, "q_p95")?,
-            q_p99: opt_u64(p, "q_p99")?,
-        }),
-    }
-}
-
-fn shard_breakdown_to_json(sb: &ShardBreakdown) -> Json {
-    obj(vec![
-        ("shard", u(sb.shard)),
-        ("connections", u(sb.connections)),
-        ("active", u(sb.active)),
-        ("evicted", u(sb.evicted)),
-        ("inline", u(sb.inline)),
-    ])
-}
-
-fn shard_breakdowns_from_json(v: &Json) -> Result<Vec<ShardBreakdown>, String> {
-    match v.get("shards") {
-        None | Some(Json::Null) => Ok(Vec::new()),
-        Some(Json::Array(items)) => items
-            .iter()
-            .map(|item| {
-                Ok(ShardBreakdown {
-                    shard: get_u64(item, "shard")?,
-                    connections: get_u64(item, "connections")?,
-                    active: get_u64(item, "active")?,
-                    evicted: get_u64(item, "evicted")?,
-                    inline: opt_u64(item, "inline")?,
-                })
-            })
-            .collect(),
-        Some(other) => Err(format!("'shards' must be an array, found {other}")),
-    }
 }
 
 fn cache_stats_to_json(st: &CacheStats) -> Json {
@@ -823,12 +690,12 @@ fn cache_stats_to_json(st: &CacheStats) -> Json {
 
 fn cache_stats_from_json(v: &Json) -> Result<CacheStats, String> {
     Ok(CacheStats {
-        hits: get_u64(v, "hits")?,
-        misses: get_u64(v, "misses")?,
-        evictions: get_u64(v, "evictions")?,
-        entries: get_u64(v, "entries")? as usize,
-        capacity: get_u64(v, "capacity")? as usize,
-        bytes: opt_u64(v, "cached_bytes")?,
+        hits: required(v, "hits")?,
+        misses: required(v, "misses")?,
+        evictions: required(v, "evictions")?,
+        entries: required(v, "entries")?,
+        capacity: required(v, "capacity")?,
+        bytes: defaulted(v, "cached_bytes")?,
     })
 }
 
@@ -849,334 +716,7 @@ fn push_optional_meta(
     if let Some(d) = diagram {
         pairs.push(("diagram", s(d)));
     }
-    pairs.push(("notes", Json::Array(notes.iter().map(s).collect())));
-}
-
-impl serde::Serialize for Request {
-    fn to_json(&self) -> Json {
-        match self {
-            Request::Query {
-                language,
-                text,
-                translations,
-                diagram,
-            } => {
-                let mut pairs = vec![("op", s("query"))];
-                if let Some(lang) = language {
-                    pairs.push(("lang", s(lang.name())));
-                }
-                pairs.push(("text", s(text)));
-                if *translations {
-                    pairs.push(("translations", Json::Bool(true)));
-                }
-                if *diagram != DiagramFormat::None {
-                    pairs.push(("diagram", s(diagram_name(*diagram))));
-                }
-                obj(pairs)
-            }
-            Request::Explain {
-                language,
-                text,
-                analyze,
-            } => {
-                let mut pairs = vec![("op", s("explain"))];
-                if let Some(lang) = language {
-                    pairs.push(("lang", s(lang.name())));
-                }
-                pairs.push(("text", s(text)));
-                if *analyze {
-                    pairs.push(("analyze", Json::Bool(true)));
-                }
-                obj(pairs)
-            }
-            Request::Translate { language, text, to } => {
-                let mut pairs = vec![("op", s("translate")), ("to", s(to.name()))];
-                if let Some(lang) = language {
-                    pairs.push(("lang", s(lang.name())));
-                }
-                pairs.push(("text", s(text)));
-                obj(pairs)
-            }
-            Request::Load(LoadSource::Fixture(text)) => {
-                obj(vec![("op", s("load")), ("fixture", s(text))])
-            }
-            Request::Load(LoadSource::Csv { table, text }) => obj(vec![
-                ("op", s("load")),
-                ("csv", s(text)),
-                ("table", s(table)),
-            ]),
-            Request::Insert { table, rows } => obj(vec![
-                ("op", s("insert")),
-                ("table", s(table)),
-                ("rows", rows_to_json(rows)),
-            ]),
-            Request::Delete { table, rows } => obj(vec![
-                ("op", s("delete")),
-                ("table", s(table)),
-                ("rows", rows_to_json(rows)),
-            ]),
-            Request::Checkpoint => obj(vec![("op", s("checkpoint"))]),
-            Request::Stats { reset } => {
-                let mut pairs = vec![("op", s("stats"))];
-                if *reset {
-                    pairs.push(("reset", Json::Bool(true)));
-                }
-                obj(pairs)
-            }
-            Request::Metrics => obj(vec![("op", s("metrics"))]),
-            Request::Ping => obj(vec![("op", s("ping"))]),
-            Request::Shutdown => obj(vec![("op", s("shutdown"))]),
-        }
-    }
-}
-
-/// Parses the optional `"lang"` field (`"auto"`, absent, and null all
-/// mean detect-from-text).
-fn opt_language(v: &Json) -> Result<Option<Language>, String> {
-    match v.get("lang") {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::String(name)) if name == "auto" => Ok(None),
-        Some(Json::String(name)) => Ok(Some(name.parse::<Language>()?)),
-        Some(other) => Err(format!("field 'lang' must be a string, found {other}")),
-    }
-}
-
-impl serde::Deserialize for Request {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let op = get_str(v, "op")?;
-        match op.as_str() {
-            "query" => {
-                let language = opt_language(v)?;
-                let diagram = match v.get("diagram") {
-                    None | Some(Json::Null) => DiagramFormat::None,
-                    Some(Json::String(name)) => diagram_from_name(name)?,
-                    Some(other) => {
-                        return Err(format!("field 'diagram' must be a string, found {other}"))
-                    }
-                };
-                Ok(Request::Query {
-                    language,
-                    text: get_str(v, "text")?,
-                    translations: opt_bool(v, "translations")?,
-                    diagram,
-                })
-            }
-            "explain" => Ok(Request::Explain {
-                language: opt_language(v)?,
-                text: get_str(v, "text")?,
-                analyze: opt_bool(v, "analyze")?,
-            }),
-            "translate" => Ok(Request::Translate {
-                language: opt_language(v)?,
-                text: get_str(v, "text")?,
-                to: get_str(v, "to")?.parse::<Language>()?,
-            }),
-            "load" => {
-                if let Some(fixture) = v.get("fixture") {
-                    let text = fixture.as_str().ok_or("field 'fixture' must be a string")?;
-                    Ok(Request::Load(LoadSource::Fixture(text.to_string())))
-                } else if v.get("csv").is_some() {
-                    Ok(Request::Load(LoadSource::Csv {
-                        table: get_str(v, "table")?,
-                        text: get_str(v, "csv")?,
-                    }))
-                } else {
-                    Err("load requires a 'fixture' or 'csv' field".into())
-                }
-            }
-            "insert" => Ok(Request::Insert {
-                table: get_str(v, "table")?,
-                rows: parse_rows(v)?,
-            }),
-            "delete" => Ok(Request::Delete {
-                table: get_str(v, "table")?,
-                rows: parse_rows(v)?,
-            }),
-            "checkpoint" => Ok(Request::Checkpoint),
-            "stats" => Ok(Request::Stats {
-                reset: opt_bool(v, "reset")?,
-            }),
-            "metrics" => Ok(Request::Metrics),
-            "ping" => Ok(Request::Ping),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!(
-                "unknown op '{other}' (expected query, explain, translate, load, insert, \
-                 delete, checkpoint, stats, metrics, ping, or shutdown)"
-            )),
-        }
-    }
-}
-
-impl serde::Serialize for Response {
-    fn to_json(&self) -> Json {
-        match self {
-            Response::Query(q) => {
-                let mut pairs = vec![
-                    ("ok", Json::Bool(true)),
-                    ("kind", s("query")),
-                    ("language", s(q.language.name())),
-                    ("canonical", s(&q.canonical)),
-                    ("attrs", Json::Array(q.attrs.iter().map(s).collect())),
-                    (
-                        "rows",
-                        Json::Array(
-                            q.rows
-                                .iter()
-                                .map(|row| Json::Array(row.iter().map(value_to_json).collect()))
-                                .collect(),
-                        ),
-                    ),
-                    ("row_count", u(q.rows.len() as u64)),
-                    ("cache_hit", Json::Bool(q.cache_hit)),
-                    ("eval_cache_hit", Json::Bool(q.eval_cache_hit)),
-                ];
-                push_optional_meta(&mut pairs, &q.translations, &q.diagram, &q.notes);
-                obj(pairs)
-            }
-            Response::Explain(e) => obj(vec![
-                ("ok", Json::Bool(true)),
-                ("kind", s("explain")),
-                ("language", s(e.language.name())),
-                ("canonical", s(&e.canonical)),
-                ("plan", explain_node_to_json(&e.plan)),
-                ("cache_hit", Json::Bool(e.cache_hit)),
-            ]),
-            Response::Translate(t) => obj(vec![
-                ("ok", Json::Bool(true)),
-                ("kind", s("translate")),
-                ("to", s(t.to.name())),
-                ("text", s(&t.text)),
-            ]),
-            Response::RowsChunk(c) => {
-                let mut pairs = vec![
-                    ("ok", Json::Bool(true)),
-                    ("kind", s("rows-chunk")),
-                    ("seq", u(c.seq)),
-                ];
-                if let Some(head) = &c.head {
-                    pairs.push(("language", s(head.language.name())));
-                    pairs.push(("canonical", s(&head.canonical)));
-                    pairs.push(("attrs", Json::Array(head.attrs.iter().map(s).collect())));
-                }
-                pairs.push((
-                    "rows",
-                    Json::Array(
-                        c.rows
-                            .iter()
-                            .map(|row| Json::Array(row.iter().map(value_to_json).collect()))
-                            .collect(),
-                    ),
-                ));
-                obj(pairs)
-            }
-            Response::RowsEnd(e) => {
-                let mut pairs = vec![
-                    ("ok", Json::Bool(true)),
-                    ("kind", s("rows-end")),
-                    ("seq", u(e.seq)),
-                    ("row_count", u(e.row_count)),
-                    ("cache_hit", Json::Bool(e.cache_hit)),
-                    ("eval_cache_hit", Json::Bool(e.eval_cache_hit)),
-                ];
-                push_optional_meta(&mut pairs, &e.translations, &e.diagram, &e.notes);
-                obj(pairs)
-            }
-            Response::Load(l) => obj(vec![
-                ("ok", Json::Bool(true)),
-                ("kind", s("load")),
-                ("tables", u(l.tables as u64)),
-                ("tuples", u(l.tuples as u64)),
-                ("generation", u(l.generation)),
-                ("fingerprint", s(&l.fingerprint)),
-            ]),
-            Response::Mutation(m) => obj(vec![
-                ("ok", Json::Bool(true)),
-                ("kind", s("mutation")),
-                ("op", s(if m.insert { "insert" } else { "delete" })),
-                ("table", s(&m.table)),
-                ("applied", u(m.applied)),
-                ("generation", u(m.generation)),
-                ("fingerprint", s(&m.fingerprint)),
-            ]),
-            Response::Checkpoint(c) => obj(vec![
-                ("ok", Json::Bool(true)),
-                ("kind", s("checkpoint")),
-                ("seq", u(c.seq)),
-                ("generation", u(c.generation)),
-                ("fingerprint", s(&c.fingerprint)),
-            ]),
-            Response::Stats(st) => obj(vec![
-                ("ok", Json::Bool(true)),
-                ("kind", s("stats")),
-                ("connections", u(st.connections)),
-                ("active_connections", u(st.active_connections)),
-                ("requests", u(st.requests)),
-                ("errors", u(st.errors)),
-                ("workers", u(st.workers)),
-                ("sessions", session_stats_to_json(&st.sessions)),
-                ("parse_cache", cache_stats_to_json(&st.parse_cache)),
-                ("eval_cache", cache_stats_to_json(&st.eval_cache)),
-                ("eval_cache_enabled", Json::Bool(st.eval_cache_enabled)),
-                ("generation", u(st.generation)),
-                ("fingerprint", s(&st.fingerprint)),
-                ("tables", u(st.tables)),
-                ("tuples", u(st.tuples)),
-                // Appended after the PR-2 fields so the object's byte
-                // prefix is stable for older readers.
-                ("evicted", u(st.evicted)),
-                ("plan_cache", cache_stats_to_json(&st.plan_cache)),
-                ("plan_cache_enabled", Json::Bool(st.plan_cache_enabled)),
-                // Appended after the PR-5 fields (same compat contract).
-                (
-                    "stages",
-                    Json::Array(st.stages.iter().map(stage_latency_to_json).collect()),
-                ),
-                // Appended after the PR-7 fields (same compat contract).
-                (
-                    "shards",
-                    Json::Array(st.shards.iter().map(shard_breakdown_to_json).collect()),
-                ),
-                // Appended after the PR-9 fields (same compat contract).
-                ("planner", planner_stats_to_json(&st.planner)),
-            ]),
-            Response::Metrics(m) => obj(vec![
-                ("ok", Json::Bool(true)),
-                ("kind", s("metrics")),
-                ("text", s(&m.text)),
-            ]),
-            Response::Pong => obj(vec![("ok", Json::Bool(true)), ("kind", s("pong"))]),
-            Response::Bye => obj(vec![("ok", Json::Bool(true)), ("kind", s("bye"))]),
-            Response::Error(message) => obj(vec![("ok", Json::Bool(false)), ("error", s(message))]),
-        }
-    }
-}
-
-fn parse_attrs(v: &Json) -> Result<Vec<String>, String> {
-    v.get("attrs")
-        .and_then(Json::as_array)
-        .ok_or("missing 'attrs' array")?
-        .iter()
-        .map(|a| {
-            a.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "non-string attr".to_string())
-        })
-        .collect()
-}
-
-fn parse_rows(v: &Json) -> Result<Vec<Vec<Value>>, String> {
-    v.get("rows")
-        .and_then(Json::as_array)
-        .ok_or("missing 'rows' array")?
-        .iter()
-        .map(|row| {
-            row.as_array()
-                .ok_or_else(|| "non-array row".to_string())?
-                .iter()
-                .map(value_from_json)
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .collect()
+    pairs.push(("notes", notes.to_json()));
 }
 
 fn parse_translations(v: &Json) -> Result<Option<Vec<(String, String)>>, String> {
@@ -1196,140 +736,393 @@ fn parse_translations(v: &Json) -> Result<Option<Vec<(String, String)>>, String>
     }
 }
 
-fn parse_notes(v: &Json) -> Result<Vec<String>, String> {
-    match v.get("notes") {
-        None | Some(Json::Null) => Ok(Vec::new()),
-        Some(Json::Array(items)) => items
-            .iter()
-            .map(|n| {
-                n.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "non-string note".to_string())
-            })
-            .collect(),
-        Some(other) => Err(format!("'notes' must be an array, found {other}")),
+impl Serialize for Request {
+    fn to_json(&self) -> Json {
+        let mut pairs = vec![("op", s(self.op()))];
+        match self {
+            Request::Query {
+                language,
+                text,
+                translations,
+                diagram,
+            } => {
+                push_language(&mut pairs, language);
+                pairs.push(("text", s(text)));
+                if *translations {
+                    pairs.push(("translations", Json::Bool(true)));
+                }
+                if *diagram != DiagramFormat::None {
+                    pairs.push(("diagram", s(diagram_name(*diagram))));
+                }
+            }
+            Request::Explain {
+                language,
+                text,
+                analyze,
+            } => {
+                push_language(&mut pairs, language);
+                pairs.push(("text", s(text)));
+                if *analyze {
+                    pairs.push(("analyze", Json::Bool(true)));
+                }
+            }
+            Request::Translate { language, text, to } => {
+                pairs.push(("to", s(to.name())));
+                push_language(&mut pairs, language);
+                pairs.push(("text", s(text)));
+            }
+            Request::Load(LoadSource::Fixture(text)) => pairs.push(("fixture", s(text))),
+            Request::Load(LoadSource::Csv { table, text }) => {
+                pairs.extend([("csv", s(text)), ("table", s(table))])
+            }
+            Request::Insert { table, rows } | Request::Delete { table, rows } => {
+                pairs.extend([("table", s(table)), ("rows", rows_to_json(rows))])
+            }
+            Request::Stats { reset: true } => pairs.push(("reset", Json::Bool(true))),
+            Request::Checkpoint
+            | Request::Stats { reset: false }
+            | Request::Metrics
+            | Request::Ping
+            | Request::Shutdown => {}
+        }
+        obj(pairs)
     }
 }
 
-impl serde::Deserialize for Response {
+impl Request {
+    /// The wire `op` tag.
+    fn op(&self) -> &'static str {
+        match self {
+            Request::Query { .. } => "query",
+            Request::Explain { .. } => "explain",
+            Request::Translate { .. } => "translate",
+            Request::Load(_) => "load",
+            Request::Insert { .. } => "insert",
+            Request::Delete { .. } => "delete",
+            Request::Checkpoint => "checkpoint",
+            Request::Stats { .. } => "stats",
+            Request::Metrics => "metrics",
+            Request::Ping => "ping",
+            Request::Shutdown => "shutdown",
+        }
+    }
+}
+
+impl Deserialize for Request {
     fn from_json(v: &Json) -> Result<Self, String> {
-        let ok = v
-            .get("ok")
-            .and_then(Json::as_bool)
-            .ok_or("missing or non-bool field 'ok'")?;
-        if !ok {
-            return Ok(Response::Error(get_str(v, "error")?));
-        }
-        let kind = get_str(v, "kind")?;
-        match kind.as_str() {
-            "query" => Ok(Response::Query(QueryResult {
-                language: get_str(v, "language")?.parse::<Language>()?,
-                canonical: get_str(v, "canonical")?,
-                attrs: parse_attrs(v)?,
-                rows: parse_rows(v)?,
-                cache_hit: opt_bool(v, "cache_hit")?,
-                eval_cache_hit: opt_bool(v, "eval_cache_hit")?,
-                translations: parse_translations(v)?,
-                diagram: v.get("diagram").and_then(Json::as_str).map(str::to_string),
-                notes: parse_notes(v)?,
-            })),
-            "explain" => Ok(Response::Explain(ExplainResult {
-                language: get_str(v, "language")?.parse::<Language>()?,
-                canonical: get_str(v, "canonical")?,
-                plan: explain_node_from_json(v.get("plan").ok_or("missing 'plan' object")?)?,
-                cache_hit: opt_bool(v, "cache_hit")?,
-            })),
-            "translate" => Ok(Response::Translate(TranslateResult {
-                to: get_str(v, "to")?.parse::<Language>()?,
-                text: get_str(v, "text")?,
-            })),
-            "rows-chunk" => {
-                let seq = get_u64(v, "seq")?;
-                // The header fields travel exactly on the first chunk.
-                let head = if v.get("language").is_some() {
-                    Some(ChunkHead {
-                        language: get_str(v, "language")?.parse::<Language>()?,
-                        canonical: get_str(v, "canonical")?,
-                        attrs: parse_attrs(v)?,
-                    })
-                } else {
-                    None
-                };
-                Ok(Response::RowsChunk(RowsChunk {
-                    seq,
-                    head,
-                    rows: parse_rows(v)?,
-                }))
+        Ok(match required::<String>(v, "op")?.as_str() {
+            "query" => Request::Query {
+                language: opt_language(v)?,
+                text: required(v, "text")?,
+                translations: defaulted(v, "translations")?,
+                diagram: match required::<Option<String>>(v, "diagram")? {
+                    Some(name) => diagram_from_name(&name)?,
+                    None => DiagramFormat::None,
+                },
+            },
+            "explain" => Request::Explain {
+                language: opt_language(v)?,
+                text: required(v, "text")?,
+                analyze: defaulted(v, "analyze")?,
+            },
+            "translate" => Request::Translate {
+                language: opt_language(v)?,
+                text: required(v, "text")?,
+                to: language(v, "to")?,
+            },
+            "load" if v.get("fixture").is_some() => {
+                Request::Load(LoadSource::Fixture(required(v, "fixture")?))
             }
-            "rows-end" => Ok(Response::RowsEnd(RowsEnd {
-                seq: get_u64(v, "seq")?,
-                row_count: get_u64(v, "row_count")?,
-                cache_hit: opt_bool(v, "cache_hit")?,
-                eval_cache_hit: opt_bool(v, "eval_cache_hit")?,
-                translations: parse_translations(v)?,
-                diagram: v.get("diagram").and_then(Json::as_str).map(str::to_string),
-                notes: parse_notes(v)?,
-            })),
-            "load" => Ok(Response::Load(LoadResult {
-                tables: get_u64(v, "tables")? as usize,
-                tuples: get_u64(v, "tuples")? as usize,
-                generation: get_u64(v, "generation")?,
-                fingerprint: get_str(v, "fingerprint")?,
-            })),
-            "mutation" => Ok(Response::Mutation(MutationResult {
-                insert: match get_str(v, "op")?.as_str() {
-                    "insert" => true,
-                    "delete" => false,
-                    other => return Err(format!("unknown mutation op '{other}'")),
-                },
-                table: get_str(v, "table")?,
-                applied: get_u64(v, "applied")?,
-                generation: get_u64(v, "generation")?,
-                fingerprint: get_str(v, "fingerprint")?,
-            })),
-            "checkpoint" => Ok(Response::Checkpoint(CheckpointResult {
-                seq: get_u64(v, "seq")?,
-                generation: get_u64(v, "generation")?,
-                fingerprint: get_str(v, "fingerprint")?,
-            })),
-            "stats" => Ok(Response::Stats(StatsResult {
-                connections: get_u64(v, "connections")?,
-                active_connections: get_u64(v, "active_connections")?,
-                requests: get_u64(v, "requests")?,
-                errors: get_u64(v, "errors")?,
-                evicted: opt_u64(v, "evicted")?,
-                workers: get_u64(v, "workers")?,
-                sessions: session_stats_from_json(
-                    v.get("sessions").ok_or("missing 'sessions' object")?,
-                )?,
-                parse_cache: cache_stats_from_json(
-                    v.get("parse_cache").ok_or("missing 'parse_cache' object")?,
-                )?,
-                eval_cache: cache_stats_from_json(
-                    v.get("eval_cache").ok_or("missing 'eval_cache' object")?,
-                )?,
-                eval_cache_enabled: opt_bool(v, "eval_cache_enabled")?,
-                // Absent in pre-plan-cache frames: default counters.
-                plan_cache: match v.get("plan_cache") {
-                    None | Some(Json::Null) => CacheStats::default(),
-                    Some(o) => cache_stats_from_json(o)?,
-                },
-                plan_cache_enabled: opt_bool(v, "plan_cache_enabled")?,
-                generation: get_u64(v, "generation")?,
-                fingerprint: get_str(v, "fingerprint")?,
-                tables: get_u64(v, "tables")?,
-                tuples: get_u64(v, "tuples")?,
-                stages: stage_latencies_from_json(v)?,
-                shards: shard_breakdowns_from_json(v)?,
-                planner: planner_stats_from_json(v)?,
-            })),
-            "metrics" => Ok(Response::Metrics(MetricsResult {
-                text: get_str(v, "text")?,
-            })),
-            "pong" => Ok(Response::Pong),
-            "bye" => Ok(Response::Bye),
-            other => Err(format!("unknown response kind '{other}'")),
+            "load" if v.get("csv").is_some() => Request::Load(LoadSource::Csv {
+                table: required(v, "table")?,
+                text: required(v, "csv")?,
+            }),
+            "load" => return Err("load requires a 'fixture' or 'csv' field".into()),
+            "insert" => Request::Insert {
+                table: required(v, "table")?,
+                rows: parse_rows(v)?,
+            },
+            "delete" => Request::Delete {
+                table: required(v, "table")?,
+                rows: parse_rows(v)?,
+            },
+            "checkpoint" => Request::Checkpoint,
+            "stats" => Request::Stats {
+                reset: defaulted(v, "reset")?,
+            },
+            "metrics" => Request::Metrics,
+            "ping" => Request::Ping,
+            "shutdown" => Request::Shutdown,
+            other => {
+                return Err(format!(
+                    "unknown op '{other}' (expected query, explain, translate, load, insert, \
+                     delete, checkpoint, stats, metrics, ping, or shutdown)"
+                ))
+            }
+        })
+    }
+}
+
+impl Serialize for QueryResult {
+    fn to_json(&self) -> Json {
+        let mut pairs = vec![
+            ("language", s(self.language.name())),
+            ("canonical", s(&self.canonical)),
+            ("attrs", self.attrs.to_json()),
+            ("rows", rows_to_json(&self.rows)),
+            ("row_count", u(self.rows.len() as u64)),
+            ("cache_hit", Json::Bool(self.cache_hit)),
+            ("eval_cache_hit", Json::Bool(self.eval_cache_hit)),
+        ];
+        push_optional_meta(&mut pairs, &self.translations, &self.diagram, &self.notes);
+        obj(pairs)
+    }
+}
+
+impl Deserialize for QueryResult {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Ok(QueryResult {
+            language: language(v, "language")?,
+            canonical: required(v, "canonical")?,
+            attrs: required(v, "attrs")?,
+            rows: parse_rows(v)?,
+            cache_hit: defaulted(v, "cache_hit")?,
+            eval_cache_hit: defaulted(v, "eval_cache_hit")?,
+            translations: parse_translations(v)?,
+            diagram: required(v, "diagram")?,
+            notes: defaulted(v, "notes")?,
+        })
+    }
+}
+
+impl Serialize for ExplainResult {
+    fn to_json(&self) -> Json {
+        obj(vec![
+            ("language", s(self.language.name())),
+            ("canonical", s(&self.canonical)),
+            ("plan", self.plan.to_json()),
+            ("cache_hit", Json::Bool(self.cache_hit)),
+        ])
+    }
+}
+
+impl Deserialize for ExplainResult {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Ok(ExplainResult {
+            language: language(v, "language")?,
+            canonical: required(v, "canonical")?,
+            plan: required(v, "plan")?,
+            cache_hit: defaulted(v, "cache_hit")?,
+        })
+    }
+}
+
+impl Serialize for TranslateResult {
+    fn to_json(&self) -> Json {
+        obj(vec![("to", s(self.to.name())), ("text", s(&self.text))])
+    }
+}
+
+impl Deserialize for TranslateResult {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Ok(TranslateResult {
+            to: language(v, "to")?,
+            text: required(v, "text")?,
+        })
+    }
+}
+
+impl Serialize for RowsChunk {
+    fn to_json(&self) -> Json {
+        let mut pairs = vec![("seq", u(self.seq))];
+        if let Some(head) = &self.head {
+            pairs.push(("language", s(head.language.name())));
+            pairs.push(("canonical", s(&head.canonical)));
+            pairs.push(("attrs", head.attrs.to_json()));
         }
+        pairs.push(("rows", rows_to_json(&self.rows)));
+        obj(pairs)
+    }
+}
+
+impl Deserialize for RowsChunk {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        // The header fields travel exactly on the first chunk.
+        let head = match v.get("language") {
+            Some(_) => Some(ChunkHead {
+                language: language(v, "language")?,
+                canonical: required(v, "canonical")?,
+                attrs: required(v, "attrs")?,
+            }),
+            None => None,
+        };
+        Ok(RowsChunk {
+            seq: required(v, "seq")?,
+            head,
+            rows: parse_rows(v)?,
+        })
+    }
+}
+
+impl Serialize for RowsEnd {
+    fn to_json(&self) -> Json {
+        let mut pairs = vec![
+            ("seq", u(self.seq)),
+            ("row_count", u(self.row_count)),
+            ("cache_hit", Json::Bool(self.cache_hit)),
+            ("eval_cache_hit", Json::Bool(self.eval_cache_hit)),
+        ];
+        push_optional_meta(&mut pairs, &self.translations, &self.diagram, &self.notes);
+        obj(pairs)
+    }
+}
+
+impl Deserialize for RowsEnd {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Ok(RowsEnd {
+            seq: required(v, "seq")?,
+            row_count: required(v, "row_count")?,
+            cache_hit: defaulted(v, "cache_hit")?,
+            eval_cache_hit: defaulted(v, "eval_cache_hit")?,
+            translations: parse_translations(v)?,
+            diagram: required(v, "diagram")?,
+            notes: defaulted(v, "notes")?,
+        })
+    }
+}
+
+/// Hand-written for its one quirk: `insert` travels as `"op"`.
+impl Serialize for MutationResult {
+    fn to_json(&self) -> Json {
+        obj(vec![
+            ("op", s(if self.insert { "insert" } else { "delete" })),
+            ("table", s(&self.table)),
+            ("applied", u(self.applied)),
+            ("generation", u(self.generation)),
+            ("fingerprint", s(&self.fingerprint)),
+        ])
+    }
+}
+
+impl Deserialize for MutationResult {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Ok(MutationResult {
+            insert: match required::<String>(v, "op")?.as_str() {
+                "insert" => true,
+                "delete" => false,
+                other => return Err(format!("unknown mutation op '{other}'")),
+            },
+            table: required(v, "table")?,
+            applied: required(v, "applied")?,
+            generation: required(v, "generation")?,
+            fingerprint: required(v, "fingerprint")?,
+        })
+    }
+}
+
+impl Serialize for StatsResult {
+    fn to_json(&self) -> Json {
+        obj(vec![
+            ("connections", u(self.connections)),
+            ("active_connections", u(self.active_connections)),
+            ("requests", u(self.requests)),
+            ("errors", u(self.errors)),
+            ("workers", u(self.workers)),
+            ("sessions", session_stats_to_json(&self.sessions)),
+            ("parse_cache", cache_stats_to_json(&self.parse_cache)),
+            ("eval_cache", cache_stats_to_json(&self.eval_cache)),
+            ("eval_cache_enabled", Json::Bool(self.eval_cache_enabled)),
+            ("generation", u(self.generation)),
+            ("fingerprint", s(&self.fingerprint)),
+            ("tables", u(self.tables)),
+            ("tuples", u(self.tuples)),
+            // Everything from here on was appended, in this order, so
+            // the object's byte prefix is stable for older readers.
+            ("evicted", u(self.evicted)),
+            ("plan_cache", cache_stats_to_json(&self.plan_cache)),
+            ("plan_cache_enabled", Json::Bool(self.plan_cache_enabled)),
+            ("stages", self.stages.to_json()),
+            ("shards", self.shards.to_json()),
+            ("planner", self.planner.to_json()),
+        ])
+    }
+}
+
+/// The appended members decode to empty or zero when absent.
+impl Deserialize for StatsResult {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let member = |key: &str| v.get(key).ok_or_else(|| format!("missing field '{key}'"));
+        Ok(StatsResult {
+            connections: required(v, "connections")?,
+            active_connections: required(v, "active_connections")?,
+            requests: required(v, "requests")?,
+            errors: required(v, "errors")?,
+            evicted: defaulted(v, "evicted")?,
+            workers: required(v, "workers")?,
+            sessions: session_stats_from_json(member("sessions")?)?,
+            parse_cache: cache_stats_from_json(member("parse_cache")?)?,
+            eval_cache: cache_stats_from_json(member("eval_cache")?)?,
+            eval_cache_enabled: defaulted(v, "eval_cache_enabled")?,
+            plan_cache: match v.get("plan_cache") {
+                None | Some(Json::Null) => CacheStats::default(),
+                Some(o) => cache_stats_from_json(o)?,
+            },
+            plan_cache_enabled: defaulted(v, "plan_cache_enabled")?,
+            generation: required(v, "generation")?,
+            fingerprint: required(v, "fingerprint")?,
+            tables: required(v, "tables")?,
+            tuples: required(v, "tuples")?,
+            stages: defaulted(v, "stages")?,
+            shards: defaulted(v, "shards")?,
+            planner: defaulted(v, "planner")?,
+        })
+    }
+}
+
+impl Serialize for Response {
+    fn to_json(&self) -> Json {
+        let (kind, payload) = match self {
+            Response::Query(q) => ("query", q.to_json()),
+            Response::Explain(e) => ("explain", e.to_json()),
+            Response::Translate(t) => ("translate", t.to_json()),
+            Response::RowsChunk(c) => ("rows-chunk", c.to_json()),
+            Response::RowsEnd(e) => ("rows-end", e.to_json()),
+            Response::Load(l) => ("load", l.to_json()),
+            Response::Mutation(m) => ("mutation", m.to_json()),
+            Response::Checkpoint(c) => ("checkpoint", c.to_json()),
+            Response::Stats(st) => ("stats", st.to_json()),
+            Response::Metrics(m) => ("metrics", m.to_json()),
+            Response::Pong => ("pong", Json::Null),
+            Response::Bye => ("bye", Json::Null),
+            Response::Error(message) => {
+                return obj(vec![("ok", Json::Bool(false)), ("error", s(message))])
+            }
+        };
+        envelope([("ok", Json::Bool(true)), ("kind", s(kind))], payload)
+    }
+}
+
+impl Deserialize for Response {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        if !required::<bool>(v, "ok")? {
+            return Ok(Response::Error(required(v, "error")?));
+        }
+        // Payloads read their members from the frame itself.
+        Ok(match required::<String>(v, "kind")?.as_str() {
+            "query" => Response::Query(Deserialize::from_json(v)?),
+            "explain" => Response::Explain(Deserialize::from_json(v)?),
+            "translate" => Response::Translate(Deserialize::from_json(v)?),
+            "rows-chunk" => Response::RowsChunk(Deserialize::from_json(v)?),
+            "rows-end" => Response::RowsEnd(Deserialize::from_json(v)?),
+            "load" => Response::Load(Deserialize::from_json(v)?),
+            "mutation" => Response::Mutation(Deserialize::from_json(v)?),
+            "checkpoint" => Response::Checkpoint(Deserialize::from_json(v)?),
+            "stats" => Response::Stats(Deserialize::from_json(v)?),
+            "metrics" => Response::Metrics(Deserialize::from_json(v)?),
+            "pong" => Response::Pong,
+            "bye" => Response::Bye,
+            other => return Err(format!("unknown response kind '{other}'")),
+        })
     }
 }
 
@@ -2283,5 +2076,346 @@ mod tests {
         });
         let back: Response = decode(&encode(&end)).unwrap();
         assert_eq!(back, end);
+    }
+    /// One fully populated message per request variant.
+    fn golden_requests() -> Vec<Request> {
+        vec![
+            Request::Query {
+                language: Some(Language::Sql),
+                text: "SELECT DISTINCT Boat.color\nFROM Boat".into(),
+                translations: true,
+                diagram: DiagramFormat::Svg,
+            },
+            Request::Explain {
+                language: Some(Language::Datalog),
+                text: "Q(c) :- Boat(b, c).".into(),
+                analyze: true,
+            },
+            Request::Translate {
+                language: Some(Language::Trc),
+                text: "{ q(A) | exists r in R [ q.A = r.A ] }".into(),
+                to: Language::Ra,
+            },
+            Request::Load(LoadSource::Fixture("R(a, b):\n  (1, 'x')\n".into())),
+            Request::Load(LoadSource::Csv {
+                table: "R".into(),
+                text: "a,b\n1,\"x, y\"\n".into(),
+            }),
+            Request::Insert {
+                table: "Boat".into(),
+                rows: vec![
+                    vec![Value::int(103), Value::str("blue")],
+                    vec![Value::int(-4), Value::str("say \"hi\"\t")],
+                ],
+            },
+            Request::Delete {
+                table: "Boat".into(),
+                rows: vec![vec![Value::int(103), Value::str("blue")]],
+            },
+            Request::Checkpoint,
+            Request::Stats { reset: true },
+            Request::Metrics,
+            Request::Ping,
+            Request::Shutdown,
+        ]
+    }
+
+    /// One fully populated message per response variant (both mutation
+    /// ops, and both streamed-chunk shapes).
+    fn golden_responses() -> Vec<Response> {
+        let leaf = ExplainNode {
+            kind: "scan".into(),
+            detail: "Boat hash probe on c0 = t1.c0".into(),
+            est_rows: Some(4),
+            actual_rows: Some(3),
+            q_error: Some(1.25),
+            build: Some("dense-key".into()),
+            children: Vec::new(),
+        };
+        let cache = |hits: u64| CacheStats {
+            hits,
+            misses: 2,
+            evictions: 1,
+            entries: 5,
+            capacity: 256,
+            bytes: 4096,
+        };
+        vec![
+            Response::Query(QueryResult {
+                language: Language::Trc,
+                canonical: "{ q(color) | exists b in Boat [q.color = b.color] }".into(),
+                attrs: vec!["color".into()],
+                rows: vec![vec![Value::str("red")], vec![Value::int(-7)]],
+                cache_hit: true,
+                eval_cache_hit: true,
+                translations: Some(vec![
+                    ("sql".into(), "SELECT DISTINCT Boat.color\nFROM Boat".into()),
+                    ("ra".into(), "pi[color](Boat)".into()),
+                ]),
+                diagram: Some("<svg>\"q\"</svg>".into()),
+                notes: vec!["datalog: n/a".into()],
+            }),
+            Response::Explain(ExplainResult {
+                language: Language::Ra,
+                canonical: "pi[color](Boat)".into(),
+                plan: ExplainNode {
+                    kind: "query".into(),
+                    detail: "q(color)".into(),
+                    est_rows: Some(4),
+                    actual_rows: Some(2),
+                    q_error: Some(2.0),
+                    build: None,
+                    children: vec![
+                        leaf.clone(),
+                        ExplainNode {
+                            kind: "not".into(),
+                            detail: String::new(),
+                            est_rows: None,
+                            actual_rows: None,
+                            q_error: None,
+                            build: None,
+                            children: vec![leaf],
+                        },
+                    ],
+                },
+                cache_hit: true,
+            }),
+            Response::Translate(TranslateResult {
+                to: Language::Datalog,
+                text: "Q(c) :- Boat(b, c).".into(),
+            }),
+            Response::RowsChunk(RowsChunk {
+                seq: 0,
+                head: Some(ChunkHead {
+                    language: Language::Sql,
+                    canonical: "SELECT DISTINCT R.a, R.b\nFROM R".into(),
+                    attrs: vec!["a".into(), "b".into()],
+                }),
+                rows: vec![vec![Value::int(1), Value::str("x")]],
+            }),
+            Response::RowsChunk(RowsChunk {
+                seq: 1,
+                head: None,
+                rows: vec![vec![Value::int(2), Value::str("y")]],
+            }),
+            Response::RowsEnd(RowsEnd {
+                seq: 2,
+                row_count: 2,
+                cache_hit: true,
+                eval_cache_hit: true,
+                translations: Some(vec![("trc".into(), "{ q(a, b) | ... }".into())]),
+                diagram: Some("digraph { R }".into()),
+                notes: vec!["streamed".into()],
+            }),
+            Response::Load(LoadResult {
+                tables: 3,
+                tuples: 14,
+                generation: 2,
+                fingerprint: "4f9a00c1".into(),
+            }),
+            Response::Mutation(MutationResult {
+                insert: true,
+                table: "Boat".into(),
+                applied: 2,
+                generation: 3,
+                fingerprint: "91c0".into(),
+            }),
+            Response::Mutation(MutationResult {
+                insert: false,
+                table: "Boat".into(),
+                applied: 0,
+                generation: 4,
+                fingerprint: "91c1".into(),
+            }),
+            Response::Checkpoint(CheckpointResult {
+                seq: 5,
+                generation: 4,
+                fingerprint: "91c1".into(),
+            }),
+            Response::Stats(StatsResult {
+                connections: 9,
+                active_connections: 3,
+                requests: 120,
+                errors: 2,
+                evicted: 1,
+                workers: 4,
+                sessions: SessionStats {
+                    queries: 100,
+                    batches: 1,
+                    cache_hits: 60,
+                    cache_misses: 40,
+                    cache_evictions: 3,
+                    eval_hits: 50,
+                    eval_misses: 50,
+                    eval_evictions: 4,
+                    eval_skipped: 5,
+                    plan_hits: 30,
+                    plan_misses: 10,
+                    plan_evictions: 6,
+                    delta_invalidations: 7,
+                    delta_survivals: 8,
+                    rows_returned: 900,
+                    rows_streamed: 400,
+                },
+                parse_cache: cache(60),
+                eval_cache: cache(50),
+                eval_cache_enabled: true,
+                plan_cache: cache(30),
+                plan_cache_enabled: true,
+                generation: 4,
+                fingerprint: "91c1".into(),
+                tables: 3,
+                tuples: 15,
+                stages: vec![StageLatency {
+                    stage: "parse".into(),
+                    count: 40,
+                    p50: 12,
+                    p95: 30,
+                    p99: 55,
+                }],
+                shards: vec![ShardBreakdown {
+                    shard: 1,
+                    connections: 5,
+                    active: 2,
+                    evicted: 1,
+                    inline: 33,
+                }],
+                planner: PlannerStats {
+                    q_count: 40,
+                    q_p50: 110,
+                    q_p95: 480,
+                    q_p99: 5000,
+                },
+            }),
+            Response::Metrics(MetricsResult {
+                text: "# TYPE rd_requests_total counter\nrd_requests_total 120\n".into(),
+            }),
+            Response::Pong,
+            Response::Bye,
+            Response::Error("unknown table 'Boats'".into()),
+        ]
+    }
+
+    /// The pinned wire bytes of every request and response kind (the
+    /// messages are `golden_requests` and `golden_responses`).
+    const GOLDEN_REQUESTS: [&str; 12] = [
+        r#"{"op":"query","lang":"sql","text":"SELECT DISTINCT Boat.color\nFROM Boat","translations":true,"diagram":"svg"}"#,
+        r#"{"op":"explain","lang":"datalog","text":"Q(c) :- Boat(b, c).","analyze":true}"#,
+        r#"{"op":"translate","to":"ra","lang":"trc","text":"{ q(A) | exists r in R [ q.A = r.A ] }"}"#,
+        r#"{"op":"load","fixture":"R(a, b):\n  (1, 'x')\n"}"#,
+        r#"{"op":"load","csv":"a,b\n1,\"x, y\"\n","table":"R"}"#,
+        r#"{"op":"insert","table":"Boat","rows":[[103,"blue"],[-4,"say \"hi\"\t"]]}"#,
+        r#"{"op":"delete","table":"Boat","rows":[[103,"blue"]]}"#,
+        r#"{"op":"checkpoint"}"#,
+        r#"{"op":"stats","reset":true}"#,
+        r#"{"op":"metrics"}"#,
+        r#"{"op":"ping"}"#,
+        r#"{"op":"shutdown"}"#,
+    ];
+
+    const GOLDEN_RESPONSES: [&str; 15] = [
+        r#"{"ok":true,"kind":"query","language":"trc","canonical":"{ q(color) | exists b in Boat [q.color = b.color] }","attrs":["color"],"rows":[["red"],[-7]],"row_count":2,"cache_hit":true,"eval_cache_hit":true,"translations":{"sql":"SELECT DISTINCT Boat.color\nFROM Boat","ra":"pi[color](Boat)"},"diagram":"<svg>\"q\"</svg>","notes":["datalog: n/a"]}"#,
+        r#"{"ok":true,"kind":"explain","language":"ra","canonical":"pi[color](Boat)","plan":{"kind":"query","detail":"q(color)","children":[{"kind":"scan","detail":"Boat hash probe on c0 = t1.c0","children":[],"est_rows":4,"actual_rows":3,"q_error":1.25,"build":"dense-key"},{"kind":"not","detail":"","children":[{"kind":"scan","detail":"Boat hash probe on c0 = t1.c0","children":[],"est_rows":4,"actual_rows":3,"q_error":1.25,"build":"dense-key"}]}],"est_rows":4,"actual_rows":2,"q_error":2.0},"cache_hit":true}"#,
+        r#"{"ok":true,"kind":"translate","to":"datalog","text":"Q(c) :- Boat(b, c)."}"#,
+        r#"{"ok":true,"kind":"rows-chunk","seq":0,"language":"sql","canonical":"SELECT DISTINCT R.a, R.b\nFROM R","attrs":["a","b"],"rows":[[1,"x"]]}"#,
+        r#"{"ok":true,"kind":"rows-chunk","seq":1,"rows":[[2,"y"]]}"#,
+        r#"{"ok":true,"kind":"rows-end","seq":2,"row_count":2,"cache_hit":true,"eval_cache_hit":true,"translations":{"trc":"{ q(a, b) | ... }"},"diagram":"digraph { R }","notes":["streamed"]}"#,
+        r#"{"ok":true,"kind":"load","tables":3,"tuples":14,"generation":2,"fingerprint":"4f9a00c1"}"#,
+        r#"{"ok":true,"kind":"mutation","op":"insert","table":"Boat","applied":2,"generation":3,"fingerprint":"91c0"}"#,
+        r#"{"ok":true,"kind":"mutation","op":"delete","table":"Boat","applied":0,"generation":4,"fingerprint":"91c1"}"#,
+        r#"{"ok":true,"kind":"checkpoint","seq":5,"generation":4,"fingerprint":"91c1"}"#,
+        r#"{"ok":true,"kind":"stats","connections":9,"active_connections":3,"requests":120,"errors":2,"workers":4,"sessions":{"queries":100,"batches":1,"cache_hits":60,"cache_misses":40,"cache_evictions":3,"eval_hits":50,"eval_misses":50,"eval_evictions":4,"eval_skipped":5,"rows_returned":900,"rows_streamed":400,"plan_hits":30,"plan_misses":10,"plan_evictions":6,"delta_invalidations":7,"delta_survivals":8},"parse_cache":{"hits":60,"misses":2,"evictions":1,"entries":5,"capacity":256,"cached_bytes":4096},"eval_cache":{"hits":50,"misses":2,"evictions":1,"entries":5,"capacity":256,"cached_bytes":4096},"eval_cache_enabled":true,"generation":4,"fingerprint":"91c1","tables":3,"tuples":15,"evicted":1,"plan_cache":{"hits":30,"misses":2,"evictions":1,"entries":5,"capacity":256,"cached_bytes":4096},"plan_cache_enabled":true,"stages":[{"stage":"parse","count":40,"p50":12,"p95":30,"p99":55}],"shards":[{"shard":1,"connections":5,"active":2,"evicted":1,"inline":33}],"planner":{"q_count":40,"q_p50":110,"q_p95":480,"q_p99":5000}}"#,
+        r##"{"ok":true,"kind":"metrics","text":"# TYPE rd_requests_total counter\nrd_requests_total 120\n"}"##,
+        r#"{"ok":true,"kind":"pong"}"#,
+        r#"{"ok":true,"kind":"bye"}"#,
+        r#"{"ok":false,"error":"unknown table 'Boats'"}"#,
+    ];
+
+    #[test]
+    fn golden_bytes_for_every_frame_kind() {
+        let requests = golden_requests();
+        assert_eq!(requests.len(), GOLDEN_REQUESTS.len());
+        for (req, want) in requests.iter().zip(GOLDEN_REQUESTS) {
+            assert_eq!(encode(req), want);
+            assert_eq!(&decode::<Request>(want).unwrap(), req, "{want}");
+        }
+        let responses = golden_responses();
+        assert_eq!(responses.len(), GOLDEN_RESPONSES.len());
+        for (resp, want) in responses.iter().zip(GOLDEN_RESPONSES) {
+            assert_eq!(encode(resp), want);
+            assert_eq!(&decode::<Response>(want).unwrap(), resp, "{want}");
+        }
+        // A trailing id on a payload frame.
+        let id = RequestId::Str("q-2".into());
+        let want = r#"{"ok":true,"kind":"rows-chunk","seq":1,"rows":[[2,"y"]],"id":"q-2"}"#;
+        assert_eq!(encode_frame(&responses[4], Some(&id)), want);
+        assert_eq!(
+            decode_frame(want).unwrap(),
+            (Some(id), responses[4].clone())
+        );
+    }
+
+    /// Hands one wire line to every decoder; decoded response frames go
+    /// on to the reassembler. Each call must return, never panic.
+    fn feed(line: &str, reasm: &mut Reassembler) {
+        let _ = decode_request_line(line);
+        if let Ok((id, resp)) = decode_frame(line) {
+            let _ = reasm.accept(id, resp);
+        }
+    }
+
+    /// A seeded xorshift64 stream (the fuzz inputs are reproducible).
+    fn rng(mut state: u64) -> impl FnMut() -> usize {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        }
+    }
+
+    #[test]
+    fn wire_fuzz_never_panics() {
+        const JSONISH: &[u8] = b"{}[]\":,0123456789-+.eE \\/utfnlrsq_\x00\xff";
+        let golden: Vec<&str> = GOLDEN_REQUESTS
+            .iter()
+            .chain(&GOLDEN_RESPONSES)
+            .copied()
+            .collect();
+        let mut next = rng(0x9e37_79b9_7f4a_7c15);
+        let mut reasm = Reassembler::new();
+        for frame in &golden {
+            // Every truncation.
+            for end in 0..=frame.len() {
+                feed(&frame[..end], &mut reasm);
+            }
+            // Every position, overwritten by a random byte.
+            for pos in 0..frame.len() {
+                let mut bytes = frame.as_bytes().to_vec();
+                bytes[pos] = JSONISH[next() % JSONISH.len()];
+                feed(&String::from_utf8_lossy(&bytes), &mut reasm);
+            }
+        }
+        // Random byte strings, half over JSON's own alphabet so that some
+        // get past the parser.
+        for i in 0..20_000 {
+            let bytes: Vec<u8> = (0..next() % 48)
+                .map(|_| match i % 2 {
+                    0 => JSONISH[next() % JSONISH.len()],
+                    _ => next() as u8,
+                })
+                .collect();
+            feed(&String::from_utf8_lossy(&bytes), &mut reasm);
+        }
+        // Streamed frames in random orders, with ids shared across streams.
+        let frames = split_query(&big_result(7), 2);
+        for _ in 0..2_000 {
+            let mut reasm = Reassembler::new();
+            for _ in 0..frames.len() + 2 {
+                let frame = &frames[next() % frames.len()];
+                let id = (!next().is_multiple_of(3)).then(|| RequestId::Int((next() % 2) as i64));
+                feed(&encode_frame(frame, id.as_ref()), &mut reasm);
+            }
+        }
     }
 }

@@ -254,6 +254,29 @@ fn malformed_and_failing_requests_leave_the_connection_usable() {
 }
 
 #[test]
+fn deeply_nested_line_is_an_error_not_a_crash() {
+    let (addr, handle) = start_server(ServerConfig::default());
+    // 20 000 nested arrays, parsed on a shard thread: past the parser's
+    // nesting cap the line is an error, not a stack overflow that aborts
+    // the process.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut line = vec![b'['; 20_000];
+    line.push(b'\n');
+    stream.write_all(&line).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert!(
+        reply.starts_with(r#"{"ok":false,"error":"malformed message:"#),
+        "{reply}"
+    );
+    // The server is still accepting: a fresh connection gets its pong.
+    let mut client = Client::connect(addr).unwrap();
+    client.ping().expect("server survives a deeply nested line");
+    stop(addr, handle);
+}
+
+#[test]
 fn bench_driver_reports_cache_assisted_throughput() {
     let (addr, handle) = start_server(ServerConfig::default());
     let mut cfg = BenchConfig::new(addr.to_string());
