@@ -12,12 +12,16 @@
 //!   1 µs to `u64::MAX` while the whole histogram stays a few hundred
 //!   counters. Values 0–3 get exact buckets.
 //!
+//! Nothing here records anywhere: a session returns its spans on the
+//! response, and the service decides where they land (`rd-server` keeps
+//! one registry of these histograms per event-loop shard).
+//!
 //! Histograms support the same `accumulate`/`since` merge algebra as the
 //! engine's session counters: `accumulate` folds another histogram in
 //! bucket-wise, and `since(base)` recovers the interval delta — the two
-//! are exact inverses, which is what lets per-session histograms be
-//! merged into a server-wide registry and windowed snapshots be computed
-//! by subtraction (see the inverse-roundtrip test below).
+//! are exact inverses, which is what lets the per-shard registries be
+//! merged into one snapshot at scrape time and windowed snapshots be
+//! computed by subtraction (see the inverse-roundtrip test below).
 
 /// Sub-buckets per power-of-two octave (4 → ≤ 25% relative error).
 pub const SUB_BUCKETS: u64 = 4;

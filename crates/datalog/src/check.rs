@@ -4,10 +4,18 @@ use crate::ast::{DlProgram, DlTerm, Literal};
 use rd_core::{Catalog, CoreError, CoreResult};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// The longest chain of IDB dependencies (see [`idb_depth`]) a checked
+/// program may have. Inlining a program into its TRC hub form, and every
+/// pass after that, recurses once per link, so the cap keeps a program
+/// this deep running through evaluation, translations and diagram
+/// rendering on a 2 MiB thread stack; hand-written programs are a few
+/// rules deep.
+pub const MAX_IDB_DEPTH: usize = 128;
+
 /// Full validation used by [`crate::parser::parse_program`]:
 /// 1. arities consistent (EDBs against the catalog; IDBs across uses);
 /// 2. rule safety ([`check_safety`]);
-/// 3. non-recursive dependency graph;
+/// 3. non-recursive dependency graph, at most [`MAX_IDB_DEPTH`] deep;
 /// 4. the query predicate is defined.
 pub fn check_program(p: &DlProgram, catalog: &Catalog) -> CoreResult<()> {
     let idbs = p.idbs();
@@ -49,8 +57,14 @@ pub fn check_program(p: &DlProgram, catalog: &Catalog) -> CoreResult<()> {
 
     check_safety(p)?;
 
-    if !is_nonrecursive(p) {
-        return Err(CoreError::Invalid("program is recursive".into()));
+    match idb_depth(p) {
+        None => return Err(CoreError::Invalid("program is recursive".into())),
+        Some(depth) if depth > MAX_IDB_DEPTH => {
+            return Err(CoreError::Invalid(format!(
+                "IDB dependency chain is {depth} deep; the limit is {MAX_IDB_DEPTH}"
+            )))
+        }
+        Some(_) => {}
     }
     if !idbs.contains(&p.query) {
         return Err(CoreError::Invalid(format!(
@@ -121,50 +135,54 @@ pub fn is_safe(p: &DlProgram) -> bool {
 /// `true` if the IDB dependency graph is acyclic (no IDB reachable from
 /// itself through rule bodies).
 pub fn is_nonrecursive(p: &DlProgram) -> bool {
+    idb_depth(p).is_some()
+}
+
+/// The longest chain of IDB dependencies, counted in IDBs (`Q :- I1`,
+/// `I1 :- I0`, `I0 :- R` is 3 deep; 0 with no rules), or `None` if the
+/// program is recursive. Computed by peeling off IDBs whose dependencies
+/// are all done (Kahn's algorithm), so no chain length can overflow the
+/// stack.
+pub fn idb_depth(p: &DlProgram) -> Option<usize> {
     let idbs = p.idbs();
-    // Edges: head -> IDBs in body.
-    let mut edges: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    // For each IDB: the heads whose bodies use it, and how many distinct
+    // IDBs its own rules' bodies use that are not yet done.
+    let mut users: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let mut waiting: BTreeMap<&str, usize> = idbs.iter().map(|i| (i.as_str(), 0)).collect();
     for rule in &p.rules {
-        let entry = edges.entry(&rule.head.pred).or_default();
         for lit in &rule.body {
             if let Literal::Pos(a) | Literal::Neg(a) = lit {
-                if idbs.contains(&a.pred) {
-                    entry.insert(&a.pred);
+                if idbs.contains(&a.pred)
+                    && users.entry(&a.pred).or_default().insert(&rule.head.pred)
+                {
+                    *waiting.get_mut(rule.head.pred.as_str())? += 1;
                 }
             }
         }
     }
-    // DFS cycle detection.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Gray,
-        Black,
-    }
-    let mut marks: BTreeMap<&str, Mark> = idbs.iter().map(|i| (i.as_str(), Mark::White)).collect();
-    fn dfs<'a>(
-        node: &'a str,
-        edges: &BTreeMap<&'a str, BTreeSet<&'a str>>,
-        marks: &mut BTreeMap<&'a str, Mark>,
-    ) -> bool {
-        match marks.get(node).copied() {
-            Some(Mark::Gray) => return false,
-            Some(Mark::Black) | None => return true,
-            Some(Mark::White) => {}
-        }
-        marks.insert(node, Mark::Gray);
-        if let Some(next) = edges.get(node) {
-            for n in next {
-                if !dfs(n, edges, marks) {
-                    return false;
-                }
+    let mut depth: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut ready: Vec<&str> = waiting
+        .iter()
+        .filter(|(_, &n)| n == 0)
+        .map(|(&idb, _)| idb)
+        .collect();
+    let (mut done, mut deepest) = (0, 0);
+    while let Some(idb) = ready.pop() {
+        let d = depth.get(idb).copied().unwrap_or(0) + 1;
+        done += 1;
+        deepest = deepest.max(d);
+        for &user in users.get(idb).into_iter().flatten() {
+            let slot = depth.entry(user).or_default();
+            *slot = (*slot).max(d);
+            let n = waiting.get_mut(user)?;
+            *n -= 1;
+            if *n == 0 {
+                ready.push(user);
             }
         }
-        marks.insert(node, Mark::Black);
-        true
     }
-    let nodes: Vec<&str> = idbs.iter().map(String::as_str).collect();
-    nodes.iter().all(|n| dfs(n, &edges, &mut marks))
+    // IDBs still waiting sit on (or behind) a cycle.
+    (done == idbs.len()).then_some(deepest)
 }
 
 /// `true` if the program lies in Datalog\* (Definition 1): non-recursive,
@@ -323,5 +341,45 @@ mod tests {
     fn wildcard_in_head_rejected() {
         let p = parse_program_unchecked("Q(_) :- R(x, _).").unwrap();
         assert!(check_program(&p, &catalog()).is_err());
+    }
+
+    /// `Ik(x) :- Ik-1(x).` for k in 1..n, then `Q(x) :- In-1(x).`: an
+    /// IDB chain `n + 1` deep.
+    fn chain(n: usize) -> String {
+        let mut text = String::from("I0(x) :- R(x, _).\n");
+        for k in 1..n {
+            text.push_str(&format!("I{k}(x) :- I{}(x).\n", k - 1));
+        }
+        text + &format!("Q(x) :- I{}(x).", n - 1)
+    }
+
+    #[test]
+    fn idb_depth_counts_the_longest_chain_without_recursion() {
+        let p = parse_program_unchecked(&chain(3)).unwrap();
+        assert_eq!(idb_depth(&p), Some(4));
+        let p = parse_program_unchecked(
+            "I(x) :- R(x, _).\nJ(x) :- R(x, _), not I(x).\nQ(x) :- I(x), J(x).",
+        )
+        .unwrap();
+        assert_eq!(idb_depth(&p), Some(3));
+        let p = parse_program_unchecked("I(x) :- R(x, _), I(x).\nQ(x) :- I(x).").unwrap();
+        assert_eq!(idb_depth(&p), None, "recursive");
+        // The check itself runs in constant stack: a 100 000-rule chain
+        // is measured, then refused, on a 2 MiB thread.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let at_cap = parse_program_unchecked(&chain(MAX_IDB_DEPTH - 1)).unwrap();
+                assert!(check_program(&at_cap, &catalog()).is_ok());
+                for n in [MAX_IDB_DEPTH, 3_000, 100_000] {
+                    let p = parse_program_unchecked(&chain(n)).unwrap();
+                    assert_eq!(idb_depth(&p), Some(n + 1));
+                    let err = check_program(&p, &catalog()).unwrap_err().to_string();
+                    assert!(err.contains("the limit is 128"), "{err}");
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

@@ -72,6 +72,5 @@ pub use language::Language;
 pub use request::{DiagramFormat, ExplainResponse, QueryRequest, QueryResponse, Translations};
 pub use session::{Session, SessionStats, DEFAULT_CACHE_CAPACITY};
 pub use shared::{
-    CacheStats, DbEpoch, EngineMetrics, EngineShared, MutationOutcome, ShardedCache, SharedConfig,
-    STAGE_NAMES,
+    CacheStats, DbEpoch, EngineShared, MutationOutcome, ShardedCache, SharedConfig, STAGE_NAMES,
 };

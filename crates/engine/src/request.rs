@@ -129,6 +129,10 @@ pub struct QueryResponse {
     /// Total wall-clock time of the request in microseconds (0 with
     /// metrics off).
     pub micros: u64,
+    /// The root q-error of the execution behind this response: the
+    /// planner's row estimate against the rows produced (`None` on an
+    /// eval-cache hit, or when the plan carries no estimate).
+    pub q_error: Option<f64>,
 }
 
 impl QueryResponse {

@@ -19,6 +19,13 @@ fn micros_since(start: Instant) -> u64 {
     start.elapsed().as_micros() as u64
 }
 
+/// An execution's root q-error: the planner's estimate for the whole
+/// result against the rows it produced (`None` for plans with no
+/// estimate, e.g. sentences).
+fn root_q_error(plan: &Plan, feedback: &exec::ExecFeedback) -> Option<f64> {
+    exec::plan_est(plan).map(|est| exec::q_error(est, feedback.out_rows))
+}
+
 /// Default parse-cache capacity (re-exported for compatibility; see
 /// [`crate::shared::DEFAULT_PARSE_CACHE_CAPACITY`]).
 pub const DEFAULT_CACHE_CAPACITY: usize = crate::shared::DEFAULT_PARSE_CACHE_CAPACITY;
@@ -236,8 +243,8 @@ impl Session {
 
     /// Runs one request: prepare (parse cache), evaluate (eval cache),
     /// and produce the requested optional artifacts. With metrics
-    /// enabled, per-stage spans are recorded into the shared histogram
-    /// registry and returned on the response.
+    /// enabled, the response carries per-stage spans and the total time;
+    /// the session itself records no latency anywhere.
     pub fn run(&mut self, req: &QueryRequest) -> CoreResult<QueryResponse> {
         self.run_inner(req, None)
             .map(|resp| resp.expect("an unrestricted run always answers"))
@@ -249,8 +256,8 @@ impl Session {
     /// and no diagram, and its result has at most `max_rows` rows. The
     /// answer is exactly what [`run`](Session::run) would return, counted
     /// and traced exactly as `run` counts and traces it. Anything else
-    /// returns `None` having counted and recorded nothing, so the caller
-    /// can still hand the request to `run` without counting it twice.
+    /// returns `None` having counted nothing, so the caller can still
+    /// hand the request to `run` without counting it twice.
     pub fn run_cached(&mut self, req: &QueryRequest, max_rows: usize) -> Option<QueryResponse> {
         if req.translations || req.diagram != DiagramFormat::None {
             return None;
@@ -263,8 +270,8 @@ impl Session {
     /// The body of [`run`](Session::run) and
     /// [`run_cached`](Session::run_cached). Both caches are probed
     /// without counting; with `cached_only = Some(max_rows)` the run
-    /// returns `Ok(None)` at the first miss, before anything is counted
-    /// or recorded. Past that point both callers share one path.
+    /// returns `Ok(None)` at the first miss, before anything is counted.
+    /// Past that point both callers share one path.
     fn run_inner(
         &mut self,
         req: &QueryRequest,
@@ -274,7 +281,7 @@ impl Session {
         // switch databases between prepare and eval.
         let epoch = self.shared.epoch();
         // `start` doubles as the tracing switch: `None` skips every
-        // clock read and histogram record on the path below.
+        // clock read on the path below.
         let start = self.shared.metrics_enabled().then(Instant::now);
         let mut spans: Vec<Span> = Vec::new();
         let parse_key = (epoch.base, req.language, hash_text(&req.text));
@@ -316,7 +323,7 @@ impl Session {
         if let Some(micros) = parse_micros {
             spans.push(Span::new("parse", micros));
         }
-        let (relation, eval_cache_hit) = self.evaluate(
+        let (relation, eval_cache_hit, q_error) = self.evaluate(
             &epoch,
             &artifact,
             &canonical,
@@ -378,11 +385,6 @@ impl Session {
                 spans.push(Span::new("render", micros_since(t)));
             }
         }
-        let total = start.map_or(0, micros_since);
-        if start.is_some() {
-            self.shared
-                .record_request_metrics(artifact.language(), total, &spans);
-        }
         Ok(Some(QueryResponse {
             language: artifact.language(),
             canonical,
@@ -394,7 +396,8 @@ impl Session {
             diagram,
             notes,
             spans,
-            micros: total,
+            micros: start.map_or(0, micros_since),
+            q_error,
         }))
     }
 
@@ -485,8 +488,9 @@ impl Session {
     /// each entry's recorded scan set validated against the epoch's
     /// per-relation generations (delta-aware invalidation). `cached` is
     /// the caller's uncounted probe of that key; the lookup is counted
-    /// here. Returns the (shared) relation and whether evaluation was
-    /// skipped.
+    /// here. Returns the (shared) relation, whether evaluation was
+    /// skipped, and the executed plan's root q-error (`None` when
+    /// nothing executed or the plan carries no estimate).
     ///
     /// Evaluation runs over the interned representation; the result is
     /// resolved back to strings *here* — the session is the edge — so
@@ -500,12 +504,12 @@ impl Session {
         cached: Option<EvalEntry>,
         spans: &mut Vec<Span>,
         trace: bool,
-    ) -> CoreResult<(Arc<Relation>, bool)> {
+    ) -> CoreResult<(Arc<Relation>, bool, Option<f64>)> {
         if !self.shared.eval_cache_enabled() {
             let plan = self.timed_plan(epoch, artifact, canonical, spans, trace)?;
             let (raw, feedback) = exec::execute_feedback(&plan, &epoch.db, exec::ExecOptions)?;
-            self.observe_execution(&plan, &feedback);
-            return Ok((Arc::new(epoch.db.resolve_relation(&raw)), false));
+            let q = root_q_error(&plan, &feedback);
+            return Ok((Arc::new(epoch.db.resolve_relation(&raw)), false, q));
         }
         self.shared.eval_cache.record(cached.is_some());
         if let Some(entry) = cached.filter(|e| *e.canonical == *canonical) {
@@ -514,7 +518,7 @@ impl Session {
                 if entry.born < epoch.generation {
                     self.stats.delta_survivals += 1;
                 }
-                return Ok((entry.relation, true));
+                return Ok((entry.relation, true, None));
             }
             // A delta mutation touched a relation this result reads:
             // the entry is stale. Fall through to re-evaluate; the
@@ -526,13 +530,13 @@ impl Session {
         // Result-cache miss: the plan cache can still skip the compile.
         let plan = self.timed_plan(epoch, artifact, canonical, spans, trace)?;
         let (raw, feedback) = exec::execute_feedback(&plan, &epoch.db, exec::ExecOptions)?;
-        self.observe_execution(&plan, &feedback);
+        let q = root_q_error(&plan, &feedback);
         let relation = Arc::new(epoch.db.resolve_relation(&raw));
         let bytes = relation.approx_bytes();
         if !self.shared.eval_cache_admits(bytes) {
             // Too big to cache: hand it back, count the skip.
             self.stats.eval_skipped += 1;
-            return Ok((relation, false));
+            return Ok((relation, false, q));
         }
         let entry = EvalEntry {
             canonical: canonical.into(),
@@ -544,7 +548,7 @@ impl Session {
         if self.shared.eval_cache_insert(key, entry) {
             self.stats.eval_evictions += 1;
         }
-        Ok((relation, false))
+        Ok((relation, false, q))
     }
 
     /// Fetches (or compiles and caches) the artifact's executable plan
@@ -613,16 +617,6 @@ impl Session {
             self.stats.plan_evictions += 1;
         }
         Ok(plan)
-    }
-
-    /// Records an execution's root q-error into the shared planner
-    /// histogram (plans compiled under the legacy strategy carry no
-    /// estimate).
-    fn observe_execution(&self, plan: &Plan, feedback: &exec::ExecFeedback) {
-        if let Some(est) = exec::plan_est(plan) {
-            self.shared
-                .record_q_error(exec::q_error(est, feedback.out_rows));
-        }
     }
 
     /// Compiles (or fetches from the plan cache) the query's executable

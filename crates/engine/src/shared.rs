@@ -23,10 +23,15 @@
 //! Single-user sessions embed a 1-shard `EngineShared` and behave exactly
 //! as before (strict LRU, deterministic evictions); the server shares one
 //! multi-shard instance across all its workers.
+//!
+//! Nothing here records latency. A session times its own stages and
+//! returns the spans on its [`QueryResponse`](crate::QueryResponse); a
+//! service records them wherever it keeps its registry (the `rd-server`
+//! keeps one per event-loop shard). The only counters shared state keeps
+//! are the caches' own hit/miss/eviction atomics ([`CacheStats`]).
 
 use crate::cache::LruCache;
 use crate::{Artifact, Language};
-use rd_core::trace::{Histogram, Span};
 use rd_core::{Catalog, CoreResult, Database, Relation, TableSchema, Tuple};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -57,132 +62,14 @@ pub const DEFAULT_EVAL_CACHE_MAX_ENTRY_BYTES: usize = 1 << 20;
 /// shard index is a mask of the key hash.
 const SHARED_SHARDS: usize = 16;
 
-/// The pipeline stages sessions record spans for, in execution order.
+/// The pipeline stages a request is timed in, in execution order.
 /// `parse` covers parse + check + canonicalization (one atomic step in
 /// [`Artifact::prepare`]), `plan` the plan-cache probe + lowering,
 /// `execute` the eval-cache probe + execution + resolution, `render`
 /// the optional translations/diagram artifacts, and `serialize` the
-/// service-edge response encoding.
+/// service-edge response encoding. Sessions return spans for the first
+/// four; a service times `render` and `serialize` at its edge too.
 pub const STAGE_NAMES: [&str; 5] = ["parse", "plan", "execute", "render", "serialize"];
-
-/// Aggregated latency histograms (µs): one per pipeline stage
-/// (indexed like [`STAGE_NAMES`]) and one whole-request histogram per
-/// language (indexed like [`Language::ALL`]).
-///
-/// Like [`crate::SessionStats`], snapshots support
-/// [`accumulate`](EngineMetrics::accumulate) and
-/// [`since`](EngineMetrics::since), so a server can merge windows and
-/// compute interval deltas by subtraction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineMetrics {
-    /// Per-stage latency histograms, parallel to [`STAGE_NAMES`].
-    pub stages: Vec<Histogram>,
-    /// Whole-request latency per language, parallel to
-    /// [`Language::ALL`].
-    pub languages: Vec<Histogram>,
-    /// Planner estimation quality: the root q-error of each observed
-    /// execution, recorded as **centi-q** (`q × 100`, so a perfect
-    /// estimate records 100). Histograms hold integers; two decimal
-    /// digits of q-error are plenty for the diagnostic.
-    pub planner_q: Histogram,
-}
-
-impl Default for EngineMetrics {
-    fn default() -> Self {
-        EngineMetrics {
-            stages: vec![Histogram::new(); STAGE_NAMES.len()],
-            languages: vec![Histogram::new(); Language::ALL.len()],
-            planner_q: Histogram::new(),
-        }
-    }
-}
-
-impl EngineMetrics {
-    /// Empty histograms for every stage and language.
-    pub fn new() -> Self {
-        EngineMetrics::default()
-    }
-
-    /// The histogram for a stage name (`None` for unknown stages).
-    pub fn stage(&self, name: &str) -> Option<&Histogram> {
-        let idx = STAGE_NAMES.iter().position(|s| *s == name)?;
-        self.stages.get(idx)
-    }
-
-    /// The whole-request histogram for `language`.
-    pub fn language(&self, language: Language) -> &Histogram {
-        let idx = Language::ALL
-            .iter()
-            .position(|l| *l == language)
-            .expect("every language is in ALL");
-        &self.languages[idx]
-    }
-
-    /// Records one span into its stage histogram (unknown stage names
-    /// are ignored — the registry's shape is fixed).
-    pub fn record_span(&mut self, span: &Span) {
-        if let Some(idx) = STAGE_NAMES.iter().position(|s| *s == span.stage) {
-            self.stages[idx].record(span.micros);
-        }
-    }
-
-    /// Records one whole request: its total latency under the
-    /// language's histogram plus every stage span.
-    pub fn record_request(&mut self, language: Language, total_micros: u64, spans: &[Span]) {
-        let idx = Language::ALL
-            .iter()
-            .position(|l| *l == language)
-            .expect("every language is in ALL");
-        self.languages[idx].record(total_micros);
-        for span in spans {
-            self.record_span(span);
-        }
-    }
-
-    /// Records one observed execution's root q-error (clamped into the
-    /// centi-q integer domain).
-    pub fn record_q_error(&mut self, q: f64) {
-        self.planner_q.record((q * 100.0).round().max(100.0) as u64);
-    }
-
-    /// Folds `other` in histogram-wise (mirrors
-    /// [`crate::SessionStats::accumulate`]).
-    pub fn accumulate(&mut self, other: &EngineMetrics) {
-        for (mine, theirs) in self.stages.iter_mut().zip(&other.stages) {
-            mine.accumulate(theirs);
-        }
-        for (mine, theirs) in self.languages.iter_mut().zip(&other.languages) {
-            mine.accumulate(theirs);
-        }
-        self.planner_q.accumulate(&other.planner_q);
-    }
-
-    /// The histogram-wise interval `self − base` (mirrors
-    /// [`crate::SessionStats::since`]; exact inverse of
-    /// [`accumulate`](EngineMetrics::accumulate)).
-    pub fn since(&self, base: &EngineMetrics) -> EngineMetrics {
-        EngineMetrics {
-            stages: self
-                .stages
-                .iter()
-                .zip(&base.stages)
-                .map(|(s, b)| s.since(b))
-                .collect(),
-            languages: self
-                .languages
-                .iter()
-                .zip(&base.languages)
-                .map(|(s, b)| s.since(b))
-                .collect(),
-            planner_q: self.planner_q.since(&base.planner_q),
-        }
-    }
-
-    /// Total requests recorded (the sum over the language histograms).
-    pub fn requests(&self) -> u64 {
-        self.languages.iter().map(|h| h.count()).sum()
-    }
-}
 
 /// Aggregate counters of one sharded cache, summed over shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -578,9 +465,10 @@ pub struct SharedConfig {
     /// re-lowers its artifact; parse and result caching are unaffected).
     pub plan_cache: bool,
     /// `false` disables request tracing entirely: sessions skip the
-    /// monotonic-clock reads, responses carry no spans, and nothing is
-    /// recorded into the histogram registry (the knob the tracing
-    /// overhead micro-bench measures against).
+    /// monotonic-clock reads and responses carry no spans, and a service
+    /// built on this state records no latency histograms (the knob the
+    /// tracing overhead micro-bench measures against). Counters are
+    /// kept either way.
     pub metrics: bool,
     /// Lock stripes per cache (rounded up to a power of two).
     pub shards: usize,
@@ -612,10 +500,6 @@ pub struct EngineShared {
     eval_max_entry_bytes: usize,
     plan_enabled: bool,
     metrics_enabled: bool,
-    /// The shared latency-histogram registry. Sessions take the lock
-    /// once per request to fold in a handful of `record` calls, so the
-    /// critical section is a few array increments.
-    metrics: Mutex<EngineMetrics>,
 }
 
 impl EngineShared {
@@ -635,7 +519,6 @@ impl EngineShared {
             eval_max_entry_bytes: cfg.eval_cache_max_entry_bytes,
             plan_enabled: cfg.plan_cache,
             metrics_enabled: cfg.metrics,
-            metrics: Mutex::new(EngineMetrics::new()),
         }
     }
 
@@ -742,51 +625,10 @@ impl EngineShared {
         self.plan_enabled
     }
 
-    /// Records one observed execution's root q-error into the planner
-    /// histogram (no-op with metrics disabled).
-    pub fn record_q_error(&self, q: f64) {
-        if !self.metrics_enabled {
-            return;
-        }
-        self.metrics
-            .lock()
-            .expect("metrics registry")
-            .record_q_error(q);
-    }
-
-    /// `true` if request tracing + histogram recording are enabled.
+    /// `true` if request tracing (span timing, and a service's histogram
+    /// recording) is enabled.
     pub fn metrics_enabled(&self) -> bool {
         self.metrics_enabled
-    }
-
-    /// Records one traced request into the shared histogram registry
-    /// (no-op with metrics disabled).
-    pub fn record_request_metrics(&self, language: Language, total_micros: u64, spans: &[Span]) {
-        if !self.metrics_enabled {
-            return;
-        }
-        self.metrics
-            .lock()
-            .expect("metrics registry")
-            .record_request(language, total_micros, spans);
-    }
-
-    /// Records one span into its stage histogram — the hook the service
-    /// edge uses for the `serialize` stage, which happens after the
-    /// session has returned (no-op with metrics disabled).
-    pub fn record_stage(&self, stage: &'static str, micros: u64) {
-        if !self.metrics_enabled {
-            return;
-        }
-        self.metrics
-            .lock()
-            .expect("metrics registry")
-            .record_span(&Span::new(stage, micros));
-    }
-
-    /// A snapshot of the latency-histogram registry.
-    pub fn metrics(&self) -> EngineMetrics {
-        self.metrics.lock().expect("metrics registry").clone()
     }
 
     /// Aggregate parse-cache counters.
@@ -887,28 +729,6 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.hits + s.misses, 8 * 500);
         assert!(c.len() <= 128);
-    }
-
-    #[test]
-    fn engine_metrics_accumulate_since_roundtrip() {
-        let mut a = EngineMetrics::new();
-        a.record_request(
-            Language::Trc,
-            120,
-            &[Span::new("parse", 20), Span::new("execute", 90)],
-        );
-        let mut b = EngineMetrics::new();
-        b.record_request(Language::Sql, 45, &[Span::new("parse", 45)]);
-        let mut total = a.clone();
-        total.accumulate(&b);
-        assert_eq!(total.requests(), 2);
-        assert_eq!(total.since(&a), b);
-        assert_eq!(total.since(&b), a);
-        assert_eq!(total.stage("parse").unwrap().count(), 2);
-        assert_eq!(total.language(Language::Trc).count(), 1);
-        // Unknown stage names are ignored, not panicked on.
-        a.record_span(&Span::new("warp", 1));
-        assert_eq!(a.stage("warp"), None);
     }
 
     #[test]

@@ -263,8 +263,8 @@ fn session_stats_accumulate_and_since_are_inverses() {
 }
 
 /// Plan counters observed by a live session reach the same totals the
-/// eval counters do when merged via `since` deltas — the exact pattern
-/// the server's `merge_stats` uses.
+/// eval counters do when merged via `since` deltas — the pattern a
+/// caller that snapshots a live session's growth uses.
 #[test]
 fn plan_counters_merge_like_eval_counters() {
     let mut session = plan_only_session();

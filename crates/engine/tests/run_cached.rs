@@ -1,7 +1,7 @@
 //! `Session::run_cached`: the cache-only entry point a service answers
 //! hot requests with. A hit must be indistinguishable from `run` (same
-//! response, counters, cache statistics, and histogram records); a miss
-//! must leave no trace at all.
+//! response, spans, counters, and cache statistics); a miss must leave
+//! no trace at all.
 
 use rd_core::{Tuple, Value};
 use rd_engine::{
@@ -17,7 +17,6 @@ struct Counters {
     parse: CacheStats,
     eval: CacheStats,
     plan: CacheStats,
-    requests: u64,
 }
 
 fn counters(session: &Session) -> Counters {
@@ -27,7 +26,6 @@ fn counters(session: &Session) -> Counters {
         parse: shared.parse_cache_stats(),
         eval: shared.eval_cache_stats(),
         plan: shared.plan_cache_stats(),
-        requests: shared.metrics().requests(),
     }
 }
 
@@ -80,6 +78,7 @@ fn a_hit_is_answered_exactly_as_run_answers_it() {
         got.spans.iter().map(|s| s.stage).collect::<Vec<_>>(),
         expected.spans.iter().map(|s| s.stage).collect::<Vec<_>>()
     );
+    assert_eq!(got.q_error, expected.q_error);
     assert_eq!(counters(&via_cached), counters(&via_run));
 }
 

@@ -13,9 +13,34 @@
 //! jcond   := IDENT OP IDENT { 'and' IDENT OP IDENT }
 //! renames := IDENT '->' IDENT {',' IDENT '->' IDENT}
 //! ```
+//!
+//! Every later pass over an expression (checking, lowering, the hub
+//! translation, rendering, even dropping it) recurses once per tree
+//! level, so the parser refuses trees deeper than [`MAX_DEPTH`] while it
+//! builds them: both nesting (each parenthesized group, condition
+//! groups included) and left-deep operator chains (`R - S - T …`, which
+//! need no parentheses) count.
 
 use crate::ast::{Condition, JoinCond, RaExpr, RaTerm};
 use rd_core::{Catalog, CmpOp, CoreError, CoreResult, Value};
+
+/// The deepest expression tree the parser accepts, in levels: far
+/// beyond any hand-written query (the deepest corpus or test query is a
+/// 70-way join chain), and shallow enough that a query this deep runs
+/// through evaluation, translations and diagram rendering on a 2 MiB
+/// thread stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// `depth` if it is within [`MAX_DEPTH`], else the refusal.
+fn within(depth: usize) -> CoreResult<usize> {
+    if depth > MAX_DEPTH {
+        Err(CoreError::Invalid(format!(
+            "RA expression nests deeper than {MAX_DEPTH} levels"
+        )))
+    } else {
+        Ok(depth)
+    }
+}
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Tok {
@@ -156,6 +181,9 @@ fn lex(input: &str) -> CoreResult<Vec<Tok>> {
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Open groups around the current position: the recursion guard
+    /// (a group's own depth is known only once it closes).
+    open: usize,
 }
 
 impl Parser {
@@ -193,62 +221,63 @@ impl Parser {
         }
     }
 
-    fn expr(&mut self) -> CoreResult<RaExpr> {
-        let mut left = self.term()?;
+    /// Parses `f` as one more open group, refused past [`MAX_DEPTH`]
+    /// before recursing.
+    fn group<T>(&mut self, f: impl FnOnce(&mut Self) -> CoreResult<T>) -> CoreResult<T> {
+        self.open = within(self.open + 1)?;
+        let out = f(self);
+        self.open -= 1;
+        out
+    }
+
+    /// `'(' expr ')'`, with the expression's depth.
+    fn parenthesized(&mut self) -> CoreResult<(RaExpr, usize)> {
+        self.expect(&Tok::LParen, "'('")?;
+        let inner = self.group(Self::expr)?;
+        self.expect(&Tok::RParen, "')'")?;
+        Ok(inner)
+    }
+
+    /// An expression and the depth of its tree (groups count a level).
+    fn expr(&mut self) -> CoreResult<(RaExpr, usize)> {
+        let (mut left, mut depth) = self.term()?;
         loop {
-            match self.peek() {
-                Some(Tok::Minus) => {
-                    self.next()?;
-                    let right = self.term()?;
-                    left = RaExpr::diff(left, right);
-                }
-                Some(Tok::KwUnion) => {
-                    self.next()?;
-                    let right = self.term()?;
-                    left = RaExpr::union(left, right);
-                }
-                _ => return Ok(left),
-            }
+            let op: fn(RaExpr, RaExpr) -> RaExpr = match self.peek() {
+                Some(Tok::Minus) => RaExpr::diff,
+                Some(Tok::KwUnion) => RaExpr::union,
+                _ => return Ok((left, depth)),
+            };
+            self.next()?;
+            let (right, d) = self.term()?;
+            left = op(left, right);
+            depth = within(depth.max(d) + 1)?;
         }
     }
 
-    fn term(&mut self) -> CoreResult<RaExpr> {
-        let mut left = self.factor()?;
+    fn term(&mut self) -> CoreResult<(RaExpr, usize)> {
+        let (mut left, mut depth) = self.factor()?;
         loop {
-            match self.peek() {
-                Some(Tok::KwX) => {
-                    self.next()?;
-                    let right = self.factor()?;
-                    left = RaExpr::product(left, right);
-                }
-                Some(Tok::KwJoin) => {
-                    self.next()?;
-                    if self.peek() == Some(&Tok::LBracket) {
-                        let cond = self.join_cond()?;
-                        let right = self.factor()?;
-                        left = RaExpr::join(cond, left, right);
-                    } else {
-                        let right = self.factor()?;
-                        left = RaExpr::natural_join(left, right);
-                    }
-                }
-                Some(Tok::KwAntijoin) => {
-                    self.next()?;
-                    if self.peek() == Some(&Tok::LBracket) {
-                        let cond = self.join_cond()?;
-                        let right = self.factor()?;
-                        left = RaExpr::antijoin(cond, left, right);
-                    } else {
-                        let right = self.factor()?;
-                        left = RaExpr::antijoin(JoinCond(vec![]), left, right);
-                    }
-                }
-                _ => return Ok(left),
-            }
+            let op = match self.peek() {
+                Some(Tok::KwX | Tok::KwJoin | Tok::KwAntijoin) => self.next()?,
+                _ => return Ok((left, depth)),
+            };
+            let cond = if op != Tok::KwX && self.peek() == Some(&Tok::LBracket) {
+                Some(self.join_cond()?)
+            } else {
+                None
+            };
+            let (right, d) = self.factor()?;
+            left = match (op, cond) {
+                (Tok::KwX, _) => RaExpr::product(left, right),
+                (Tok::KwJoin, Some(cond)) => RaExpr::join(cond, left, right),
+                (Tok::KwJoin, None) => RaExpr::natural_join(left, right),
+                (_, cond) => RaExpr::antijoin(cond.unwrap_or(JoinCond(vec![])), left, right),
+            };
+            depth = within(depth.max(d) + 1)?;
         }
     }
 
-    fn factor(&mut self) -> CoreResult<RaExpr> {
+    fn factor(&mut self) -> CoreResult<(RaExpr, usize)> {
         match self.next()? {
             Tok::KwPi => {
                 self.expect(&Tok::LBracket, "'['")?;
@@ -258,19 +287,15 @@ impl Parser {
                     attrs.push(self.ident("attribute")?);
                 }
                 self.expect(&Tok::RBracket, "']'")?;
-                self.expect(&Tok::LParen, "'('")?;
-                let inner = self.expr()?;
-                self.expect(&Tok::RParen, "')'")?;
-                Ok(RaExpr::Project(attrs, Box::new(inner)))
+                let (inner, d) = self.parenthesized()?;
+                Ok((RaExpr::Project(attrs, Box::new(inner)), within(d + 1)?))
             }
             Tok::KwSigma => {
                 self.expect(&Tok::LBracket, "'['")?;
-                let cond = self.condition()?;
+                let (cond, c) = self.condition()?;
                 self.expect(&Tok::RBracket, "']'")?;
-                self.expect(&Tok::LParen, "'('")?;
-                let inner = self.expr()?;
-                self.expect(&Tok::RParen, "')'")?;
-                Ok(RaExpr::select(cond, inner))
+                let (inner, d) = self.parenthesized()?;
+                Ok((RaExpr::select(cond, inner), within(d.max(c) + 1)?))
             }
             Tok::KwRho => {
                 self.expect(&Tok::LBracket, "'['")?;
@@ -287,17 +312,15 @@ impl Parser {
                     }
                 }
                 self.expect(&Tok::RBracket, "']'")?;
-                self.expect(&Tok::LParen, "'('")?;
-                let inner = self.expr()?;
-                self.expect(&Tok::RParen, "')'")?;
-                Ok(RaExpr::Rename(renames, Box::new(inner)))
+                let (inner, d) = self.parenthesized()?;
+                Ok((RaExpr::Rename(renames, Box::new(inner)), within(d + 1)?))
             }
             Tok::LParen => {
-                let inner = self.expr()?;
+                let (inner, d) = self.group(Self::expr)?;
                 self.expect(&Tok::RParen, "')'")?;
-                Ok(inner)
+                Ok((inner, within(d + 1)?))
             }
-            Tok::Ident(name) => Ok(RaExpr::Table(name)),
+            Tok::Ident(name) => Ok((RaExpr::Table(name), 1)),
             other => Err(CoreError::Invalid(format!(
                 "expected RA factor, found {other:?}"
             ))),
@@ -329,38 +352,45 @@ impl Parser {
         Ok(JoinCond(items))
     }
 
-    fn condition(&mut self) -> CoreResult<Condition> {
-        let mut parts = vec![self.conj()?];
+    /// A condition and the depth of its tree (groups count a level).
+    fn condition(&mut self) -> CoreResult<(Condition, usize)> {
+        let (first, mut depth) = self.conj()?;
+        let mut parts = vec![first];
         while self.peek() == Some(&Tok::KwOr) {
             self.next()?;
-            parts.push(self.conj()?);
+            let (part, d) = self.conj()?;
+            parts.push(part);
+            depth = depth.max(d);
         }
         Ok(if parts.len() == 1 {
-            parts.pop().expect("len checked")
+            (parts.pop().expect("len checked"), depth)
         } else {
-            Condition::Or(parts)
+            (Condition::Or(parts), within(depth + 1)?)
         })
     }
 
-    fn conj(&mut self) -> CoreResult<Condition> {
-        let mut parts = vec![self.cmp()?];
+    fn conj(&mut self) -> CoreResult<(Condition, usize)> {
+        let (first, mut depth) = self.cmp()?;
+        let mut parts = vec![first];
         while self.peek() == Some(&Tok::KwAnd) {
             self.next()?;
-            parts.push(self.cmp()?);
+            let (part, d) = self.cmp()?;
+            parts.push(part);
+            depth = depth.max(d);
         }
         Ok(if parts.len() == 1 {
-            parts.pop().expect("len checked")
+            (parts.pop().expect("len checked"), depth)
         } else {
-            Condition::And(parts)
+            (Condition::And(parts), within(depth + 1)?)
         })
     }
 
-    fn cmp(&mut self) -> CoreResult<Condition> {
+    fn cmp(&mut self) -> CoreResult<(Condition, usize)> {
         if self.peek() == Some(&Tok::LParen) {
             self.next()?;
-            let inner = self.condition()?;
+            let (inner, d) = self.group(Self::condition)?;
             self.expect(&Tok::RParen, "')'")?;
-            return Ok(inner);
+            return Ok((inner, within(d + 1)?));
         }
         let l = self.operand()?;
         let op = match self.next()? {
@@ -372,7 +402,7 @@ impl Parser {
             }
         };
         let r = self.operand()?;
-        Ok(Condition::Cmp(l, op, r))
+        Ok((Condition::Cmp(l, op, r), 1))
     }
 
     fn operand(&mut self) -> CoreResult<RaTerm> {
@@ -399,8 +429,9 @@ pub fn parse_unchecked(input: &str) -> CoreResult<RaExpr> {
     let mut p = Parser {
         toks: lex(input)?,
         pos: 0,
+        open: 0,
     };
-    let e = p.expr()?;
+    let (e, _) = p.expr()?;
     if p.pos != p.toks.len() {
         return Err(CoreError::Invalid(format!(
             "trailing tokens after RA expression: {:?}",
@@ -468,5 +499,35 @@ mod tests {
         let cat = Catalog::from_schemas([TableSchema::new("Boat", ["bid", "color"])]).unwrap();
         let e = parse("sigma[color='red'](Boat)", &cat).unwrap();
         assert_eq!(to_ascii(&e), "sigma[color='red'](Boat)");
+    }
+
+    /// Runs `f` on a thread with the 2 MiB stack a server compute
+    /// worker gets.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn nesting_and_chains_past_the_depth_cap_are_errors() {
+        // Each helper builds a tree exactly `n` levels deep.
+        let nest = |n: usize| format!("{}R{}", "pi[A](".repeat(n - 1), ")".repeat(n - 1));
+        let chain = |n: usize| format!("R{}", " - R".repeat(n - 1));
+        let antijoins = |n: usize| format!("R{}", " antijoin[A=A] R".repeat(n - 1));
+        let parens = |n: usize| format!("{}R{}", "(".repeat(n - 1), ")".repeat(n - 1));
+        let cond = |n: usize| format!("sigma[{}A=1{}](R)", "(".repeat(n - 2), ")".repeat(n - 2));
+        on_small_stack(move || {
+            for shape in [nest, chain, antijoins, parens, cond] {
+                assert!(parse_unchecked(&shape(MAX_DEPTH)).is_ok());
+                for n in [MAX_DEPTH + 1, 3_000, 100_000] {
+                    let err = parse_unchecked(&shape(n)).unwrap_err();
+                    assert!(err.to_string().contains("deeper than 128"), "{err}");
+                }
+            }
+        });
     }
 }

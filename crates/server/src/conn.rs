@@ -19,6 +19,12 @@
 //!   rest as at most one compute-pool job at a time (`in_flight`), so
 //!   one connection's pipeline never monopolizes workers and its
 //!   responses stay in request order.
+//! * `session` is the connection's engine session. A pool worker locks
+//!   it for one batch, the shard loop for one run of inline answers —
+//!   never both, because the loop answers only while no job of the
+//!   connection is out. The session keeps only its own traffic
+//!   counters; the server folds them into its shard's registry and
+//!   zeroes them after every run or batch.
 //! * `write_buf` holds encoded response frames; the loop flushes it as
 //!   the socket accepts bytes and uses its occupancy for `POLLOUT`
 //!   interest and read backpressure.
@@ -27,7 +33,7 @@
 //! tested against an in-memory transcript; the server instantiates it
 //! with a nonblocking `TcpStream`.
 
-use rd_engine::{Session, SessionStats};
+use rd_engine::Session;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::sync::{Arc, Mutex};
@@ -40,18 +46,6 @@ pub const PENDING_HIGH_WATER: usize = 1024;
 /// Stop reading a connection whose unflushed response bytes exceed
 /// this; reading resumes once the client drains its side.
 pub const WRITE_HIGH_WATER: usize = 8 * 1024 * 1024;
-
-/// A connection's session plus the merge watermark the stats
-/// aggregation uses; a pool worker locks it for one batch, the shard
-/// loop for one run of inline answers (never both: the loop answers
-/// only while no job of the connection is out).
-pub struct WorkerSession {
-    /// The per-connection engine session (caches shared via the
-    /// server's `EngineShared`).
-    pub session: Session,
-    /// Counters already folded into the server-wide aggregate.
-    pub merged: SessionStats,
-}
 
 /// What a read pass observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,8 +81,9 @@ pub struct Conn<S> {
     pub pending: VecDeque<String>,
     /// Pool jobs dispatched but not yet completed (0 or 1).
     pub in_flight: usize,
-    /// The session this connection's requests run against.
-    pub session: Arc<Mutex<WorkerSession>>,
+    /// The session this connection's requests run against (caches
+    /// shared via the server's `EngineShared`).
+    pub session: Arc<Mutex<Session>>,
     /// No more requests will be read (EOF, fatal error, or shutdown).
     pub read_closed: bool,
     /// Close as soon as the write buffer drains, discarding pending
@@ -104,7 +99,7 @@ pub struct Conn<S> {
 
 impl<S: Read + Write> Conn<S> {
     /// Wraps an (already nonblocking) stream.
-    pub fn new(token: u64, stream: S, session: Arc<Mutex<WorkerSession>>) -> Conn<S> {
+    pub fn new(token: u64, stream: S, session: Arc<Mutex<Session>>) -> Conn<S> {
         Conn {
             token,
             stream,
@@ -304,11 +299,11 @@ mod tests {
     }
 
     fn conn(script: Script) -> Conn<Script> {
-        let session = Arc::new(Mutex::new(WorkerSession {
-            session: Session::new(demo_database()),
-            merged: SessionStats::default(),
-        }));
-        Conn::new(0, script, session)
+        Conn::new(
+            0,
+            script,
+            Arc::new(Mutex::new(Session::new(demo_database()))),
+        )
     }
 
     #[test]

@@ -30,14 +30,27 @@
 //! per-wakeup cost scales with readiness, not with the total
 //! connection count. Everything per-connection (read/write buffers,
 //! pending pipeline, epoll registration) is shard-local and needs no
-//! locking; shared state (the engine, the durable store, request
-//! counters, the session aggregate) stays global. Completed responses
-//! are posted back to the owning shard through a mutex-protected queue
-//! plus a self-pipe wake ([`crate::reactor::Waker`]); shutdown
-//! broadcasts to the acceptor and every shard, with one global drain
-//! deadline. `--shards 1` reproduces the old single-loop topology.
+//! locking; only the engine and the durable store are shared. Completed
+//! responses are posted back to the owning shard through a
+//! mutex-protected queue plus a self-pipe wake
+//! ([`crate::reactor::Waker`]); shutdown broadcasts to the acceptor and
+//! every shard, with one global drain deadline. `--shards 1` reproduces
+//! the old single-loop topology.
+//!
+//! Each shard keeps its own [`Registry`] — request and connection
+//! counters, the folded session counters, and every latency histogram —
+//! behind that shard's own lock. Sessions record nothing: they return
+//! their spans, total time and root q-error on the response, and the
+//! server records those, plus its own `render` and `serialize` timings.
+//! The shard loop records its inline answers straight into its shard's
+//! registry; a pool batch records into a registry of its own and folds
+//! it in once, at the end. Either way the session's counter growth is
+//! folded in after the run or batch and the session's counters zeroed.
+//! A `stats` or `metrics` scrape merges the shard registries with the
+//! engine's cache counters into one snapshot and renders it; `stats
+//! reset` renders the snapshot's growth since the previous reset.
 
-use crate::conn::{Conn, ReadOutcome, WorkerSession};
+use crate::conn::{Conn, ReadOutcome};
 use crate::pool::ThreadPool;
 use crate::protocol::{
     self, CheckpointResult, LoadResult, LoadSource, MetricsResult, MutationResult, PlannerStats,
@@ -49,8 +62,8 @@ use crate::reactor::{
 use rd_core::trace::Histogram;
 use rd_core::{Database, Tuple, Value};
 use rd_engine::{
-    CacheStats, DiagramFormat, EngineMetrics, EngineShared, Language, QueryRequest, QueryResponse,
-    Session, SessionStats, SharedConfig, STAGE_NAMES,
+    CacheStats, DiagramFormat, EngineShared, Language, QueryRequest, QueryResponse, Session,
+    SessionStats, SharedConfig, STAGE_NAMES,
 };
 use rd_store::{Store, WalRecord};
 use std::collections::{HashMap, VecDeque};
@@ -147,27 +160,20 @@ impl Default for ServerConfig {
     }
 }
 
-/// Server-level shared state: the engine, the global counters, the
-/// cross-worker session aggregate, and one handle per shard.
+/// Server-level shared state: the engine, the durable store, and one
+/// handle per shard.
 struct ServerState {
     engine: Arc<EngineShared>,
     shutdown: AtomicBool,
-    requests: AtomicU64,
-    errors: AtomicU64,
     workers: u64,
-    /// Session counters merged in from every connection after each
-    /// request, so a `stats` reply sees live sessions, not just closed
-    /// ones.
-    sessions: Mutex<SessionStats>,
     /// The write-ahead log + snapshot store (`--data-dir`). The mutex
     /// serializes durable mutations so WAL order equals apply order;
     /// `None` means the server runs purely in memory.
     store: Option<Mutex<Store>>,
     /// Slow-query threshold in microseconds (`None` = log nothing).
     slow_query_log: Option<u64>,
-    /// One handle per event-loop shard: its waker, inbox, connection
-    /// counters, and reactor histograms. Stats and metrics replies
-    /// aggregate across these.
+    /// One handle per event-loop shard: its waker, inbox, active gauge,
+    /// and registry. Stats and metrics replies merge across these.
     shards: Vec<Arc<ShardHandle>>,
     /// Interrupts the acceptor's `poll` (shutdown broadcast).
     accept_waker: Waker,
@@ -175,43 +181,141 @@ struct ServerState {
     /// against this one global deadline.
     drain_deadline: Mutex<Option<Instant>>,
     drain_timeout: Duration,
-    /// Counter snapshot taken at the last `stats reset`; the next reset
-    /// reply reports growth since here.
-    stats_baseline: Mutex<StatsBaseline>,
+    /// The merged snapshot the last `stats reset` reported; the next
+    /// reset reports growth since here.
+    last_reset: Mutex<Registry>,
 }
 
-/// Latency/occupancy histograms for everything *around* query
-/// evaluation: the event loop itself, per-connection request queues,
-/// and the loop→pool handoff. The last two cover pool dispatches only:
-/// requests answered inline on the shard thread never queue for the
-/// pool (they are counted by [`ShardHandle::inline`] instead).
-#[derive(Default)]
-struct ReactorMetrics {
-    /// Time one loop iteration spends processing (post-`poll` to
-    /// re-`poll`), microseconds.
+/// Everything the server counts and times, as plain data. Each shard
+/// owns one behind its own lock, written only by that shard's loop, its
+/// pool slice, and the acceptor (once per routed socket); a scrape
+/// merges them with [`accumulate`](Registry::accumulate) into one
+/// snapshot, and `stats reset` reports [`since`](Registry::since) the
+/// previous reset's snapshot. Histograms are recorded only with
+/// [`SharedConfig::metrics`] on; counters always.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Registry {
+    /// Requests handled (all ops).
+    requests: u64,
+    /// Requests answered with an error.
+    errors: u64,
+    /// Connections routed to the shard.
+    connections: u64,
+    /// Connections closed by idle eviction.
+    evicted: u64,
+    /// Requests the shard's loop answered itself, skipping the pool.
+    inline: u64,
+    /// Session counters, folded in after each inline run or pool batch.
+    sessions: SessionStats,
+    /// Per-stage latency (µs), parallel to [`STAGE_NAMES`].
+    stages: [Histogram; STAGE_NAMES.len()],
+    /// Whole-query latency (µs) per language, parallel to
+    /// [`Language::ALL`].
+    languages: [Histogram; Language::ALL.len()],
+    /// The root q-error of each executed query, in centi-q (`q × 100`,
+    /// so a perfect estimate records 100).
+    planner_q: Histogram,
+    /// Time one loop iteration spends processing (post-`epoll_wait` to
+    /// re-wait), µs.
     loop_micros: Histogram,
-    /// Pending request-lines on a connection when a batch is handed to
-    /// the pool.
+    /// Pending request lines on a connection when a batch goes to the
+    /// pool (inline answers never queue).
     queue_depth: Histogram,
     /// Time a batch waited between dispatch and a pool worker picking
-    /// it up, microseconds.
+    /// it up, µs.
     pool_wait: Histogram,
-}
-
-/// The resettable portion of a stats reply: monotone counters only.
-/// Gauges (active connections, cache entries, generation, table/tuple
-/// counts) always report current values and are not windowed.
-#[derive(Default)]
-struct StatsBaseline {
-    connections: u64,
-    requests: u64,
-    errors: u64,
-    evicted: u64,
-    sessions: SessionStats,
+    /// The engine's cache counters: empty in a shard's registry, set
+    /// once per scrape. [`since`](Registry::since) windows their
+    /// counters and keeps their gauges (entries, capacity, bytes).
     parse_cache: CacheStats,
     eval_cache: CacheStats,
     plan_cache: CacheStats,
-    metrics: EngineMetrics,
+}
+
+impl Registry {
+    fn histograms(&self) -> impl Iterator<Item = &Histogram> {
+        self.stages.iter().chain(&self.languages).chain([
+            &self.planner_q,
+            &self.loop_micros,
+            &self.queue_depth,
+            &self.pool_wait,
+        ])
+    }
+
+    fn histograms_mut(&mut self) -> impl Iterator<Item = &mut Histogram> {
+        self.stages.iter_mut().chain(&mut self.languages).chain([
+            &mut self.planner_q,
+            &mut self.loop_micros,
+            &mut self.queue_depth,
+            &mut self.pool_wait,
+        ])
+    }
+
+    /// Folds `other`'s counters and histograms in (the cache counters
+    /// are engine-wide, not per shard, and are left alone).
+    fn accumulate(&mut self, other: &Registry) {
+        self.requests += other.requests;
+        self.errors += other.errors;
+        self.connections += other.connections;
+        self.evicted += other.evicted;
+        self.inline += other.inline;
+        self.sessions.accumulate(&other.sessions);
+        for (mine, theirs) in self.histograms_mut().zip(other.histograms()) {
+            mine.accumulate(theirs);
+        }
+    }
+
+    /// The growth `self − base` of every counter and histogram; the
+    /// cache gauges keep their current values.
+    fn since(&self, base: &Registry) -> Registry {
+        let window = |now: &CacheStats, base: &CacheStats| CacheStats {
+            hits: now.hits - base.hits,
+            misses: now.misses - base.misses,
+            evictions: now.evictions - base.evictions,
+            ..*now
+        };
+        let mut out = Registry {
+            requests: self.requests - base.requests,
+            errors: self.errors - base.errors,
+            connections: self.connections - base.connections,
+            evicted: self.evicted - base.evicted,
+            inline: self.inline - base.inline,
+            sessions: self.sessions.since(&base.sessions),
+            parse_cache: window(&self.parse_cache, &base.parse_cache),
+            eval_cache: window(&self.eval_cache, &base.eval_cache),
+            plan_cache: window(&self.plan_cache, &base.plan_cache),
+            ..Registry::default()
+        };
+        let deltas = self.histograms().zip(base.histograms());
+        for (slot, (now, base)) in out.histograms_mut().zip(deltas) {
+            *slot = now.since(base);
+        }
+        out
+    }
+
+    /// Records one stage span (unknown stage names are ignored: the
+    /// registry's shape is fixed).
+    fn record_span(&mut self, stage: &str, micros: u64) {
+        if let Some(i) = STAGE_NAMES.iter().position(|s| *s == stage) {
+            self.stages[i].record(micros);
+        }
+    }
+
+    /// Records what a session returned for one query: its total time
+    /// under its language, its stage spans, and its root q-error.
+    fn record_query(&mut self, resp: &QueryResponse) {
+        let lang = Language::ALL
+            .iter()
+            .position(|l| *l == resp.language)
+            .expect("every language is in ALL");
+        self.languages[lang].record(resp.micros);
+        for span in &resp.spans {
+            self.record_span(span.stage, span.micros);
+        }
+        if let Some(q) = resp.q_error {
+            self.planner_q.record((q * 100.0).round().max(100.0) as u64);
+        }
+    }
 }
 
 impl ServerState {
@@ -263,17 +367,12 @@ struct ShardHandle {
     inbox: Mutex<Vec<TcpStream>>,
     /// Finished pool jobs waiting for the loop to queue their frames.
     completions: Mutex<Vec<Completion>>,
-    /// Lifetime connections routed to this shard.
-    connections: AtomicU64,
     /// Currently-open connections (incremented at routing time, so a
-    /// socket is never unaccounted while it sits in the inbox).
+    /// socket is never unaccounted while it sits in the inbox). The
+    /// acceptor routes on it, so it stays an atomic.
     active: AtomicU64,
-    /// Connections closed by idle eviction.
-    evicted: AtomicU64,
-    /// Requests this shard's loop answered itself, skipping the pool.
-    inline: AtomicU64,
-    /// This shard's loop-time / queue-depth / pool-wait histograms.
-    metrics: Mutex<ReactorMetrics>,
+    /// Everything this shard counts and times.
+    registry: Mutex<Registry>,
 }
 
 impl ShardHandle {
@@ -283,11 +382,8 @@ impl ShardHandle {
             waker: Waker::new()?,
             inbox: Mutex::new(Vec::new()),
             completions: Mutex::new(Vec::new()),
-            connections: AtomicU64::new(0),
             active: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            inline: AtomicU64::new(0),
-            metrics: Mutex::new(ReactorMetrics::default()),
+            registry: Mutex::new(Registry::default()),
         })
     }
 
@@ -315,8 +411,10 @@ impl ShardHandle {
         std::mem::take(&mut *self.inbox.lock().unwrap_or_else(|p| p.into_inner()))
     }
 
-    fn lock_metrics(&self) -> MutexGuard<'_, ReactorMetrics> {
-        self.metrics.lock().unwrap_or_else(|p| p.into_inner())
+    /// Locks this shard's registry, surviving a poisoned mutex: the
+    /// shard's own loop takes it, where a panic would stop the loop.
+    fn registry(&self) -> MutexGuard<'_, Registry> {
+        self.registry.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -388,17 +486,14 @@ impl Server {
         let state = Arc::new(ServerState {
             engine,
             shutdown: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
             workers: config.workers.max(1) as u64,
-            sessions: Mutex::new(SessionStats::default()),
             store,
             slow_query_log: config.slow_query_log,
             shards,
             accept_waker: Waker::new()?,
             drain_deadline: Mutex::new(None),
             drain_timeout: config.drain_timeout,
-            stats_baseline: Mutex::new(StatsBaseline::default()),
+            last_reset: Mutex::new(Registry::default()),
         });
         Ok(Server {
             listener,
@@ -516,7 +611,7 @@ fn accept_all(
                 let shard = route(&state.shards, rotate);
                 // Count at routing time so the socket is never
                 // unaccounted while it sits in the inbox.
-                shard.connections.fetch_add(1, Ordering::Relaxed);
+                shard.registry().connections += 1;
                 shard.active.fetch_add(1, Ordering::Relaxed);
                 shard.push_stream(stream);
             }
@@ -674,10 +769,7 @@ impl ShardLoop {
             // excluded): a growing tail here means this shard's loop is
             // the bottleneck, not its compute slice.
             if let Some(t) = iter_start {
-                self.handle
-                    .lock_metrics()
-                    .loop_micros
-                    .record(elapsed_micros(t));
+                self.handle.registry().loop_micros.record(elapsed_micros(t));
             }
 
             if self.draining {
@@ -734,10 +826,7 @@ impl ShardLoop {
     fn adopt(&mut self, stream: TcpStream) -> Option<u64> {
         let token = self.next_token;
         self.next_token += 1;
-        let session = Arc::new(Mutex::new(WorkerSession {
-            session: Session::attach(self.state.engine.clone()),
-            merged: SessionStats::default(),
-        }));
+        let session = Arc::new(Mutex::new(Session::attach(self.state.engine.clone())));
         let mut conn = Conn::new(token, stream, session);
         conn.interest = EPOLLIN;
         if self.draining {
@@ -795,8 +884,10 @@ impl ShardLoop {
                 }
                 Ok(None) => break,
                 Err(_overflow) => {
-                    self.state.requests.fetch_add(1, Ordering::Relaxed);
-                    self.state.errors.fetch_add(1, Ordering::Relaxed);
+                    let mut registry = self.handle.registry();
+                    registry.requests += 1;
+                    registry.errors += 1;
+                    drop(registry);
                     conn.queue(&error_line(format!(
                         "request line exceeds {} bytes",
                         self.config.max_line_bytes
@@ -903,21 +994,22 @@ impl ShardLoop {
                 .drain(..depth.min(MAX_BATCH))
                 .map(|line| protocol::decode_request_line(line.trim()))
                 .collect();
-            let (bytes, answered) = answer_inline(
+            let bytes = answer_inline(
                 &self.state,
+                &self.handle,
                 &conn.session,
                 &mut batch,
                 self.config.stream_threshold,
             );
-            if answered > 0 {
-                self.handle.inline.fetch_add(answered, Ordering::Relaxed);
-                conn.queue(&bytes);
-            }
+            conn.queue(&bytes);
             if batch.is_empty() {
                 continue;
             }
+            // The job's own records, folded into the shard's registry
+            // when the batch finishes.
+            let mut rec = Registry::default();
             if trace {
-                self.handle.lock_metrics().queue_depth.record(depth as u64);
+                rec.queue_depth.record(depth as u64);
             }
             conn.in_flight = 1;
             let session = conn.session.clone();
@@ -927,14 +1019,14 @@ impl ShardLoop {
             let enqueued = trace.then(Instant::now);
             self.pool.execute(move || {
                 if let Some(t) = enqueued {
-                    handle.lock_metrics().pool_wait.record(elapsed_micros(t));
+                    rec.pool_wait.record(elapsed_micros(t));
                 }
                 // A panicking handler must still complete the batch:
                 // the connection would otherwise wait forever with
                 // `in_flight` stuck at 1. (Per-request panics are
                 // already contained inside `run_batch`.)
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_batch(&state, &session, batch, stream_threshold)
+                    run_batch(&state, &handle, &session, rec, batch, stream_threshold)
                 }));
                 let (bytes, shutdown) =
                     result.unwrap_or_else(|_| (error_line(PANIC_MESSAGE.into()), false));
@@ -976,8 +1068,8 @@ impl ShardLoop {
             }
         }
         self.next_idle_scan = next;
+        self.handle.registry().evicted += evicting.len() as u64;
         for token in evicting {
-            self.handle.evicted.fetch_add(1, Ordering::Relaxed);
             self.close(token);
         }
     }
@@ -995,7 +1087,7 @@ impl ShardLoop {
 
 /// Locks a connection session, surviving a poisoned mutex (a prior
 /// panicking request must not wedge the connection).
-fn lock_session(cell: &Mutex<WorkerSession>) -> MutexGuard<'_, WorkerSession> {
+fn lock_session(cell: &Mutex<Session>) -> MutexGuard<'_, Session> {
     cell.lock().unwrap_or_else(|p| p.into_inner())
 }
 
@@ -1003,27 +1095,41 @@ fn lock_session(cell: &Mutex<WorkerSession>) -> MutexGuard<'_, WorkerSession> {
 /// decode error to answer with (see [`protocol::decode_request_line`]).
 type Decoded = Result<(Option<RequestId>, Request), (Option<RequestId>, String)>;
 
+/// Folds a pool batch's records, plus the session's counter growth,
+/// into the shard's registry, and zeroes both: every request is
+/// recorded once, whichever path answered it.
+fn fold(shard: &ShardHandle, rec: &mut Registry, session: &mut Session) {
+    rec.sessions.accumulate(session.stats());
+    session.reset_stats();
+    shard.registry().accumulate(&std::mem::take(rec));
+}
+
 /// Answers the leading run of *cheap* requests in `batch` on the
 /// calling shard thread, popping each one answered: pings, and queries
 /// without translations or a diagram that [`Session::run_cached`]
 /// answers from the parse and eval caches in one frame. The first other
 /// request stops the run, so the rest of the batch keeps its order for
-/// the pool. Returns the encoded frames and how many requests they
-/// answer.
+/// the pool. Returns the encoded frames.
+///
+/// The loop records straight into its own shard's registry, holding the
+/// lock for the run (session lock first, as everywhere): a run is a
+/// handful of cache hits, and a batch-local registry would cost each
+/// hit its histograms' allocations and a fold.
 fn answer_inline(
-    state: &Arc<ServerState>,
-    session_cell: &Mutex<WorkerSession>,
+    state: &ServerState,
+    shard: &ShardHandle,
+    session_cell: &Mutex<Session>,
     batch: &mut VecDeque<Decoded>,
     stream_threshold: usize,
-) -> (Vec<u8>, u64) {
+) -> Vec<u8> {
     let max_rows = match stream_threshold {
         0 => usize::MAX,
         n => n,
     };
-    let mut cell = lock_session(session_cell);
-    let cell = &mut *cell;
+    let mut session = lock_session(session_cell);
+    let mut registry = shard.registry();
+    let rec = &mut *registry;
     let mut bytes = Vec::new();
-    let mut answered = 0;
     while let Some(Ok((id, request))) = batch.front() {
         // Contained like `run_batch`: a panic answers this request with
         // an error frame instead of killing the shard loop.
@@ -1037,10 +1143,11 @@ fn answer_inline(
             } => {
                 let language = language.unwrap_or_else(|| Language::detect(text));
                 let req = QueryRequest::new(language, text.clone());
-                let resp = cell.session.run_cached(&req, max_rows)?;
+                let resp = session.run_cached(&req, max_rows)?;
                 Some(query_frames(
                     state,
-                    &mut cell.session,
+                    rec,
+                    &mut session,
                     &resp,
                     stream_threshold,
                 ))
@@ -1049,33 +1156,34 @@ fn answer_inline(
         }));
         let reply = match result {
             Ok(None) => break,
-            Ok(Some(frames)) => encode_reply(state, id.as_ref(), &frames),
-            Err(_) => answer_panic(state),
+            Ok(Some(frames)) => encode_reply(state, rec, id.as_ref(), &frames),
+            Err(_) => answer_panic(state, rec),
         };
-        state.requests.fetch_add(1, Ordering::Relaxed);
+        rec.requests += 1;
+        rec.inline += 1;
         bytes.extend(reply);
         batch.pop_front();
-        answered += 1;
     }
-    if answered > 0 {
-        merge_stats(&mut cell.session, state, &mut cell.merged);
-    }
-    (bytes, answered)
+    rec.sessions.accumulate(session.stats());
+    session.reset_stats();
+    bytes
 }
 
 /// Runs one batch of decoded requests to completion on a pool worker.
-/// The session lock is taken once and the stats merge happens once —
+/// The session lock is taken once and the registry fold happens once —
 /// per-batch, not per-request — so a deep pipeline amortizes all of the
-/// coordination, not just the socket syscalls. Returns the encoded
-/// frames and whether the server should begin shutdown.
+/// coordination, not just the socket syscalls. `rec` arrives holding
+/// the dispatch's queue-depth and pool-wait records. Returns the
+/// encoded frames and whether the server should begin shutdown.
 fn run_batch(
-    state: &Arc<ServerState>,
-    session_cell: &Mutex<WorkerSession>,
+    state: &ServerState,
+    shard: &ShardHandle,
+    session_cell: &Mutex<Session>,
+    mut rec: Registry,
     batch: VecDeque<Decoded>,
     stream_threshold: usize,
 ) -> (Vec<u8>, bool) {
-    let mut cell = lock_session(session_cell);
-    let cell = &mut *cell;
+    let mut session = lock_session(session_cell);
     let mut bytes = Vec::new();
     let mut shutdown = false;
     for decoded in batch {
@@ -1083,17 +1191,24 @@ fn run_batch(
         // requests still run and the lock (held outside the catch)
         // never poisons.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_line(state, cell, decoded, stream_threshold)
+            run_line(
+                state,
+                shard,
+                &mut session,
+                &mut rec,
+                decoded,
+                stream_threshold,
+            )
         }));
         match result {
             Ok((frame_bytes, sd)) => {
                 bytes.extend_from_slice(&frame_bytes);
                 shutdown |= sd;
             }
-            Err(_) => bytes.extend_from_slice(&answer_panic(state)),
+            Err(_) => bytes.extend_from_slice(&answer_panic(state, &mut rec)),
         }
     }
-    merge_stats(&mut cell.session, state, &mut cell.merged);
+    fold(shard, &mut rec, &mut session);
     (bytes, shutdown)
 }
 
@@ -1110,20 +1225,22 @@ const PANIC_MESSAGE: &str = "internal error: request handler panicked";
 
 /// Answers one request whose handler panicked: an id-less error frame,
 /// counted like any other error.
-fn answer_panic(state: &ServerState) -> Vec<u8> {
-    encode_reply(state, None, &[Response::Error(PANIC_MESSAGE.into())])
+fn answer_panic(state: &ServerState, rec: &mut Registry) -> Vec<u8> {
+    encode_reply(state, rec, None, &[Response::Error(PANIC_MESSAGE.into())])
 }
 
 /// Runs one decoded request: evaluate, frame (single response or
 /// chunked stream). Returns the encoded frames and whether the server
 /// should begin shutdown.
 fn run_line(
-    state: &Arc<ServerState>,
-    cell: &mut WorkerSession,
+    state: &ServerState,
+    shard: &ShardHandle,
+    session: &mut Session,
+    rec: &mut Registry,
     decoded: Decoded,
     stream_threshold: usize,
 ) -> (Vec<u8>, bool) {
-    state.requests.fetch_add(1, Ordering::Relaxed);
+    rec.requests += 1;
     let (id, frames, shutdown) = match decoded {
         Ok((
             id,
@@ -1134,33 +1251,36 @@ fn run_line(
                 diagram,
             },
         )) => {
-            let frames = run_query(
-                state,
-                &mut cell.session,
-                language,
-                text,
-                translations,
-                diagram,
-                stream_threshold,
-            );
+            let language = language.unwrap_or_else(|| Language::detect(&text));
+            let mut req = QueryRequest::new(language, text).with_diagram(diagram);
+            req.translations = translations;
+            // A stream threshold of 0 never streams (see `query_frames`).
+            let frames = match session.run(&req) {
+                Ok(resp) => query_frames(state, rec, session, &resp, stream_threshold),
+                Err(e) => vec![Response::Error(e.to_string())],
+            };
             (id, frames, false)
         }
         Ok((id, request)) => {
-            let (response, shutdown) =
-                handle_control(&request, &mut cell.session, state, &mut cell.merged);
+            let (response, shutdown) = handle_control(&request, session, state, shard, rec);
             (id, vec![response], shutdown)
         }
         Err((id, e)) => (id, vec![Response::Error(e)], false),
     };
-    (encode_reply(state, id.as_ref(), &frames), shutdown)
+    (encode_reply(state, rec, id.as_ref(), &frames), shutdown)
 }
 
 /// Encodes one request's reply frames, newline-terminated, echoing
 /// `id` (timed as the `serialize` stage), and counts an error if any
 /// frame is one.
-fn encode_reply(state: &ServerState, id: Option<&RequestId>, frames: &[Response]) -> Vec<u8> {
+fn encode_reply(
+    state: &ServerState,
+    rec: &mut Registry,
+    id: Option<&RequestId>,
+    frames: &[Response],
+) -> Vec<u8> {
     if frames.iter().any(|f| matches!(f, Response::Error(_))) {
-        state.errors.fetch_add(1, Ordering::Relaxed);
+        rec.errors += 1;
     }
     let serialize_start = state.engine.metrics_enabled().then(Instant::now);
     let mut bytes = Vec::new();
@@ -1169,26 +1289,9 @@ fn encode_reply(state: &ServerState, id: Option<&RequestId>, frames: &[Response]
         bytes.push(b'\n');
     }
     if let Some(t) = serialize_start {
-        state.engine.record_stage("serialize", elapsed_micros(t));
+        rec.record_span("serialize", elapsed_micros(t));
     }
     bytes
-}
-
-/// Locks the server-wide session aggregate, surviving a poisoned mutex:
-/// it is taken on the shard threads too, where a panic would stop the
-/// loop.
-fn lock_aggregate(state: &ServerState) -> MutexGuard<'_, SessionStats> {
-    state.sessions.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Folds this session's counter growth into the server-wide aggregate.
-fn merge_stats(session: &mut Session, state: &ServerState, merged: &mut SessionStats) {
-    let now = session.stats().clone();
-    let delta = now.since(merged);
-    if delta != SessionStats::default() {
-        lock_aggregate(state).accumulate(&delta);
-        *merged = now;
-    }
 }
 
 /// Dispatches one decoded non-query request. Returns the response and
@@ -1196,8 +1299,9 @@ fn merge_stats(session: &mut Session, state: &ServerState, merged: &mut SessionS
 fn handle_control(
     request: &Request,
     session: &mut Session,
-    state: &Arc<ServerState>,
-    merged: &mut SessionStats,
+    state: &ServerState,
+    shard: &ShardHandle,
+    rec: &mut Registry,
 ) -> (Response, bool) {
     match request {
         Request::Query { .. } => unreachable!("queries take the framing path"),
@@ -1238,51 +1342,29 @@ fn handle_control(
         Request::Insert { table, rows } => (run_mutation(state, table, rows, true), false),
         Request::Delete { table, rows } => (run_mutation(state, table, rows, false), false),
         Request::Checkpoint => (run_checkpoint(state), false),
+        // Fold this batch in first, so a scrape counts every request
+        // before it, this one included.
         Request::Stats { reset } => {
-            // Fold in this session's own growth first so the reply is
-            // exact even mid-connection.
-            merge_stats(session, state, merged);
+            fold(shard, rec, session);
             (Response::Stats(collect_stats(state, *reset)), false)
         }
-        Request::Metrics => (
-            Response::Metrics(MetricsResult {
-                text: render_metrics(state),
-            }),
-            false,
-        ),
+        Request::Metrics => {
+            fold(shard, rec, session);
+            let text = render_metrics(state);
+            (Response::Metrics(MetricsResult { text }), false)
+        }
         Request::Ping => (Response::Pong, false),
         Request::Shutdown => (Response::Bye, true),
     }
 }
 
-/// Runs one query on the pool and frames the result (see
-/// [`query_frames`]; a stream threshold of 0 never streams).
-fn run_query(
-    state: &Arc<ServerState>,
-    session: &mut Session,
-    language: Option<Language>,
-    text: String,
-    translations: bool,
-    diagram: DiagramFormat,
-    stream_threshold: usize,
-) -> Vec<Response> {
-    let language = language.unwrap_or_else(|| Language::detect(&text));
-    let mut req = QueryRequest::new(language, text);
-    if translations {
-        req = req.with_translations();
-    }
-    req = req.with_diagram(diagram);
-    match session.run(&req) {
-        Ok(resp) => query_frames(state, session, &resp, stream_threshold),
-        Err(e) => vec![Response::Error(e.to_string())],
-    }
-}
-
-/// Frames one evaluated query: the slow-query log line (if due), then
-/// one `Response::Query` when the result fits, or `rows-chunk` frames +
-/// `rows-end` when the row count exceeds the stream threshold.
+/// Frames one evaluated query: writes the slow-query log line (if due),
+/// records what the session returned, then builds one `Response::Query`
+/// when the result fits, or `rows-chunk` frames + `rows-end` when the row
+/// count exceeds the stream threshold.
 fn query_frames(
     state: &ServerState,
+    rec: &mut Registry,
     session: &mut Session,
     resp: &QueryResponse,
     stream_threshold: usize,
@@ -1314,8 +1396,11 @@ fn query_frames(
     // Everything below is the *render* stage: shaping the evaluated
     // relation into wire-ready result frames (row materialization,
     // translation pairs, stream chunking). Time it like `serialize` in
-    // `run_line`, so every stage records per request.
+    // `encode_reply`, so every stage records per request.
     let render_start = state.engine.metrics_enabled().then(Instant::now);
+    if render_start.is_some() {
+        rec.record_query(resp);
+    }
     let translations = resp.translations.as_ref().map(|t| {
         let mut pairs = vec![("trc".to_string(), t.trc.clone())];
         if let Some(sql) = &t.sql {
@@ -1362,7 +1447,7 @@ fn query_frames(
         vec![Response::Query(result)]
     };
     if let Some(t) = render_start {
-        state.engine.record_stage("render", elapsed_micros(t));
+        rec.record_span("render", elapsed_micros(t));
     }
     frames
 }
@@ -1380,12 +1465,7 @@ fn lock_store(state: &ServerState) -> Option<MutexGuard<'_, Store>> {
 /// response is released — appends it to the WAL. The store lock spans
 /// both steps, so the log's record order matches the epochs' apply
 /// order exactly; a failed apply logs nothing.
-fn run_mutation(
-    state: &Arc<ServerState>,
-    table: &str,
-    rows: &[Vec<Value>],
-    insert: bool,
-) -> Response {
+fn run_mutation(state: &ServerState, table: &str, rows: &[Vec<Value>], insert: bool) -> Response {
     let tuples: Vec<Tuple> = rows.iter().map(|r| Tuple(r.clone())).collect();
     let store = lock_store(state);
     let outcome = if insert {
@@ -1429,7 +1509,7 @@ fn run_mutation(
 /// epoch is read *under* the store lock: any mutation logged before us
 /// was applied before us, so the snapshot can never miss a logged
 /// record that the retired WAL carried.
-fn run_checkpoint(state: &Arc<ServerState>) -> Response {
+fn run_checkpoint(state: &ServerState) -> Response {
     let store = lock_store(state);
     let epoch = state.engine.epoch();
     let seq = match store {
@@ -1447,7 +1527,7 @@ fn run_checkpoint(state: &Arc<ServerState>) -> Response {
     })
 }
 
-fn run_load(state: &Arc<ServerState>, session: &mut Session, source: &LoadSource) -> Response {
+fn run_load(state: &ServerState, session: &mut Session, source: &LoadSource) -> Response {
     // The store lock spans the epoch change and the durability step,
     // like every mutation path.
     let store = lock_store(state);
@@ -1512,136 +1592,91 @@ fn run_load(state: &Arc<ServerState>, session: &mut Session, source: &LoadSource
     })
 }
 
-/// Per-stage latency summaries for a stats frame (all five stages, in
-/// pipeline order, including ones nothing passed through yet).
-fn stage_latencies(metrics: &EngineMetrics) -> Vec<StageLatency> {
-    STAGE_NAMES
-        .iter()
-        .map(|name| {
-            let h = metrics.stage(name).expect("every stage has a histogram");
-            StageLatency {
-                stage: name.to_string(),
-                count: h.count(),
-                p50: h.percentile(0.50),
-                p95: h.percentile(0.95),
-                p99: h.percentile(0.99),
-            }
-        })
-        .collect()
-}
-
-/// The planner summary for a stats frame: q-error quantiles (centi-q)
-/// from the shared estimation-error histogram.
-fn planner_summary(metrics: &EngineMetrics) -> PlannerStats {
-    let q = &metrics.planner_q;
-    PlannerStats {
-        q_count: q.count(),
-        q_p50: q.percentile(0.50),
-        q_p95: q.percentile(0.95),
-        q_p99: q.percentile(0.99),
-    }
-}
-
-/// Counter deltas of two cache snapshots; the gauge fields (entries,
-/// capacity, bytes) keep their current values.
-fn cache_window(now: &CacheStats, base: &CacheStats) -> CacheStats {
-    CacheStats {
-        hits: now.hits.saturating_sub(base.hits),
-        misses: now.misses.saturating_sub(base.misses),
-        evictions: now.evictions.saturating_sub(base.evictions),
-        ..*now
-    }
-}
-
-/// Builds a stats reply. Plain `stats` reports cumulative-since-boot
-/// counters (the PR-2 contract). `reset` reports the window since the
-/// previous reset (or boot) and then zeroes that window; gauges are
-/// never windowed.
-fn collect_stats(state: &Arc<ServerState>, reset: bool) -> StatsResult {
-    let epoch = state.engine.epoch();
-    let metrics = state.engine.metrics();
-    // Totals are the sum of the per-shard counters; the breakdown
-    // itself is always cumulative-since-boot (it identifies shards, so
-    // windowing it would be misleading).
-    let mut connections = 0u64;
-    let mut active = 0u64;
-    let mut evicted = 0u64;
-    let shards: Vec<ShardBreakdown> = state
-        .shards
-        .iter()
-        .map(|shard| {
-            let c = shard.connections.load(Ordering::Relaxed);
-            let a = shard.active.load(Ordering::Relaxed);
-            let e = shard.evicted.load(Ordering::Relaxed);
-            connections += c;
-            active += a;
-            evicted += e;
-            ShardBreakdown {
-                shard: shard.id as u64,
-                connections: c,
-                active: a,
-                evicted: e,
-                inline: shard.inline.load(Ordering::Relaxed),
-            }
-        })
-        .collect();
-    let mut st = StatsResult {
-        connections,
-        active_connections: active,
-        requests: state.requests.load(Ordering::Relaxed),
-        errors: state.errors.load(Ordering::Relaxed),
-        evicted,
-        workers: state.workers,
-        sessions: lock_aggregate(state).clone(),
+/// One scrape: every shard's registry, and their merge with the
+/// engine's cache counters into one snapshot.
+fn scrape(state: &ServerState) -> (Registry, Vec<Registry>) {
+    let shards: Vec<Registry> = state.shards.iter().map(|s| s.registry().clone()).collect();
+    let mut total = Registry {
         parse_cache: state.engine.parse_cache_stats(),
         eval_cache: state.engine.eval_cache_stats(),
-        eval_cache_enabled: state.engine.eval_cache_enabled(),
         plan_cache: state.engine.plan_cache_stats(),
+        ..Registry::default()
+    };
+    for shard in &shards {
+        total.accumulate(shard);
+    }
+    (total, shards)
+}
+
+/// Builds a stats reply. Plain `stats` reports the cumulative snapshot;
+/// `reset` reports the snapshot's growth since the
+/// previous reset (or boot) and makes it the next window's floor.
+/// Gauges (active connections, cache occupancy, generation, table and
+/// tuple counts) and the per-shard breakdown, which identifies shards
+/// rather than measuring a window, are never windowed.
+fn collect_stats(state: &ServerState, reset: bool) -> StatsResult {
+    // Held across the scrape, so concurrent resets take their snapshots
+    // in the order they store them.
+    let mut last_reset = reset.then(|| state.last_reset.lock().unwrap_or_else(|p| p.into_inner()));
+    let (total, shards) = scrape(state);
+    let shown = match &mut last_reset {
+        Some(last) => {
+            let window = total.since(last);
+            **last = total;
+            window
+        }
+        None => total,
+    };
+    let breakdown: Vec<ShardBreakdown> = state
+        .shards
+        .iter()
+        .zip(&shards)
+        .map(|(handle, r)| ShardBreakdown {
+            shard: handle.id as u64,
+            connections: r.connections,
+            active: handle.active.load(Ordering::Relaxed),
+            evicted: r.evicted,
+            inline: r.inline,
+        })
+        .collect();
+    let epoch = state.engine.epoch();
+    let q = &shown.planner_q;
+    StatsResult {
+        connections: shown.connections,
+        active_connections: breakdown.iter().map(|s| s.active).sum(),
+        requests: shown.requests,
+        errors: shown.errors,
+        evicted: shown.evicted,
+        workers: state.workers,
+        sessions: shown.sessions.clone(),
+        parse_cache: shown.parse_cache,
+        eval_cache: shown.eval_cache,
+        eval_cache_enabled: state.engine.eval_cache_enabled(),
+        plan_cache: shown.plan_cache,
         plan_cache_enabled: state.engine.plan_cache_enabled(),
         generation: epoch.generation,
         fingerprint: format!("{:016x}", epoch.fingerprint),
         tables: epoch.db.len() as u64,
         tuples: epoch.db.total_tuples() as u64,
-        stages: stage_latencies(&metrics),
-        shards,
-        planner: PlannerStats::default(),
-    };
-    st.planner = planner_summary(&metrics);
-    if reset {
-        let mut base = state
-            .stats_baseline
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        let window_sessions = st.sessions.since(&base.sessions);
-        let window_metrics = metrics.since(&base.metrics);
-        let windowed = StatsResult {
-            connections: st.connections.saturating_sub(base.connections),
-            requests: st.requests.saturating_sub(base.requests),
-            errors: st.errors.saturating_sub(base.errors),
-            evicted: st.evicted.saturating_sub(base.evicted),
-            planner: planner_summary(&window_metrics),
-            sessions: window_sessions,
-            parse_cache: cache_window(&st.parse_cache, &base.parse_cache),
-            eval_cache: cache_window(&st.eval_cache, &base.eval_cache),
-            plan_cache: cache_window(&st.plan_cache, &base.plan_cache),
-            stages: stage_latencies(&window_metrics),
-            ..st.clone()
-        };
-        // The values just reported become the next window's floor.
-        *base = StatsBaseline {
-            connections: st.connections,
-            requests: st.requests,
-            errors: st.errors,
-            evicted: st.evicted,
-            sessions: std::mem::take(&mut st.sessions),
-            parse_cache: st.parse_cache,
-            eval_cache: st.eval_cache,
-            plan_cache: st.plan_cache,
-            metrics,
-        };
-        return windowed;
+        stages: STAGE_NAMES
+            .iter()
+            .zip(&shown.stages)
+            .map(|(name, h)| StageLatency {
+                stage: name.to_string(),
+                count: h.count(),
+                p50: h.percentile(0.50),
+                p95: h.percentile(0.95),
+                p99: h.percentile(0.99),
+            })
+            .collect(),
+        shards: breakdown,
+        planner: PlannerStats {
+            q_count: q.count(),
+            q_p50: q.percentile(0.50),
+            q_p95: q.percentile(0.95),
+            q_p99: q.percentile(0.99),
+        },
     }
-    st
 }
 
 /// Appends one Prometheus histogram series: cumulative `_bucket{le=…}`
@@ -1672,35 +1707,26 @@ fn render_histogram_series(out: &mut String, family: &str, labels: &str, h: &His
     }
 }
 
-/// Renders the whole latency registry — engine stages and languages,
-/// reactor-loop internals, and (with a data dir) the WAL — as
-/// Prometheus-style exposition text.
-fn render_metrics(state: &Arc<ServerState>) -> String {
+/// Renders one scrape — request counters, engine stages and languages,
+/// the planner, per-shard reactor internals, and (with a data dir) the
+/// WAL — as Prometheus-style exposition text.
+fn render_metrics(state: &ServerState) -> String {
     use std::fmt::Write;
+    let (total, shards) = scrape(state);
     let mut out = String::new();
-    let metrics = state.engine.metrics();
 
     let _ = writeln!(out, "# TYPE rd_requests_total counter");
-    let _ = writeln!(
-        out,
-        "rd_requests_total {}",
-        state.requests.load(Ordering::Relaxed)
-    );
+    let _ = writeln!(out, "rd_requests_total {}", total.requests);
     let _ = writeln!(out, "# TYPE rd_errors_total counter");
-    let _ = writeln!(
-        out,
-        "rd_errors_total {}",
-        state.errors.load(Ordering::Relaxed)
-    );
+    let _ = writeln!(out, "rd_errors_total {}", total.errors);
     // Requests each shard's loop answered itself; everything else in
     // rd_requests_total went through that shard's pool slice.
     let _ = writeln!(out, "# TYPE rd_requests_inline_total counter");
-    for shard in &state.shards {
+    for (id, shard) in shards.iter().enumerate() {
         let _ = writeln!(
             out,
-            "rd_requests_inline_total{{shard=\"{}\"}} {}",
-            shard.id,
-            shard.inline.load(Ordering::Relaxed)
+            "rd_requests_inline_total{{shard=\"{id}\"}} {}",
+            shard.inline
         );
     }
     let _ = writeln!(out, "# TYPE rd_connections_active gauge");
@@ -1712,63 +1738,33 @@ fn render_metrics(state: &Arc<ServerState>) -> String {
     let _ = writeln!(out, "rd_connections_active {active}");
 
     let _ = writeln!(out, "# TYPE rd_stage_latency_micros histogram");
-    for name in STAGE_NAMES {
-        let h = metrics.stage(name).expect("every stage has a histogram");
-        render_histogram_series(
-            &mut out,
-            "rd_stage_latency_micros",
-            &format!("stage=\"{name}\""),
-            h,
-        );
+    for (name, h) in STAGE_NAMES.iter().zip(&total.stages) {
+        let labels = format!("stage=\"{name}\"");
+        render_histogram_series(&mut out, "rd_stage_latency_micros", &labels, h);
     }
-
     let _ = writeln!(out, "# TYPE rd_query_latency_micros histogram");
-    for language in Language::ALL {
-        render_histogram_series(
-            &mut out,
-            "rd_query_latency_micros",
-            &format!("lang=\"{}\"", language.name()),
-            metrics.language(language),
-        );
+    for (language, h) in Language::ALL.iter().zip(&total.languages) {
+        let labels = format!("lang=\"{}\"", language.name());
+        render_histogram_series(&mut out, "rd_query_latency_micros", &labels, h);
     }
-
     // Estimation quality: q-error × 100 per executed query root, so
     // le="100" is the perfect-estimate bucket.
     let _ = writeln!(out, "# TYPE rd_planner_q_error_centi histogram");
-    render_histogram_series(&mut out, "rd_planner_q_error_centi", "", &metrics.planner_q);
+    render_histogram_series(&mut out, "rd_planner_q_error_centi", "", &total.planner_q);
 
     // Reactor internals, one series per shard: a hot shard shows up as
     // its own loop-time tail instead of vanishing into a global merge.
-    let _ = writeln!(out, "# TYPE rd_reactor_loop_micros histogram");
-    for shard in &state.shards {
-        let labels = format!("shard=\"{}\"", shard.id);
-        let reactor = shard.lock_metrics();
-        render_histogram_series(
-            &mut out,
-            "rd_reactor_loop_micros",
-            &labels,
-            &reactor.loop_micros,
-        );
-    }
     // Queue depth and pool wait describe pool dispatches only: inline
     // answers never queue for the pool.
-    let _ = writeln!(out, "# TYPE rd_conn_queue_depth histogram");
-    for shard in &state.shards {
-        let labels = format!("shard=\"{}\"", shard.id);
-        let reactor = shard.lock_metrics();
-        render_histogram_series(
-            &mut out,
-            "rd_conn_queue_depth",
-            &labels,
-            &reactor.queue_depth,
-        );
-    }
-    let _ = writeln!(out, "# TYPE rd_pool_wait_micros histogram");
-    for shard in &state.shards {
-        let labels = format!("shard=\"{}\"", shard.id);
-        let reactor = shard.lock_metrics();
-        render_histogram_series(&mut out, "rd_pool_wait_micros", &labels, &reactor.pool_wait);
-    }
+    let mut per_shard = |family: &str, pick: fn(&Registry) -> &Histogram| {
+        let _ = writeln!(out, "# TYPE {family} histogram");
+        for (id, shard) in shards.iter().enumerate() {
+            render_histogram_series(&mut out, family, &format!("shard=\"{id}\""), pick(shard));
+        }
+    };
+    per_shard("rd_reactor_loop_micros", |r| &r.loop_micros);
+    per_shard("rd_conn_queue_depth", |r| &r.queue_depth);
+    per_shard("rd_pool_wait_micros", |r| &r.pool_wait);
 
     if let Some(store) = lock_store(state) {
         let _ = writeln!(out, "# TYPE rd_wal_append_micros histogram");
@@ -1794,21 +1790,23 @@ mod tests {
     use super::*;
     use crate::Client;
 
-    /// The session aggregate is merged on the shard threads too, so a
-    /// panic that poisoned it once must not turn every later merge into
-    /// a panic that stops a shard loop.
+    /// The session aggregate lives in each shard's registry, which the
+    /// shard loop locks too, so a panic that poisoned it once must not
+    /// turn every later fold into a panic that stops a shard loop.
     #[test]
     fn a_poisoned_session_aggregate_still_serves() {
         let server = Server::bind(ServerConfig::default(), rd_engine::demo_database()).unwrap();
         let addr = server.local_addr();
         let state = server.state.clone();
-        let poisoner = state.clone();
-        let poisoned = std::thread::spawn(move || {
-            let _guard = poisoner.sessions.lock().unwrap();
-            panic!("poison the session aggregate");
-        })
-        .join();
-        assert!(poisoned.is_err() && state.sessions.is_poisoned());
+        for shard in &state.shards {
+            let poisoner = shard.clone();
+            let poisoned = std::thread::spawn(move || {
+                let _guard = poisoner.registry.lock().unwrap();
+                panic!("poison the shard registry");
+            })
+            .join();
+            assert!(poisoned.is_err() && shard.registry.is_poisoned());
+        }
         let serving = std::thread::spawn(move || server.serve());
 
         let mut client = Client::connect(addr).unwrap();
@@ -1816,15 +1814,81 @@ mod tests {
             let resp = client.query(Some(Language::Ra), "pi[color](Boat)").unwrap();
             assert!(matches!(resp, Response::Query(_)), "{resp:?}");
         }
-        let inline: u64 = state
-            .shards
-            .iter()
-            .map(|s| s.inline.load(Ordering::Relaxed))
-            .sum();
-        assert_eq!(inline, 2, "the repeats were answered on the shard thread");
         let stats = client.stats().unwrap();
+        let inline: u64 = stats.shards.iter().map(|s| s.inline).sum();
+        assert_eq!(inline, 2, "the repeats were answered on the shard thread");
         assert_eq!(stats.sessions.queries, 3);
         client.shutdown().unwrap();
         serving.join().unwrap().unwrap();
+    }
+
+    /// `since` is the exact inverse of `accumulate` over every counter
+    /// and histogram, and windows the cache counters while keeping the
+    /// cache gauges.
+    #[test]
+    fn registry_accumulate_since_roundtrip() {
+        let resp = |language, micros, spans: &[(&'static str, u64)], q_error| {
+            let mut session = Session::new(rd_engine::demo_database());
+            let mut resp = session
+                .run(&QueryRequest::new(Language::Ra, "pi[color](Boat)"))
+                .unwrap();
+            resp.language = language;
+            resp.micros = micros;
+            resp.spans = spans
+                .iter()
+                .map(|&(stage, us)| rd_core::trace::Span::new(stage, us))
+                .collect();
+            resp.q_error = q_error;
+            resp
+        };
+        let mut a = Registry {
+            requests: 3,
+            errors: 1,
+            inline: 2,
+            ..Registry::default()
+        };
+        a.record_query(&resp(
+            Language::Trc,
+            120,
+            &[("parse", 20), ("execute", 90)],
+            Some(1.5),
+        ));
+        a.loop_micros.record(7);
+        let mut b = Registry {
+            requests: 1,
+            connections: 2,
+            evicted: 1,
+            ..Registry::default()
+        };
+        b.sessions.queries = 1;
+        b.record_query(&resp(Language::Sql, 45, &[("parse", 45)], None));
+        b.record_span("serialize", 3);
+        b.pool_wait.record(11);
+        let mut total = a.clone();
+        total.accumulate(&b);
+        assert_eq!(total.since(&a), b);
+        assert_eq!(total.since(&b), a);
+        assert_eq!(total.requests, 4);
+        assert_eq!(total.stages[0].count(), 2, "two parse spans");
+        assert_eq!(total.languages.iter().map(Histogram::count).sum::<u64>(), 2);
+        assert_eq!(total.planner_q.sum(), 150, "q-error is recorded in centi-q");
+        // Unknown stage names are ignored, not panicked on.
+        total.record_span("warp", 1);
+        assert_eq!(total.histograms().map(Histogram::count).sum::<u64>(), 9);
+
+        let cache = |hits, entries| CacheStats {
+            hits,
+            entries,
+            ..CacheStats::default()
+        };
+        let earlier = Registry {
+            parse_cache: cache(5, 9),
+            ..Registry::default()
+        };
+        let now = Registry {
+            parse_cache: cache(8, 4),
+            ..Registry::default()
+        };
+        assert_eq!(now.since(&earlier).parse_cache, cache(3, 4));
     }
 }

@@ -1,10 +1,14 @@
 //! Wire-level observability tests: `explain analyze` row counts, the
-//! `metrics` exposition text, and `stats` reset windows — all through a
-//! real socket against the demo database.
+//! `metrics` exposition text, `stats` reset windows, and exactly-once
+//! recording on every path — all through a real socket against the demo
+//! database.
 
-use rd_engine::{demo_database, EngineShared, Language, QueryRequest, Session, SessionStats};
-use rd_server::{Client, Response, Server, ServerConfig};
-use std::net::SocketAddr;
+use rd_engine::{
+    demo_database, DiagramFormat, EngineShared, Language, QueryRequest, Session, SessionStats,
+};
+use rd_server::{Client, Request, Response, Server, ServerConfig, StatsResult};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 fn start_server(
@@ -232,8 +236,8 @@ fn stats_reset_returns_window_and_zeroes_counters() {
     let first = client.stats_reset().expect("stats reset");
     assert_eq!(first.sessions.queries, queries.len() as u64);
 
-    // Two more queries, then a second reset: only the new window.
-    for (lang, text) in queries.iter().take(2) {
+    // Two cold queries, then a second reset: only the new window.
+    for (lang, text) in negation_in_all_languages().iter().take(2) {
         client.query(Some(*lang), text).expect("query");
     }
     let second = client.stats_reset().expect("stats reset");
@@ -241,6 +245,31 @@ fn stats_reset_returns_window_and_zeroes_counters() {
         second.sessions.queries, 2,
         "reset window must cover only traffic since the last reset"
     );
+    // Everything windowed covers exactly those requests: the two
+    // queries plus this reset itself; `serialize` also counts the first
+    // reset's reply, which was encoded after its own snapshot.
+    assert_eq!((second.requests, second.errors), (3, 0));
+    let stage = |name: &str| {
+        second
+            .stages
+            .iter()
+            .find(|s| s.stage == name)
+            .map_or(0, |s| s.count)
+    };
+    for (name, count) in [
+        ("parse", 2),
+        ("plan", 2),
+        ("execute", 2),
+        ("render", 2),
+        ("serialize", 3),
+    ] {
+        assert_eq!(stage(name), count, "stage {name}: {second:?}");
+    }
+    assert_eq!(second.planner.q_count, 2, "both queries executed");
+    let lookups = |c: &rd_engine::CacheStats| c.hits + c.misses;
+    assert_eq!(lookups(&second.parse_cache), 2);
+    assert_eq!(lookups(&second.eval_cache), 2);
+    assert_eq!(second.connections, 0, "no connection opened in the window");
     // Gauges are never windowed.
     assert_eq!(second.tables, 3);
     assert!(second.workers > 0);
@@ -249,6 +278,8 @@ fn stats_reset_returns_window_and_zeroes_counters() {
     // Plain stats still reports cumulative-since-boot counters.
     let plain = client.stats().expect("stats");
     assert_eq!(plain.sessions.queries, queries.len() as u64 + 2);
+    assert_eq!(plain.requests, queries.len() as u64 + 5);
+    assert_eq!(plain.connections, 1);
 
     // An empty window reports zero without disturbing the totals.
     let empty = client.stats_reset().expect("stats reset");
@@ -356,9 +387,10 @@ fn inline_answers_count_exactly_like_in_process_runs() {
         (wire.eval_cache.hits, wire.eval_cache.misses),
         (eval.hits, eval.misses)
     );
+    // Every query ran successfully, so each left one latency sample.
     assert_eq!(
         count_samples(&text, "rd_query_latency_micros"),
-        shared.metrics().requests()
+        sequence.len() as u64
     );
     let inline_samples: u64 = text
         .lines()
@@ -366,4 +398,268 @@ fn inline_answers_count_exactly_like_in_process_runs() {
         .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
         .sum();
     assert_eq!(inline_samples, inline, "metrics and stats agree:\n{text}");
+}
+
+/// Every span stage a session reports must land in the server's
+/// registry — a span that never records is invisible to
+/// `stats`/`metrics`, which is exactly how the `render` stage shipped
+/// with `count: 0` for a whole release.
+#[test]
+fn every_reported_span_stage_lands_in_the_registry() {
+    let text = "SELECT DISTINCT Boat.color FROM Boat";
+    // Translations force the session's render stage to do real work.
+    let resp = Session::new(demo_database())
+        .run(&QueryRequest::new(Language::Sql, text).with_translations())
+        .unwrap();
+    let reported: Vec<&str> = resp.spans.iter().map(|s| s.stage).collect();
+    assert!(
+        reported.contains(&"render"),
+        "translations request must pass through render: {reported:?}"
+    );
+
+    let (addr, handle) = start_server(ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    let resp = client
+        .request(&Request::Query {
+            language: Some(Language::Sql),
+            text: text.into(),
+            translations: true,
+            diagram: DiagramFormat::None,
+        })
+        .expect("query");
+    assert!(matches!(resp, Response::Query(_)), "{resp:?}");
+    let stats = client.stats().expect("stats");
+    for stage in &reported {
+        let recorded = stats
+            .stages
+            .iter()
+            .find(|s| s.stage == *stage)
+            .unwrap_or_else(|| panic!("span stage {stage:?} missing from the registry"));
+        assert!(
+            recorded.count > 0,
+            "stage {stage:?} reported a span but recorded nothing"
+        );
+    }
+    stop(addr, handle);
+}
+
+/// Writes `lines` in one pipelined write and reads one reply line per
+/// request (no reply here streams).
+fn exchange(stream: &mut TcpStream, lines: &[&str]) -> Vec<String> {
+    let mut bytes = Vec::new();
+    for line in lines {
+        bytes.extend_from_slice(line.as_bytes());
+        bytes.push(b'\n');
+    }
+    stream.write_all(&bytes).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    lines
+        .iter()
+        .map(|_| {
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            reply
+        })
+        .collect()
+}
+
+/// Every request is recorded exactly once, whichever path answers it:
+/// inline cache hits on either shard, `run_cached` misses that fall back
+/// to the pool, control ops, undecodable lines, and a pipelined batch.
+/// The totals are exact functions of the sequence sent.
+#[test]
+fn every_request_is_recorded_exactly_once_on_any_path() {
+    let (addr, handle) = start_server(ServerConfig {
+        shards: 2,
+        ..ServerConfig::default()
+    });
+    let boats = r#"{"op":"query","lang":"ra","text":"pi[color](Boat)"}"#;
+    let boats_twin = r#"{"op":"query","lang":"ra","text":"pi[ color ](Boat)"}"#;
+    let sailors =
+        r#"{"op":"query","lang":"sql","text":"SELECT DISTINCT Sailor.sname FROM Sailor"}"#;
+    let negation =
+        r#"{"op":"query","lang":"datalog","text":"Q(n) :- Sailor(s, n), not Reserves(s, 102)."}"#;
+    let explain = r#"{"op":"explain","lang":"ra","text":"pi[color](Boat)"}"#;
+    let translate = r#"{"op":"translate","lang":"ra","text":"pi[color](Boat)","to":"sql"}"#;
+    let ping = r#"{"op":"ping"}"#;
+    let garbage = "this is not json";
+    let unknown_op = r#"{"op":"frobnicate"}"#;
+
+    // Two connections; least-loaded routing puts one on each shard.
+    let mut one = TcpStream::connect(addr).unwrap();
+    let mut two = TcpStream::connect(addr).unwrap();
+    let mut sent: Vec<&str> = Vec::new();
+    let mut send = |stream: &mut TcpStream, lines: &[&'static str]| {
+        sent.extend_from_slice(lines);
+        exchange(stream, lines)
+    };
+    // Cold on the pool, then an inline hit on each shard.
+    send(&mut one, &[boats]);
+    send(&mut one, &[boats]);
+    send(&mut two, &[boats]);
+    // A parse miss falls back to the pool (and hits the eval cache).
+    send(&mut two, &[boats_twin]);
+    // Control ops: ping inline, explain and translate on the pool.
+    send(&mut one, &[ping]);
+    send(&mut two, &[explain]);
+    send(&mut one, &[translate]);
+    // Undecodable lines are answered with errors.
+    let replies = send(&mut two, &[garbage]);
+    assert!(replies[0].starts_with(r#"{"ok":false"#), "{replies:?}");
+    send(&mut one, &[unknown_op]);
+    // One pipelined batch mixing all of it.
+    let replies = send(
+        &mut one,
+        &[sailors, sailors, ping, garbage, boats, negation, explain],
+    );
+    assert_eq!(replies.len(), 7);
+    let stats_line = send(&mut two, &[r#"{"op":"stats"}"#]).remove(0);
+    let errors = sent
+        .iter()
+        .filter(|l| **l == garbage || **l == unknown_op)
+        .count() as u64;
+    let queries = sent
+        .iter()
+        .filter(|l| l.contains(r#""op":"query""#))
+        .count() as u64;
+    let stats = match rd_server::protocol::decode_frame(stats_line.trim())
+        .unwrap()
+        .1
+    {
+        Response::Stats(stats) => stats,
+        other => panic!("expected stats, got {other:?}"),
+    };
+    let requests = sent.len() as u64;
+    assert_eq!(stats.requests, requests, "the scrape counts itself");
+    assert_eq!(stats.errors, errors);
+    assert_eq!(stats.sessions.queries, queries);
+    assert_eq!(stats.connections, 2);
+    assert!(
+        stats
+            .shards
+            .iter()
+            .all(|s| s.connections == 1 && s.inline > 0),
+        "one connection per shard, each with inline answers: {stats:?}"
+    );
+    // The scrape's own reply is serialized after its snapshot.
+    let serialize = |stats: &StatsResult| {
+        stats
+            .stages
+            .iter()
+            .find(|s| s.stage == "serialize")
+            .unwrap()
+            .count
+    };
+    assert_eq!(serialize(&stats), requests - 1);
+
+    let mut client = Client::connect(addr).expect("connect");
+    let text = client.metrics().expect("metrics");
+    assert_eq!(
+        count_samples(&text, "rd_query_latency_micros"),
+        queries,
+        "one language sample per query:\n{text}"
+    );
+    let requests_total = text
+        .lines()
+        .find_map(|l| l.strip_prefix("rd_requests_total "))
+        .unwrap();
+    assert_eq!(requests_total, (requests + 1).to_string());
+    let serialize_total: u64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix(r#"rd_stage_latency_micros_count{stage="serialize"} "#))
+        .unwrap()
+        .parse()
+        .unwrap();
+    assert_eq!(
+        serialize_total, requests,
+        "every earlier reply serialized once"
+    );
+    drop((one, two));
+    stop(addr, handle);
+}
+
+/// The `metrics` exposition shape — the ordered `# TYPE` families and
+/// each series' label set (bucket lines aside, whose `le` bounds follow
+/// the data) — for a 2-shard server with a data directory. Pinned from
+/// the exposition before the per-shard registry rewrite.
+#[test]
+fn metrics_exposition_shape_is_pinned() {
+    let dir = std::env::temp_dir().join(format!("rd-server-shape-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (addr, handle) = start_server(ServerConfig {
+        shards: 2,
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .query(Some(Language::Ra), "pi[color](Boat)")
+        .expect("query");
+    let text = client.metrics().expect("metrics");
+    let shape: Vec<&str> = text
+        .lines()
+        .filter(|l| !l.contains("_bucket"))
+        .map(|l| match l.strip_prefix("# ") {
+            Some(_) => l,
+            None => l.rsplit_once(' ').unwrap().0,
+        })
+        .collect();
+    let expected = [
+        r#"# TYPE rd_requests_total counter"#,
+        r#"rd_requests_total"#,
+        r#"# TYPE rd_errors_total counter"#,
+        r#"rd_errors_total"#,
+        r#"# TYPE rd_requests_inline_total counter"#,
+        r#"rd_requests_inline_total{shard="0"}"#,
+        r#"rd_requests_inline_total{shard="1"}"#,
+        r#"# TYPE rd_connections_active gauge"#,
+        r#"rd_connections_active"#,
+        r#"# TYPE rd_stage_latency_micros histogram"#,
+        r#"rd_stage_latency_micros_sum{stage="parse"}"#,
+        r#"rd_stage_latency_micros_count{stage="parse"}"#,
+        r#"rd_stage_latency_micros_sum{stage="plan"}"#,
+        r#"rd_stage_latency_micros_count{stage="plan"}"#,
+        r#"rd_stage_latency_micros_sum{stage="execute"}"#,
+        r#"rd_stage_latency_micros_count{stage="execute"}"#,
+        r#"rd_stage_latency_micros_sum{stage="render"}"#,
+        r#"rd_stage_latency_micros_count{stage="render"}"#,
+        r#"rd_stage_latency_micros_sum{stage="serialize"}"#,
+        r#"rd_stage_latency_micros_count{stage="serialize"}"#,
+        r#"# TYPE rd_query_latency_micros histogram"#,
+        r#"rd_query_latency_micros_sum{lang="datalog"}"#,
+        r#"rd_query_latency_micros_count{lang="datalog"}"#,
+        r#"rd_query_latency_micros_sum{lang="ra"}"#,
+        r#"rd_query_latency_micros_count{lang="ra"}"#,
+        r#"rd_query_latency_micros_sum{lang="trc"}"#,
+        r#"rd_query_latency_micros_count{lang="trc"}"#,
+        r#"rd_query_latency_micros_sum{lang="sql"}"#,
+        r#"rd_query_latency_micros_count{lang="sql"}"#,
+        r#"# TYPE rd_planner_q_error_centi histogram"#,
+        r#"rd_planner_q_error_centi_sum"#,
+        r#"rd_planner_q_error_centi_count"#,
+        r#"# TYPE rd_reactor_loop_micros histogram"#,
+        r#"rd_reactor_loop_micros_sum{shard="0"}"#,
+        r#"rd_reactor_loop_micros_count{shard="0"}"#,
+        r#"rd_reactor_loop_micros_sum{shard="1"}"#,
+        r#"rd_reactor_loop_micros_count{shard="1"}"#,
+        r#"# TYPE rd_conn_queue_depth histogram"#,
+        r#"rd_conn_queue_depth_sum{shard="0"}"#,
+        r#"rd_conn_queue_depth_count{shard="0"}"#,
+        r#"rd_conn_queue_depth_sum{shard="1"}"#,
+        r#"rd_conn_queue_depth_count{shard="1"}"#,
+        r#"# TYPE rd_pool_wait_micros histogram"#,
+        r#"rd_pool_wait_micros_sum{shard="0"}"#,
+        r#"rd_pool_wait_micros_count{shard="0"}"#,
+        r#"rd_pool_wait_micros_sum{shard="1"}"#,
+        r#"rd_pool_wait_micros_count{shard="1"}"#,
+        r#"# TYPE rd_wal_append_micros histogram"#,
+        r#"rd_wal_append_micros_sum"#,
+        r#"rd_wal_append_micros_count"#,
+        r#"# TYPE rd_wal_fsync_micros histogram"#,
+        r#"rd_wal_fsync_micros_sum"#,
+        r#"rd_wal_fsync_micros_count"#,
+    ];
+    assert_eq!(shape, expected, "exposition:\n{text}");
+    stop(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -276,6 +276,59 @@ fn deeply_nested_line_is_an_error_not_a_crash() {
     stop(addr, handle);
 }
 
+/// Query text nested far past each front end's depth cap used to
+/// overflow a compute worker's stack and abort the server; now each is
+/// an error frame and the same connection still answers a ping.
+#[test]
+fn deeply_nested_query_text_is_an_error_not_a_crash() {
+    let (addr, handle) = start_server(ServerConfig::default());
+    let mut datalog = String::from("I0(c) :- Boat(b, c).\n");
+    for k in 1..3_000 {
+        datalog.push_str(&format!("I{k}(c) :- I{}(c).\n", k - 1));
+    }
+    datalog.push_str("Q(c) :- I2999(c).");
+    let repros = [
+        (
+            Language::Ra,
+            format!("{}Boat{}", "(".repeat(2_000), ")".repeat(2_000)),
+        ),
+        (
+            Language::Ra,
+            format!("pi[color](Boat){}", " - pi[color](Boat)".repeat(3_000)),
+        ),
+        (
+            Language::Ra,
+            format!("Boat{}", " antijoin[bid=bid] Boat".repeat(3_000)),
+        ),
+        (
+            Language::Sql,
+            format!(
+                "SELECT DISTINCT Boat.color FROM Boat WHERE {}Boat.bid = 101{}",
+                "NOT (".repeat(2_000),
+                ")".repeat(2_000)
+            ),
+        ),
+        (
+            Language::Trc,
+            format!(
+                "{{ q(color) | exists b in Boat [ q.color = b.color and {}b.bid = 101{} ] }}",
+                "not (".repeat(2_000),
+                ")".repeat(2_000)
+            ),
+        ),
+        (Language::Datalog, datalog),
+    ];
+    let mut client = Client::connect(addr).unwrap();
+    for (language, text) in &repros {
+        match client.query(Some(*language), text).unwrap() {
+            Response::Error(e) => assert!(e.contains("128"), "{language}: {e}"),
+            other => panic!("{language}: expected an error frame, got {other:?}"),
+        }
+        client.ping().expect("the connection survives a deep query");
+    }
+    stop(addr, handle);
+}
+
 #[test]
 fn bench_driver_reports_cache_assisted_throughput() {
     let (addr, handle) = start_server(ServerConfig::default());

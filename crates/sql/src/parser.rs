@@ -5,11 +5,23 @@
 //! anything outside the paper's grammar (joins in `FROM`, `GROUP BY`,
 //! arithmetic, `NULL`, …) is a parse error, because fragment membership is
 //! the whole point of SQL\*.
+//!
+//! Every later pass over a query (translation to TRC, canonicalization,
+//! printing, dropping it) recurses once per nesting level, so the parser
+//! refuses queries nested deeper than [`MAX_DEPTH`] parenthesized groups
+//! (`NOT (…)`, subqueries, plain parentheses) before recursing into the
+//! next one. `AND`/`OR`/`UNION` chains are flat lists and add no depth.
 
 use crate::ast::{
     Column, SelectCols, SelectQuery, SqlPredicate, SqlQuery, SqlTerm, SqlUnion, TableRef,
 };
 use rd_core::{Catalog, CmpOp, CoreError, CoreResult, Value};
+
+/// The deepest nesting of parenthesized groups the parser accepts: far
+/// beyond any hand-written query, and shallow enough that a query this
+/// deep runs through evaluation, translations and diagram rendering on
+/// a 2 MiB thread stack.
+pub const MAX_DEPTH: usize = 128;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Tok {
@@ -158,6 +170,8 @@ fn lex(input: &str) -> CoreResult<Vec<Tok>> {
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Parenthesized groups open around the current position.
+    depth: usize,
 }
 
 impl Parser {
@@ -219,6 +233,22 @@ impl Parser {
         }
     }
 
+    /// `'(' f ')'`: one nesting level deeper, refused past
+    /// [`MAX_DEPTH`] before recursing.
+    fn group<T>(&mut self, f: impl FnOnce(&mut Self) -> CoreResult<T>) -> CoreResult<T> {
+        self.expect(&Tok::LParen, "'('")?;
+        if self.depth == MAX_DEPTH {
+            return Err(CoreError::Invalid(format!(
+                "SQL query nests deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let out = f(self)?;
+        self.depth -= 1;
+        self.expect(&Tok::RParen, "')'")?;
+        Ok(out)
+    }
+
     fn union(&mut self) -> CoreResult<SqlUnion> {
         // Branches may be parenthesized: (SELECT ...) UNION (SELECT ...).
         let mut branches = vec![self.query_maybe_paren()?];
@@ -230,10 +260,7 @@ impl Parser {
 
     fn query_maybe_paren(&mut self) -> CoreResult<SqlQuery> {
         if self.peek() == Some(&Tok::LParen) {
-            self.pos += 1;
-            let q = self.query()?;
-            self.expect(&Tok::RParen, "')'")?;
-            Ok(q)
+            self.group(Self::query)
         } else {
             self.query()
         }
@@ -247,24 +274,18 @@ impl Parser {
             // Lookahead: NOT EXISTS => SelectExists; NOT ( => SelectNot.
             if self.toks.get(self.pos + 1) == Some(&Tok::Kw(Kw::Exists)) {
                 self.pos += 2;
-                self.expect(&Tok::LParen, "'('")?;
-                let q = self.query()?;
-                self.expect(&Tok::RParen, "')'")?;
+                let q = self.group(Self::query)?;
                 return Ok(SqlQuery::SelectExists {
                     negated: true,
                     query: Box::new(q),
                 });
             }
             self.pos += 1;
-            self.expect(&Tok::LParen, "'(' after SELECT NOT")?;
-            let p = self.predicate()?;
-            self.expect(&Tok::RParen, "')'")?;
+            let p = self.group(Self::predicate)?;
             return Ok(SqlQuery::SelectNot(Box::new(p)));
         }
         if self.eat_kw(Kw::Exists) {
-            self.expect(&Tok::LParen, "'('")?;
-            let q = self.query()?;
-            self.expect(&Tok::RParen, "')'")?;
+            let q = self.group(Self::query)?;
             return Ok(SqlQuery::SelectExists {
                 negated: false,
                 query: Box::new(q),
@@ -354,24 +375,18 @@ impl Parser {
             // NOT EXISTS (Q) | NOT (P)
             if self.toks.get(self.pos + 1) == Some(&Tok::Kw(Kw::Exists)) {
                 self.pos += 2;
-                self.expect(&Tok::LParen, "'('")?;
-                let q = self.query()?;
-                self.expect(&Tok::RParen, "')'")?;
+                let q = self.group(Self::query)?;
                 return Ok(SqlPredicate::Exists {
                     negated: true,
                     query: Box::new(q),
                 });
             }
             self.pos += 1;
-            self.expect(&Tok::LParen, "'(' after NOT")?;
-            let p = self.predicate()?;
-            self.expect(&Tok::RParen, "')'")?;
+            let p = self.group(Self::predicate)?;
             return Ok(SqlPredicate::Not(Box::new(p)));
         }
         if self.eat_kw(Kw::Exists) {
-            self.expect(&Tok::LParen, "'('")?;
-            let q = self.query()?;
-            self.expect(&Tok::RParen, "')'")?;
+            let q = self.group(Self::query)?;
             return Ok(SqlPredicate::Exists {
                 negated: false,
                 query: Box::new(q),
@@ -379,19 +394,14 @@ impl Parser {
         }
         if self.peek() == Some(&Tok::LParen) {
             // Parenthesized predicate (needed for the OR extension).
-            self.pos += 1;
-            let p = self.predicate()?;
-            self.expect(&Tok::RParen, "')'")?;
-            return Ok(p);
+            return self.group(Self::predicate);
         }
         // C O C | C O V | C [NOT] IN (Q) | C O ALL/ANY (Q)
         let left = self.term()?;
         if let SqlTerm::Col(col) = &left {
             if self.peek_kw(Kw::In) {
                 self.pos += 1;
-                self.expect(&Tok::LParen, "'('")?;
-                let q = self.query()?;
-                self.expect(&Tok::RParen, "')'")?;
+                let q = self.group(Self::query)?;
                 return Ok(SqlPredicate::InSubquery {
                     negated: false,
                     col: col.clone(),
@@ -400,9 +410,7 @@ impl Parser {
             }
             if self.peek_kw(Kw::Not) && self.toks.get(self.pos + 1) == Some(&Tok::Kw(Kw::In)) {
                 self.pos += 2;
-                self.expect(&Tok::LParen, "'('")?;
-                let q = self.query()?;
-                self.expect(&Tok::RParen, "')'")?;
+                let q = self.group(Self::query)?;
                 return Ok(SqlPredicate::InSubquery {
                     negated: true,
                     col: col.clone(),
@@ -422,9 +430,7 @@ impl Parser {
         if self.peek_kw(Kw::All) || self.peek_kw(Kw::Any) {
             let all = self.peek_kw(Kw::All);
             self.pos += 1;
-            self.expect(&Tok::LParen, "'('")?;
-            let q = self.query()?;
-            self.expect(&Tok::RParen, "')'")?;
+            let q = self.group(Self::query)?;
             let col = match left {
                 SqlTerm::Col(c) => c,
                 SqlTerm::Const(_) => {
@@ -479,6 +485,7 @@ pub fn parse_sql_unchecked(input: &str) -> CoreResult<SqlUnion> {
     let mut p = Parser {
         toks: lex(input)?,
         pos: 0,
+        depth: 0,
     };
     let u = p.union()?;
     if p.pos != p.toks.len() {
@@ -583,5 +590,45 @@ mod tests {
         assert!(parse_sql_unchecked("SELECT * FROM R JOIN S ON R.B = S.B").is_err());
         assert!(parse_sql_unchecked("SELECT COUNT(*) FROM R").is_err());
         assert!(parse_sql_unchecked("SELECT A FROM R WHERE A IS NULL").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_an_error() {
+        // Each helper nests exactly `n` parenthesized groups.
+        let not = |n: usize| {
+            format!(
+                "SELECT DISTINCT R.A FROM R WHERE {}R.A = 1{}",
+                "NOT (".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        let exists = |n: usize| {
+            format!(
+                "SELECT DISTINCT R.A FROM R WHERE {}R.A = 1{}",
+                "EXISTS (SELECT * FROM S WHERE ".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        let parens = |n: usize| {
+            format!(
+                "SELECT DISTINCT R.A FROM R WHERE {}R.A = 1{}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                for shape in [not, exists, parens] {
+                    assert!(parse_sql_unchecked(&shape(MAX_DEPTH)).is_ok());
+                    for n in [MAX_DEPTH + 1, 2_000, 100_000] {
+                        let err = parse_sql_unchecked(&shape(n)).unwrap_err();
+                        assert!(err.to_string().contains("deeper than 128"), "{err}");
+                    }
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

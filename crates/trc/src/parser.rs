@@ -19,6 +19,13 @@
 //! OP       := '=' | '!=' | '<>' | '<' | '<=' | '>' | '>='
 //! ```
 //!
+//! Every later pass over a formula (checking, canonicalization, the
+//! translations, the diagram, dropping it) recurses once per nesting
+//! level, so the parser refuses formulas nested deeper than
+//! [`MAX_DEPTH`] `not (…)`, `exists […]` and `(…)` groups before
+//! recursing into the next one. `and`/`or`/`union` chains are flat lists
+//! and add no depth.
+//!
 //! The catalog is consulted only to *resolve unqualified output attributes*
 //! — e.g. `{ q(A) | … }` names its columns directly — and is re-validated
 //! by [`crate::check`]; parsing itself is schema-independent.
@@ -169,12 +176,41 @@ fn lex(input: &str) -> CoreResult<Vec<Tok>> {
     Ok(toks)
 }
 
+/// The deepest nesting of formula groups the parser accepts: far beyond
+/// any hand-written query, and shallow enough that a query this deep
+/// runs through evaluation, translations and diagram rendering on a
+/// 2 MiB thread stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Formula groups open around the current position.
+    depth: usize,
 }
 
 impl Parser {
+    fn new(input: &str) -> CoreResult<Parser> {
+        Ok(Parser {
+            toks: lex(input)?,
+            pos: 0,
+            depth: 0,
+        })
+    }
+
+    /// Parses `f` one nesting level deeper, refused past [`MAX_DEPTH`]
+    /// before recursing.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> CoreResult<T>) -> CoreResult<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(CoreError::Invalid(format!(
+                "TRC formula nests deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let out = f(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos)
     }
@@ -266,7 +302,7 @@ impl Parser {
             Some(Tok::KwNot) => {
                 self.next()?;
                 self.expect(&Tok::LParen, "'(' after not")?;
-                let inner = self.parse_formula()?;
+                let inner = self.nested(Self::parse_formula)?;
                 self.expect(&Tok::RParen, "')' closing not")?;
                 Ok(Formula::not(inner))
             }
@@ -282,14 +318,14 @@ impl Parser {
                 let body = if self.peek() == Some(&Tok::RBracket) {
                     Formula::truth()
                 } else {
-                    self.parse_formula()?
+                    self.nested(Self::parse_formula)?
                 };
                 self.expect(&Tok::RBracket, "']' closing exists body")?;
                 Ok(Formula::exists(bindings, body))
             }
             Some(Tok::LParen) => {
                 self.next()?;
-                let inner = self.parse_formula()?;
+                let inner = self.nested(Self::parse_formula)?;
                 self.expect(&Tok::RParen, "')'")?;
                 Ok(inner)
             }
@@ -351,10 +387,7 @@ impl Parser {
 /// `catalog` (well-formedness, safety, guard analysis is separate — see
 /// [`crate::check`]).
 pub fn parse_query(input: &str, catalog: &Catalog) -> CoreResult<TrcQuery> {
-    let mut p = Parser {
-        toks: lex(input)?,
-        pos: 0,
-    };
+    let mut p = Parser::new(input)?;
     let q = p.parse_query()?;
     p.finish()?;
     crate::check::check_query(&q, catalog)?;
@@ -363,10 +396,7 @@ pub fn parse_query(input: &str, catalog: &Catalog) -> CoreResult<TrcQuery> {
 
 /// Parses a union of TRC queries (`{…} union {…}`), validating each branch.
 pub fn parse_union(input: &str, catalog: &Catalog) -> CoreResult<TrcUnion> {
-    let mut p = Parser {
-        toks: lex(input)?,
-        pos: 0,
-    };
+    let mut p = Parser::new(input)?;
     let u = p.parse_union()?;
     p.finish()?;
     for q in &u.branches {
@@ -378,10 +408,7 @@ pub fn parse_union(input: &str, catalog: &Catalog) -> CoreResult<TrcUnion> {
 /// Parses without catalog validation. Useful for tests of the checker
 /// itself and for queries over dissociated (not-yet-registered) schemas.
 pub fn parse_query_unchecked(input: &str) -> CoreResult<TrcQuery> {
-    let mut p = Parser {
-        toks: lex(input)?,
-        pos: 0,
-    };
+    let mut p = Parser::new(input)?;
     let q = p.parse_query()?;
     p.finish()?;
     Ok(q)
@@ -483,5 +510,40 @@ mod tests {
             let q = parse_query(&format!("exists r in R [ r.A {op} 1 ]"), &cat).unwrap();
             assert!(!q.signature().is_empty());
         }
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_an_error() {
+        // Each helper nests exactly `n` formula groups.
+        let not = |n: usize| {
+            format!(
+                "{}exists r in R [ r.A = 1 ]{}",
+                "not (".repeat(n - 1),
+                ")".repeat(n - 1)
+            )
+        };
+        let exists =
+            |n: usize| format!("{}r.A = 1{}", "exists r in R [ ".repeat(n), " ]".repeat(n));
+        let parens = |n: usize| {
+            format!(
+                "{}exists r in R [ r.A = 1 ]{}",
+                "(".repeat(n - 1),
+                ")".repeat(n - 1)
+            )
+        };
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                for shape in [not, exists, parens] {
+                    assert!(parse_query_unchecked(&shape(MAX_DEPTH)).is_ok());
+                    for n in [MAX_DEPTH + 1, 2_000, 100_000] {
+                        let err = parse_query_unchecked(&shape(n)).unwrap_err();
+                        assert!(err.to_string().contains("deeper than 128"), "{err}");
+                    }
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }
