@@ -307,18 +307,14 @@ fn bench_delta_mutation_cache(c: &mut Criterion) {
 /// The cost-based join orderer's headline case: a skewed three-way
 /// join R(A,B) ⋈ S(A,Z) ⋈ T(B) at |R| = 10³..10⁵. R's A column is a
 /// 50-value fan-out key that S duplicates tenfold, so R⋈S has 10·|R|
-/// rows; T keeps only |R|/1000 of R's B values. The legacy greedy
-/// orderer ranks scans by size and key count alone — blind to
-/// intermediate cardinality, it seeds at tiny S and explodes through
-/// the fan-out (or, at 10⁵, takes a 2.5M-row S×T cross product) —
-/// while the DP orderer's estimator starts from the selective T⋈R
-/// edge and touches ~|R|/1000 rows past the index build. Both plans
-/// are lowered once outside the timing loop, so the pair reads as
-/// pure execution cost: the greedy/DP ratio is the optimizer's win
-/// and grows with |R|.
+/// rows; T keeps only |R|/1000 of R's B values. An orderer blind to
+/// intermediate cardinality would seed at tiny S and explode through
+/// the fan-out; the DP's estimator starts from the selective T⋈R edge
+/// and touches ~|R|/1000 rows past the index build. The plan is lowered
+/// once outside the timing loop, so the bench reads as pure execution
+/// cost of the chosen order.
 fn bench_join_order(c: &mut Criterion) {
     use rd_core::exec::execute;
-    use rd_core::plan::{OrderStrategy, PlannerOpts};
     use rd_core::{Database, Relation};
 
     let sizes: &[i64] = if smoke() {
@@ -356,17 +352,9 @@ fn bench_join_order(c: &mut Criterion) {
         )
         .unwrap();
         let union = rd_trc::TrcUnion::new(vec![q]).unwrap();
-        let dp = rd_trc::eval::lower_union_with(&union, &db, &PlannerOpts::default()).unwrap();
-        let greedy_opts = PlannerOpts {
-            strategy: OrderStrategy::Greedy,
-            ..PlannerOpts::default()
-        };
-        let greedy = rd_trc::eval::lower_union_with(&union, &db, &greedy_opts).unwrap();
+        let dp = rd_trc::eval::lower_union(&union, &db).unwrap();
         c.bench_function(&format!("join_order/skewed_3way_r{n}_dp"), |b| {
             b.iter(|| execute(black_box(&dp), &db).unwrap())
-        });
-        c.bench_function(&format!("join_order/skewed_3way_r{n}_greedy"), |b| {
-            b.iter(|| execute(black_box(&greedy), &db).unwrap())
         });
     }
 }

@@ -203,7 +203,9 @@ impl JoinTable {
             let mut capacity = 1u128;
             let mut spans = vec![0u64; ncols];
             for c in 0..ncols {
-                let span = (maxs[c] - mins[c]) as u128 + 1;
+                // In `i128`: a column spanning all of `i64` has a span
+                // of 2⁶⁴, which must not wrap to a zero-slot table.
+                let span = (i128::from(maxs[c]) - i128::from(mins[c])) as u128 + 1;
                 spans[c] = span as u64;
                 capacity = capacity.saturating_mul(span);
             }
@@ -1320,6 +1322,16 @@ mod tests {
     }
 
     #[test]
+    fn full_range_int_keys_fall_back_to_hash() {
+        let data = rel_data_of(&[[i64::MIN, 0], [3, 0], [i64::MAX, 0]]);
+        let table = JoinTable::build(data.len, 1, |r, _| data.value(0, r as u32));
+        assert_eq!(table.kind(), "hash");
+        assert_eq!(table.probe(&[Value::int(3)]).len(), 1);
+        assert_eq!(table.probe(&[Value::int(i64::MIN)]).len(), 1);
+        assert!(table.probe(&[Value::int(4)]).is_empty());
+    }
+
+    #[test]
     fn composite_dense_key_indexes_both_columns() {
         let data = rel_data_of(&[[1, 10], [2, 10], [1, 20]]);
         let table = JoinTable::build(data.len, 2, |r, c| data.value(c, r as u32));
@@ -1390,6 +1402,7 @@ mod tests {
             key_terms: key.into_iter().collect(),
             index_id: if keyed { 0 } else { FULL_SCAN },
             filters: Vec::new(),
+            est_rows: None,
         }
     }
 

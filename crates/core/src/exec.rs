@@ -19,7 +19,10 @@
 //! which their inputs are bound. Only the TRC lowering emits it: TRC and
 //! SQL queries lower to one pipeline per union branch, and RA and
 //! Datalog do too, after they are translated into their TRC hub forms
-//! (`rd_translate::{lower_ra_with, lower_datalog_with}`).
+//! (`rd_translate::{lower_ra, lower_datalog}`). The lowering records the
+//! planner's row estimate on every scan and on each query root, so
+//! [`explain`] and [`explain_analyze`] render those compile-time figures
+//! and never estimate anything themselves.
 //!
 //! [`explain`] renders any plan as a tree of scan order, join strategy,
 //! and bound keys — the diagnosability hook the service's `explain` op
@@ -100,6 +103,11 @@ pub struct Scan {
     pub index_id: usize,
     /// Conjuncts whose inputs are all bound once this scan binds.
     pub filters: Vec<Formula>,
+    /// The planner's estimate of the rows the block holds once this
+    /// scan and its predicates have run (per binding of the enclosing
+    /// scope for a nested block), recorded at compile time; `None` for
+    /// hand-built plans.
+    pub est_rows: Option<u64>,
 }
 
 impl Scan {
@@ -152,9 +160,10 @@ pub struct QueryPlan {
     pub deferred: Vec<Formula>,
     /// Environment requirements.
     pub shape: EnvShape,
-    /// The planner's output-cardinality estimate (pre-projection upper
-    /// bound), recorded at compile time under the cost-based strategy.
-    /// The engine compares it with the actual row count to chart its
+    /// The planner's estimate of the root block's rows (a
+    /// pre-projection upper bound on the output; 1 for a block without
+    /// scans, which emits one unit row), recorded at compile time. The
+    /// engine compares it with the actual row count to chart its
     /// estimation quality.
     pub est_rows: Option<u64>,
 }
@@ -324,9 +333,8 @@ pub struct ExecFeedback {
     pub out_rows: u64,
 }
 
-/// The planner's recorded estimate for the plan's final output, if the
-/// plan was compiled under the cost-based strategy: per-branch sums for
-/// unions.
+/// The planner's recorded estimate for the plan's final output: the sum
+/// over a union's branches, `None` for Boolean sentences.
 pub fn plan_est(plan: &Plan) -> Option<u64> {
     match plan {
         Plan::Union(branches) => branches
@@ -380,11 +388,7 @@ pub fn explain_analyze(plan: &Plan, db: &Database) -> CoreResult<(Relation, Expl
     let mut tally = Some(TallyMap::new());
     let relation = execute_inner(plan, db, &mut tally)?;
     let tally = tally.unwrap_or_default();
-    let annot = Annot {
-        db: Some(db),
-        tally: Some(&tally),
-    };
-    let mut node = explain_with(plan, &annot);
+    let mut node = explain_with(plan, Some(&tally));
     node.actual_rows = Some(relation.len() as u64);
     if let Some(est) = node.est_rows {
         node.q_error = Some(q_error(est, relation.len() as u64));
@@ -413,10 +417,11 @@ pub struct ExplainNode {
     /// Child nodes in execution order.
     #[serde(default)]
     pub children: Vec<ExplainNode>,
-    /// Planner cardinality estimate (sketch-backed statistics where the
-    /// node maps to stored relations; present only under
-    /// `explain analyze`, and absent for nodes with no meaningful
-    /// estimate).
+    /// The planner's compile-time row estimate, as recorded on the plan:
+    /// on a scan, the rows its block holds once that scan has run; on a
+    /// query root, the root block's rows; on a union, the branch sum.
+    /// Plain `explain` and `explain analyze` show the same figure;
+    /// absent for nodes the planner does not estimate.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub est_rows: Option<u64>,
     /// Rows this node actually produced (present only under
@@ -471,69 +476,18 @@ pub fn q_error(est: u64, actual: u64) -> f64 {
     (e / a).max(a / e)
 }
 
-/// Annotation context for explain rendering: empty for plain `explain`
-/// (every row field stays `None`, keeping legacy output byte-identical),
-/// populated by [`explain_analyze`].
-struct Annot<'a> {
-    /// Database to draw cardinality estimates from.
-    db: Option<&'a Database>,
-    /// Actual row counts from the analyzing execution.
-    tally: Option<&'a TallyMap>,
-}
+/// The tally of an analyzing execution, or `None` for plain `explain`
+/// (every execution field stays `None`).
+type Tally<'a> = Option<&'a TallyMap>;
 
-impl Annot<'_> {
-    const NONE: Annot<'static> = Annot {
-        db: None,
-        tally: None,
-    };
-
-    /// The tallied actual row count for `node` — `Some(0)` for nodes the
-    /// execution never reached (short-circuits), `None` outside analyze.
-    fn actual<T>(&self, node: &T) -> Option<u64> {
-        self.tally.map(|t| {
-            t.get(&(node as *const T as usize))
-                .map(|nt| nt.rows)
-                .unwrap_or(0)
-        })
-    }
-
-    /// The join-build strategy recorded for `node` during the analyzing
-    /// execution (`"dense-key"` or `"hash"`), if any.
-    fn build<T>(&self, node: &T) -> Option<String> {
-        self.tally
-            .and_then(|t| t.get(&(node as *const T as usize)))
-            .and_then(|nt| nt.build)
-            .map(str::to_string)
-    }
-
-    /// Cardinality estimate for one pipeline scan: the stored relation's
-    /// size, divided by the sketch-estimated distinct count of each
-    /// bound key column (each equality key retains `1/V` of the rows —
-    /// the System R uniform assumption, now over real statistics).
-    fn est_scan(&self, scan: &Scan) -> Option<u64> {
-        let rel = self.db?.relation(&scan.rel)?;
-        let n = rel.len() as f64;
-        if !scan.is_keyed() {
-            return Some(n as u64);
-        }
-        let stats = rel.stats();
-        let mut est = n;
-        for &c in &scan.key_cols {
-            est /= (stats.distinct(c) as f64).max(1.0);
-        }
-        Some((est.round() as u64).max(1))
-    }
-
-    /// Estimate for a whole pipeline: the product of its scans'
-    /// estimates (`None` if any scan is unestimable).
-    fn est_block(&self, block: &Block) -> Option<u64> {
-        self.db?;
-        let mut total = 1u64;
-        for scan in &block.scans {
-            total = total.saturating_mul(self.est_scan(scan)?);
-        }
-        Some(total)
-    }
+/// The tallied actual row count for `node` — `Some(0)` for nodes the
+/// execution never reached (short-circuits), `None` outside analyze.
+fn actual<T>(tally: Tally<'_>, node: &T) -> Option<u64> {
+    tally.map(|t| {
+        t.get(&(node as *const T as usize))
+            .map(|nt| nt.rows)
+            .unwrap_or(0)
+    })
 }
 
 fn fmt_term(t: &Term) -> String {
@@ -543,16 +497,16 @@ fn fmt_term(t: &Term) -> String {
     }
 }
 
-fn explain_formula(f: &Formula, annot: &Annot<'_>) -> ExplainNode {
+fn explain_formula(f: &Formula, tally: Tally<'_>) -> ExplainNode {
     match f {
         Formula::And(fs) => {
-            ExplainNode::new("and", "").with(fs.iter().map(|f| explain_formula(f, annot)).collect())
+            ExplainNode::new("and", "").with(fs.iter().map(|f| explain_formula(f, tally)).collect())
         }
         Formula::Or(fs) => {
-            ExplainNode::new("or", "").with(fs.iter().map(|f| explain_formula(f, annot)).collect())
+            ExplainNode::new("or", "").with(fs.iter().map(|f| explain_formula(f, tally)).collect())
         }
-        Formula::Not(sub) => ExplainNode::new("not", "").with(vec![explain_formula(sub, annot)]),
-        Formula::Exists(block) => ExplainNode::new("exists", "").with(explain_block(block, annot)),
+        Formula::Not(sub) => ExplainNode::new("not", "").with(vec![explain_formula(sub, tally)]),
+        Formula::Exists(block) => ExplainNode::new("exists", "").with(explain_block(block, tally)),
         Formula::Pred(p) => ExplainNode::new(
             "filter",
             format!("{} {} {}", fmt_term(&p.left), p.op, fmt_term(&p.right)),
@@ -560,7 +514,7 @@ fn explain_formula(f: &Formula, annot: &Annot<'_>) -> ExplainNode {
     }
 }
 
-fn explain_scan(scan: &Scan, annot: &Annot<'_>) -> ExplainNode {
+fn explain_scan(scan: &Scan, tally: Tally<'_>) -> ExplainNode {
     let detail = if scan.is_keyed() {
         let keys: Vec<String> = scan
             .key_cols
@@ -576,32 +530,35 @@ fn explain_scan(scan: &Scan, annot: &Annot<'_>) -> ExplainNode {
         .with(
             scan.filters
                 .iter()
-                .map(|f| explain_formula(f, annot))
+                .map(|f| explain_formula(f, tally))
                 .collect(),
         )
-        .rows(annot.est_scan(scan), annot.actual(scan));
-    node.build = annot.build(scan);
+        .rows(scan.est_rows, actual(tally, scan));
+    node.build = tally
+        .and_then(|t| t.get(&(scan as *const Scan as usize)))
+        .and_then(|nt| nt.build)
+        .map(str::to_string);
     node
 }
 
-fn explain_block(block: &Block, annot: &Annot<'_>) -> Vec<ExplainNode> {
+fn explain_block(block: &Block, tally: Tally<'_>) -> Vec<ExplainNode> {
     let mut nodes: Vec<ExplainNode> = block
         .pre
         .iter()
-        .map(|f| explain_formula(f, annot))
+        .map(|f| explain_formula(f, tally))
         .collect();
-    nodes.extend(block.scans.iter().map(|s| explain_scan(s, annot)));
+    nodes.extend(block.scans.iter().map(|s| explain_scan(s, tally)));
     nodes
 }
 
-fn explain_query(q: &QueryPlan, annot: &Annot<'_>) -> ExplainNode {
-    let mut children = explain_block(&q.root, annot);
+fn explain_query(q: &QueryPlan, tally: Tally<'_>) -> ExplainNode {
+    let mut children = explain_block(&q.root, tally);
     if !q.deferred.is_empty() {
         children.push(
             ExplainNode::new("deferred", "validated with the output head bound").with(
                 q.deferred
                     .iter()
-                    .map(|f| explain_formula(f, annot))
+                    .map(|f| explain_formula(f, tally))
                     .collect(),
             ),
         );
@@ -611,37 +568,28 @@ fn explain_query(q: &QueryPlan, annot: &Annot<'_>) -> ExplainNode {
         format!("{}({})", q.out.name(), q.out.attrs().join(", ")),
     )
     .with(children)
-    // Prefer the cost-based planner's recorded estimate; fall back to
-    // the per-scan product for plans compiled under the legacy strategy.
-    .rows(
-        q.est_rows.or_else(|| annot.est_block(&q.root)),
-        annot.actual(q),
-    )
+    .rows(q.est_rows, actual(tally, q))
 }
 
 /// Renders a compiled plan as an explain tree (no row counts — see
 /// [`explain_analyze`]).
 pub fn explain(plan: &Plan) -> ExplainNode {
-    explain_with(plan, &Annot::NONE)
+    explain_with(plan, None)
 }
 
-fn explain_with(plan: &Plan, annot: &Annot<'_>) -> ExplainNode {
+fn explain_with(plan: &Plan, tally: Tally<'_>) -> ExplainNode {
     match plan {
         Plan::Union(branches) => {
             if let [q] = branches.as_slice() {
-                explain_query(q, annot)
+                explain_query(q, tally)
             } else {
-                let est = branches
-                    .iter()
-                    .map(|q| q.est_rows.or_else(|| annot.est_block(&q.root)))
-                    .try_fold(0u64, |acc, e| e.map(|e| acc.saturating_add(e)));
                 ExplainNode::new("union", format!("{} branches", branches.len()))
-                    .with(branches.iter().map(|q| explain_query(q, annot)).collect())
-                    .rows(est, None)
+                    .with(branches.iter().map(|q| explain_query(q, tally)).collect())
+                    .rows(plan_est(plan), None)
             }
         }
         Plan::Sentence(s) => {
-            ExplainNode::new("sentence", "boolean").with(vec![explain_formula(&s.formula, annot)])
+            ExplainNode::new("sentence", "boolean").with(vec![explain_formula(&s.formula, tally)])
         }
     }
 }
@@ -682,6 +630,7 @@ mod tests {
                         key_terms: Vec::new(),
                         index_id: FULL_SCAN,
                         filters: Vec::new(),
+                        est_rows: None,
                     },
                     Scan {
                         rel: "S".into(),
@@ -690,6 +639,7 @@ mod tests {
                         key_terms: vec![Term::Col { slot: 1, col: 1 }],
                         index_id: 0,
                         filters: Vec::new(),
+                        est_rows: None,
                     },
                 ],
             },
@@ -728,6 +678,7 @@ mod tests {
                         op: CmpOp::Eq,
                         right: Term::Const(Value::int(3)),
                     })],
+                    est_rows: None,
                 }],
             }),
             shape: EnvShape {
@@ -764,6 +715,7 @@ mod tests {
                     key_terms: Vec::new(),
                     index_id: FULL_SCAN,
                     filters: Vec::new(),
+                    est_rows: None,
                 }],
             }))));
         let set = scan_set(&Plan::Union(vec![q]));
@@ -799,17 +751,28 @@ mod tests {
     #[test]
     fn explain_analyze_counts_pipeline_rows() {
         let db = rs_db();
-        let plan = Plan::Union(vec![join_plan()]);
+        let mut q = join_plan();
+        q.root.scans[0].est_rows = Some(4);
+        q.root.scans[1].est_rows = Some(2);
+        q.est_rows = Some(2);
+        let plan = Plan::Union(vec![q]);
         let (rel, node) = explain_analyze(&plan, &db).unwrap();
         // Root: actual rows == the returned relation's cardinality.
         assert_eq!(node.actual_rows, Some(rel.len() as u64));
         assert_eq!(rel.len(), 2);
         // R full scan emits all 4 tuples; the S probe matches B ∈
-        // {10, 20, 10} of the four R rows, i.e. 3 rows survive.
+        // {10, 20, 10} of the four R rows, i.e. 3 rows survive. The
+        // estimates are the ones recorded on the plan.
         let scans: Vec<&ExplainNode> = node.children.iter().filter(|n| n.kind == "scan").collect();
         assert_eq!(scans[0].rows_pair(), (Some(4), Some(4)));
-        assert_eq!(scans[1].actual_rows, Some(3));
-        assert!(scans[1].est_rows.is_some());
+        assert_eq!(scans[1].rows_pair(), (Some(2), Some(3)));
+        assert_eq!(scans[1].q_error, Some(q_error(2, 3)));
+        assert_eq!(node.rows_pair(), (Some(2), Some(2)));
+        // Plain explain renders the same estimates, without actuals.
+        let plain = explain(&plan);
+        let plain_scans: Vec<Option<u64>> = plain.children.iter().map(|n| n.est_rows).collect();
+        assert_eq!(plain_scans, [Some(4), Some(2)]);
+        assert_eq!(plain.rows_pair(), (Some(2), None));
     }
 
     impl ExplainNode {

@@ -51,7 +51,7 @@ pub use cmp::CmpOp;
 pub use database::{combine_fingerprints, Database, Relation, Tuple};
 pub use error::{CoreError, CoreResult};
 pub use generate::{enumerate_databases, DbGenerator, ExhaustiveDbIter};
-pub use plan::{scan_cost, DbStats, OrderStrategy, PlanHints, PlannerOpts};
+pub use plan::{PlanHints, PlannerOpts};
 pub use schema::{Catalog, TableSchema};
 pub use stats::{ColumnStats, KmvSketch, TableStats};
 pub use symbol::SymbolTable;

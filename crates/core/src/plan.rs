@@ -1,112 +1,20 @@
-//! The shared planning layer: per-table statistics, a cardinality
-//! estimator, Selinger-style dynamic programming over join orders, and
-//! the scan-cost model the lowerings share.
+//! The shared planning layer: the cardinality estimator and the
+//! Selinger-style dynamic program that orders every block's scans.
 //!
 //! All four languages lower onto the shared pipeline IR through the TRC
-//! lowering (SQL, RA and Datalog via their TRC hub forms), which routes
-//! its join ordering through this module. Ordering is cost-based by default: [`DbStats`] snapshots
-//! per-column distinct sketches and `Int` ranges
-//! ([`crate::stats::TableStats`]), the estimator turns equality/range
-//! predicates and equi-join classes into cardinalities, and
-//! [`order_scans`] runs an exact left-deep dynamic program over the
-//! scan set (falling back to an estimator-driven greedy above
-//! [`PlannerOpts::dp_threshold`] scans). The legacy one-pass greedy
-//! ([`scan_cost`]) survives as [`OrderStrategy::Greedy`] — the
-//! differential baseline. Every scan with at least one bound equality
-//! key probes a join table instead of scanning; negated and quantified
-//! subformulas still evaluate only after their bindings are available.
+//! lowering (SQL, RA and Datalog via their TRC hub forms), which reduces
+//! each conjunctive block to [`ScanCand`]s — row estimates from the
+//! scanned relations' own [`TableStats`](crate::stats::TableStats) and
+//! cross-scan equi-join classes — and asks [`order_scans`] for an order.
+//! That is the only join orderer and the only row model: an exact
+//! left-deep dynamic program up to 12 scans, an estimator-driven greedy
+//! over the same estimates above it, and each placed prefix's estimate
+//! is recorded on its [`Scan`](crate::exec::Scan) for `explain`. Every
+//! scan with at least one bound equality key probes a join table instead
+//! of scanning; negated and quantified subformulas still evaluate only
+//! after their bindings are available.
 
-use crate::database::Database;
-use crate::stats::TableStats;
-use crate::{CmpOp, Value};
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// Per-table statistics of a database instance — the input to join
-/// ordering. Holds exact sizes and per-column [`TableStats`] snapshots
-/// (distinct sketches + `Int` ranges, materialized lazily by the
-/// relations and cached per mutation epoch).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DbStats {
-    sizes: BTreeMap<String, usize>,
-    tables: BTreeMap<String, Arc<TableStats>>,
-    total: usize,
-}
-
-impl DbStats {
-    /// Collects statistics for `db`. Column statistics materialize
-    /// lazily inside each relation and are cached there, so repeated
-    /// snapshots per epoch cost one `Arc` clone per table.
-    pub fn of(db: &Database) -> DbStats {
-        let mut sizes = BTreeMap::new();
-        let mut tables = BTreeMap::new();
-        let mut total = 0;
-        for rel in db.iter() {
-            sizes.insert(rel.name().to_string(), rel.len());
-            tables.insert(rel.name().to_string(), rel.stats());
-            total += rel.len();
-        }
-        DbStats {
-            sizes,
-            tables,
-            total,
-        }
-    }
-
-    /// Tuples in `table` (0 for unknown tables).
-    pub fn size(&self, table: &str) -> usize {
-        self.sizes.get(table).copied().unwrap_or(0)
-    }
-
-    /// Estimated distinct values in `table.col`, clamped to ≥ 1. For
-    /// names without column statistics every row is assumed distinct —
-    /// the optimistic default that keeps key probes attractive.
-    pub fn distinct(&self, table: &str, col: usize) -> f64 {
-        match self.tables.get(table) {
-            Some(st) => (st.distinct(col) as f64).max(1.0),
-            None => self.size(table).max(1) as f64,
-        }
-    }
-
-    /// The observed `Int` range of `table.col`, if known.
-    pub fn int_range(&self, table: &str, col: usize) -> Option<(i64, i64)> {
-        self.tables.get(table).and_then(|st| st.int_range(col))
-    }
-
-    /// Selectivity of `col <op> literal` against this table's column
-    /// statistics: equality keeps `1/V(col)`, inequality its
-    /// complement, and ordered comparisons interpolate within the
-    /// observed `Int` range (defaulting to 1/3 when no range is known —
-    /// the classic System R guess).
-    pub fn cmp_selectivity(&self, table: &str, col: usize, op: CmpOp, lit: &Value) -> f64 {
-        let eq = 1.0 / self.distinct(table, col);
-        match op {
-            CmpOp::Eq => eq,
-            CmpOp::Ne => (1.0 - eq).max(eq),
-            CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
-                match (self.int_range(table, col), lit) {
-                    (Some((lo, hi)), Value::Int(b)) => {
-                        let width = (hi - lo) as f64 + 1.0;
-                        let below = ((b - lo) as f64).clamp(0.0, width);
-                        let frac = match op {
-                            CmpOp::Lt => below / width,
-                            CmpOp::Le => (below + 1.0).min(width) / width,
-                            CmpOp::Gt => (width - below - 1.0).max(0.0) / width,
-                            _ => (width - below) / width,
-                        };
-                        frac.clamp(eq, 1.0)
-                    }
-                    _ => 1.0 / 3.0,
-                }
-            }
-        }
-    }
-
-    /// Total tuples across all tables.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-}
 
 /// Planner hints. There is nothing to hint: every plan orders its
 /// scans from the stored relations' statistics. The type carries no
@@ -115,39 +23,16 @@ impl DbStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanHints;
 
-/// How a lowering orders the scans of one conjunctive block.
+/// Planner options. There is one join orderer and nothing to
+/// configure; the type carries no settings and stays only so
+/// `Artifact::compile_with` keeps its signature.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum OrderStrategy {
-    /// Cost-based: cardinality estimation over real statistics plus the
-    /// [`order_scans`] dynamic program (greedy fallback above the
-    /// threshold). The default.
-    #[default]
-    CostDp,
-    /// The legacy one-pass greedy over [`scan_cost`] — kept as the
-    /// differential-testing baseline and available as an escape hatch.
-    Greedy,
-}
+pub struct PlannerOpts;
 
-/// Planner configuration threaded through the four lowerings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannerOpts {
-    /// Join-order strategy.
-    pub strategy: OrderStrategy,
-    /// Above this many scans in one block, [`order_scans`] switches
-    /// from the exact `O(2ⁿ·n)` dynamic program to estimator-driven
-    /// greedy. 12 scans ≈ 50k DP transitions — well under a
-    /// microsecond-scale compile budget.
-    pub dp_threshold: usize,
-}
-
-impl Default for PlannerOpts {
-    fn default() -> Self {
-        PlannerOpts {
-            strategy: OrderStrategy::CostDp,
-            dp_threshold: 12,
-        }
-    }
-}
+/// Above this many scans in one block, [`order_scans`] switches from the
+/// exact `O(2ⁿ·n)` dynamic program to estimator-driven greedy. 12 scans
+/// ≈ 50k DP transitions — well under a microsecond-scale compile budget.
+const DP_MAX_SCANS: usize = 12;
 
 /// One candidate scan of a conjunctive block, reduced to the numbers
 /// the join orderer needs. The lowering estimates `rows` by applying
@@ -229,29 +114,22 @@ fn append_cost(out: f64, prefix: Option<(f64, bool)>, rows: f64) -> f64 {
 
 /// Orders a block's scans by estimated cost: an exact left-deep
 /// Selinger dynamic program minimizing the summed intermediate-frontier
-/// cost (`C_out` plus probe/scan work) up to
-/// [`PlannerOpts::dp_threshold`] scans, estimator-driven greedy above
-/// it. Left-deep is the shape the pipeline executor runs — each scan
-/// extends the current binding frontier — so the DP searches exactly
-/// the executable space.
+/// cost (`C_out` plus probe/scan work) up to [`DP_MAX_SCANS`] scans,
+/// estimator-driven greedy above it. Left-deep is the shape the pipeline
+/// executor runs — each scan extends the current binding frontier — so
+/// the DP searches exactly the executable space.
 ///
-/// Returns the scan order (indices into `cands`) and the estimated
-/// cardinality of the fully-joined block.
-pub fn order_scans(cands: &[ScanCand], opts: &PlannerOpts) -> (Vec<usize>, f64) {
+/// Returns the scan order (indices into `cands`), each paired with the
+/// estimated rows of the prefix it completes; the last estimate is the
+/// whole block's.
+pub fn order_scans(cands: &[ScanCand]) -> Vec<(usize, f64)> {
     let n = cands.len();
-    if n == 0 {
-        return (Vec::new(), 0.0);
-    }
     // The dynamic program's subsets are bit masks, so it needs a bit
     // per scan.
-    if n > opts.dp_threshold || n >= usize::BITS as usize {
+    if n > DP_MAX_SCANS || n >= usize::BITS as usize {
         return order_scans_greedy(cands);
     }
     let full = (1usize << n) - 1;
-    let total_est = est_card(cands, full);
-    if n == 1 {
-        return (vec![0], total_est);
-    }
 
     // dp over subsets: best[mask] = cheapest cost of any left-deep
     // order placing exactly `mask`; last[mask] = the scan placed last
@@ -279,7 +157,10 @@ pub fn order_scans(cands: &[ScanCand], opts: &PlannerOpts) -> (Vec<usize>, f64) 
             let keyed = keyed_against(cands, prev, j);
             let cost =
                 best[prev] + append_cost(cards[mask], Some((cards[prev], keyed)), cands[j].rows);
-            if cost < best[mask] {
+            // The first candidate is taken even at a NaN or infinite
+            // cost, so every mask gets a last scan; a NaN is then
+            // replaced by the next candidate.
+            if last[mask] == usize::MAX || cost < best[mask] || best[mask].is_nan() {
                 best[mask] = cost;
                 last[mask] = j;
             }
@@ -289,12 +170,11 @@ pub fn order_scans(cands: &[ScanCand], opts: &PlannerOpts) -> (Vec<usize>, f64) 
     let mut mask = full;
     while mask != 0 {
         let j = last[mask];
-        debug_assert!(j != usize::MAX, "dp table fully populated");
-        order.push(j);
+        order.push((j, cards[mask]));
         mask &= !(1 << j);
     }
     order.reverse();
-    (order, total_est)
+    order
 }
 
 /// Estimator-driven greedy fallback for wide blocks: repeatedly place
@@ -306,11 +186,9 @@ pub fn order_scans(cands: &[ScanCand], opts: &PlannerOpts) -> (Vec<usize>, f64) 
 /// member distinct counts `V`, so placing a scan multiplies it by the
 /// scan's rows and, for each class the prefix already holds with
 /// smallest count `m`, by `min(m, v) / (m · v)`.
-///
-/// Returns the order and the estimate of the whole block.
-fn order_scans_greedy(cands: &[ScanCand]) -> (Vec<usize>, f64) {
+fn order_scans_greedy(cands: &[ScanCand]) -> Vec<(usize, f64)> {
     let n = cands.len();
-    let mut order = Vec::with_capacity(n);
+    let mut order: Vec<(usize, f64)> = Vec::with_capacity(n);
     let mut placed = vec![false; n];
     // The placed prefix's estimate, and each of its join classes'
     // smallest member distinct count.
@@ -351,7 +229,7 @@ fn order_scans_greedy(cands: &[ScanCand]) -> (Vec<usize>, f64) {
             }
         }
         let (j, _, out) = best.expect("an unplaced scan remains");
-        order.push(j);
+        order.push((j, out));
         placed[j] = true;
         card = out;
         for &(class, v) in &cands[j].join_cols {
@@ -362,62 +240,17 @@ fn order_scans_greedy(cands: &[ScanCand]) -> (Vec<usize>, f64) {
                 .or_insert(v);
         }
     }
-    (order, card)
-}
-
-/// Estimated cost of scanning a relation of `size` tuples with
-/// `bound_keys` equality columns already bound.
-///
-/// The model is deliberately simple — it only has to *rank* candidate
-/// scans: an unkeyed scan costs its full size; each bound equality key
-/// divides the expected match count by a nominal per-key selectivity of
-/// 8 (hash probe + short bucket). `+1.0` keeps empty relations ordered
-/// ahead of everything (scanning them short-circuits immediately).
-pub fn scan_cost(size: usize, bound_keys: usize) -> f64 {
-    let mut cost = size as f64 + 1.0;
-    for _ in 0..bound_keys {
-        cost = (cost / 8.0).max(1.0);
-    }
-    cost
+    order
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::Relation;
-    use crate::schema::TableSchema;
-
-    #[test]
-    fn stats_track_sizes() {
-        let mut db = Database::new();
-        db.add_relation(
-            Relation::from_rows(TableSchema::new("R", ["A"]), [[1i64], [2], [3]]).unwrap(),
-        );
-        db.add_relation(Relation::from_rows(TableSchema::new("S", ["B"]), [[1i64]]).unwrap());
-        let st = DbStats::of(&db);
-        assert_eq!(st.size("R"), 3);
-        assert_eq!(st.size("S"), 1);
-        assert_eq!(st.size("Nope"), 0);
-        assert_eq!(st.total(), 4);
-    }
-
-    #[test]
-    fn cost_prefers_keys_then_size() {
-        // A keyed scan of a big relation beats an unkeyed scan of it.
-        assert!(scan_cost(1000, 1) < scan_cost(1000, 0));
-        // More keys, cheaper.
-        assert!(scan_cost(1000, 2) < scan_cost(1000, 1));
-        // With equal keys, smaller relations win.
-        assert!(scan_cost(10, 1) < scan_cost(1000, 1));
-        // Cost never drops below 1 probe.
-        assert!(scan_cost(2, 5) >= 1.0);
-    }
 
     /// The skewed 3-way fixture: S(x) ⋈ R(x,y) ⋈ T(y) with |S|=50,
-    /// |R|=10⁴, |T|=100. The legacy greedy ranks the unkeyed T scan
-    /// (cost 101) below the keyed R probe (cost 10001/8) and
-    /// cross-products S×T; the estimator sees the 5000-row frontier
-    /// coming and routes S → R → T.
+    /// |R|=10⁴, |T|=100. A size-only ranking takes the unkeyed T scan
+    /// before the keyed R probe and cross-products S×T; the estimator
+    /// sees the 5000-row frontier coming and routes S → R → T.
     fn skewed_cands() -> Vec<ScanCand> {
         vec![
             // S: 50 rows, col 0 in class 0 (x), all distinct.
@@ -438,6 +271,14 @@ mod tests {
         ]
     }
 
+    fn indices(order: &[(usize, f64)]) -> Vec<usize> {
+        order.iter().map(|&(j, _)| j).collect()
+    }
+
+    fn rounded(order: &[(usize, f64)]) -> Vec<f64> {
+        order.iter().map(|&(_, est)| est.round()).collect()
+    }
+
     #[test]
     fn est_card_is_order_independent_and_sane() {
         let cands = skewed_cands();
@@ -451,23 +292,20 @@ mod tests {
 
     #[test]
     fn dp_picks_small_intermediate_order_on_skewed_fixture() {
-        let (order, est) = order_scans(&skewed_cands(), &PlannerOpts::default());
+        let order = order_scans(&skewed_cands());
         // S first (smallest), then R (keyed on x), then T (keyed on y)
-        // — never the S×T cross product the legacy greedy builds.
-        assert_eq!(order, vec![0, 1, 2]);
-        assert_eq!(est.round(), 5000.0);
+        // — never the S×T cross product a size-only ranking builds.
+        assert_eq!(indices(&order), vec![0, 1, 2]);
+        // Each placed prefix carries its own estimate: S, S⋈R, S⋈R⋈T.
+        assert_eq!(rounded(&order), vec![50.0, 5000.0, 5000.0]);
     }
 
     #[test]
     fn greedy_fallback_agrees_on_skewed_fixture() {
-        let opts = PlannerOpts {
-            dp_threshold: 2, // force the fallback
-            ..PlannerOpts::default()
-        };
-        let (order, est) = order_scans(&skewed_cands(), &opts);
-        assert_eq!(order, vec![0, 1, 2]);
-        // Its incremental estimate matches the order-independent one.
-        assert_eq!(est.round(), est_card(&skewed_cands(), 0b111).round());
+        let order = order_scans_greedy(&skewed_cands());
+        assert_eq!(indices(&order), vec![0, 1, 2]);
+        // Its incremental estimates match the order-independent ones.
+        assert_eq!(rounded(&order), rounded(&order_scans(&skewed_cands())));
     }
 
     #[test]
@@ -480,7 +318,9 @@ mod tests {
                 join_cols: vec![(i, 10.0), (i + 1, 10.0)],
             })
             .collect();
-        let (mut order, est) = order_scans(&cands, &PlannerOpts::default());
+        let order = order_scans(&cands);
+        let est = order.last().unwrap().1;
+        let mut order = indices(&order);
         assert_eq!(order[0], 99, "smallest scan first");
         order.sort_unstable();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
@@ -493,7 +333,24 @@ mod tests {
             };
             70
         ];
-        assert_eq!(order_scans(&huge, &PlannerOpts::default()).0.len(), 70);
+        assert_eq!(order_scans(&huge).len(), 70);
+    }
+
+    #[test]
+    fn nan_and_infinite_costs_still_yield_a_permutation() {
+        for rows in [f64::NAN, f64::INFINITY] {
+            for n in [2, 3, 5, 20] {
+                let cands: Vec<ScanCand> = (0..n)
+                    .map(|i| ScanCand {
+                        rows: if i == 1 { rows } else { 10.0 },
+                        join_cols: vec![(0, 2.0)],
+                    })
+                    .collect();
+                let mut order = indices(&order_scans(&cands));
+                order.sort_unstable();
+                assert_eq!(order, (0..n).collect::<Vec<_>>(), "rows {rows}, n {n}");
+            }
+        }
     }
 
     #[test]
@@ -508,25 +365,11 @@ mod tests {
                 join_cols: vec![(0, 1.0)],
             },
         ];
-        let (order, est) = order_scans(&cands, &PlannerOpts::default());
-        assert_eq!(order, vec![1, 0]);
-        assert_eq!(est, 0.0);
+        assert_eq!(order_scans(&cands), vec![(1, 0.0), (0, 0.0)]);
     }
 
     #[test]
-    fn cmp_selectivity_uses_ranges_and_distincts() {
-        let mut db = Database::new();
-        let rows: Vec<[i64; 1]> = (0..100).map(|i| [i]).collect();
-        db.add_relation(Relation::from_rows(TableSchema::new("R", ["A"]), rows).unwrap());
-        let st = DbStats::of(&db);
-        let eq = st.cmp_selectivity("R", 0, CmpOp::Eq, &Value::int(5));
-        assert!((eq - 0.01).abs() < 1e-9);
-        let lt = st.cmp_selectivity("R", 0, CmpOp::Lt, &Value::int(25));
-        assert!((lt - 0.25).abs() < 0.02, "lt sel {lt}");
-        let ge = st.cmp_selectivity("R", 0, CmpOp::Ge, &Value::int(75));
-        assert!((ge - 0.25).abs() < 0.02, "ge sel {ge}");
-        // No range info → the 1/3 default.
-        let s = st.cmp_selectivity("R", 0, CmpOp::Lt, &Value::Str("x".into()));
-        assert!((s - 1.0 / 3.0).abs() < 1e-9);
+    fn an_empty_block_has_no_order() {
+        assert!(order_scans(&[]).is_empty());
     }
 }

@@ -5,10 +5,12 @@
 //! [`TableStats`] over its tuples on first request and then keeps it
 //! current *incrementally*: inserting a fresh tuple observes its values
 //! into the sketches; a delete (which a sketch cannot unobserve)
-//! invalidates the cache so the next reader rebuilds. The cost-based
-//! planner ([`crate::plan`]) reads these through
-//! [`DbStats`](crate::plan::DbStats) to estimate predicate
-//! selectivities and join cardinalities.
+//! invalidates the cache so the next reader rebuilds. The TRC lowering
+//! reads the cached [`TableStats`] of each relation a block scans —
+//! never of the others — and turns them into the row estimates the
+//! cost-based join orderer ([`crate::plan`]) consumes: sizes, distinct
+//! counts, and [`TableStats::cmp_selectivity`] for comparisons with
+//! literals.
 //!
 //! The distinct counter is a K-Minimum-Values sketch (Bar-Yossef et al.):
 //! keep the `K` smallest 64-bit hashes ever observed; with `k` distinct
@@ -18,6 +20,7 @@
 
 use crate::database::Tuple;
 use crate::value::Value;
+use crate::CmpOp;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
@@ -162,6 +165,31 @@ impl TableStats {
     pub fn int_range(&self, col: usize) -> Option<(i64, i64)> {
         self.cols.get(col).and_then(ColumnStats::int_range)
     }
+
+    /// Selectivity of `col <op> lit`: equality keeps `1/V(col)`,
+    /// inequality its complement, and ordered comparisons interpolate
+    /// within the observed `Int` range (defaulting to 1/3 when no range
+    /// is known — the classic System R guess). The range arithmetic is
+    /// done in `i128`, so a column spanning all of `i64` stays finite.
+    pub fn cmp_selectivity(&self, col: usize, op: CmpOp, lit: &Value) -> f64 {
+        let eq = 1.0 / (self.distinct(col) as f64).max(1.0);
+        match (op, self.int_range(col), lit) {
+            (CmpOp::Eq, ..) => eq,
+            (CmpOp::Ne, ..) => (1.0 - eq).max(eq),
+            (_, Some((lo, hi)), Value::Int(b)) => {
+                let width = (i128::from(hi) - i128::from(lo)) as f64 + 1.0;
+                let below = ((i128::from(*b) - i128::from(lo)) as f64).clamp(0.0, width);
+                let frac = match op {
+                    CmpOp::Lt => below / width,
+                    CmpOp::Le => (below + 1.0).min(width) / width,
+                    CmpOp::Gt => (width - below - 1.0).max(0.0) / width,
+                    _ => (width - below) / width,
+                };
+                frac.clamp(eq, 1.0)
+            }
+            _ => 1.0 / 3.0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -215,5 +243,36 @@ mod tests {
         assert_eq!(scanned.rows(), 500);
         assert_eq!(scanned.distinct(0), 7);
         assert_eq!(scanned.int_range(1), Some((0, 499)));
+    }
+
+    #[test]
+    fn cmp_selectivity_uses_ranges_and_distincts() {
+        let rows: Vec<Tuple> = (0..100i64).map(|i| Tuple::new([i])).collect();
+        let st = TableStats::of(1, rows.iter());
+        let eq = st.cmp_selectivity(0, CmpOp::Eq, &Value::int(5));
+        assert!((eq - 0.01).abs() < 1e-9);
+        let lt = st.cmp_selectivity(0, CmpOp::Lt, &Value::int(25));
+        assert!((lt - 0.25).abs() < 0.02, "lt sel {lt}");
+        let ge = st.cmp_selectivity(0, CmpOp::Ge, &Value::int(75));
+        assert!((ge - 0.25).abs() < 0.02, "ge sel {ge}");
+        // No range info → the 1/3 default.
+        let s = st.cmp_selectivity(0, CmpOp::Lt, &Value::Str("x".into()));
+        assert!((s - 1.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn cmp_selectivity_is_finite_over_the_full_int_range() {
+        let rows: Vec<Tuple> = [i64::MIN, 3, i64::MAX]
+            .into_iter()
+            .map(|i| Tuple::new([i]))
+            .collect();
+        let st = TableStats::of(1, rows.iter());
+        assert_eq!(st.int_range(0), Some((i64::MIN, i64::MAX)));
+        for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+            for lit in [i64::MIN, -1, 5, i64::MAX] {
+                let s = st.cmp_selectivity(0, op, &Value::int(lit));
+                assert!(s.is_finite() && s > 0.0 && s <= 1.0, "{op} {lit}: {s}");
+            }
+        }
     }
 }

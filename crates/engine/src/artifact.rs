@@ -100,18 +100,18 @@ impl Artifact {
     /// stays valid for the lifetime of the database epoch, so the engine
     /// caches it and skips this step on repeat traffic.
     pub fn compile(&self, db: &Database) -> CoreResult<Plan> {
-        self.compile_with(db, &PlannerOpts::default(), &PlanHints)
+        rd_trc::eval::lower_union(&self.hub(&db.catalog())?, db)
     }
 
-    /// Like [`compile`](Artifact::compile), but with explicit planner
-    /// options. [`PlanHints`] carries nothing.
+    /// [`compile`](Artifact::compile); [`PlannerOpts`] and [`PlanHints`]
+    /// carry nothing.
     pub fn compile_with(
         &self,
         db: &Database,
-        opts: &PlannerOpts,
+        _opts: &PlannerOpts,
         _hints: &PlanHints,
     ) -> CoreResult<Plan> {
-        rd_trc::eval::lower_union_with(&self.hub(&db.catalog())?, db, opts)
+        self.compile(db)
     }
 
     /// Evaluates the artifact over `db`, normalizing the output to a

@@ -122,6 +122,46 @@ fn explain_analyze_root_matches_evaluation_in_all_languages() {
     }
 }
 
+/// Scan nodes show the planner's own estimate of the rows their block
+/// holds once they have run, in plain `explain` and `explain analyze`
+/// alike. On the demo database Sailor (2 rows) is placed first, and
+/// Reserves' prefix holds 2·3 / max(V(sid)) = 3 rows — the root's
+/// estimate too.
+#[test]
+fn scan_estimates_are_the_planners_prefix_estimates() {
+    let mut session = Session::new(rd_engine::demo_database());
+    let text = "SELECT DISTINCT Sailor.sname FROM Sailor, Reserves \
+                WHERE Sailor.sid = Reserves.sid";
+    let scans = |n: &rd_core::exec::ExplainNode| -> Vec<(String, Option<u64>, Option<u64>)> {
+        n.children
+            .iter()
+            .filter(|c| c.kind == "scan")
+            .map(|c| {
+                let table = c.detail.split(' ').next().unwrap().to_string();
+                (table, c.est_rows, c.actual_rows)
+            })
+            .collect()
+    };
+    let analyzed = session.explain_analyze(Language::Sql, text).unwrap();
+    assert_eq!(
+        scans(&analyzed.plan),
+        [
+            ("Sailor".to_string(), Some(2), Some(2)),
+            ("Reserves".to_string(), Some(3), Some(3)),
+        ]
+    );
+    assert_eq!(analyzed.plan.est_rows, Some(3));
+    let plain = session.explain(Language::Sql, text).unwrap();
+    assert_eq!(
+        scans(&plain.plan),
+        [
+            ("Sailor".to_string(), Some(2), None),
+            ("Reserves".to_string(), Some(3), None),
+        ]
+    );
+    assert_eq!(plain.plan.est_rows, Some(3));
+}
+
 /// Plain `explain` now carries the cost-based planner's estimate on the
 /// query root (it's recorded at compile time, no execution needed) but
 /// must NOT claim actual counts or q-errors — those exist only under

@@ -1,6 +1,7 @@
 //! Engine integration tests: cross-language agreement through
 //! `Session::run` and the behavior of the parse cache.
 
+use rd_core::Value;
 use rd_engine::{demo_database, parse_fixture, DiagramFormat, Language, QueryRequest, Session};
 
 /// The same conjunctive query — "names of sailors who have reserved some
@@ -400,4 +401,40 @@ fn wildcard_in_builtin_errors_before_execution() {
         let stats = session.stats();
         assert_eq!((stats.eval_misses, stats.plan_misses), (0, 0), "{stats:?}");
     }
+}
+
+/// `T.A` spans all of `i64`, so its width overflows `i64` arithmetic.
+const FULL_RANGE: &str = "T(A):\n  (-9223372036854775808)\n  (3)\n  (9223372036854775807)\n\
+                          S(A):\n  (3)\n  (4)\n";
+
+fn answer(text: &str) -> Vec<Vec<Value>> {
+    let mut session = Session::new(parse_fixture(FULL_RANGE).unwrap());
+    let resp = session
+        .run(&QueryRequest::new(Language::Trc, text))
+        .unwrap_or_else(|e| panic!("{text}: {e}"));
+    resp.relation
+        .iter()
+        .map(|t| t.iter().cloned().collect())
+        .collect()
+}
+
+/// A range predicate over a column spanning all of `i64` must get a
+/// finite selectivity, and the join orderer must place every scan
+/// whatever its costs.
+#[test]
+fn range_predicate_over_a_full_range_int_column_runs() {
+    assert_eq!(
+        answer("{ q(A) | exists t in T, s in S [ q.A = t.A and t.A = s.A and t.A < 5 ] }"),
+        [[Value::int(3)]]
+    );
+}
+
+/// An equi-join on a column spanning all of `i64` must build a hash
+/// join table: its key span, 2⁶⁴, is too wide for a dense one.
+#[test]
+fn equi_join_on_a_full_range_int_column_runs() {
+    assert_eq!(
+        answer("{ q(A) | exists s in S, t in T [ q.A = s.A and t.A = s.A ] }"),
+        [[Value::int(3)]]
+    );
 }

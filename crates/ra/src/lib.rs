@@ -9,7 +9,7 @@
 //!
 //! The crate holds the AST, parser, fragment checks and printer only. An
 //! RA expression executes through its TRC hub form
-//! (`rd_translate::eval_ra` / `rd_translate::lower_ra_with`), on the
+//! (`rd_translate::eval_ra` / `rd_translate::lower_ra`), on the
 //! same planner and executor as every other language.
 //!
 //! ```

@@ -301,17 +301,25 @@ impl Registry {
         }
     }
 
-    /// Records what a session returned for one query: its total time
-    /// under its language, its stage spans, and its root q-error.
-    fn record_query(&mut self, resp: &QueryResponse) {
+    /// Records what a session returned for one query whose reply frames
+    /// took `shaping` µs to build: its total time under its language,
+    /// its stage spans, and its root q-error. The session's own `render`
+    /// span (translations, diagram) and the frame shaping are one
+    /// `render` sample, so every query records each stage at most once.
+    fn record_query(&mut self, resp: &QueryResponse, shaping: u64) {
         let lang = Language::ALL
             .iter()
             .position(|l| *l == resp.language)
             .expect("every language is in ALL");
         self.languages[lang].record(resp.micros);
+        let mut render = shaping;
         for span in &resp.spans {
-            self.record_span(span.stage, span.micros);
+            match span.stage {
+                "render" => render += span.micros,
+                stage => self.record_span(stage, span.micros),
+            }
         }
+        self.record_span("render", render);
         if let Some(q) = resp.q_error {
             self.planner_q.record((q * 100.0).round().max(100.0) as u64);
         }
@@ -1393,14 +1401,11 @@ fn query_frames(
             );
         }
     }
-    // Everything below is the *render* stage: shaping the evaluated
-    // relation into wire-ready result frames (row materialization,
-    // translation pairs, stream chunking). Time it like `serialize` in
-    // `encode_reply`, so every stage records per request.
+    // Everything below is the server's share of the *render* stage:
+    // shaping the evaluated relation into wire-ready result frames (row
+    // materialization, translation pairs, stream chunking). Time it like
+    // `serialize` in `encode_reply`, so every stage records per request.
     let render_start = state.engine.metrics_enabled().then(Instant::now);
-    if render_start.is_some() {
-        rec.record_query(resp);
-    }
     let translations = resp.translations.as_ref().map(|t| {
         let mut pairs = vec![("trc".to_string(), t.trc.clone())];
         if let Some(sql) = &t.sql {
@@ -1447,7 +1452,7 @@ fn query_frames(
         vec![Response::Query(result)]
     };
     if let Some(t) = render_start {
-        rec.record_span("render", elapsed_micros(t));
+        rec.record_query(resp, elapsed_micros(t));
     }
     frames
 }
@@ -1847,12 +1852,15 @@ mod tests {
             inline: 2,
             ..Registry::default()
         };
-        a.record_query(&resp(
-            Language::Trc,
-            120,
-            &[("parse", 20), ("execute", 90)],
-            Some(1.5),
-        ));
+        a.record_query(
+            &resp(
+                Language::Trc,
+                120,
+                &[("parse", 20), ("execute", 90), ("render", 4)],
+                Some(1.5),
+            ),
+            2,
+        );
         a.loop_micros.record(7);
         let mut b = Registry {
             requests: 1,
@@ -1861,7 +1869,7 @@ mod tests {
             ..Registry::default()
         };
         b.sessions.queries = 1;
-        b.record_query(&resp(Language::Sql, 45, &[("parse", 45)], None));
+        b.record_query(&resp(Language::Sql, 45, &[("parse", 45)], None), 1);
         b.record_span("serialize", 3);
         b.pool_wait.record(11);
         let mut total = a.clone();
@@ -1870,11 +1878,14 @@ mod tests {
         assert_eq!(total.since(&b), a);
         assert_eq!(total.requests, 4);
         assert_eq!(total.stages[0].count(), 2, "two parse spans");
+        // The session's render span and the frame shaping are one sample.
+        let render = &total.stages[STAGE_NAMES.iter().position(|s| *s == "render").unwrap()];
+        assert_eq!((render.count(), render.sum()), (2, 7));
         assert_eq!(total.languages.iter().map(Histogram::count).sum::<u64>(), 2);
         assert_eq!(total.planner_q.sum(), 150, "q-error is recorded in centi-q");
         // Unknown stage names are ignored, not panicked on.
         total.record_span("warp", 1);
-        assert_eq!(total.histograms().map(Histogram::count).sum::<u64>(), 9);
+        assert_eq!(total.histograms().map(Histogram::count).sum::<u64>(), 11);
 
         let cache = |hits, entries| CacheStats {
             hits,

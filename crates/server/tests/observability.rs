@@ -465,8 +465,10 @@ fn exchange(stream: &mut TcpStream, lines: &[&str]) -> Vec<String> {
 
 /// Every request is recorded exactly once, whichever path answers it:
 /// inline cache hits on either shard, `run_cached` misses that fall back
-/// to the pool, control ops, undecodable lines, and a pipelined batch.
-/// The totals are exact functions of the sequence sent.
+/// to the pool, a query with translations and a diagram (whose session
+/// render span and frame shaping are one `render` sample), control ops,
+/// undecodable lines, and a pipelined batch. The totals are exact
+/// functions of the sequence sent.
 #[test]
 fn every_request_is_recorded_exactly_once_on_any_path() {
     let (addr, handle) = start_server(ServerConfig {
@@ -479,6 +481,7 @@ fn every_request_is_recorded_exactly_once_on_any_path() {
         r#"{"op":"query","lang":"sql","text":"SELECT DISTINCT Sailor.sname FROM Sailor"}"#;
     let negation =
         r#"{"op":"query","lang":"datalog","text":"Q(n) :- Sailor(s, n), not Reserves(s, 102)."}"#;
+    let rendered = r#"{"op":"query","lang":"sql","text":"SELECT DISTINCT Boat.color FROM Boat","translations":true,"diagram":"svg"}"#;
     let explain = r#"{"op":"explain","lang":"ra","text":"pi[color](Boat)"}"#;
     let translate = r#"{"op":"translate","lang":"ra","text":"pi[color](Boat)","to":"sql"}"#;
     let ping = r#"{"op":"ping"}"#;
@@ -499,6 +502,9 @@ fn every_request_is_recorded_exactly_once_on_any_path() {
     send(&mut two, &[boats]);
     // A parse miss falls back to the pool (and hits the eval cache).
     send(&mut two, &[boats_twin]);
+    // Translations and a diagram make the session render too.
+    let replies = send(&mut one, &[rendered]);
+    assert!(replies[0].contains(r#""diagram":"<svg"#), "{replies:?}");
     // Control ops: ping inline, explain and translate on the pool.
     send(&mut one, &[ping]);
     send(&mut two, &[explain]);
@@ -541,16 +547,13 @@ fn every_request_is_recorded_exactly_once_on_any_path() {
             .all(|s| s.connections == 1 && s.inline > 0),
         "one connection per shard, each with inline answers: {stats:?}"
     );
-    // The scrape's own reply is serialized after its snapshot.
-    let serialize = |stats: &StatsResult| {
-        stats
-            .stages
-            .iter()
-            .find(|s| s.stage == "serialize")
-            .unwrap()
-            .count
+    let stage = |stats: &StatsResult, name: &str| {
+        stats.stages.iter().find(|s| s.stage == name).unwrap().count
     };
-    assert_eq!(serialize(&stats), requests - 1);
+    // The scrape's own reply is serialized after its snapshot.
+    assert_eq!(stage(&stats, "serialize"), requests - 1);
+    // Every query renders its reply once, translations or not.
+    assert_eq!(stage(&stats, "render"), queries);
 
     let mut client = Client::connect(addr).expect("connect");
     let text = client.metrics().expect("metrics");

@@ -50,4 +50,4 @@ pub use canon::canonicalize_sql;
 pub use check::is_sql_star;
 pub use parser::{parse_sql, parse_sql_unchecked};
 pub use printer::format_sql;
-pub use translate::{lower_sql, lower_sql_with, sql_to_trc, trc_to_sql, trc_union_to_sql};
+pub use translate::{lower_sql, sql_to_trc, trc_to_sql, trc_union_to_sql};

@@ -439,22 +439,11 @@ fn sentence_to_sql(f: &Formula) -> CoreResult<SqlQuery> {
 // ---------------------------------------------------------------------
 
 /// Lowers a SQL\* union onto the shared plan IR by translating to TRC\*
-/// (Theorem 6 part 5) and lowering the hub form: a single Boolean
-/// branch becomes a sentence plan, anything else a union of query
-/// branches.
+/// (Theorem 6 part 5) and lowering the hub form — SQL\* inherits the
+/// cost-based join orderer for free: a single Boolean branch becomes a
+/// sentence plan, anything else a union of query branches.
 pub fn lower_sql(u: &SqlUnion, db: &Database) -> CoreResult<rd_core::exec::Plan> {
-    lower_sql_with(u, db, &rd_core::PlannerOpts::default())
-}
-
-/// [`lower_sql`] with explicit planner configuration, threaded through
-/// the TRC hub lowering — SQL\* inherits the cost-based join orderer for
-/// free.
-pub fn lower_sql_with(
-    u: &SqlUnion,
-    db: &Database,
-    opts: &rd_core::PlannerOpts,
-) -> CoreResult<rd_core::exec::Plan> {
-    rd_trc::eval::lower_union_with(&sql_to_trc(u, &db.catalog())?, db, opts)
+    rd_trc::eval::lower_union(&sql_to_trc(u, &db.catalog())?, db)
 }
 
 /// Evaluates a SQL\* union over `db` by translating to TRC\*.

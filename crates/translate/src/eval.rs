@@ -9,41 +9,39 @@
 use crate::datalog_to_trc::datalog_to_trc;
 use crate::ra_to_trc::ra_to_trc;
 use rd_core::exec::{self, Plan};
-use rd_core::{CoreResult, Database, PlannerOpts, Relation};
+use rd_core::{CoreResult, Database, Relation};
 use rd_datalog::DlProgram;
 use rd_ra::ast::RaExpr;
 
 /// Lowers `expr` to a compiled [`Plan`] against `db`'s catalog,
 /// statistics and symbol table. The output schema is `q(attrs…)`, with
 /// the attributes the expression's schema infers.
-pub fn lower_ra_with(expr: &RaExpr, db: &Database, opts: &PlannerOpts) -> CoreResult<Plan> {
-    rd_trc::eval::lower_union_with(&ra_to_trc(expr, &db.catalog())?, db, opts)
+pub fn lower_ra(expr: &RaExpr, db: &Database) -> CoreResult<Plan> {
+    rd_trc::eval::lower_union(&ra_to_trc(expr, &db.catalog())?, db)
 }
 
-/// Evaluates `expr` over `db` with default planner options. The catalog
-/// is taken from the database itself, so every referenced table must
-/// exist in `db`.
+/// Evaluates `expr` over `db`. The catalog is taken from the database
+/// itself, so every referenced table must exist in `db`.
 pub fn eval_ra(expr: &RaExpr, db: &Database) -> CoreResult<Relation> {
-    exec::execute(&lower_ra_with(expr, db, &PlannerOpts::default())?, db)
+    exec::execute(&lower_ra(expr, db)?, db)
 }
 
 /// Lowers the program's query predicate to a compiled [`Plan`] against
 /// `db`. The output schema is `q(x1, …, xn)`, the positional attributes
 /// of a Datalog result.
-pub fn lower_datalog_with(p: &DlProgram, db: &Database, opts: &PlannerOpts) -> CoreResult<Plan> {
-    rd_trc::eval::lower_union_with(&datalog_to_trc(p, &db.catalog())?, db, opts)
+pub fn lower_datalog(p: &DlProgram, db: &Database) -> CoreResult<Plan> {
+    rd_trc::eval::lower_union(&datalog_to_trc(p, &db.catalog())?, db)
 }
 
-/// Evaluates the program's query predicate over `db` with default
-/// planner options.
+/// Evaluates the program's query predicate over `db`.
 pub fn eval_datalog(p: &DlProgram, db: &Database) -> CoreResult<Relation> {
-    exec::execute(&lower_datalog_with(p, db, &PlannerOpts::default())?, db)
+    exec::execute(&lower_datalog(p, db)?, db)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rd_core::{CmpOp, OrderStrategy, TableSchema, Value};
+    use rd_core::{CmpOp, TableSchema, Value};
     use rd_datalog::parse_program;
     use rd_ra::ast::{Condition, JoinCond, RaTerm};
 
@@ -69,13 +67,6 @@ mod tests {
                 _ => panic!("expected int"),
             })
             .collect()
-    }
-
-    fn greedy() -> PlannerOpts {
-        PlannerOpts {
-            strategy: OrderStrategy::Greedy,
-            ..PlannerOpts::default()
-        }
     }
 
     #[test]
@@ -266,16 +257,33 @@ mod tests {
             )
             .unwrap(),
         );
-        let e = RaExpr::natural_join(RaExpr::table("R"), RaExpr::table("BigS"));
-        // Whichever side the planner scans first, the output keeps the
-        // written layout: the left's attributes, then the right's new ones.
-        let cost =
-            exec::execute(&lower_ra_with(&e, &d, &PlannerOpts::default()).unwrap(), &d).unwrap();
-        let written = exec::execute(&lower_ra_with(&e, &d, &greedy()).unwrap(), &d).unwrap();
-        assert_eq!(cost.schema().attrs(), ["A", "B", "E"]);
-        assert_eq!(written.schema().attrs(), ["A", "B", "E"]);
-        assert_eq!(cost.tuples(), written.tuples());
-        assert!(!cost.is_empty());
+        // The planner scans the smaller R first in both written orders,
+        // so one of them runs swapped; each output keeps its written
+        // layout (the left's attributes, then the right's new ones) and
+        // holds the reference interpreter's rows.
+        let raw = rd_oracle::uninterned(&d);
+        for (e, layout) in [
+            (
+                RaExpr::natural_join(RaExpr::table("R"), RaExpr::table("BigS")),
+                ["A", "B", "E"],
+            ),
+            (
+                RaExpr::natural_join(RaExpr::table("BigS"), RaExpr::table("R")),
+                ["B", "E", "A"],
+            ),
+        ] {
+            let plan = lower_ra(&e, &d).unwrap();
+            let Plan::Union(branches) = &plan else {
+                panic!("a join lowers to a query branch: {plan:?}")
+            };
+            assert_eq!(branches[0].root.scans[0].rel, "R", "{e}");
+            let got = exec::execute(&plan, &d).unwrap();
+            let oracle = rd_oracle::ra::eval(&e, &raw).unwrap();
+            assert_eq!(got.schema().attrs(), layout);
+            assert_eq!(oracle.attrs, layout);
+            assert_eq!(d.resolve_relation(&got).tuples(), &oracle.tuples, "{e}");
+            assert!(!got.is_empty());
+        }
     }
 
     #[test]
@@ -300,7 +308,7 @@ mod tests {
             ["A"],
             RaExpr::natural_join(RaExpr::table("R"), RaExpr::table("S")),
         );
-        let plan = lower_ra_with(&e, &d, &PlannerOpts::default()).unwrap();
+        let plan = lower_ra(&e, &d).unwrap();
         let rel = exec::execute(&plan, &d).unwrap();
         let direct = eval_ra(&e, &d).unwrap();
         assert_eq!(rel.tuples(), direct.tuples());
@@ -429,7 +437,7 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        let plan = lower_datalog_with(&p, &d, &PlannerOpts::default()).unwrap();
+        let plan = lower_datalog(&p, &d).unwrap();
         let a = exec::execute(&plan, &d).unwrap();
         let b = exec::execute(&plan, &d).unwrap();
         assert_eq!(a.tuples(), b.tuples());

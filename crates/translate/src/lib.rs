@@ -17,8 +17,8 @@
 //! the other languages by composing these maps, and [`differential`]
 //! provides the Theorem 6 checker that evaluates all four translations on
 //! (random or exhaustive) databases and compares results. RA and Datalog
-//! also *execute* through the hub ([`eval`](mod@eval): [`lower_ra_with`],
-//! [`eval_ra`], [`lower_datalog_with`], [`eval_datalog`]), the way SQL
+//! also *execute* through the hub ([`eval`](mod@eval): [`lower_ra`],
+//! [`eval_ra`], [`lower_datalog`], [`eval_datalog`]), the way SQL
 //! does.
 
 pub mod datalog_to_ra;
@@ -32,7 +32,7 @@ pub mod trc_to_datalog;
 pub use datalog_to_ra::{datalog_to_ra, datalog_to_ra_antijoin};
 pub use datalog_to_trc::datalog_to_trc;
 pub use differential::{check_equivalent_results, FourWay};
-pub use eval::{eval_datalog, eval_ra, lower_datalog_with, lower_ra_with};
+pub use eval::{eval_datalog, eval_ra, lower_datalog, lower_ra};
 pub use ra_to_datalog::ra_to_datalog;
 pub use ra_to_trc::ra_to_trc;
 pub use trc_to_datalog::trc_to_datalog;

@@ -1,14 +1,12 @@
-//! Differential check for the cost-based join orderer: DP-ordered
-//! plans, greedy-ordered plans, and plans compiled against an
-//! uninterned copy of the database must all produce the rows the
-//! `rd-oracle` reference interpreters compute, in all four languages
-//! (plus RA\*⊲) — the optimizer may only change *how* a query runs,
-//! never *what* it returns. Also pins the DP orderer's choice on a
-//! skewed three-relation fixture where the syntactic scan order is
-//! catastrophically bad.
+//! Differential check for the cost-based join orderer: plans compiled
+//! against the interned database and against an uninterned copy of it
+//! must both produce the rows the `rd-oracle` reference interpreters
+//! compute, in all four languages (plus RA\*⊲) — the optimizer may only
+//! change *how* a query runs, never *what* it returns. Also pins the DP
+//! orderer's choice on a skewed three-relation fixture where the
+//! syntactic scan order is catastrophically bad.
 
 use rd_core::exec::{self, Plan};
-use rd_core::plan::{OrderStrategy, PlannerOpts};
 use rd_core::{Catalog, Database, DbGenerator, Relation, TableSchema, Tuple};
 use rd_translate::FourWay;
 use rd_trc::ast::TrcUnion;
@@ -22,13 +20,6 @@ fn catalog() -> Catalog {
         TableSchema::new("T", ["A"]),
     ])
     .unwrap()
-}
-
-fn greedy() -> PlannerOpts {
-    PlannerOpts {
-        strategy: OrderStrategy::Greedy,
-        ..PlannerOpts::default()
-    }
 }
 
 /// The reference rows for `four` over the uninterned copy `raw`: the
@@ -46,34 +37,30 @@ fn oracle(four: &FourWay, raw: &Database) -> BTreeSet<Tuple> {
     expected
 }
 
-/// Lowers every representation of `four` with `opts`, executes on
-/// `db`, and returns the symbol-resolved result sets, labeled.
-fn eval_all(
-    four: &FourWay,
-    db: &Database,
-    opts: &PlannerOpts,
-) -> Vec<(&'static str, BTreeSet<Tuple>)> {
+/// Lowers every representation of `four`, executes on `db`, and
+/// returns the symbol-resolved result sets, labeled.
+fn eval_all(four: &FourWay, db: &Database) -> Vec<(&'static str, BTreeSet<Tuple>)> {
     let plans: Vec<(&'static str, Plan)> = vec![
         (
             "trc",
-            rd_trc::eval::lower_union_with(&TrcUnion::single(four.trc.clone()), db, opts)
+            rd_trc::eval::lower_union(&TrcUnion::single(four.trc.clone()), db)
                 .expect("trc lowering"),
         ),
         (
             "datalog",
-            rd_translate::lower_datalog_with(&four.datalog, db, opts).expect("datalog lowering"),
+            rd_translate::lower_datalog(&four.datalog, db).expect("datalog lowering"),
         ),
         (
             "ra",
-            rd_translate::lower_ra_with(&four.ra, db, opts).expect("ra lowering"),
+            rd_translate::lower_ra(&four.ra, db).expect("ra lowering"),
         ),
         (
             "ra-antijoin",
-            rd_translate::lower_ra_with(&four.ra_antijoin, db, opts).expect("ra-antijoin lowering"),
+            rd_translate::lower_ra(&four.ra_antijoin, db).expect("ra-antijoin lowering"),
         ),
         (
             "sql",
-            rd_sql::translate::lower_sql_with(&four.sql, db, opts).expect("sql lowering"),
+            rd_sql::translate::lower_sql(&four.sql, db).expect("sql lowering"),
         ),
     ];
     plans
@@ -87,10 +74,9 @@ fn eval_all(
 }
 
 /// The property: over random TRC\* queries and random databases, every
-/// (language × strategy × interning) combination returns the oracle's
-/// rows.
+/// (language × interning) combination returns the oracle's rows.
 #[test]
-fn dp_greedy_and_uninterned_agree_across_languages() {
+fn dp_and_uninterned_agree_across_languages() {
     let mut qgen = QueryGenerator::new(catalog(), GenConfig::default(), 4242);
     for i in 0..15u64 {
         let q = qgen.next_query();
@@ -102,13 +88,8 @@ fn dp_greedy_and_uninterned_agree_across_languages() {
             let raw = rd_oracle::uninterned(&db);
             let expected = &oracle(&four, &raw);
             for (variant, results) in [
-                ("dp", &eval_all(&four, &db, &PlannerOpts::default())),
-                ("greedy", &eval_all(&four, &db, &greedy())),
-                (
-                    "dp+uninterned",
-                    &eval_all(&four, &raw, &PlannerOpts::default()),
-                ),
-                ("greedy+uninterned", &eval_all(&four, &raw, &greedy())),
+                ("dp", &eval_all(&four, &db)),
+                ("dp+uninterned", &eval_all(&four, &raw)),
             ] {
                 for (lang, tuples) in results {
                     assert_eq!(
@@ -172,9 +153,8 @@ fn scan_order(plan: &Plan) -> Vec<String> {
 /// Pins the DP orderer's decision on the skewed fixture: the written
 /// order leads with the 10k-row R, but T⋈R keeps only ~100 rows while
 /// S⋈R keeps all 10k, so the cheapest left-deep order starts at T,
-/// probes R keyed on A, then probes S keyed on B. Greedy (size-ordered
-/// seed) starts from tiny S instead — the estimator-blind choice this
-/// PR replaces.
+/// probes R keyed on A, then probes S keyed on B — not at tiny S, where
+/// an estimator-blind, size-ordered seed would start.
 #[test]
 fn dp_picks_the_selective_order_on_the_skewed_fixture() {
     let db = skewed_db();
@@ -185,22 +165,16 @@ fn dp_picks_the_selective_order_on_the_skewed_fixture() {
     )
     .unwrap();
     let union = TrcUnion::single(q);
-    let dp = rd_trc::eval::lower_union_with(&union, &db, &PlannerOpts::default()).unwrap();
+    let dp = rd_trc::eval::lower_union(&union, &db).unwrap();
     assert_eq!(
         scan_order(&dp),
         ["T", "R", "S"],
         "DP must start from the selective T⋈R edge"
     );
-    let greedy_plan = rd_trc::eval::lower_union_with(&union, &db, &greedy()).unwrap();
-    assert_ne!(
-        scan_order(&greedy_plan)[0],
-        "R",
-        "even greedy must not lead with the 10k-row scan"
-    );
-    // Both orders agree on the result, and the estimate is sane: the
-    // true join has 100 rows (every T.A hits R, every R.B hits S).
-    let a = exec::execute(&dp, &db).unwrap();
-    let b = exec::execute(&greedy_plan, &db).unwrap();
-    assert_eq!(a.tuples(), b.tuples());
-    assert_eq!(a.len(), 100);
+    // The result matches the oracle: the true join has 100 rows (every
+    // T.A hits R, every R.B hits S).
+    let got = exec::execute(&dp, &db).unwrap();
+    let expected = rd_oracle::trc::eval_union(&union, &rd_oracle::uninterned(&db)).unwrap();
+    assert_eq!(got.tuples(), expected.tuples());
+    assert_eq!(got.len(), 100);
 }

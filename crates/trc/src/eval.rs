@@ -11,12 +11,14 @@
 //!    constants are interned against the database — execution never
 //!    touches a heap string. Each existential block becomes an
 //!    [`rd_core::exec::Block`]: its conjuncts are classified, its
-//!    bindings greedily reordered by estimated cost
-//!    ([`rd_core::plan::scan_cost`] — prefer scans with bound equality
-//!    keys, then smaller relations), equality predicates against
-//!    already-bound terms become **hash-join keys**, and every other
-//!    conjunct (filters, negated/quantified subformulas) is attached to
-//!    the earliest scan after which its variables are bound.
+//!    bindings are reduced to [`ScanCand`]s (row estimates from the
+//!    scanned relations' cached statistics, equi-join classes) and
+//!    ordered by the cost-based dynamic program
+//!    ([`rd_core::plan::order_scans`]), whose prefix estimates are
+//!    recorded on the scans; equality predicates against already-bound
+//!    terms become **hash-join keys**, and every other conjunct
+//!    (filters, negated/quantified subformulas) is attached to the
+//!    earliest scan after which its variables are bound.
 //! 2. **Execute.** The shared executor ([`rd_core::exec::execute`])
 //!    runs the plan: keyed scans probe lazily-built hash indexes,
 //!    unkeyed scans iterate. Output tuples are computed from the
@@ -30,8 +32,8 @@
 use crate::ast::{Binding, Formula, Predicate, Term, TrcQuery, TrcUnion};
 use crate::canon::canonicalize;
 use rd_core::exec::{self, Block, EnvShape, Plan, QueryPlan, Scan, SentencePlan};
-use rd_core::plan::{OrderStrategy, PlannerOpts, ScanCand};
-use rd_core::{plan, CmpOp, CoreError, CoreResult, Database, Relation, TableSchema};
+use rd_core::plan::{self, ScanCand};
+use rd_core::{CmpOp, CoreError, CoreResult, Database, Relation, TableSchema};
 use std::collections::{BTreeSet, HashMap};
 
 // ---------------------------------------------------------------------
@@ -40,11 +42,6 @@ use std::collections::{BTreeSet, HashMap};
 
 struct Compiler<'d> {
     db: &'d Database,
-    /// Table statistics (sizes, distinct sketches, `Int` ranges)
-    /// driving scan ordering.
-    stats: plan::DbStats,
-    /// Planner configuration (strategy, DP threshold).
-    opts: PlannerOpts,
     /// Lexical scope: (variable, slot), innermost last.
     scope: Vec<(String, usize)>,
     /// Slot → schema of the table (or output head) it ranges over.
@@ -55,23 +52,16 @@ struct Compiler<'d> {
     bound: BTreeSet<String>,
     /// Number of hash-index cache slots handed out.
     n_indexes: usize,
-    /// Estimated output cardinality of the most recently planned block.
-    /// Nested blocks finish before their parent, so after lowering this
-    /// holds the *root* block's estimate.
-    block_est: Option<f64>,
 }
 
 impl<'d> Compiler<'d> {
-    fn new(db: &'d Database, opts: &PlannerOpts) -> Self {
+    fn new(db: &'d Database) -> Self {
         Compiler {
             db,
-            stats: plan::DbStats::of(db),
-            opts: *opts,
             scope: Vec::new(),
             slot_schemas: Vec::new(),
             bound: BTreeSet::new(),
             n_indexes: 0,
-            block_est: None,
         }
     }
 
@@ -164,7 +154,8 @@ impl<'d> Compiler<'d> {
     }
 
     /// Plans one existential block whose binding slots are already in
-    /// scope: greedy scan ordering, key extraction, conjunct attachment.
+    /// scope: cost-based scan ordering, key extraction, conjunct
+    /// attachment.
     fn plan_block(
         &mut self,
         bindings: &[Binding],
@@ -189,49 +180,10 @@ impl<'d> Compiler<'d> {
             }
         }
         let pre = self.attach_ready(&mut preds, &mut subs)?;
-        // Under the cost-based strategy the whole block order is decided
-        // up front by the dynamic program; the legacy greedy re-ranks
-        // the remaining scans at every step instead.
-        let forced: Vec<usize> = match self.opts.strategy {
-            OrderStrategy::CostDp => {
-                let cands = self.scan_cands(bindings, slots, &preds);
-                let (order, est) = plan::order_scans(&cands, &self.opts);
-                self.block_est = Some(est);
-                order
-            }
-            OrderStrategy::Greedy => Vec::new(),
-        };
-        let mut forced = forced.into_iter();
-        let mut scans = Vec::new();
-        let mut remaining: Vec<usize> = (0..bindings.len()).collect();
-        while !remaining.is_empty() {
-            let bi = match self.opts.strategy {
-                OrderStrategy::CostDp => {
-                    let next = forced.next().expect("order covers every binding");
-                    remaining.retain(|&x| x != next);
-                    next
-                }
-                OrderStrategy::Greedy => {
-                    // Greedy choice: cheapest next scan under the
-                    // legacy cost model.
-                    let mut best = 0usize;
-                    let mut best_cost = f64::INFINITY;
-                    for (k, &bi) in remaining.iter().enumerate() {
-                        let b = &bindings[bi];
-                        let keys = preds
-                            .iter()
-                            .flatten()
-                            .filter(|(p, _)| self.key_side(p, &b.var).is_some())
-                            .count();
-                        let cost = plan::scan_cost(self.stats.size(&b.table), keys);
-                        if cost < best_cost {
-                            best_cost = cost;
-                            best = k;
-                        }
-                    }
-                    remaining.remove(best)
-                }
-            };
+        // The dynamic program decides the whole block order up front.
+        let order = plan::order_scans(&self.scan_cands(bindings, slots, &preds)?);
+        let mut scans = Vec::with_capacity(order.len());
+        for (bi, est) in order {
             let b = &bindings[bi];
             let schema = self.slot_schemas[slots[bi]].clone();
             // Extract the equality predicates usable as hash-join keys.
@@ -274,6 +226,7 @@ impl<'d> Compiler<'d> {
                 key_terms,
                 index_id,
                 filters,
+                est_rows: Some(est.round().clamp(0.0, u64::MAX as f64) as u64),
             });
         }
         // Anything left references variables outside every scope level;
@@ -310,17 +263,23 @@ impl<'d> Compiler<'d> {
         bindings: &[Binding],
         slots: &[usize],
         preds: &[Option<(Predicate, BTreeSet<String>)>],
-    ) -> Vec<ScanCand> {
+    ) -> CoreResult<Vec<ScanCand>> {
         // Innermost binding wins a name, matching `lookup` resolution.
         let mut var_of: HashMap<&str, usize> = HashMap::new();
         for (i, b) in bindings.iter().enumerate() {
             var_of.insert(b.var.as_str(), i);
         }
         let col_of = |bi: usize, attr: &str| self.slot_schemas[slots[bi]].attr_index(attr);
-        let mut rows: Vec<f64> = bindings
-            .iter()
-            .map(|b| self.stats.size(&b.table) as f64)
-            .collect();
+        // Only the scanned relations' statistics are read, each cached
+        // on its relation.
+        let mut rows = Vec::with_capacity(bindings.len());
+        let mut stats = Vec::with_capacity(bindings.len());
+        for b in bindings {
+            let rel = self.db.require(&b.table)?;
+            rows.push(rel.len() as f64);
+            stats.push(rel.stats());
+        }
+        let distinct = |bi: usize, col: usize| (stats[bi].distinct(col) as f64).max(1.0);
 
         // Union-find over (binding, column) endpoints of local-local
         // equalities.
@@ -373,21 +332,20 @@ impl<'d> Compiler<'d> {
         };
 
         for (p, _) in preds.iter().flatten() {
-            let table = |bi: usize| bindings[bi].table.as_str();
             match (classify(&p.left), classify(&p.right)) {
                 (Side::Local(bi, c), Side::Lit(v)) => {
-                    rows[bi] *= self.stats.cmp_selectivity(table(bi), c, p.op, &v);
+                    rows[bi] *= stats[bi].cmp_selectivity(c, p.op, &v);
                 }
                 (Side::Lit(v), Side::Local(bi, c)) => {
                     // `lit < x.A` constrains the column as `x.A > lit`.
-                    rows[bi] *= self.stats.cmp_selectivity(table(bi), c, p.op.flipped(), &v);
+                    rows[bi] *= stats[bi].cmp_selectivity(c, p.op.flipped(), &v);
                 }
                 (Side::Local(bi, c), Side::Outer) | (Side::Outer, Side::Local(bi, c)) => {
                     // Equality with an outer binding filters like a
                     // constant of unknown value; other comparisons get
                     // the default fraction.
                     rows[bi] *= match p.op {
-                        CmpOp::Eq => 1.0 / self.stats.distinct(table(bi), c),
+                        CmpOp::Eq => 1.0 / distinct(bi, c),
                         CmpOp::Ne => 1.0,
                         _ => 1.0 / 3.0,
                     };
@@ -395,11 +353,7 @@ impl<'d> Compiler<'d> {
                 (Side::Local(bi, c1), Side::Local(bj, c2)) if bi == bj => {
                     if p.op == CmpOp::Eq && c1 != c2 {
                         // σ_{A=B}(R): |R| / max(V_A, V_B).
-                        let v = self
-                            .stats
-                            .distinct(table(bi), c1)
-                            .max(self.stats.distinct(table(bi), c2));
-                        rows[bi] /= v.max(1.0);
+                        rows[bi] /= distinct(bi, c1).max(distinct(bi, c2));
                     } else if p.op != CmpOp::Eq && p.op != CmpOp::Ne {
                         rows[bi] *= 1.0 / 3.0;
                     }
@@ -430,11 +384,10 @@ impl<'d> Compiler<'d> {
                 .enumerate()
                 .any(|(j, &rj)| rj == root && nodes[j].0 != bi);
             if spans_scans {
-                let v = self.stats.distinct(&bindings[bi].table, col);
-                cands[bi].join_cols.push((root, v));
+                cands[bi].join_cols.push((root, distinct(bi, col)));
             }
         }
-        cands
+        Ok(cands)
     }
 
     /// Drains and compiles every pending conjunct whose variables are all
@@ -491,14 +444,8 @@ impl<'d> Compiler<'d> {
 // Public lowering entry points
 // ---------------------------------------------------------------------
 
-/// Lowers a non-Boolean query to a compiled plan branch under the
-/// default planner configuration.
+/// Lowers a non-Boolean query to a compiled plan branch.
 pub fn lower_query(q: &TrcQuery, db: &Database) -> CoreResult<QueryPlan> {
-    lower_query_with(q, db, &PlannerOpts::default())
-}
-
-/// Lowers a non-Boolean query with explicit planner configuration.
-pub fn lower_query_with(q: &TrcQuery, db: &Database, opts: &PlannerOpts) -> CoreResult<QueryPlan> {
     let head = q.output.clone().ok_or_else(|| {
         CoreError::Invalid(
             "eval_query requires an output head; use eval_sentence for Boolean queries".into(),
@@ -554,7 +501,7 @@ pub fn lower_query_with(q: &TrcQuery, db: &Database, opts: &PlannerOpts) -> Core
         }
     }
 
-    let mut c = Compiler::new(db, opts);
+    let mut c = Compiler::new(db);
     let head_slot = c.push_schema_var(&head.name, out_schema.clone());
     let mut slots_of = Vec::with_capacity(bindings.len());
     for b in &bindings {
@@ -571,6 +518,9 @@ pub fn lower_query_with(q: &TrcQuery, db: &Database, opts: &PlannerOpts) -> Core
         .map(|f| c.compile_formula(f))
         .collect::<CoreResult<_>>()?;
 
+    // The root block's rows are its last scan's prefix estimate; a block
+    // without scans emits one unit row.
+    let est_rows = root.scans.last().map_or(Some(1), |s| s.est_rows);
     Ok(QueryPlan {
         out: out_schema,
         head_slot,
@@ -578,31 +528,19 @@ pub fn lower_query_with(q: &TrcQuery, db: &Database, opts: &PlannerOpts) -> Core
         defs: cdefs,
         deferred,
         shape: c.shape(),
-        est_rows: c
-            .block_est
-            .map(|e| e.round().clamp(0.0, u64::MAX as f64) as u64),
+        est_rows,
     })
 }
 
-/// Lowers a Boolean sentence to a compiled plan under the default
-/// planner configuration.
+/// Lowers a Boolean sentence to a compiled plan.
 pub fn lower_sentence(q: &TrcQuery, db: &Database) -> CoreResult<SentencePlan> {
-    lower_sentence_with(q, db, &PlannerOpts::default())
-}
-
-/// Lowers a Boolean sentence with explicit planner configuration.
-pub fn lower_sentence_with(
-    q: &TrcQuery,
-    db: &Database,
-    opts: &PlannerOpts,
-) -> CoreResult<SentencePlan> {
     if q.output.is_some() {
         return Err(CoreError::Invalid(
             "eval_sentence requires a Boolean query; use eval_query".into(),
         ));
     }
     let canon = canonicalize(q);
-    let mut c = Compiler::new(db, opts);
+    let mut c = Compiler::new(db);
     let formula = c.compile_formula(&canon.formula)?;
     Ok(SentencePlan {
         formula,
@@ -610,25 +548,20 @@ pub fn lower_sentence_with(
     })
 }
 
-/// Lowers a union of queries to a complete [`Plan`]: a single branch
-/// without an output head becomes a Boolean sentence plan, anything
-/// else a union of query branches.
+/// Lowers a union of queries to a complete [`Plan`] — the lowering
+/// every language's hub form goes through: a single branch without an
+/// output head becomes a Boolean sentence plan, anything else a union
+/// of query branches.
 pub fn lower_union(u: &TrcUnion, db: &Database) -> CoreResult<Plan> {
-    lower_union_with(u, db, &PlannerOpts::default())
-}
-
-/// [`lower_union`] with explicit planner configuration — the lowering
-/// every language's hub form goes through.
-pub fn lower_union_with(u: &TrcUnion, db: &Database, opts: &PlannerOpts) -> CoreResult<Plan> {
     match u.branches.as_slice() {
         [] => Err(CoreError::Invalid("empty union".into())),
         [sentence] if sentence.output.is_none() => {
-            Ok(Plan::Sentence(lower_sentence_with(sentence, db, opts)?))
+            Ok(Plan::Sentence(lower_sentence(sentence, db)?))
         }
         branches => Ok(Plan::Union(
             branches
                 .iter()
-                .map(|q| lower_query_with(q, db, opts))
+                .map(|q| lower_query(q, db))
                 .collect::<CoreResult<_>>()?,
         )),
     }
@@ -883,6 +816,33 @@ mod tests {
             eval_query(&a, &db).unwrap().tuples(),
             eval_query(&b, &db).unwrap().tuples()
         );
+    }
+
+    #[test]
+    fn root_estimate_is_the_root_blocks_not_a_nested_ones() {
+        let (cat, db) = rs_db();
+        let lower = |text: &str| lower_query(&parse_query(text, &cat).unwrap(), &db).unwrap();
+        let flat = lower("{ q(A) | exists r in R, s in S [ q.A = r.A and r.B = s.B ] }");
+        // R ⋈ S on B: 4·2 / max(V(R.B), V(S.B)) = 8/3 ≈ 3.
+        assert_eq!(flat.est_rows, Some(3));
+        assert_eq!(flat.root.scans.last().unwrap().est_rows, Some(3));
+        // The nested block is planned after the root and estimates ~0
+        // rows per binding; the root keeps its own estimate.
+        let nested = lower(
+            "{ q(A) | exists r in R, s in S [ q.A = r.A and r.B = s.B and \
+               not (exists r2 in R [ r2.A = r.A and r2.B = 30 ]) ] }",
+        );
+        assert_eq!(nested.est_rows, Some(3));
+    }
+
+    #[test]
+    fn a_block_without_scans_estimates_its_unit_row() {
+        let (cat, db) = rs_db();
+        let q = parse_query("{ q(A) | q.A = 1 }", &cat).unwrap();
+        let plan = lower_query(&q, &db).unwrap();
+        assert!(plan.root.scans.is_empty());
+        assert_eq!(plan.est_rows, Some(1));
+        assert_eq!(exec::run_query(&plan, &db).unwrap().len(), 1);
     }
 
     #[test]

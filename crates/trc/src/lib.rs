@@ -56,9 +56,6 @@ pub mod random;
 
 pub use ast::{AttrRef, Binding, Formula, OutputSpec, Predicate, Term, TrcQuery, TrcUnion, Var};
 pub use canon::canonicalize;
-pub use eval::{
-    eval_query, eval_sentence, eval_union, lower_query, lower_query_with, lower_sentence,
-    lower_sentence_with, lower_union, lower_union_with,
-};
+pub use eval::{eval_query, eval_sentence, eval_union, lower_query, lower_sentence, lower_union};
 pub use parser::{parse_query, parse_union};
 pub use printer::{to_ascii, to_unicode};

@@ -56,20 +56,10 @@ fn four_plans(q: &rd_trc::TrcQuery, cat: &Catalog, db: &Database) -> [rd_core::e
     let trc_u = rd_trc::TrcUnion::new(vec![q.clone()]).unwrap();
     [
         rd_trc::lower_union(&trc_u, db).unwrap(),
-        lower_datalog(&p, db),
-        lower_ra(&e, db),
+        rd_translate::lower_datalog(&p, db).unwrap(),
+        rd_translate::lower_ra(&e, db).unwrap(),
         rd_sql::lower_sql(&sql, db).unwrap(),
     ]
-}
-
-/// Lowers an RA expression through the TRC hub with default planning.
-fn lower_ra(e: &rd_ra::RaExpr, db: &Database) -> rd_core::exec::Plan {
-    rd_translate::lower_ra_with(e, db, &Default::default()).unwrap()
-}
-
-/// Lowers a Datalog program through the TRC hub with default planning.
-fn lower_datalog(p: &rd_datalog::DlProgram, db: &Database) -> rd_core::exec::Plan {
-    rd_translate::lower_datalog_with(p, db, &Default::default()).unwrap()
 }
 
 /// The TRC oracle's answer for `q` over the string-resolved copy `raw`.
@@ -250,8 +240,9 @@ proptest! {
             let pairs: [(rd_core::exec::Plan, rd_core::exec::Plan); 4] = [
                 (rd_trc::lower_union(&trc_u, &db).unwrap(),
                  rd_trc::lower_union(&trc_u, &raw).unwrap()),
-                (lower_datalog(&p, &db), lower_datalog(&p, &raw)),
-                (lower_ra(&e, &db), lower_ra(&e, &raw)),
+                (rd_translate::lower_datalog(&p, &db).unwrap(),
+                 rd_translate::lower_datalog(&p, &raw).unwrap()),
+                (rd_translate::lower_ra(&e, &db).unwrap(), rd_translate::lower_ra(&e, &raw).unwrap()),
                 (rd_sql::lower_sql(&sql, &db).unwrap(), rd_sql::lower_sql(&sql, &raw).unwrap()),
             ];
             for (interned_plan, reference_plan) in &pairs {
