@@ -40,8 +40,8 @@
 use crate::database::{Database, Relation, Tuple};
 use crate::error::CoreResult;
 use crate::exec::{
-    bump_n, record, record_build, Block, Formula, Pred, QueryPlan, Scan, SentencePlan, TallyMap,
-    Term,
+    bump_n, bump_probes, record, record_build, Block, Formula, Pred, QueryPlan, Scan, SentencePlan,
+    TallyMap, Term,
 };
 use crate::symbol::SymbolTable;
 use crate::value::Value;
@@ -1008,6 +1008,7 @@ fn eval_mask(
                     && block.scans[0].is_keyed()
                     && block.scans[0].filters.is_empty();
                 if cheap {
+                    bump_probes(&mut ctx.tally, block, live.len());
                     let scan = &block.scans[0];
                     let key_refs: Vec<TermRef> =
                         scan.key_terms.iter().map(|t| term_ref(t, sm)).collect();
@@ -1044,6 +1045,7 @@ fn eval_mask(
                 for &p in &live {
                     group_of.push(groups.intern(batch, &deps, sel[p], &mut reps));
                 }
+                bump_probes(&mut ctx.tally, block, reps.len());
                 let mut sat_groups = vec![false; reps.len()];
                 let mut seed = batch.select(&reps);
                 seed.origins = (0..reps.len() as u32).collect();

@@ -257,12 +257,16 @@ fn scans_in_formula(f: &Formula, set: &mut BTreeSet<String>) {
 pub struct ExecOptions;
 
 /// What an analyzing execution observed at one plan node: the rows it
-/// produced and — for keyed probes and join builds — which build
-/// strategy the executor actually chose.
+/// produced, how often a nested block was probed, and — for keyed
+/// probes and join builds — which build strategy the executor actually
+/// chose.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct NodeTally {
     /// Rows the node produced.
     pub(crate) rows: u64,
+    /// Times a nested `exists` block ran its scans: once per distinct
+    /// binding of the enclosing scope that reached it.
+    pub(crate) probes: u64,
     /// Join/probe build strategy (`"dense-key"` or `"hash"`).
     pub(crate) build: Option<&'static str>,
 }
@@ -287,6 +291,13 @@ pub(crate) fn record<T>(tally: &mut Option<TallyMap>, node: &T, rows: usize) {
 pub(crate) fn bump_n<T>(tally: &mut Option<TallyMap>, node: &T, rows: usize) {
     if let Some(t) = tally.as_mut() {
         t.entry(node as *const T as usize).or_default().rows += rows as u64;
+    }
+}
+
+/// Adds `n` probes of nested `block` if an analyze tally is active.
+pub(crate) fn bump_probes(tally: &mut Option<TallyMap>, block: &Block, n: usize) {
+    if let Some(t) = tally.as_mut() {
+        t.entry(block as *const Block as usize).or_default().probes += n as u64;
     }
 }
 
@@ -425,7 +436,10 @@ pub struct ExplainNode {
     #[serde(skip_serializing_if = "Option::is_none")]
     pub est_rows: Option<u64>,
     /// Rows this node actually produced (present only under
-    /// `explain analyze`).
+    /// `explain analyze`). Inside a nested `exists` block, whose scans
+    /// the planner estimates per binding of the enclosing scope, this is
+    /// per probe too: the rows over every probe of the block divided by
+    /// their number, rounded to nearest (a block never probed reads 0).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub actual_rows: Option<u64>,
     /// Estimation quality: `max(est/actual, actual/est)` with +1
@@ -480,13 +494,26 @@ pub fn q_error(est: u64, actual: u64) -> f64 {
 /// (every execution field stays `None`).
 type Tally<'a> = Option<&'a TallyMap>;
 
+/// The tally entry of `node`, if the execution reached it.
+fn tallied<T>(tally: &TallyMap, node: &T) -> NodeTally {
+    tally
+        .get(&(node as *const T as usize))
+        .copied()
+        .unwrap_or_default()
+}
+
 /// The tallied actual row count for `node` — `Some(0)` for nodes the
 /// execution never reached (short-circuits), `None` outside analyze.
-fn actual<T>(tally: Tally<'_>, node: &T) -> Option<u64> {
+/// `per` divides it by the probes of the nested block holding the
+/// node (`None` at the root).
+fn actual<T>(tally: Tally<'_>, node: &T, per: Option<&Block>) -> Option<u64> {
     tally.map(|t| {
-        t.get(&(node as *const T as usize))
-            .map(|nt| nt.rows)
-            .unwrap_or(0)
+        let rows = tallied(t, node).rows;
+        match per.map(|b| tallied(t, b).probes) {
+            None => rows,
+            Some(0) => 0,
+            Some(probes) => (rows + probes / 2) / probes,
+        }
     })
 }
 
@@ -506,7 +533,9 @@ fn explain_formula(f: &Formula, tally: Tally<'_>) -> ExplainNode {
             ExplainNode::new("or", "").with(fs.iter().map(|f| explain_formula(f, tally)).collect())
         }
         Formula::Not(sub) => ExplainNode::new("not", "").with(vec![explain_formula(sub, tally)]),
-        Formula::Exists(block) => ExplainNode::new("exists", "").with(explain_block(block, tally)),
+        Formula::Exists(block) => {
+            ExplainNode::new("exists", "").with(explain_block(block, tally, Some(block)))
+        }
         Formula::Pred(p) => ExplainNode::new(
             "filter",
             format!("{} {} {}", fmt_term(&p.left), p.op, fmt_term(&p.right)),
@@ -514,7 +543,7 @@ fn explain_formula(f: &Formula, tally: Tally<'_>) -> ExplainNode {
     }
 }
 
-fn explain_scan(scan: &Scan, tally: Tally<'_>) -> ExplainNode {
+fn explain_scan(scan: &Scan, tally: Tally<'_>, per: Option<&Block>) -> ExplainNode {
     let detail = if scan.is_keyed() {
         let keys: Vec<String> = scan
             .key_cols
@@ -533,26 +562,27 @@ fn explain_scan(scan: &Scan, tally: Tally<'_>) -> ExplainNode {
                 .map(|f| explain_formula(f, tally))
                 .collect(),
         )
-        .rows(scan.est_rows, actual(tally, scan));
+        .rows(scan.est_rows, actual(tally, scan, per));
     node.build = tally
-        .and_then(|t| t.get(&(scan as *const Scan as usize)))
-        .and_then(|nt| nt.build)
+        .and_then(|t| tallied(t, scan).build)
         .map(str::to_string);
     node
 }
 
-fn explain_block(block: &Block, tally: Tally<'_>) -> Vec<ExplainNode> {
+/// The nodes of `block`; `per` is the block itself when it is nested,
+/// so its scans' actuals are per probe (see [`actual`]).
+fn explain_block(block: &Block, tally: Tally<'_>, per: Option<&Block>) -> Vec<ExplainNode> {
     let mut nodes: Vec<ExplainNode> = block
         .pre
         .iter()
         .map(|f| explain_formula(f, tally))
         .collect();
-    nodes.extend(block.scans.iter().map(|s| explain_scan(s, tally)));
+    nodes.extend(block.scans.iter().map(|s| explain_scan(s, tally, per)));
     nodes
 }
 
 fn explain_query(q: &QueryPlan, tally: Tally<'_>) -> ExplainNode {
-    let mut children = explain_block(&q.root, tally);
+    let mut children = explain_block(&q.root, tally, None);
     if !q.deferred.is_empty() {
         children.push(
             ExplainNode::new("deferred", "validated with the output head bound").with(
@@ -568,7 +598,7 @@ fn explain_query(q: &QueryPlan, tally: Tally<'_>) -> ExplainNode {
         format!("{}({})", q.out.name(), q.out.attrs().join(", ")),
     )
     .with(children)
-    .rows(q.est_rows, actual(tally, q))
+    .rows(q.est_rows, actual(tally, q, None))
 }
 
 /// Renders a compiled plan as an explain tree (no row counts — see

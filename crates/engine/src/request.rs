@@ -61,12 +61,17 @@ impl QueryRequest {
         self.diagram = format;
         self
     }
+
+    /// `true` if the response should carry translations or a diagram.
+    pub(crate) fn wants_views(&self) -> bool {
+        self.translations || self.diagram != DiagramFormat::None
+    }
 }
 
 /// The query carried into the other three languages through the TRC hub
 /// (Theorem 6). Directions that leave a fragment are `None` with the
 /// reason recorded in `notes`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Translations {
     /// The hub TRC form (always present).
     pub trc: String,

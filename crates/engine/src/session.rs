@@ -2,8 +2,8 @@
 
 use crate::request::{DiagramFormat, ExplainResponse, QueryRequest, QueryResponse, Translations};
 use crate::shared::{
-    hash_text, scans_current, stamp_scans, DbEpoch, EngineShared, EvalEntry, ParseEntry, ParseKey,
-    PlanEntry, SharedConfig,
+    hash_text, parse_key, scans_current, stamp_scans, DbEpoch, EngineShared, EvalEntry, ParseEntry,
+    ParseKey, PlanEntry, SharedConfig, Views,
 };
 use crate::{Artifact, Language};
 use rd_core::exec::{self, Plan};
@@ -252,26 +252,24 @@ impl Session {
 
     /// Answers `req` only if the caches already hold everything it
     /// needs: its text hits the parse cache, its canonical form hits the
-    /// eval cache with a current scan set, it asks for no translations
-    /// and no diagram, and its result has at most `max_rows` rows. The
-    /// answer is exactly what [`run`](Session::run) would return, counted
-    /// and traced exactly as `run` counts and traces it. Anything else
-    /// returns `None` having counted nothing, so the caller can still
-    /// hand the request to `run` without counting it twice.
+    /// eval cache with a current scan set, the parse entry already holds
+    /// every view it asks for (translations, diagram), and its result has
+    /// at most `max_rows` rows. The answer is exactly what
+    /// [`run`](Session::run) would return, counted and traced exactly as
+    /// `run` counts and traces it. Anything else returns `None` having
+    /// counted nothing, so the caller can still hand the request to `run`
+    /// without counting it twice.
     pub fn run_cached(&mut self, req: &QueryRequest, max_rows: usize) -> Option<QueryResponse> {
-        if req.translations || req.diagram != DiagramFormat::None {
-            return None;
-        }
-        // Nothing on the hit path can fail: it parses, plans, and
-        // executes nothing.
+        // Nothing on the hit path can fail: it parses, plans, executes,
+        // and renders nothing.
         self.run_inner(req, Some(max_rows)).ok().flatten()
     }
 
     /// The body of [`run`](Session::run) and
-    /// [`run_cached`](Session::run_cached). Both caches are probed
-    /// without counting; with `cached_only = Some(max_rows)` the run
-    /// returns `Ok(None)` at the first miss, before anything is counted.
-    /// Past that point both callers share one path.
+    /// [`run_cached`](Session::run_cached). Both caches and the views
+    /// are probed without counting; with `cached_only = Some(max_rows)`
+    /// the run returns `Ok(None)` at the first miss, before anything is
+    /// counted. Past that point both callers share one path.
     fn run_inner(
         &mut self,
         req: &QueryRequest,
@@ -284,11 +282,11 @@ impl Session {
         // clock read on the path below.
         let start = self.shared.metrics_enabled().then(Instant::now);
         let mut spans: Vec<Span> = Vec::new();
-        let parse_key = (epoch.base, req.language, hash_text(&req.text));
+        let parse_key = parse_key(&epoch, req.language, &req.text);
         let parse_entry = self.shared.parse_cache.peek(&parse_key);
         let parse_found = parse_entry.is_some();
-        let (artifact, cache_hit) = match parse_entry.filter(|e| *e.text == *req.text) {
-            Some(entry) => (entry.artifact, true),
+        let (entry, cache_hit) = match parse_entry.filter(|e| e.matches(&req.text)) {
+            Some(entry) => (entry, true),
             None if cached_only.is_some() => return Ok(None),
             None => {
                 // Counted before parsing, so a failed parse still counts.
@@ -296,6 +294,9 @@ impl Session {
                 (self.prepare_uncached(&epoch, parse_key, &req.text)?, false)
             }
         };
+        let ParseEntry {
+            artifact, views, ..
+        } = entry;
         // Render the canonical text exactly once per request: it keys
         // the eval and plan caches and rides back in the response.
         let canonical = artifact.canonical_text();
@@ -313,7 +314,7 @@ impl Session {
                     && scans_current(&e.scans, &epoch)
                     && e.relation.len() <= max_rows
             });
-            if !serves {
+            if !serves || !views.hold(req) {
                 return Ok(None);
             }
         }
@@ -346,42 +347,12 @@ impl Session {
         }
         self.stats.rows_returned += relation.len() as u64;
         let render_start = start.map(|_| Instant::now());
-        // Both optional artifacts view the query through the TRC hub;
-        // compute it once per request. A query that evaluated has a hub
-        // form, but a failure here must still not discard the successful
-        // evaluation — it degrades to a note.
         let mut notes = Vec::new();
-        let hub = if req.translations || req.diagram != DiagramFormat::None {
-            match artifact.hub(&epoch.catalog) {
-                Ok(hub) => Some(hub),
-                Err(e) => {
-                    notes.push(format!("TRC-hub translation unavailable: {e}"));
-                    None
-                }
-            }
-        } else {
-            None
-        };
-        let translations = match &hub {
-            Some(hub) if req.translations => Some(self.translations(hub, &epoch.catalog)?),
-            _ => None,
-        };
-        let diagram = match &hub {
-            Some(hub) => match self.render_diagram(hub, &epoch.catalog, req.diagram) {
-                Ok(d) => d,
-                // Same degrade-to-note contract: e.g. disjunctive queries
-                // evaluate fine but have no Relational Diagram* form.
-                Err(e) => {
-                    notes.push(format!("diagram rendering unavailable: {e}"));
-                    None
-                }
-            },
-            None => None,
-        };
+        let (translations, diagram) = views.render(req, &artifact, &epoch.catalog, &mut notes);
         if let Some(t) = render_start {
             // Only bill a render stage when optional artifacts were
             // actually requested; the no-op path records nothing.
-            if req.translations || req.diagram != DiagramFormat::None {
+            if req.wants_views() {
                 spans.push(Span::new("render", micros_since(t)));
             }
         }
@@ -440,34 +411,38 @@ impl Session {
         // shrink the catalog (inserts/deletes preserve schemas, table
         // creation only adds), so a parsed artifact stays valid across
         // them; only a full replacement moves `base` and re-keys.
-        let key = (epoch.base, language, hash_text(text));
+        let key = parse_key(epoch, language, text);
         if let Some(entry) = self.shared.parse_cache.get(&key) {
-            if &*entry.text == text {
+            if entry.matches(text) {
                 self.stats.cache_hits += 1;
                 return Ok((entry.artifact, true));
             }
         }
         self.stats.cache_misses += 1;
-        Ok((self.prepare_uncached(epoch, key, text)?, false))
+        Ok((self.prepare_uncached(epoch, key, text)?.artifact, false))
     }
 
-    /// The parse-cache miss path: parses + canonicalizes `text` and
-    /// caches the artifact under `key`.
+    /// The parse-cache miss path: parses + canonicalizes `text` — as
+    /// written, so errors point into it — and caches the artifact under
+    /// `key` with no view rendered yet.
     fn prepare_uncached(
         &mut self,
         epoch: &DbEpoch,
         key: ParseKey,
         text: &str,
-    ) -> CoreResult<Arc<Artifact>> {
+    ) -> CoreResult<ParseEntry> {
         let artifact = Arc::new(Artifact::prepare(key.1, text, &epoch.catalog)?);
-        let entry = ParseEntry {
-            text: text.into(),
-            artifact: artifact.clone(),
-        };
-        if self.shared.parse_cache.insert(key, entry).1.is_some() {
+        let entry = ParseEntry::new(text, artifact);
+        if self
+            .shared
+            .parse_cache
+            .insert(key, entry.clone())
+            .1
+            .is_some()
+        {
             self.stats.cache_evictions += 1;
         }
-        Ok(artifact)
+        Ok(entry)
     }
 
     /// Counts one query and its parse-cache lookup: `found` is what the
@@ -706,56 +681,215 @@ impl Session {
     pub fn to_hub_trc(&self, artifact: &Artifact) -> CoreResult<TrcUnion> {
         artifact.hub(&self.shared.epoch().catalog)
     }
+}
 
-    /// Builds the cross-language views of a hub-TRC form.
-    fn translations(&self, hub: &TrcUnion, catalog: &Catalog) -> CoreResult<Translations> {
-        let mut t = Translations {
-            trc: rd_trc::printer::union_to_ascii(hub),
-            ..Translations::default()
-        };
-        match rd_sql::trc_union_to_sql(hub) {
-            Ok(sql) => t.sql = Some(rd_sql::printer::format_sql_union(&sql)),
-            Err(e) => t.notes.push(format!("SQL translation unavailable: {e}")),
-        }
-        if let [query] = hub.branches.as_slice() {
-            match rd_translate::trc_to_datalog(query, catalog) {
-                Ok(program) => {
-                    match rd_translate::datalog_to_ra(&program, catalog) {
-                        Ok(ra) => t.ra = Some(rd_ra::printer::to_ascii(&ra)),
-                        Err(e) => t.notes.push(format!("RA translation unavailable: {e}")),
-                    }
-                    t.datalog = Some(program.to_string());
-                }
-                Err(e) => t
-                    .notes
-                    .push(format!("Datalog translation unavailable: {e}")),
-            }
-        } else {
-            t.notes.push(format!(
-                "query is a {}-branch union; the Datalog*/RA* translations \
-                 (Theorem 6) are defined per branch",
-                hub.branches.len()
-            ));
-        }
-        Ok(t)
+impl Views {
+    /// `true` if every view `req` asks for is already memoized: the hub
+    /// is known not to build, or each requested cell is filled.
+    fn hold(&self, req: &QueryRequest) -> bool {
+        self.hub_failure.get().is_some() || !self.missing(req)
     }
 
-    /// Renders the Relational Diagram of a hub-TRC form.
-    fn render_diagram(
+    /// `true` if a view `req` asks for is not memoized yet.
+    fn missing(&self, req: &QueryRequest) -> bool {
+        (req.translations && self.translations.get().is_none())
+            || self
+                .diagram(req.diagram)
+                .is_some_and(|cell| cell.get().is_none())
+    }
+
+    /// The views `req` asks for, from the memo; a missing one is
+    /// rendered from the TRC hub — built at most once per request, and
+    /// only if a requested view is missing — and memoized. A query that
+    /// evaluated has a hub form, but a view that fails must still not
+    /// discard the successful evaluation: it degrades to a note, pushed
+    /// onto `notes` in the order the views are rendered.
+    fn render(
         &self,
-        hub: &TrcUnion,
+        req: &QueryRequest,
+        artifact: &Artifact,
         catalog: &Catalog,
-        format: DiagramFormat,
-    ) -> CoreResult<Option<String>> {
-        if format == DiagramFormat::None {
-            return Ok(None);
+        notes: &mut Vec<String>,
+    ) -> (Option<Translations>, Option<String>) {
+        if !req.wants_views() {
+            return (None, None);
         }
-        let diagram = rd_diagram::from_trc_union(hub, catalog)?;
-        diagram.validate()?;
-        Ok(Some(match format {
-            DiagramFormat::Dot => rd_diagram::to_dot(&diagram),
-            DiagramFormat::Svg => rd_diagram::to_svg(&diagram),
-            DiagramFormat::None => unreachable!("handled above"),
-        }))
+        if let Some(note) = self.hub_failure.get() {
+            notes.push(note.to_string());
+            return (None, None);
+        }
+        let hub = if self.missing(req) {
+            match artifact.hub(catalog) {
+                Ok(hub) => Some(hub),
+                Err(e) => {
+                    let note = format!("TRC-hub translation unavailable: {e}");
+                    notes.push(note.clone());
+                    let _ = self.hub_failure.set(note.into());
+                    return (None, None);
+                }
+            }
+        } else {
+            None
+        };
+        // Cells are only ever filled, so one that was full at the
+        // `missing` check above still is: `hub` is built whenever a fill
+        // below can run.
+        let hub = || hub.as_ref().expect("built for a missing view");
+        let translations = req.translations.then(|| {
+            self.translations
+                .get_or_init(|| exact_size(translations(hub(), catalog)))
+                .clone()
+        });
+        let diagram = self.diagram(req.diagram).and_then(|cell| {
+            let rendered = cell.get_or_init(|| {
+                render_diagram(hub(), catalog, req.diagram)
+                    .map(String::into_boxed_str)
+                    // Same degrade-to-note contract: e.g. disjunctive
+                    // queries evaluate fine but have no Relational
+                    // Diagram* form.
+                    .map_err(|e| format!("diagram rendering unavailable: {e}").into())
+            });
+            match rendered {
+                Ok(svg_or_dot) => Some(svg_or_dot.to_string()),
+                Err(note) => {
+                    notes.push(note.to_string());
+                    None
+                }
+            }
+        });
+        (translations, diagram)
+    }
+}
+
+/// `t` with every string at its exact length: a memoized view lives as
+/// long as its parse entry, so the spare capacity its printers grew
+/// would be held for as long.
+fn exact_size(mut t: Translations) -> Translations {
+    t.trc.shrink_to_fit();
+    for text in [&mut t.sql, &mut t.datalog, &mut t.ra]
+        .into_iter()
+        .flatten()
+    {
+        text.shrink_to_fit();
+    }
+    t.notes.iter_mut().for_each(String::shrink_to_fit);
+    t.notes.shrink_to_fit();
+    t
+}
+
+/// Builds the cross-language views of a hub-TRC form.
+fn translations(hub: &TrcUnion, catalog: &Catalog) -> Translations {
+    let mut t = Translations {
+        trc: rd_trc::printer::union_to_ascii(hub),
+        ..Translations::default()
+    };
+    match rd_sql::trc_union_to_sql(hub) {
+        Ok(sql) => t.sql = Some(rd_sql::printer::format_sql_union(&sql)),
+        Err(e) => t.notes.push(format!("SQL translation unavailable: {e}")),
+    }
+    if let [query] = hub.branches.as_slice() {
+        match rd_translate::trc_to_datalog(query, catalog) {
+            Ok(program) => {
+                match rd_translate::datalog_to_ra(&program, catalog) {
+                    Ok(ra) => t.ra = Some(rd_ra::printer::to_ascii(&ra)),
+                    Err(e) => t.notes.push(format!("RA translation unavailable: {e}")),
+                }
+                t.datalog = Some(program.to_string());
+            }
+            Err(e) => t
+                .notes
+                .push(format!("Datalog translation unavailable: {e}")),
+        }
+    } else {
+        t.notes.push(format!(
+            "query is a {}-branch union; the Datalog*/RA* translations \
+             (Theorem 6) are defined per branch",
+            hub.branches.len()
+        ));
+    }
+    t
+}
+
+/// Renders the Relational Diagram of a hub-TRC form as `format`, which
+/// names a diagram (only those have a [`Views::diagram`] cell).
+fn render_diagram(hub: &TrcUnion, catalog: &Catalog, format: DiagramFormat) -> CoreResult<String> {
+    let diagram = rd_diagram::from_trc_union(hub, catalog)?;
+    diagram.validate()?;
+    Ok(match format {
+        DiagramFormat::Dot => rd_diagram::to_dot(&diagram),
+        DiagramFormat::Svg | DiagramFormat::None => rd_diagram::to_svg(&diagram),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rd_core::{Tuple, Value};
+
+    /// The views memoized on `req`'s parse entry.
+    fn memo(session: &Session, req: &QueryRequest) -> Arc<Views> {
+        let key = parse_key(&session.shared.epoch(), req.language, &req.text);
+        session.shared.parse_cache.peek(&key).unwrap().views
+    }
+
+    #[test]
+    fn views_outlive_delta_mutations_and_need_no_eval_cache() {
+        for eval_cache in [true, false] {
+            let shared = Arc::new(EngineShared::with_config(
+                crate::demo_database(),
+                SharedConfig {
+                    eval_cache,
+                    ..SharedConfig::default()
+                },
+            ));
+            let mut session = Session::attach(shared.clone());
+            let req = QueryRequest::new(Language::Ra, "pi[color](Boat)")
+                .with_translations()
+                .with_diagram(DiagramFormat::Svg);
+            let first = session.run(&req).unwrap();
+            let views = memo(&session, &req);
+            assert!(views.translations.get().is_some() && views.svg.get().is_some());
+            assert!(views.dot.get().is_none() && views.hub_failure.get().is_none());
+            shared
+                .insert_rows(
+                    "Boat",
+                    &[Tuple(vec![Value::Int(104), Value::Str("blue".into())])],
+                )
+                .unwrap();
+            let after = session.run(&req).unwrap();
+            assert!(Arc::ptr_eq(&memo(&session, &req), &views), "same entry");
+            assert_eq!(after.relation.len(), first.relation.len() + 1);
+            assert_eq!(
+                (&after.translations, &after.diagram),
+                (&first.translations, &first.diagram)
+            );
+        }
+    }
+
+    #[test]
+    fn memoized_strings_are_exact_size() {
+        let mut session = Session::new(crate::demo_database());
+        let req = QueryRequest::new(
+            Language::Trc,
+            "{ q(color) | exists b in Boat [ q.color = b.color ] }",
+        )
+        .with_translations()
+        .with_diagram(DiagramFormat::Svg);
+        session.run(&req).unwrap();
+        let views = memo(&session, &req);
+        let t = views.translations.get().unwrap();
+        for text in [
+            Some(&t.trc),
+            t.sql.as_ref(),
+            t.datalog.as_ref(),
+            t.ra.as_ref(),
+        ]
+        .into_iter()
+        .flatten()
+        .chain(&t.notes)
+        {
+            assert_eq!(text.capacity(), text.len(), "{text}");
+        }
+        assert_eq!(t.notes.capacity(), t.notes.len());
     }
 }

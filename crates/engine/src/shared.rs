@@ -11,8 +11,13 @@
 //!   [`fingerprint`](rd_core::Database::fingerprint). Queries snapshot the
 //!   epoch once and run against it; a concurrent reload simply installs a
 //!   new epoch without disturbing in-flight work.
-//! * a **sharded parse cache**: `(language, hash(text))` → prepared
-//!   [`Artifact`]. Lock-striped so concurrent sessions rarely contend.
+//! * a **sharded parse cache**: `(language, hash(normalized text))` →
+//!   prepared [`Artifact`] plus the views memoized on it. The key ignores
+//!   whitespace layout outside literals ([`text_key`]), so an edited
+//!   query that only moved its line breaks is a hit; the views — hub
+//!   failure, translations, SVG and DOT diagrams — are rendered once per
+//!   entry, on first request. Lock-striped so concurrent sessions rarely
+//!   contend.
 //! * a **sharded eval/result cache**: `(generation, language,
 //!   hash(canonical text))` → evaluated [`Relation`]. Keyed by the
 //!   *canonical* form, so `SELECT DISTINCT Boat.color FROM Boat` and a
@@ -31,13 +36,13 @@
 //! are the caches' own hit/miss/eviction atomics ([`CacheStats`]).
 
 use crate::cache::LruCache;
-use crate::{Artifact, Language};
+use crate::{Artifact, DiagramFormat, Language, Translations};
 use rd_core::{Catalog, CoreResult, Database, Relation, TableSchema, Tuple};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Default parse-cache capacity (entries, not bytes — artifacts are small
 /// ASTs).
@@ -363,12 +368,62 @@ pub(crate) fn scans_current(scans: &[(String, u64)], epoch: &DbEpoch) -> bool {
         .all(|(rel, gen)| epoch.rel_gen(rel) == Some(*gen))
 }
 
-/// Parse-cache entry: the original text (to rule out 64-bit hash
-/// collisions) and the shared prepared artifact.
+/// Parse-cache entry: the text it was parsed from (to rule out 64-bit
+/// hash collisions, compared up to whitespace layout), the shared
+/// prepared artifact, and the views memoized on it.
 #[derive(Clone)]
 pub(crate) struct ParseEntry {
     pub text: Arc<str>,
     pub artifact: Arc<Artifact>,
+    pub views: Arc<Views>,
+}
+
+impl ParseEntry {
+    /// A fresh entry for `artifact`, parsed from `text`, with no view
+    /// rendered yet.
+    pub fn new(text: &str, artifact: Arc<Artifact>) -> Self {
+        ParseEntry {
+            text: text.into(),
+            artifact,
+            views: Arc::default(),
+        }
+    }
+
+    /// `true` if `text` is this entry's text up to whitespace layout
+    /// (the collision guard of a [`parse_key`] hit; allocates nothing).
+    pub fn matches(&self, text: &str) -> bool {
+        *self.text == *text || normalized(&self.text).eq(normalized(text))
+    }
+}
+
+/// The views of a parsed query that a request may ask for beside its
+/// result, each rendered from the TRC hub at most once per parse-cache
+/// entry and kept at exact size. They depend only on the artifact and
+/// the catalog, both of which the entry's key pins (through the epoch
+/// base), so unlike eval entries they outlive delta mutations. Failures
+/// are memoized too, as the note a response carries instead.
+#[derive(Default)]
+pub(crate) struct Views {
+    /// The note for a query whose hub cannot be built (set only on
+    /// failure: a built hub fills the other cells instead).
+    pub hub_failure: OnceLock<Box<str>>,
+    /// The cross-language translations, their notes included.
+    pub translations: OnceLock<Translations>,
+    /// The SVG diagram, or the note saying why there is none.
+    pub svg: OnceLock<Result<Box<str>, Box<str>>>,
+    /// The DOT diagram, or the note saying why there is none.
+    pub dot: OnceLock<Result<Box<str>, Box<str>>>,
+}
+
+impl Views {
+    /// The cell holding `format`'s rendering (`None` for no diagram).
+    pub fn diagram(&self, format: DiagramFormat) -> Option<&OnceLock<Result<Box<str>, Box<str>>>> {
+        match format {
+            DiagramFormat::None => None,
+            DiagramFormat::Svg => Some(&self.svg),
+            DiagramFormat::Dot => Some(&self.dot),
+        }
+    }
 }
 
 /// Eval-cache entry: the canonical text (collision guard), the shared
@@ -387,8 +442,9 @@ pub(crate) struct EvalEntry {
     pub born: u64,
 }
 
-/// Parse-cache key: epoch *base* + language + hash of the raw query
-/// text. The base matters even though parsing never reads the data:
+/// Parse-cache key: epoch *base* + language + hash of the query text
+/// with its whitespace layout normalized ([`text_key`]). The base
+/// matters even though parsing never reads the data:
 /// artifacts are checked against the epoch's catalog, and a stamped key
 /// makes an entry prepared by an in-flight request against an old epoch
 /// unreachable after a reload (the clear in
@@ -657,6 +713,88 @@ pub(crate) fn hash_text(text: &str) -> u64 {
     h.finish()
 }
 
+/// The parse-cache key of `text` in `language` against `epoch`: texts
+/// that differ only in whitespace layout share it (see [`normalized`]).
+/// The one key function of every parse-cache user.
+pub(crate) fn parse_key(epoch: &DbEpoch, language: Language, text: &str) -> ParseKey {
+    (epoch.base, language, text_key(text))
+}
+
+/// The text part of a parse-cache key: a hash of `text` with every run
+/// of whitespace outside `'…'` literals collapsed to one space and both
+/// ends trimmed (nothing is allocated). Texts that differ only in that
+/// layout lex to the same tokens in every language, so they share a key
+/// and a parse.
+pub fn text_key(text: &str) -> u64 {
+    // Whole blocks of the normalized stream go to the hasher, so the
+    // calls it sees depend on that stream alone.
+    let mut h = DefaultHasher::new();
+    let mut block = [0u8; 64];
+    let mut len = 0;
+    for byte in normalized(text) {
+        block[len] = byte;
+        len += 1;
+        if len == block.len() {
+            h.write(&block);
+            len = 0;
+        }
+    }
+    h.write(&block[..len]);
+    h.finish()
+}
+
+/// The bytes of `text` with every run of whitespace outside `'…'`
+/// literals collapsed to one space and both ends trimmed.
+///
+/// Every front end's lexer skips whitespace between tokens and none has
+/// comments, so two texts with one normalized form lex to the same
+/// tokens. A quote toggles the literal state: TRC and SQL's `''` escape
+/// toggles twice with nothing between, and an unterminated literal runs
+/// to the end, verbatim.
+pub(crate) fn normalized(text: &str) -> impl Iterator<Item = u8> + '_ {
+    let bytes = text.as_bytes();
+    let (mut i, mut in_quote, mut started) = (0, false, false);
+    // The byte after a collapsed run, due once its space is out.
+    let mut held = None;
+    std::iter::from_fn(move || {
+        if let Some(byte) = held.take() {
+            return Some(byte);
+        }
+        let mut gap = false;
+        while let Some(&byte) = bytes.get(i) {
+            if !in_quote {
+                // ASCII whitespace is one byte; other whitespace chars
+                // start with a lead byte of 0xC0 or more.
+                let width = match byte {
+                    b' ' | b'\t'..=b'\r' => 1,
+                    0xC0.. => text[i..]
+                        .chars()
+                        .next()
+                        .filter(|c| c.is_whitespace())
+                        .map_or(0, char::len_utf8),
+                    _ => 0,
+                };
+                if width > 0 {
+                    i += width;
+                    gap = started;
+                    continue;
+                }
+            }
+            if byte == b'\'' {
+                in_quote = !in_quote;
+            }
+            i += 1;
+            started = true;
+            if gap {
+                held = Some(byte);
+                return Some(b' ');
+            }
+            return Some(byte);
+        }
+        None
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,10 +876,10 @@ mod tests {
         assert_eq!(e0.generation, 0);
         shared.parse_cache.insert(
             (0, Language::Ra, 1),
-            ParseEntry {
-                text: "Boat".into(),
-                artifact: Arc::new(Artifact::prepare(Language::Ra, "Boat", &e0.catalog).unwrap()),
-            },
+            ParseEntry::new(
+                "Boat",
+                Arc::new(Artifact::prepare(Language::Ra, "Boat", &e0.catalog).unwrap()),
+            ),
         );
         let e1 = shared.replace_database(crate::demo_database());
         assert_eq!(e1.generation, 1);

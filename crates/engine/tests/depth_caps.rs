@@ -112,3 +112,19 @@ fn deep_nesting_repros_are_errors_not_stack_overflows() {
         assert!(err.contains("128"), "{language}: {err}");
     }
 }
+
+/// Texts nested 10⁵ deep in every language are refused before anything
+/// recurses over them: the parse-cache key's whitespace normalization,
+/// the lexers and the depth checks all walk the text iteratively.
+#[test]
+fn texts_nested_a_hundred_thousand_deep_are_errors() {
+    const DEEP: usize = 100_000;
+    let parens = (
+        Language::Ra,
+        format!("{}Boat{}", "(".repeat(DEEP), ")".repeat(DEEP)),
+    );
+    for (language, text) in at_depth(DEEP).into_iter().chain([parens]) {
+        let err = run_on_small_stack(QueryRequest::new(language, text)).unwrap_err();
+        assert!(err.contains("128"), "{language}: {err}");
+    }
+}

@@ -273,3 +273,63 @@ fn trc_sentences_answer_with_the_zero_ary_relation() {
         }
     }
 }
+
+/// 50 sailors, 150 reservations (three distinct boats per sailor, out
+/// of four), and the four boats.
+fn fifty_sailors() -> Session {
+    let mut fixture = String::from("Sailor(sid, sname):\n");
+    for sid in 1..=50 {
+        fixture += &format!("  ({sid}, 'S{sid}')\n");
+    }
+    fixture += "Reserves(sid, bid):\n";
+    for k in 0..150 {
+        let sid = 1 + k % 50;
+        fixture += &format!("  ({sid}, {})\n", 101 + (k / 50 + sid) % 4);
+    }
+    fixture +=
+        "Boat(bid, color):\n  (101, 'red')\n  (102, 'green')\n  (103, 'red')\n  (104, 'blue')\n";
+    Session::new(parse_fixture(&fixture).unwrap())
+}
+
+fn scans_of(n: &rd_core::exec::ExplainNode, out: &mut Vec<(String, u64, u64, f64)>) {
+    if n.kind == "scan" {
+        out.push((
+            n.detail.split(' ').next().unwrap().to_string(),
+            n.est_rows.unwrap(),
+            n.actual_rows.unwrap(),
+            n.q_error.unwrap(),
+        ));
+    }
+    for c in &n.children {
+        scans_of(c, out);
+    }
+}
+
+/// A nested block's scans are estimated per binding of the enclosing
+/// scope, so `explain analyze` reports their actual rows per probe of
+/// the block. Summed over every probe instead, an anti-join's probe on
+/// a correct estimate read like `est 0 act 21 q 22.0`.
+#[test]
+fn nested_scans_report_rows_per_probe() {
+    let mut session = fifty_sailors();
+    // 38 of the 50 sailors reserved boat 103, each once: 0.76 rows per
+    // probe of the keyed `Reserves` lookup (the single-probe path), 38
+    // summed over the probes.
+    let keyed = "{ q(sname) | exists s in Sailor [ q.sname = s.sname and \
+                 not (exists r in Reserves [ r.sid = s.sid and r.bid = 103 ]) ] }";
+    // A residual filter takes the grouped path instead (38 sailors
+    // reserved boat 104).
+    let filtered = "{ q(sname) | exists s in Sailor [ q.sname = s.sname and \
+                    not (exists r in Reserves [ r.sid = s.sid and r.bid > 103 ]) ] }";
+    for text in [keyed, filtered] {
+        let analyzed = session.explain_analyze(Language::Trc, text).unwrap();
+        let mut scans = Vec::new();
+        scans_of(&analyzed.plan, &mut scans);
+        let (_, est, act, q) = scans
+            .iter()
+            .find(|(table, ..)| table == "Reserves")
+            .unwrap_or_else(|| panic!("no nested Reserves scan: {scans:?}"));
+        assert_eq!((*est, *act), (1, 1), "{text}: {scans:?}");
+        assert!(*q <= 2.0, "{text}: {scans:?}");
+    }
+}

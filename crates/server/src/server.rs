@@ -20,7 +20,8 @@
 //!
 //! A shard's loop never blocks on a socket and never evaluates a
 //! query: it answers only *cheap* requests itself — pings, and queries
-//! the parse and eval caches already answer whole
+//! the parse and eval caches, with the translations and diagrams
+//! memoized on parse entries, already answer whole
 //! ([`Session::run_cached`]) — and hands everything else to its pool
 //! slice, whose workers never touch a socket. Registrations are
 //! persistent (`epoll_ctl` once per connection, `MOD` only when
@@ -1114,8 +1115,8 @@ fn fold(shard: &ShardHandle, rec: &mut Registry, session: &mut Session) {
 
 /// Answers the leading run of *cheap* requests in `batch` on the
 /// calling shard thread, popping each one answered: pings, and queries
-/// without translations or a diagram that [`Session::run_cached`]
-/// answers from the parse and eval caches in one frame. The first other
+/// that [`Session::run_cached`] answers in one frame from the parse and
+/// eval caches and the views memoized on the parse entry. The first other
 /// request stops the run, so the rest of the batch keeps its order for
 /// the pool. Returns the encoded frames.
 ///
@@ -1146,11 +1147,10 @@ fn answer_inline(
             Request::Query {
                 language,
                 text,
-                translations: false,
-                diagram: DiagramFormat::None,
+                translations,
+                diagram,
             } => {
-                let language = language.unwrap_or_else(|| Language::detect(text));
-                let req = QueryRequest::new(language, text.clone());
+                let req = query_request(*language, text.clone(), *translations, *diagram);
                 let resp = session.run_cached(&req, max_rows)?;
                 Some(query_frames(
                     state,
@@ -1175,6 +1175,19 @@ fn answer_inline(
     rec.sessions.accumulate(session.stats());
     session.reset_stats();
     bytes
+}
+
+/// The engine request of a wire query (language detected if unnamed).
+fn query_request(
+    language: Option<Language>,
+    text: String,
+    translations: bool,
+    diagram: DiagramFormat,
+) -> QueryRequest {
+    let language = language.unwrap_or_else(|| Language::detect(&text));
+    let mut req = QueryRequest::new(language, text).with_diagram(diagram);
+    req.translations = translations;
+    req
 }
 
 /// Runs one batch of decoded requests to completion on a pool worker.
@@ -1259,9 +1272,7 @@ fn run_line(
                 diagram,
             },
         )) => {
-            let language = language.unwrap_or_else(|| Language::detect(&text));
-            let mut req = QueryRequest::new(language, text).with_diagram(diagram);
-            req.translations = translations;
+            let req = query_request(language, text, translations, diagram);
             // A stream threshold of 0 never streams (see `query_frames`).
             let frames = match session.run(&req) {
                 Ok(resp) => query_frames(state, rec, session, &resp, stream_threshold),

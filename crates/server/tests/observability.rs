@@ -3,6 +3,7 @@
 //! recording on every path — all through a real socket against the demo
 //! database.
 
+use rd_engine::shared::text_key;
 use rd_engine::{
     demo_database, DiagramFormat, EngineShared, Language, QueryRequest, Session, SessionStats,
 };
@@ -321,6 +322,20 @@ fn stage_latencies_expose_percentiles_via_stats() {
     stop(addr, handle);
 }
 
+/// A text that parses to the same canonical form as `text` but has a
+/// parse-cache key of its own. The key ignores whitespace layout, so the
+/// twin recases keywords (SQL) or adds or drops a token gap.
+fn parse_miss_twin(language: Language, text: &str) -> String {
+    let twin = match language {
+        Language::Sql => text.replacen("SELECT DISTINCT", "select distinct", 1),
+        Language::Trc => text.replacen("[ ", "[", 1),
+        Language::Ra => text.replacen("](", "] (", 1),
+        Language::Datalog => text.replacen(", ", ",", 1),
+    };
+    assert_ne!(text_key(&twin), text_key(text), "{twin}");
+    twin
+}
+
 /// The shard loop answers repeated queries from the caches; the pool
 /// runs the rest. Either way each query is counted exactly once: a
 /// warm-then-repeat sequence over the wire leaves the same session
@@ -336,8 +351,8 @@ fn inline_answers_count_exactly_like_in_process_runs() {
         {
             sequence.push((*lang, text.to_string()));
             if round == 1 {
-                // A whitespace twin: a parse miss that hits the eval cache.
-                sequence.push((*lang, format!("{text} ")));
+                // A twin: a parse miss that hits the eval cache.
+                sequence.push((*lang, parse_miss_twin(*lang, text)));
             }
         }
     }
@@ -354,11 +369,14 @@ fn inline_answers_count_exactly_like_in_process_runs() {
 
     let shared = Arc::new(EngineShared::new(demo_database()));
     let mut session = Session::attach(shared.clone());
+    let mut twins = 0;
     for (lang, text) in &sequence {
-        session
+        let resp = session
             .run(&QueryRequest::new(*lang, text.as_str()))
             .unwrap();
+        twins += usize::from(!resp.cache_hit && resp.eval_cache_hit);
     }
+    assert_eq!(twins, 8, "each twin is a parse miss and an eval hit");
     let local = session.stats();
 
     let inline: u64 = wire.shards.iter().map(|s| s.inline).sum();
@@ -578,6 +596,34 @@ fn every_request_is_recorded_exactly_once_on_any_path() {
         "every earlier reply serialized once"
     );
     drop((one, two));
+    stop(addr, handle);
+}
+
+/// A repeated query with translations and a diagram is answered on the
+/// shard loop, from the views memoized on its parse entry, with the frame
+/// the pool answered it with the first time — cache flags aside.
+#[test]
+fn repeated_view_requests_are_answered_inline_with_the_pool_frame() {
+    let (addr, handle) = start_server(ServerConfig::default());
+    let rendered = r#"{"op":"query","lang":"sql","text":"SELECT DISTINCT Boat.color FROM Boat","translations":true,"diagram":"svg"}"#;
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut client = Client::connect(addr).expect("connect");
+    let mut inline = || -> u64 {
+        let stats = client.stats().expect("stats");
+        stats.shards.iter().map(|s| s.inline).sum()
+    };
+    let first = exchange(&mut stream, &[rendered]).remove(0);
+    let before = inline();
+    let second = exchange(&mut stream, &[rendered]).remove(0);
+    assert_eq!(inline(), before + 1, "the repeat is answered inline");
+    let (cold, warm) = (
+        r#""cache_hit":false,"eval_cache_hit":false"#,
+        r#""cache_hit":true,"eval_cache_hit":true"#,
+    );
+    assert!(first.contains(cold), "{first}");
+    assert!(first.contains(r#""diagram":"<svg"#), "{first}");
+    assert_eq!(second, first.replace(cold, warm));
+    drop(stream);
     stop(addr, handle);
 }
 
