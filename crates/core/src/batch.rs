@@ -7,8 +7,9 @@
 //! [`CHUNK_ROWS`] rows, evaluates filters and comparisons over whole
 //! batches with selection vectors, and probes joins through a
 //! [`JoinTable`] — a direct-indexed dense array when every key column is
-//! interned symbols (or integers) with a small live range, a hash map
-//! otherwise.
+//! interned symbols (or integers) with a small live range, the same
+//! mixed-radix key packed into a `u64` and hashed when the range is
+//! sparse, and a map keyed by the values themselves otherwise.
 //!
 //! A stored relation's columnar copy and the join tables over it depend
 //! only on the relation's content, so they are cached *on the relation*
@@ -48,6 +49,7 @@ use crate::value::Value;
 use crate::CmpOp;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Rows per seed chunk: unkeyed scans feed the pipeline in column
@@ -141,21 +143,26 @@ impl fmt::Debug for Columnar {
 /// ids.
 ///
 /// When every key column holds a single scalar kind (all `Int` or all
-/// `Sym`) whose live range is small — the common case for interned
-/// symbol columns, whose `u32` ids are allocated densely — the table is
-/// a direct-indexed CSR array: probing is subtraction, multiplication,
-/// and one slice lookup, no hashing. Otherwise it falls back to a
-/// `HashMap` keyed by the value vector.
+/// `Sym`), a key is numbered mixed-radix by its columns' offsets
+/// ([`Radix`]). If that numbering's range is small — the common case for
+/// interned symbol columns, whose `u32` ids are allocated densely — the
+/// table is a direct-indexed CSR array: probing is subtraction,
+/// multiplication, and one slice lookup, no hashing. If the range is
+/// sparse but fits a `u64`, the number is hashed instead, to its rows'
+/// range in one CSR array. Only `Str` keys, or ranges past `u64`, fall
+/// back to a `HashMap` keyed by the value vector.
 enum JoinTable {
     Dense {
-        /// Per key column: the dense-kind tag ([`Value::as_dense_key`]).
-        kinds: Vec<u8>,
-        /// Per key column: the smallest encoded key.
-        mins: Vec<i64>,
-        /// Per key column: `max - min + 1`.
-        spans: Vec<u64>,
+        radix: Radix,
         /// CSR offsets: slot `i`'s rows live at `rows[starts[i]..starts[i+1]]`.
         starts: Vec<u32>,
+        /// Row ids, grouped by slot.
+        rows: Vec<u32>,
+    },
+    Packed {
+        radix: Radix,
+        /// Each occupied slot's `start..end` in `rows`.
+        ranges: HashMap<u64, (u32, u32), BuildHasherDefault<Fnv>>,
         /// Row ids, grouped by slot.
         rows: Vec<u32>,
     },
@@ -164,6 +171,77 @@ enum JoinTable {
 
 static NO_ROWS: [u32; 0] = [];
 
+/// The mixed-radix numbering of a composite key whose columns each hold
+/// one dense kind ([`Value::as_dense_key`]): the last column varies
+/// fastest, exactly like a row-major array index.
+struct Radix {
+    /// Per key column: the dense-kind tag.
+    kinds: Vec<u8>,
+    /// Per key column: the smallest encoded key.
+    mins: Vec<i64>,
+    /// Per key column: `max - min + 1`.
+    spans: Vec<u64>,
+}
+
+impl Radix {
+    /// Scans the build side's key columns. Returns the numbering and its
+    /// slot count (saturating) when every column holds a single dense
+    /// kind, `None` otherwise (or for an empty build side).
+    fn fit<'a>(
+        len: usize,
+        ncols: usize,
+        at: impl Fn(usize, usize) -> &'a Value,
+    ) -> Option<(Radix, u128)> {
+        if len == 0 || ncols == 0 {
+            return None;
+        }
+        let mut kinds = vec![0u8; ncols];
+        let mut mins = vec![0i64; ncols];
+        let mut maxs = vec![0i64; ncols];
+        for c in 0..ncols {
+            for r in 0..len {
+                let (kind, code) = at(r, c).as_dense_key()?;
+                if r == 0 {
+                    (kinds[c], mins[c], maxs[c]) = (kind, code, code);
+                } else if kind != kinds[c] {
+                    return None;
+                } else {
+                    mins[c] = mins[c].min(code);
+                    maxs[c] = maxs[c].max(code);
+                }
+            }
+        }
+        let mut capacity = 1u128;
+        let mut spans = vec![0u64; ncols];
+        for c in 0..ncols {
+            // In `i128`: a column spanning all of `i64` has a span of
+            // 2⁶⁴, which must not wrap to a zero-slot table.
+            let span = (i128::from(maxs[c]) - i128::from(mins[c])) as u128 + 1;
+            spans[c] = span.min(u64::MAX as u128) as u64;
+            capacity = capacity.saturating_mul(span);
+        }
+        Some((Radix { kinds, mins, spans }, capacity))
+    }
+
+    /// The slot of the key read through `at`, or `None` when a value is
+    /// of the wrong kind or outside its column's range — such a key
+    /// cannot equal any stored one. Only valid for a numbering whose
+    /// capacity fits a `u64`.
+    fn slot<'v>(&self, at: impl Fn(usize) -> &'v Value) -> Option<u64> {
+        let mut idx = 0u64;
+        for (c, &span) in self.spans.iter().enumerate() {
+            let (kind, code) = at(c).as_dense_key()?;
+            // Two's complement: below `min` wraps past any span.
+            let off = code.wrapping_sub(self.mins[c]) as u64;
+            if kind != self.kinds[c] || off >= span {
+                return None;
+            }
+            idx = idx * span + off;
+        }
+        Some(idx)
+    }
+}
+
 impl JoinTable {
     /// Builds a table over `len` rows with `ncols` key columns, reading
     /// key values through `at(row, keycol)`.
@@ -171,80 +249,68 @@ impl JoinTable {
     where
         F: Fn(usize, usize) -> &'a Value,
     {
-        // Pass 1: per-column kind uniformity and live range.
-        let mut kinds = vec![0u8; ncols];
-        let mut mins = vec![0i64; ncols];
-        let mut maxs = vec![0i64; ncols];
-        let mut dense_ok = len > 0 && ncols > 0;
-        'scan: for c in 0..ncols {
-            for r in 0..len {
-                match at(r, c).as_dense_key() {
-                    Some((kind, code)) => {
-                        if r == 0 {
-                            kinds[c] = kind;
-                            mins[c] = code;
-                            maxs[c] = code;
-                        } else if kind != kinds[c] {
-                            dense_ok = false;
-                            break 'scan;
-                        } else {
-                            mins[c] = mins[c].min(code);
-                            maxs[c] = maxs[c].max(code);
-                        }
-                    }
-                    None => {
-                        dense_ok = false;
-                        break 'scan;
-                    }
-                }
-            }
+        let Some((radix, capacity)) = Radix::fit(len, ncols, &at) else {
+            return JoinTable::hashed(len, ncols, at);
+        };
+        if capacity > u64::MAX as u128 {
+            return JoinTable::hashed(len, ncols, at);
         }
-        if dense_ok {
-            let mut capacity = 1u128;
-            let mut spans = vec![0u64; ncols];
-            for c in 0..ncols {
-                // In `i128`: a column spanning all of `i64` has a span
-                // of 2⁶⁴, which must not wrap to a zero-slot table.
-                let span = (i128::from(maxs[c]) - i128::from(mins[c])) as u128 + 1;
-                spans[c] = span as u64;
-                capacity = capacity.saturating_mul(span);
+        let slots: Vec<u64> = (0..len)
+            .map(|r| {
+                radix
+                    .slot(|c| at(r, c))
+                    .expect("every build key is in range")
+            })
+            .collect();
+        // Dense pays capacity slots of memory; keep it proportional to
+        // the data (sparse ranges hash their slot numbers instead).
+        if capacity <= DENSE_MAX_CAPACITY as u128 && capacity <= 8 * len as u128 + 1024 {
+            // Counting sort into CSR layout.
+            let mut starts = vec![0u32; capacity as usize + 1];
+            for &s in &slots {
+                starts[s as usize + 1] += 1;
             }
-            // Dense pays capacity slots of memory; keep it proportional
-            // to the data (sparse id ranges fall back to hashing).
-            if capacity <= DENSE_MAX_CAPACITY as u128 && capacity <= 8 * len as u128 + 1024 {
-                let capacity = capacity as usize;
-                let slot = |r: usize| {
-                    let mut idx = 0usize;
-                    for c in 0..ncols {
-                        let (_, code) = at(r, c).as_dense_key().expect("pass 1 checked");
-                        idx = idx * spans[c] as usize + (code - mins[c]) as usize;
-                    }
-                    idx
-                };
-                // Pass 2: counting sort into CSR layout.
-                let mut starts = vec![0u32; capacity + 1];
-                for r in 0..len {
-                    starts[slot(r) + 1] += 1;
-                }
-                for i in 1..starts.len() {
-                    starts[i] += starts[i - 1];
-                }
-                let mut rows = vec![0u32; len];
-                let mut cursor = starts.clone();
-                for r in 0..len {
-                    let s = slot(r);
-                    rows[cursor[s] as usize] = r as u32;
-                    cursor[s] += 1;
-                }
-                return JoinTable::Dense {
-                    kinds,
-                    mins,
-                    spans,
-                    starts,
-                    rows,
-                };
+            for i in 1..starts.len() {
+                starts[i] += starts[i - 1];
             }
+            let mut rows = vec![0u32; len];
+            let mut cursor = starts.clone();
+            for (r, &s) in slots.iter().enumerate() {
+                rows[cursor[s as usize] as usize] = r as u32;
+                cursor[s as usize] += 1;
+            }
+            return JoinTable::Dense {
+                radix,
+                starts,
+                rows,
+            };
         }
+        // The same counting sort, over the occupied slots only.
+        let mut ranges: HashMap<u64, (u32, u32), BuildHasherDefault<Fnv>> = HashMap::default();
+        for &s in &slots {
+            ranges.entry(s).or_default().1 += 1;
+        }
+        let mut next = 0u32;
+        for range in ranges.values_mut() {
+            let n = range.1;
+            *range = (next, next);
+            next += n;
+        }
+        let mut rows = vec![0u32; len];
+        for (r, s) in slots.iter().enumerate() {
+            let range = ranges.get_mut(s).expect("counted above");
+            rows[range.1 as usize] = r as u32;
+            range.1 += 1;
+        }
+        JoinTable::Packed {
+            radix,
+            ranges,
+            rows,
+        }
+    }
+
+    /// The general table: rows keyed by their cloned key values.
+    fn hashed<'a>(len: usize, ncols: usize, at: impl Fn(usize, usize) -> &'a Value) -> JoinTable {
         let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
         for r in 0..len {
             let key: Vec<Value> = (0..ncols).map(|c| at(r, c).clone()).collect();
@@ -259,10 +325,11 @@ impl JoinTable {
     }
 
     /// The row ids matching the key read through `at` (empty for misses,
-    /// including keys of the wrong kind or outside the dense range — such
-    /// values cannot equal any stored key). The dense path never clones
-    /// a value, and the hash path fills `scratch` (reused across calls,
-    /// so a probe allocates only when the key outgrows the buffer).
+    /// including keys of the wrong kind or outside the key range — such
+    /// values cannot equal any stored key). The dense and packed paths
+    /// never clone a value, and the hash path fills `scratch` (reused
+    /// across calls, so a probe allocates only when the key outgrows the
+    /// buffer).
     fn probe_with<'v>(
         &self,
         ncols: usize,
@@ -271,27 +338,21 @@ impl JoinTable {
     ) -> &[u32] {
         match self {
             JoinTable::Dense {
-                kinds,
-                mins,
-                spans,
+                radix,
                 starts,
                 rows,
-            } => {
-                let mut idx = 0usize;
-                for c in 0..ncols {
-                    match at(c).as_dense_key() {
-                        Some((kind, code)) if kind == kinds[c] => {
-                            let off = code.wrapping_sub(mins[c]);
-                            if off < 0 || off as u64 >= spans[c] {
-                                return &NO_ROWS;
-                            }
-                            idx = idx * spans[c] as usize + off as usize;
-                        }
-                        _ => return &NO_ROWS,
-                    }
-                }
-                &rows[starts[idx] as usize..starts[idx + 1] as usize]
-            }
+            } => match radix.slot(at) {
+                Some(s) => &rows[starts[s as usize] as usize..starts[s as usize + 1] as usize],
+                None => &NO_ROWS,
+            },
+            JoinTable::Packed {
+                radix,
+                ranges,
+                rows,
+            } => match radix.slot(at).and_then(|s| ranges.get(&s)) {
+                Some(&(start, end)) => &rows[start as usize..end as usize],
+                None => &NO_ROWS,
+            },
             JoinTable::Hash(map) => {
                 scratch.clear();
                 scratch.extend((0..ncols).map(|c| at(c).clone()));
@@ -306,7 +367,8 @@ impl JoinTable {
     fn kind(&self) -> &'static str {
         match self {
             JoinTable::Dense { .. } => "dense-key",
-            JoinTable::Hash(_) => "hash",
+            // A packed table is a hash table too; the label is wire-visible.
+            JoinTable::Packed { .. } | JoinTable::Hash(_) => "hash",
         }
     }
 }
@@ -315,8 +377,9 @@ impl JoinTable {
 // Quantifier grouping
 // ---------------------------------------------------------------------
 
-/// FNV-1a — a cheap non-cryptographic hasher for quantifier grouping,
-/// where SipHash's per-call cost would rival the work being deduped.
+/// FNV-1a — a cheap non-cryptographic hasher for quantifier grouping
+/// and packed join keys, where SipHash's per-call cost would rival the
+/// work being done.
 struct Fnv(u64);
 
 impl Default for Fnv {
@@ -894,7 +957,7 @@ impl LastReads {
     /// row on every step read after `j`.
     fn dedup(&self, batch: Batch, j: usize) -> Batch {
         let live: Vec<usize> = (0..=j).filter(|&k| self.last[k] > j).collect();
-        let mut seen: HashSet<Vec<u32>, std::hash::BuildHasherDefault<Fnv>> = HashSet::default();
+        let mut seen: HashSet<Vec<u32>, BuildHasherDefault<Fnv>> = HashSet::default();
         let keep: Vec<usize> = (0..batch.len())
             .filter(|&i| seen.insert(live.iter().map(|&k| batch.steps[k].rows[i]).collect()))
             .collect();
@@ -1218,7 +1281,7 @@ pub(crate) fn run_query(
     // A shadow hash set dedups candidates before touching the ordered
     // output set: duplicate-heavy projections pay one (FNV) hash lookup
     // per row instead of an allocation plus a B-tree descent.
-    let mut seen: HashSet<Vec<Value>, std::hash::BuildHasherDefault<Fnv>> = HashSet::default();
+    let mut seen: HashSet<Vec<Value>, BuildHasherDefault<Fnv>> = HashSet::default();
     let mut scratch: Vec<Value> = Vec::with_capacity(q.defs.len());
     let reads = LastReads::of(q, &deferred);
     let result = run_pipeline(
@@ -1379,6 +1442,75 @@ mod tests {
         assert_eq!(table.probe(&[red]).len(), 1);
         // An un-interned probe string can't match any stored symbol.
         assert!(table.probe(&[Value::str("red")]).is_empty());
+    }
+
+    /// A tiny xorshift generator: deterministic test keys, no crates.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn packed_probes_match_the_value_map_for_random_keys() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        // Sailor ids × boat ids with a sparse second column: 500 × 10⁶
+        // slots, far too many for a dense array, well inside a `u64`.
+        let rows: Vec<[i64; 2]> = (0..600)
+            .map(|_| {
+                let sid = (xorshift(&mut rng) % 500) as i64;
+                let bid = (xorshift(&mut rng) % 1_000_000) as i64 - 500_000;
+                [sid, bid]
+            })
+            .collect();
+        let data = rel_data_of(&rows);
+        let at = |r: usize, c: usize| data.value(c, r as u32);
+        let packed = JoinTable::build(data.len, 2, at);
+        assert!(matches!(packed, JoinTable::Packed { .. }));
+        assert_eq!(packed.kind(), "hash", "the explain label is unchanged");
+        let reference = JoinTable::hashed(data.len, 2, at);
+        let mut probes: Vec<[Value; 2]> = Vec::new();
+        for i in 0..2000 {
+            let [sid, bid] = rows[xorshift(&mut rng) as usize % rows.len()];
+            let noise = (xorshift(&mut rng) % 7) as i64 - 3;
+            probes.push(match i % 5 {
+                // Stored keys, and keys next to them (mostly misses).
+                0 => [Value::int(sid), Value::int(bid)],
+                1 => [Value::int(sid + noise), Value::int(bid - noise)],
+                // Out of either column's range.
+                2 => [Value::int(-1 - noise.abs()), Value::int(bid)],
+                3 => [Value::int(sid), Value::int(i64::MAX - noise.abs())],
+                // Keys of the wrong kind.
+                _ => [Value::Sym(sid as u32), Value::str("x")],
+            });
+        }
+        probes.push([Value::int(i64::MIN), Value::int(i64::MIN)]);
+        let mut hits = 0;
+        for key in &probes {
+            let got = packed.probe(key);
+            assert_eq!(got, reference.probe(key), "{key:?}");
+            hits += usize::from(!got.is_empty());
+        }
+        assert!(hits >= 400, "every stored key hits: {hits}");
+    }
+
+    #[test]
+    fn a_column_spanning_nearly_all_of_i64_packs_exactly() {
+        // Span 2⁶⁴ − 1 still numbers into a `u64`; the offset of a key
+        // below the minimum must wrap past it, not alias a slot.
+        let data = rel_data_of(&[[i64::MIN + 1, 0], [0, 0], [i64::MAX, 0]]);
+        let table = JoinTable::build(data.len, 1, |r, _| data.value(0, r as u32));
+        assert!(matches!(table, JoinTable::Packed { .. }));
+        for (v, n) in [
+            (i64::MIN + 1, 1),
+            (0, 1),
+            (i64::MAX, 1),
+            (i64::MIN, 0),
+            (1, 0),
+        ] {
+            assert_eq!(table.probe(&[Value::int(v)]).len(), n, "{v}");
+        }
     }
 
     #[test]

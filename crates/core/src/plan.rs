@@ -114,7 +114,7 @@ fn append_cost(out: f64, prefix: Option<(f64, bool)>, rows: f64) -> f64 {
 
 /// Orders a block's scans by estimated cost: an exact left-deep
 /// Selinger dynamic program minimizing the summed intermediate-frontier
-/// cost (`C_out` plus probe/scan work) up to [`DP_MAX_SCANS`] scans,
+/// cost (`C_out` plus probe/scan work) up to `DP_MAX_SCANS` scans,
 /// estimator-driven greedy above it. Left-deep is the shape the pipeline
 /// executor runs — each scan extends the current binding frontier — so
 /// the DP searches exactly the executable space.

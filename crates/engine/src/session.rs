@@ -226,9 +226,8 @@ impl Session {
 
     /// Records that `rows` result tuples left this session through
     /// chunked streaming rather than a single response — called by the
-    /// service edge when it splits a large
-    /// [`QueryResponse`](crate::QueryResponse) into
-    /// [`row_chunks`](crate::QueryResponse::row_chunks).
+    /// service edge when it splits a large [`QueryResponse`] into
+    /// [`row_chunks`](QueryResponse::row_chunks).
     pub fn record_streamed(&mut self, rows: u64) {
         self.stats.rows_streamed += rows;
     }
@@ -246,35 +245,6 @@ impl Session {
     /// enabled, the response carries per-stage spans and the total time;
     /// the session itself records no latency anywhere.
     pub fn run(&mut self, req: &QueryRequest) -> CoreResult<QueryResponse> {
-        self.run_inner(req, None)
-            .map(|resp| resp.expect("an unrestricted run always answers"))
-    }
-
-    /// Answers `req` only if the caches already hold everything it
-    /// needs: its text hits the parse cache, its canonical form hits the
-    /// eval cache with a current scan set, the parse entry already holds
-    /// every view it asks for (translations, diagram), and its result has
-    /// at most `max_rows` rows. The answer is exactly what
-    /// [`run`](Session::run) would return, counted and traced exactly as
-    /// `run` counts and traces it. Anything else returns `None` having
-    /// counted nothing, so the caller can still hand the request to `run`
-    /// without counting it twice.
-    pub fn run_cached(&mut self, req: &QueryRequest, max_rows: usize) -> Option<QueryResponse> {
-        // Nothing on the hit path can fail: it parses, plans, executes,
-        // and renders nothing.
-        self.run_inner(req, Some(max_rows)).ok().flatten()
-    }
-
-    /// The body of [`run`](Session::run) and
-    /// [`run_cached`](Session::run_cached). Both caches and the views
-    /// are probed without counting; with `cached_only = Some(max_rows)`
-    /// the run returns `Ok(None)` at the first miss, before anything is
-    /// counted. Past that point both callers share one path.
-    fn run_inner(
-        &mut self,
-        req: &QueryRequest,
-        cached_only: Option<usize>,
-    ) -> CoreResult<Option<QueryResponse>> {
         // One epoch snapshot per request: a concurrent reload must not
         // switch databases between prepare and eval.
         let epoch = self.shared.epoch();
@@ -285,14 +255,12 @@ impl Session {
         let parse_key = parse_key(&epoch, req.language, &req.text);
         let parse_entry = self.shared.parse_cache.peek(&parse_key);
         let parse_found = parse_entry.is_some();
-        let (entry, cache_hit) = match parse_entry.filter(|e| e.matches(&req.text)) {
+        let parse_hit = parse_entry.filter(|e| e.matches(&req.text));
+        // Counted before parsing, so a failed parse still counts.
+        self.count_query(parse_found, parse_hit.is_some());
+        let (entry, cache_hit) = match parse_hit {
             Some(entry) => (entry, true),
-            None if cached_only.is_some() => return Ok(None),
-            None => {
-                // Counted before parsing, so a failed parse still counts.
-                self.count_query(parse_found, false);
-                (self.prepare_uncached(&epoch, parse_key, &req.text)?, false)
-            }
+            None => (self.prepare_uncached(&epoch, parse_key, &req.text)?, false),
         };
         let ParseEntry {
             artifact, views, ..
@@ -308,19 +276,6 @@ impl Session {
         } else {
             None
         };
-        if let Some(max_rows) = cached_only {
-            let serves = eval_entry.as_ref().is_some_and(|e| {
-                *e.canonical == *canonical
-                    && scans_current(&e.scans, &epoch)
-                    && e.relation.len() <= max_rows
-            });
-            if !serves || !views.hold(req) {
-                return Ok(None);
-            }
-        }
-        if cache_hit {
-            self.count_query(parse_found, true);
-        }
         if let Some(micros) = parse_micros {
             spans.push(Span::new("parse", micros));
         }
@@ -356,7 +311,7 @@ impl Session {
                 spans.push(Span::new("render", micros_since(t)));
             }
         }
-        Ok(Some(QueryResponse {
+        Ok(QueryResponse {
             language: artifact.language(),
             canonical,
             artifact,
@@ -369,7 +324,7 @@ impl Session {
             spans,
             micros: start.map_or(0, micros_since),
             q_error,
-        }))
+        })
     }
 
     /// Runs a batch of requests, amortizing work across repeats: an exact
@@ -684,12 +639,6 @@ impl Session {
 }
 
 impl Views {
-    /// `true` if every view `req` asks for is already memoized: the hub
-    /// is known not to build, or each requested cell is filled.
-    fn hold(&self, req: &QueryRequest) -> bool {
-        self.hub_failure.get().is_some() || !self.missing(req)
-    }
-
     /// `true` if a view `req` asks for is not memoized yet.
     fn missing(&self, req: &QueryRequest) -> bool {
         (req.translations && self.translations.get().is_none())

@@ -264,7 +264,7 @@ pub struct DbEpoch {
     /// Content fingerprint of `db` (diagnostic; see
     /// [`Database::fingerprint`]). Maintained *incrementally*: a delta
     /// epoch rehashes only the touched relations' digests
-    /// ([`rel_prints`](Self::rel_prints)) and recombines, so the value
+    /// (`rel_prints`) and recombines, so the value
     /// always equals what a fresh load of the same content would
     /// compute without paying O(database) per mutation.
     pub fingerprint: u64,

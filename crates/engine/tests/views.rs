@@ -1,7 +1,7 @@
 //! The views a parse entry memoizes — translations, their notes, and
 //! each diagram format — are exactly what an uncached run renders:
 //! every corpus query in every language, warm against a fresh session
-//! with one-entry caches, and served by `run_cached` once memoized.
+//! with one-entry caches, and served from the memo on every repeat.
 
 use rd_core::{Catalog, Database};
 use rd_engine::{DiagramFormat, Language, QueryRequest, QueryResponse, Session};
@@ -49,8 +49,6 @@ fn memoized_views_match_a_fresh_session_for_every_corpus_query() {
                 let memo = warm.run(&req).unwrap();
                 assert!(memo.cache_hit, "{label}");
                 assert_eq!(views(&memo), views(&fresh), "{label} ({format:?})");
-                let inline = warm.run_cached(&req, usize::MAX).expect(&label);
-                assert_eq!(views(&inline), views(&fresh), "{label} ({format:?})");
                 assert!(fresh.translations.is_some(), "{label}");
                 noted += usize::from(
                     !fresh.notes.is_empty()
@@ -75,14 +73,24 @@ fn a_view_is_rendered_on_the_first_request_that_asks_for_it() {
         .with_translations()
         .with_diagram(DiagramFormat::Svg);
     let dot = plain.clone().with_diagram(DiagramFormat::Dot);
-    session.run(&plain).unwrap();
-    // A warm result whose views were never asked for is left to `run`.
-    assert!(session.run_cached(&plain, usize::MAX).is_some());
-    assert!(session.run_cached(&svg, usize::MAX).is_none());
-    session.run(&svg).unwrap();
-    assert!(session.run_cached(&svg, usize::MAX).is_some());
-    assert!(session.run_cached(&dot, usize::MAX).is_none());
-    session.run(&dot).unwrap();
+    // A request that asks for no view gets none.
+    let bare = session.run(&plain).unwrap();
+    assert!(bare.translations.is_none() && bare.diagram.is_none());
+    // The first request for a view renders it on the warm parse entry;
+    // a repeat is served the same bytes.
+    let first_svg = session.run(&svg).unwrap();
+    assert!(first_svg.cache_hit && first_svg.eval_cache_hit);
+    assert!(first_svg.translations.is_some());
+    assert!(first_svg.diagram.as_deref().unwrap().starts_with("<svg"));
+    assert_eq!(views(&session.run(&svg).unwrap()), views(&first_svg));
+    // Another format is its own view, rendered when first asked for.
+    let first_dot = session.run(&dot).unwrap();
+    assert!(first_dot.translations.is_none());
+    assert!(first_dot.diagram.as_deref().unwrap().starts_with("digraph"));
+    assert_ne!(first_dot.diagram, first_svg.diagram);
+    // Views filled by different requests combine.
     let both = plain.with_translations().with_diagram(DiagramFormat::Dot);
-    assert!(session.run_cached(&both, usize::MAX).is_some());
+    let combined = session.run(&both).unwrap();
+    assert_eq!(combined.translations, first_svg.translations);
+    assert_eq!(combined.diagram, first_dot.diagram);
 }

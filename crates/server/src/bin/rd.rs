@@ -57,14 +57,15 @@ OPTIONS:
 SERVE OPTIONS (rd serve):
     --addr <ADDR>     Bind address (default 127.0.0.1:7878; use :0 for an
                       ephemeral port)
-    --workers <N>     Compute-pool threads = concurrent query evaluations
-                      (default 8). Connections are multiplexed by the
-                      epoll event loops and are not bounded by this; the
-                      pool is sliced across shards.
-    --shards <N>      Event-loop shards, each a dedicated thread with its
-                      own epoll instance, connection table, and compute-
-                      pool slice (default: one per available core;
-                      1 reproduces the single-loop topology)
+    --workers <N>     Request-serving threads = concurrent query
+                      evaluations (default 8), divided across shards.
+                      Each thread answers every request it reads, on
+                      itself. Connections are multiplexed over them and
+                      are not bounded by this.
+    --shards <N>      Shards, each with its own epoll instance, connection
+                      table, and slice of the --workers threads (default:
+                      one per available core; 1 puts every thread on one
+                      epoll instance)
     --parse-cache <N> Shared parse-cache capacity in entries (default 256)
     --eval-cache <N>  Shared result-cache capacity in entries (default 256)
     --no-eval-cache   Disable the result cache (every query re-evaluates)
@@ -604,7 +605,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot write port file '{path}': {e}"))?;
     }
     eprintln!(
-        "rd-server listening on {addr} — {} epoll shard{}, {} compute workers, eval cache {}{}",
+        "rd-server listening on {addr} — {} epoll shard{}, {} workers, eval cache {}{}",
         server.shard_count(),
         if server.shard_count() == 1 { "" } else { "s" },
         server_cfg.workers,

@@ -241,8 +241,9 @@ pub struct BenchConfig {
     /// tagged with ids and matched to responses as they arrive).
     pub pipeline: usize,
     /// Extra connections opened before the run and held open — idle —
-    /// until it finishes. Against a reactor these cost one `pollfd`
-    /// each; against a pinned pool they would starve the bench threads.
+    /// until it finishes. Against a reactor these cost one epoll entry
+    /// each; against one pinned thread per connection they would starve
+    /// the bench threads.
     pub idle_conns: usize,
     /// The query mix, fired round-robin. `None` language auto-detects.
     pub mix: Vec<(Option<Language>, String)>,

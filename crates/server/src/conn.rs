@@ -1,13 +1,12 @@
 //! The per-connection state machine of the reactor: nonblocking byte
 //! I/O on one side, framed JSON lines on the other.
 //!
-//! A [`Conn`] owns the socket and four pieces of state the event loop
-//! drives:
+//! A [`Conn`] owns the socket and four pieces of state a shard thread
+//! drives, all on that one thread for the whole of a turn:
 //!
 //! ```text
-//!   socket ──read──▶ read_buf ──lines──▶ pending ─┬─inline──────────┐
-//!                                                 └─pool──▶ completion
-//!   socket ◀─write── write_buf ◀──────────frames────────────────────┘
+//!   socket ──read──▶ read_buf ──lines──▶ pending ──answer, in order──┐
+//!   socket ◀─write── write_buf ◀────────────frames───────────────────┘
 //! ```
 //!
 //! * `read_buf` accumulates raw bytes until a `\n` completes a frame;
@@ -15,18 +14,16 @@
 //!   configured cap is a protocol error (`LineOverflow`), not an
 //!   allocation.
 //! * `pending` holds parsed-off request lines in arrival order. The
-//!   reactor answers the leading cache hits itself and dispatches the
-//!   rest as at most one compute-pool job at a time (`in_flight`), so
-//!   one connection's pipeline never monopolizes workers and its
-//!   responses stay in request order.
-//! * `session` is the connection's engine session. A pool worker locks
-//!   it for one batch, the shard loop for one run of inline answers —
-//!   never both, because the loop answers only while no job of the
-//!   connection is out. The session keeps only its own traffic
-//!   counters; the server folds them into its shard's registry and
-//!   zeroes them after every run or batch.
-//! * `write_buf` holds encoded response frames; the loop flushes it as
-//!   the socket accepts bytes and uses its occupancy for `POLLOUT`
+//!   thread that read them answers them in that order, a bounded number
+//!   per turn, so one connection's pipeline never monopolizes a thread
+//!   and its responses stay in request order.
+//! * `session` is the connection's engine session. The connection sits
+//!   behind its own lock, and its epoll registration is one-shot, so
+//!   only the thread serving it touches the session. The session keeps
+//!   only its own traffic counters; the server folds them into its
+//!   shard's registry and zeroes them after every request.
+//! * `write_buf` holds encoded response frames; the thread flushes it
+//!   as the socket accepts bytes and uses its occupancy for `EPOLLOUT`
 //!   interest and read backpressure.
 //!
 //! The struct is generic over the stream so the framing rules are unit
@@ -36,7 +33,6 @@
 use rd_engine::Session;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Stop reading a connection whose parsed-but-undispatched pipeline is
@@ -77,13 +73,11 @@ pub struct Conn<S> {
     scan_from: usize,
     write_buf: Vec<u8>,
     write_pos: usize,
-    /// Complete request lines awaiting dispatch, in arrival order.
+    /// Complete request lines awaiting an answer, in arrival order.
     pub pending: VecDeque<String>,
-    /// Pool jobs dispatched but not yet completed (0 or 1).
-    pub in_flight: usize,
     /// The session this connection's requests run against (caches
     /// shared via the server's `EngineShared`).
-    pub session: Arc<Mutex<Session>>,
+    pub session: Session,
     /// No more requests will be read (EOF, fatal error, or shutdown).
     pub read_closed: bool,
     /// Close as soon as the write buffer drains, discarding pending
@@ -91,15 +85,14 @@ pub struct Conn<S> {
     pub fatal: bool,
     /// Last moment bytes moved in either direction (idle eviction).
     pub last_activity: Instant,
-    /// The event mask currently registered with the shard's epoll
-    /// instance; the loop issues `EPOLL_CTL_MOD` only when the desired
-    /// mask diverges from this.
-    pub interest: u32,
+    /// Deregistered and dropped from the shard's table: a thread that
+    /// took an event for it just before must leave it alone.
+    pub closed: bool,
 }
 
 impl<S: Read + Write> Conn<S> {
     /// Wraps an (already nonblocking) stream.
-    pub fn new(token: u64, stream: S, session: Arc<Mutex<Session>>) -> Conn<S> {
+    pub fn new(token: u64, stream: S, session: Session) -> Conn<S> {
         Conn {
             token,
             stream,
@@ -109,21 +102,20 @@ impl<S: Read + Write> Conn<S> {
             write_buf: Vec::new(),
             write_pos: 0,
             pending: VecDeque::new(),
-            in_flight: 0,
             session,
             read_closed: false,
             fatal: false,
             last_activity: Instant::now(),
-            interest: 0,
+            closed: false,
         }
     }
 
-    /// The underlying stream (the server reads its fd for `poll`).
+    /// The underlying stream (the server registers its fd with epoll).
     pub fn stream(&self) -> &S {
         &self.stream
     }
 
-    /// `true` while the loop should poll this connection for `POLLIN`:
+    /// `true` while the connection should be armed for `EPOLLIN`:
     /// still reading, and neither the pipeline nor the write backlog is
     /// past its high-water mark.
     pub fn wants_read(&self) -> bool {
@@ -138,17 +130,17 @@ impl<S: Read + Write> Conn<S> {
     }
 
     /// `true` when no request is anywhere in this connection's pipeline
-    /// (nothing parsed, dispatched, or waiting to flush).
+    /// (nothing parsed, unanswered, or waiting to flush).
     pub fn is_quiet(&self) -> bool {
-        self.in_flight == 0 && self.pending.is_empty() && !self.has_backlog()
+        self.pending.is_empty() && !self.has_backlog()
     }
 
-    /// Reads everything currently available (bounded per pass; `poll`
-    /// is level-triggered, so leftovers re-report). EOF and errors are
+    /// Reads everything currently available (bounded per pass; leftovers
+    /// re-report once the connection is re-armed). EOF and errors are
     /// returned, not stored — except that EOF also sets `read_closed`.
     pub fn fill(&mut self) -> ReadOutcome {
         let mut chunk = [0u8; 16 * 1024];
-        // Bounded so one firehose connection cannot starve the loop.
+        // Bounded so one firehose connection cannot hog its thread.
         for _ in 0..16 {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
@@ -230,8 +222,8 @@ impl<S: Read + Write> Conn<S> {
     }
 
     /// Writes as much backlog as the socket accepts right now.
-    /// `WouldBlock` leaves the remainder for the next `POLLOUT`; hard
-    /// errors bubble up so the loop drops the connection.
+    /// `WouldBlock` leaves the remainder for the next `EPOLLOUT`; hard
+    /// errors bubble up so the server drops the connection.
     pub fn flush(&mut self) -> std::io::Result<()> {
         while self.write_pos < self.write_buf.len() {
             match self.stream.write(&self.write_buf[self.write_pos..]) {
@@ -299,11 +291,7 @@ mod tests {
     }
 
     fn conn(script: Script) -> Conn<Script> {
-        Conn::new(
-            0,
-            script,
-            Arc::new(Mutex::new(Session::new(demo_database()))),
-        )
+        Conn::new(0, script, Session::new(demo_database()))
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! The paper's claim is that one pattern-preserving representation can
 //! serve four query languages; `rd-engine` wired that into a synchronous
 //! [`Session`](rd_engine::Session). This crate puts that session behind
-//! a socket and a worker pool so the engine can serve concurrent
-//! traffic:
+//! a socket, served by a few threads per shard, so the engine can serve
+//! concurrent traffic:
 //!
 //! ```text
 //!                 ┌──────────────────── rd-server ───────────────────┐
-//! client ── TCP ─▶│ acceptor ─▶ shard 0: epoll loop + pool slice     │
-//! client ── TCP ─▶│     │   └─▶ shard 1: epoll loop + pool slice     │
-//!    ...          │     └─────▶ ...       (one loop thread per core) │
+//! client ── TCP ─▶│ acceptor ─▶ shard 0: epoll + its threads         │
+//! client ── TCP ─▶│     │   └─▶ shard 1: epoll + its threads         │
+//!    ...          │     └─────▶ ...       (one shard per core)       │
 //! client ── TCP ─▶│                  │                               │
 //! (tens of        │        ┌─ EngineShared (Arc) ────────────┐       │
 //!  thousands)     │        │ DbEpoch (generation-stamped db) │       │
@@ -27,21 +27,20 @@
 //!   may carry an `"id"` for pipelining (many in flight per
 //!   connection), and large results stream as `rows-chunk` /
 //!   `rows-end` frames above a configurable row threshold.
-//! * **Reactor** ([`reactor`], [`server`], [`conn`]): a thread-per-core
-//!   sharded event loop — the build is offline, so no async runtime;
-//!   `epoll` and `poll(2)` are reached through thin `extern "C"`
-//!   bindings and everything else is nonblocking `std::net`. An
-//!   acceptor thread routes each socket to the least-loaded shard; each
-//!   shard thread runs its own `epoll` loop with persistent
-//!   registrations, owns its connections' state machines
-//!   ([`conn::Conn`]) outright, and drives its own slice of the fixed
-//!   thread pool ([`pool`]) — purely a compute pool that evaluates
-//!   requests and posts framed responses back through a wakeup pipe.
-//!   Idle connections cost one epoll registration, not a worker, so
-//!   pool width bounds concurrent *evaluations*, not clients, and
-//!   per-wakeup work scales with readiness, not with the connection
-//!   count. All sessions share one
-//!   [`EngineShared`](rd_engine::EngineShared): repeated identical
+//! * **Reactor** ([`reactor`], [`server`], [`conn`]): sharded
+//!   run-to-completion threads — the build is offline, so no async
+//!   runtime; `epoll` and `poll(2)` are reached through thin
+//!   `extern "C"` bindings and everything else is nonblocking
+//!   `std::net`. An acceptor thread routes each socket to the
+//!   least-loaded shard. Each shard is one `epoll` instance and a slice
+//!   of the `--workers` threads, all waiting on it; connections are
+//!   registered one-shot, so a ready connection ([`conn::Conn`]) belongs
+//!   to exactly one thread, which reads it, answers every pending
+//!   request in order, writes the replies, and re-arms it. Idle
+//!   connections cost one epoll registration, not a thread, so the
+//!   thread count bounds concurrent *evaluations*, not clients, and a
+//!   long query ties up only the thread running it. All sessions share
+//!   one [`EngineShared`](rd_engine::EngineShared): repeated identical
 //!   queries across *different* connections are served from the shared
 //!   result cache without re-evaluating; reloading the database bumps
 //!   the epoch generation, which atomically invalidates it.
@@ -61,13 +60,11 @@
 
 pub mod client;
 pub mod conn;
-pub mod pool;
 pub mod protocol;
 pub mod reactor;
 pub mod server;
 
 pub use client::{run_bench, BenchConfig, BenchReport, Client};
-pub use pool::ThreadPool;
 pub use protocol::{
     LoadSource, MetricsResult, PlannerStats, QueryResult, Reassembler, Request, RequestId,
     Response, ShardBreakdown, StageLatency, StatsResult,

@@ -423,7 +423,7 @@ pub struct StatsResult {
     pub errors: u64,
     /// Connections closed by idle-timeout eviction.
     pub evicted: u64,
-    /// Worker threads in the compute pool.
+    /// Request-serving threads (`--workers`).
     pub workers: u64,
     /// Session counters summed across every worker session (live and
     /// closed).
@@ -498,7 +498,7 @@ pub struct PlannerStats {
     pub q_p99: u64,
 }
 
-/// One event-loop shard's connection counters inside a stats frame.
+/// One shard's connection counters inside a stats frame.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ShardBreakdown {
     /// Shard index (`0..shards`).
@@ -509,9 +509,9 @@ pub struct ShardBreakdown {
     pub active: u64,
     /// Connections this shard closed by idle-timeout eviction.
     pub evicted: u64,
-    /// Requests this shard's event loop answered itself (pings and
-    /// whole cache hits) without a pool round trip (appended; absent in
-    /// older frames — decodes to 0).
+    /// Requests this shard answered without parsing or evaluating:
+    /// pings, and queries that hit both the parse and the result cache
+    /// (appended; absent in older frames — decodes to 0).
     #[serde(default)]
     pub inline: u64,
 }

@@ -1,4 +1,4 @@
-//! Readiness primitives for the event loops: thin `extern "C"` bindings
+//! Readiness primitives for the shard threads: thin `extern "C"` bindings
 //! to `poll(2)` and `epoll(7)` plus a pipe-based cross-thread waker.
 //!
 //! The build environment is offline — no mio, no tokio — but `std`
@@ -14,10 +14,11 @@
 //!   wakeup, but allocation-free and portable. The acceptor thread
 //!   still uses it: its set is two fds (listener + waker).
 //! * [`Epoll`] keeps registrations *in the kernel* — `add` once per
-//!   connection, `modify` only when interest changes, and each
-//!   `wait` returns just the ready fds. The per-shard connection
-//!   loops use it, so per-wakeup work scales with readiness, not with
-//!   the total connection count.
+//!   connection, `modify` to change or re-arm it, and each `wait`
+//!   returns just the ready fds. The shard threads share one instance
+//!   per shard and register connections [`EPOLLONESHOT`], so a ready
+//!   connection is handed to exactly one thread, and per-wakeup work
+//!   scales with readiness, not with the total connection count.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -71,6 +72,10 @@ pub const EPOLLOUT: u32 = 0x004;
 pub const EPOLLERR: u32 = 0x008;
 /// Peer hung up (always reported, never requested).
 pub const EPOLLHUP: u32 = 0x010;
+/// Disarm a registration once it reports an event, until the next
+/// [`Epoll::modify`] re-arms it: with several threads waiting on one
+/// instance, each readiness goes to exactly one of them.
+pub const EPOLLONESHOT: u32 = 1 << 30;
 
 /// One `struct epoll_event` — layout-compatible with the kernel's
 /// definition, which is packed on x86-64 (and only there).
@@ -139,9 +144,8 @@ mod sys {
 /// A level-triggered `epoll` instance with persistent registrations.
 ///
 /// Unlike [`poll`], the interest set lives in the kernel: register a fd
-/// once ([`Epoll::add`]), adjust it only when the desired events
-/// actually change ([`Epoll::modify`]), and every [`Epoll::wait`]
-/// returns only the fds that are ready. Closing a registered fd removes
+/// once ([`Epoll::add`]), adjust or re-arm it ([`Epoll::modify`]), and
+/// every [`Epoll::wait`] returns only the fds that are ready. Closing a registered fd removes
 /// it implicitly; [`Epoll::delete`] exists for explicit deregistration
 /// while the fd stays open.
 pub struct Epoll {
@@ -247,12 +251,13 @@ pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     }
 }
 
-/// Wakes a thread blocked in [`poll`] from another thread.
+/// Wakes a thread blocked in [`poll`] or [`Epoll::wait`] from another
+/// thread.
 ///
-/// The classic self-pipe trick: the event loop polls the read end for
-/// `POLLIN`; any thread calls [`Waker::wake`] to write one byte. Both
-/// ends are nonblocking, so a full pipe (many pending wakes) degrades to
-/// a no-op — the loop is already guaranteed to wake.
+/// The classic self-pipe trick: the waiting thread polls the read end
+/// for `POLLIN`; any thread calls [`Waker::wake`] to write one byte.
+/// Both ends are nonblocking, so a full pipe (many pending wakes)
+/// degrades to a no-op — the waiter is already guaranteed to wake.
 pub struct Waker {
     read_fd: RawFd,
     write_fd: RawFd,
@@ -278,7 +283,7 @@ impl Waker {
         })
     }
 
-    /// The fd the event loop registers for `POLLIN`.
+    /// The fd the waiting thread registers for readability.
     pub fn read_fd(&self) -> RawFd {
         self.read_fd
     }

@@ -1,64 +1,60 @@
-//! The TCP query service: a thread-per-core sharded reactor — one
-//! acceptor thread routing sockets to N per-shard `epoll` event loops,
-//! each owning its connections end-to-end with its own slice of the
-//! compute pool.
+//! The TCP query service: a sharded reactor of run-to-completion
+//! threads — one acceptor thread routing sockets to N shards, each a
+//! small set of symmetric threads sharing one `epoll` instance and
+//! answering every request on the thread that read it.
 //!
 //! ```text
 //!             ┌─ acceptor: poll(2) on {listener, waker} ─┐
-//!   accept ──▶│  route least-loaded ──▶ shard inboxes    │
+//!   accept ──▶│  route least-loaded ──▶ register with    │
+//!             │                         the shard's epoll│
 //!             └───────────┬──────────────────┬───────────┘
 //!             ┌─ shard 0 ─▼────────┐ ┌─ shard 1 ─▼───────┐
-//!             │ epoll loop + waker │ │ epoll loop + waker│  × N
-//!             │ conn table (local) │ │ conn table (local)│
-//!             │ cache hits inline  │ │ cache hits inline │
-//!             │ pool slice (w/N)   │ │ pool slice (w/N)  │
+//!             │ one epoll instance │ │ one epoll instance│  × N
+//!             │ conn table         │ │ conn table        │
+//!             │ threads (w/N): two │ │ threads (w/N): two│
+//!             │ wait, rest park    │ │ wait, rest park   │
 //!             └────────────────────┘ └───────────────────┘
 //!
-//!   per connection:  read ─▶ frame ─▶ decode ─┬─ cheap: answer inline ──┬─▶ flush
-//!                                             └─ rest: pool job ─ wake ─┘
+//!   per ready connection, on one thread:
+//!     read ─▶ frame ─▶ decode ─▶ answer each line in order ─▶ flush ─▶ re-arm
 //! ```
 //!
-//! A shard's loop never blocks on a socket and never evaluates a
-//! query: it answers only *cheap* requests itself — pings, and queries
-//! the parse and eval caches, with the translations and diagrams
-//! memoized on parse entries, already answer whole
-//! ([`Session::run_cached`]) — and hands everything else to its pool
-//! slice, whose workers never touch a socket. Registrations are
-//! persistent (`epoll_ctl` once per connection, `MOD` only when
-//! interest changes) and per-wakeup work is event-driven — only the
-//! connections actually touched this iteration are serviced, and the
-//! idle-eviction scan runs only when its computed deadline fires — so
-//! per-wakeup cost scales with readiness, not with the total
-//! connection count. Everything per-connection (read/write buffers,
-//! pending pipeline, epoll registration) is shard-local and needs no
-//! locking; only the engine and the durable store are shared. Completed
-//! responses are posted back to the owning shard through a
-//! mutex-protected queue plus a self-pipe wake
-//! ([`crate::reactor::Waker`]); shutdown broadcasts to the acceptor and
-//! every shard, with one global drain deadline. `--shards 1` reproduces
-//! the old single-loop topology.
+//! Connections are registered `EPOLLONESHOT`, so a readiness goes to
+//! exactly one of the shard's threads, which owns the connection until
+//! it re-arms it. That thread reads, decodes, answers every pending line
+//! in order — cache hits, misses, mutations and control requests alike
+//! — writes the replies itself, and re-arms. Nothing crosses a thread
+//! boundary on the request path, and there is one path. At most two
+//! idle threads wait on a shard's epoll instance; the others park until
+//! both are busy. A long query ties up only the thread running it; the
+//! shard's other threads keep serving its other connections. Thread
+//! count bounds concurrent evaluations, not clients: an idle connection
+//! costs one epoll registration, and per-wakeup work scales with
+//! readiness, not with the connection count. The idle-eviction scan runs only when its
+//! computed deadline fires. Only the engine, the durable store, and each
+//! shard's connection table are shared. Shutdown broadcasts to the
+//! acceptor and every shard, with one global drain deadline; `--shards
+//! 1` puts every thread on one epoll instance.
 //!
-//! Each shard keeps its own [`Registry`] — request and connection
+//! Each shard keeps its own `Registry` — request and connection
 //! counters, the folded session counters, and every latency histogram —
 //! behind that shard's own lock. Sessions record nothing: they return
 //! their spans, total time and root q-error on the response, and the
-//! server records those, plus its own `render` and `serialize` timings.
-//! The shard loop records its inline answers straight into its shard's
-//! registry; a pool batch records into a registry of its own and folds
-//! it in once, at the end. Either way the session's counter growth is
-//! folded in after the run or batch and the session's counters zeroed.
-//! A `stats` or `metrics` scrape merges the shard registries with the
-//! engine's cache counters into one snapshot and renders it; `stats
-//! reset` renders the snapshot's growth since the previous reset.
+//! thread that answered records those, plus its own `render` and
+//! `serialize` timings, into its shard's registry, folding in and
+//! zeroing the session's counter growth as it goes. A `stats` or
+//! `metrics` scrape merges the shard registries with the engine's cache
+//! counters into one snapshot and renders it; `stats reset` renders the
+//! snapshot's growth since the previous reset.
 
 use crate::conn::{Conn, ReadOutcome};
-use crate::pool::ThreadPool;
 use crate::protocol::{
     self, CheckpointResult, LoadResult, LoadSource, MetricsResult, MutationResult, PlannerStats,
     QueryResult, Request, RequestId, Response, ShardBreakdown, StageLatency, StatsResult,
 };
 use crate::reactor::{
-    self, Epoll, EpollEvent, PollFd, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, POLLIN,
+    self, Epoll, EpollEvent, PollFd, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLONESHOT, EPOLLOUT,
+    POLLIN,
 };
 use rd_core::trace::Histogram;
 use rd_core::{Database, Tuple, Value};
@@ -67,13 +63,13 @@ use rd_engine::{
     SessionStats, SharedConfig, STAGE_NAMES,
 };
 use rd_store::{Store, WalRecord};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Default row threshold above which query results stream as chunks.
@@ -92,15 +88,14 @@ pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port; read the
     /// real one back with [`Server::local_addr`]).
     pub addr: String,
-    /// Compute-pool threads: the number of requests evaluating at once.
-    /// Connections are multiplexed by the event loops and are *not*
-    /// bounded by this. The pool is sliced across shards (each shard
-    /// gets at least one worker).
+    /// Request-serving threads: the number of requests evaluating at
+    /// once. Connections are multiplexed over them and are *not*
+    /// bounded by this. The threads are divided among the shards (each
+    /// shard gets at least one).
     pub workers: usize,
-    /// Event-loop shards: each runs its own epoll loop, connection
-    /// table, and compute-pool slice on a dedicated thread. `0` means
-    /// one shard per available core; `1` reproduces the single-loop
-    /// topology.
+    /// Shards: each has its own epoll instance, connection table, and
+    /// slice of the `workers` threads. `0` means one shard per available
+    /// core; `1` puts every thread on one epoll instance.
     pub shards: usize,
     /// Shared parse-cache capacity (entries).
     pub parse_cache_capacity: usize,
@@ -161,38 +156,34 @@ impl Default for ServerConfig {
     }
 }
 
-/// Server-level shared state: the engine, the durable store, and one
-/// handle per shard.
+/// Server-level shared state: the configuration, the engine, the
+/// durable store, and the shards.
 struct ServerState {
+    config: ServerConfig,
     engine: Arc<EngineShared>,
     shutdown: AtomicBool,
-    workers: u64,
     /// The write-ahead log + snapshot store (`--data-dir`). The mutex
     /// serializes durable mutations so WAL order equals apply order;
     /// `None` means the server runs purely in memory.
     store: Option<Mutex<Store>>,
-    /// Slow-query threshold in microseconds (`None` = log nothing).
-    slow_query_log: Option<u64>,
-    /// One handle per event-loop shard: its waker, inbox, active gauge,
-    /// and registry. Stats and metrics replies merge across these.
-    shards: Vec<Arc<ShardHandle>>,
+    /// The shards. Stats and metrics replies merge across these.
+    shards: Vec<Arc<Shard>>,
     /// Interrupts the acceptor's `poll` (shutdown broadcast).
     accept_waker: Waker,
     /// Set once by [`ServerState::begin_shutdown`]; every shard drains
     /// against this one global deadline.
     drain_deadline: Mutex<Option<Instant>>,
-    drain_timeout: Duration,
     /// The merged snapshot the last `stats reset` reported; the next
     /// reset reports growth since here.
     last_reset: Mutex<Registry>,
 }
 
 /// Everything the server counts and times, as plain data. Each shard
-/// owns one behind its own lock, written only by that shard's loop, its
-/// pool slice, and the acceptor (once per routed socket); a scrape
-/// merges them with [`accumulate`](Registry::accumulate) into one
-/// snapshot, and `stats reset` reports [`since`](Registry::since) the
-/// previous reset's snapshot. Histograms are recorded only with
+/// owns one behind its own lock, written by that shard's threads and by
+/// the acceptor (once per routed socket); a scrape merges them with
+/// [`accumulate`](Registry::accumulate) into one snapshot, and `stats
+/// reset` reports [`since`](Registry::since) the previous reset's
+/// snapshot. Histograms are recorded only with
 /// [`SharedConfig::metrics`] on; counters always.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Registry {
@@ -204,9 +195,10 @@ struct Registry {
     connections: u64,
     /// Connections closed by idle eviction.
     evicted: u64,
-    /// Requests the shard's loop answered itself, skipping the pool.
+    /// Requests answered without parsing or evaluating anything: pings,
+    /// and queries that hit both the parse and the result cache.
     inline: u64,
-    /// Session counters, folded in after each inline run or pool batch.
+    /// Session counters, folded in after each request.
     sessions: SessionStats,
     /// Per-stage latency (µs), parallel to [`STAGE_NAMES`].
     stages: [Histogram; STAGE_NAMES.len()],
@@ -216,15 +208,12 @@ struct Registry {
     /// The root q-error of each executed query, in centi-q (`q × 100`,
     /// so a perfect estimate records 100).
     planner_q: Histogram,
-    /// Time one loop iteration spends processing (post-`epoll_wait` to
-    /// re-wait), µs.
+    /// Time a shard thread spends on one wakeup (its connection's whole
+    /// turn: read, answer, write, re-arm), µs.
     loop_micros: Histogram,
-    /// Pending request lines on a connection when a batch goes to the
-    /// pool (inline answers never queue).
+    /// Pending request lines on a connection when a thread begins
+    /// answering them.
     queue_depth: Histogram,
-    /// Time a batch waited between dispatch and a pool worker picking
-    /// it up, µs.
-    pool_wait: Histogram,
     /// The engine's cache counters: empty in a shard's registry, set
     /// once per scrape. [`since`](Registry::since) windows their
     /// counters and keeps their gauges (entries, capacity, bytes).
@@ -239,7 +228,6 @@ impl Registry {
             &self.planner_q,
             &self.loop_micros,
             &self.queue_depth,
-            &self.pool_wait,
         ])
     }
 
@@ -248,7 +236,6 @@ impl Registry {
             &mut self.planner_q,
             &mut self.loop_micros,
             &mut self.queue_depth,
-            &mut self.pool_wait,
         ])
     }
 
@@ -302,6 +289,13 @@ impl Registry {
         }
     }
 
+    /// Records a reply's `serialize` span, if it was timed.
+    fn record_serialize(&mut self, micros: Option<u64>) {
+        if let Some(micros) = micros {
+            self.record_span("serialize", micros);
+        }
+    }
+
     /// Records what a session returned for one query whose reply frames
     /// took `shaping` µs to build: its total time under its language,
     /// its stage spans, and its root q-error. The session's own `render`
@@ -329,101 +323,549 @@ impl Registry {
 
 impl ServerState {
     /// Idempotent shutdown broadcast: arms the one global drain
-    /// deadline, then wakes the acceptor and every shard so all loops
+    /// deadline, then wakes the acceptor and every shard so all threads
     /// observe the flag promptly.
     fn begin_shutdown(&self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
-            *self
-                .drain_deadline
-                .lock()
-                .unwrap_or_else(|p| p.into_inner()) = Some(Instant::now() + self.drain_timeout);
+            *lock(&self.drain_deadline) = Some(Instant::now() + self.config.drain_timeout);
             self.accept_waker.wake();
             for shard in &self.shards {
                 shard.waker.wake();
+                // Under the lock: a thread about to park sees the flag
+                // or is already waiting for this.
+                let _threads = lock(&shard.threads);
+                shard.unpark.notify_all();
             }
         }
     }
 
     fn drain_deadline(&self) -> Option<Instant> {
-        *self
-            .drain_deadline
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
+        *lock(&self.drain_deadline)
     }
+}
+
+/// Locks `m`, surviving a poisoned mutex: request handlers run under
+/// `catch_unwind`, and every other update under these locks leaves the
+/// data valid at each step.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 fn elapsed_micros(start: Instant) -> u64 {
     start.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
-/// One finished pool job: encoded frames ready to write, routed back to
-/// the connection by token.
-struct Completion {
-    token: u64,
-    bytes: Vec<u8>,
-    shutdown: bool,
+/// Milliseconds until `deadline`, rounded up, as an `epoll_wait`
+/// timeout.
+fn millis_until(deadline: Instant) -> i32 {
+    let ms = deadline
+        .saturating_duration_since(Instant::now())
+        .as_millis()
+        + 1;
+    ms.min(i32::MAX as u128) as i32
 }
 
-/// The acceptor/worker side of one shard: everything another thread
-/// may touch. The shard's own loop state (epoll instance, connection
-/// table, pool slice) lives in [`ShardLoop`] and is never shared.
-struct ShardHandle {
+/// One connection as the shard's threads share it.
+type ConnCell = Arc<Mutex<Conn<TcpStream>>>;
+
+/// The epoll token reserved for the shard's own waker pipe.
+const WAKER_TOKEN: u64 = u64::MAX;
+
+/// Request lines one connection's turn answers before it yields its
+/// thread (a deeper pipeline is re-armed and finished on later turns).
+const MAX_BATCH: usize = 64;
+
+/// How many of a shard's idle threads wait on its epoll instance; the
+/// others park until every waiting thread is busy. Two: one takes the
+/// next readiness, the other stands by, so a long turn never stalls the
+/// shard and the steady state wakes no parked thread. Capping it keeps
+/// a lock-step connection on one or two threads instead of wandering
+/// over all of them: each thread that serves a stretch of requests keeps
+/// the cached results it allocated in its own malloc arena, and peak
+/// RSS grew with every thread that had served one.
+const POLLERS: usize = 2;
+
+/// Where a shard's threads are: `awake` ones wait on the epoll instance
+/// or run a turn (`busy` of them are still answering), the rest are
+/// parked on [`Shard::unpark`].
+#[derive(Default)]
+struct Threads {
+    awake: usize,
+    busy: usize,
+    parked: usize,
+    /// Unparks granted but not yet taken (guards spurious wakeups).
+    unparks: usize,
+}
+
+/// One turn's place in the shard's `busy` count: from taking a
+/// readiness until the replies are ready to write. It ends before the
+/// write, since the write is what wakes a lock-step client, and a thread
+/// that was preempted there must not look busy to the next turn.
+struct Turn<'a> {
+    shard: &'a Shard,
+    open: bool,
+}
+
+impl Turn<'_> {
+    fn end(&mut self) {
+        if std::mem::take(&mut self.open) {
+            lock(&self.shard.threads).busy -= 1;
+        }
+    }
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        self.end();
+    }
+}
+
+/// One shard: an epoll instance its threads wait on, the connection
+/// table, and the shard's registry. The acceptor registers
+/// new sockets here directly; the shard's threads do everything else.
+struct Shard {
     id: usize,
-    /// Interrupts the shard's `epoll_wait` (new sockets, completions,
-    /// shutdown).
+    epoll: Epoll,
+    /// Interrupts the threads' waits at shutdown. Registered one-shot
+    /// and never drained: each thread that takes the wake passes it on
+    /// by re-arming it, and the last one drains the shard.
     waker: Waker,
-    /// Sockets routed here by the acceptor, adopted on the next wakeup.
-    inbox: Mutex<Vec<TcpStream>>,
-    /// Finished pool jobs waiting for the loop to queue their frames.
-    completions: Mutex<Vec<Completion>>,
-    /// Currently-open connections (incremented at routing time, so a
-    /// socket is never unaccounted while it sits in the inbox). The
+    /// Open connections by token. Nothing locks a connection while
+    /// holding this lock (closing takes it under the connection's).
+    conns: Mutex<HashMap<u64, ConnCell>>,
+    next_token: AtomicU64,
+    /// Currently-open connections (incremented at routing time). The
     /// acceptor routes on it, so it stays an atomic.
     active: AtomicU64,
+    /// The shard's threads that have not yet left at shutdown.
+    live: AtomicUsize,
+    threads: Mutex<Threads>,
+    /// Wakes a parked thread (one when a turn leaves no thread waiting
+    /// on the epoll instance, all at shutdown).
+    unpark: Condvar,
+    /// The earliest instant some quiet connection could become
+    /// evictable. The O(n) idle scan runs only when this fires, and
+    /// only on one thread at a time (whoever holds this lock).
+    next_idle_scan: Mutex<Option<Instant>>,
     /// Everything this shard counts and times.
     registry: Mutex<Registry>,
 }
 
-impl ShardHandle {
-    fn new(id: usize) -> std::io::Result<ShardHandle> {
-        Ok(ShardHandle {
+impl Shard {
+    fn new(id: usize) -> std::io::Result<Shard> {
+        let epoll = Epoll::new()?;
+        let waker = Waker::new()?;
+        epoll.add(waker.read_fd(), EPOLLIN | EPOLLONESHOT, WAKER_TOKEN)?;
+        Ok(Shard {
             id,
-            waker: Waker::new()?,
-            inbox: Mutex::new(Vec::new()),
-            completions: Mutex::new(Vec::new()),
+            epoll,
+            waker,
+            conns: Mutex::new(HashMap::new()),
+            next_token: AtomicU64::new(0),
             active: AtomicU64::new(0),
+            live: AtomicUsize::new(0),
+            threads: Mutex::new(Threads::default()),
+            unpark: Condvar::new(),
+            next_idle_scan: Mutex::new(None),
             registry: Mutex::new(Registry::default()),
         })
     }
 
-    fn push_completion(&self, completion: Completion) {
-        self.completions
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(completion);
-        self.waker.wake();
-    }
-
-    fn take_completions(&self) -> Vec<Completion> {
-        std::mem::take(&mut *self.completions.lock().unwrap_or_else(|p| p.into_inner()))
-    }
-
-    fn push_stream(&self, stream: TcpStream) {
-        self.inbox
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(stream);
-        self.waker.wake();
-    }
-
-    fn take_inbox(&self) -> Vec<TcpStream> {
-        std::mem::take(&mut *self.inbox.lock().unwrap_or_else(|p| p.into_inner()))
-    }
-
-    /// Locks this shard's registry, surviving a poisoned mutex: the
-    /// shard's own loop takes it, where a panic would stop the loop.
+    /// Locks this shard's registry, surviving a poisoned mutex.
     fn registry(&self) -> MutexGuard<'_, Registry> {
-        self.registry.lock().unwrap_or_else(|p| p.into_inner())
+        lock(&self.registry)
+    }
+
+    /// Records into this shard's registry and folds in (then zeroes)
+    /// the session's counter growth, so every request is recorded once,
+    /// by the thread that answered it.
+    fn record(&self, session: &mut Session, f: impl FnOnce(&mut Registry)) {
+        let mut rec = self.registry();
+        f(&mut rec);
+        rec.sessions.accumulate(session.stats());
+        drop(rec);
+        session.reset_stats();
+    }
+
+    /// A snapshot of the open connections (the table lock is released
+    /// before any connection is locked).
+    fn conns(&self) -> Vec<(u64, ConnCell)> {
+        lock(&self.conns)
+            .iter()
+            .map(|(token, cell)| (*token, cell.clone()))
+            .collect()
+    }
+
+    /// Registers one routed socket (called on the acceptor thread).
+    fn adopt(&self, state: &ServerState, stream: TcpStream) {
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let fd = stream.as_raw_fd();
+        let conn = Conn::new(token, stream, Session::attach(state.engine.clone()));
+        // In the table before it is armed, so its first event finds it.
+        lock(&self.conns).insert(token, Arc::new(Mutex::new(conn)));
+        if self.epoll.add(fd, EPOLLIN | EPOLLONESHOT, token).is_err() {
+            lock(&self.conns).remove(&token);
+            self.active.fetch_sub(1, Ordering::Relaxed);
+            return;
+        }
+        if state.shutdown.load(Ordering::SeqCst) {
+            // Accepted before shutdown, registered while the shard
+            // drains: `EPOLLOUT` fires at once, so the draining thread
+            // closes it instead of waiting for bytes that may never come.
+            let _ = self
+                .epoll
+                .modify(fd, EPOLLIN | EPOLLOUT | EPOLLONESHOT, token);
+        }
+    }
+
+    /// Deregisters and drops a connection the caller holds locked. Its
+    /// socket closes once the last thread holding it lets go.
+    fn close(&self, conn: &mut Conn<TcpStream>) {
+        if conn.closed {
+            return;
+        }
+        conn.closed = true;
+        lock(&self.conns).remove(&conn.token);
+        // Failure is harmless: closing the fd deregisters it anyway.
+        let _ = self.epoll.delete(conn.stream().as_raw_fd());
+        self.active.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// How long a thread may wait: forever, unless an idle scan is due.
+    fn wait_timeout(&self, state: &ServerState) -> i32 {
+        self.next_scan(state).map_or(-1, millis_until)
+    }
+
+    /// When the idle scan is next due (`None`: no idle timeout, or no
+    /// quiet connection to evict).
+    fn next_scan(&self, state: &ServerState) -> Option<Instant> {
+        state.config.idle_timeout?;
+        *lock(&self.next_idle_scan)
+    }
+
+    /// One thread of the shard: take one ready connection at a time and
+    /// run its turn to completion, until shutdown. The event buffer holds
+    /// one entry, so a thread never sits on readiness another idle
+    /// thread could be serving.
+    fn run(&self, state: &ServerState) -> std::io::Result<()> {
+        let mut events = [EpollEvent::zeroed()];
+        lock(&self.threads).awake += 1;
+        if !self.rest(state) {
+            return self.leave(state);
+        }
+        loop {
+            let ready = match self.epoll.wait(&mut events, self.wait_timeout(state)) {
+                Ok(n) => n,
+                Err(e) => {
+                    self.live.fetch_sub(1, Ordering::SeqCst);
+                    state.begin_shutdown();
+                    return Err(e);
+                }
+            };
+            let start = state.engine.metrics_enabled().then(Instant::now);
+            if ready == 1 {
+                let token = events[0].token();
+                if token == WAKER_TOKEN {
+                    // Shutdown. Pass the wake on (the pipe stays
+                    // readable) to the next waiting thread, and leave.
+                    let fd = self.waker.read_fd();
+                    self.epoll.modify(fd, EPOLLIN | EPOLLONESHOT, WAKER_TOKEN)?;
+                    return self.leave(state);
+                }
+                let mut turn = self.take();
+                self.serve(state, token, events[0].events(), Some(&mut turn));
+            }
+            self.maybe_evict_idle(state);
+            if let Some(t) = start {
+                self.registry().loop_micros.record(elapsed_micros(t));
+            }
+            if ready == 1 && !self.rest(state) {
+                return self.leave(state);
+            }
+        }
+    }
+
+    /// Starts a turn. If every awake thread is now answering, a parked
+    /// one is woken to wait on the epoll instance in its place.
+    fn take(&self) -> Turn<'_> {
+        let mut threads = lock(&self.threads);
+        threads.busy += 1;
+        if threads.busy == threads.awake && threads.parked > 0 {
+            threads.parked -= 1;
+            threads.unparks += 1;
+            threads.awake += 1;
+            self.unpark.notify_one();
+        }
+        Turn {
+            shard: self,
+            open: true,
+        }
+    }
+
+    /// Between turns: this thread goes back to the epoll instance unless
+    /// more than [`POLLERS`] awake threads would be waiting there, in
+    /// which case it parks until a turn needs it. A parked thread still
+    /// wakes for the idle scan: the deadline it set in its last turn may
+    /// be one no waiting thread has seen. Returns `false` when shutdown
+    /// ended the park.
+    fn rest(&self, state: &ServerState) -> bool {
+        let mut threads = lock(&self.threads);
+        if threads.awake - threads.busy <= POLLERS {
+            return true;
+        }
+        threads.awake -= 1;
+        threads.parked += 1;
+        loop {
+            if state.shutdown.load(Ordering::SeqCst) {
+                return false;
+            }
+            if threads.unparks > 0 {
+                // Counted as awake by the thread that unparked it.
+                threads.unparks -= 1;
+                return true;
+            }
+            let Some(at) = self.next_scan(state) else {
+                threads = self.unpark.wait(threads).unwrap_or_else(|p| p.into_inner());
+                continue;
+            };
+            let wait = at.saturating_duration_since(Instant::now());
+            let (guard, waited) = self
+                .unpark
+                .wait_timeout(threads, wait)
+                .unwrap_or_else(|p| p.into_inner());
+            threads = guard;
+            if waited.timed_out() {
+                drop(threads);
+                self.maybe_evict_idle(state);
+                threads = lock(&self.threads);
+            }
+        }
+    }
+
+    /// Leaves at shutdown; the shard's last thread drains it first. A
+    /// thread leaves between turns, owning no connection.
+    fn leave(&self, state: &ServerState) -> std::io::Result<()> {
+        if self.live.fetch_sub(1, Ordering::SeqCst) > 1 {
+            return Ok(());
+        }
+        self.drain(state)
+    }
+
+    /// The shard's last thread at shutdown: every other one has left, so
+    /// no connection is mid-turn. Each connection finishes what it
+    /// already read (it reads nothing new) and closes; stragglers are
+    /// force-closed at the global drain deadline.
+    fn drain(&self, state: &ServerState) -> std::io::Result<()> {
+        for (token, _) in self.conns() {
+            self.serve(state, token, 0, None);
+        }
+        let deadline = state
+            .drain_deadline()
+            .expect("the deadline is set before any shard is woken");
+        let mut events = [EpollEvent::zeroed()];
+        loop {
+            if lock(&self.conns).is_empty() {
+                return Ok(());
+            }
+            if Instant::now() >= deadline {
+                for (_, cell) in self.conns() {
+                    self.close(&mut lock(&cell));
+                }
+                return Ok(());
+            }
+            let ready = self.epoll.wait(&mut events, millis_until(deadline))?;
+            if ready == 1 && events[0].token() != WAKER_TOKEN {
+                self.serve(state, events[0].token(), events[0].events(), None);
+            }
+        }
+    }
+
+    /// One connection's turn, on the thread that took its readiness:
+    /// flush, read and frame, answer every pending line in order (up to
+    /// [`MAX_BATCH`]), write the replies, then close or re-arm.
+    fn serve(&self, state: &ServerState, token: u64, events: u32, turn: Option<&mut Turn>) {
+        let Some(cell) = lock(&self.conns).get(&token).cloned() else {
+            return;
+        };
+        let mut conn = lock(&cell);
+        if conn.closed {
+            return;
+        }
+        if events & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0
+            && conn.has_backlog()
+            && conn.flush().is_err()
+        {
+            self.close(&mut conn);
+            return;
+        }
+        if state.shutdown.load(Ordering::SeqCst) {
+            // Finish what was already read; read nothing new.
+            conn.read_closed = true;
+        }
+        if events & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0 && !self.read(state, &mut conn) {
+            self.close(&mut conn);
+            return;
+        }
+        if self.answer(state, &mut conn) {
+            state.begin_shutdown();
+            conn.read_closed = true;
+        }
+        if let Some(turn) = turn {
+            turn.end();
+        }
+        // Most replies fit the socket buffer: write them now rather than
+        // waiting for an `EPOLLOUT` round.
+        if conn.has_backlog() && conn.flush().is_err() {
+            self.close(&mut conn);
+            return;
+        }
+        let finished = conn.read_closed && conn.is_quiet();
+        let aborted = conn.fatal && !conn.has_backlog();
+        if finished || aborted {
+            self.close(&mut conn);
+            return;
+        }
+        if let Some(idle) = state.config.idle_timeout {
+            if conn.is_quiet() && !conn.read_closed {
+                let evict_at = conn.last_activity + idle;
+                let mut next = lock(&self.next_idle_scan);
+                *next = Some(next.map_or(evict_at, |d| d.min(evict_at)));
+            }
+        }
+        // Re-arm, last: from here another thread may take the
+        // connection. `EPOLLOUT` fires at once on a writable socket, so a
+        // connection with lines still pending comes back for another
+        // turn behind whatever else is ready.
+        let mut want = EPOLLONESHOT;
+        if conn.wants_read() {
+            want |= EPOLLIN;
+        }
+        if conn.has_backlog() || (!conn.fatal && !conn.pending.is_empty()) {
+            want |= EPOLLOUT;
+        }
+        if self
+            .epoll
+            .modify(conn.stream().as_raw_fd(), want, token)
+            .is_err()
+        {
+            // Disarmed for good: nothing would ever serve it again.
+            self.close(&mut conn);
+        }
+    }
+
+    /// Reads available bytes and frames them into pending lines. An
+    /// oversized line gets an error frame and a fatal close. Returns
+    /// `false` when the socket is dead.
+    fn read(&self, state: &ServerState, conn: &mut Conn<TcpStream>) -> bool {
+        if conn.read_closed {
+            // Draining, or EOF already seen: an EPOLLHUP must not grow
+            // the pipeline with requests we promised not to read.
+            return true;
+        }
+        let outcome = conn.fill();
+        if outcome == ReadOutcome::Dead {
+            return false;
+        }
+        let max_line_bytes = state.config.max_line_bytes;
+        loop {
+            match conn.next_line(max_line_bytes) {
+                Ok(Some(line)) => {
+                    if !line.trim().is_empty() {
+                        conn.pending.push_back(line);
+                    }
+                }
+                Ok(None) => break,
+                Err(_overflow) => {
+                    let mut registry = self.registry();
+                    registry.requests += 1;
+                    registry.errors += 1;
+                    drop(registry);
+                    conn.queue(&error_line(format!(
+                        "request line exceeds {max_line_bytes} bytes"
+                    )));
+                    // The stream cannot resync mid-line: stop reading,
+                    // drop pending work, close once the error flushes.
+                    conn.read_closed = true;
+                    conn.fatal = true;
+                    conn.pending.clear();
+                    return true;
+                }
+            }
+        }
+        // A half-closing client's last request may lack the trailing
+        // newline; EOF is its delimiter.
+        if outcome == ReadOutcome::Eof {
+            if let Some(line) = conn.take_final_line() {
+                if !line.trim().is_empty() {
+                    conn.pending.push_back(line);
+                }
+            }
+        }
+        true
+    }
+
+    /// Answers up to [`MAX_BATCH`] of the connection's pending lines in
+    /// order, queueing each reply. Returns whether one of them asked the
+    /// server to shut down.
+    fn answer(&self, state: &ServerState, conn: &mut Conn<TcpStream>) -> bool {
+        if conn.fatal || conn.pending.is_empty() {
+            return false;
+        }
+        let depth = conn.pending.len();
+        if state.engine.metrics_enabled() {
+            self.registry().queue_depth.record(depth as u64);
+        }
+        let mut shutdown = false;
+        for _ in 0..depth.min(MAX_BATCH) {
+            let line = conn.pending.pop_front().expect("within the pending depth");
+            let decoded = protocol::decode_request_line(line.trim());
+            let (bytes, stop) = run_line(state, self, &mut conn.session, decoded);
+            conn.queue(&bytes);
+            shutdown |= stop;
+        }
+        shutdown
+    }
+
+    /// Runs the O(n) idle scan — but only when the precomputed deadline
+    /// has fired, and on one thread at a time. Evicts every overdue
+    /// quiet connection and recomputes the deadline from the survivors;
+    /// a connection mid-turn is not idle and is skipped (its thread
+    /// re-enters it when the turn ends).
+    fn maybe_evict_idle(&self, state: &ServerState) {
+        let Some(idle) = state.config.idle_timeout else {
+            return;
+        };
+        let mut next_scan = match self.next_idle_scan.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => return,
+        };
+        let now = Instant::now();
+        if !next_scan.is_some_and(|at| now >= at) {
+            return;
+        }
+        let mut next: Option<Instant> = None;
+        let mut evicted = 0;
+        for (_, cell) in self.conns() {
+            let mut conn = match cell.try_lock() {
+                Ok(guard) => guard,
+                Err(TryLockError::Poisoned(p)) => p.into_inner(),
+                Err(TryLockError::WouldBlock) => continue,
+            };
+            if conn.closed || !conn.is_quiet() || conn.read_closed {
+                continue;
+            }
+            let evict_at = conn.last_activity + idle;
+            if now >= evict_at {
+                self.close(&mut conn);
+                evicted += 1;
+            } else {
+                next = Some(next.map_or(evict_at, |d| d.min(evict_at)));
+            }
+        }
+        *next_scan = next;
+        drop(next_scan);
+        self.registry().evicted += evicted;
     }
 }
 
@@ -451,7 +893,6 @@ fn resolve_shards(requested: usize) -> usize {
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
-    config: ServerConfig,
 }
 
 impl Server {
@@ -490,25 +931,19 @@ impl Server {
             },
         ));
         let shards = (0..resolve_shards(config.shards))
-            .map(|id| ShardHandle::new(id).map(Arc::new))
+            .map(|id| Shard::new(id).map(Arc::new))
             .collect::<std::io::Result<Vec<_>>>()?;
         let state = Arc::new(ServerState {
+            config,
             engine,
             shutdown: AtomicBool::new(false),
-            workers: config.workers.max(1) as u64,
             store,
-            slow_query_log: config.slow_query_log,
             shards,
             accept_waker: Waker::new()?,
             drain_deadline: Mutex::new(None),
-            drain_timeout: config.drain_timeout,
             last_reset: Mutex::new(Registry::default()),
         });
-        Ok(Server {
-            listener,
-            state,
-            config,
-        })
+        Ok(Server { listener, state })
     }
 
     /// The address actually bound (resolves `:0` ephemeral ports).
@@ -521,7 +956,7 @@ impl Server {
         self.state.engine.clone()
     }
 
-    /// The number of event-loop shards this server runs (resolved from
+    /// The number of shards this server runs (resolved from
     /// [`ServerConfig::shards`]; `0` meant one per available core).
     pub fn shard_count(&self) -> usize {
         self.state.shards.len()
@@ -529,42 +964,29 @@ impl Server {
 
     /// Serves until a client sends `{"op":"shutdown"}`. Blocking; run it
     /// on its own thread if the caller needs to keep working. The
-    /// calling thread becomes the acceptor; one thread per shard runs
-    /// an epoll event loop. Shutdown stops accepting, drains in-flight
-    /// connections on every shard up to [`ServerConfig::drain_timeout`],
-    /// then returns.
+    /// calling thread becomes the acceptor; each shard runs its slice of
+    /// [`ServerConfig::workers`] threads. Shutdown stops accepting,
+    /// drains in-flight connections on every shard up to
+    /// [`ServerConfig::drain_timeout`], then returns.
     pub fn serve(self) -> std::io::Result<()> {
-        let Server {
-            listener,
-            state,
-            config,
-        } = self;
+        let Server { listener, state } = self;
         listener.set_nonblocking(true)?;
         let nshards = state.shards.len();
-        let workers = config.workers.max(1);
-        let mut threads: Vec<std::thread::JoinHandle<std::io::Result<()>>> =
-            Vec::with_capacity(nshards);
-        for handle in &state.shards {
-            // Slice the pool: workers/n each, the remainder spread over
-            // the first shards, never below one thread.
-            let width = (workers / nshards + usize::from(handle.id < workers % nshards)).max(1);
-            let shard = match ShardLoop::new(state.clone(), config.clone(), handle.clone(), width) {
-                Ok(shard) => shard,
-                Err(e) => {
-                    // Already-spawned shards must not outlive a failed
-                    // boot: broadcast shutdown and collect them.
-                    state.begin_shutdown();
-                    for t in threads {
-                        let _ = t.join();
-                    }
-                    return Err(e);
-                }
-            };
-            let thread = std::thread::Builder::new()
-                .name(format!("rd-shard-{}", handle.id))
-                .spawn(move || shard.run())
-                .expect("spawn shard loop thread");
-            threads.push(thread);
+        let workers = state.config.workers.max(1);
+        let mut threads: Vec<std::thread::JoinHandle<std::io::Result<()>>> = Vec::new();
+        for shard in &state.shards {
+            // workers/n threads each, the remainder spread over the
+            // first shards, never below one.
+            let width = (workers / nshards + usize::from(shard.id < workers % nshards)).max(1);
+            shard.live.store(width, Ordering::SeqCst);
+            for i in 0..width {
+                let (state, shard) = (state.clone(), shard.clone());
+                let thread = std::thread::Builder::new()
+                    .name(format!("rd-shard-{}-{i}", shard.id))
+                    .spawn(move || shard.run(&state))
+                    .expect("spawn shard thread");
+                threads.push(thread);
+            }
         }
         let result = accept_loop(&listener, &state);
         drop(listener); // closes the fd: no new connections during drain
@@ -578,7 +1000,7 @@ impl Server {
             match thread.join() {
                 Ok(Ok(())) => {}
                 Ok(Err(e)) => shard_result = Err(e),
-                Err(_) => shard_result = Err(std::io::Error::other("shard loop panicked")),
+                Err(_) => shard_result = Err(std::io::Error::other("shard thread panicked")),
             }
         }
         result.and(shard_result)
@@ -586,9 +1008,9 @@ impl Server {
 }
 
 /// The acceptor: a two-fd `poll` loop (shutdown waker + listener) that
-/// routes each accepted socket to the least-loaded shard's inbox. This
-/// is the only cross-shard decision on the connection path, and it
-/// happens once per connection — never per request.
+/// routes each accepted socket to the least-loaded shard. This is the
+/// only cross-shard decision on the connection path, and it happens
+/// once per connection — never per request.
 fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) -> std::io::Result<()> {
     let mut rotate = 0usize;
     loop {
@@ -618,11 +1040,9 @@ fn accept_all(
                 stream.set_nonblocking(true)?;
                 stream.set_nodelay(true).ok();
                 let shard = route(&state.shards, rotate);
-                // Count at routing time so the socket is never
-                // unaccounted while it sits in the inbox.
                 shard.registry().connections += 1;
                 shard.active.fetch_add(1, Ordering::Relaxed);
-                shard.push_stream(stream);
+                shard.adopt(state, stream);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
             Err(e)
@@ -639,7 +1059,7 @@ fn accept_all(
 /// the rotation degrades to round-robin; under a skewed one (a few
 /// pipelining clients among thousands of idle ones) new sockets avoid
 /// the busy shards.
-fn route<'a>(shards: &'a [Arc<ShardHandle>], rotate: &mut usize) -> &'a Arc<ShardHandle> {
+fn route<'a>(shards: &'a [Arc<Shard>], rotate: &mut usize) -> &'a Arc<Shard> {
     let start = *rotate % shards.len();
     *rotate = rotate.wrapping_add(1);
     let mut best = start;
@@ -655,527 +1075,9 @@ fn route<'a>(shards: &'a [Arc<ShardHandle>], rotate: &mut usize) -> &'a Arc<Shar
     &shards[best]
 }
 
-/// The epoll token reserved for the shard's own waker pipe.
-const WAKER_TOKEN: u64 = u64::MAX;
-
-/// One shard's event loop: an epoll instance with persistent
-/// registrations, a private connection table, and a private slice of
-/// the compute pool. Nothing here is shared — the acceptor and the pool
-/// workers reach the shard only through its [`ShardHandle`].
-struct ShardLoop {
-    state: Arc<ServerState>,
-    config: ServerConfig,
-    handle: Arc<ShardHandle>,
-    epoll: Epoll,
-    pool: ThreadPool,
-    conns: HashMap<u64, Conn<TcpStream>>,
-    next_token: u64,
-    /// Set on the iteration that first observes the shutdown flag; the
-    /// one O(n) mark-read-closed pass runs exactly once, there.
-    draining: bool,
-    /// The earliest instant any currently-quiet connection could become
-    /// evictable. The O(n) idle scan runs only when this fires, not on
-    /// every wakeup.
-    next_idle_scan: Option<Instant>,
-}
-
-impl ShardLoop {
-    fn new(
-        state: Arc<ServerState>,
-        config: ServerConfig,
-        handle: Arc<ShardHandle>,
-        pool_width: usize,
-    ) -> std::io::Result<ShardLoop> {
-        let epoll = Epoll::new()?;
-        epoll.add(handle.waker.read_fd(), EPOLLIN, WAKER_TOKEN)?;
-        let pool = ThreadPool::new(pool_width, &format!("rd-worker-s{}", handle.id));
-        Ok(ShardLoop {
-            state,
-            config,
-            handle,
-            epoll,
-            pool,
-            conns: HashMap::new(),
-            next_token: 0,
-            draining: false,
-            next_idle_scan: None,
-        })
-    }
-
-    fn run(mut self) -> std::io::Result<()> {
-        let mut events = vec![EpollEvent::zeroed(); 1024];
-        let mut touched: Vec<u64> = Vec::new();
-        loop {
-            let ready = self.epoll.wait(&mut events, self.wait_timeout())?;
-            let iter_start = self.state.engine.metrics_enabled().then(Instant::now);
-            touched.clear();
-
-            // 1. Socket readiness: writes first (frees backpressure),
-            //    then reads → framing. Only these connections — plus
-            //    the ones completions and adoptions touch below — get
-            //    serviced this iteration.
-            for event in &events[..ready] {
-                let token = event.token();
-                if token == WAKER_TOKEN {
-                    continue;
-                }
-                touched.push(token);
-                let bits = event.events();
-                if bits & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0 {
-                    self.flush_conn(token);
-                }
-                if bits & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0 {
-                    self.read_conn(token);
-                }
-            }
-
-            // 2. Worker completions (drain the pipe first so a wake
-            //    arriving mid-drain re-reports on the next wait).
-            self.handle.waker.drain();
-            for completion in self.handle.take_completions() {
-                if completion.shutdown {
-                    self.state.begin_shutdown();
-                }
-                if let Some(conn) = self.conns.get_mut(&completion.token) {
-                    conn.in_flight = conn.in_flight.saturating_sub(1);
-                    conn.queue(&completion.bytes);
-                    touched.push(completion.token);
-                }
-            }
-
-            // 3. Adopt sockets the acceptor routed here.
-            for stream in self.handle.take_inbox() {
-                if let Some(token) = self.adopt(stream) {
-                    touched.push(token);
-                }
-            }
-
-            // 4. Shutdown broadcast: on the iteration that first
-            //    observes the flag, mark every connection read-closed
-            //    (finish what was already sent, read nothing new). This
-            //    is the only full pass outside the idle scan, and it
-            //    runs once.
-            if !self.draining && self.state.shutdown.load(Ordering::SeqCst) {
-                self.draining = true;
-                for (token, conn) in self.conns.iter_mut() {
-                    conn.read_closed = true;
-                    touched.push(*token);
-                }
-            }
-
-            // 5. Service each touched connection once: opportunistic
-            //    flush, dispatch, close, and interest reconciliation.
-            touched.sort_unstable();
-            touched.dedup();
-            for &token in &touched {
-                self.service(token);
-            }
-
-            // 6. The idle-eviction scan, only when its deadline fired.
-            self.maybe_evict_idle();
-
-            // Time spent working this iteration (the wait's sleep
-            // excluded): a growing tail here means this shard's loop is
-            // the bottleneck, not its compute slice.
-            if let Some(t) = iter_start {
-                self.handle.registry().loop_micros.record(elapsed_micros(t));
-            }
-
-            if self.draining {
-                if self.conns.is_empty() {
-                    break;
-                }
-                if let Some(deadline) = self.state.drain_deadline() {
-                    if Instant::now() >= deadline {
-                        // Drain deadline passed: force-close stragglers.
-                        for (_, conn) in self.conns.drain() {
-                            self.handle.active.fetch_sub(1, Ordering::Relaxed);
-                            drop(conn);
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        // Workers may still be evaluating force-closed connections'
-        // requests; join so their completions (posted to a queue nobody
-        // reads anymore) can't race the process teardown.
-        self.pool.join();
-        Ok(())
-    }
-
-    /// How long `epoll_wait` may sleep: forever unless an idle-eviction
-    /// or drain deadline needs a timed wakeup.
-    fn wait_timeout(&self) -> i32 {
-        let mut deadline = if self.draining {
-            match self.state.drain_deadline() {
-                Some(d) => Some(d),
-                // Shutdown flag seen before the deadline store landed:
-                // poll again shortly rather than sleeping forever.
-                None => return 10,
-            }
-        } else {
-            None
-        };
-        if let Some(scan_at) = self.next_idle_scan {
-            deadline = Some(deadline.map_or(scan_at, |d| d.min(scan_at)));
-        }
-        match deadline {
-            None => -1,
-            Some(d) => {
-                let ms = d.saturating_duration_since(Instant::now()).as_millis() + 1;
-                ms.min(i32::MAX as u128) as i32
-            }
-        }
-    }
-
-    /// Registers one routed socket with this shard's epoll instance and
-    /// connection table. Returns `None` (closing the socket) if the
-    /// kernel refused the registration.
-    fn adopt(&mut self, stream: TcpStream) -> Option<u64> {
-        let token = self.next_token;
-        self.next_token += 1;
-        let session = Arc::new(Mutex::new(Session::attach(self.state.engine.clone())));
-        let mut conn = Conn::new(token, stream, session);
-        conn.interest = EPOLLIN;
-        if self.draining {
-            // Accepted before shutdown, adopted after: nothing was ever
-            // read, so it closes as soon as it is serviced.
-            conn.read_closed = true;
-            conn.interest = 0;
-        }
-        match self
-            .epoll
-            .add(conn.stream().as_raw_fd(), conn.interest, token)
-        {
-            Ok(()) => {
-                self.conns.insert(token, conn);
-                Some(token)
-            }
-            Err(_) => {
-                self.handle.active.fetch_sub(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn flush_conn(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if conn.has_backlog() && conn.flush().is_err() {
-            self.close(token);
-        }
-    }
-
-    /// Reads available bytes, frames them into lines, and queues the
-    /// requests. Oversized lines get an error frame and a fatal close.
-    fn read_conn(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if conn.read_closed {
-            // Draining (or already saw EOF): an EPOLLHUP must not grow
-            // the pipeline with requests we promised not to read.
-            return;
-        }
-        let outcome = conn.fill();
-        if outcome == ReadOutcome::Dead {
-            self.close(token);
-            return;
-        }
-        loop {
-            match conn.next_line(self.config.max_line_bytes) {
-                Ok(Some(line)) => {
-                    if !line.trim().is_empty() {
-                        conn.pending.push_back(line);
-                    }
-                }
-                Ok(None) => break,
-                Err(_overflow) => {
-                    let mut registry = self.handle.registry();
-                    registry.requests += 1;
-                    registry.errors += 1;
-                    drop(registry);
-                    conn.queue(&error_line(format!(
-                        "request line exceeds {} bytes",
-                        self.config.max_line_bytes
-                    )));
-                    // The stream cannot resync mid-line: stop reading,
-                    // drop pending work, close once the error flushes.
-                    conn.read_closed = true;
-                    conn.fatal = true;
-                    conn.pending.clear();
-                    return;
-                }
-            }
-        }
-        // A half-closing client's last request may lack the trailing
-        // newline; EOF is its delimiter (the blocking server honored
-        // this too).
-        if outcome == ReadOutcome::Eof {
-            if let Some(line) = conn.take_final_line() {
-                if !line.trim().is_empty() {
-                    conn.pending.push_back(line);
-                }
-            }
-        }
-    }
-
-    /// One post-I/O pass over a touched connection: opportunistic
-    /// flush, dispatch, close-if-finished, epoll interest
-    /// reconciliation, and idle-deadline bookkeeping.
-    fn service(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if conn.in_flight == 0 && !conn.fatal && !conn.pending.is_empty() {
-            self.dispatch(token);
-        }
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        // Try to write without waiting for the next EPOLLOUT round;
-        // most responses fit the socket buffer immediately. Flushing
-        // after dispatch sends a completion and the inline answers that
-        // followed it in one write, in this same iteration.
-        if conn.has_backlog() && conn.flush().is_err() {
-            self.close(token);
-            return;
-        }
-        let finished = conn.read_closed && conn.is_quiet();
-        let aborted = conn.fatal && !conn.has_backlog();
-        if finished || aborted {
-            self.close(token);
-            return;
-        }
-        // Reconcile the kernel's interest set with what the connection
-        // wants now; MOD only on change, so steady-state pipelining
-        // does zero epoll_ctl calls.
-        let mut want = 0u32;
-        if conn.wants_read() && !conn.read_closed {
-            want |= EPOLLIN;
-        }
-        if conn.has_backlog() {
-            want |= EPOLLOUT;
-        }
-        if want != conn.interest
-            && self
-                .epoll
-                .modify(conn.stream().as_raw_fd(), want, token)
-                .is_ok()
-        {
-            // A failed MOD leaves the old registration; level-triggered
-            // readiness keeps the connection serviced (worst case:
-            // spurious wakeups), so no close is needed.
-            conn.interest = want;
-        }
-        if let Some(idle) = self.config.idle_timeout {
-            if conn.is_quiet() && !conn.read_closed {
-                let evict_at = conn.last_activity + idle;
-                self.next_idle_scan =
-                    Some(self.next_idle_scan.map_or(evict_at, |d| d.min(evict_at)));
-            }
-        }
-    }
-
-    /// Answers one connection's queued requests. Lines are decoded once,
-    /// here; the leading run of cheap requests is answered on this
-    /// thread ([`answer_inline`]) and the rest of the batch goes to the
-    /// pool as one job. One job per connection at a time keeps responses
-    /// in request order and stops one deep pipeline from monopolizing
-    /// the workers; while it is out, nothing else of this connection's
-    /// is answered, not even a hit. A job takes the connection's whole
-    /// queue (up to a fairness cap): this is where pipelining pays,
-    /// amortizing the loop↔pool handoff and the write syscalls across
-    /// every request the client kept in flight.
-    fn dispatch(&mut self, token: u64) {
-        /// Requests one job may carry (bounds worker occupancy per conn).
-        const MAX_BATCH: usize = 64;
-        let trace = self.state.engine.metrics_enabled();
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        while !conn.pending.is_empty() {
-            let depth = conn.pending.len();
-            let mut batch: VecDeque<Decoded> = conn
-                .pending
-                .drain(..depth.min(MAX_BATCH))
-                .map(|line| protocol::decode_request_line(line.trim()))
-                .collect();
-            let bytes = answer_inline(
-                &self.state,
-                &self.handle,
-                &conn.session,
-                &mut batch,
-                self.config.stream_threshold,
-            );
-            conn.queue(&bytes);
-            if batch.is_empty() {
-                continue;
-            }
-            // The job's own records, folded into the shard's registry
-            // when the batch finishes.
-            let mut rec = Registry::default();
-            if trace {
-                rec.queue_depth.record(depth as u64);
-            }
-            conn.in_flight = 1;
-            let session = conn.session.clone();
-            let state = self.state.clone();
-            let handle = self.handle.clone();
-            let stream_threshold = self.config.stream_threshold;
-            let enqueued = trace.then(Instant::now);
-            self.pool.execute(move || {
-                if let Some(t) = enqueued {
-                    rec.pool_wait.record(elapsed_micros(t));
-                }
-                // A panicking handler must still complete the batch:
-                // the connection would otherwise wait forever with
-                // `in_flight` stuck at 1. (Per-request panics are
-                // already contained inside `run_batch`.)
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_batch(&state, &handle, &session, rec, batch, stream_threshold)
-                }));
-                let (bytes, shutdown) =
-                    result.unwrap_or_else(|_| (error_line(PANIC_MESSAGE.into()), false));
-                handle.push_completion(Completion {
-                    token,
-                    bytes,
-                    shutdown,
-                });
-            });
-            return;
-        }
-    }
-
-    /// Runs the O(n) idle scan — but only when the precomputed deadline
-    /// has actually fired. Evicts everything overdue and recomputes the
-    /// next deadline from the survivors.
-    fn maybe_evict_idle(&mut self) {
-        let Some(idle) = self.config.idle_timeout else {
-            return;
-        };
-        let Some(scan_at) = self.next_idle_scan else {
-            return;
-        };
-        let now = Instant::now();
-        if now < scan_at {
-            return;
-        }
-        let mut evicting: Vec<u64> = Vec::new();
-        let mut next: Option<Instant> = None;
-        for (token, conn) in self.conns.iter() {
-            if !conn.is_quiet() || conn.read_closed {
-                continue;
-            }
-            let evict_at = conn.last_activity + idle;
-            if now >= evict_at {
-                evicting.push(*token);
-            } else {
-                next = Some(next.map_or(evict_at, |d| d.min(evict_at)));
-            }
-        }
-        self.next_idle_scan = next;
-        self.handle.registry().evicted += evicting.len() as u64;
-        for token in evicting {
-            self.close(token);
-        }
-    }
-
-    fn close(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            // Deregister before the fd closes; a failure is harmless
-            // (closing the fd removes the registration anyway).
-            let _ = self.epoll.delete(conn.stream().as_raw_fd());
-            self.handle.active.fetch_sub(1, Ordering::Relaxed);
-            drop(conn);
-        }
-    }
-}
-
-/// Locks a connection session, surviving a poisoned mutex (a prior
-/// panicking request must not wedge the connection).
-fn lock_session(cell: &Mutex<Session>) -> MutexGuard<'_, Session> {
-    cell.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// One decoded request line: its id (if any) and the request, or the
 /// decode error to answer with (see [`protocol::decode_request_line`]).
 type Decoded = Result<(Option<RequestId>, Request), (Option<RequestId>, String)>;
-
-/// Folds a pool batch's records, plus the session's counter growth,
-/// into the shard's registry, and zeroes both: every request is
-/// recorded once, whichever path answered it.
-fn fold(shard: &ShardHandle, rec: &mut Registry, session: &mut Session) {
-    rec.sessions.accumulate(session.stats());
-    session.reset_stats();
-    shard.registry().accumulate(&std::mem::take(rec));
-}
-
-/// Answers the leading run of *cheap* requests in `batch` on the
-/// calling shard thread, popping each one answered: pings, and queries
-/// that [`Session::run_cached`] answers in one frame from the parse and
-/// eval caches and the views memoized on the parse entry. The first other
-/// request stops the run, so the rest of the batch keeps its order for
-/// the pool. Returns the encoded frames.
-///
-/// The loop records straight into its own shard's registry, holding the
-/// lock for the run (session lock first, as everywhere): a run is a
-/// handful of cache hits, and a batch-local registry would cost each
-/// hit its histograms' allocations and a fold.
-fn answer_inline(
-    state: &ServerState,
-    shard: &ShardHandle,
-    session_cell: &Mutex<Session>,
-    batch: &mut VecDeque<Decoded>,
-    stream_threshold: usize,
-) -> Vec<u8> {
-    let max_rows = match stream_threshold {
-        0 => usize::MAX,
-        n => n,
-    };
-    let mut session = lock_session(session_cell);
-    let mut registry = shard.registry();
-    let rec = &mut *registry;
-    let mut bytes = Vec::new();
-    while let Some(Ok((id, request))) = batch.front() {
-        // Contained like `run_batch`: a panic answers this request with
-        // an error frame instead of killing the shard loop.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match request {
-            Request::Ping => Some(vec![Response::Pong]),
-            Request::Query {
-                language,
-                text,
-                translations,
-                diagram,
-            } => {
-                let req = query_request(*language, text.clone(), *translations, *diagram);
-                let resp = session.run_cached(&req, max_rows)?;
-                Some(query_frames(
-                    state,
-                    rec,
-                    &mut session,
-                    &resp,
-                    stream_threshold,
-                ))
-            }
-            _ => None,
-        }));
-        let reply = match result {
-            Ok(None) => break,
-            Ok(Some(frames)) => encode_reply(state, rec, id.as_ref(), &frames),
-            Err(_) => answer_panic(state, rec),
-        };
-        rec.requests += 1;
-        rec.inline += 1;
-        bytes.extend(reply);
-        batch.pop_front();
-    }
-    rec.sessions.accumulate(session.stats());
-    session.reset_stats();
-    bytes
-}
 
 /// The engine request of a wire query (language detected if unnamed).
 fn query_request(
@@ -1190,49 +1092,6 @@ fn query_request(
     req
 }
 
-/// Runs one batch of decoded requests to completion on a pool worker.
-/// The session lock is taken once and the registry fold happens once —
-/// per-batch, not per-request — so a deep pipeline amortizes all of the
-/// coordination, not just the socket syscalls. `rec` arrives holding
-/// the dispatch's queue-depth and pool-wait records. Returns the
-/// encoded frames and whether the server should begin shutdown.
-fn run_batch(
-    state: &ServerState,
-    shard: &ShardHandle,
-    session_cell: &Mutex<Session>,
-    mut rec: Registry,
-    batch: VecDeque<Decoded>,
-    stream_threshold: usize,
-) -> (Vec<u8>, bool) {
-    let mut session = lock_session(session_cell);
-    let mut bytes = Vec::new();
-    let mut shutdown = false;
-    for decoded in batch {
-        // Contain per-request panics inside the batch: the remaining
-        // requests still run and the lock (held outside the catch)
-        // never poisons.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_line(
-                state,
-                shard,
-                &mut session,
-                &mut rec,
-                decoded,
-                stream_threshold,
-            )
-        }));
-        match result {
-            Ok((frame_bytes, sd)) => {
-                bytes.extend_from_slice(&frame_bytes);
-                shutdown |= sd;
-            }
-            Err(_) => bytes.extend_from_slice(&answer_panic(state, &mut rec)),
-        }
-    }
-    fold(shard, &mut rec, &mut session);
-    (bytes, shutdown)
-}
-
 /// One encoded, newline-terminated error frame (no request id — used
 /// where the id is unknown or the failure is not tied to one request).
 fn error_line(message: String) -> Vec<u8> {
@@ -1244,73 +1103,91 @@ fn error_line(message: String) -> Vec<u8> {
 /// The error a panicked request handler is answered with.
 const PANIC_MESSAGE: &str = "internal error: request handler panicked";
 
-/// Answers one request whose handler panicked: an id-less error frame,
-/// counted like any other error.
-fn answer_panic(state: &ServerState, rec: &mut Registry) -> Vec<u8> {
-    encode_reply(state, rec, None, &[Response::Error(PANIC_MESSAGE.into())])
-}
-
-/// Runs one decoded request: evaluate, frame (single response or
-/// chunked stream). Returns the encoded frames and whether the server
-/// should begin shutdown.
+/// Answers one decoded request — evaluate, frame (single response or
+/// chunked stream), encode — and records it in the shard's registry.
+/// A panicking handler is answered with an id-less error frame, so it
+/// costs its thread nothing. Returns the encoded frames and whether the
+/// server should begin shutdown.
 fn run_line(
     state: &ServerState,
-    shard: &ShardHandle,
+    shard: &Shard,
     session: &mut Session,
-    rec: &mut Registry,
     decoded: Decoded,
-    stream_threshold: usize,
 ) -> (Vec<u8>, bool) {
-    rec.requests += 1;
-    let (id, frames, shutdown) = match decoded {
-        Ok((
-            id,
-            Request::Query {
-                language,
-                text,
-                translations,
-                diagram,
-            },
-        )) => {
-            let req = query_request(language, text, translations, diagram);
-            // A stream threshold of 0 never streams (see `query_frames`).
-            let frames = match session.run(&req) {
-                Ok(resp) => query_frames(state, rec, session, &resp, stream_threshold),
-                Err(e) => vec![Response::Error(e.to_string())],
-            };
-            (id, frames, false)
-        }
-        Ok((id, request)) => {
-            let (response, shutdown) = handle_control(&request, session, state, shard, rec);
-            (id, vec![response], shutdown)
-        }
-        Err((id, e)) => (id, vec![Response::Error(e)], false),
+    let (id, request) = match decoded {
+        Ok((id, request)) => (id, Ok(request)),
+        Err((id, e)) => (id, Err(e)),
     };
-    (encode_reply(state, rec, id.as_ref(), &frames), shutdown)
+    let control = matches!(&request, Ok(r) if !matches!(r, Request::Query { .. }));
+    if control {
+        // Counted, with the session's growth, before it runs: a `stats`
+        // or `metrics` scrape counts itself and everything before it.
+        shard.record(session, |rec| rec.requests += 1);
+    }
+    let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match request {
+        Err(e) => (vec![Response::Error(e)], None, false),
+        Ok(Request::Query {
+            language,
+            text,
+            translations,
+            diagram,
+        }) => {
+            let req = query_request(language, text, translations, diagram);
+            match session.run(&req) {
+                Ok(resp) => {
+                    let (frames, shaping) = query_frames(state, session, &resp);
+                    (frames, Some((resp, shaping)), false)
+                }
+                Err(e) => (vec![Response::Error(e.to_string())], None, false),
+            }
+        }
+        Ok(request) => {
+            let (response, shutdown) = handle_control(&request, session, state);
+            (vec![response], None, shutdown)
+        }
+    }));
+    let (id, frames, answered, shutdown) = match handled {
+        Ok((frames, answered, shutdown)) => (id, frames, answered, shutdown),
+        Err(_) => (
+            None,
+            vec![Response::Error(PANIC_MESSAGE.into())],
+            None,
+            false,
+        ),
+    };
+    let (bytes, serialize) = encode_reply(state, id.as_ref(), &frames);
+    shard.record(session, |rec| {
+        rec.requests += u64::from(!control);
+        if frames.iter().any(|f| matches!(f, Response::Error(_))) {
+            rec.errors += 1;
+        }
+        if let Some((resp, shaping)) = &answered {
+            rec.inline += u64::from(resp.cache_hit && resp.eval_cache_hit);
+            if let Some(shaping) = shaping {
+                rec.record_query(resp, *shaping);
+            }
+        }
+        rec.inline += u64::from(matches!(frames[..], [Response::Pong]));
+        rec.record_serialize(serialize);
+    });
+    (bytes, shutdown)
 }
 
 /// Encodes one request's reply frames, newline-terminated, echoing
-/// `id` (timed as the `serialize` stage), and counts an error if any
-/// frame is one.
+/// `id`. Returns the bytes and, with metrics on, the µs it took (the
+/// `serialize` stage).
 fn encode_reply(
     state: &ServerState,
-    rec: &mut Registry,
     id: Option<&RequestId>,
     frames: &[Response],
-) -> Vec<u8> {
-    if frames.iter().any(|f| matches!(f, Response::Error(_))) {
-        rec.errors += 1;
-    }
+) -> (Vec<u8>, Option<u64>) {
     let serialize_start = state.engine.metrics_enabled().then(Instant::now);
     let mut bytes = Vec::new();
     for frame in frames {
         bytes.extend_from_slice(protocol::encode_frame(frame, id).as_bytes());
         bytes.push(b'\n');
     }
-    if let Some(t) = serialize_start {
-        rec.record_span("serialize", elapsed_micros(t));
-    }
-    bytes
+    (bytes, serialize_start.map(elapsed_micros))
 }
 
 /// Dispatches one decoded non-query request. Returns the response and
@@ -1319,8 +1196,6 @@ fn handle_control(
     request: &Request,
     session: &mut Session,
     state: &ServerState,
-    shard: &ShardHandle,
-    rec: &mut Registry,
 ) -> (Response, bool) {
     match request {
         Request::Query { .. } => unreachable!("queries take the framing path"),
@@ -1361,14 +1236,8 @@ fn handle_control(
         Request::Insert { table, rows } => (run_mutation(state, table, rows, true), false),
         Request::Delete { table, rows } => (run_mutation(state, table, rows, false), false),
         Request::Checkpoint => (run_checkpoint(state), false),
-        // Fold this batch in first, so a scrape counts every request
-        // before it, this one included.
-        Request::Stats { reset } => {
-            fold(shard, rec, session);
-            (Response::Stats(collect_stats(state, *reset)), false)
-        }
+        Request::Stats { reset } => (Response::Stats(collect_stats(state, *reset)), false),
         Request::Metrics => {
-            fold(shard, rec, session);
             let text = render_metrics(state);
             (Response::Metrics(MetricsResult { text }), false)
         }
@@ -1378,17 +1247,16 @@ fn handle_control(
 }
 
 /// Frames one evaluated query: writes the slow-query log line (if due),
-/// records what the session returned, then builds one `Response::Query`
-/// when the result fits, or `rows-chunk` frames + `rows-end` when the row
-/// count exceeds the stream threshold.
+/// then builds one `Response::Query` when the result fits, or
+/// `rows-chunk` frames + `rows-end` when the row count exceeds the
+/// stream threshold (`0` never streams). Returns the frames and, with
+/// metrics on, the µs spent shaping them (the server's `render` share).
 fn query_frames(
     state: &ServerState,
-    rec: &mut Registry,
     session: &mut Session,
     resp: &QueryResponse,
-    stream_threshold: usize,
-) -> Vec<Response> {
-    if let Some(threshold) = state.slow_query_log {
+) -> (Vec<Response>, Option<u64>) {
+    if let Some(threshold) = state.config.slow_query_log {
         if resp.micros >= threshold {
             let breakdown: Vec<String> = resp
                 .spans
@@ -1414,9 +1282,10 @@ fn query_frames(
     }
     // Everything below is the server's share of the *render* stage:
     // shaping the evaluated relation into wire-ready result frames (row
-    // materialization, translation pairs, stream chunking). Time it like
+    // materialization, translation pairs, stream chunking). Timed like
     // `serialize` in `encode_reply`, so every stage records per request.
     let render_start = state.engine.metrics_enabled().then(Instant::now);
+    let stream_threshold = state.config.stream_threshold;
     let translations = resp.translations.as_ref().map(|t| {
         let mut pairs = vec![("trc".to_string(), t.trc.clone())];
         if let Some(sql) = &t.sql {
@@ -1462,19 +1331,13 @@ fn query_frames(
             .collect();
         vec![Response::Query(result)]
     };
-    if let Some(t) = render_start {
-        rec.record_query(resp, elapsed_micros(t));
-    }
-    frames
+    (frames, render_start.map(elapsed_micros))
 }
 
 /// Locks the store (when one is configured), surviving poisoning. Held
 /// across apply + log so WAL order always equals apply order.
 fn lock_store(state: &ServerState) -> Option<MutexGuard<'_, Store>> {
-    state
-        .store
-        .as_ref()
-        .map(|m| m.lock().unwrap_or_else(|p| p.into_inner()))
+    state.store.as_ref().map(lock)
 }
 
 /// Applies one insert/delete batch to the live epoch and — before the
@@ -1633,7 +1496,7 @@ fn scrape(state: &ServerState) -> (Registry, Vec<Registry>) {
 fn collect_stats(state: &ServerState, reset: bool) -> StatsResult {
     // Held across the scrape, so concurrent resets take their snapshots
     // in the order they store them.
-    let mut last_reset = reset.then(|| state.last_reset.lock().unwrap_or_else(|p| p.into_inner()));
+    let mut last_reset = reset.then(|| lock(&state.last_reset));
     let (total, shards) = scrape(state);
     let shown = match &mut last_reset {
         Some(last) => {
@@ -1663,7 +1526,7 @@ fn collect_stats(state: &ServerState, reset: bool) -> StatsResult {
         requests: shown.requests,
         errors: shown.errors,
         evicted: shown.evicted,
-        workers: state.workers,
+        workers: state.config.workers.max(1) as u64,
         sessions: shown.sessions.clone(),
         parse_cache: shown.parse_cache,
         eval_cache: shown.eval_cache,
@@ -1735,8 +1598,8 @@ fn render_metrics(state: &ServerState) -> String {
     let _ = writeln!(out, "rd_requests_total {}", total.requests);
     let _ = writeln!(out, "# TYPE rd_errors_total counter");
     let _ = writeln!(out, "rd_errors_total {}", total.errors);
-    // Requests each shard's loop answered itself; everything else in
-    // rd_requests_total went through that shard's pool slice.
+    // Requests each shard answered without parsing or evaluating: pings
+    // and queries that hit both the parse and the result cache.
     let _ = writeln!(out, "# TYPE rd_requests_inline_total counter");
     for (id, shard) in shards.iter().enumerate() {
         let _ = writeln!(
@@ -1769,9 +1632,9 @@ fn render_metrics(state: &ServerState) -> String {
     render_histogram_series(&mut out, "rd_planner_q_error_centi", "", &total.planner_q);
 
     // Reactor internals, one series per shard: a hot shard shows up as
-    // its own loop-time tail instead of vanishing into a global merge.
-    // Queue depth and pool wait describe pool dispatches only: inline
-    // answers never queue for the pool.
+    // its own per-wakeup time tail instead of vanishing into a global
+    // merge. Queue depth is the pipeline a thread found on a connection
+    // when it began answering it.
     let mut per_shard = |family: &str, pick: fn(&Registry) -> &Histogram| {
         let _ = writeln!(out, "# TYPE {family} histogram");
         for (id, shard) in shards.iter().enumerate() {
@@ -1780,7 +1643,6 @@ fn render_metrics(state: &ServerState) -> String {
     };
     per_shard("rd_reactor_loop_micros", |r| &r.loop_micros);
     per_shard("rd_conn_queue_depth", |r| &r.queue_depth);
-    per_shard("rd_pool_wait_micros", |r| &r.pool_wait);
 
     if let Some(store) = lock_store(state) {
         let _ = writeln!(out, "# TYPE rd_wal_append_micros histogram");
@@ -1806,9 +1668,9 @@ mod tests {
     use super::*;
     use crate::Client;
 
-    /// The session aggregate lives in each shard's registry, which the
-    /// shard loop locks too, so a panic that poisoned it once must not
-    /// turn every later fold into a panic that stops a shard loop.
+    /// The session aggregate lives in each shard's registry, which every
+    /// shard thread locks, so a panic that poisoned it once must not
+    /// turn every later fold into a panic that stops a shard thread.
     #[test]
     fn a_poisoned_session_aggregate_still_serves() {
         let server = Server::bind(ServerConfig::default(), rd_engine::demo_database()).unwrap();
@@ -1832,7 +1694,7 @@ mod tests {
         }
         let stats = client.stats().unwrap();
         let inline: u64 = stats.shards.iter().map(|s| s.inline).sum();
-        assert_eq!(inline, 2, "the repeats were answered on the shard thread");
+        assert_eq!(inline, 2, "the repeats were answered from the caches");
         assert_eq!(stats.sessions.queries, 3);
         client.shutdown().unwrap();
         serving.join().unwrap().unwrap();
@@ -1882,7 +1744,7 @@ mod tests {
         b.sessions.queries = 1;
         b.record_query(&resp(Language::Sql, 45, &[("parse", 45)], None), 1);
         b.record_span("serialize", 3);
-        b.pool_wait.record(11);
+        b.queue_depth.record(11);
         let mut total = a.clone();
         total.accumulate(&b);
         assert_eq!(total.since(&a), b);

@@ -211,11 +211,7 @@ fn metrics_text_reconciles_with_stats_totals() {
     assert!(requests >= stats.requests, "{requests_line} vs {stats:?}");
 
     // Reactor internals render as histograms.
-    for family in [
-        "rd_reactor_loop_micros",
-        "rd_conn_queue_depth",
-        "rd_pool_wait_micros",
-    ] {
+    for family in ["rd_reactor_loop_micros", "rd_conn_queue_depth"] {
         assert!(
             text.contains(&format!("# TYPE {family} histogram")),
             "missing {family}:\n{text}"
@@ -336,8 +332,8 @@ fn parse_miss_twin(language: Language, text: &str) -> String {
     twin
 }
 
-/// The shard loop answers repeated queries from the caches; the pool
-/// runs the rest. Either way each query is counted exactly once: a
+/// Repeated queries are answered from the caches, the rest evaluate.
+/// Either way each query is counted exactly once: a
 /// warm-then-repeat sequence over the wire leaves the same session
 /// counters, cache statistics, and query-latency sample count as the
 /// same sequence through one in-process `Session`.
@@ -481,9 +477,9 @@ fn exchange(stream: &mut TcpStream, lines: &[&str]) -> Vec<String> {
         .collect()
 }
 
-/// Every request is recorded exactly once, whichever path answers it:
-/// inline cache hits on either shard, `run_cached` misses that fall back
-/// to the pool, a query with translations and a diagram (whose session
+/// Every request is recorded exactly once, whatever answers it: cache
+/// hits on either shard, parse misses that hit the result cache, a
+/// query with translations and a diagram (whose session
 /// render span and frame shaping are one `render` sample), control ops,
 /// undecodable lines, and a pipelined batch. The totals are exact
 /// functions of the sequence sent.
@@ -514,16 +510,16 @@ fn every_request_is_recorded_exactly_once_on_any_path() {
         sent.extend_from_slice(lines);
         exchange(stream, lines)
     };
-    // Cold on the pool, then an inline hit on each shard.
+    // Cold, then a cache hit on each shard.
     send(&mut one, &[boats]);
     send(&mut one, &[boats]);
     send(&mut two, &[boats]);
-    // A parse miss falls back to the pool (and hits the eval cache).
+    // A parse miss (that hits the eval cache).
     send(&mut two, &[boats_twin]);
     // Translations and a diagram make the session render too.
     let replies = send(&mut one, &[rendered]);
     assert!(replies[0].contains(r#""diagram":"<svg"#), "{replies:?}");
-    // Control ops: ping inline, explain and translate on the pool.
+    // Control ops: ping, explain and translate.
     send(&mut one, &[ping]);
     send(&mut two, &[explain]);
     send(&mut one, &[translate]);
@@ -599,9 +595,9 @@ fn every_request_is_recorded_exactly_once_on_any_path() {
     stop(addr, handle);
 }
 
-/// A repeated query with translations and a diagram is answered on the
-/// shard loop, from the views memoized on its parse entry, with the frame
-/// the pool answered it with the first time — cache flags aside.
+/// A repeated query with translations and a diagram is answered from
+/// the caches and the views memoized on its parse entry, with the frame
+/// it was answered with the first time — cache flags aside.
 #[test]
 fn repeated_view_requests_are_answered_inline_with_the_pool_frame() {
     let (addr, handle) = start_server(ServerConfig::default());
@@ -696,11 +692,6 @@ fn metrics_exposition_shape_is_pinned() {
         r#"rd_conn_queue_depth_count{shard="0"}"#,
         r#"rd_conn_queue_depth_sum{shard="1"}"#,
         r#"rd_conn_queue_depth_count{shard="1"}"#,
-        r#"# TYPE rd_pool_wait_micros histogram"#,
-        r#"rd_pool_wait_micros_sum{shard="0"}"#,
-        r#"rd_pool_wait_micros_count{shard="0"}"#,
-        r#"rd_pool_wait_micros_sum{shard="1"}"#,
-        r#"rd_pool_wait_micros_count{shard="1"}"#,
         r#"# TYPE rd_wal_append_micros histogram"#,
         r#"rd_wal_append_micros_sum"#,
         r#"rd_wal_append_micros_count"#,

@@ -1,5 +1,5 @@
 //! Reactor-specific end-to-end tests: connection multiplexing beyond
-//! the pool width, pipelining, chunked streaming, graceful shutdown,
+//! the thread count, pipelining, chunked streaming, graceful shutdown,
 //! idle eviction, line caps, and wire-format stability.
 
 use rd_engine::{demo_database, Language};
@@ -74,8 +74,8 @@ impl Raw {
 
 /// 64 clients connect *simultaneously* (a barrier guarantees overlap)
 /// against a 4-worker server, and every one of them completes queries.
-/// Under the PR-2 pinned pool, only 4 could even finish the handshake;
-/// the other 60 would starve in the accept backlog.
+/// With one pinned thread per connection, only 4 could even finish the
+/// handshake; the other 60 would starve in the accept backlog.
 #[test]
 fn sixty_four_concurrent_clients_on_four_workers() {
     const CLIENTS: usize = 64;
@@ -583,12 +583,12 @@ fn bench_pipeline_and_idle_flood_complete_against_a_narrow_pool() {
 }
 
 // ---------------------------------------------------------------------
-// Cache hits answered on the shard thread
+// Cache hits, misses and pings on one connection
 // ---------------------------------------------------------------------
 
-/// Pipelined hits, a miss, and a ping in one write: the loop answers
-/// the leading hit itself, the miss sends the rest of the batch to the
-/// pool, and every reply still comes back in request order with its id.
+/// Pipelined hits, a miss, and a ping in one write: the thread that
+/// reads them answers them in order, and every reply comes back in
+/// request order with its id.
 #[test]
 fn pipelined_hits_misses_and_pings_keep_request_order() {
     let (addr, handle) = start_server(ServerConfig::default());
@@ -632,8 +632,9 @@ fn pipelined_hits_misses_and_pings_keep_request_order() {
 }
 
 /// A hit that arrives while the same connection's cold query is still
-/// evaluating on the pool waits for it: one job per connection at a
-/// time, so the hit cannot overtake the reply before it.
+/// evaluating waits for it: one thread owns a connection at a time and
+/// answers its lines in order, so the hit cannot overtake the reply
+/// before it.
 #[test]
 fn a_hit_behind_a_cold_query_in_the_pool_is_answered_after_it() {
     let (addr, handle) = start_server(ServerConfig {
@@ -660,15 +661,61 @@ fn a_hit_behind_a_cold_query_in_the_pool_is_answered_after_it() {
     let hit = raw.recv_line();
     assert!(hit.ends_with(",\"id\":\"hit\"}"), "{hit}");
     assert!(hit.contains("\"eval_cache_hit\":true"), "{hit}");
-    // It waited in the connection's queue, and the loop answered it
-    // once the cold reply was out.
+    // It waited in the connection's queue and was answered from the
+    // caches once the cold reply was out.
     let stats = client.stats().unwrap();
     assert_eq!(stats.shards.iter().map(|s| s.inline).sum::<u64>(), 1);
     stop(addr, handle);
 }
 
-/// A cached result too big for one frame is not answered inline: it
-/// still streams, through the pool, exactly as on its first run.
+/// A slow query ties up only the thread running it: with one shard of
+/// two threads, a second connection's ping and cache hit are answered
+/// while the first connection's million-pair query is still evaluating.
+#[test]
+fn a_slow_query_does_not_stall_its_shard() {
+    let (addr, handle) = start_server(ServerConfig {
+        shards: 1,
+        workers: 2,
+        stream_threshold: 0,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).unwrap();
+    client.load_fixture(&numbers_fixture(1000)).unwrap();
+    let mut b = Raw::connect(addr);
+    let warm = raw_query_line(&mut b, "sigma[v=1](Num)");
+    assert!(warm.contains("\"eval_cache_hit\":false"), "{warm}");
+    let mut a = Raw::connect(addr);
+    // Read A's reply on its own thread, so its arrival is timed even
+    // while this thread waits on B.
+    a.send(
+        b"{\"op\":\"query\",\"lang\":\"datalog\",\"text\":\"Q(x) :- Num(x), Num(y), x < y.\"}\n",
+    );
+    let slow = std::thread::spawn(move || {
+        let reply = a.recv_line();
+        (reply, std::time::Instant::now())
+    });
+    std::thread::sleep(Duration::from_millis(5));
+    b.send(b"{\"op\":\"ping\"}\n{\"op\":\"query\",\"text\":\"sigma[v=1](Num)\"}\n");
+    assert_eq!(b.recv_line(), r#"{"ok":true,"kind":"pong"}"#);
+    let hit = b.recv_line();
+    let b_done = std::time::Instant::now();
+    assert!(hit.contains("\"eval_cache_hit\":true"), "{hit}");
+    let (reply, a_done) = slow.join().unwrap();
+    assert!(
+        reply.contains("\"row_count\":999"),
+        "{}",
+        &reply[reply.len() - 80..]
+    );
+    assert!(
+        b_done < a_done,
+        "B's replies waited {:?} for A's query",
+        b_done - a_done
+    );
+    stop(addr, handle);
+}
+
+/// A cached result too big for one frame still streams, exactly as on
+/// its first run.
 #[test]
 fn cached_results_over_the_stream_threshold_still_stream() {
     let (addr, handle) = start_server(ServerConfig {

@@ -1,7 +1,7 @@
 //! Sharded-reactor end-to-end tests: the same contracts the single-loop
 //! reactor guarantees — pipelining order, chunked streaming, graceful
 //! drain, idle eviction, byte-identical plain-client responses — hold
-//! with connections spread across four epoll event loops, plus the
+//! with connections spread across four epoll shards, plus the
 //! per-shard stats/metrics breakdown.
 
 use rd_engine::demo_database;
@@ -379,11 +379,7 @@ fn stats_and_metrics_expose_the_per_shard_breakdown() {
     // The metrics exposition carries one labeled series per shard for
     // the reactor families.
     let text = client.metrics().unwrap();
-    for family in [
-        "rd_reactor_loop_micros",
-        "rd_conn_queue_depth",
-        "rd_pool_wait_micros",
-    ] {
+    for family in ["rd_reactor_loop_micros", "rd_conn_queue_depth"] {
         assert!(
             text.contains(&format!("# TYPE {family} histogram")),
             "missing TYPE line for {family}"

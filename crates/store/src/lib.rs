@@ -203,11 +203,9 @@ pub struct Store {
     seq: u64,
     wal: File,
     wal_records: u64,
-    sync: bool,
     /// WAL append (buffered write) latency, microseconds per record.
     wal_append: Histogram,
-    /// WAL fsync latency, microseconds per record (empty with
-    /// [`Store::set_sync`] off).
+    /// WAL fsync latency, microseconds per record.
     wal_fsync: Histogram,
 }
 
@@ -268,7 +266,6 @@ impl Store {
                 seq,
                 wal,
                 wal_records,
-                sync: true,
                 wal_append: Histogram::new(),
                 wal_fsync: Histogram::new(),
             },
@@ -297,15 +294,9 @@ impl Store {
         self.seq == 0 && self.wal_records == 0
     }
 
-    /// Disables the per-append fsync (tests exercising many tiny logs);
-    /// leave enabled anywhere durability matters.
-    pub fn set_sync(&mut self, sync: bool) {
-        self.sync = sync;
-    }
-
-    /// Appends one mutation record to the WAL, flushed (and fsync'd
-    /// unless disabled) before returning — the caller may acknowledge
-    /// the mutation once this returns `Ok`.
+    /// Appends one mutation record to the WAL, flushed and fsync'd
+    /// before returning — the caller may acknowledge the mutation once
+    /// this returns `Ok`.
     pub fn log(&mut self, rec: &WalRecord) -> io::Result<()> {
         let frame = rec
             .encode_frame()
@@ -314,12 +305,10 @@ impl Store {
         self.wal.write_all(&frame)?;
         self.wal_append
             .record(start.elapsed().as_micros().min(u64::MAX as u128) as u64);
-        if self.sync {
-            let start = Instant::now();
-            self.wal.sync_data()?;
-            self.wal_fsync
-                .record(start.elapsed().as_micros().min(u64::MAX as u128) as u64);
-        }
+        let start = Instant::now();
+        self.wal.sync_data()?;
+        self.wal_fsync
+            .record(start.elapsed().as_micros().min(u64::MAX as u128) as u64);
         self.wal_records += 1;
         Ok(())
     }

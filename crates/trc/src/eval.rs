@@ -25,7 +25,7 @@
 //!    defining equalities `q.A = term`; conjuncts that mention the
 //!    output head are deferred and validated with the head bound.
 //!
-//! The compiled [`Plan`](rd_core::exec::Plan) carries no borrows, so
+//! The compiled [`Plan`] carries no borrows, so
 //! the engine can cache it per database epoch and skip this whole
 //! module on a plan-cache hit.
 
