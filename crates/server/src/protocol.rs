@@ -2117,6 +2117,30 @@ mod tests {
             Request::Metrics,
             Request::Ping,
             Request::Shutdown,
+            // The default-valued frames the benchmark's hot paths send.
+            Request::Query {
+                language: None,
+                text: "pi[color](Boat)".into(),
+                translations: false,
+                diagram: DiagramFormat::None,
+            },
+            Request::Query {
+                language: Some(Language::Ra),
+                text: "pi[color](Boat)".into(),
+                translations: false,
+                diagram: DiagramFormat::None,
+            },
+            Request::Explain {
+                language: None,
+                text: "pi[color](Boat)".into(),
+                analyze: false,
+            },
+            Request::Translate {
+                language: None,
+                text: "pi[color](Boat)".into(),
+                to: Language::Sql,
+            },
+            Request::Stats { reset: false },
         ]
     }
 
@@ -2293,12 +2317,34 @@ mod tests {
             Response::Pong,
             Response::Bye,
             Response::Error("unknown table 'Boats'".into()),
+            // Default-valued query-shaped frames: no translations or
+            // diagram, empty notes.
+            Response::Query(QueryResult {
+                language: Language::Ra,
+                canonical: "pi[color](Boat)".into(),
+                attrs: vec!["color".into()],
+                rows: vec![vec![Value::str("red")]],
+                cache_hit: true,
+                eval_cache_hit: true,
+                translations: None,
+                diagram: None,
+                notes: Vec::new(),
+            }),
+            Response::RowsEnd(RowsEnd {
+                seq: 1,
+                row_count: 0,
+                cache_hit: false,
+                eval_cache_hit: false,
+                translations: None,
+                diagram: None,
+                notes: Vec::new(),
+            }),
         ]
     }
 
     /// The pinned wire bytes of every request and response kind (the
     /// messages are `golden_requests` and `golden_responses`).
-    const GOLDEN_REQUESTS: [&str; 12] = [
+    const GOLDEN_REQUESTS: [&str; 17] = [
         r#"{"op":"query","lang":"sql","text":"SELECT DISTINCT Boat.color\nFROM Boat","translations":true,"diagram":"svg"}"#,
         r#"{"op":"explain","lang":"datalog","text":"Q(c) :- Boat(b, c).","analyze":true}"#,
         r#"{"op":"translate","to":"ra","lang":"trc","text":"{ q(A) | exists r in R [ q.A = r.A ] }"}"#,
@@ -2311,9 +2357,14 @@ mod tests {
         r#"{"op":"metrics"}"#,
         r#"{"op":"ping"}"#,
         r#"{"op":"shutdown"}"#,
+        r#"{"op":"query","text":"pi[color](Boat)"}"#,
+        r#"{"op":"query","lang":"ra","text":"pi[color](Boat)"}"#,
+        r#"{"op":"explain","text":"pi[color](Boat)"}"#,
+        r#"{"op":"translate","to":"sql","text":"pi[color](Boat)"}"#,
+        r#"{"op":"stats"}"#,
     ];
 
-    const GOLDEN_RESPONSES: [&str; 15] = [
+    const GOLDEN_RESPONSES: [&str; 17] = [
         r#"{"ok":true,"kind":"query","language":"trc","canonical":"{ q(color) | exists b in Boat [q.color = b.color] }","attrs":["color"],"rows":[["red"],[-7]],"row_count":2,"cache_hit":true,"eval_cache_hit":true,"translations":{"sql":"SELECT DISTINCT Boat.color\nFROM Boat","ra":"pi[color](Boat)"},"diagram":"<svg>\"q\"</svg>","notes":["datalog: n/a"]}"#,
         r#"{"ok":true,"kind":"explain","language":"ra","canonical":"pi[color](Boat)","plan":{"kind":"query","detail":"q(color)","children":[{"kind":"scan","detail":"Boat hash probe on c0 = t1.c0","children":[],"est_rows":4,"actual_rows":3,"q_error":1.25,"build":"dense-key"},{"kind":"not","detail":"","children":[{"kind":"scan","detail":"Boat hash probe on c0 = t1.c0","children":[],"est_rows":4,"actual_rows":3,"q_error":1.25,"build":"dense-key"}]}],"est_rows":4,"actual_rows":2,"q_error":2.0},"cache_hit":true}"#,
         r#"{"ok":true,"kind":"translate","to":"datalog","text":"Q(c) :- Boat(b, c)."}"#,
@@ -2329,6 +2380,29 @@ mod tests {
         r#"{"ok":true,"kind":"pong"}"#,
         r#"{"ok":true,"kind":"bye"}"#,
         r#"{"ok":false,"error":"unknown table 'Boats'"}"#,
+        r#"{"ok":true,"kind":"query","language":"ra","canonical":"pi[color](Boat)","attrs":["color"],"rows":[["red"]],"row_count":1,"cache_hit":true,"eval_cache_hit":true,"notes":[]}"#,
+        r#"{"ok":true,"kind":"rows-end","seq":1,"row_count":0,"cache_hit":false,"eval_cache_hit":false,"notes":[]}"#,
+    ];
+
+    /// How many of `GOLDEN_REQUESTS` / `GOLDEN_RESPONSES` the fuzz's
+    /// first pass mutates; frames pinned after these are mutated after
+    /// every other fuzz input, so adding a pin leaves the earlier inputs
+    /// of the seeded stream unchanged.
+    const FUZZED_FIRST: (usize, usize) = (12, 15);
+
+    /// Lines both decoders must reject (the error text is not pinned).
+    const REJECTED: [&str; 11] = [
+        r#"{"op":"load"}"#,
+        r#"{"op":"load","table":"R"}"#,
+        r#"{"op":"query","text":"R","diagram":"png"}"#,
+        r#"{"op":"upsert","table":"Boat","rows":[[1]]}"#,
+        r#"{"ok":true,"kind":"mutation","op":"upsert","table":"Boat","applied":1,"generation":1,"fingerprint":"a"}"#,
+        r#"{"ok":true,"kind":"query","language":"ra","canonical":"R","attrs":["a"],"rows":[],"row_count":0,"translations":{"sql":5},"notes":[]}"#,
+        r#"{"op":"insert","table":"R","rows":{"a":1}}"#,
+        r#"{"ok":true,"kind":"rows-chunk","seq":1,"rows":"none"}"#,
+        r#"{"op":"insert","table":"R","rows":[[1.5]]}"#,
+        r#"{"op":"delete","table":"R","rows":[[true]]}"#,
+        r#"{"op":"ping","id":{}}"#,
     ];
 
     #[test]
@@ -2355,6 +2429,14 @@ mod tests {
         );
     }
 
+    #[test]
+    fn malformed_frames_are_rejected() {
+        for line in REJECTED {
+            assert!(decode_request_line(line).is_err(), "request: {line}");
+            assert!(decode_frame(line).is_err(), "response: {line}");
+        }
+    }
+
     /// Hands one wire line to every decoder; decoded response frames go
     /// on to the reassembler. Each call must return, never panic.
     fn feed(line: &str, reasm: &mut Reassembler) {
@@ -2374,28 +2456,34 @@ mod tests {
         }
     }
 
+    const JSONISH: &[u8] = b"{}[]\":,0123456789-+.eE \\/utfnlrsq_\x00\xff";
+
+    /// Feeds every truncation of each frame, then each frame with one
+    /// position overwritten by a random byte.
+    fn mutate(frames: &[&str], next: &mut impl FnMut() -> usize, reasm: &mut Reassembler) {
+        for frame in frames {
+            for end in 0..=frame.len() {
+                feed(&frame[..end], reasm);
+            }
+            for pos in 0..frame.len() {
+                let mut bytes = frame.as_bytes().to_vec();
+                bytes[pos] = JSONISH[next() % JSONISH.len()];
+                feed(&String::from_utf8_lossy(&bytes), reasm);
+            }
+        }
+    }
+
     #[test]
     fn wire_fuzz_never_panics() {
-        const JSONISH: &[u8] = b"{}[]\":,0123456789-+.eE \\/utfnlrsq_\x00\xff";
-        let golden: Vec<&str> = GOLDEN_REQUESTS
+        let (requests, responses) = FUZZED_FIRST;
+        let first: Vec<&str> = GOLDEN_REQUESTS[..requests]
             .iter()
-            .chain(&GOLDEN_RESPONSES)
+            .chain(&GOLDEN_RESPONSES[..responses])
             .copied()
             .collect();
         let mut next = rng(0x9e37_79b9_7f4a_7c15);
         let mut reasm = Reassembler::new();
-        for frame in &golden {
-            // Every truncation.
-            for end in 0..=frame.len() {
-                feed(&frame[..end], &mut reasm);
-            }
-            // Every position, overwritten by a random byte.
-            for pos in 0..frame.len() {
-                let mut bytes = frame.as_bytes().to_vec();
-                bytes[pos] = JSONISH[next() % JSONISH.len()];
-                feed(&String::from_utf8_lossy(&bytes), &mut reasm);
-            }
-        }
+        mutate(&first, &mut next, &mut reasm);
         // Random byte strings, half over JSON's own alphabet so that some
         // get past the parser.
         for i in 0..20_000 {
@@ -2417,5 +2505,12 @@ mod tests {
                 feed(&encode_frame(frame, id.as_ref()), &mut reasm);
             }
         }
+        let later: Vec<&str> = GOLDEN_REQUESTS[requests..]
+            .iter()
+            .chain(&GOLDEN_RESPONSES[responses..])
+            .chain(&REJECTED)
+            .copied()
+            .collect();
+        mutate(&later, &mut next, &mut reasm);
     }
 }
