@@ -4,7 +4,6 @@
 //! in the familiar `psql`-like box format.
 
 use crate::database::{Relation, Tuple};
-use crate::schema::TableSchema;
 
 /// Renders a relation as an aligned text table with its name as header.
 /// Interned values are resolved back to strings through the relation's
@@ -16,11 +15,6 @@ pub fn render_relation(rel: &Relation) -> String {
         resolved.schema().attrs(),
         resolved.iter().cloned().collect::<Vec<_>>().as_slice(),
     )
-}
-
-/// Renders an anonymous result set (e.g. a query answer) with column names.
-pub fn render_result(name: &str, schema: &TableSchema, tuples: &[Tuple]) -> String {
-    render_table(name, schema.attrs(), tuples)
 }
 
 fn render_table(name: &str, attrs: &[String], tuples: &[Tuple]) -> String {
@@ -100,10 +94,9 @@ mod tests {
 
     #[test]
     fn renders_boolean_result() {
-        let schema = TableSchema::new("Q", Vec::<String>::new());
-        let s = render_result("Q", &schema, &[]);
+        let s = render_table("Q", &[], &[]);
         assert_eq!(s, "Q = false");
-        let s = render_result("Q", &schema, &[Tuple::new(Vec::<crate::Value>::new())]);
+        let s = render_table("Q", &[], &[Tuple::new(Vec::<crate::Value>::new())]);
         assert_eq!(s, "Q = true");
     }
 }

@@ -24,9 +24,8 @@
 //! `(language, hash(text))` — hits skip lexing, parsing, checking, and
 //! canonicalization — and its evaluator with a result cache keyed by
 //! `(generation, language, hash(canonical text))` — hits skip evaluation
-//! entirely. [`Session::run_batch`] additionally reuses whole responses
-//! for exact repeats within one batch. [`SessionStats`] surfaces the
-//! per-session hit/miss/eviction counters.
+//! entirely. [`SessionStats`] surfaces the per-session
+//! hit/miss/eviction counters.
 //!
 //! Both caches, plus the database snapshot itself, live in an
 //! [`EngineShared`] (module [`shared`]): a lock-striped, `Arc`-shareable

@@ -10,7 +10,6 @@ use rd_core::exec::{self, Plan};
 use rd_core::trace::Span;
 use rd_core::{Catalog, CoreError, CoreResult, Database, Relation};
 use rd_trc::TrcUnion;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -40,11 +39,12 @@ pub const DEFAULT_CACHE_CAPACITY: usize = crate::shared::DEFAULT_PARSE_CACHE_CAP
 /// [`crate::shared::CacheStats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Queries run (including each element of a batch).
+    /// Queries run.
     pub queries: u64,
-    /// `run_batch` invocations.
+    /// Always 0: nothing runs batches any more. Kept because the `stats`
+    /// wire frame carries it and older decoders require the member.
     pub batches: u64,
-    /// Parse-cache hits (plus within-batch response reuses).
+    /// Parse-cache hits.
     pub cache_hits: u64,
     /// Parse-cache misses (each paid a full parse + canonicalization).
     pub cache_misses: u64,
@@ -327,41 +327,15 @@ impl Session {
         })
     }
 
-    /// Runs a batch of requests, amortizing work across repeats: an exact
-    /// repeat within the batch reuses the earlier response wholesale
-    /// (parse *and* evaluation), on top of the cross-batch caches.
-    pub fn run_batch(&mut self, reqs: &[QueryRequest]) -> Vec<CoreResult<QueryResponse>> {
-        self.stats.batches += 1;
-        let mut memo: HashMap<&QueryRequest, QueryResponse> = HashMap::new();
-        let mut out = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            if let Some(prior) = memo.get(req) {
-                self.stats.queries += 1;
-                self.stats.cache_hits += 1;
-                self.stats.rows_returned += prior.relation.len() as u64;
-                let mut resp = prior.clone();
-                resp.cache_hit = true;
-                out.push(Ok(resp));
-                continue;
-            }
-            let result = self.run(req);
-            if let Ok(resp) = &result {
-                memo.insert(req, resp.clone());
-            }
-            out.push(result);
-        }
-        out
-    }
-
     /// Parses + canonicalizes through the shared parse cache. Returns the
-    /// shared artifact and whether it was a cache hit. Failed parses are
-    /// not cached (error traffic shouldn't evict good entries).
+    /// shared parse entry and whether it was a cache hit. Failed parses
+    /// are not cached (error traffic shouldn't evict good entries).
     fn prepare(
         &mut self,
         epoch: &DbEpoch,
         language: Language,
         text: &str,
-    ) -> CoreResult<(Arc<Artifact>, bool)> {
+    ) -> CoreResult<(ParseEntry, bool)> {
         // Keyed by the epoch's *base* generation: delta mutations never
         // shrink the catalog (inserts/deletes preserve schemas, table
         // creation only adds), so a parsed artifact stays valid across
@@ -370,11 +344,11 @@ impl Session {
         if let Some(entry) = self.shared.parse_cache.get(&key) {
             if entry.matches(text) {
                 self.stats.cache_hits += 1;
-                return Ok((entry.artifact, true));
+                return Ok((entry, true));
             }
         }
         self.stats.cache_misses += 1;
-        Ok((self.prepare_uncached(epoch, key, text)?.artifact, false))
+        Ok((self.prepare_uncached(epoch, key, text)?, false))
     }
 
     /// The parse-cache miss path: parses + canonicalizes `text` — as
@@ -554,7 +528,7 @@ impl Session {
     /// strategy, bound keys — without evaluating anything.
     pub fn explain(&mut self, language: Language, text: &str) -> CoreResult<ExplainResponse> {
         let epoch = self.shared.epoch();
-        let (artifact, cache_hit) = self.prepare(&epoch, language, text)?;
+        let (ParseEntry { artifact, .. }, cache_hit) = self.prepare(&epoch, language, text)?;
         let canonical = artifact.canonical_text();
         let plan = self.plan(&epoch, &artifact, &canonical)?;
         Ok(ExplainResponse {
@@ -578,7 +552,7 @@ impl Session {
         text: &str,
     ) -> CoreResult<ExplainResponse> {
         let epoch = self.shared.epoch();
-        let (artifact, cache_hit) = self.prepare(&epoch, language, text)?;
+        let (ParseEntry { artifact, .. }, cache_hit) = self.prepare(&epoch, language, text)?;
         let canonical = artifact.canonical_text();
         let plan = self.plan(&epoch, &artifact, &canonical)?;
         let (_, node) = exec::explain_analyze(&plan, &epoch.db)?;
@@ -591,10 +565,12 @@ impl Session {
     }
 
     /// Translates a query into `target` through the TRC hub (Theorem
-    /// 6): parses `text` as `language` (through the parse cache), then
-    /// maps the canonical hub form into the requested language's text.
-    /// Directions outside the covered fragment (e.g. multi-branch
-    /// unions into Datalog\*/RA\*) error with the reason.
+    /// 6): parses `text` as `language` (through the parse cache) and
+    /// reads the target's text from the translations memoized on the
+    /// parse entry — the same ones [`run`](Session::run) serves, all four
+    /// rendered by the first request that needs any. Directions outside
+    /// the covered fragment (e.g. multi-branch unions into
+    /// Datalog\*/RA\*) error with the memo's note giving the reason.
     pub fn translate(
         &mut self,
         language: Language,
@@ -602,30 +578,31 @@ impl Session {
         target: Language,
     ) -> CoreResult<String> {
         let epoch = self.shared.epoch();
-        let (artifact, _) = self.prepare(&epoch, language, text)?;
-        let hub = artifact.hub(&epoch.catalog)?;
+        let (entry, _) = self.prepare(&epoch, language, text)?;
+        let invalid = |note: &str| CoreError::Invalid(note.to_string());
+        let t = entry
+            .views
+            .translations(&entry.artifact, &epoch.catalog)
+            .map_err(invalid)?;
+        // Datalog* and RA* both come from one branch's Datalog program,
+        // so a missing RA* text is explained by its own note or, failing
+        // that, by the Datalog or branch note.
+        let note = |labels: &[&str]| {
+            let note = labels
+                .iter()
+                .find_map(|label| t.notes.iter().find(|n| n.starts_with(label)));
+            invalid(note.map_or("translation unavailable", String::as_str))
+        };
         match target {
-            Language::Trc => Ok(rd_trc::printer::union_to_ascii(&hub)),
-            Language::Sql => Ok(rd_sql::printer::format_sql_union(
-                &rd_sql::trc_union_to_sql(&hub)?,
-            )),
-            Language::Datalog | Language::Ra => {
-                let [query] = hub.branches.as_slice() else {
-                    return Err(CoreError::Invalid(format!(
-                        "query is a {}-branch union; the Datalog*/RA* translations \
-                         (Theorem 6) are defined per branch",
-                        hub.branches.len()
-                    )));
-                };
-                let program = rd_translate::trc_to_datalog(query, &epoch.catalog)?;
-                if target == Language::Datalog {
-                    Ok(program.to_string())
-                } else {
-                    Ok(rd_ra::printer::to_ascii(&rd_translate::datalog_to_ra(
-                        &program,
-                        &epoch.catalog,
-                    )?))
-                }
+            Language::Trc => Ok(t.trc.clone()),
+            Language::Sql => t.sql.clone().ok_or_else(|| note(&["SQL"])),
+            Language::Datalog => t
+                .datalog
+                .clone()
+                .ok_or_else(|| note(&["Datalog", BRANCH_NOTE])),
+            Language::Ra => {
+                t.ra.clone()
+                    .ok_or_else(|| note(&["RA", "Datalog", BRANCH_NOTE]))
             }
         }
     }
@@ -639,6 +616,30 @@ impl Session {
 }
 
 impl Views {
+    /// The TRC hub a missing view is rendered from; a failure to build it
+    /// is memoized as the note explaining it.
+    fn hub(&self, artifact: &Artifact, catalog: &Catalog) -> Result<TrcUnion, &str> {
+        if let Some(note) = self.hub_failure.get() {
+            return Err(note);
+        }
+        artifact.hub(catalog).map_err(|e| {
+            let note = format!("TRC-hub translation unavailable: {e}");
+            &**self.hub_failure.get_or_init(|| note.into())
+        })
+    }
+
+    /// The memoized translations, rendered from the hub on first use,
+    /// or the note saying why there is no hub.
+    fn translations(&self, artifact: &Artifact, catalog: &Catalog) -> Result<&Translations, &str> {
+        if let Some(t) = self.translations.get() {
+            return Ok(t);
+        }
+        let hub = self.hub(artifact, catalog)?;
+        Ok(self
+            .translations
+            .get_or_init(|| exact_size(translations(&hub, catalog))))
+    }
+
     /// `true` if a view `req` asks for is not memoized yet.
     fn missing(&self, req: &QueryRequest) -> bool {
         (req.translations && self.translations.get().is_none())
@@ -668,12 +669,10 @@ impl Views {
             return (None, None);
         }
         let hub = if self.missing(req) {
-            match artifact.hub(catalog) {
+            match self.hub(artifact, catalog) {
                 Ok(hub) => Some(hub),
-                Err(e) => {
-                    let note = format!("TRC-hub translation unavailable: {e}");
-                    notes.push(note.clone());
-                    let _ = self.hub_failure.set(note.into());
+                Err(note) => {
+                    notes.push(note.to_string());
                     return (None, None);
                 }
             }
@@ -751,13 +750,17 @@ fn translations(hub: &TrcUnion, catalog: &Catalog) -> Translations {
         }
     } else {
         t.notes.push(format!(
-            "query is a {}-branch union; the Datalog*/RA* translations \
+            "{BRANCH_NOTE} {}-branch union; the Datalog*/RA* translations \
              (Theorem 6) are defined per branch",
             hub.branches.len()
         ));
     }
     t
 }
+
+/// How the note on a union query's missing Datalog\*/RA\* translations
+/// begins.
+const BRANCH_NOTE: &str = "query is a";
 
 /// Renders the Relational Diagram of a hub-TRC form as `format`, which
 /// names a diagram (only those have a [`Views::diagram`] cell).
@@ -840,5 +843,52 @@ mod tests {
             assert_eq!(text.capacity(), text.len(), "{text}");
         }
         assert_eq!(t.notes.capacity(), t.notes.len());
+    }
+
+    #[test]
+    fn translate_fills_the_memo_that_run_serves() {
+        let mut session = Session::new(crate::demo_database());
+        let text = "{ q(color) | exists b in Boat [ q.color = b.color ] }";
+        let req = QueryRequest::new(Language::Trc, text).with_translations();
+        let sql = session
+            .translate(Language::Trc, text, Language::Sql)
+            .unwrap();
+        // The first translate rendered every direction into the memo.
+        let views = memo(&session, &req);
+        let t = views.translations.get().unwrap().clone();
+        assert_eq!(t.sql.as_deref(), Some(sql.as_str()));
+        for (target, want) in [
+            (Language::Trc, Some(&t.trc)),
+            (Language::Datalog, t.datalog.as_ref()),
+            (Language::Ra, t.ra.as_ref()),
+        ] {
+            let got = session.translate(Language::Trc, text, target).unwrap();
+            assert_eq!(Some(&got), want, "{target}");
+        }
+        // `run` serves the same memo: no new translations were built.
+        let resp = session.run(&req).unwrap();
+        assert!(Arc::ptr_eq(&memo(&session, &req), &views));
+        assert_eq!(resp.translations, Some(t));
+    }
+
+    #[test]
+    fn a_missing_translation_is_the_memo_note() {
+        let mut session = Session::new(crate::demo_database());
+        let union = "{ q(color) | exists b in Boat [ q.color = b.color ] } union \
+                     { q(color) | exists b in Boat [ q.color = b.color ] }";
+        for target in [Language::Datalog, Language::Ra] {
+            let err = session.translate(Language::Trc, union, target).unwrap_err();
+            let CoreError::Invalid(note) = err else {
+                panic!("{target}: {err}");
+            };
+            assert!(note.starts_with(BRANCH_NOTE), "{target}: {note}");
+        }
+        let req = QueryRequest::new(Language::Trc, union).with_translations();
+        let resp = session.run(&req).unwrap();
+        let notes = &resp.translations.unwrap().notes;
+        assert!(
+            notes.iter().any(|n| n.starts_with(BRANCH_NOTE)),
+            "{notes:?}"
+        );
     }
 }

@@ -188,7 +188,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
 
     /// Sums a per-entry weight over every cached value (gauge-style
     /// aggregation; takes each shard lock once).
-    pub fn sum_values(&self, mut weight: impl FnMut(&V) -> u64) -> u64 {
+    fn sum_values(&self, mut weight: impl FnMut(&V) -> u64) -> u64 {
         let mut total = 0u64;
         for shard in &self.shards {
             shard
@@ -336,7 +336,7 @@ impl DbEpoch {
 
     /// The generation at which `rel` last changed (`None` for relations
     /// this epoch doesn't store).
-    pub fn rel_gen(&self, rel: &str) -> Option<u64> {
+    fn rel_gen(&self, rel: &str) -> Option<u64> {
         self.rel_gens.get(rel).copied()
     }
 }
@@ -614,7 +614,7 @@ impl EngineShared {
     /// nothing. Entries whose scan sets avoid the touched relations
     /// stay servable; entries that read them fail their generation
     /// check on the next lookup. If `f` errors, no epoch is installed.
-    pub fn apply_delta<T>(
+    fn apply_delta<T>(
         &self,
         touched: &[&str],
         f: impl FnOnce(&mut Database) -> CoreResult<T>,

@@ -97,40 +97,6 @@ fn same_text_in_different_languages_does_not_collide() {
 }
 
 #[test]
-fn run_batch_amortizes_repeats() {
-    let mut session = Session::new(demo_database());
-    let req = QueryRequest::new(
-        Language::Trc,
-        "{ q(color) | exists b in Boat [ q.color = b.color ] }",
-    );
-    let batch = vec![req.clone(), req.clone(), req];
-    let responses = session.run_batch(&batch);
-    assert_eq!(responses.len(), 3);
-    let responses: Vec<_> = responses.into_iter().map(Result::unwrap).collect();
-    assert!(!responses[0].cache_hit);
-    assert!(responses[1].cache_hit);
-    assert!(responses[2].cache_hit);
-    assert_eq!(responses[1].relation, responses[0].relation);
-    let stats = session.stats();
-    assert_eq!(stats.batches, 1);
-    assert_eq!(stats.queries, 3);
-    assert_eq!(stats.cache_hits, 2);
-    assert_eq!(stats.cache_misses, 1);
-}
-
-#[test]
-fn batch_with_errors_keeps_per_request_results() {
-    let mut session = Session::new(demo_database());
-    let good = QueryRequest::new(Language::Ra, "pi[color](Boat)");
-    let bad = QueryRequest::new(Language::Ra, "pi[nope](Boat)");
-    let out = session.run_batch(&[good.clone(), bad, good]);
-    assert!(out[0].is_ok());
-    assert!(out[1].is_err());
-    assert!(out[2].is_ok());
-    assert!(out[2].as_ref().unwrap().cache_hit);
-}
-
-#[test]
 fn lru_capacity_bounds_the_cache_and_counts_evictions() {
     let mut session = Session::with_cache_capacity(demo_database(), 2);
     let queries = ["pi[color](Boat)", "pi[sname](Sailor)", "pi[bid](Reserves)"];

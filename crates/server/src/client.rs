@@ -53,7 +53,7 @@ impl Client {
     /// Sends several tagged requests in a single write — one TCP
     /// segment's worth of pipeline refill instead of one syscall per
     /// request.
-    pub fn send_batch(&mut self, batch: &[(Request, Option<RequestId>)]) -> std::io::Result<()> {
+    fn send_batch(&mut self, batch: &[(Request, Option<RequestId>)]) -> std::io::Result<()> {
         let mut bytes = String::new();
         for (request, id) in batch {
             bytes.push_str(&protocol::encode_frame(request, id.as_ref()));
@@ -66,7 +66,7 @@ impl Client {
     /// so the next [`Client::recv`] will not block on the socket for it
     /// (it may still block if that frame *opens* a chunked stream whose
     /// remainder is in flight).
-    pub fn response_buffered(&self) -> bool {
+    fn response_buffered(&self) -> bool {
         self.reader.buffer().contains(&b'\n')
     }
 
@@ -337,7 +337,7 @@ impl BenchReport {
 
     /// The `p`-th connect-latency percentile (0.0..=1.0), if an idle
     /// flood ran.
-    pub fn connect_percentile(&self, p: f64) -> Option<Duration> {
+    fn connect_percentile(&self, p: f64) -> Option<Duration> {
         if self.connect_latencies.is_empty() {
             return None;
         }

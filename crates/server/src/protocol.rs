@@ -88,19 +88,20 @@
 //! Clients that send neither an `"id"` nor queries above the stream
 //! threshold see exactly the PR-2/PR-3 wire format, byte for byte.
 //!
-//! **Codec.** [`Request`] and [`Response`] each have one hand-written
-//! envelope: a request writes its `op` tag and then its fields; a
-//! response writes `ok` plus `kind` and then splices in its payload's
-//! members, so the tags never take the derive's externally-tagged enum
-//! shape. Payloads built from this crate's and
-//! `rd-core`'s types derive their codecs (`#[serde(default)]` marks the
-//! fields older frames lack, `skip_serializing_if` the ones written only
-//! when present); struct fields are declared in wire order. Payloads that
-//! hold `rd-engine` types (`Language`, `DiagramFormat`, `SessionStats`,
-//! `CacheStats`) and the mutation frame (whose `insert` flag travels as
-//! `"op"`) are hand-written, reading fields through the same
-//! `serde::json::{required, defaulted}` helpers the derive generates
-//! calls to. Decode errors name the offending field.
+//! **Codec.** [`Request`] and every response payload derive their codecs
+//! through the serde shim, with real serde's attributes: the request is
+//! internally tagged by `op` (`tag`, `rename_all`); `default` marks the
+//! members older frames lack, `skip_serializing_if` the ones written only
+//! when set, `rename` a member whose wire name differs from its field
+//! (`lang`, a mutation's `op`), and `flatten` a chunk's header. Struct
+//! fields are declared in wire order. Members whose types carry no serde
+//! impl (`rd-engine`'s `Language`, `DiagramFormat`, `SessionStats` and
+//! `CacheStats`; bare row cells) or whose wire shape is not the type's own
+//! (translations as an object, a load's source, a query's computed
+//! `row_count`) go through small `#[serde(with)]` modules. The one
+//! hand-written frame shape is the [`Response`] envelope: `ok` plus
+//! `kind` (or `error`), then the payload's members. Decode errors name
+//! the offending field.
 //!
 //! **Malformed input.** A line that is not valid JSON, nests arrays and
 //! objects deeper than [`serde::json::MAX_DEPTH`] (128), or does not
@@ -110,53 +111,77 @@
 use rd_core::exec::ExplainNode;
 use rd_core::Value;
 use rd_engine::{CacheStats, DiagramFormat, Language, SessionStats};
-use serde::json::{defaulted, required, Value as Json};
+use serde::json::{defaulted, required, required_with, Value as Json};
 use serde::{Deserialize, Serialize};
 
 /// A client→server message.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "op", rename_all = "lowercase")]
 pub enum Request {
     /// Run one query.
     Query {
         /// Query language; `None` auto-detects from the text.
+        #[serde(
+            rename = "lang",
+            default,
+            skip_serializing_if = "Option::is_none",
+            with = "auto_language"
+        )]
         language: Option<Language>,
         /// Query source text.
         text: String,
         /// Also produce the cross-language translations.
+        #[serde(default, skip_serializing_if = "is_default")]
         translations: bool,
         /// Also render the Relational Diagram.
+        #[serde(default, skip_serializing_if = "is_default", with = "diagram_format")]
         diagram: DiagramFormat,
     },
     /// Compile (or fetch from the plan cache) one query's executable
     /// plan and return it as an explain tree — no evaluation.
     Explain {
         /// Query language; `None` auto-detects from the text.
+        #[serde(
+            rename = "lang",
+            default,
+            skip_serializing_if = "Option::is_none",
+            with = "auto_language"
+        )]
         language: Option<Language>,
         /// Query source text.
         text: String,
         /// `true` actually executes the plan (bypassing the eval cache)
         /// and annotates every node with estimated vs actual row counts.
+        #[serde(default, skip_serializing_if = "is_default")]
         analyze: bool,
     },
     /// Translate one query into another language through the TRC hub
     /// (Theorem 6).
     Translate {
+        /// Target language.
+        #[serde(with = "language")]
+        to: Language,
         /// Source language; `None` auto-detects from the text.
+        #[serde(
+            rename = "lang",
+            default,
+            skip_serializing_if = "Option::is_none",
+            with = "auto_language"
+        )]
         language: Option<Language>,
         /// Query source text.
         text: String,
-        /// Target language.
-        to: Language,
     },
     /// Replace or extend the database (bumps the epoch generation and
     /// invalidates the shared caches).
-    Load(LoadSource),
+    Load(#[serde(with = "load_source")] LoadSource),
     /// Insert a batch of tuples into one table (a delta: caches over
     /// other relations survive; the WAL records it before the ack).
     Insert {
         /// Target table.
         table: String,
         /// Tuples to add (wire form: arrays of int/string cells).
+        #[serde(with = "rows")]
         rows: Vec<Vec<Value>>,
     },
     /// Delete a batch of tuples from one table (same delta/durability
@@ -165,6 +190,7 @@ pub enum Request {
         /// Target table.
         table: String,
         /// Tuples to remove.
+        #[serde(with = "rows")]
         rows: Vec<Vec<Value>>,
     },
     /// Force a point-in-time snapshot and start a fresh WAL segment.
@@ -175,6 +201,7 @@ pub enum Request {
         /// reports counters since the last reset, then starts a fresh
         /// window. Cumulative gauges (active connections, cache entries,
         /// generation, …) are unaffected.
+        #[serde(default, skip_serializing_if = "is_default")]
         reset: bool,
     },
     /// Fetch the latency-histogram registry rendered as Prometheus-style
@@ -282,9 +309,10 @@ pub enum Response {
 
 /// The result header carried by the first (`seq == 0`) chunk of a
 /// streamed query result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChunkHead {
     /// The language the query was parsed as.
+    #[serde(with = "language")]
     pub language: Language,
     /// The canonical rendering in the source language.
     pub canonical: String,
@@ -293,76 +321,102 @@ pub struct ChunkHead {
 }
 
 /// One `"kind":"rows-chunk"` frame of a streamed query result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RowsChunk {
     /// Position in the stream (0-based, contiguous).
     pub seq: u64,
     /// The result header; present exactly on `seq == 0`.
+    #[serde(flatten)]
     pub head: Option<ChunkHead>,
     /// This chunk's tuples.
+    #[serde(with = "rows")]
     pub rows: Vec<Vec<Value>>,
 }
 
 /// The `"kind":"rows-end"` frame closing a streamed query result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RowsEnd {
     /// Position in the stream (one past the last chunk's `seq`).
     pub seq: u64,
     /// Total rows across all chunks (a checksum for the client).
     pub row_count: u64,
     /// `true` if the artifact came from the shared parse cache.
+    #[serde(default)]
     pub cache_hit: bool,
     /// `true` if the result came from the shared eval cache.
+    #[serde(default)]
     pub eval_cache_hit: bool,
     /// Cross-language translations, if requested.
+    #[serde(
+        default,
+        skip_serializing_if = "Option::is_none",
+        with = "translations"
+    )]
     pub translations: Option<Vec<(String, String)>>,
     /// The rendered diagram, if requested.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub diagram: Option<String>,
     /// Why a requested optional artifact is missing.
+    #[serde(default)]
     pub notes: Vec<String>,
 }
 
 /// The payload of a successful query response.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryResult {
     /// The language the query was parsed as.
+    #[serde(with = "language")]
     pub language: Language,
     /// The canonical rendering in the source language.
     pub canonical: String,
     /// Output attribute names.
     pub attrs: Vec<String>,
-    /// Result tuples (deterministic order).
+    /// Result tuples (deterministic order); the wire follows them with
+    /// their count, `row_count`.
+    #[serde(flatten, with = "counted_rows")]
     pub rows: Vec<Vec<Value>>,
     /// `true` if the artifact came from the shared parse cache.
+    #[serde(default)]
     pub cache_hit: bool,
     /// `true` if the result came from the shared eval cache.
+    #[serde(default)]
     pub eval_cache_hit: bool,
     /// Cross-language translations, if requested: `(language, text)`
     /// pairs plus explanatory notes.
+    #[serde(
+        default,
+        skip_serializing_if = "Option::is_none",
+        with = "translations"
+    )]
     pub translations: Option<Vec<(String, String)>>,
     /// The rendered diagram, if requested.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub diagram: Option<String>,
     /// Why a requested optional artifact is missing.
+    #[serde(default)]
     pub notes: Vec<String>,
 }
 
 /// The payload of a successful explain response.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExplainResult {
     /// The language the query was parsed as.
+    #[serde(with = "language")]
     pub language: Language,
     /// The canonical rendering in the source language.
     pub canonical: String,
     /// The explain tree: scan order, join strategy, bound keys.
     pub plan: ExplainNode,
     /// `true` if the artifact came from the shared parse cache.
+    #[serde(default)]
     pub cache_hit: bool,
 }
 
 /// The payload of a successful translate response.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TranslateResult {
     /// The target language.
+    #[serde(with = "language")]
     pub to: Language,
     /// The query rendered in the target language.
     pub text: String,
@@ -382,9 +436,10 @@ pub struct LoadResult {
 }
 
 /// The payload of a successful insert/delete response.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MutationResult {
-    /// `true` for an insert, `false` for a delete.
+    /// `true` for an insert, `false` for a delete (wire: `"op"`).
+    #[serde(rename = "op", with = "mutation_op")]
     pub insert: bool,
     /// The table that was mutated.
     pub table: String,
@@ -411,7 +466,10 @@ pub struct CheckpointResult {
 
 /// The payload of a statistics response: server counters, session
 /// counters aggregated across all workers, and both shared caches.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Fields are in wire order; from `evicted` on they were appended (so
+/// the frame's byte prefix is stable for older readers) and decode to
+/// empty or zero when absent.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct StatsResult {
     /// Connections accepted since startup.
     pub connections: u64,
@@ -421,23 +479,21 @@ pub struct StatsResult {
     pub requests: u64,
     /// Requests answered with an error.
     pub errors: u64,
-    /// Connections closed by idle-timeout eviction.
-    pub evicted: u64,
     /// Request-serving threads (`--workers`).
     pub workers: u64,
     /// Session counters summed across every worker session (live and
     /// closed).
+    #[serde(with = "session_stats")]
     pub sessions: SessionStats,
     /// Shared parse-cache counters.
+    #[serde(with = "cache_stats")]
     pub parse_cache: CacheStats,
     /// Shared eval-cache counters.
+    #[serde(with = "cache_stats")]
     pub eval_cache: CacheStats,
     /// `false` if the server runs with the result cache disabled.
+    #[serde(default)]
     pub eval_cache_enabled: bool,
-    /// Shared compiled-plan-cache counters.
-    pub plan_cache: CacheStats,
-    /// `false` if the server runs with the plan cache disabled.
-    pub plan_cache_enabled: bool,
     /// Current epoch generation.
     pub generation: u64,
     /// Current database fingerprint (hex).
@@ -446,16 +502,25 @@ pub struct StatsResult {
     pub tables: u64,
     /// Total tuples in the current database.
     pub tuples: u64,
-    /// Per-stage latency summaries (appended in PR 7; absent in older
-    /// frames — decodes to empty).
+    /// Connections closed by idle-timeout eviction.
+    #[serde(default)]
+    pub evicted: u64,
+    /// Shared compiled-plan-cache counters.
+    #[serde(default, with = "cache_stats")]
+    pub plan_cache: CacheStats,
+    /// `false` if the server runs with the plan cache disabled.
+    #[serde(default)]
+    pub plan_cache_enabled: bool,
+    /// Per-stage latency summaries.
+    #[serde(default)]
     pub stages: Vec<StageLatency>,
-    /// Per-shard connection breakdown (appended in PR 9; absent in
-    /// older frames — decodes to empty). Counters here are cumulative
+    /// Per-shard connection breakdown. Counters here are cumulative
     /// since boot even in `reset` frames: the breakdown identifies
     /// shards, it is not a windowed rate.
+    #[serde(default)]
     pub shards: Vec<ShardBreakdown>,
-    /// Cost-based-planner summary (appended in PR 10; absent in older
-    /// frames — decodes to all-zero).
+    /// Cost-based-planner summary.
+    #[serde(default)]
     pub planner: PlannerStats,
 }
 
@@ -528,557 +593,9 @@ pub struct MetricsResult {
 // JSON encoding
 // ---------------------------------------------------------------------
 
-fn obj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn s(v: impl Into<String>) -> Json {
-    Json::String(v.into())
-}
-
-fn u(v: u64) -> Json {
-    Json::Int(v as i64)
-}
-
-/// A response frame: `head` (`ok` plus `kind`), then the members of the
-/// encoded payload object.
-fn envelope(head: [(&str, Json); 2], payload: Json) -> Json {
-    let members = match payload {
-        Json::Object(members) => members,
-        _ => Vec::new(),
-    };
-    let mut pairs = Vec::with_capacity(head.len() + members.len());
-    pairs.extend(head.map(|(k, v)| (k.to_string(), v)));
-    pairs.extend(members);
-    Json::Object(pairs)
-}
-
-fn value_to_json(v: &Value) -> Json {
-    match v {
-        Value::Int(i) => Json::Int(*i),
-        Value::Str(t) => Json::String(t.clone()),
-        // Rows are resolved (Sym → Str) at the session edge before they
-        // reach the protocol; a stray symbol would be a server bug, but
-        // the wire must never panic.
-        Value::Sym(id) => Json::String(format!("sym#{id}")),
-    }
-}
-
-fn rows_to_json(rows: &[Vec<Value>]) -> Json {
-    Json::Array(
-        rows.iter()
-            .map(|row| Json::Array(row.iter().map(value_to_json).collect()))
-            .collect(),
-    )
-}
-
-fn value_from_json(v: &Json) -> Result<Value, String> {
-    match v {
-        Json::Int(i) => Ok(Value::Int(*i)),
-        Json::String(t) => Ok(Value::Str(t.clone())),
-        other => Err(format!("expected int or string cell, found {other}")),
-    }
-}
-
-fn parse_rows(v: &Json) -> Result<Vec<Vec<Value>>, String> {
-    v.get("rows")
-        .and_then(Json::as_array)
-        .ok_or("missing or non-array field 'rows'")?
-        .iter()
-        .map(|row| {
-            row.as_array()
-                .ok_or_else(|| "non-array row".to_string())?
-                .iter()
-                .map(value_from_json)
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .collect()
-}
-
-fn diagram_name(d: DiagramFormat) -> &'static str {
-    match d {
-        DiagramFormat::None => "none",
-        DiagramFormat::Dot => "dot",
-        DiagramFormat::Svg => "svg",
-    }
-}
-
-fn diagram_from_name(name: &str) -> Result<DiagramFormat, String> {
-    match name {
-        "none" => Ok(DiagramFormat::None),
-        "dot" => Ok(DiagramFormat::Dot),
-        "svg" => Ok(DiagramFormat::Svg),
-        other => Err(format!("unknown diagram format '{other}'")),
-    }
-}
-
-fn language(v: &Json, key: &str) -> Result<Language, String> {
-    required::<String>(v, key)?.parse()
-}
-
-/// Parses the optional `"lang"` field (`"auto"`, absent, and null all
-/// mean detect-from-text).
-fn opt_language(v: &Json) -> Result<Option<Language>, String> {
-    match required::<Option<String>>(v, "lang")?.as_deref() {
-        None | Some("auto") => Ok(None),
-        Some(name) => name.parse().map(Some),
-    }
-}
-
-fn push_language(pairs: &mut Vec<(&str, Json)>, language: &Option<Language>) {
-    if let Some(lang) = language {
-        pairs.push(("lang", s(lang.name())));
-    }
-}
-
-fn session_stats_to_json(st: &SessionStats) -> Json {
-    obj(vec![
-        ("queries", u(st.queries)),
-        ("batches", u(st.batches)),
-        ("cache_hits", u(st.cache_hits)),
-        ("cache_misses", u(st.cache_misses)),
-        ("cache_evictions", u(st.cache_evictions)),
-        ("eval_hits", u(st.eval_hits)),
-        ("eval_misses", u(st.eval_misses)),
-        ("eval_evictions", u(st.eval_evictions)),
-        ("eval_skipped", u(st.eval_skipped)),
-        ("rows_returned", u(st.rows_returned)),
-        // Appended after the PR-2 fields so the object's byte prefix is
-        // stable for older readers.
-        ("rows_streamed", u(st.rows_streamed)),
-        ("plan_hits", u(st.plan_hits)),
-        ("plan_misses", u(st.plan_misses)),
-        ("plan_evictions", u(st.plan_evictions)),
-        ("delta_invalidations", u(st.delta_invalidations)),
-        ("delta_survivals", u(st.delta_survivals)),
-    ])
-}
-
-/// Counters added after the first protocol version decode as 0 when
-/// absent.
-fn session_stats_from_json(v: &Json) -> Result<SessionStats, String> {
-    Ok(SessionStats {
-        queries: required(v, "queries")?,
-        batches: required(v, "batches")?,
-        cache_hits: required(v, "cache_hits")?,
-        cache_misses: required(v, "cache_misses")?,
-        cache_evictions: required(v, "cache_evictions")?,
-        eval_hits: required(v, "eval_hits")?,
-        eval_misses: required(v, "eval_misses")?,
-        eval_evictions: required(v, "eval_evictions")?,
-        eval_skipped: defaulted(v, "eval_skipped")?,
-        plan_hits: defaulted(v, "plan_hits")?,
-        plan_misses: defaulted(v, "plan_misses")?,
-        plan_evictions: defaulted(v, "plan_evictions")?,
-        delta_invalidations: defaulted(v, "delta_invalidations")?,
-        delta_survivals: defaulted(v, "delta_survivals")?,
-        rows_returned: required(v, "rows_returned")?,
-        rows_streamed: defaulted(v, "rows_streamed")?,
-    })
-}
-
-fn cache_stats_to_json(st: &CacheStats) -> Json {
-    obj(vec![
-        ("hits", u(st.hits)),
-        ("misses", u(st.misses)),
-        ("evictions", u(st.evictions)),
-        ("entries", u(st.entries as u64)),
-        ("capacity", u(st.capacity as u64)),
-        ("cached_bytes", u(st.bytes)),
-    ])
-}
-
-fn cache_stats_from_json(v: &Json) -> Result<CacheStats, String> {
-    Ok(CacheStats {
-        hits: required(v, "hits")?,
-        misses: required(v, "misses")?,
-        evictions: required(v, "evictions")?,
-        entries: required(v, "entries")?,
-        capacity: required(v, "capacity")?,
-        bytes: defaulted(v, "cached_bytes")?,
-    })
-}
-
-/// The shared tail of query-shaped frames: optional translations and
-/// diagram, then the (always-present) notes array.
-fn push_optional_meta(
-    pairs: &mut Vec<(&str, Json)>,
-    translations: &Option<Vec<(String, String)>>,
-    diagram: &Option<String>,
-    notes: &[String],
-) {
-    if let Some(t) = translations {
-        pairs.push((
-            "translations",
-            Json::Object(t.iter().map(|(k, v)| (k.clone(), s(v))).collect()),
-        ));
-    }
-    if let Some(d) = diagram {
-        pairs.push(("diagram", s(d)));
-    }
-    pairs.push(("notes", notes.to_json()));
-}
-
-fn parse_translations(v: &Json) -> Result<Option<Vec<(String, String)>>, String> {
-    match v.get("translations") {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Object(pairs)) => Ok(Some(
-            pairs
-                .iter()
-                .map(|(k, val)| {
-                    val.as_str()
-                        .map(|t| (k.clone(), t.to_string()))
-                        .ok_or_else(|| format!("non-string translation '{k}'"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        )),
-        Some(other) => Err(format!("'translations' must be an object, found {other}")),
-    }
-}
-
-impl Serialize for Request {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![("op", s(self.op()))];
-        match self {
-            Request::Query {
-                language,
-                text,
-                translations,
-                diagram,
-            } => {
-                push_language(&mut pairs, language);
-                pairs.push(("text", s(text)));
-                if *translations {
-                    pairs.push(("translations", Json::Bool(true)));
-                }
-                if *diagram != DiagramFormat::None {
-                    pairs.push(("diagram", s(diagram_name(*diagram))));
-                }
-            }
-            Request::Explain {
-                language,
-                text,
-                analyze,
-            } => {
-                push_language(&mut pairs, language);
-                pairs.push(("text", s(text)));
-                if *analyze {
-                    pairs.push(("analyze", Json::Bool(true)));
-                }
-            }
-            Request::Translate { language, text, to } => {
-                pairs.push(("to", s(to.name())));
-                push_language(&mut pairs, language);
-                pairs.push(("text", s(text)));
-            }
-            Request::Load(LoadSource::Fixture(text)) => pairs.push(("fixture", s(text))),
-            Request::Load(LoadSource::Csv { table, text }) => {
-                pairs.extend([("csv", s(text)), ("table", s(table))])
-            }
-            Request::Insert { table, rows } | Request::Delete { table, rows } => {
-                pairs.extend([("table", s(table)), ("rows", rows_to_json(rows))])
-            }
-            Request::Stats { reset: true } => pairs.push(("reset", Json::Bool(true))),
-            Request::Checkpoint
-            | Request::Stats { reset: false }
-            | Request::Metrics
-            | Request::Ping
-            | Request::Shutdown => {}
-        }
-        obj(pairs)
-    }
-}
-
-impl Request {
-    /// The wire `op` tag.
-    fn op(&self) -> &'static str {
-        match self {
-            Request::Query { .. } => "query",
-            Request::Explain { .. } => "explain",
-            Request::Translate { .. } => "translate",
-            Request::Load(_) => "load",
-            Request::Insert { .. } => "insert",
-            Request::Delete { .. } => "delete",
-            Request::Checkpoint => "checkpoint",
-            Request::Stats { .. } => "stats",
-            Request::Metrics => "metrics",
-            Request::Ping => "ping",
-            Request::Shutdown => "shutdown",
-        }
-    }
-}
-
-impl Deserialize for Request {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(match required::<String>(v, "op")?.as_str() {
-            "query" => Request::Query {
-                language: opt_language(v)?,
-                text: required(v, "text")?,
-                translations: defaulted(v, "translations")?,
-                diagram: match required::<Option<String>>(v, "diagram")? {
-                    Some(name) => diagram_from_name(&name)?,
-                    None => DiagramFormat::None,
-                },
-            },
-            "explain" => Request::Explain {
-                language: opt_language(v)?,
-                text: required(v, "text")?,
-                analyze: defaulted(v, "analyze")?,
-            },
-            "translate" => Request::Translate {
-                language: opt_language(v)?,
-                text: required(v, "text")?,
-                to: language(v, "to")?,
-            },
-            "load" if v.get("fixture").is_some() => {
-                Request::Load(LoadSource::Fixture(required(v, "fixture")?))
-            }
-            "load" if v.get("csv").is_some() => Request::Load(LoadSource::Csv {
-                table: required(v, "table")?,
-                text: required(v, "csv")?,
-            }),
-            "load" => return Err("load requires a 'fixture' or 'csv' field".into()),
-            "insert" => Request::Insert {
-                table: required(v, "table")?,
-                rows: parse_rows(v)?,
-            },
-            "delete" => Request::Delete {
-                table: required(v, "table")?,
-                rows: parse_rows(v)?,
-            },
-            "checkpoint" => Request::Checkpoint,
-            "stats" => Request::Stats {
-                reset: defaulted(v, "reset")?,
-            },
-            "metrics" => Request::Metrics,
-            "ping" => Request::Ping,
-            "shutdown" => Request::Shutdown,
-            other => {
-                return Err(format!(
-                    "unknown op '{other}' (expected query, explain, translate, load, insert, \
-                     delete, checkpoint, stats, metrics, ping, or shutdown)"
-                ))
-            }
-        })
-    }
-}
-
-impl Serialize for QueryResult {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("language", s(self.language.name())),
-            ("canonical", s(&self.canonical)),
-            ("attrs", self.attrs.to_json()),
-            ("rows", rows_to_json(&self.rows)),
-            ("row_count", u(self.rows.len() as u64)),
-            ("cache_hit", Json::Bool(self.cache_hit)),
-            ("eval_cache_hit", Json::Bool(self.eval_cache_hit)),
-        ];
-        push_optional_meta(&mut pairs, &self.translations, &self.diagram, &self.notes);
-        obj(pairs)
-    }
-}
-
-impl Deserialize for QueryResult {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(QueryResult {
-            language: language(v, "language")?,
-            canonical: required(v, "canonical")?,
-            attrs: required(v, "attrs")?,
-            rows: parse_rows(v)?,
-            cache_hit: defaulted(v, "cache_hit")?,
-            eval_cache_hit: defaulted(v, "eval_cache_hit")?,
-            translations: parse_translations(v)?,
-            diagram: required(v, "diagram")?,
-            notes: defaulted(v, "notes")?,
-        })
-    }
-}
-
-impl Serialize for ExplainResult {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("language", s(self.language.name())),
-            ("canonical", s(&self.canonical)),
-            ("plan", self.plan.to_json()),
-            ("cache_hit", Json::Bool(self.cache_hit)),
-        ])
-    }
-}
-
-impl Deserialize for ExplainResult {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(ExplainResult {
-            language: language(v, "language")?,
-            canonical: required(v, "canonical")?,
-            plan: required(v, "plan")?,
-            cache_hit: defaulted(v, "cache_hit")?,
-        })
-    }
-}
-
-impl Serialize for TranslateResult {
-    fn to_json(&self) -> Json {
-        obj(vec![("to", s(self.to.name())), ("text", s(&self.text))])
-    }
-}
-
-impl Deserialize for TranslateResult {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(TranslateResult {
-            to: language(v, "to")?,
-            text: required(v, "text")?,
-        })
-    }
-}
-
-impl Serialize for RowsChunk {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![("seq", u(self.seq))];
-        if let Some(head) = &self.head {
-            pairs.push(("language", s(head.language.name())));
-            pairs.push(("canonical", s(&head.canonical)));
-            pairs.push(("attrs", head.attrs.to_json()));
-        }
-        pairs.push(("rows", rows_to_json(&self.rows)));
-        obj(pairs)
-    }
-}
-
-impl Deserialize for RowsChunk {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        // The header fields travel exactly on the first chunk.
-        let head = match v.get("language") {
-            Some(_) => Some(ChunkHead {
-                language: language(v, "language")?,
-                canonical: required(v, "canonical")?,
-                attrs: required(v, "attrs")?,
-            }),
-            None => None,
-        };
-        Ok(RowsChunk {
-            seq: required(v, "seq")?,
-            head,
-            rows: parse_rows(v)?,
-        })
-    }
-}
-
-impl Serialize for RowsEnd {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("seq", u(self.seq)),
-            ("row_count", u(self.row_count)),
-            ("cache_hit", Json::Bool(self.cache_hit)),
-            ("eval_cache_hit", Json::Bool(self.eval_cache_hit)),
-        ];
-        push_optional_meta(&mut pairs, &self.translations, &self.diagram, &self.notes);
-        obj(pairs)
-    }
-}
-
-impl Deserialize for RowsEnd {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(RowsEnd {
-            seq: required(v, "seq")?,
-            row_count: required(v, "row_count")?,
-            cache_hit: defaulted(v, "cache_hit")?,
-            eval_cache_hit: defaulted(v, "eval_cache_hit")?,
-            translations: parse_translations(v)?,
-            diagram: required(v, "diagram")?,
-            notes: defaulted(v, "notes")?,
-        })
-    }
-}
-
-/// Hand-written for its one quirk: `insert` travels as `"op"`.
-impl Serialize for MutationResult {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("op", s(if self.insert { "insert" } else { "delete" })),
-            ("table", s(&self.table)),
-            ("applied", u(self.applied)),
-            ("generation", u(self.generation)),
-            ("fingerprint", s(&self.fingerprint)),
-        ])
-    }
-}
-
-impl Deserialize for MutationResult {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(MutationResult {
-            insert: match required::<String>(v, "op")?.as_str() {
-                "insert" => true,
-                "delete" => false,
-                other => return Err(format!("unknown mutation op '{other}'")),
-            },
-            table: required(v, "table")?,
-            applied: required(v, "applied")?,
-            generation: required(v, "generation")?,
-            fingerprint: required(v, "fingerprint")?,
-        })
-    }
-}
-
-impl Serialize for StatsResult {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("connections", u(self.connections)),
-            ("active_connections", u(self.active_connections)),
-            ("requests", u(self.requests)),
-            ("errors", u(self.errors)),
-            ("workers", u(self.workers)),
-            ("sessions", session_stats_to_json(&self.sessions)),
-            ("parse_cache", cache_stats_to_json(&self.parse_cache)),
-            ("eval_cache", cache_stats_to_json(&self.eval_cache)),
-            ("eval_cache_enabled", Json::Bool(self.eval_cache_enabled)),
-            ("generation", u(self.generation)),
-            ("fingerprint", s(&self.fingerprint)),
-            ("tables", u(self.tables)),
-            ("tuples", u(self.tuples)),
-            // Everything from here on was appended, in this order, so
-            // the object's byte prefix is stable for older readers.
-            ("evicted", u(self.evicted)),
-            ("plan_cache", cache_stats_to_json(&self.plan_cache)),
-            ("plan_cache_enabled", Json::Bool(self.plan_cache_enabled)),
-            ("stages", self.stages.to_json()),
-            ("shards", self.shards.to_json()),
-            ("planner", self.planner.to_json()),
-        ])
-    }
-}
-
-/// The appended members decode to empty or zero when absent.
-impl Deserialize for StatsResult {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let member = |key: &str| v.get(key).ok_or_else(|| format!("missing field '{key}'"));
-        Ok(StatsResult {
-            connections: required(v, "connections")?,
-            active_connections: required(v, "active_connections")?,
-            requests: required(v, "requests")?,
-            errors: required(v, "errors")?,
-            evicted: defaulted(v, "evicted")?,
-            workers: required(v, "workers")?,
-            sessions: session_stats_from_json(member("sessions")?)?,
-            parse_cache: cache_stats_from_json(member("parse_cache")?)?,
-            eval_cache: cache_stats_from_json(member("eval_cache")?)?,
-            eval_cache_enabled: defaulted(v, "eval_cache_enabled")?,
-            plan_cache: match v.get("plan_cache") {
-                None | Some(Json::Null) => CacheStats::default(),
-                Some(o) => cache_stats_from_json(o)?,
-            },
-            plan_cache_enabled: defaulted(v, "plan_cache_enabled")?,
-            generation: required(v, "generation")?,
-            fingerprint: required(v, "fingerprint")?,
-            tables: required(v, "tables")?,
-            tuples: required(v, "tuples")?,
-            stages: defaulted(v, "stages")?,
-            shards: defaulted(v, "shards")?,
-            planner: defaulted(v, "planner")?,
-        })
-    }
-}
-
+/// Every payload derives its codec; the response envelope below is the
+/// one hand-written frame shape: `ok` plus `kind` (or `error`), then the
+/// payload's members.
 impl Serialize for Response {
     fn to_json(&self) -> Json {
         let (kind, payload) = match self {
@@ -1095,10 +612,21 @@ impl Serialize for Response {
             Response::Pong => ("pong", Json::Null),
             Response::Bye => ("bye", Json::Null),
             Response::Error(message) => {
-                return obj(vec![("ok", Json::Bool(false)), ("error", s(message))])
+                return Json::Object(vec![
+                    ("ok".to_string(), Json::Bool(false)),
+                    ("error".to_string(), message.to_json()),
+                ])
             }
         };
-        envelope([("ok", Json::Bool(true)), ("kind", s(kind))], payload)
+        let members = match payload {
+            Json::Object(members) => members,
+            _ => Vec::new(),
+        };
+        let mut pairs = Vec::with_capacity(2 + members.len());
+        pairs.push(("ok".to_string(), Json::Bool(true)));
+        pairs.push(("kind".to_string(), kind.to_json()));
+        pairs.extend(members);
+        Json::Object(pairs)
     }
 }
 
@@ -1108,7 +636,7 @@ impl Deserialize for Response {
             return Ok(Response::Error(required(v, "error")?));
         }
         // Payloads read their members from the frame itself.
-        Ok(match required::<String>(v, "kind")?.as_str() {
+        Ok(match serde::json::tag(v, "kind")? {
             "query" => Response::Query(Deserialize::from_json(v)?),
             "explain" => Response::Explain(Deserialize::from_json(v)?),
             "translate" => Response::Translate(Deserialize::from_json(v)?),
@@ -1122,6 +650,293 @@ impl Deserialize for Response {
             "pong" => Response::Pong,
             "bye" => Response::Bye,
             other => return Err(format!("unknown response kind '{other}'")),
+        })
+    }
+}
+
+/// `skip_serializing_if` for flags and formats written only when set.
+fn is_default<T: Default + PartialEq>(value: &T) -> bool {
+    *value == T::default()
+}
+
+/// The string held by `v`.
+fn string(v: &Json) -> Result<&str, String> {
+    v.as_str()
+        .ok_or_else(|| format!("expected string, found {v}"))
+}
+
+// The `#[serde(with)]` modules: codecs for members whose types this crate
+// cannot derive for (`rd-engine`'s, which carry no serde dependency, and
+// `rd_core::Value` cells, which travel bare) or whose wire shape is not
+// the type's own.
+
+/// A [`Language`] as its name.
+mod language {
+    use super::*;
+
+    pub fn serialize(language: &Language) -> Json {
+        Json::String(language.name().to_string())
+    }
+
+    pub fn deserialize(v: &Json) -> Result<Language, String> {
+        string(v)?.parse()
+    }
+}
+
+/// A request's `lang`: a language name, or `"auto"` (`None`) to detect
+/// the language from the text.
+mod auto_language {
+    use super::*;
+
+    pub fn serialize(language: &Option<Language>) -> Json {
+        Json::String(language.map_or("auto", Language::name).to_string())
+    }
+
+    pub fn deserialize(v: &Json) -> Result<Option<Language>, String> {
+        match string(v)? {
+            "auto" => Ok(None),
+            name => name.parse().map(Some),
+        }
+    }
+}
+
+/// A [`DiagramFormat`] as its name.
+mod diagram_format {
+    use super::*;
+
+    const NAMES: [(DiagramFormat, &str); 3] = [
+        (DiagramFormat::None, "none"),
+        (DiagramFormat::Dot, "dot"),
+        (DiagramFormat::Svg, "svg"),
+    ];
+
+    pub fn serialize(format: &DiagramFormat) -> Json {
+        let (_, name) = NAMES
+            .iter()
+            .find(|(f, _)| f == format)
+            .expect("every format is named");
+        Json::String(name.to_string())
+    }
+
+    pub fn deserialize(v: &Json) -> Result<DiagramFormat, String> {
+        let name = string(v)?;
+        NAMES
+            .iter()
+            .find(|(_, n)| *n == name)
+            .map(|(format, _)| *format)
+            .ok_or_else(|| format!("unknown diagram format '{name}'"))
+    }
+}
+
+/// Tuples as arrays of bare int/string cells.
+mod rows {
+    use super::*;
+
+    pub fn serialize(rows: &[Vec<Value>]) -> Json {
+        let cell = |v: &Value| match v {
+            Value::Int(i) => Json::Int(*i),
+            Value::Str(t) => Json::String(t.clone()),
+            // Rows are resolved (Sym → Str) at the session edge before
+            // they reach the protocol; a stray symbol would be a server
+            // bug, but the wire must never panic.
+            Value::Sym(id) => Json::String(format!("sym#{id}")),
+        };
+        Json::Array(
+            rows.iter()
+                .map(|row| Json::Array(row.iter().map(cell).collect()))
+                .collect(),
+        )
+    }
+
+    pub fn deserialize(v: &Json) -> Result<Vec<Vec<Value>>, String> {
+        let cell = |v: &Json| match v {
+            Json::Int(i) => Ok(Value::Int(*i)),
+            Json::String(t) => Ok(Value::Str(t.clone())),
+            other => Err(format!("expected int or string cell, found {other}")),
+        };
+        let rows = v
+            .as_array()
+            .ok_or_else(|| format!("expected array, found {v}"))?;
+        rows.iter()
+            .map(|row| {
+                row.as_array()
+                    .ok_or("non-array row")?
+                    .iter()
+                    .map(cell)
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// A query result's `rows` followed by their count, `row_count` (which
+/// decoding ignores); flattened into the frame.
+mod counted_rows {
+    use super::*;
+
+    pub fn serialize(tuples: &[Vec<Value>]) -> Json {
+        Json::Object(vec![
+            ("rows".to_string(), rows::serialize(tuples)),
+            ("row_count".to_string(), tuples.len().to_json()),
+        ])
+    }
+
+    pub fn deserialize(v: &Json) -> Result<Vec<Vec<Value>>, String> {
+        required_with(v, "rows", rows::deserialize)
+    }
+}
+
+/// Translations as one object of `language: text` members, in order.
+mod translations {
+    use super::*;
+
+    pub fn serialize(translations: &Option<Vec<(String, String)>>) -> Json {
+        let members = translations.iter().flatten();
+        Json::Object(
+            members
+                .map(|(lang, text)| (lang.clone(), text.to_json()))
+                .collect(),
+        )
+    }
+
+    pub fn deserialize(v: &Json) -> Result<Option<Vec<(String, String)>>, String> {
+        let members = v
+            .as_object()
+            .ok_or_else(|| format!("expected object, found {v}"))?;
+        members
+            .iter()
+            .map(|(lang, text)| match text {
+                Json::String(text) => Ok((lang.clone(), text.clone())),
+                _ => Err(format!("non-string translation '{lang}'")),
+            })
+            .collect::<Result<_, _>>()
+            .map(Some)
+    }
+}
+
+/// A load's source, flattened into the request: `fixture`, or `csv`
+/// plus `table`.
+mod load_source {
+    use super::*;
+
+    pub fn serialize(source: &LoadSource) -> Json {
+        let members = match source {
+            LoadSource::Fixture(text) => vec![("fixture", text)],
+            LoadSource::Csv { table, text } => vec![("csv", text), ("table", table)],
+        };
+        Json::Object(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v.to_json()))
+                .collect(),
+        )
+    }
+
+    pub fn deserialize(v: &Json) -> Result<LoadSource, String> {
+        if v.get("fixture").is_some() {
+            Ok(LoadSource::Fixture(required(v, "fixture")?))
+        } else if v.get("csv").is_some() {
+            Ok(LoadSource::Csv {
+                table: required(v, "table")?,
+                text: required(v, "csv")?,
+            })
+        } else {
+            Err("load requires a 'fixture' or 'csv' field".into())
+        }
+    }
+}
+
+/// A mutation frame's `insert` flag, as the op name.
+mod mutation_op {
+    use super::*;
+
+    pub fn serialize(insert: &bool) -> Json {
+        Json::String(if *insert { "insert" } else { "delete" }.to_string())
+    }
+
+    pub fn deserialize(v: &Json) -> Result<bool, String> {
+        match string(v)? {
+            "insert" => Ok(true),
+            "delete" => Ok(false),
+            other => Err(format!("unknown mutation op '{other}'")),
+        }
+    }
+}
+
+/// [`SessionStats`], members in wire order. `batches` is always 0 from
+/// this server, but older readers require it. Counters added after the
+/// first protocol version decode as 0 when absent.
+mod session_stats {
+    use super::*;
+
+    pub fn serialize(st: &SessionStats) -> Json {
+        let members = [
+            ("queries", st.queries),
+            ("batches", st.batches),
+            ("cache_hits", st.cache_hits),
+            ("cache_misses", st.cache_misses),
+            ("cache_evictions", st.cache_evictions),
+            ("eval_hits", st.eval_hits),
+            ("eval_misses", st.eval_misses),
+            ("eval_evictions", st.eval_evictions),
+            ("eval_skipped", st.eval_skipped),
+            ("rows_returned", st.rows_returned),
+            ("rows_streamed", st.rows_streamed),
+            ("plan_hits", st.plan_hits),
+            ("plan_misses", st.plan_misses),
+            ("plan_evictions", st.plan_evictions),
+            ("delta_invalidations", st.delta_invalidations),
+            ("delta_survivals", st.delta_survivals),
+        ];
+        Json::Object(members.map(|(k, n)| (k.to_string(), n.to_json())).into())
+    }
+
+    pub fn deserialize(v: &Json) -> Result<SessionStats, String> {
+        Ok(SessionStats {
+            queries: required(v, "queries")?,
+            batches: required(v, "batches")?,
+            cache_hits: required(v, "cache_hits")?,
+            cache_misses: required(v, "cache_misses")?,
+            cache_evictions: required(v, "cache_evictions")?,
+            eval_hits: required(v, "eval_hits")?,
+            eval_misses: required(v, "eval_misses")?,
+            eval_evictions: required(v, "eval_evictions")?,
+            eval_skipped: defaulted(v, "eval_skipped")?,
+            rows_returned: required(v, "rows_returned")?,
+            rows_streamed: defaulted(v, "rows_streamed")?,
+            plan_hits: defaulted(v, "plan_hits")?,
+            plan_misses: defaulted(v, "plan_misses")?,
+            plan_evictions: defaulted(v, "plan_evictions")?,
+            delta_invalidations: defaulted(v, "delta_invalidations")?,
+            delta_survivals: defaulted(v, "delta_survivals")?,
+        })
+    }
+}
+
+/// [`CacheStats`], with `bytes` travelling as `cached_bytes`.
+mod cache_stats {
+    use super::*;
+
+    pub fn serialize(st: &CacheStats) -> Json {
+        let members = [
+            ("hits", st.hits),
+            ("misses", st.misses),
+            ("evictions", st.evictions),
+            ("entries", st.entries as u64),
+            ("capacity", st.capacity as u64),
+            ("cached_bytes", st.bytes),
+        ];
+        Json::Object(members.map(|(k, n)| (k.to_string(), n.to_json())).into())
+    }
+
+    pub fn deserialize(v: &Json) -> Result<CacheStats, String> {
+        Ok(CacheStats {
+            hits: required(v, "hits")?,
+            misses: required(v, "misses")?,
+            evictions: required(v, "evictions")?,
+            entries: required(v, "entries")?,
+            capacity: required(v, "capacity")?,
+            bytes: defaulted(v, "cached_bytes")?,
         })
     }
 }
@@ -1159,7 +974,7 @@ pub fn decode_frame(line: &str) -> Result<(Option<RequestId>, Response), String>
 /// Decodes one request line into its id (if any) and the request. On
 /// failure the error carries the id when it could still be extracted,
 /// so the server can echo it in the error frame; the error strings for
-/// id-less requests match PR 2's [`decode`] byte for byte.
+/// id-less requests match [`decode`]'s byte for byte.
 #[allow(clippy::type_complexity)]
 pub fn decode_request_line(
     line: &str,
@@ -1228,13 +1043,6 @@ pub fn stream_frames(
     frames
 }
 
-/// Splits a complete query result into its streamed-frame form with at
-/// most `chunk_rows` tuples per chunk (the inverse of [`Reassembler`]).
-pub fn split_query(q: &QueryResult, chunk_rows: usize) -> Vec<Response> {
-    let chunk_rows = chunk_rows.max(1);
-    stream_frames(q, q.rows.chunks(chunk_rows).map(<[Vec<Value>]>::to_vec))
-}
-
 /// Folds streamed `rows-chunk` / `rows-end` frames back into complete
 /// [`Response::Query`] messages, tracking any number of interleaved
 /// streams keyed by request id.
@@ -1257,11 +1065,6 @@ impl Reassembler {
     /// A reassembler with no streams in progress.
     pub fn new() -> Reassembler {
         Reassembler::default()
-    }
-
-    /// Number of streams currently being assembled.
-    pub fn in_progress(&self) -> usize {
-        self.partials.len()
     }
 
     fn position(&self, id: &Option<RequestId>) -> Option<usize> {
@@ -1352,6 +1155,13 @@ impl Reassembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Splits a complete query result into its streamed-frame form with
+    /// at most `chunk_rows` tuples per chunk (the inverse of
+    /// [`Reassembler`]).
+    fn split_query(q: &QueryResult, chunk_rows: usize) -> Vec<Response> {
+        stream_frames(q, q.rows.chunks(chunk_rows).map(<[Vec<Value>]>::to_vec))
+    }
 
     fn roundtrip_request(req: Request) {
         let line = encode(&req);
@@ -1965,7 +1775,7 @@ mod tests {
             let (id, resp) = complete.expect("stream completed");
             assert_eq!(id, Some(RequestId::Int(1)));
             assert_eq!(resp, Response::Query(q.clone()));
-            assert_eq!(reasm.in_progress(), 0);
+            assert!(reasm.partials.is_empty());
         }
     }
 
