@@ -664,10 +664,8 @@ impl Views {
         if !req.wants_views() {
             return (None, None);
         }
-        if let Some(note) = self.hub_failure.get() {
-            notes.push(note.to_string());
-            return (None, None);
-        }
+        // A memoized hub failure fills no cell, so every view stays
+        // missing and `hub` returns its note.
         let hub = if self.missing(req) {
             match self.hub(artifact, catalog) {
                 Ok(hub) => Some(hub),

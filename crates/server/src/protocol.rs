@@ -618,14 +618,11 @@ impl Serialize for Response {
                 ])
             }
         };
-        let members = match payload {
-            Json::Object(members) => members,
-            _ => Vec::new(),
-        };
-        let mut pairs = Vec::with_capacity(2 + members.len());
-        pairs.push(("ok".to_string(), Json::Bool(true)));
-        pairs.push(("kind".to_string(), kind.to_json()));
-        pairs.extend(members);
+        let mut pairs = vec![
+            ("ok".to_string(), Json::Bool(true)),
+            ("kind".to_string(), kind.to_json()),
+        ];
+        serde::json::flatten_into(&mut pairs, payload);
         Json::Object(pairs)
     }
 }
