@@ -170,3 +170,185 @@ fn incremental_fingerprint_matches_a_fresh_load() {
     // Insert/delete deltas reuse the previous epoch's catalog Arc.
     assert_eq!(a.catalog.len(), 3);
 }
+
+/// Every counter a session and its three caches keep, after each step of
+/// one script, in each of the four result/plan cache configurations.
+/// Rendered as `s[…] p[…] e[…] l[…]`: the 16 [`SessionStats`] fields in
+/// declaration order, then the parse, eval (result) and plan
+/// `CacheStats` as `hits misses evictions entries bytes>0`.
+fn counters(session: &Session) -> String {
+    let s = session.stats();
+    let cache = |c: rd_engine::CacheStats| {
+        format!(
+            "{} {} {} {} {}",
+            c.hits,
+            c.misses,
+            c.evictions,
+            c.entries,
+            u8::from(c.bytes > 0)
+        )
+    };
+    let shared = session.shared();
+    format!(
+        "s[{} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}] p[{}] e[{}] l[{}]",
+        s.queries,
+        s.batches,
+        s.cache_hits,
+        s.cache_misses,
+        s.cache_evictions,
+        s.eval_hits,
+        s.eval_misses,
+        s.eval_evictions,
+        s.eval_skipped,
+        s.plan_hits,
+        s.plan_misses,
+        s.plan_evictions,
+        s.delta_invalidations,
+        s.delta_survivals,
+        s.rows_returned,
+        s.rows_streamed,
+        cache(shared.parse_cache_stats()),
+        cache(shared.eval_cache_stats()),
+        cache(shared.plan_cache_stats()),
+    )
+}
+
+/// Pins the counting contract of the plan and result caches: a cache
+/// that is off records and counts nothing; an absent key is a miss at
+/// both levels; a key whose canonical text differs is a cache-level hit
+/// but a session miss; a stale scan set counts a delta invalidation and
+/// a miss; a fresh entry is a hit, plus a delta survival when a mutation
+/// came since it was stored; an over-threshold result counts
+/// `eval_skipped` and is not stored.
+#[test]
+fn counters_follow_one_contract_in_every_cache_configuration() {
+    let text = "SELECT DISTINCT Sailor.sname FROM Sailor, Reserves WHERE Sailor.sid = Reserves.sid";
+    // No space after the comma: a different parse key, the same
+    // canonical text.
+    let twin = "SELECT DISTINCT Sailor.sname FROM Sailor,Reserves WHERE Sailor.sid = Reserves.sid";
+    let req = QueryRequest::new(Language::Sql, text);
+    let config = |eval_cache, plan_cache, eval_cache_max_entry_bytes| SharedConfig {
+        eval_cache,
+        plan_cache,
+        eval_cache_max_entry_bytes,
+        shards: 1,
+        ..SharedConfig::default()
+    };
+    // (eval_cache, plan_cache, expected counters after steps 1–8).
+    let table: [(bool, bool, [&str; 8]); 4] = [
+        (
+            true,
+            true,
+            [
+                "s[1 0 0 1 0 0 1 0 0 0 1 0 0 0 2 0] p[0 1 0 1 0] e[0 1 0 1 1] l[0 1 0 1 0]",
+                "s[2 0 1 1 0 1 1 0 0 0 1 0 0 0 4 0] p[1 1 0 1 0] e[1 1 0 1 1] l[0 1 0 1 0]",
+                "s[3 0 1 2 0 2 1 0 0 0 1 0 0 0 6 0] p[1 2 0 2 0] e[2 1 0 1 1] l[0 1 0 1 0]",
+                "s[4 0 2 2 0 2 2 0 0 0 2 0 2 0 8 0] p[2 2 0 2 0] e[3 1 0 1 1] l[1 1 0 1 0]",
+                "s[5 0 3 2 0 3 2 0 0 0 2 0 2 1 10 0] p[3 2 0 2 0] e[4 1 0 1 1] l[1 1 0 1 0]",
+                "s[5 0 6 2 0 3 2 0 0 2 2 0 2 3 10 0] p[6 2 0 2 0] e[4 1 0 1 1] l[3 1 0 1 0]",
+                "s[6 0 6 3 0 3 3 0 0 2 3 0 2 3 12 0] p[6 3 0 1 0] e[4 2 0 1 1] l[3 2 0 1 0]",
+                "s[1 0 0 1 0 0 1 0 1 0 1 0 0 0 2 0] p[0 1 0 1 0] e[0 1 0 0 0] l[0 1 0 1 0]",
+            ],
+        ),
+        (
+            true,
+            false,
+            [
+                "s[1 0 0 1 0 0 1 0 0 0 0 0 0 0 2 0] p[0 1 0 1 0] e[0 1 0 1 1] l[0 0 0 0 0]",
+                "s[2 0 1 1 0 1 1 0 0 0 0 0 0 0 4 0] p[1 1 0 1 0] e[1 1 0 1 1] l[0 0 0 0 0]",
+                "s[3 0 1 2 0 2 1 0 0 0 0 0 0 0 6 0] p[1 2 0 2 0] e[2 1 0 1 1] l[0 0 0 0 0]",
+                "s[4 0 2 2 0 2 2 0 0 0 0 0 1 0 8 0] p[2 2 0 2 0] e[3 1 0 1 1] l[0 0 0 0 0]",
+                "s[5 0 3 2 0 3 2 0 0 0 0 0 1 1 10 0] p[3 2 0 2 0] e[4 1 0 1 1] l[0 0 0 0 0]",
+                "s[5 0 6 2 0 3 2 0 0 0 0 0 1 1 10 0] p[6 2 0 2 0] e[4 1 0 1 1] l[0 0 0 0 0]",
+                "s[6 0 6 3 0 3 3 0 0 0 0 0 1 1 12 0] p[6 3 0 1 0] e[4 2 0 1 1] l[0 0 0 0 0]",
+                "s[1 0 0 1 0 0 1 0 1 0 0 0 0 0 2 0] p[0 1 0 1 0] e[0 1 0 0 0] l[0 0 0 0 0]",
+            ],
+        ),
+        (
+            false,
+            true,
+            [
+                "s[1 0 0 1 0 0 0 0 0 0 1 0 0 0 2 0] p[0 1 0 1 0] e[0 0 0 0 0] l[0 1 0 1 0]",
+                "s[2 0 1 1 0 0 0 0 0 1 1 0 0 0 4 0] p[1 1 0 1 0] e[0 0 0 0 0] l[1 1 0 1 0]",
+                "s[3 0 1 2 0 0 0 0 0 2 1 0 0 0 6 0] p[1 2 0 2 0] e[0 0 0 0 0] l[2 1 0 1 0]",
+                "s[4 0 2 2 0 0 0 0 0 2 2 0 1 0 8 0] p[2 2 0 2 0] e[0 0 0 0 0] l[3 1 0 1 0]",
+                "s[5 0 3 2 0 0 0 0 0 3 2 0 1 1 10 0] p[3 2 0 2 0] e[0 0 0 0 0] l[4 1 0 1 0]",
+                "s[5 0 6 2 0 0 0 0 0 5 2 0 1 3 10 0] p[6 2 0 2 0] e[0 0 0 0 0] l[6 1 0 1 0]",
+                "s[6 0 6 3 0 0 0 0 0 5 3 0 1 3 12 0] p[6 3 0 1 0] e[0 0 0 0 0] l[6 2 0 1 0]",
+                "s[1 0 0 1 0 0 0 0 0 0 1 0 0 0 2 0] p[0 1 0 1 0] e[0 0 0 0 0] l[0 1 0 1 0]",
+            ],
+        ),
+        (
+            false,
+            false,
+            [
+                "s[1 0 0 1 0 0 0 0 0 0 0 0 0 0 2 0] p[0 1 0 1 0] e[0 0 0 0 0] l[0 0 0 0 0]",
+                "s[2 0 1 1 0 0 0 0 0 0 0 0 0 0 4 0] p[1 1 0 1 0] e[0 0 0 0 0] l[0 0 0 0 0]",
+                "s[3 0 1 2 0 0 0 0 0 0 0 0 0 0 6 0] p[1 2 0 2 0] e[0 0 0 0 0] l[0 0 0 0 0]",
+                "s[4 0 2 2 0 0 0 0 0 0 0 0 0 0 8 0] p[2 2 0 2 0] e[0 0 0 0 0] l[0 0 0 0 0]",
+                "s[5 0 3 2 0 0 0 0 0 0 0 0 0 0 10 0] p[3 2 0 2 0] e[0 0 0 0 0] l[0 0 0 0 0]",
+                "s[5 0 6 2 0 0 0 0 0 0 0 0 0 0 10 0] p[6 2 0 2 0] e[0 0 0 0 0] l[0 0 0 0 0]",
+                "s[6 0 6 3 0 0 0 0 0 0 0 0 0 0 12 0] p[6 3 0 1 0] e[0 0 0 0 0] l[0 0 0 0 0]",
+                "s[1 0 0 1 0 0 0 0 0 0 0 0 0 0 2 0] p[0 1 0 1 0] e[0 0 0 0 0] l[0 0 0 0 0]",
+            ],
+        ),
+    ];
+    for (eval_cache, plan_cache, expected) in table {
+        let shared = Arc::new(EngineShared::with_config(
+            demo_database(),
+            config(
+                eval_cache,
+                plan_cache,
+                SharedConfig::default().eval_cache_max_entry_bytes,
+            ),
+        ));
+        let mut session = Session::attach(shared.clone());
+        let mut seen = Vec::new();
+        let mut step = |session: &mut Session| seen.push(counters(session));
+        // 1. Cold run.
+        session.run(&req).unwrap();
+        step(&mut session);
+        // 2. Repeat.
+        session.run(&req).unwrap();
+        step(&mut session);
+        // 3. Whitespace twin: a parse miss, the same canonical text.
+        session
+            .run(&QueryRequest::new(Language::Sql, twin))
+            .unwrap();
+        step(&mut session);
+        // 4. Insert into a relation the query reads, then re-run.
+        shared
+            .insert_rows("Reserves", &[row(&[Value::int(2), Value::int(102)])])
+            .unwrap();
+        session.run(&req).unwrap();
+        step(&mut session);
+        // 5. Insert into a relation it does not read, then re-run.
+        shared
+            .insert_rows("Boat", &[row(&[Value::int(103), Value::str("blue")])])
+            .unwrap();
+        session.run(&req).unwrap();
+        step(&mut session);
+        // 6. Explain, explain analyze and translate the same text.
+        session.explain(Language::Sql, text).unwrap();
+        session.explain_analyze(Language::Sql, text).unwrap();
+        session
+            .translate(Language::Sql, text, Language::Trc)
+            .unwrap();
+        step(&mut session);
+        // 7. Replace the database, then re-run.
+        shared.replace_database(demo_database());
+        session.run(&req).unwrap();
+        step(&mut session);
+        // 8. One result over a tiny admission threshold.
+        let mut tiny = Session::attach(Arc::new(EngineShared::with_config(
+            demo_database(),
+            config(eval_cache, plan_cache, 1),
+        )));
+        tiny.run(&req).unwrap();
+        step(&mut tiny);
+        let label = format!("eval_cache {eval_cache}, plan_cache {plan_cache}");
+        for (i, (got, want)) in seen.iter().zip(expected).enumerate() {
+            assert_eq!(got, want, "{label}, after step {}", i + 1);
+        }
+    }
+}
