@@ -676,3 +676,127 @@ pub fn run_bench(config: &BenchConfig) -> std::io::Result<BenchReport> {
         connect_latencies,
     })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `rd bench-client --json` files are parsed by CI and diffed across
+    /// runs: the exact bytes of one fixed report are pinned here.
+    #[test]
+    fn render_json_bytes_are_pinned() {
+        let us = |v: &[u64]| v.iter().map(|&u| Duration::from_micros(u)).collect();
+        let report = BenchReport {
+            completed: 40,
+            errors: 2,
+            mutations: 3,
+            elapsed: Duration::from_micros(1_500_250),
+            cache_hits: 30,
+            eval_cache_hits: 25,
+            latencies: us(&[11, 20, 35, 47, 52, 60, 75, 81, 99, 1_250]),
+            connect_latencies: us(&[5, 7, 9]),
+        };
+        let stages = [StageLatency {
+            stage: "parse".into(),
+            count: 40,
+            p50: 12,
+            p95: 30,
+            p99: 55,
+        }];
+        let shards = [
+            ShardBreakdown {
+                shard: 0,
+                connections: 5,
+                active: 2,
+                evicted: 1,
+                inline: 33,
+            },
+            ShardBreakdown {
+                shard: 1,
+                connections: 4,
+                active: 0,
+                evicted: 0,
+                inline: 0,
+            },
+        ];
+        let want = r#"{
+  "completed": 40,
+  "errors": 2,
+  "mutations": 3,
+  "elapsed_micros": 1500250,
+  "throughput_rps": 27.995334110981506,
+  "latency_micros": {
+    "p50": 60,
+    "p95": 1250,
+    "p99": 1250,
+    "max": 1250
+  },
+  "cache_hits": 30,
+  "eval_cache_hits": 25,
+  "connect_latency_micros": {
+    "count": 3,
+    "p50": 7,
+    "p95": 9,
+    "p99": 9,
+    "max": 9
+  },
+  "stages": [
+    {
+      "stage": "parse",
+      "count": 40,
+      "p50": 12,
+      "p95": 30,
+      "p99": 55
+    }
+  ],
+  "shards": [
+    {
+      "shard": 0,
+      "connections": 5,
+      "active": 2,
+      "evicted": 1,
+      "inline": 33
+    },
+    {
+      "shard": 1,
+      "connections": 4,
+      "active": 0,
+      "evicted": 0,
+      "inline": 0
+    }
+  ]
+}"#;
+        assert_eq!(report.render_json(&stages, &shards), want);
+        let empty = BenchReport {
+            latencies: Vec::new(),
+            connect_latencies: Vec::new(),
+            ..report
+        };
+        // No latencies and no server stats: zero percentiles, empty lists.
+        let want = r#"{
+  "completed": 40,
+  "errors": 2,
+  "mutations": 3,
+  "elapsed_micros": 1500250,
+  "throughput_rps": 27.995334110981506,
+  "latency_micros": {
+    "p50": 0,
+    "p95": 0,
+    "p99": 0,
+    "max": 0
+  },
+  "cache_hits": 30,
+  "eval_cache_hits": 25,
+  "connect_latency_micros": {
+    "count": 0,
+    "p50": 0,
+    "p95": 0,
+    "p99": 0,
+    "max": 0
+  },
+  "stages": [],
+  "shards": []
+}"#;
+        assert_eq!(empty.render_json(&[], &[]), want);
+    }
+}
