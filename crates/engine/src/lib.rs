@@ -69,7 +69,7 @@ pub use cache::LruCache;
 pub use fixture::{demo_database, parse_csv, parse_fixture, render_fixture};
 pub use language::Language;
 pub use request::{DiagramFormat, ExplainResponse, QueryRequest, QueryResponse, Translations};
-pub use session::{Session, SessionStats, DEFAULT_CACHE_CAPACITY};
+pub use session::{Session, SessionStats};
 pub use shared::{
     CacheStats, DbEpoch, EngineShared, MutationOutcome, ShardedCache, SharedConfig, STAGE_NAMES,
 };

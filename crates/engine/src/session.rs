@@ -2,8 +2,8 @@
 
 use crate::request::{DiagramFormat, ExplainResponse, QueryRequest, QueryResponse, Translations};
 use crate::shared::{
-    hash_text, parse_key, scans_current, stamp_scans, DbEpoch, EngineShared, EvalEntry, ParseEntry,
-    ParseKey, PlanEntry, SharedConfig, Views,
+    canonical_key, parse_key, CacheKey, DbEpoch, EngineShared, Lookup, ParseEntry, SharedConfig,
+    Stored, Views, DEFAULT_PARSE_CACHE_CAPACITY,
 };
 use crate::{Artifact, Language};
 use rd_core::exec::{self, Plan};
@@ -17,17 +17,6 @@ use std::time::Instant;
 fn micros_since(start: Instant) -> u64 {
     start.elapsed().as_micros() as u64
 }
-
-/// An execution's root q-error: the planner's estimate for the whole
-/// result against the rows it produced (`None` for plans with no
-/// estimate, e.g. sentences).
-fn root_q_error(plan: &Plan, feedback: &exec::ExecFeedback) -> Option<f64> {
-    exec::plan_est(plan).map(|est| exec::q_error(est, feedback.out_rows))
-}
-
-/// Default parse-cache capacity (re-exported for compatibility; see
-/// [`crate::shared::DEFAULT_PARSE_CACHE_CAPACITY`]).
-pub const DEFAULT_CACHE_CAPACITY: usize = crate::shared::DEFAULT_PARSE_CACHE_CAPACITY;
 
 /// Counters describing a session's traffic, exposed by
 /// [`Session::stats`].
@@ -137,20 +126,58 @@ impl SessionStats {
             rows_streamed: self.rows_streamed - earlier.rows_streamed,
         }
     }
+
+    /// Counts one plan- or result-cache lookup as the table on
+    /// [`Lookup`] says, and hands back the value of a hit.
+    fn lookup<V>(&mut self, tier: Tier, lookup: Lookup<V>) -> Option<V> {
+        let (hits, misses) = match tier {
+            Tier::Plan => (&mut self.plan_hits, &mut self.plan_misses),
+            Tier::Result => (&mut self.eval_hits, &mut self.eval_misses),
+        };
+        match lookup {
+            Lookup::Off => None,
+            Lookup::Miss { stale } => {
+                *misses += 1;
+                self.delta_invalidations += u64::from(stale);
+                None
+            }
+            Lookup::Hit { value, survived } => {
+                *hits += 1;
+                self.delta_survivals += u64::from(survived);
+                Some(value)
+            }
+        }
+    }
+
+    /// Counts what a plan- or result-cache store did.
+    fn stored(&mut self, tier: Tier, stored: Stored) {
+        match (stored, tier) {
+            (Stored::Evicted, Tier::Plan) => self.plan_evictions += 1,
+            (Stored::Evicted, Tier::Result) => self.eval_evictions += 1,
+            (Stored::Skipped, _) => self.eval_skipped += 1,
+            (Stored::Off | Stored::Kept, _) => {}
+        }
+    }
+}
+
+/// Which of a session's counters a plan- or result-cache lookup bumps.
+#[derive(Clone, Copy)]
+enum Tier {
+    Plan,
+    Result,
 }
 
 /// A query session: parse → check → translate → eval → diagram, fronted
-/// by a parse/canonicalization cache and an eval/result cache.
+/// by a parse/canonicalization cache, a plan cache and a result cache.
 ///
 /// A session owns its traffic counters but *borrows* everything heavy —
-/// the database epoch and both caches — from an [`EngineShared`]:
+/// the database epoch and the caches — from an [`EngineShared`]:
 ///
 /// * [`Session::new`] wraps a private `EngineShared` (single-threaded
 ///   use: CLI, tests, embedding). Caches are strict single-shard LRUs.
 /// * [`Session::attach`] joins an existing shared instance — this is how
 ///   a server gives every connection its own session while all of them
-///   share one sharded parse cache, one generation-stamped result cache,
-///   and one database snapshot.
+///   share one set of sharded caches and one database snapshot.
 ///
 /// ```
 /// use rd_engine::{demo_database, Language, QueryRequest, Session};
@@ -170,12 +197,12 @@ pub struct Session {
 impl Session {
     /// A session over `db` with default cache tuning (private caches).
     pub fn new(db: Database) -> Self {
-        Session::with_cache_capacity(db, DEFAULT_CACHE_CAPACITY)
+        Session::with_cache_capacity(db, DEFAULT_PARSE_CACHE_CAPACITY)
     }
 
     /// A session over `db` with an explicit cache capacity (applied to
-    /// both the parse and eval caches; private, single-shard — evictions
-    /// follow strict LRU order).
+    /// the parse, plan and result caches; private, single-shard —
+    /// evictions follow strict LRU order).
     pub fn with_cache_capacity(db: Database, capacity: usize) -> Self {
         Session::attach(Arc::new(EngineShared::with_config(
             db,
@@ -240,10 +267,10 @@ impl Session {
         self.shared.replace_database(db);
     }
 
-    /// Runs one request: prepare (parse cache), evaluate (eval cache),
-    /// and produce the requested optional artifacts. With metrics
-    /// enabled, the response carries per-stage spans and the total time;
-    /// the session itself records no latency anywhere.
+    /// Runs one request: prepare (parse cache), evaluate (result and
+    /// plan caches), and produce the requested optional artifacts. With
+    /// metrics enabled, the response carries per-stage spans and the
+    /// total time; the session itself records no latency anywhere.
     pub fn run(&mut self, req: &QueryRequest) -> CoreResult<QueryResponse> {
         // One epoch snapshot per request: a concurrent reload must not
         // switch databases between prepare and eval.
@@ -252,44 +279,26 @@ impl Session {
         // clock read on the path below.
         let start = self.shared.metrics_enabled().then(Instant::now);
         let mut spans: Vec<Span> = Vec::new();
-        let parse_key = parse_key(&epoch, req.language, &req.text);
-        let parse_entry = self.shared.parse_cache.peek(&parse_key);
-        let parse_found = parse_entry.is_some();
-        let parse_hit = parse_entry.filter(|e| e.matches(&req.text));
         // Counted before parsing, so a failed parse still counts.
-        self.count_query(parse_found, parse_hit.is_some());
-        let (entry, cache_hit) = match parse_hit {
-            Some(entry) => (entry, true),
-            None => (self.prepare_uncached(&epoch, parse_key, &req.text)?, false),
-        };
-        let ParseEntry {
-            artifact, views, ..
-        } = entry;
+        self.stats.queries += 1;
+        let (
+            ParseEntry {
+                artifact, views, ..
+            },
+            cache_hit,
+        ) = self.prepare(&epoch, req.language, &req.text)?;
         // Render the canonical text exactly once per request: it keys
-        // the eval and plan caches and rides back in the response.
+        // the result and plan caches and rides back in the response.
         let canonical = artifact.canonical_text();
-        let parse_micros = start.map(micros_since);
-        let eval_start = start.map(|_| Instant::now());
-        let eval_entry = if self.shared.eval_cache_enabled() {
-            let key = (epoch.base, artifact.language(), hash_text(&canonical));
-            self.shared.eval_cache.peek(&key)
-        } else {
-            None
-        };
-        if let Some(micros) = parse_micros {
-            spans.push(Span::new("parse", micros));
+        if let Some(t) = start {
+            spans.push(Span::new("parse", micros_since(t)));
         }
-        let (relation, eval_cache_hit, q_error) = self.evaluate(
-            &epoch,
-            &artifact,
-            &canonical,
-            eval_entry,
-            &mut spans,
-            start.is_some(),
-        )?;
+        let eval_start = start.map(|_| Instant::now());
+        let (relation, eval_cache_hit, q_error) =
+            self.evaluate(&epoch, &artifact, &canonical, start.map(|_| &mut spans))?;
         if let Some(t) = eval_start {
             // The plan span (if any) is nested inside this interval;
-            // `execute` is the remainder: eval-cache probe, execution,
+            // `execute` is the remainder: result-cache probe, execution,
             // and result resolution.
             let plan_micros = spans
                 .iter()
@@ -327,40 +336,32 @@ impl Session {
         })
     }
 
-    /// Parses + canonicalizes through the shared parse cache. Returns the
-    /// shared parse entry and whether it was a cache hit. Failed parses
-    /// are not cached (error traffic shouldn't evict good entries).
+    /// Parses + canonicalizes through the shared parse cache, keyed by
+    /// the epoch's *base* generation (see
+    /// [`parse_key`](crate::shared::parse_key)). Returns the shared parse
+    /// entry and whether it was a cache hit. On a miss, `text` is parsed
+    /// as written, so errors point into it, and cached with no view
+    /// rendered yet; failed parses are not cached (error traffic
+    /// shouldn't evict good entries).
     fn prepare(
         &mut self,
         epoch: &DbEpoch,
         language: Language,
         text: &str,
     ) -> CoreResult<(ParseEntry, bool)> {
-        // Keyed by the epoch's *base* generation: delta mutations never
-        // shrink the catalog (inserts/deletes preserve schemas, table
-        // creation only adds), so a parsed artifact stays valid across
-        // them; only a full replacement moves `base` and re-keys.
         let key = parse_key(epoch, language, text);
-        if let Some(entry) = self.shared.parse_cache.get(&key) {
-            if entry.matches(text) {
-                self.stats.cache_hits += 1;
-                return Ok((entry, true));
-            }
+        // A text mismatch is a hash collision: a session-level miss.
+        if let Some(entry) = self
+            .shared
+            .parse_cache
+            .get(&key)
+            .filter(|e| e.matches(text))
+        {
+            self.stats.cache_hits += 1;
+            return Ok((entry, true));
         }
         self.stats.cache_misses += 1;
-        Ok((self.prepare_uncached(epoch, key, text)?, false))
-    }
-
-    /// The parse-cache miss path: parses + canonicalizes `text` — as
-    /// written, so errors point into it — and caches the artifact under
-    /// `key` with no view rendered yet.
-    fn prepare_uncached(
-        &mut self,
-        epoch: &DbEpoch,
-        key: ParseKey,
-        text: &str,
-    ) -> CoreResult<ParseEntry> {
-        let artifact = Arc::new(Artifact::prepare(key.1, text, &epoch.catalog)?);
+        let artifact = Arc::new(Artifact::prepare(language, text, &epoch.catalog)?);
         let entry = ParseEntry::new(text, artifact);
         if self
             .shared
@@ -371,30 +372,13 @@ impl Session {
         {
             self.stats.cache_evictions += 1;
         }
-        Ok(entry)
+        Ok((entry, false))
     }
 
-    /// Counts one query and its parse-cache lookup: `found` is what the
-    /// cache saw (an entry under the key), `hit` whether its text
-    /// matched (a mismatch is a hash collision, a session-level miss).
-    fn count_query(&mut self, found: bool, hit: bool) {
-        self.stats.queries += 1;
-        self.shared.parse_cache.record(found);
-        if hit {
-            self.stats.cache_hits += 1;
-        } else {
-            self.stats.cache_misses += 1;
-        }
-    }
-
-    /// Evaluates through the shared eval/result cache, keyed by the
-    /// canonical artifact text and the epoch's *base* generation, with
-    /// each entry's recorded scan set validated against the epoch's
-    /// per-relation generations (delta-aware invalidation). `cached` is
-    /// the caller's uncounted probe of that key; the lookup is counted
-    /// here. Returns the (shared) relation, whether evaluation was
-    /// skipped, and the executed plan's root q-error (`None` when
-    /// nothing executed or the plan carries no estimate).
+    /// Evaluates through the shared result cache, then the plan cache.
+    /// Returns the (shared) relation, whether evaluation was skipped, and
+    /// the executed plan's root q-error (`None` when nothing executed or
+    /// the plan carries no estimate). `spans` is `Some` when tracing.
     ///
     /// Evaluation runs over the interned representation; the result is
     /// resolved back to strings *here* — the session is the edge — so
@@ -405,120 +389,51 @@ impl Session {
         epoch: &DbEpoch,
         artifact: &Artifact,
         canonical: &str,
-        cached: Option<EvalEntry>,
-        spans: &mut Vec<Span>,
-        trace: bool,
+        spans: Option<&mut Vec<Span>>,
     ) -> CoreResult<(Arc<Relation>, bool, Option<f64>)> {
-        if !self.shared.eval_cache_enabled() {
-            let plan = self.timed_plan(epoch, artifact, canonical, spans, trace)?;
-            let (raw, feedback) = exec::execute_feedback(&plan, &epoch.db, exec::ExecOptions)?;
-            let q = root_q_error(&plan, &feedback);
-            return Ok((Arc::new(epoch.db.resolve_relation(&raw)), false, q));
+        let key = canonical_key(epoch, artifact.language(), canonical);
+        let cached = self.shared.eval_cache.lookup(&key, canonical, epoch);
+        if let Some(relation) = self.stats.lookup(Tier::Result, cached) {
+            return Ok((relation, true, None));
         }
-        self.shared.eval_cache.record(cached.is_some());
-        if let Some(entry) = cached.filter(|e| *e.canonical == *canonical) {
-            if scans_current(&entry.scans, epoch) {
-                self.stats.eval_hits += 1;
-                if entry.born < epoch.generation {
-                    self.stats.delta_survivals += 1;
-                }
-                return Ok((entry.relation, true, None));
-            }
-            // A delta mutation touched a relation this result reads:
-            // the entry is stale. Fall through to re-evaluate; the
-            // insert below overwrites it under the same key.
-            self.stats.delta_invalidations += 1;
-        }
-        self.stats.eval_misses += 1;
-        let key = (epoch.base, artifact.language(), hash_text(canonical));
-        // Result-cache miss: the plan cache can still skip the compile.
-        let plan = self.timed_plan(epoch, artifact, canonical, spans, trace)?;
+        let plan = self.plan(epoch, artifact, canonical, key, spans)?;
         let (raw, feedback) = exec::execute_feedback(&plan, &epoch.db, exec::ExecOptions)?;
-        let q = root_q_error(&plan, &feedback);
         let relation = Arc::new(epoch.db.resolve_relation(&raw));
-        let bytes = relation.approx_bytes();
-        if !self.shared.eval_cache_admits(bytes) {
-            // Too big to cache: hand it back, count the skip.
-            self.stats.eval_skipped += 1;
-            return Ok((relation, false, q));
-        }
-        let entry = EvalEntry {
-            canonical: canonical.into(),
-            relation: relation.clone(),
-            bytes,
-            scans: stamp_scans(&plan, epoch),
-            born: epoch.generation,
-        };
-        if self.shared.eval_cache_insert(key, entry) {
-            self.stats.eval_evictions += 1;
-        }
-        Ok((relation, false, q))
+        let stored = (self.shared.eval_cache).store(key, canonical, relation.clone(), &plan, epoch);
+        self.stats.stored(Tier::Result, stored);
+        // The root q-error: the planner's estimate for the whole result
+        // against the rows it produced.
+        let q_error = exec::plan_est(&plan).map(|est| exec::q_error(est, feedback.out_rows));
+        Ok((relation, false, q_error))
     }
 
     /// Fetches (or compiles and caches) the artifact's executable plan
-    /// through the shared plan cache, keyed — like the result cache —
-    /// by the canonical artifact text and the epoch's *base* generation,
-    /// with the same scan-set validation: plans bake in interned
-    /// constants and size-driven scan orders, so an entry must not
-    /// outlive the contents of any relation it reads. Failed compiles
-    /// are not cached (error traffic must not evict good plans).
-    ///
-    /// Callers pass the already-rendered canonical text (the eval-cache
-    /// key and the response use the same string), so each request
-    /// renders it exactly once.
-    /// [`plan`](Session::plan), recording a `plan` span when tracing.
-    fn timed_plan(
-        &mut self,
-        epoch: &DbEpoch,
-        artifact: &Artifact,
-        canonical: &str,
-        spans: &mut Vec<Span>,
-        trace: bool,
-    ) -> CoreResult<Arc<Plan>> {
-        if !trace {
-            return self.plan(epoch, artifact, canonical);
-        }
-        let t = Instant::now();
-        let plan = self.plan(epoch, artifact, canonical)?;
-        spans.push(Span::new("plan", micros_since(t)));
-        Ok(plan)
-    }
-
+    /// through the shared plan cache, under the result cache's `key` for
+    /// the same `canonical` text. Failed compiles are not cached (error
+    /// traffic must not evict good plans). Pushes a `plan` span onto
+    /// `spans` when tracing.
     fn plan(
         &mut self,
         epoch: &DbEpoch,
         artifact: &Artifact,
         canonical: &str,
+        key: CacheKey,
+        spans: Option<&mut Vec<Span>>,
     ) -> CoreResult<Arc<Plan>> {
-        let key = (epoch.base, artifact.language(), hash_text(canonical));
-        if !self.shared.plan_cache_enabled() {
-            return Ok(Arc::new(artifact.compile(&epoch.db)?));
-        }
-        if let Some(entry) = self.shared.plan_cache.get(&key) {
-            if *entry.canonical == *canonical {
-                if scans_current(&entry.scans, epoch) {
-                    self.stats.plan_hits += 1;
-                    if entry.born < epoch.generation {
-                        self.stats.delta_survivals += 1;
-                    }
-                    return Ok(entry.plan);
-                }
-                // Plans bake in interned constants and size-driven scan
-                // orders; a mutation to a scanned relation may have
-                // changed either, so recompile.
-                self.stats.delta_invalidations += 1;
+        let timed = spans.map(|spans| (spans, Instant::now()));
+        let cached = self.shared.plan_cache.lookup(&key, canonical, epoch);
+        let plan = match self.stats.lookup(Tier::Plan, cached) {
+            Some(plan) => plan,
+            None => {
+                let plan = Arc::new(artifact.compile(&epoch.db)?);
+                let stored =
+                    (self.shared.plan_cache).store(key, canonical, plan.clone(), &plan, epoch);
+                self.stats.stored(Tier::Plan, stored);
+                plan
             }
-        }
-        self.stats.plan_misses += 1;
-        let plan = Arc::new(artifact.compile(&epoch.db)?);
-        let entry = PlanEntry {
-            canonical: canonical.into(),
-            plan: plan.clone(),
-            scans: stamp_scans(&plan, epoch),
-            born: epoch.generation,
         };
-        if self.shared.plan_cache.insert(key, entry).1.is_some() {
-            self.stats.plan_evictions += 1;
+        if let Some((spans, t)) = timed {
+            spans.push(Span::new("plan", micros_since(t)));
         }
         Ok(plan)
     }
@@ -527,16 +442,7 @@ impl Session {
     /// plan and renders it as an explain tree — scan order, join
     /// strategy, bound keys — without evaluating anything.
     pub fn explain(&mut self, language: Language, text: &str) -> CoreResult<ExplainResponse> {
-        let epoch = self.shared.epoch();
-        let (ParseEntry { artifact, .. }, cache_hit) = self.prepare(&epoch, language, text)?;
-        let canonical = artifact.canonical_text();
-        let plan = self.plan(&epoch, &artifact, &canonical)?;
-        Ok(ExplainResponse {
-            language: artifact.language(),
-            canonical,
-            plan: exec::explain(&plan),
-            cache_hit,
-        })
+        self.explain_plan(language, text, false)
     }
 
     /// Like [`explain`](Session::explain), but *executes* the plan with
@@ -551,15 +457,30 @@ impl Session {
         language: Language,
         text: &str,
     ) -> CoreResult<ExplainResponse> {
+        self.explain_plan(language, text, true)
+    }
+
+    /// The body of [`explain`](Session::explain) (`analyze == false`)
+    /// and [`explain_analyze`](Session::explain_analyze).
+    fn explain_plan(
+        &mut self,
+        language: Language,
+        text: &str,
+        analyze: bool,
+    ) -> CoreResult<ExplainResponse> {
         let epoch = self.shared.epoch();
         let (ParseEntry { artifact, .. }, cache_hit) = self.prepare(&epoch, language, text)?;
         let canonical = artifact.canonical_text();
-        let plan = self.plan(&epoch, &artifact, &canonical)?;
-        let (_, node) = exec::explain_analyze(&plan, &epoch.db)?;
+        let key = canonical_key(&epoch, artifact.language(), &canonical);
+        let plan = self.plan(&epoch, &artifact, &canonical, key, None)?;
         Ok(ExplainResponse {
             language: artifact.language(),
+            plan: if analyze {
+                exec::explain_analyze(&plan, &epoch.db)?.1
+            } else {
+                exec::explain(&plan)
+            },
             canonical,
-            plan: node,
             cache_hit,
         })
     }
@@ -779,7 +700,7 @@ mod tests {
     /// The views memoized on `req`'s parse entry.
     fn memo(session: &Session, req: &QueryRequest) -> Arc<Views> {
         let key = parse_key(&session.shared.epoch(), req.language, &req.text);
-        session.shared.parse_cache.peek(&key).unwrap().views
+        session.shared.parse_cache.get(&key).unwrap().views
     }
 
     #[test]

@@ -1,42 +1,42 @@
-//! Shareable engine state: the database epoch and the sharded caches.
+//! Shareable engine state: the database epoch and the caches.
 //!
-//! PR 1's [`Session`](crate::Session) owned its database and a private
-//! parse cache — fine for one thread, useless for a fleet of server
-//! workers. This module extracts everything worth sharing into
-//! [`EngineShared`], one instance of which can sit behind an `Arc` and
-//! serve any number of concurrent sessions:
+//! [`EngineShared`] holds everything a [`Session`](crate::Session)
+//! borrows, so one instance behind an `Arc` serves any number of
+//! concurrent sessions:
 //!
 //! * a [`DbEpoch`] — the current immutable database snapshot plus a
 //!   monotonically increasing **generation** counter and a content
 //!   [`fingerprint`](rd_core::Database::fingerprint). Queries snapshot the
 //!   epoch once and run against it; a concurrent reload simply installs a
 //!   new epoch without disturbing in-flight work.
-//! * a **sharded parse cache**: `(language, hash(normalized text))` →
+//! * a **parse cache**: `(base, language, hash(normalized text))` →
 //!   prepared [`Artifact`] plus the views memoized on it. The key ignores
 //!   whitespace layout outside literals ([`text_key`]), so an edited
 //!   query that only moved its line breaks is a hit; the views — hub
 //!   failure, translations, SVG and DOT diagrams — are rendered once per
-//!   entry, on first request. Lock-striped so concurrent sessions rarely
-//!   contend.
-//! * a **sharded eval/result cache**: `(generation, language,
-//!   hash(canonical text))` → evaluated [`Relation`]. Keyed by the
-//!   *canonical* form, so `SELECT DISTINCT Boat.color FROM Boat` and a
-//!   differently-whitespaced twin share one entry; stamped with the
-//!   generation, so entries from before a reload can never be served
-//!   after it.
+//!   entry, on first request.
+//! * a **plan cache** and a **result cache**, one stamped cache each:
+//!   `(base, language, hash(canonical text))` → compiled
+//!   [`Plan`](rd_core::exec::Plan) or evaluated [`Relation`]. Keyed by
+//!   the *canonical* form, so differently-spaced twins share one entry.
+//!   Each entry carries its plan's scan set, every relation stamped with
+//!   its generation, and is served only while none of them has changed:
+//!   a delta mutation invalidates exactly the entries that read it.
 //!
-//! Single-user sessions embed a 1-shard `EngineShared` and behave exactly
-//! as before (strict LRU, deterministic evictions); the server shares one
-//! multi-shard instance across all its workers.
+//! All three keys start with the epoch's *base*, the generation of the
+//! last full replacement, so a reload moves the whole key space. Every
+//! cache is lock-striped; single-user sessions embed a 1-shard
+//! `EngineShared` (strict LRU, deterministic evictions).
 //!
 //! Nothing here records latency. A session times its own stages and
 //! returns the spans on its [`QueryResponse`](crate::QueryResponse); a
 //! service records them wherever it keeps its registry (the `rd-server`
-//! keeps one per event-loop shard). The only counters shared state keeps
-//! are the caches' own hit/miss/eviction atomics ([`CacheStats`]).
+//! keeps one per shard). The only counters shared state keeps are the
+//! caches' own hit/miss/eviction atomics ([`CacheStats`]).
 
 use crate::cache::LruCache;
 use crate::{Artifact, DiagramFormat, Language, Translations};
+use rd_core::exec::Plan;
 use rd_core::{Catalog, CoreResult, Database, Relation, TableSchema, Tuple};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -145,29 +145,23 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
         &self.shards[(h.finish() as usize) & self.mask]
     }
 
-    /// Looks up `key`, cloning the value out so the shard lock is held
-    /// only for the lookup (values are cheap clones — `Arc`s in practice).
+    /// Looks up `key` and counts the lookup as a hit or a miss, cloning
+    /// the value out so the shard lock is held only for the lookup
+    /// (values are cheap clones — `Arc`s in practice).
     pub fn get(&self, key: &K) -> Option<V> {
-        let found = self.peek(key);
-        self.record(found.is_some());
-        found
-    }
-
-    /// [`get`](ShardedCache::get) without counting: a probe that may
-    /// still walk away must leave the hit/miss counters untouched, and
-    /// [`record`](ShardedCache::record)s the lookup only once it commits.
-    pub fn peek(&self, key: &K) -> Option<V> {
-        self.shard(key)
+        let found = self
+            .shard(key)
             .lock()
             .expect("cache shard")
             .get(key)
-            .cloned()
-    }
-
-    /// Counts one lookup as a hit or a miss.
-    pub fn record(&self, hit: bool) {
-        let counter = if hit { &self.hits } else { &self.misses };
+            .cloned();
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
         counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Inserts an entry; returns the value displaced by a same-key
@@ -239,9 +233,9 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
 /// One immutable database snapshot: what a query runs against.
 ///
 /// Sessions snapshot the epoch at the start of each request; replacing
-/// the database installs a *new* epoch (bumped generation), so in-flight
-/// queries keep a consistent view and stale eval-cache entries — keyed by
-/// generation — become unreachable.
+/// the database installs a *new* epoch (bumped generation and base), so
+/// in-flight queries keep a consistent view and cache entries keyed by
+/// the old base become unreachable.
 #[derive(Debug, Clone)]
 pub struct DbEpoch {
     /// The database instance.
@@ -341,15 +335,12 @@ impl DbEpoch {
     }
 }
 
-/// The `(relation, generation)` stamp a delta-aware cache entry carries:
-/// the entry's plan scan set, with each relation's generation as of the
-/// epoch the entry was computed against.
-pub(crate) type ScanStamp = Arc<[(String, u64)]>;
-
-/// Stamps a compiled plan's scan set against `epoch`. Relations the
-/// epoch doesn't store (shadowed or since-dropped names) are pinned to
-/// the current generation, so any later change still invalidates.
-pub(crate) fn stamp_scans(plan: &rd_core::exec::Plan, epoch: &DbEpoch) -> ScanStamp {
+/// Stamps a compiled plan's scan set against `epoch`: each relation it
+/// reads, with the generation at which that relation last changed.
+/// Relations the epoch doesn't store (shadowed or since-dropped names)
+/// are pinned to the current generation, so any later change still
+/// invalidates.
+fn stamp_scans(plan: &Plan, epoch: &DbEpoch) -> Arc<[(String, u64)]> {
     rd_core::exec::scan_set(plan)
         .into_iter()
         .map(|rel| {
@@ -357,15 +348,6 @@ pub(crate) fn stamp_scans(plan: &rd_core::exec::Plan, epoch: &DbEpoch) -> ScanSt
             (rel, gen)
         })
         .collect()
-}
-
-/// `true` if every relation of an entry's recorded scan set is still at
-/// the generation the entry saw — i.e., no mutation since the entry was
-/// computed can have changed its result.
-pub(crate) fn scans_current(scans: &[(String, u64)], epoch: &DbEpoch) -> bool {
-    scans
-        .iter()
-        .all(|(rel, gen)| epoch.rel_gen(rel) == Some(*gen))
 }
 
 /// Parse-cache entry: the text it was parsed from (to rule out 64-bit
@@ -426,59 +408,152 @@ impl Views {
     }
 }
 
-/// Eval-cache entry: the canonical text (collision guard), the shared
-/// evaluated relation (resolved to the string edge representation), its
-/// approximate weight in bytes, and the delta-validation stamp.
+/// The key of a parse-, plan- or result-cache entry: the epoch *base*,
+/// the language, and a hash of the query text (see [`parse_key`] and
+/// [`canonical_key`]).
+pub(crate) type CacheKey = (u64, Language, u64);
+
+/// A plan- or result-cache entry: the canonical text it was computed for
+/// (the guard against 64-bit key collisions), the value, its weight, and
+/// the stamp that decides whether it is still valid.
 #[derive(Clone)]
-pub(crate) struct EvalEntry {
-    pub canonical: Arc<str>,
-    pub relation: Arc<Relation>,
-    pub bytes: usize,
+struct Stamped<V> {
+    canonical: Arc<str>,
+    value: V,
+    /// Approximate bytes of `value` (0 in a cache that weighs nothing).
+    bytes: usize,
     /// The plan's scan set with per-relation generations at compute
     /// time; a lookup serves the entry only while every one matches.
-    pub scans: ScanStamp,
-    /// Global generation at insert: a hit with a newer epoch survived
+    scans: Arc<[(String, u64)]>,
+    /// Global generation at store: a hit against a newer epoch survived
     /// at least one delta mutation.
-    pub born: u64,
+    born: u64,
 }
 
-/// Parse-cache key: epoch *base* + language + hash of the query text
-/// with its whitespace layout normalized ([`text_key`]). The base
-/// matters even though parsing never reads the data:
-/// artifacts are checked against the epoch's catalog, and a stamped key
-/// makes an entry prepared by an in-flight request against an old epoch
-/// unreachable after a reload (the clear in
-/// [`EngineShared::replace_database`] cannot catch inserts that land
-/// after the sweep). Delta mutations keep the base: they never shrink
-/// the catalog (inserts and deletes preserve schemas; `create_table`
-/// only adds), so existing artifacts stay checkable.
-pub(crate) type ParseKey = (u64, Language, u64);
-
-/// Eval-cache key: epoch *base* + language + hash of the *canonical*
-/// query text. Within one base, entry validity across delta mutations
-/// is decided per lookup by [`scans_current`].
-pub(crate) type EvalKey = (u64, Language, u64);
-
-/// Plan-cache entry: the canonical text (collision guard), the shared
-/// compiled plan, and the delta-validation stamp. Plans bake in
-/// interned constants and size-driven scan orders, so an entry is only
-/// served while every relation it scans is unchanged (a mutation can
-/// intern a constant the plan left as an unknown string, or shift the
-/// size statistics the scan order was chosen by).
-#[derive(Clone)]
-pub(crate) struct PlanEntry {
-    pub canonical: Arc<str>,
-    pub plan: Arc<rd_core::exec::Plan>,
-    /// See [`EvalEntry::scans`].
-    pub scans: ScanStamp,
-    /// See [`EvalEntry::born`].
-    pub born: u64,
+/// What a [`StampedCache`] lookup found, and how the cache
+/// (`CacheStats`) and a session (`SessionStats`) count it:
+///
+/// | outcome | `CacheStats` | `SessionStats` |
+/// |---|---|---|
+/// | cache off | nothing | nothing |
+/// | key absent | miss | miss |
+/// | canonical text differs | hit | miss |
+/// | scan set stale | hit | miss + `delta_invalidations` |
+/// | fresh | hit | hit (+ `delta_survivals` if born before this epoch) |
+pub(crate) enum Lookup<V> {
+    /// The cache is off: nothing was probed or counted.
+    Off,
+    /// No servable entry under the key; `stale` if there was one for
+    /// this text whose scan set has changed since it was stored.
+    Miss { stale: bool },
+    /// A servable entry; `survived` if a delta mutation came after it was
+    /// stored.
+    Hit { value: V, survived: bool },
 }
 
-/// Plan-cache key: epoch *base* + language + hash of the *canonical*
-/// query text (same shape as [`EvalKey`], so a result-cache miss after
-/// a reload can never be served a stale plan either).
-pub(crate) type PlanKey = (u64, Language, u64);
+/// What a [`StampedCache::store`] did with a value.
+pub(crate) enum Stored {
+    /// The cache is off: nothing was stamped or stored.
+    Off,
+    /// Over the admission threshold: returned to the caller, not stored.
+    Skipped,
+    /// Stored without displacing another key's entry.
+    Kept,
+    /// Stored, evicting the least recently used entry of its shard.
+    Evicted,
+}
+
+/// The plan cache or the result cache: stamped entries under
+/// [`canonical_key`]s, with the cache's switch and admission threshold.
+/// Entries outlive delta mutations (the key holds only the epoch base)
+/// and are validated per lookup: plans bake in interned constants and
+/// size-driven scan orders, results the rows, so neither may outlive the
+/// contents of a relation it reads.
+pub(crate) struct StampedCache<V> {
+    cache: ShardedCache<CacheKey, Stamped<V>>,
+    enabled: bool,
+    /// Values weighing more bytes than this are not stored (0 stores
+    /// every value).
+    max_entry_bytes: usize,
+    /// A value's approximate weight in bytes.
+    weigh: fn(&V) -> usize,
+}
+
+impl<V: Clone> StampedCache<V> {
+    /// Looks up the entry for `canonical` under `key` and validates its
+    /// scan set against `epoch`.
+    pub fn lookup(&self, key: &CacheKey, canonical: &str, epoch: &DbEpoch) -> Lookup<V> {
+        if !self.enabled {
+            return Lookup::Off;
+        }
+        match self.cache.get(key) {
+            Some(entry) if *entry.canonical == *canonical => {
+                if entry
+                    .scans
+                    .iter()
+                    .all(|(rel, gen)| epoch.rel_gen(rel) == Some(*gen))
+                {
+                    Lookup::Hit {
+                        survived: entry.born < epoch.generation,
+                        value: entry.value,
+                    }
+                } else {
+                    Lookup::Miss { stale: true }
+                }
+            }
+            _ => Lookup::Miss { stale: false },
+        }
+    }
+
+    /// Stores `value`, computed for `canonical` by `plan` against `epoch`,
+    /// under `key`, stamped with the plan's scan set. A value over the
+    /// admission threshold is not stored, and a cache that is off does no
+    /// work at all. A same-key replacement (two sessions racing one miss,
+    /// or a stale entry refreshed) is not an eviction.
+    pub fn store(
+        &self,
+        key: CacheKey,
+        canonical: &str,
+        value: V,
+        plan: &Plan,
+        epoch: &DbEpoch,
+    ) -> Stored {
+        if !self.enabled {
+            return Stored::Off;
+        }
+        let bytes = (self.weigh)(&value);
+        if self.max_entry_bytes != 0 && bytes > self.max_entry_bytes {
+            return Stored::Skipped;
+        }
+        let entry = Stamped {
+            canonical: canonical.into(),
+            value,
+            bytes,
+            scans: stamp_scans(plan, epoch),
+            born: epoch.generation,
+        };
+        match self.cache.insert(key, entry).1 {
+            Some(_) => Stored::Evicted,
+            None => Stored::Kept,
+        }
+    }
+
+    /// Approximate bytes currently held. Computed from the live entries
+    /// (weights summed under the shard locks), so it cannot drift from
+    /// the cache's contents — a counter adjusted on store would race the
+    /// clear in [`EngineShared::replace_database`].
+    fn bytes(&self) -> u64 {
+        self.cache.sum_values(|e| e.bytes as u64)
+    }
+
+    /// Aggregate counters, occupancy and held bytes.
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            bytes: self.bytes(),
+            ..self.cache.stats()
+        }
+    }
+}
 
 /// Summary of an applied delta mutation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -546,15 +621,12 @@ impl Default for SharedConfig {
 }
 
 /// The engine state shared by every session of a service: the current
-/// [`DbEpoch`] plus the sharded parse and eval caches.
+/// [`DbEpoch`] plus the sharded parse, plan and result caches.
 pub struct EngineShared {
     epoch: RwLock<Arc<DbEpoch>>,
-    pub(crate) parse_cache: ShardedCache<ParseKey, ParseEntry>,
-    pub(crate) eval_cache: ShardedCache<EvalKey, EvalEntry>,
-    pub(crate) plan_cache: ShardedCache<PlanKey, PlanEntry>,
-    eval_enabled: bool,
-    eval_max_entry_bytes: usize,
-    plan_enabled: bool,
+    pub(crate) parse_cache: ShardedCache<CacheKey, ParseEntry>,
+    pub(crate) eval_cache: StampedCache<Arc<Relation>>,
+    pub(crate) plan_cache: StampedCache<Arc<Plan>>,
     metrics_enabled: bool,
 }
 
@@ -569,11 +641,18 @@ impl EngineShared {
         EngineShared {
             epoch: RwLock::new(Arc::new(DbEpoch::new(db, 0))),
             parse_cache: ShardedCache::new(cfg.parse_cache_capacity, cfg.shards),
-            eval_cache: ShardedCache::new(cfg.eval_cache_capacity, cfg.shards),
-            plan_cache: ShardedCache::new(cfg.plan_cache_capacity, cfg.shards),
-            eval_enabled: cfg.eval_cache,
-            eval_max_entry_bytes: cfg.eval_cache_max_entry_bytes,
-            plan_enabled: cfg.plan_cache,
+            eval_cache: StampedCache {
+                cache: ShardedCache::new(cfg.eval_cache_capacity, cfg.shards),
+                enabled: cfg.eval_cache,
+                max_entry_bytes: cfg.eval_cache_max_entry_bytes,
+                weigh: |relation| relation.approx_bytes(),
+            },
+            plan_cache: StampedCache {
+                cache: ShardedCache::new(cfg.plan_cache_capacity, cfg.shards),
+                enabled: cfg.plan_cache,
+                max_entry_bytes: 0,
+                weigh: |_| 0,
+            },
             metrics_enabled: cfg.metrics,
         }
     }
@@ -601,8 +680,8 @@ impl EngineShared {
         let next = Arc::new(DbEpoch::new(f(&slot.db), slot.generation + 1));
         *slot = next.clone();
         self.parse_cache.clear();
-        self.eval_cache.clear();
-        self.plan_cache.clear();
+        self.eval_cache.cache.clear();
+        self.plan_cache.cache.clear();
         next
     }
 
@@ -652,33 +731,17 @@ impl EngineShared {
 
     /// `true` if the eval/result cache is enabled.
     pub fn eval_cache_enabled(&self) -> bool {
-        self.eval_enabled
+        self.eval_cache.enabled
     }
 
-    /// `true` if a result of `bytes` approximate size passes the
-    /// size-aware admission policy.
-    pub fn eval_cache_admits(&self, bytes: usize) -> bool {
-        self.eval_max_entry_bytes == 0 || bytes <= self.eval_max_entry_bytes
-    }
-
-    /// Inserts an admitted eval-cache entry. Returns `true` if the
-    /// insert evicted an older entry (a same-key replacement — two
-    /// sessions racing the same miss — is not an eviction).
-    pub(crate) fn eval_cache_insert(&self, key: EvalKey, entry: EvalEntry) -> bool {
-        self.eval_cache.insert(key, entry).1.is_some()
-    }
-
-    /// Approximate bytes currently held by the eval cache. Computed from
-    /// the live entries (per-entry weights summed under the shard locks),
-    /// so it cannot drift from the cache's actual contents — a counter
-    /// adjusted on insert would race `replace_database`'s clear.
+    /// Approximate bytes currently held by the eval cache.
     pub fn eval_cached_bytes(&self) -> u64 {
-        self.eval_cache.sum_values(|e| e.bytes as u64)
+        self.eval_cache.bytes()
     }
 
     /// `true` if the compiled-plan cache is enabled.
     pub fn plan_cache_enabled(&self) -> bool {
-        self.plan_enabled
+        self.plan_cache.enabled
     }
 
     /// `true` if request tracing (span timing, and a service's histogram
@@ -699,25 +762,33 @@ impl EngineShared {
 
     /// Aggregate eval-cache counters, including the cached-bytes gauge.
     pub fn eval_cache_stats(&self) -> CacheStats {
-        let mut stats = self.eval_cache.stats();
-        stats.bytes = self.eval_cached_bytes();
-        stats
+        self.eval_cache.stats()
     }
-}
-
-/// Hashes a query text for cache keys (collisions are guarded by storing
-/// the full text in the entry).
-pub(crate) fn hash_text(text: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    text.hash(&mut h);
-    h.finish()
 }
 
 /// The parse-cache key of `text` in `language` against `epoch`: texts
 /// that differ only in whitespace layout share it (see [`normalized`]).
-/// The one key function of every parse-cache user.
-pub(crate) fn parse_key(epoch: &DbEpoch, language: Language, text: &str) -> ParseKey {
+/// The base matters even though parsing never reads the data: artifacts
+/// are checked against the epoch's catalog, and a stamped key makes an
+/// entry prepared by an in-flight request against an old epoch
+/// unreachable after a reload (the clear in
+/// [`EngineShared::replace_database`] cannot catch inserts that land
+/// after the sweep). Delta mutations keep the base: they never shrink
+/// the catalog (inserts and deletes preserve schemas; `create_table`
+/// only adds), so existing artifacts stay checkable.
+pub(crate) fn parse_key(epoch: &DbEpoch, language: Language, text: &str) -> CacheKey {
     (epoch.base, language, text_key(text))
+}
+
+/// The plan- and result-cache key of an artifact whose canonical text in
+/// `language` is `canonical`, against `epoch`. Within one base, whether
+/// an entry is still valid is decided per lookup
+/// ([`StampedCache::lookup`]); the entry's stored text guards against
+/// hash collisions.
+pub(crate) fn canonical_key(epoch: &DbEpoch, language: Language, canonical: &str) -> CacheKey {
+    let mut h = DefaultHasher::new();
+    canonical.hash(&mut h);
+    (epoch.base, language, h.finish())
 }
 
 /// The text part of a parse-cache key: a hash of `text` with every run
@@ -812,18 +883,6 @@ mod tests {
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 2));
         assert!(s.capacity >= 64);
-    }
-
-    #[test]
-    fn peek_counts_nothing_until_recorded() {
-        let c: ShardedCache<u32, u32> = ShardedCache::new(8, 1);
-        c.insert(1, 10);
-        assert_eq!(c.peek(&1), Some(10));
-        assert_eq!(c.peek(&2), None);
-        assert_eq!((c.stats().hits, c.stats().misses), (0, 0));
-        c.record(true);
-        c.record(false);
-        assert_eq!((c.stats().hits, c.stats().misses), (1, 1));
     }
 
     #[test]
