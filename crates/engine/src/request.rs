@@ -4,6 +4,7 @@ use crate::{Artifact, Language};
 use rd_core::exec::ExplainNode;
 use rd_core::trace::Span;
 use rd_core::{Relation, Tuple};
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// How a response should render the Relational Diagram, if at all.
@@ -16,6 +17,29 @@ pub enum DiagramFormat {
     Dot,
     /// Self-contained SVG.
     Svg,
+}
+
+impl DiagramFormat {
+    /// The format's name (`none`, `dot` or `svg`), as the wire protocol
+    /// and the command line spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            DiagramFormat::None => "none",
+            DiagramFormat::Dot => "dot",
+            DiagramFormat::Svg => "svg",
+        }
+    }
+}
+
+impl FromStr for DiagramFormat {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        [DiagramFormat::None, DiagramFormat::Dot, DiagramFormat::Svg]
+            .into_iter()
+            .find(|format| format.name() == s)
+            .ok_or_else(|| format!("unknown diagram format '{s}'"))
+    }
 }
 
 /// A query to run: the language, the source text, and which optional
@@ -46,8 +70,15 @@ impl QueryRequest {
     /// A request whose language is [detected](Language::detect) from the
     /// source text.
     pub fn auto(text: impl Into<String>) -> Self {
+        QueryRequest::named_or_auto(None, text)
+    }
+
+    /// A request in `language`, or — when none is named, as the wire
+    /// protocol and the command line allow — in the language
+    /// [detected](Language::detect) from the source text.
+    pub fn named_or_auto(language: Option<Language>, text: impl Into<String>) -> Self {
         let text = text.into();
-        QueryRequest::new(Language::detect(&text), text)
+        QueryRequest::new(language.unwrap_or_else(|| Language::detect(&text)), text)
     }
 
     /// Requests cross-language translations in the response.
@@ -157,5 +188,21 @@ impl QueryResponse {
                 Some(batch)
             }
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn diagram_formats_parse_from_their_names() {
+        for format in [DiagramFormat::None, DiagramFormat::Dot, DiagramFormat::Svg] {
+            assert_eq!(format.name().parse(), Ok(format));
+        }
+        assert_eq!(
+            "off".parse::<DiagramFormat>(),
+            Err("unknown diagram format 'off'".to_string())
+        );
     }
 }

@@ -48,7 +48,7 @@ OPTIONS:
                       (default: auto — detected from the query text)
     --translate       Also print the cross-language translations
                       (TRC hub, Theorem 6)
-    --diagram <FMT>   Also print the Relational Diagram: dot | svg
+    --diagram <FMT>   Also print the Relational Diagram: dot | svg | none
     --stats           Print session statistics before exiting
     --repl            Interactive mode (`:help` lists commands)
     -h, --help        Print this help
@@ -178,11 +178,7 @@ fn parse_args(args: &[String]) -> Result<Option<Config>, String> {
             }
             "--translate" => cfg.translate = true,
             "--diagram" => {
-                cfg.diagram = match it.next().ok_or("--diagram requires a value")?.as_str() {
-                    "dot" => DiagramFormat::Dot,
-                    "svg" => DiagramFormat::Svg,
-                    other => return Err(format!("unknown diagram format '{other}'")),
-                };
+                cfg.diagram = it.next().ok_or("--diagram requires a value")?.parse()?;
             }
             "--stats" => cfg.stats = true,
             "--repl" => cfg.repl = true,
@@ -243,20 +239,6 @@ fn load_database(cfg: &Config) -> Result<rd_core::Database, String> {
         Some(path) => load_database_path(path),
         None => Ok(demo_database()),
     }
-}
-
-fn build_request(
-    lang: Option<Language>,
-    text: &str,
-    translate: bool,
-    diagram: DiagramFormat,
-) -> QueryRequest {
-    let language = lang.unwrap_or_else(|| Language::detect(text));
-    let mut req = QueryRequest::new(language, text);
-    if translate {
-        req = req.with_translations();
-    }
-    req.with_diagram(diagram)
 }
 
 fn print_response(resp: &rd_engine::QueryResponse) {
@@ -383,9 +365,14 @@ fn repl(session: &mut Session, cfg: &Config) -> Result<(), String> {
                 ),
                 ("translate", Some("on")) => translate = true,
                 ("translate", Some("off")) => translate = false,
-                ("diagram", Some("dot")) => diagram = DiagramFormat::Dot,
-                ("diagram", Some("svg")) => diagram = DiagramFormat::Svg,
-                ("diagram", Some("off")) => diagram = DiagramFormat::None,
+                ("diagram", Some(name)) => {
+                    // `off` is the REPL's alias for `none`.
+                    let name = if name == "off" { "none" } else { name };
+                    match name.parse() {
+                        Ok(format) => diagram = format,
+                        Err(e) => eprintln!("error: {e}"),
+                    }
+                }
                 ("stats", _) => print_stats(session),
                 ("load", Some("csv")) => match parts.next() {
                     Some(path) => match std::fs::read_to_string(path)
@@ -460,7 +447,11 @@ fn repl(session: &mut Session, cfg: &Config) -> Result<(), String> {
             prompt(&buffer);
             continue;
         }
-        let req = build_request(lang, input, translate, diagram);
+        let req = QueryRequest {
+            translations: translate,
+            diagram,
+            ..QueryRequest::named_or_auto(lang, input)
+        };
         match session.run(&req) {
             Ok(resp) => print_response(&resp),
             Err(e) => eprintln!("error: {e}"),
@@ -866,7 +857,11 @@ fn main() -> ExitCode {
     }
     let mut session = Session::new(db);
     if let Some(query) = &cfg.query {
-        let req = build_request(cfg.lang, query, cfg.translate, cfg.diagram);
+        let req = QueryRequest {
+            translations: cfg.translate,
+            diagram: cfg.diagram,
+            ..QueryRequest::named_or_auto(cfg.lang, query.as_str())
+        };
         match session.run(&req) {
             Ok(resp) => print_response(&resp),
             Err(e) => {

@@ -697,31 +697,16 @@ mod auto_language {
     }
 }
 
-/// A [`DiagramFormat`] as its name.
+/// A [`DiagramFormat`] as its [name](DiagramFormat::name).
 mod diagram_format {
     use super::*;
 
-    const NAMES: [(DiagramFormat, &str); 3] = [
-        (DiagramFormat::None, "none"),
-        (DiagramFormat::Dot, "dot"),
-        (DiagramFormat::Svg, "svg"),
-    ];
-
     pub fn serialize(format: &DiagramFormat) -> Json {
-        let (_, name) = NAMES
-            .iter()
-            .find(|(f, _)| f == format)
-            .expect("every format is named");
-        Json::String(name.to_string())
+        Json::String(format.name().to_string())
     }
 
     pub fn deserialize(v: &Json) -> Result<DiagramFormat, String> {
-        let name = string(v)?;
-        NAMES
-            .iter()
-            .find(|(_, n)| *n == name)
-            .map(|(format, _)| *format)
-            .ok_or_else(|| format!("unknown diagram format '{name}'"))
+        string(v)?.parse()
     }
 }
 
@@ -2242,6 +2227,16 @@ mod tests {
             assert!(decode_request_line(line).is_err(), "request: {line}");
             assert!(decode_frame(line).is_err(), "response: {line}");
         }
+    }
+
+    #[test]
+    fn an_unknown_diagram_format_names_the_field() {
+        let line = r#"{"op":"query","text":"R","diagram":"x"}"#;
+        let (_, err) = decode_request_line(line).unwrap_err();
+        assert_eq!(
+            err,
+            "malformed message: field 'diagram': unknown diagram format 'x'"
+        );
     }
 
     /// Hands one wire line to every decoder; decoded response frames go

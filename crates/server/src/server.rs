@@ -59,8 +59,8 @@ use crate::reactor::{
 use rd_core::trace::Histogram;
 use rd_core::{Database, Tuple, Value};
 use rd_engine::{
-    CacheStats, DiagramFormat, EngineShared, Language, QueryRequest, QueryResponse, Session,
-    SessionStats, SharedConfig, STAGE_NAMES,
+    CacheStats, EngineShared, Language, QueryRequest, QueryResponse, Session, SessionStats,
+    SharedConfig, STAGE_NAMES,
 };
 use rd_store::{Store, WalRecord};
 use std::collections::HashMap;
@@ -1106,19 +1106,6 @@ fn route<'a>(shards: &'a [Arc<Shard>], rotate: &mut usize) -> &'a Arc<Shard> {
 /// decode error to answer with (see [`protocol::decode_request_line`]).
 type Decoded = Result<(Option<RequestId>, Request), (Option<RequestId>, String)>;
 
-/// The engine request of a wire query (language detected if unnamed).
-fn query_request(
-    language: Option<Language>,
-    text: String,
-    translations: bool,
-    diagram: DiagramFormat,
-) -> QueryRequest {
-    let language = language.unwrap_or_else(|| Language::detect(&text));
-    let mut req = QueryRequest::new(language, text).with_diagram(diagram);
-    req.translations = translations;
-    req
-}
-
 /// One encoded, newline-terminated error frame (no request id — used
 /// where the id is unknown or the failure is not tied to one request).
 fn error_line(message: String) -> Vec<u8> {
@@ -1159,7 +1146,11 @@ fn run_line(
             translations,
             diagram,
         }) => {
-            let req = query_request(language, text, translations, diagram);
+            let req = QueryRequest {
+                translations,
+                diagram,
+                ..QueryRequest::named_or_auto(language, text)
+            };
             match session.run(&req) {
                 Ok(resp) => {
                     let (frames, shaping) = query_frames(state, session, &resp);
@@ -1231,11 +1222,11 @@ fn handle_control(
             text,
             analyze,
         } => {
-            let language = language.unwrap_or_else(|| Language::detect(text));
+            let req = QueryRequest::named_or_auto(*language, text.as_str());
             let explained = if *analyze {
-                session.explain_analyze(language, text)
+                session.explain_analyze(req.language, &req.text)
             } else {
-                session.explain(language, text)
+                session.explain(req.language, &req.text)
             };
             let response = match explained {
                 Ok(e) => Response::Explain(protocol::ExplainResult {
@@ -1249,8 +1240,8 @@ fn handle_control(
             (response, false)
         }
         Request::Translate { language, text, to } => {
-            let language = language.unwrap_or_else(|| Language::detect(text));
-            let response = match session.translate(language, text, *to) {
+            let req = QueryRequest::named_or_auto(*language, text.as_str());
+            let response = match session.translate(req.language, &req.text, *to) {
                 Ok(rendered) => Response::Translate(protocol::TranslateResult {
                     to: *to,
                     text: rendered,
