@@ -8,6 +8,7 @@ use crate::protocol::{
 };
 use rd_core::Value;
 use rd_engine::{DiagramFormat, Language};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -328,21 +329,7 @@ impl BenchReport {
 
     /// The `p`-th latency percentile (0.0..=1.0), if any requests ran.
     pub fn percentile(&self, p: f64) -> Option<Duration> {
-        if self.latencies.is_empty() {
-            return None;
-        }
-        let rank = ((self.latencies.len() - 1) as f64 * p.clamp(0.0, 1.0)).round() as usize;
-        Some(self.latencies[rank])
-    }
-
-    /// The `p`-th connect-latency percentile (0.0..=1.0), if an idle
-    /// flood ran.
-    fn connect_percentile(&self, p: f64) -> Option<Duration> {
-        if self.connect_latencies.is_empty() {
-            return None;
-        }
-        let rank = ((self.connect_latencies.len() - 1) as f64 * p.clamp(0.0, 1.0)).round() as usize;
-        Some(self.connect_latencies[rank])
+        percentile(&self.latencies, p)
     }
 
     /// Mutations per second over the whole run (0 with no mutations).
@@ -385,7 +372,7 @@ impl BenchReport {
         }
         if !self.connect_latencies.is_empty() {
             let cpct = |p: f64| {
-                self.connect_percentile(p)
+                percentile(&self.connect_latencies, p)
                     .map_or("-".to_string(), |d| format!("{:.2?}", d))
             };
             out.push_str(&format!(
@@ -406,56 +393,84 @@ impl BenchReport {
     /// distribution when its stats were fetched. Successive runs' files
     /// diff cleanly (stable key order, one object).
     pub fn render_json(&self, stages: &[StageLatency], shards: &[ShardBreakdown]) -> String {
-        use serde::{json::Value as Json, Serialize};
-        let micros = |p: f64| {
-            self.percentile(p)
-                .map_or(0, |d| d.as_micros().min(u64::MAX as u128)) as i64
-        };
-        let cmicros = |p: f64| {
-            self.connect_percentile(p)
-                .map_or(0, |d| d.as_micros().min(u64::MAX as u128)) as i64
-        };
-        let pairs = vec![
-            ("completed".to_string(), Json::Int(self.completed as i64)),
-            ("errors".to_string(), Json::Int(self.errors as i64)),
-            ("mutations".to_string(), Json::Int(self.mutations as i64)),
-            (
-                "elapsed_micros".to_string(),
-                Json::Int(self.elapsed.as_micros().min(i64::MAX as u128) as i64),
-            ),
-            ("throughput_rps".to_string(), Json::Float(self.throughput())),
-            (
-                "latency_micros".to_string(),
-                Json::Object(vec![
-                    ("p50".into(), Json::Int(micros(0.50))),
-                    ("p95".into(), Json::Int(micros(0.95))),
-                    ("p99".into(), Json::Int(micros(0.99))),
-                    ("max".into(), Json::Int(micros(1.0))),
-                ]),
-            ),
-            ("cache_hits".to_string(), Json::Int(self.cache_hits as i64)),
-            (
-                "eval_cache_hits".to_string(),
-                Json::Int(self.eval_cache_hits as i64),
-            ),
-            (
-                "connect_latency_micros".to_string(),
-                Json::Object(vec![
-                    (
-                        "count".into(),
-                        Json::Int(self.connect_latencies.len() as i64),
-                    ),
-                    ("p50".into(), Json::Int(cmicros(0.50))),
-                    ("p95".into(), Json::Int(cmicros(0.95))),
-                    ("p99".into(), Json::Int(cmicros(0.99))),
-                    ("max".into(), Json::Int(cmicros(1.0))),
-                ]),
-            ),
-            ("stages".to_string(), stages.to_json()),
-            ("shards".to_string(), shards.to_json()),
-        ];
-        Json::Object(pairs).to_pretty()
+        JsonReport {
+            completed: self.completed,
+            errors: self.errors,
+            mutations: self.mutations,
+            elapsed_micros: micros(self.elapsed),
+            throughput_rps: self.throughput(),
+            latency_micros: Percentiles::of(&self.latencies),
+            cache_hits: self.cache_hits,
+            eval_cache_hits: self.eval_cache_hits,
+            connect_latency_micros: ConnectLatency {
+                count: self.connect_latencies.len() as u64,
+                percentiles: Percentiles::of(&self.connect_latencies),
+            },
+            stages: stages.to_vec(),
+            shards: shards.to_vec(),
+        }
+        .to_json()
+        .to_pretty()
     }
+}
+
+/// The `p`-th percentile (0.0..=1.0) of `sorted`, an ascending list of
+/// latencies (`None` if it is empty).
+fn percentile(sorted: &[Duration], p: f64) -> Option<Duration> {
+    let last = sorted.len().checked_sub(1)?;
+    Some(sorted[(last as f64 * p.clamp(0.0, 1.0)).round() as usize])
+}
+
+/// `d` in whole microseconds, saturating at `i64::MAX` (the JSON
+/// integer range).
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(i64::MAX as u128) as u64
+}
+
+/// The `rd bench-client --json` file, members in file order.
+#[derive(Serialize)]
+struct JsonReport {
+    completed: u64,
+    errors: u64,
+    mutations: u64,
+    elapsed_micros: u64,
+    throughput_rps: f64,
+    latency_micros: Percentiles,
+    cache_hits: u64,
+    eval_cache_hits: u64,
+    connect_latency_micros: ConnectLatency,
+    stages: Vec<StageLatency>,
+    shards: Vec<ShardBreakdown>,
+}
+
+/// A latency distribution's summary in microseconds (0 when empty).
+#[derive(Serialize)]
+struct Percentiles {
+    p50: u64,
+    p95: u64,
+    p99: u64,
+    max: u64,
+}
+
+impl Percentiles {
+    fn of(sorted: &[Duration]) -> Self {
+        let at = |p: f64| percentile(sorted, p).map_or(0, micros);
+        Percentiles {
+            p50: at(0.50),
+            p95: at(0.95),
+            p99: at(0.99),
+            max: at(1.0),
+        }
+    }
+}
+
+/// The idle flood's connect latencies: how many sockets, and their
+/// summary.
+#[derive(Serialize)]
+struct ConnectLatency {
+    count: u64,
+    #[serde(flatten)]
+    percentiles: Percentiles,
 }
 
 #[derive(Default)]
