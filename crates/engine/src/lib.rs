@@ -12,7 +12,7 @@
 //!            └────────────────────────────────────────────────────┘
 //! ```
 //!
-//! A [`Session`] owns an [`rd_core::Database`] and serves
+//! A [`Session`] runs against an [`rd_core::Database`] snapshot and serves
 //! [`QueryRequest`]s in any of the four languages ([`Language`], with
 //! [`Language::detect`] for sniffing the language from source text). The
 //! response carries the canonicalized [`Artifact`], the evaluated
@@ -20,23 +20,29 @@
 //! (TRC as the hub), and an optional Relational Diagram rendering.
 //!
 //! Repeated-query traffic is the expected production shape, so the
-//! session fronts its parsers with a capacity-bounded LRU cache keyed by
-//! `(language, hash(text))` — hits skip lexing, parsing, checking, and
-//! canonicalization — and its evaluator with a result cache keyed by
-//! `(generation, language, hash(canonical text))` — hits skip evaluation
-//! entirely. [`SessionStats`] surfaces the per-session
-//! hit/miss/eviction counters.
+//! session runs every request through three capacity-bounded LRU caches:
 //!
-//! Both caches, plus the database snapshot itself, live in an
+//! * the **parse cache**, keyed by the query text up to whitespace
+//!   layout — hits skip lexing, parsing, checking, and canonicalization;
+//! * the **result cache**, keyed by the *canonical* text — hits skip
+//!   evaluation entirely;
+//! * the **plan cache**, under the same key — a result-cache miss still
+//!   skips compiling the plan.
+//!
+//! Every key carries the epoch's *base* (the generation of the last
+//! full database replacement), and every plan or result entry records
+//! the generations of the relations its plan scans, so a delta mutation
+//! invalidates exactly the entries that read what it touched.
+//! [`SessionStats`] surfaces the per-session hit/miss/eviction counters.
+//!
+//! The caches, plus the database snapshot itself, live in an
 //! [`EngineShared`] (module [`shared`]): a lock-striped, `Arc`-shareable
 //! bundle. [`Session::new`] wraps a private instance; a concurrent
-//! service (the `rd-server` worker pool) attaches many
-//! per-connection sessions to one shared instance with
-//! [`Session::attach`], so all workers share one sharded parse cache and
-//! one generation-invalidated result cache. Replacing the database
-//! installs a new [`DbEpoch`] with a bumped generation — in-flight
-//! queries keep their consistent snapshot, and stale result-cache
-//! entries can never be served again.
+//! service (the `rd-server` shard threads) attaches many per-connection
+//! sessions to one shared instance with [`Session::attach`], so they all
+//! share one set of caches. Replacing the database installs a new
+//! [`DbEpoch`] with a bumped generation — in-flight queries keep their
+//! consistent snapshot, and stale entries can never be served again.
 //!
 //! ```
 //! use rd_engine::{demo_database, QueryRequest, Session};
@@ -53,8 +59,8 @@
 //! assert!(session.stats().cache_hits > 0);
 //! ```
 //!
-//! The `rd` binary in this crate drives the session from the command
-//! line (one-shot and `--repl`).
+//! The `rd` binary (crate `rd-server`) drives the session from the
+//! command line (one-shot and `--repl`) and serves it over TCP.
 
 pub mod artifact;
 pub mod cache;

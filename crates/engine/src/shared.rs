@@ -17,7 +17,7 @@
 //!   entry, on first request.
 //! * a **plan cache** and a **result cache**, one stamped cache each:
 //!   `(base, language, hash(canonical text))` → compiled
-//!   [`Plan`](rd_core::exec::Plan) or evaluated [`Relation`]. Keyed by
+//!   [`Plan`] or evaluated [`Relation`]. Keyed by
 //!   the *canonical* form, so differently-spaced twins share one entry.
 //!   Each entry carries its plan's scan set, every relation stamped with
 //!   its generation, and is served only while none of them has changed:
