@@ -281,12 +281,10 @@ impl Session {
         let mut spans: Vec<Span> = Vec::new();
         // Counted before parsing, so a failed parse still counts.
         self.stats.queries += 1;
-        let (
-            ParseEntry {
-                artifact, views, ..
-            },
-            cache_hit,
-        ) = self.prepare(&epoch, req.language, &req.text)?;
+        let (entry, cache_hit) = self.prepare(&epoch, req.language, &req.text)?;
+        let ParseEntry {
+            artifact, views, ..
+        } = entry;
         // Render the canonical text exactly once per request: it keys
         // the result and plan caches and rides back in the response.
         let canonical = artifact.canonical_text();
@@ -399,7 +397,10 @@ impl Session {
         let plan = self.plan(epoch, artifact, canonical, key, spans)?;
         let (raw, feedback) = exec::execute_feedback(&plan, &epoch.db, exec::ExecOptions)?;
         let relation = Arc::new(epoch.db.resolve_relation(&raw));
-        let stored = (self.shared.eval_cache).store(key, canonical, relation.clone(), &plan, epoch);
+        let stored = self
+            .shared
+            .eval_cache
+            .store(key, canonical, relation.clone(), &plan, epoch);
         self.stats.stored(Tier::Result, stored);
         // The root q-error: the planner's estimate for the whole result
         // against the rows it produced.
@@ -427,7 +428,9 @@ impl Session {
             None => {
                 let plan = Arc::new(artifact.compile(&epoch.db)?);
                 let stored =
-                    (self.shared.plan_cache).store(key, canonical, plan.clone(), &plan, epoch);
+                    self.shared
+                        .plan_cache
+                        .store(key, canonical, plan.clone(), &plan, epoch);
                 self.stats.stored(Tier::Plan, stored);
                 plan
             }
