@@ -538,18 +538,14 @@ impl<V: Clone> StampedCache<V> {
         }
     }
 
-    /// Approximate bytes currently held. Computed from the live entries
-    /// (weights summed under the shard locks), so it cannot drift from
-    /// the cache's contents — a counter adjusted on store would race the
-    /// clear in [`EngineShared::replace_database`].
-    fn bytes(&self) -> u64 {
-        self.cache.sum_values(|e| e.bytes as u64)
-    }
-
-    /// Aggregate counters, occupancy and held bytes.
+    /// Aggregate counters, occupancy and approximate bytes held. The
+    /// bytes are summed from the live entries' weights under the shard
+    /// locks, so they cannot drift from the cache's contents — a counter
+    /// adjusted on store would race the clear in
+    /// [`EngineShared::replace_database`].
     fn stats(&self) -> CacheStats {
         CacheStats {
-            bytes: self.bytes(),
+            bytes: self.cache.sum_values(|e| e.bytes as u64),
             ..self.cache.stats()
         }
     }
@@ -736,7 +732,7 @@ impl EngineShared {
 
     /// Approximate bytes currently held by the eval cache.
     pub fn eval_cached_bytes(&self) -> u64 {
-        self.eval_cache.bytes()
+        self.eval_cache.stats().bytes
     }
 
     /// `true` if the compiled-plan cache is enabled.
