@@ -4,10 +4,11 @@
 //! caching enabled must agree answer-for-answer with an uncached one
 //! under interleaved queries and mutations.
 
-use rd_core::{Tuple, Value};
+use rd_core::{Database, Relation, TableSchema, Tuple, Value};
 use rd_engine::{
     demo_database, EngineShared, Language, QueryRequest, Session, SessionStats, SharedConfig,
 };
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 fn row(vals: &[Value]) -> Tuple {
@@ -143,32 +144,149 @@ fn cached_and_uncached_sessions_agree_under_interleaved_mutations() {
     assert!(stats.eval_hits > 0, "{stats:?}");
 }
 
-/// The epoch fingerprint is maintained incrementally across deltas
-/// (only touched relations are rehashed); it must nevertheless equal
-/// exactly what a fresh load of the same content computes — and the
-/// delta path must also skip rebuilding the catalog when no table was
-/// added.
+/// A small seeded generator (splitmix64), so the fingerprint script is
+/// reproducible without a dependency.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Each table's schema and resolved rows: what the engine's epoch must
+/// hold after every step of a mutation script.
+type Model = BTreeMap<String, (TableSchema, BTreeSet<Tuple>)>;
+
+/// The fingerprint of a fresh load of `model`. Tables are added in
+/// reverse name order and the database interns each table's strings in
+/// sorted order, so the symbol ids differ from those of an epoch that
+/// grew by mutation: a digest that hashed ids instead of strings would
+/// disagree.
+fn fresh_fingerprint(model: &Model) -> u64 {
+    let mut db = Database::new();
+    for (schema, rows) in model.values().rev() {
+        let rows = rows.iter().rev().map(|t| t.0.clone());
+        db.add_relation(Relation::from_rows(schema.clone(), rows).unwrap());
+    }
+    EngineShared::new(db).epoch().fingerprint
+}
+
+/// A random row for `schema`: small ints, strings the demo database
+/// already holds, and strings no table has interned yet.
+fn random_row(rng: &mut Rng, schema: &TableSchema, fresh: &mut u32) -> Tuple {
+    const KNOWN: [&str; 4] = ["Dustin", "Lubber", "red", "green"];
+    Tuple(
+        (0..schema.arity())
+            .map(|_| match rng.below(3) {
+                0 => Value::int(rng.below(4) as i64 + 100),
+                1 => Value::str(KNOWN[rng.below(KNOWN.len())]),
+                _ => {
+                    *fresh += 1;
+                    Value::str(format!("new-{fresh}"))
+                }
+            })
+            .collect(),
+    )
+}
+
+/// The epoch fingerprint follows every delta. A seeded script of 200
+/// steps over the demo database mixes inserts (duplicates and strings
+/// never interned included), deletes (absent rows included) and one
+/// `create_table`; after each step the epoch must hold the model's rows
+/// and fingerprint exactly as a fresh load of them does. An insert
+/// undone by a delete must restore the earlier fingerprint, and
+/// insert/delete deltas keep the previous epoch's catalog.
 #[test]
 fn incremental_fingerprint_matches_a_fresh_load() {
-    let mutated = Arc::new(EngineShared::new(demo_database()));
-    let horatio = [row(&[Value::int(3), Value::str("Horatio")])];
-    let green = [row(&[Value::int(102), Value::str("green")])];
-    mutated.insert_rows("Sailor", &horatio).unwrap();
-    mutated.delete_rows("Boat", &green).unwrap();
+    let shared = EngineShared::new(demo_database());
+    let mut model: Model = shared
+        .epoch()
+        .db
+        .iter()
+        .map(|r| {
+            let rows = r.resolved().tuples().clone();
+            (r.name().to_string(), (r.schema().clone(), rows))
+        })
+        .collect();
+    let mut rng = Rng(0x5eed);
+    let mut fresh = 0;
+    // Steps that changed nothing: duplicate inserts, absent deletes.
+    let (mut duplicates, mut absent) = (0, 0);
+    for step in 0..200 {
+        let before = shared.epoch();
+        let outcome = if step == 100 {
+            let schema = TableSchema::new("Extra", ["k", "v"]);
+            model.insert("Extra".into(), (schema.clone(), BTreeSet::new()));
+            shared.create_table(schema).unwrap()
+        } else {
+            let names: Vec<String> = model.keys().cloned().collect();
+            let name = &names[rng.below(names.len())];
+            let (schema, rows) = model.get_mut(name).unwrap();
+            let existing = (!rows.is_empty() && rng.below(3) > 0)
+                .then(|| rows.iter().nth(rng.below(rows.len())).unwrap().clone());
+            let insert = rng.below(2) == 0;
+            // Inserts re-add a present row a third of the time (a
+            // duplicate); deletes mostly hit a present row, else an
+            // absent one.
+            let row = match existing {
+                Some(row) if !insert || rng.below(2) == 0 => row,
+                _ => random_row(&mut rng, schema, &mut fresh),
+            };
+            let batch = std::slice::from_ref(&row);
+            let (outcome, changed) = if insert {
+                (shared.insert_rows(name, batch).unwrap(), rows.insert(row))
+            } else {
+                (shared.delete_rows(name, batch).unwrap(), rows.remove(&row))
+            };
+            assert_eq!(outcome.applied, u64::from(changed), "step {step}");
+            if !changed {
+                *(if insert { &mut duplicates } else { &mut absent }) += 1;
+            }
+            outcome
+        };
+        let epoch = shared.epoch();
+        assert_eq!(outcome.fingerprint, epoch.fingerprint, "step {step}");
+        assert_eq!(epoch.generation, before.generation + 1);
+        for (name, (_, rows)) in &model {
+            let stored = epoch.db.relation(name).unwrap().resolved();
+            assert_eq!(stored.tuples(), rows, "step {step}: {name}");
+        }
+        assert_eq!(
+            epoch.fingerprint,
+            fresh_fingerprint(&model),
+            "step {step}: delta fingerprint drifted from a fresh load"
+        );
+        if step == 100 {
+            assert_eq!(epoch.catalog.len(), 4);
+        } else {
+            assert!(Arc::ptr_eq(&before.catalog, &epoch.catalog), "step {step}");
+        }
 
-    // The same end state, built directly and loaded fresh.
-    let mut db = demo_database();
-    db.insert_rows("Sailor", &horatio).unwrap();
-    db.delete_rows("Boat", &green).unwrap();
-    let fresh = Arc::new(EngineShared::new(db));
-
-    let a = mutated.epoch();
-    let b = fresh.epoch();
-    assert_eq!(a.fingerprint, b.fingerprint, "delta fingerprint drifted");
-    assert_eq!(a.generation, 2);
-    assert_eq!(b.generation, 0);
-    // Insert/delete deltas reuse the previous epoch's catalog Arc.
-    assert_eq!(a.catalog.len(), 3);
+        // A row inserted and deleted again leaves the content, and so
+        // the fingerprint, where it was.
+        if step % 10 == 0 {
+            let (name, (schema, _)) = model.iter().nth(rng.below(model.len())).unwrap();
+            let mut row = random_row(&mut rng, schema, &mut fresh);
+            row.0[0] = Value::str(format!("undo-{step}"));
+            let batch = std::slice::from_ref(&row);
+            let inserted = shared.insert_rows(name, batch).unwrap();
+            assert_eq!(inserted.applied, 1);
+            assert_ne!(inserted.fingerprint, epoch.fingerprint, "step {step}");
+            let deleted = shared.delete_rows(name, batch).unwrap();
+            assert_eq!(deleted.applied, 1);
+            assert_eq!(deleted.fingerprint, epoch.fingerprint, "step {step}");
+        }
+    }
+    assert!(duplicates > 0 && absent > 0 && fresh > 0, "{duplicates} {absent} {fresh}");
 }
 
 /// Every counter a session and its three caches keep, after each step of
