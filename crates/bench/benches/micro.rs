@@ -302,6 +302,26 @@ fn bench_delta_mutation_cache(c: &mut Criterion) {
     };
     bench_interleaved("delta_mutation_cache/after_unrelated_mutation", "U", 1);
     bench_interleaved("delta_mutation_cache/after_touching_mutation", "R", 2);
+
+    // The mutation alone, with no query: one insert and one delete of a
+    // fresh row in a 20 000-row relation. Each delta clones the touched
+    // relation (the previous epoch still shares it) and fingerprints the
+    // new epoch.
+    let mut big = fixture.clone();
+    big.push_str("Big(A, B):\n");
+    for i in 0..20_000 {
+        big.push_str(&format!("  ({i}, 'v{}')\n", i % 1000));
+    }
+    let shared = EngineShared::new(parse_fixture(&big).unwrap());
+    let mut next = 1_000_000i64;
+    c.bench_function("delta_mutation_cache/insert_delete_20k_rows", |b| {
+        b.iter(|| {
+            next += 1;
+            let rows = [Tuple(vec![Value::int(next), Value::str("fresh")])];
+            shared.insert_rows("Big", black_box(&rows)).unwrap();
+            shared.delete_rows("Big", black_box(&rows)).unwrap()
+        })
+    });
 }
 
 /// The cost-based join orderer's headline case: a skewed three-way
