@@ -14,9 +14,11 @@ use crate::stats::TableStats;
 use crate::symbol::SymbolTable;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A tuple: an ordered list of values. Attribute names live in the schema
 /// (the "set-of-mappings" view of §3.1 is recovered by pairing a tuple with
@@ -92,13 +94,15 @@ impl fmt::Display for Tuple {
 /// results, literals under construction) have no handle and keep their
 /// values as given.
 ///
-/// Two caches derived from the tuple set ride along, both shared by
-/// clones and renames (same content) and rebuilt lazily after a
-/// mutation: per-column statistics ([`Relation::stats`]) and the batch
-/// executor's columnar copy with its join tables. Because a database
-/// snapshot holds its relations by `Arc`, every execution against one
-/// snapshot, on any thread, reuses the same columnar copy; a
-/// copy-on-write mutation drops it on the new snapshot only.
+/// Three values derived from the tuple set ride along, all shared by
+/// clones and renames (same content) and built lazily: per-column
+/// statistics ([`Relation::stats`]), the batch executor's columnar copy
+/// with its join tables, and the content digest behind
+/// [`Database::fingerprint`]. Because a database snapshot holds its
+/// relations by `Arc`, every execution against one snapshot, on any
+/// thread, reuses the same columnar copy; a copy-on-write mutation drops
+/// it on the new snapshot only. The digest is never dropped: once built,
+/// every insert and remove adjusts it by the one tuple's hash.
 #[derive(Debug)]
 pub struct Relation {
     schema: TableSchema,
@@ -120,6 +124,12 @@ pub struct Relation {
     /// executor ([`Relation::columnar`]): `None` until first read or
     /// after a mutation that changed the tuple set.
     columnar: Mutex<Option<Arc<Columnar>>>,
+    /// The content digest: the wrapping sum of [`Relation::tuple_digest`]
+    /// over the tuples. Unset until first read (result relations never
+    /// pay for it); once set, [`Relation::insert`] adds and
+    /// [`Relation::remove`] subtracts the tuple's hash. It hashes
+    /// resolved values, so re-interning keeps it.
+    digest: OnceLock<u64>,
 }
 
 impl Clone for Relation {
@@ -131,6 +141,7 @@ impl Clone for Relation {
             intern_on_insert: self.intern_on_insert,
             stats: Mutex::new(self.stats.lock().expect("stats lock").clone()),
             columnar: Mutex::new(self.shared_columnar()),
+            digest: self.digest.clone(),
         }
     }
 }
@@ -145,6 +156,7 @@ impl Relation {
             intern_on_insert: false,
             stats: Mutex::new(None),
             columnar: Mutex::new(None),
+            digest: OnceLock::new(),
         }
     }
 
@@ -264,6 +276,8 @@ impl Relation {
                 actual: tuple.arity(),
             });
         }
+        // Hashed as given: a `Str` needs no resolving.
+        let hash = self.digest.get().map(|_| self.tuple_digest(&tuple));
         let tuple = match &self.symbols {
             Some(symbols) if tuple.iter().any(|v| matches!(v, Value::Str(_))) => {
                 if self.intern_on_insert {
@@ -291,6 +305,9 @@ impl Relation {
         let new = self.tuples.insert(tuple);
         if new {
             self.drop_columnar();
+            if let (Some(sum), Some(hash)) = (self.digest.get_mut(), hash) {
+                *sum = sum.wrapping_add(hash);
+            }
         }
         Ok(new)
     }
@@ -376,6 +393,7 @@ impl Relation {
                 intern_on_insert: false,
                 stats: Mutex::new(None),
                 columnar: Mutex::new(None),
+                digest: OnceLock::new(),
             },
         }
     }
@@ -396,6 +414,11 @@ impl Relation {
             // the next planner read rebuild in one scan.
             *self.stats.get_mut().expect("stats lock") = None;
             self.drop_columnar();
+            if self.digest.get().is_some() {
+                let hash = self.tuple_digest(tuple);
+                let sum = self.digest.get_mut().expect("checked above");
+                *sum = sum.wrapping_sub(hash);
+            }
         }
         removed
     }
@@ -448,6 +471,34 @@ impl Relation {
             .unwrap_or_else(PoisonError::into_inner) = None;
     }
 
+    /// The content digest (see the `digest` field), built in one pass on
+    /// first call.
+    fn digest(&self) -> u64 {
+        *self.digest.get_or_init(|| {
+            self.tuples
+                .iter()
+                .fold(0u64, |sum, t| sum.wrapping_add(self.tuple_digest(t)))
+        })
+    }
+
+    /// One tuple's hash over its resolved values: a `Sym` hashes as the
+    /// string it stands for, exactly like the `Str` it was interned
+    /// from, so the digest depends on neither interning order nor
+    /// representation. (A `Sym` with no table to resolve it through
+    /// hashes as its id.)
+    fn tuple_digest(&self, tuple: &Tuple) -> u64 {
+        let mut h = DefaultHasher::new();
+        for v in tuple.iter() {
+            match (v, &self.symbols) {
+                (Value::Int(i), _) => (0u8, i).hash(&mut h),
+                (Value::Str(s), _) => (1u8, s.as_str()).hash(&mut h),
+                (Value::Sym(id), Some(symbols)) => (1u8, &*symbols.resolve(*id)).hash(&mut h),
+                (Value::Sym(id), None) => (2u8, id).hash(&mut h),
+            }
+        }
+        h.finish()
+    }
+
     /// Approximate in-memory size of the tuple set — the weight used by
     /// size-aware cache admission.
     pub fn approx_bytes(&self) -> usize {
@@ -468,10 +519,11 @@ impl Relation {
             tuples: self.tuples.clone(),
             symbols: self.symbols.clone(),
             intern_on_insert: self.intern_on_insert,
-            // Same tuple set, so the cached stats and columnar copy
-            // stay valid.
+            // Same tuple set, so the cached stats, columnar copy and
+            // digest stay valid.
             stats: Mutex::new(self.stats.lock().expect("stats lock").clone()),
             columnar: Mutex::new(self.shared_columnar()),
+            digest: self.digest.clone(),
         })
     }
 }
@@ -745,6 +797,7 @@ impl Database {
             intern_on_insert: false,
             stats: Mutex::new(None),
             columnar: Mutex::new(None),
+            digest: OnceLock::new(),
         }
     }
 
@@ -811,54 +864,23 @@ impl Database {
     }
 
     /// A 64-bit content fingerprint: two databases with the same schemas
-    /// and (resolved) tuple sets hash equal — regardless of interning
-    /// order, because tuples are hashed in their resolved string form,
-    /// re-sorted per relation. Computed once per load/reload, it keys
-    /// in-memory result caches and lets a service tell reloads apart; it
-    /// is not a persistent checksum.
-    ///
-    /// Defined as [`combine_fingerprints`] over the per-relation
-    /// [`Database::relation_fingerprint`] digests (in name order), so a
-    /// caller tracking single-relation deltas can maintain the same
-    /// value incrementally — rehash only the touched relation and
-    /// re-combine — instead of rehashing every row of the database.
+    /// and (resolved) tuple sets hash equal, regardless of interning
+    /// order or representation. It hashes each relation's schema,
+    /// cardinality and content digest, in name order; a digest is built
+    /// once per relation and kept current by every insert and remove, so
+    /// fingerprinting a snapshot after a mutation costs O(#relations).
+    /// It lets a service tell database versions apart; it is not a
+    /// persistent checksum.
     pub fn fingerprint(&self) -> u64 {
-        combine_fingerprints(
-            self.relations.len(),
-            self.relations
-                .values()
-                .map(|r| self.relation_fingerprint(r)),
-        )
-    }
-
-    /// The per-relation digest [`Database::fingerprint`] is built from:
-    /// schema, cardinality, and the resolved (string-form) tuple set.
-    pub fn relation_fingerprint(&self, rel: &Relation) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        rel.schema().hash(&mut h);
-        rel.len().hash(&mut h);
-        let mut rows: Vec<Tuple> = rel.iter().map(|t| self.resolve_tuple(t)).collect();
-        rows.sort_unstable();
-        for t in rows {
-            t.hash(&mut h);
+        let mut h = DefaultHasher::new();
+        self.relations.len().hash(&mut h);
+        for rel in self.relations.values() {
+            rel.schema().hash(&mut h);
+            rel.len().hash(&mut h);
+            rel.digest().hash(&mut h);
         }
         h.finish()
     }
-}
-
-/// Folds per-relation digests (in relation-name order) plus the relation
-/// count into one database fingerprint — the combination step of
-/// [`Database::fingerprint`], exposed so delta-tracking callers can
-/// recombine cached digests after a single-relation change.
-pub fn combine_fingerprints(count: usize, prints: impl Iterator<Item = u64>) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    count.hash(&mut h);
-    for p in prints {
-        p.hash(&mut h);
-    }
-    h.finish()
 }
 
 /// Content equality over the relation map (delegates to the resolving

@@ -48,7 +48,7 @@ pub mod trace;
 pub mod value;
 
 pub use cmp::CmpOp;
-pub use database::{combine_fingerprints, Database, Relation, Tuple};
+pub use database::{Database, Relation, Tuple};
 pub use error::{CoreError, CoreResult};
 pub use generate::{enumerate_databases, DbGenerator, ExhaustiveDbIter};
 pub use plan::{PlanHints, PlannerOpts};

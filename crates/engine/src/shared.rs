@@ -256,16 +256,9 @@ pub struct DbEpoch {
     /// recorded generation still matches.
     pub rel_gens: Arc<BTreeMap<String, u64>>,
     /// Content fingerprint of `db` (diagnostic; see
-    /// [`Database::fingerprint`]). Maintained *incrementally*: a delta
-    /// epoch rehashes only the touched relations' digests
-    /// (`rel_prints`) and recombines, so the value
-    /// always equals what a fresh load of the same content would
-    /// compute without paying O(database) per mutation.
+    /// [`Database::fingerprint`], which costs O(#relations) once each
+    /// relation's digest is built).
     pub fingerprint: u64,
-    /// Per-relation content digests backing the incremental
-    /// [`fingerprint`](Self::fingerprint)
-    /// (see [`Database::relation_fingerprint`]).
-    rel_prints: Arc<BTreeMap<String, u64>>,
 }
 
 impl DbEpoch {
@@ -273,58 +266,42 @@ impl DbEpoch {
     /// the new global generation.
     fn new(db: Database, generation: u64) -> Self {
         let catalog = Arc::new(db.catalog());
-        let rel_prints: BTreeMap<String, u64> = db
-            .iter()
-            .map(|r| (r.name().to_string(), db.relation_fingerprint(r)))
-            .collect();
-        let fingerprint =
-            rd_core::combine_fingerprints(rel_prints.len(), rel_prints.values().copied());
         let rel_gens = db
             .iter()
             .map(|r| (r.name().to_string(), generation))
             .collect();
         DbEpoch {
-            db: Arc::new(db),
             catalog,
             generation,
             base: generation,
             rel_gens: Arc::new(rel_gens),
-            fingerprint,
-            rel_prints: Arc::new(rel_prints),
+            fingerprint: db.fingerprint(),
+            db: Arc::new(db),
         }
     }
 
     /// Delta epoch: same base, bumped generation, and only the touched
-    /// relations' generations (and content digests) moved forward.
+    /// relations' generations moved forward.
     /// Insert/delete deltas never change the schema set, so the catalog
     /// is rebuilt only when the mutation added a table.
     fn delta(prev: &DbEpoch, db: Database, touched: &[&str]) -> Self {
         let generation = prev.generation + 1;
         let mut rel_gens = (*prev.rel_gens).clone();
-        let mut rel_prints = (*prev.rel_prints).clone();
         for name in touched {
             rel_gens.insert((*name).to_string(), generation);
-            if let Some(rel) = db.relation(name) {
-                rel_prints.insert((*name).to_string(), db.relation_fingerprint(rel));
-            } else {
-                rel_prints.remove(*name);
-            }
         }
-        let fingerprint =
-            rd_core::combine_fingerprints(rel_prints.len(), rel_prints.values().copied());
         let catalog = if db.len() == prev.catalog.len() {
             prev.catalog.clone()
         } else {
             Arc::new(db.catalog())
         };
         DbEpoch {
-            db: Arc::new(db),
             catalog,
             generation,
             base: prev.base,
             rel_gens: Arc::new(rel_gens),
-            fingerprint,
-            rel_prints: Arc::new(rel_prints),
+            fingerprint: db.fingerprint(),
+            db: Arc::new(db),
         }
     }
 
