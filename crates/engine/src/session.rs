@@ -2,8 +2,8 @@
 
 use crate::request::{DiagramFormat, ExplainResponse, QueryRequest, QueryResponse, Translations};
 use crate::shared::{
-    canonical_key, parse_key, CacheKey, DbEpoch, EngineShared, Lookup, ParseEntry, SharedConfig,
-    Stored, Views, DEFAULT_PARSE_CACHE_CAPACITY,
+    canonical_key, parse_key, CacheKey, DbEpoch, EngineShared, Lookup, ParseEntry, Scans,
+    SharedConfig, Stored, Views, DEFAULT_PARSE_CACHE_CAPACITY,
 };
 use crate::{Artifact, Language};
 use rd_core::exec::{self, Plan};
@@ -129,7 +129,7 @@ impl SessionStats {
 
     /// Counts one plan- or result-cache lookup as the table on
     /// [`Lookup`] says, and hands back the value of a hit.
-    fn lookup<V>(&mut self, tier: Tier, lookup: Lookup<V>) -> Option<V> {
+    fn lookup<V>(&mut self, tier: Tier, lookup: Lookup<V>) -> Option<(V, Scans)> {
         let (hits, misses) = match tier {
             Tier::Plan => (&mut self.plan_hits, &mut self.plan_misses),
             Tier::Result => (&mut self.eval_hits, &mut self.eval_misses),
@@ -141,10 +141,14 @@ impl SessionStats {
                 self.delta_invalidations += u64::from(stale);
                 None
             }
-            Lookup::Hit { value, survived } => {
+            Lookup::Hit {
+                value,
+                scans,
+                survived,
+            } => {
                 *hits += 1;
                 self.delta_survivals += u64::from(survived);
-                Some(value)
+                Some((value, scans))
             }
         }
     }
@@ -391,16 +395,16 @@ impl Session {
     ) -> CoreResult<(Arc<Relation>, bool, Option<f64>)> {
         let key = canonical_key(epoch, artifact.language(), canonical);
         let cached = self.shared.eval_cache.lookup(&key, canonical, epoch);
-        if let Some(relation) = self.stats.lookup(Tier::Result, cached) {
+        if let Some((relation, _)) = self.stats.lookup(Tier::Result, cached) {
             return Ok((relation, true, None));
         }
-        let plan = self.plan(epoch, artifact, canonical, key, spans)?;
+        let (plan, mut scans) = self.plan(epoch, artifact, canonical, key, spans)?;
         let (raw, feedback) = exec::execute_feedback(&plan, &epoch.db, exec::ExecOptions)?;
         let relation = Arc::new(epoch.db.resolve_relation(&raw));
-        let stored = self
-            .shared
-            .eval_cache
-            .store(key, canonical, relation.clone(), &plan, epoch);
+        let stored =
+            self.shared
+                .eval_cache
+                .store(key, canonical, relation.clone(), &plan, &mut scans, epoch);
         self.stats.stored(Tier::Result, stored);
         // The root q-error: the planner's estimate for the whole result
         // against the rows it produced.
@@ -410,9 +414,10 @@ impl Session {
 
     /// Fetches (or compiles and caches) the artifact's executable plan
     /// through the shared plan cache, under the result cache's `key` for
-    /// the same `canonical` text. Failed compiles are not cached (error
-    /// traffic must not evict good plans). Pushes a `plan` span onto
-    /// `spans` when tracing.
+    /// the same `canonical` text, with the plan's scan stamp if one was
+    /// taken: a hit's just-validated stamp, or the one stored with a
+    /// fresh plan. Failed compiles are not cached (error traffic must not
+    /// evict good plans). Pushes a `plan` span onto `spans` when tracing.
     fn plan(
         &mut self,
         epoch: &DbEpoch,
@@ -420,25 +425,30 @@ impl Session {
         canonical: &str,
         key: CacheKey,
         spans: Option<&mut Vec<Span>>,
-    ) -> CoreResult<Arc<Plan>> {
+    ) -> CoreResult<(Arc<Plan>, Option<Scans>)> {
         let timed = spans.map(|spans| (spans, Instant::now()));
         let cached = self.shared.plan_cache.lookup(&key, canonical, epoch);
-        let plan = match self.stats.lookup(Tier::Plan, cached) {
-            Some(plan) => plan,
+        let (plan, scans) = match self.stats.lookup(Tier::Plan, cached) {
+            Some((plan, scans)) => (plan, Some(scans)),
             None => {
                 let plan = Arc::new(artifact.compile(&epoch.db)?);
-                let stored =
-                    self.shared
-                        .plan_cache
-                        .store(key, canonical, plan.clone(), &plan, epoch);
+                let mut scans = None;
+                let stored = self.shared.plan_cache.store(
+                    key,
+                    canonical,
+                    plan.clone(),
+                    &plan,
+                    &mut scans,
+                    epoch,
+                );
                 self.stats.stored(Tier::Plan, stored);
-                plan
+                (plan, scans)
             }
         };
         if let Some((spans, t)) = timed {
             spans.push(Span::new("plan", micros_since(t)));
         }
-        Ok(plan)
+        Ok((plan, scans))
     }
 
     /// Compiles (or fetches from the plan cache) the query's executable
@@ -475,7 +485,7 @@ impl Session {
         let (ParseEntry { artifact, .. }, cache_hit) = self.prepare(&epoch, language, text)?;
         let canonical = artifact.canonical_text();
         let key = canonical_key(&epoch, artifact.language(), &canonical);
-        let plan = self.plan(&epoch, &artifact, &canonical, key, None)?;
+        let (plan, _) = self.plan(&epoch, &artifact, &canonical, key, None)?;
         Ok(ExplainResponse {
             language: artifact.language(),
             plan: if analyze {

@@ -312,12 +312,14 @@ impl DbEpoch {
     }
 }
 
-/// Stamps a compiled plan's scan set against `epoch`: each relation it
+/// A compiled plan's scan set stamped against an epoch: each relation it
 /// reads, with the generation at which that relation last changed.
-/// Relations the epoch doesn't store (shadowed or since-dropped names)
-/// are pinned to the current generation, so any later change still
-/// invalidates.
-fn stamp_scans(plan: &Plan, epoch: &DbEpoch) -> Arc<[(String, u64)]> {
+pub(crate) type Scans = Arc<[(String, u64)]>;
+
+/// Stamps `plan`'s scan set against `epoch`. Relations the epoch doesn't
+/// store (shadowed or since-dropped names) are pinned to the current
+/// generation, so any later change still invalidates.
+fn stamp_scans(plan: &Plan, epoch: &DbEpoch) -> Scans {
     rd_core::exec::scan_set(plan)
         .into_iter()
         .map(|rel| {
@@ -401,7 +403,7 @@ struct Stamped<V> {
     bytes: usize,
     /// The plan's scan set with per-relation generations at compute
     /// time; a lookup serves the entry only while every one matches.
-    scans: Arc<[(String, u64)]>,
+    scans: Scans,
     /// Global generation at store: a hit against a newer epoch survived
     /// at least one delta mutation.
     born: u64,
@@ -423,9 +425,13 @@ pub(crate) enum Lookup<V> {
     /// No servable entry under the key; `stale` if there was one for
     /// this text whose scan set has changed since it was stored.
     Miss { stale: bool },
-    /// A servable entry; `survived` if a delta mutation came after it was
-    /// stored.
-    Hit { value: V, survived: bool },
+    /// A servable entry with its scan set, just validated against the
+    /// epoch; `survived` if a delta mutation came after it was stored.
+    Hit {
+        value: V,
+        scans: Scans,
+        survived: bool,
+    },
 }
 
 /// What a [`StampedCache::store`] did with a value.
@@ -473,6 +479,7 @@ impl<V: Clone> StampedCache<V> {
                     Lookup::Hit {
                         survived: entry.born < epoch.generation,
                         value: entry.value,
+                        scans: entry.scans,
                     }
                 } else {
                     Lookup::Miss { stale: true }
@@ -483,16 +490,19 @@ impl<V: Clone> StampedCache<V> {
     }
 
     /// Stores `value`, computed for `canonical` by `plan` against `epoch`,
-    /// under `key`, stamped with the plan's scan set. A value over the
-    /// admission threshold is not stored, and a cache that is off does no
-    /// work at all. A same-key replacement (two sessions racing one miss,
-    /// or a stale entry refreshed) is not an eviction.
+    /// under `key`, stamped with the plan's scan set. The stamp is taken
+    /// from `scans` or, if that is empty, computed and left there, so the
+    /// plan and result entries of one request share one stamp. A value
+    /// over the admission threshold is not stored, and a cache that is
+    /// off does no work at all. A same-key replacement (two sessions
+    /// racing one miss, or a stale entry refreshed) is not an eviction.
     pub fn store(
         &self,
         key: CacheKey,
         canonical: &str,
         value: V,
         plan: &Plan,
+        scans: &mut Option<Scans>,
         epoch: &DbEpoch,
     ) -> Stored {
         if !self.enabled {
@@ -506,7 +516,7 @@ impl<V: Clone> StampedCache<V> {
             canonical: canonical.into(),
             value,
             bytes,
-            scans: stamp_scans(plan, epoch),
+            scans: scans.get_or_insert_with(|| stamp_scans(plan, epoch)).clone(),
             born: epoch.generation,
         };
         match self.cache.insert(key, entry).1 {
@@ -899,6 +909,23 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.hits + s.misses, 8 * 500);
         assert!(c.len() <= 128);
+    }
+
+    #[test]
+    fn a_double_miss_stamps_its_scan_set_once() {
+        let shared = Arc::new(EngineShared::new(crate::demo_database()));
+        let text = "SELECT DISTINCT Sailor.sname FROM Sailor, Reserves \
+                    WHERE Sailor.sid = Reserves.sid";
+        let mut session = crate::Session::attach(shared.clone());
+        let req = crate::QueryRequest::new(Language::Sql, text);
+        assert!(!session.run(&req).unwrap().eval_cache_hit);
+        let epoch = shared.epoch();
+        let artifact = Artifact::prepare(Language::Sql, text, &epoch.catalog).unwrap();
+        let key = canonical_key(&epoch, Language::Sql, &artifact.canonical_text());
+        let plan = shared.plan_cache.cache.get(&key).unwrap();
+        let result = shared.eval_cache.cache.get(&key).unwrap();
+        assert_eq!(plan.scans.len(), 2);
+        assert!(Arc::ptr_eq(&plan.scans, &result.scans));
     }
 
     #[test]
