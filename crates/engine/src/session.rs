@@ -401,10 +401,14 @@ impl Session {
         let (plan, mut scans) = self.plan(epoch, artifact, canonical, key, spans)?;
         let (raw, feedback) = exec::execute_feedback(&plan, &epoch.db, exec::ExecOptions)?;
         let relation = Arc::new(epoch.db.resolve_relation(&raw));
-        let stored =
-            self.shared
-                .eval_cache
-                .store(key, canonical, relation.clone(), &plan, &mut scans, epoch);
+        let stored = self.shared.eval_cache.store(
+            key,
+            canonical,
+            relation.clone(),
+            &plan,
+            &mut scans,
+            epoch,
+        );
         self.stats.stored(Tier::Result, stored);
         // The root q-error: the planner's estimate for the whole result
         // against the rows it produced.

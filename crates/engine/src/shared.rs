@@ -516,7 +516,9 @@ impl<V: Clone> StampedCache<V> {
             canonical: canonical.into(),
             value,
             bytes,
-            scans: scans.get_or_insert_with(|| stamp_scans(plan, epoch)).clone(),
+            scans: scans
+                .get_or_insert_with(|| stamp_scans(plan, epoch))
+                .clone(),
             born: epoch.generation,
         };
         match self.cache.insert(key, entry).1 {

@@ -286,7 +286,10 @@ fn incremental_fingerprint_matches_a_fresh_load() {
             assert_eq!(deleted.fingerprint, epoch.fingerprint, "step {step}");
         }
     }
-    assert!(duplicates > 0 && absent > 0 && fresh > 0, "{duplicates} {absent} {fresh}");
+    assert!(
+        duplicates > 0 && absent > 0 && fresh > 0,
+        "{duplicates} {absent} {fresh}"
+    );
 }
 
 /// Every counter a session and its three caches keep, after each step of

@@ -29,7 +29,7 @@
 //!   `rows-end` frames above a configurable row threshold.
 //! * **Reactor** ([`reactor`], [`server`], [`conn`]): sharded
 //!   run-to-completion threads — the build is offline, so no async
-//!   runtime; `epoll` and `poll(2)` are reached through thin
+//!   runtime; `epoll` is reached through thin
 //!   `extern "C"` bindings and everything else is nonblocking
 //!   `std::net`. An acceptor thread routes each socket to the
 //!   least-loaded shard. Each shard is one `epoll` instance and a slice

@@ -1,70 +1,27 @@
-//! Readiness primitives for the shard threads: thin `extern "C"` bindings
-//! to `poll(2)` and `epoll(7)` plus a pipe-based cross-thread waker.
+//! Readiness primitives for the acceptor and the shard threads: thin
+//! `extern "C"` bindings to `epoll(7)` plus a pipe-based cross-thread
+//! waker.
 //!
 //! The build environment is offline — no mio, no tokio — but `std`
 //! already links libc on every tier-1 unix target, so declaring the
-//! syscalls the reactors need (`poll`, `epoll_create1`/`epoll_ctl`/
-//! `epoll_wait`, `pipe`, `fcntl`) costs nothing and keeps the server
-//! dependency-free. Everything else (nonblocking socket reads/writes)
-//! goes through `std::net` with `set_nonblocking(true)`.
+//! syscalls the reactors need (`epoll_create1`/`epoll_ctl`/`epoll_wait`,
+//! `pipe`, `fcntl`) costs nothing and keeps the server dependency-free.
+//! Everything else (nonblocking socket reads/writes) goes through
+//! `std::net` with `set_nonblocking(true)`.
 //!
-//! Two readiness APIs coexist on purpose:
-//!
-//! * [`poll`] rebuilds its whole interest set per call — O(n) per
-//!   wakeup, but allocation-free and portable. The acceptor thread
-//!   still uses it: its set is two fds (listener + waker).
-//! * [`Epoll`] keeps registrations *in the kernel* — `add` once per
-//!   connection, `modify` to change or re-arm it, and each `wait`
-//!   returns just the ready fds. The shard threads share one instance
-//!   per shard and register connections [`EPOLLONESHOT`], so a ready
-//!   connection is handed to exactly one thread, and per-wakeup work
-//!   scales with readiness, not with the total connection count.
+//! [`Epoll`] keeps registrations *in the kernel* — `add` once per fd,
+//! `modify` to change or re-arm it, and each `wait` returns just the
+//! ready fds. The acceptor waits on its own instance holding the
+//! listener and its waker. The shard threads share one instance per
+//! shard and register connections [`EPOLLONESHOT`], so a ready
+//! connection is handed to exactly one thread, and per-wakeup work
+//! scales with readiness, not with the total connection count.
 
 use std::io;
 use std::os::unix::io::RawFd;
 
-/// Readable readiness (data, EOF, or a pending accept).
-pub const POLLIN: i16 = 0x001;
-/// Writable readiness (the socket send buffer has room).
-pub const POLLOUT: i16 = 0x004;
-/// Error condition (revents only).
-pub const POLLERR: i16 = 0x008;
-/// Peer hung up (revents only).
-pub const POLLHUP: i16 = 0x010;
-/// Invalid fd (revents only).
-pub const POLLNVAL: i16 = 0x020;
-
-/// One entry of a `poll(2)` set — layout-compatible with `struct pollfd`
-/// on Linux (and every other unix libc).
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct PollFd {
-    /// The file descriptor to watch.
-    pub fd: RawFd,
-    /// Requested events (`POLLIN` / `POLLOUT`).
-    pub events: i16,
-    /// Returned events, filled in by the kernel.
-    pub revents: i16,
-}
-
-impl PollFd {
-    /// A watch for `events` on `fd`.
-    pub fn new(fd: RawFd, events: i16) -> PollFd {
-        PollFd {
-            fd,
-            events,
-            revents: 0,
-        }
-    }
-
-    /// `true` if the kernel reported any of `mask` (or an error/hangup,
-    /// which the caller must discover via the subsequent read/write).
-    pub fn ready(&self, mask: i16) -> bool {
-        self.revents & (mask | POLLERR | POLLHUP | POLLNVAL) != 0
-    }
-}
-
-/// Readable readiness for [`Epoll`] registrations.
+/// Readable readiness for [`Epoll`] registrations (data, EOF, or a
+/// pending accept).
 pub const EPOLLIN: u32 = 0x001;
 /// Writable readiness for [`Epoll`] registrations.
 pub const EPOLLOUT: u32 = 0x004;
@@ -110,11 +67,10 @@ impl EpollEvent {
 }
 
 mod sys {
-    use super::{EpollEvent, PollFd};
-    use std::os::raw::{c_int, c_ulong, c_void};
+    use super::EpollEvent;
+    use std::os::raw::{c_int, c_void};
 
     extern "C" {
-        pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
         pub fn pipe(fds: *mut c_int) -> c_int;
         pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
@@ -143,11 +99,11 @@ mod sys {
 
 /// A level-triggered `epoll` instance with persistent registrations.
 ///
-/// Unlike [`poll`], the interest set lives in the kernel: register a fd
-/// once ([`Epoll::add`]), adjust or re-arm it ([`Epoll::modify`]), and
-/// every [`Epoll::wait`] returns only the fds that are ready. Closing a registered fd removes
-/// it implicitly; [`Epoll::delete`] exists for explicit deregistration
-/// while the fd stays open.
+/// The interest set lives in the kernel: register a fd once
+/// ([`Epoll::add`]), adjust or re-arm it ([`Epoll::modify`]), and every
+/// [`Epoll::wait`] returns only the fds that are ready. Closing a
+/// registered fd removes it implicitly; [`Epoll::delete`] exists for
+/// explicit deregistration while the fd stays open.
 pub struct Epoll {
     fd: RawFd,
 }
@@ -233,29 +189,11 @@ impl Drop for Epoll {
 unsafe impl Send for Epoll {}
 unsafe impl Sync for Epoll {}
 
-/// Blocks until at least one fd in `fds` is ready or `timeout_ms`
-/// elapses (`-1` = wait forever, `0` = poll and return). Returns the
-/// number of ready entries; `EINTR` is retried internally.
-pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-    loop {
-        let rc = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-        if rc >= 0 {
-            return Ok(rc as usize);
-        }
-        let err = io::Error::last_os_error();
-        if err.kind() != io::ErrorKind::Interrupted {
-            return Err(err);
-        }
-        // EINTR: retry with the same timeout — the loop's own deadline
-        // arithmetic absorbs the (rare, bounded) extra wait.
-    }
-}
-
-/// Wakes a thread blocked in [`poll`] or [`Epoll::wait`] from another
-/// thread.
+/// Wakes a thread blocked in [`Epoll::wait`] from another thread.
 ///
-/// The classic self-pipe trick: the waiting thread polls the read end
-/// for `POLLIN`; any thread calls [`Waker::wake`] to write one byte.
+/// The classic self-pipe trick: the waiting thread registers the read
+/// end for [`EPOLLIN`]; any thread calls [`Waker::wake`] to write one
+/// byte.
 /// Both ends are nonblocking, so a full pipe (many pending wakes)
 /// degrades to a no-op — the waiter is already guaranteed to wake.
 pub struct Waker {
@@ -331,45 +269,28 @@ mod tests {
     use std::time::{Duration, Instant};
 
     #[test]
-    fn poll_times_out_with_nothing_ready() {
+    fn epoll_times_out_with_nothing_ready() {
         let waker = Waker::new().unwrap();
-        let mut fds = [PollFd::new(waker.read_fd(), POLLIN)];
+        let epoll = Epoll::new().unwrap();
+        epoll.add(waker.read_fd(), EPOLLIN, 0).unwrap();
+        let mut events = [EpollEvent::zeroed(); 4];
         let start = Instant::now();
-        let n = poll(&mut fds, 50).unwrap();
-        assert_eq!(n, 0);
+        assert_eq!(epoll.wait(&mut events, 50).unwrap(), 0);
         assert!(start.elapsed() >= Duration::from_millis(40));
-    }
-
-    #[test]
-    fn waker_wakes_poll_from_another_thread() {
-        let waker = std::sync::Arc::new(Waker::new().unwrap());
-        let w = waker.clone();
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            w.wake();
-        });
-        let mut fds = [PollFd::new(waker.read_fd(), POLLIN)];
-        let n = poll(&mut fds, 5_000).unwrap();
-        assert_eq!(n, 1);
-        assert!(fds[0].ready(POLLIN));
-        waker.drain();
-        // Drained: an immediate re-poll reports nothing.
-        fds[0].revents = 0;
-        assert_eq!(poll(&mut fds, 0).unwrap(), 0);
-        handle.join().unwrap();
     }
 
     #[test]
     fn repeated_wakes_coalesce_without_blocking() {
         let waker = Waker::new().unwrap();
+        let epoll = Epoll::new().unwrap();
+        epoll.add(waker.read_fd(), EPOLLIN, 0).unwrap();
         for _ in 0..100_000 {
             waker.wake(); // fills the pipe; must never block or panic
         }
-        let mut fds = [PollFd::new(waker.read_fd(), POLLIN)];
-        assert_eq!(poll(&mut fds, 0).unwrap(), 1);
+        let mut events = [EpollEvent::zeroed(); 4];
+        assert_eq!(epoll.wait(&mut events, 0).unwrap(), 1);
         waker.drain();
-        fds[0].revents = 0;
-        assert_eq!(poll(&mut fds, 0).unwrap(), 0);
+        assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
     }
 
     #[test]
@@ -390,6 +311,7 @@ mod tests {
         let (server_side, _) = listener.accept().unwrap();
         server_side.set_nonblocking(true).unwrap();
         epoll.add(server_side.as_raw_fd(), EPOLLIN, 42).unwrap();
+        assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0, "no data yet");
         client.write_all(b"hi").unwrap();
         // Both the listener (drained) and the conn report correctly.
         let n = epoll.wait(&mut events, 5_000).unwrap();
@@ -435,21 +357,5 @@ mod tests {
         waker.drain();
         assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0, "drained");
         handle.join().unwrap();
-    }
-
-    #[test]
-    fn socket_readiness_via_poll() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut fds = [PollFd::new(listener.as_raw_fd(), POLLIN)];
-        assert_eq!(poll(&mut fds, 0).unwrap(), 0, "no pending accept yet");
-        let mut client = TcpStream::connect(addr).unwrap();
-        assert_eq!(poll(&mut fds, 5_000).unwrap(), 1, "accept pending");
-        let (server_side, _) = listener.accept().unwrap();
-        server_side.set_nonblocking(true).unwrap();
-        let mut conn_fds = [PollFd::new(server_side.as_raw_fd(), POLLIN)];
-        assert_eq!(poll(&mut conn_fds, 0).unwrap(), 0, "no data yet");
-        client.write_all(b"hi").unwrap();
-        assert_eq!(poll(&mut conn_fds, 5_000).unwrap(), 1, "data readable");
     }
 }

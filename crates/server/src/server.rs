@@ -4,7 +4,7 @@
 //! answering every request on the thread that read it.
 //!
 //! ```text
-//!             ┌─ acceptor: poll(2) on {listener, waker} ─┐
+//!             ┌─ acceptor: epoll on {listener, waker} ───┐
 //!   accept ──▶│  route least-loaded ──▶ register with    │
 //!             │                         the shard's epoll│
 //!             └───────────┬──────────────────┬───────────┘
@@ -53,8 +53,7 @@ use crate::protocol::{
     QueryResult, Request, RequestId, Response, ShardBreakdown, StageLatency, StatsResult,
 };
 use crate::reactor::{
-    self, Epoll, EpollEvent, PollFd, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLONESHOT, EPOLLOUT,
-    POLLIN,
+    Epoll, EpollEvent, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLONESHOT, EPOLLOUT,
 };
 use rd_core::trace::Histogram;
 use rd_core::{Database, Tuple, Value};
@@ -1034,23 +1033,24 @@ fn one_malloc_arena() {
     }
 }
 
-/// The acceptor: a two-fd `poll` loop (shutdown waker + listener) that
-/// routes each accepted socket to the least-loaded shard. This is the
-/// only cross-shard decision on the connection path, and it happens
-/// once per connection — never per request.
+/// The acceptor: an `epoll` loop over two fds (shutdown waker +
+/// listener) that routes each accepted socket to the least-loaded shard.
+/// This is the only cross-shard decision on the connection path, and it
+/// happens once per connection — never per request.
 fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) -> std::io::Result<()> {
+    const LISTENER_TOKEN: u64 = 0;
+    let epoll = Epoll::new()?;
+    epoll.add(state.accept_waker.read_fd(), EPOLLIN, WAKER_TOKEN)?;
+    epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
+    let mut events = [EpollEvent::zeroed(); 2];
     let mut rotate = 0usize;
     loop {
-        let mut pfds = [
-            PollFd::new(state.accept_waker.read_fd(), POLLIN),
-            PollFd::new(listener.as_raw_fd(), POLLIN),
-        ];
-        reactor::poll(&mut pfds, -1)?;
+        let ready = epoll.wait(&mut events, -1)?;
         state.accept_waker.drain();
         if state.shutdown.load(Ordering::SeqCst) {
             return Ok(());
         }
-        if pfds[1].ready(POLLIN) {
+        if events[..ready].iter().any(|e| e.token() == LISTENER_TOKEN) {
             accept_all(listener, state, &mut rotate)?;
         }
     }
