@@ -305,8 +305,8 @@ impl Relation {
         let new = self.tuples.insert(tuple);
         if new {
             self.drop_columnar();
-            if let (Some(sum), Some(hash)) = (self.digest.get_mut(), hash) {
-                *sum = sum.wrapping_add(hash);
+            if let (Some(&sum), Some(hash)) = (self.digest.get(), hash) {
+                self.digest = OnceLock::from(sum.wrapping_add(hash));
             }
         }
         Ok(new)
@@ -414,10 +414,8 @@ impl Relation {
             // the next planner read rebuild in one scan.
             *self.stats.get_mut().expect("stats lock") = None;
             self.drop_columnar();
-            if self.digest.get().is_some() {
-                let hash = self.tuple_digest(tuple);
-                let sum = self.digest.get_mut().expect("checked above");
-                *sum = sum.wrapping_sub(hash);
+            if let Some(&sum) = self.digest.get() {
+                self.digest = OnceLock::from(sum.wrapping_sub(self.tuple_digest(tuple)));
             }
         }
         removed

@@ -379,8 +379,15 @@ const MAX_BATCH: usize = 64;
 /// next readiness, the other stands by, so a long turn never stalls the
 /// shard and the steady state wakes no parked thread. Capping it keeps
 /// a lock-step connection on one or two threads instead of wandering
-/// over all of them (see [`one_malloc_arena`] for what that cost in
-/// memory before every thread shared one arena).
+/// over all of them, which saves memory even with one malloc arena
+/// ([`one_malloc_arena`]). With the cap lifted (every idle thread
+/// waiting on epoll), median peak RSS over three alternating 20 s
+/// svcbench pairs (seed 1, 2-vCPU VM) rose on `editor_feedback` by 8.5%
+/// (6.98 → 7.57 MB) in one set of runs and by 3.0% (6.94 → 7.15 MB) in
+/// another, against the benchmark's 10% bound; on `hot_cached` by 2–3%,
+/// and on `cold_analytic` by at most 2%. The likely cause, not verified,
+/// is that each extra thread that runs requests keeps its touched stack
+/// pages and its malloc thread cache resident.
 const POLLERS: usize = 2;
 
 /// Where a shard's threads are: `awake` ones wait on the epoll instance
