@@ -320,6 +320,34 @@ mod tests {
     }
 
     #[test]
+    fn socket_readiness_via_poll() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let accepts = Epoll::new().unwrap();
+        accepts.add(listener.as_raw_fd(), EPOLLIN, 0).unwrap();
+        let mut events = [EpollEvent::zeroed(); 4];
+        assert_eq!(
+            accepts.wait(&mut events, 0).unwrap(),
+            0,
+            "no pending accept yet"
+        );
+        let mut client = TcpStream::connect(addr).unwrap();
+        assert_eq!(
+            accepts.wait(&mut events, 5_000).unwrap(),
+            1,
+            "accept pending"
+        );
+        let (server_side, _) = listener.accept().unwrap();
+        server_side.set_nonblocking(true).unwrap();
+        let conns = Epoll::new().unwrap();
+        conns.add(server_side.as_raw_fd(), EPOLLIN, 1).unwrap();
+        assert_eq!(conns.wait(&mut events, 0).unwrap(), 0, "no data yet");
+        client.write_all(b"hi").unwrap();
+        assert_eq!(conns.wait(&mut events, 5_000).unwrap(), 1, "data readable");
+        assert!(events[0].events() & EPOLLIN != 0);
+    }
+
+    #[test]
     fn epoll_modify_and_delete_change_the_kernel_interest_set() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -356,6 +384,31 @@ mod tests {
         assert_eq!(events[0].token(), u64::MAX);
         waker.drain();
         assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0, "drained");
+        handle.join().unwrap();
+    }
+
+    /// The acceptor's wait: a listener with no pending accept and its
+    /// waker in one instance; a wake from another thread reports only
+    /// the waker.
+    #[test]
+    fn waker_wakes_poll_from_another_thread() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let waker = std::sync::Arc::new(Waker::new().unwrap());
+        let epoll = Epoll::new().unwrap();
+        epoll.add(listener.as_raw_fd(), EPOLLIN, 0).unwrap();
+        epoll.add(waker.read_fd(), EPOLLIN, 1).unwrap();
+        let w = waker.clone();
+        let handle = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            w.wake();
+        });
+        let mut events = [EpollEvent::zeroed(); 4];
+        assert_eq!(epoll.wait(&mut events, 5_000).unwrap(), 1);
+        assert_eq!(events[0].token(), 1);
+        assert!(events[0].events() & EPOLLIN != 0);
+        waker.drain();
+        // Drained: an immediate re-wait reports nothing.
+        assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
         handle.join().unwrap();
     }
 }
